@@ -68,7 +68,7 @@ func BenchmarkClusterSubmit(b *testing.B) {
 		clock := sfsched.NewFakeClock()
 		r := sfsched.NewRuntime(sfsched.RuntimeConfig{
 			Workers: 1, Quantum: 10 * sfsched.Millisecond,
-			Clock: clock, QueueCap: 4, Manual: true,
+			Clock: clock, Manual: true, Intake: sfsched.IntakeConfig{QueueCap: 4},
 		})
 		defer r.Close()
 		tn, err := r.Register("bench", 1)

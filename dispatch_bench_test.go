@@ -38,15 +38,14 @@ func benchmarkDispatch(b *testing.B, shards, nTenants int, policy sfsched.Runtim
 	prev := runtime.GOMAXPROCS(workers)
 	defer runtime.GOMAXPROCS(prev)
 	r := sfsched.NewRuntime(sfsched.RuntimeConfig{
-		Workers:        workers,
-		Shards:         shards,
-		Policy:         policy, // nil = the default exact-mode SFS
-		Quantum:        sfsched.Millisecond,
-		QueueCap:       2,
-		RebalanceEvery: -1, // static uniform tenants; isolate dispatch cost
-		Preempt:        preempt,
-		Enforce:        enforce,
-		Steal:          steal,
+		Workers: workers,
+		Policy:  policy, // nil = the default exact-mode SFS
+		Quantum: sfsched.Millisecond,
+		Preempt: preempt,
+		// RebalanceEvery -1: static uniform tenants; isolate dispatch cost.
+		Sharding:    sfsched.ShardingConfig{Shards: shards, RebalanceEvery: -1, Steal: steal},
+		Enforcement: sfsched.EnforcementConfig{Enabled: enforce},
+		Intake:      sfsched.IntakeConfig{QueueCap: 2},
 	})
 	defer r.Close()
 	tenants := make([]*sfsched.Tenant, nTenants)
@@ -127,7 +126,7 @@ func BenchmarkDispatchEnforce(b *testing.B) {
 
 // benchmarkSubmitWake measures the submit→wakeup path with the submit route
 // selectable: intake=false is the pre-intake locked baseline
-// (RuntimeConfig.LockedSubmit — shard lock plus per-submit cond signal),
+// (RuntimeConfig.Intake.Locked — shard lock plus per-submit cond signal),
 // intake=true is the lock-free MPSC intake ring with batched drains. Unlike
 // benchmarkDispatch's deep-backlog flood, the tenant population is small and
 // backlogs start empty with ample capacity, so the workers drain each tenant
@@ -142,11 +141,10 @@ func benchmarkSubmitWake(b *testing.B, shards, nTenants int, intake bool) {
 	prev := runtime.GOMAXPROCS(workers)
 	defer runtime.GOMAXPROCS(prev)
 	r := sfsched.NewRuntime(sfsched.RuntimeConfig{
-		Workers:        workers,
-		Shards:         shards,
-		Quantum:        sfsched.Millisecond,
-		RebalanceEvery: -1,
-		LockedSubmit:   !intake,
+		Workers:  workers,
+		Quantum:  sfsched.Millisecond,
+		Sharding: sfsched.ShardingConfig{Shards: shards, RebalanceEvery: -1},
+		Intake:   sfsched.IntakeConfig{Locked: !intake},
 	})
 	defer r.Close()
 	tenants := make([]*sfsched.Tenant, nTenants)

@@ -80,8 +80,9 @@ func TestEnforcementPolicyMatrix(t *testing.T) {
 			clock := sfsched.NewFakeClock()
 			r := sfsched.NewRuntime(sfsched.RuntimeConfig{
 				Workers: workers, Quantum: quantum, Policy: policy,
-				Clock: clock, QueueCap: 4, Manual: true, Preempt: true,
-				Enforce: true, EnforceTick: tick,
+				Clock: clock, Manual: true, Preempt: true,
+				Intake:      sfsched.IntakeConfig{QueueCap: 4},
+				Enforcement: sfsched.EnforcementConfig{Enabled: true, Tick: tick},
 			})
 			defer r.Close()
 			interact, err := r.Register("interact", 1)

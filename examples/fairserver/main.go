@@ -85,11 +85,10 @@ func main() {
 
 	r := sfsched.NewRuntime(sfsched.RuntimeConfig{
 		Workers:  *workers,
-		Shards:   *shards,
 		Policy:   mkSched,
-		QueueCap: 8,
 		Preempt:  *preempt,
-		Steal:    *steal,
+		Sharding: sfsched.ShardingConfig{Shards: *shards, Steal: *steal},
+		Intake:   sfsched.IntakeConfig{QueueCap: 8},
 	})
 	defer r.Close()
 

@@ -2,7 +2,7 @@ package sfsched_test
 
 // Facade tests of the cluster tier and the grouped RuntimeConfig: NewCluster
 // end to end through exported names only, and the nested option groups
-// flattening onto the flat knobs with nested-wins precedence.
+// reaching the internal knobs.
 
 import (
 	"testing"
@@ -79,15 +79,12 @@ func TestFacadeCluster(t *testing.T) {
 }
 
 // TestFacadeConfigGrouping pins the nested option groups: each grouped knob
-// lands on the same internal setting as its flat spelling, and the nested
-// value wins when both are set.
+// lands on the internal setting it names.
 func TestFacadeConfigGrouping(t *testing.T) {
 	clock := sfsched.NewFakeClock()
 
-	// Sharding.Shards wins over the flat Shards.
 	r := sfsched.NewRuntime(sfsched.RuntimeConfig{
 		Workers: 4, Clock: clock, Manual: true,
-		Shards:   4,
 		Sharding: sfsched.ShardingConfig{Shards: 2},
 	})
 	if n := len(r.ShardStats()); n != 2 {
@@ -95,7 +92,7 @@ func TestFacadeConfigGrouping(t *testing.T) {
 	}
 	r.Close()
 
-	// Intake.QueueCap bounds the backlog like the flat QueueCap.
+	// Intake.QueueCap bounds the backlog.
 	r = sfsched.NewRuntime(sfsched.RuntimeConfig{
 		Workers: 1, Clock: clock, Manual: true,
 		Intake: sfsched.IntakeConfig{QueueCap: 2},
@@ -114,8 +111,8 @@ func TestFacadeConfigGrouping(t *testing.T) {
 	}
 	r.Close()
 
-	// Enforcement.Enabled arms the enforcer exactly like the flat Enforce
-	// (observable in Manual mode: Enforce() runs an enforcement pass).
+	// Enforcement.Enabled arms the enforcer (observable in Manual mode:
+	// Enforce() runs an enforcement pass).
 	r = sfsched.NewRuntime(sfsched.RuntimeConfig{
 		Workers: 1, Clock: clock, Manual: true,
 		Enforcement: sfsched.EnforcementConfig{Enabled: true, Tick: sfsched.Millisecond},

@@ -209,13 +209,10 @@ func TestFacadePolicyByName(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			shards := 2
-			if name == "hier" {
-				shards = 1 // class assignment is per-instance; see DESIGN.md §7
-			}
 			clock := sfsched.NewFakeClock()
 			r := sfsched.NewRuntime(sfsched.RuntimeConfig{
-				Workers: 2, Shards: shards, Policy: policy, Clock: clock, Manual: true,
+				Workers: 2, Policy: policy, Clock: clock, Manual: true,
+				Sharding: sfsched.ShardingConfig{Shards: 2},
 			})
 			defer r.Close()
 			for i := 0; i < 4; i++ {

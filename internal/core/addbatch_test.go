@@ -1,30 +1,58 @@
 // TestAddBatchEquivalence locks in the claim AddBatch's doc comment makes:
 // admitting a wakeup batch with one deferred readjustment pass leaves the
 // scheduler in exactly the state N sequential Adds would have, across the
-// exact, fixed-point and heuristic variants. Two schedulers replay an
+// exact, fixed-point and heuristic variants and for the same kernel over
+// hier's class table (where the batch must also land every thread in its
+// class). Two schedulers replay an
 // identical pre-history (admissions, pick/charge cycles, blocks), then one
 // admits the wakeup batch thread by thread while the other uses AddBatch;
 // every per-thread tag and the subsequent pick sequence must match.
 
-package core
+package core_test
 
 import (
 	"errors"
 	"testing"
 
+	"sfsched/internal/core"
+	"sfsched/internal/hier"
 	"sfsched/internal/sched"
 	"sfsched/internal/simtime"
 )
 
+// batchSched is what the equivalence test drives: *core.SFS and *hier.Hier.
+type batchSched interface {
+	sched.Scheduler
+	sched.BatchAdder
+	CheckInvariants() error
+}
+
 func TestAddBatchEquivalence(t *testing.T) {
+	const p = 2
+	flat := func(opts ...core.Option) func([]*sched.Thread) batchSched {
+		return func([]*sched.Thread) batchSched { return core.New(p, opts...) }
+	}
+	// Three classes 3:2:1 plus the default class; thread i goes to class
+	// i mod 4, so the wakeup batch below spans all four.
+	classed := func(ts []*sched.Thread) batchSched {
+		h := hier.New(p, 0)
+		classes := []*hier.Class{h.MustAddClass("a", 3), h.MustAddClass("b", 2), h.MustAddClass("c", 1)}
+		for i, th := range ts {
+			if i%4 < len(classes) {
+				h.Assign(th, classes[i%4])
+			}
+		}
+		return h
+	}
 	variants := []struct {
 		name string
-		opts []Option
+		new  func(threads []*sched.Thread) batchSched
 	}{
-		{"exact", nil},
-		{"fixed", []Option{WithFixedPoint(4)}},
-		{"heuristic", []Option{WithHeuristic(20)}},
-		{"heuristic_fixed", []Option{WithHeuristic(20), WithFixedPoint(4)}},
+		{"exact", flat()},
+		{"fixed", flat(core.WithFixedPoint(4))},
+		{"heuristic", flat(core.WithHeuristic(20))},
+		{"heuristic_fixed", flat(core.WithHeuristic(20), core.WithFixedPoint(4))},
+		{"hier", classed},
 	}
 	// Weights spread over two orders of magnitude so the batch admission
 	// triggers Figure-2 readjustment (φ != w) on the high-weight threads.
@@ -32,17 +60,15 @@ func TestAddBatchEquivalence(t *testing.T) {
 
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
-			const p = 2
 			q := 10 * simtime.Millisecond
-			seq := New(p, v.opts...) // admits the batch with N Adds
-			bat := New(p, v.opts...) // admits the batch with one AddBatch
-			mk := func(i int) [2]*sched.Thread {
-				return [2]*sched.Thread{mkThread(i, weights[i]), mkThread(i, weights[i])}
-			}
 			threads := make([][2]*sched.Thread, len(weights))
+			var seqT, batT []*sched.Thread
 			for i := range threads {
-				threads[i] = mk(i)
+				threads[i] = [2]*sched.Thread{mkThread(i, weights[i]), mkThread(i, weights[i])}
+				seqT, batT = append(seqT, threads[i][0]), append(batT, threads[i][1])
 			}
+			seq := v.new(seqT) // admits the batch with N Adds
+			bat := v.new(batT) // admits the batch with one AddBatch
 
 			now := simtime.Time(0)
 			// step drives both schedulers through one synchronized quantum
@@ -136,9 +162,20 @@ func TestAddBatchEquivalence(t *testing.T) {
 				}
 			}
 			// ...and so must everything the tags feed: the pick order from
-			// here on, and both schedulers' internal invariants.
+			// here on, and both schedulers' internal invariants (for hier
+			// these include every runnable thread sitting in the class its
+			// assignment names).
 			for k := 0; k < 60; k++ {
 				step()
+			}
+			if sh, ok := seq.(*hier.Hier); ok {
+				sc, bc := sh.Classes(), bat.(*hier.Hier).Classes()
+				for i := range sc {
+					if sc[i].Rate() != bc[i].Rate() || sc[i].Service() != bc[i].Service() || sc[i].Service() == 0 {
+						t.Fatalf("class %s: seq rate %g service %g, bat rate %g service %g (want equal, service > 0)",
+							sc[i].Name(), sc[i].Rate(), sc[i].Service(), bc[i].Rate(), bc[i].Service())
+					}
+				}
 			}
 			if err := seq.CheckInvariants(); err != nil {
 				t.Fatalf("sequential scheduler: %v", err)
@@ -154,7 +191,7 @@ func TestAddBatchEquivalence(t *testing.T) {
 // duplicate or an already-managed thread is rejected up front and leaves the
 // runnable set untouched.
 func TestAddBatchValidation(t *testing.T) {
-	s := New(2)
+	s := core.New(2)
 	managed := mkThread(1, 1)
 	if err := s.Add(managed, 0); err != nil {
 		t.Fatal(err)

@@ -1,4 +1,4 @@
-package core
+package core_test
 
 // Fuzzing of fixed-point tag wraparound: two fixed-point SFS instances run
 // the same byte-derived workload script, one with a tiny rebase threshold
@@ -12,6 +12,7 @@ package core
 import (
 	"testing"
 
+	"sfsched/internal/core"
 	"sfsched/internal/fixedpoint"
 	"sfsched/internal/simtime"
 )
@@ -33,8 +34,8 @@ func FuzzFixedpointWraparound(f *testing.F) {
 			t.Skip("not enough weight bytes")
 		}
 		const cpus = 2
-		sut := New(cpus, WithFixedPoint(4), WithRebaseThreshold(fuzzRebaseThreshold))
-		ora := New(cpus, WithFixedPoint(4))
+		sut := core.New(cpus, core.WithFixedPoint(4), core.WithRebaseThreshold(fuzzRebaseThreshold))
+		ora := core.New(cpus, core.WithFixedPoint(4))
 		w := newGoldenWorld(t, "fuzz-rebase", sut, ora)
 		for _, b := range data[1 : 1+nt] {
 			w.add(w.mk(1 + float64(b%32)))

@@ -1,4 +1,4 @@
-package core
+package core_test
 
 // Golden-trace differential tests: the lazily-evaluated exact scheduler must
 // produce decisions bit-identical to the paper's eager algorithm — recompute
@@ -7,21 +7,33 @@ package core
 // algorithm from scratch (no shared queue machinery, no stored surpluses),
 // using the same floating-point and fixed-point expressions, and the tests
 // drive oracle and scheduler through identical scripted workloads comparing
-// the full pick sequence.
+// the full pick sequence. The oracle takes its φ rule as a parameter, so the
+// one kernel is checked under both of its φ sources: Figure 2 (core.New) and
+// hierarchical water-filling (hier.New, which is why this file sits in the
+// external test package — hier imports core).
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
+	"sfsched/internal/core"
 	"sfsched/internal/fixedpoint"
+	"sfsched/internal/hier"
 	"sfsched/internal/phi"
+	"sfsched/internal/readjust"
 	"sfsched/internal/sched"
 	"sfsched/internal/simtime"
 	"sfsched/internal/xrand"
 )
 
-// goldenSched is the operation surface the differential driver needs; both
-// *SFS and *oracle implement it.
+func mkThread(id int, w float64) *sched.Thread {
+	return &sched.Thread{ID: id, Weight: w, Phi: w,
+		CPU: sched.NoCPU, LastCPU: sched.NoCPU, State: sched.Runnable}
+}
+
+// goldenSched is the operation surface the differential driver needs;
+// *core.SFS, *hier.Hier and *oracle implement it.
 type goldenSched interface {
 	Add(*sched.Thread, simtime.Time) error
 	Remove(*sched.Thread, simtime.Time) error
@@ -30,13 +42,22 @@ type goldenSched interface {
 	Pick(int, simtime.Time) *sched.Thread
 }
 
+// phiRule is where the oracle's φ values come from: the part of
+// core.PhiSource an eager scheduler needs.
+type phiRule interface {
+	Add(*sched.Thread) bool
+	Remove(*sched.Thread) bool
+	UpdateWeight(*sched.Thread, float64) bool
+}
+
 // oracle is the eager reference implementation of exact-mode SFS: a flat
 // slice of runnable threads, surpluses recomputed from scratch on demand.
-// It reuses phi.Tracker so that readjusted φ values are arithmetic-identical
-// to the scheduler's, and mirrors the seed's tag update expressions exactly.
+// For flat SFS its rule is a phi.Tracker of its own, so that readjusted φ
+// values are arithmetic-identical to the scheduler's; it mirrors the seed's
+// tag update expressions exactly.
 type oracle struct {
 	p            int
-	weights      *phi.Tracker
+	weights      phiRule
 	threads      []*sched.Thread
 	v            float64
 	lastFinish   float64
@@ -47,8 +68,8 @@ type oracle struct {
 	margin       float64 // affinity margin; <0 disables
 }
 
-func newOracle(p int, fixedDigits int, margin float64) *oracle {
-	o := &oracle{p: p, weights: phi.NewTracker(p, true), margin: margin}
+func newOracle(p int, fixedDigits int, margin float64, rule phiRule) *oracle {
+	o := &oracle{p: p, weights: rule, margin: margin}
 	if fixedDigits > 0 {
 		o.fixed = true
 		o.scale = fixedpoint.MustScale(fixedDigits)
@@ -198,6 +219,9 @@ type goldenWorld struct {
 	nextID int
 	now    simtime.Time
 	step   int
+	// assign, when set, sees every new mirrored pair before its first add
+	// (the hierarchical world routes both threads to the same class).
+	assign func(id int, sut, ora *sched.Thread)
 }
 
 func newGoldenWorld(t *testing.T, name string, sut, ora goldenSched) *goldenWorld {
@@ -213,6 +237,9 @@ func (w *goldenWorld) mk(weight float64) int {
 	id := w.nextID
 	w.sutT[id] = mkThread(id, weight)
 	w.oraT[id] = mkThread(id, weight)
+	if w.assign != nil {
+		w.assign(id, w.sutT[id], w.oraT[id])
+	}
 	return id
 }
 
@@ -385,15 +412,109 @@ func goldenCases() []goldenCase {
 	}
 }
 
-// TestGoldenTraceFloat verifies pick-sequence equality in float64 mode.
+// nestedFill is hierarchical GMS written the obvious way, as the oracle's φ
+// rule for the hier cases: on every change, water-fill the class weights and
+// then each class's member weights from scratch with the allocating
+// readjust.WaterFill. Classes are visited in creation order and members in
+// arrival order — the order hier sums weights in — so the rates agree to the
+// bit, not merely closely.
+type nestedFill struct {
+	p       int
+	weights []float64 // class weights, creation order
+	classOf map[*sched.Thread]int
+	members [][]*sched.Thread
+}
+
+func (n *nestedFill) Add(t *sched.Thread) bool {
+	c := n.classOf[t]
+	n.members[c] = append(n.members[c], t)
+	n.fill()
+	return true
+}
+
+func (n *nestedFill) Remove(t *sched.Thread) bool {
+	c := n.classOf[t]
+	if i := slices.Index(n.members[c], t); i >= 0 {
+		n.members[c] = slices.Delete(n.members[c], i, i+1)
+	}
+	n.fill()
+	return true
+}
+
+func (n *nestedFill) UpdateWeight(t *sched.Thread, w float64) bool {
+	t.Weight = w
+	n.fill()
+	return true
+}
+
+func (n *nestedFill) fill() {
+	var active []int
+	var ws, caps []float64
+	for c, m := range n.members {
+		if len(m) > 0 {
+			active = append(active, c)
+			ws = append(ws, n.weights[c])
+			caps = append(caps, float64(min(len(m), n.p)))
+		}
+	}
+	if len(active) == 0 {
+		return
+	}
+	for i, rate := range readjust.WaterFill(ws, caps, float64(n.p)) {
+		m := n.members[active[i]]
+		tw, one := make([]float64, len(m)), make([]float64, len(m))
+		for j, t := range m {
+			tw[j], one[j] = t.Weight, 1
+		}
+		for j, r := range readjust.WaterFill(tw, one, rate) {
+			m[j].Phi = r
+		}
+	}
+}
+
+// goldenHierWeights are the class weights of the hierarchical golden world,
+// default class first; thread id lands in class id mod 4.
+var goldenHierWeights = []float64{1, 3, 2, 1}
+
+// newGoldenHier pairs a hier.Hier with the eager oracle under nestedFill.
+func newGoldenHier(t *testing.T, name string, cpus int) (*goldenWorld, *hier.Hier) {
+	h := hier.New(cpus, 20*simtime.Millisecond)
+	classes := []*hier.Class{nil} // nil: left to the default class
+	for i, cw := range goldenHierWeights[1:] {
+		classes = append(classes, h.MustAddClass(fmt.Sprint("c", i+1), cw))
+	}
+	rule := &nestedFill{p: cpus, weights: goldenHierWeights,
+		classOf: map[*sched.Thread]int{}, members: make([][]*sched.Thread, len(goldenHierWeights))}
+	w := newGoldenWorld(t, name, h, newOracle(cpus, 0, -1, rule))
+	w.assign = func(id int, sut, ora *sched.Thread) {
+		c := id % len(classes)
+		if classes[c] != nil {
+			h.Assign(sut, classes[c])
+		}
+		rule.classOf[ora] = c
+	}
+	return w, h
+}
+
+// TestGoldenTraceFloat verifies pick-sequence equality in float64 mode, for
+// flat SFS and — every case but the affinity one, an SFS-only option — for
+// the same kernel over hier's class table.
 func TestGoldenTraceFloat(t *testing.T) {
 	for _, c := range goldenCases() {
 		t.Run(c.name, func(t *testing.T) {
-			opts := []Option{WithQuantum(20 * simtime.Millisecond)}
+			opts := []core.Option{core.WithQuantum(20 * simtime.Millisecond)}
 			if c.margin >= 0 {
-				opts = append(opts, WithAffinity(c.margin))
+				opts = append(opts, core.WithAffinity(c.margin))
 			}
-			w := newGoldenWorld(t, c.name, New(c.cpus, opts...), newOracle(c.cpus, 0, c.margin))
+			w := newGoldenWorld(t, c.name, core.New(c.cpus, opts...),
+				newOracle(c.cpus, 0, c.margin, phi.NewTracker(c.cpus, true)))
+			c.script(w, xrand.New(uint64(17+len(c.name))))
+		})
+		if c.margin >= 0 {
+			continue
+		}
+		t.Run("hier/"+c.name, func(t *testing.T) {
+			w, _ := newGoldenHier(t, "hier/"+c.name, c.cpus)
 			c.script(w, xrand.New(uint64(17+len(c.name))))
 		})
 	}
@@ -404,12 +525,12 @@ func TestGoldenTraceFloat(t *testing.T) {
 func TestGoldenTraceFixed(t *testing.T) {
 	for _, c := range goldenCases() {
 		t.Run(c.name, func(t *testing.T) {
-			opts := []Option{WithQuantum(20 * simtime.Millisecond), WithFixedPoint(4)}
+			opts := []core.Option{core.WithQuantum(20 * simtime.Millisecond), core.WithFixedPoint(4)}
 			if c.margin >= 0 {
-				opts = append(opts, WithAffinity(c.margin))
+				opts = append(opts, core.WithAffinity(c.margin))
 			}
-			s := New(c.cpus, opts...)
-			w := newGoldenWorld(t, c.name, s, newOracle(c.cpus, 4, c.margin))
+			s := core.New(c.cpus, opts...)
+			w := newGoldenWorld(t, c.name, s, newOracle(c.cpus, 4, c.margin, phi.NewTracker(c.cpus, true)))
 			c.script(w, xrand.New(uint64(17+len(c.name))))
 			if s.Stats().Rebases != 0 {
 				t.Fatalf("unexpected rebase during golden run (oracle does not model rebasing)")
@@ -420,30 +541,42 @@ func TestGoldenTraceFixed(t *testing.T) {
 
 // TestGoldenTraceInvariants re-runs the churn workload with invariant checks
 // after every step, covering the vRef bookkeeping under arrivals,
-// departures, weight changes and long pick scans.
+// departures, weight changes and long pick scans — and, for hier, the class
+// table's membership against the kernel's queues.
 func TestGoldenTraceInvariants(t *testing.T) {
-	s := New(4, WithQuantum(20*simtime.Millisecond))
-	o := newOracle(4, 0, -1)
-	w := newGoldenWorld(t, "churn-invariants", s, o)
-	r := xrand.New(99)
-	for i := 0; i < 20; i++ {
-		w.add(w.mk(float64(1 + r.Intn(30))))
-	}
-	for w.step = 0; w.step < 2000; w.step++ {
-		switch op := r.Intn(10); {
-		case op < 2:
-			w.add(w.mk(float64(1 + r.Intn(30))))
-		case op < 4 && len(w.ids) > 1:
-			w.remove(w.ids[r.Intn(len(w.ids))])
-		case op < 5 && len(w.ids) > 0:
-			w.setWeight(w.ids[r.Intn(len(w.ids))], float64(1+r.Intn(30)))
-		default:
-			if id := w.pick(r.Intn(4)); id != 0 {
-				w.charge(id, simtime.Duration(1+r.Intn(20))*simtime.Millisecond)
+	for name, mk := range map[string]func(*testing.T, string) (*goldenWorld, func() error){
+		"churn-invariants": func(t *testing.T, name string) (*goldenWorld, func() error) {
+			s := core.New(4, core.WithQuantum(20*simtime.Millisecond))
+			return newGoldenWorld(t, name, s, newOracle(4, 0, -1, phi.NewTracker(4, true))), s.CheckInvariants
+		},
+		"hier/churn-invariants": func(t *testing.T, name string) (*goldenWorld, func() error) {
+			w, h := newGoldenHier(t, name, 4)
+			return w, h.CheckInvariants
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			w, check := mk(t, name)
+			r := xrand.New(99)
+			for i := 0; i < 20; i++ {
+				w.add(w.mk(float64(1 + r.Intn(30))))
 			}
-		}
-		if err := s.CheckInvariants(); err != nil {
-			t.Fatalf("step %d: %v", w.step, err)
-		}
+			for w.step = 0; w.step < 2000; w.step++ {
+				switch op := r.Intn(10); {
+				case op < 2:
+					w.add(w.mk(float64(1 + r.Intn(30))))
+				case op < 4 && len(w.ids) > 1:
+					w.remove(w.ids[r.Intn(len(w.ids))])
+				case op < 5 && len(w.ids) > 0:
+					w.setWeight(w.ids[r.Intn(len(w.ids))], float64(1+r.Intn(30)))
+				default:
+					if id := w.pick(r.Intn(4)); id != 0 {
+						w.charge(id, simtime.Duration(1+r.Intn(20))*simtime.Millisecond)
+					}
+				}
+				if err := check(); err != nil {
+					t.Fatalf("step %d: %v", w.step, err)
+				}
+			}
+		})
 	}
 }

@@ -8,8 +8,10 @@
 //
 // Every thread carries a start tag S_i and finish tag F_i. When a thread
 // runs for q units its finish tag becomes F_i = S_i + q/φ_i, where φ_i is
-// the instantaneous weight computed by the readjustment algorithm
-// (internal/readjust via internal/phi), and its start tag advances to F_i.
+// the instantaneous weight supplied by the scheduler's PhiSource — Figure 2's
+// readjustment (internal/phi) for flat SFS, nested water-filling over a class
+// table for hierarchical SFS (internal/hier) — and its start tag advances to
+// F_i.
 // The system's virtual time v is the minimum start tag over runnable threads
 // (the finish tag of the last thread to run when the machine idles). The
 // surplus of a thread is
@@ -89,7 +91,8 @@ type SFS struct {
 	p       int
 	quantum simtime.Duration
 
-	weights   *phi.Tracker                  // queue 1: descending weight + φ values
+	weights   PhiSource                     // where φ values come from
+	byWeight  *phi.Tracker                  // queue 1: descending weight (nil over a foreign PhiSource)
 	byStart   *runqueue.Heap[*sched.Thread] // queue 2: min-heap on (start tag, ID)
 	bySurplus *runqueue.Heap[*sched.Thread] // queue 3: min-heap on stored surplus
 
@@ -187,10 +190,80 @@ func WithoutReadjustment() Option {
 	return func(s *SFS) { s.useReadjust = false }
 }
 
-// New returns an SFS scheduler for p processors. It panics if p < 1; the
-// processor count comes from static machine configuration, never from user
-// input.
+// PhiSource supplies the instantaneous weights the tag algebra divides by.
+// The paper decouples where φ comes from and what the scheduler does with it
+// (§2.1: readjustment "can be employed with most existing GPS-based
+// scheduling algorithms"); this interface is that seam. *phi.Tracker
+// (Figure 2 over the weight-sorted queue) is the source New installs;
+// internal/hier supplies hierarchical GMS rates from a class table. A source
+// tracks exactly the runnable set: the kernel reports every arrival,
+// departure and weight change through it and nowhere else, so state keyed by
+// membership (hier's classes) belongs behind it.
+//
+// The methods that readjust report whether any tracked φ changed. Whenever a
+// source assigns a tracked thread's φ it calls the OnPhiChange hook for that
+// thread; the hook also fires unconditionally for the thread passed to Add,
+// AddDeferred (derived caches such as FxPhi are primed even when φ is
+// unchanged) and UpdateWeight (weight is a tie-break key of the surplus
+// queue).
+type PhiSource interface {
+	// Add starts tracking t and readjusts.
+	Add(t *sched.Thread) bool
+	// AddDeferred starts tracking t, leaving t.Phi positive, without
+	// readjusting; the caller runs one Readjust for the whole batch.
+	AddDeferred(t *sched.Thread)
+	// Remove stops tracking t and readjusts. A source may leave t.Phi at
+	// any positive value: a thread removed mid-slice is still charged.
+	Remove(t *sched.Thread) bool
+	// UpdateWeight sets the tracked thread's requested weight and
+	// readjusts.
+	UpdateWeight(t *sched.Thread, w float64) bool
+	// Readjust recomputes φ for the tracked set.
+	Readjust() bool
+	// OnPhiChange registers the hook; the kernel calls it once, before
+	// any thread is tracked.
+	OnPhiChange(fn func(*sched.Thread))
+	// Sum returns Σ w_i over the tracked set (requested weights).
+	Sum() float64
+	// MaxPhi returns an upper bound on every tracked thread's φ, the
+	// φ_max of the drift-bounded pick scan; it need not be tight.
+	MaxPhi() float64
+	// Len returns the number of tracked threads.
+	Len() int
+	// Passes counts the readjustments that changed some φ.
+	Passes() int64
+	// Validate checks the source's own structural invariants.
+	Validate() error
+}
+
+// New returns an SFS scheduler for p processors with Figure 2's weight
+// readjustment as its φ source. It panics if p < 1; the processor count comes
+// from static machine configuration, never from user input.
 func New(p int, opts ...Option) *SFS {
+	s := newKernel(p)
+	for _, o := range opts {
+		o(s)
+	}
+	s.byWeight = phi.NewTracker(p, s.useReadjust)
+	s.setSource(s.byWeight)
+	return s
+}
+
+// NewOver returns the exact-mode, float-arithmetic SFS kernel for p
+// processors over a caller-supplied φ source: everything New's scheduler does
+// — tags, virtual time, the lazily refreshed surplus queue, picks, preemption
+// ranks, frame translation, batch admission — with src deciding each
+// thread's φ. A non-positive quantum selects DefaultQuantum.
+func NewOver(p int, quantum simtime.Duration, src PhiSource) *SFS {
+	s := newKernel(p)
+	if quantum > 0 {
+		s.quantum = quantum
+	}
+	s.setSource(src)
+	return s
+}
+
+func newKernel(p int) *SFS {
 	if p < 1 {
 		panic(fmt.Sprintf("core: invalid processor count %d", p))
 	}
@@ -215,14 +288,16 @@ func New(p int, opts ...Option) *SFS {
 	// order and pickExact's no-drift prune predicate must be the same
 	// function, so both use surplusHeapLess.
 	s.bySurplus = runqueue.NewHeap(runqueue.SlotSurplus, surplusHeapLess)
-	for _, o := range opts {
-		o(s)
-	}
-	s.weights = phi.NewTracker(p, s.useReadjust)
-	// φ changes arrive thread-by-thread from the readjustment pass; keep
-	// the derived state (FxPhi cache, stored surplus, queue position) of
-	// each affected thread current instead of sweeping the whole set.
-	s.weights.OnPhiChange(func(t *sched.Thread) {
+	return s
+}
+
+// setSource installs the φ source and its hook. φ changes arrive
+// thread-by-thread from the readjustment pass; the hook keeps the derived
+// state (FxPhi cache, stored surplus, queue position) of each affected thread
+// current instead of sweeping the whole set.
+func (s *SFS) setSource(src PhiSource) {
+	s.weights = src
+	src.OnPhiChange(func(t *sched.Thread) {
 		if s.fixed {
 			t.FxPhi = s.scale.FromFloat(t.Phi)
 		}
@@ -231,7 +306,6 @@ func New(p int, opts ...Option) *SFS {
 			s.bySurplus.Fix(t)
 		}
 	})
-	return s
 }
 
 // SFS implements the full capability set the sharded runtime can exploit.
@@ -328,54 +402,60 @@ func (s *SFS) Stats() Stats {
 // Quantum returns the configured maximum quantum.
 func (s *SFS) Quantum() simtime.Duration { return s.quantum }
 
-// SetCapacity changes the CPU capacity the feasibility constraint is
-// evaluated against. A flat scheduler's capacity is its processor count (the
-// default); the hierarchical scheduler (internal/hier) sets each class's
-// inner capacity to the fractional number of CPUs the class is entitled to,
-// so that intra-class readjustment caps threads at one *physical* CPU out of
-// the class's allocation.
-func (s *SFS) SetCapacity(c float64) {
-	if s.weights.SetCapacity(c) && s.k > 0 {
-		s.refreshSurpluses()
-	}
-}
-
-// Add implements sched.Scheduler. A newly arriving thread receives start tag
-// v; a newly woken thread receives max(F_i, v), which prevents a thread from
-// banking credit while asleep and starving others on wakeup (§2.3).
-func (s *SFS) Add(t *sched.Thread, now simtime.Time) error {
+// admissible reports why t may not join the runnable set, if it may not.
+func (s *SFS) admissible(t *sched.Thread) error {
 	if !sched.ValidWeight(t.Weight) {
 		return fmt.Errorf("%w: %g", sched.ErrBadWeight, t.Weight)
 	}
 	if s.byStart.Contains(t) {
 		return fmt.Errorf("%w: %v", sched.ErrAlreadyManaged, t)
 	}
-	if s.fixed {
-		// The thread's finish tag may predate rebases that happened while
-		// it slept; bring it into the current tag frame first so that the
-		// max(F_i, v) wakeup rule compares like with like.
-		if delta := s.fxShift - t.FxShift; delta != 0 {
-			t.FxFinish -= delta
-			t.Finish = s.scale.Float(t.FxFinish)
-			t.FxShift = s.fxShift
-		}
-		if t.FxFinish > s.fxV {
-			t.FxStart = t.FxFinish
-		} else {
-			t.FxStart = s.fxV
-		}
-		t.Start = s.scale.Float(t.FxStart)
-	} else {
+	return nil
+}
+
+// arrive applies the §2.3 arrival rule: a newly arriving thread receives
+// start tag v; a newly woken thread receives max(F_i, v), which prevents a
+// thread from banking credit while asleep and starving others on wakeup.
+func (s *SFS) arrive(t *sched.Thread) {
+	if !s.fixed {
 		t.Start = math.Max(t.Finish, s.v)
+		return
 	}
-	changed := s.weights.Add(t)
+	// The thread's finish tag may predate rebases that happened while it
+	// slept; bring it into the current tag frame first so that the
+	// max(F_i, v) wakeup rule compares like with like.
+	if delta := s.fxShift - t.FxShift; delta != 0 {
+		t.FxFinish -= delta
+		t.Finish = s.scale.Float(t.FxFinish)
+		t.FxShift = s.fxShift
+	}
+	if t.FxFinish > s.fxV {
+		t.FxStart = t.FxFinish
+	} else {
+		t.FxStart = s.fxV
+	}
+	t.Start = s.scale.Float(t.FxStart)
+}
+
+// enqueue inserts t, tagged and already known to the φ source, into the
+// start and surplus queues. Adding a thread cannot lower v (its start tag is
+// >= v), so only φ changes require updating other threads' surpluses — and in
+// exact mode the φ hook repositions each affected thread.
+func (s *SFS) enqueue(t *sched.Thread) {
 	s.byStart.Push(t)
-	// Adding a thread cannot lower v (its start tag is >= v), so only φ
-	// changes require updating other threads' surpluses — and in exact
-	// mode the φ hook has already repositioned each affected thread.
 	s.recomputeV()
 	s.storeSurplus(t)
 	s.bySurplus.Push(t)
+}
+
+// Add implements sched.Scheduler: a new arrival or a wakeup.
+func (s *SFS) Add(t *sched.Thread, now simtime.Time) error {
+	if err := s.admissible(t); err != nil {
+		return err
+	}
+	s.arrive(t)
+	changed := s.weights.Add(t)
+	s.enqueue(t)
 	if changed && s.k > 0 {
 		s.refreshSurpluses()
 	}
@@ -387,26 +467,23 @@ func (s *SFS) Add(t *sched.Thread, now simtime.Time) error {
 // but with the weight-readjustment pass — and, in heuristic mode, the global
 // surplus refresh a φ change forces — run once for the whole batch. The
 // sharded runtime's intake drain uses it so N simultaneous wakeups cost one
-// Figure-2 pass.
+// readjustment pass.
 //
 // Equivalence with sequential Adds holds because φ values are a pure
-// function of the final runnable set (Figure 2 has no history), each
-// thread's wakeup tag max(F_i, v) is unaffected by the other admissions
-// (adding a thread can never lower v, and v is recomputed after every
-// insertion exactly as the sequential path would), and the deferred
+// function of the final runnable set (neither Figure 2 nor water-filling has
+// history), each thread's wakeup tag max(F_i, v) is unaffected by the other
+// admissions (adding a thread can never lower v, and v is recomputed after
+// every insertion exactly as the sequential path would), and the deferred
 // readjustment's φ hook re-stores the surplus of every thread whose φ
 // changed — exactly the state N per-Add passes would have left behind.
-// TestAddBatchEquivalence locks this in across the exact, fixed-point and
-// heuristic variants.
+// TestAddBatchEquivalence locks this in across the exact, fixed-point,
+// heuristic and hierarchical variants.
 func (s *SFS) AddBatch(ts []*sched.Thread, now simtime.Time) error {
 	// Validate the whole batch up front (including intra-batch duplicates)
 	// so that an error leaves the runnable set untouched.
 	for i, t := range ts {
-		if !sched.ValidWeight(t.Weight) {
-			return fmt.Errorf("%w: %g", sched.ErrBadWeight, t.Weight)
-		}
-		if s.byStart.Contains(t) {
-			return fmt.Errorf("%w: %v", sched.ErrAlreadyManaged, t)
+		if err := s.admissible(t); err != nil {
+			return err
 		}
 		for _, u := range ts[:i] {
 			if u == t {
@@ -415,26 +492,9 @@ func (s *SFS) AddBatch(ts []*sched.Thread, now simtime.Time) error {
 		}
 	}
 	for _, t := range ts {
-		if s.fixed {
-			if delta := s.fxShift - t.FxShift; delta != 0 {
-				t.FxFinish -= delta
-				t.Finish = s.scale.Float(t.FxFinish)
-				t.FxShift = s.fxShift
-			}
-			if t.FxFinish > s.fxV {
-				t.FxStart = t.FxFinish
-			} else {
-				t.FxStart = s.fxV
-			}
-			t.Start = s.scale.Float(t.FxStart)
-		} else {
-			t.Start = math.Max(t.Finish, s.v)
-		}
+		s.arrive(t)
 		s.weights.AddDeferred(t)
-		s.byStart.Push(t)
-		s.recomputeV()
-		s.storeSurplus(t)
-		s.bySurplus.Push(t)
+		s.enqueue(t)
 	}
 	if s.weights.Readjust() && s.k > 0 {
 		s.refreshSurpluses()
@@ -594,8 +654,7 @@ func betterPick(fresh float64, t *sched.Thread, bestS float64, best *sched.Threa
 }
 
 // surplusHeapLess is the surplus queue's order: ascending stored surplus,
-// then descending weight, then ID. internal/hier shares it via
-// SurplusQueueLess.
+// then descending weight, then ID.
 func surplusHeapLess(a, b *sched.Thread) bool {
 	if a.Surplus != b.Surplus {
 		return a.Surplus < b.Surplus
@@ -606,16 +665,9 @@ func surplusHeapLess(a, b *sched.Thread) bool {
 	return a.ID < b.ID
 }
 
-// SurplusQueueLess exports the surplus queue order for schedulers that reuse
-// the lazy-surplus pick mechanism (internal/hier). Any heap ordered by it
-// may be pruned with it during no-drift picks.
-func SurplusQueueLess(a, b *sched.Thread) bool { return surplusHeapLess(a, b) }
-
 // driftBound returns the pick-scan prune bound φ_max·|v−vRef| and its
 // conservative slack for the current drift, given the largest possible
-// instantaneous weight wmax. Both pickExact and MinSurplusAll prune with
-// exactly these values; keeping them in one place keeps the two scans
-// equally conservative.
+// instantaneous weight wmax.
 func (s *SFS) driftBound(wmax float64) (bound, slack float64) {
 	drift := s.v - s.vRef
 	if drift < 0 {
@@ -628,11 +680,12 @@ func (s *SFS) driftBound(wmax float64) (bound, slack float64) {
 
 // pickExact returns the non-running thread with the least fresh surplus via
 // a pruned traversal of the surplus heap. Stored surpluses are relative to
-// vRef; since every φ_i is at most the heaviest requested weight, a fresh
-// surplus can sit below its stored value by at most w_max·(v−vRef), so a
-// subtree whose root's stored surplus exceeds the incumbent by more than
-// that bound (plus the affinity margin, within which the extension may
-// promote a thread that last ran on this CPU) cannot contain the answer.
+// vRef; since every φ_i is at most the source's MaxPhi (for Figure 2, the
+// heaviest requested weight), a fresh surplus can sit below its stored value
+// by at most φ_max·(v−vRef), so a subtree whose root's stored surplus exceeds
+// the incumbent by more than that bound (plus the affinity margin, within
+// which the extension may promote a thread that last ran on this CPU) cannot
+// contain the answer.
 // With zero drift stored surpluses ARE fresh, the bound collapses, and the
 // traversal degenerates to a heap-minimum search that skips running threads.
 // A small slack keeps the drifted cutoff conservative against float rounding
@@ -647,11 +700,7 @@ func (s *SFS) pickExact(cpu int) *sched.Thread {
 	noDrift := s.noDrift()
 	var bound, slack float64
 	if !noDrift {
-		var wmax float64
-		if h, ok := s.weights.Heaviest(); ok {
-			wmax = h.Weight
-		}
-		bound, slack = s.driftBound(wmax)
+		bound, slack = s.driftBound(s.weights.MaxPhi())
 	}
 	var best, bestAff *sched.Thread
 	var bestS, bestAffS float64
@@ -740,7 +789,7 @@ func (s *SFS) pickHeuristic(cpu int) *sched.Thread {
 		consider(t)
 	}
 	n := 0
-	s.weights.EachReverse(func(t *sched.Thread) bool {
+	s.byWeight.EachReverse(func(t *sched.Thread) bool {
 		n++
 		consider(t)
 		return n < s.k
@@ -763,58 +812,6 @@ func (s *SFS) pickHeuristic(cpu int) *sched.Thread {
 		s.stats.HeuristicHits++
 	}
 	return best
-}
-
-// MinSurplusAll returns the minimum fresh surplus over all runnable threads
-// including those currently running, or 0 when nothing is runnable. The
-// hierarchical scheduler uses it to detect forced picks: an eligible thread
-// whose surplus exceeds this minimum is only being offered because the truly
-// deserving thread already occupies a CPU.
-func (s *SFS) MinSurplusAll() float64 {
-	if s.byStart.Len() == 0 {
-		return 0
-	}
-	if s.k > 0 {
-		// Heuristic mode: stored surpluses carry mixed epochs, so the
-		// drift bound does not apply; scan everything.
-		min := math.Inf(1)
-		s.byStart.Each(func(t *sched.Thread) bool {
-			if fresh := t.Phi * (t.Start - s.v); fresh < min {
-				min = fresh
-			}
-			return true
-		})
-		return min
-	}
-	if s.noDrift() {
-		// Stored surpluses are fresh; running threads count, so the heap
-		// minimum is the answer.
-		head, _ := s.bySurplus.Min()
-		return head.Surplus
-	}
-	var wmax float64
-	if h, ok := s.weights.Heaviest(); ok {
-		wmax = h.Weight
-	}
-	bound, slack := s.driftBound(wmax)
-	min := math.Inf(1)
-	cut := math.Inf(1)
-	scanned := 0
-	s.bySurplus.EachUnder(func(t *sched.Thread) bool {
-		if t.Surplus > cut {
-			return false
-		}
-		scanned++
-		if fresh := s.freshSurplus(t); fresh < min {
-			min = fresh
-			cut = min + bound + slack + 1e-12*math.Abs(min)
-		}
-		return true
-	})
-	if scanned > s.scanLimit {
-		s.needRefresh = true
-	}
-	return min
 }
 
 // ExactMinSurplus returns the runnable non-running thread with the smallest

@@ -158,6 +158,28 @@ func TestEngineRecorder(t *testing.T) {
 	}
 }
 
+// classServiceMatches checks, for the hierarchical policy, that the service
+// its classes account equals what its threads received: an installment that
+// reached the tags but not the class account would break it.
+func classServiceMatches(t *testing.T, s sched.Scheduler, threads []*sched.Thread) {
+	t.Helper()
+	h, ok := s.(*hier.Hier)
+	if !ok {
+		return
+	}
+	var byThread simtime.Duration
+	for _, th := range threads {
+		byThread += th.Service
+	}
+	var byClass float64
+	for _, c := range h.Classes() {
+		byClass += c.Service()
+	}
+	if byClass != byThread.Seconds() {
+		t.Errorf("classes account %gs of service, their threads received %gs", byClass, byThread.Seconds())
+	}
+}
+
 // TestEngineChargeComposition generalizes the InterimCharger contract test to
 // the engine code path every driver now shares: N ChargeInstallment calls
 // plus the boundary Settle must leave every thread exactly where one Settle
@@ -193,8 +215,9 @@ func TestEngineChargeComposition(t *testing.T) {
 				}
 				return math.Abs(a-b) <= 1e-9*math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
 			}
-			whole := engine.New(tc.mk())
-			split := engine.New(tc.mk())
+			wholeS, splitS := tc.mk(), tc.mk()
+			whole := engine.New(wholeS)
+			split := engine.New(splitS)
 			if split.Interim == nil {
 				t.Fatalf("%s does not implement sched.InterimCharger", tc.name)
 			}
@@ -290,6 +313,8 @@ func TestEngineChargeComposition(t *testing.T) {
 				split.Settle(&ssl, now, engine.NoCap)
 				wNext.CPU, sNext.CPU = sched.NoCPU, sched.NoCPU
 			}
+			classServiceMatches(t, wholeS, wThreads)
+			classServiceMatches(t, splitS, sThreads)
 		})
 	}
 }

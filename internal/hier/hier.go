@@ -18,7 +18,7 @@
 // happens to hold the slot keeps it, and intra-class shares drift toward
 // equality (we measured exactly that before switching designs). Instead,
 // this package computes every thread's *hierarchical GMS rate* directly by
-// nested water-filling (readjust.WaterFill):
+// nested water-filling (readjust.Filler):
 //
 //  1. class rates: capacity p divided by class weights, per-class cap
 //     min(runnable_c, p);
@@ -32,21 +32,28 @@
 // by construction the hierarchical GMS allocation. Figure 2's readjustment
 // is the special case of this tree with every thread in its own class.
 //
-// The Charge/Pick hot loop uses the same lazy-surplus scheme as
-// internal/core (stored surpluses against a vRef epoch, drift-bounded exact
-// pick scans, refresh only when scans grow long), and the readjustment pass
-// reuses scratch buffers and skips classes whose rate and membership are
-// unchanged since the previous pass — on a class-partitioned workload the
-// common arrival/departure only recomputes the affected class.
+// # Composition: one kernel, two φ sources
+//
+// The flat queue is internal/core's: a Hier is a core.SFS kernel (tags,
+// virtual time, the lazily refreshed surplus queue, picks, preemption ranks,
+// frame translation, batch admission) whose core.PhiSource is this package's
+// class table instead of Figure 2's phi.Tracker. The table owns what is
+// hierarchical — classes, the thread→class assignment, class weights, class
+// membership of the runnable set, the rates — and nothing else; per-class
+// service is the one quantity accounted outside it, in the Charge wrapper.
+// The readjustment pass reuses scratch buffers and skips classes whose rate
+// and membership are unchanged since the previous pass — on a
+// class-partitioned workload the common arrival/departure only recomputes the
+// affected class, and the kernel's per-thread φ hook repositions only that
+// class's threads.
 package hier
 
 import (
 	"fmt"
-	"math"
+	"slices"
 
 	"sfsched/internal/core"
 	"sfsched/internal/readjust"
-	"sfsched/internal/runqueue"
 	"sfsched/internal/sched"
 	"sfsched/internal/simtime"
 )
@@ -78,28 +85,30 @@ func (c *Class) Rate() float64 { return c.phi }
 // far, in seconds.
 func (c *Class) Service() float64 { return c.service.Seconds() }
 
-// Hier is a two-level hierarchical SFS scheduler. Not safe for concurrent
-// use.
+// Hier is a two-level hierarchical SFS scheduler: the SFS kernel over a
+// class table. Not safe for concurrent use.
 type Hier struct {
+	*core.SFS
+	tab *table
+}
+
+// table is the kernel's φ source: the classes, which class each thread
+// belongs to, and the nested water-fill that turns both levels of weights
+// into per-thread rates. Membership lives here, behind the seam, because
+// every path by which the kernel admits or drops a thread (Add, AddBatch,
+// Remove) reports it here and only here.
+type table struct {
 	p       int
-	quantum simtime.Duration
 	classes []*Class
 	byName  map[string]*Class
 	assign  map[*sched.Thread]*Class
 	def     *Class
 
-	byStart   *runqueue.Heap[*sched.Thread]
-	bySurplus *runqueue.Heap[*sched.Thread]
-	v         float64
-	lastFin   float64
-	decisions int64
-
-	// Lazy-surplus state: stored surpluses are relative to vRef; phiMax
-	// bounds how fast any fresh surplus can fall below its stored value.
-	vRef        float64
-	phiMax      float64
-	scanLimit   int
-	needRefresh bool
+	n      int     // tracked (runnable) threads
+	sum    float64 // Σ w_i over them
+	maxPhi float64 // largest φ among them
+	passes int64
+	onPhi  func(*sched.Thread)
 
 	// Readjustment scratch, reused across passes.
 	classFiller  readjust.Filler
@@ -113,29 +122,13 @@ type Hier struct {
 // New returns a hierarchical scheduler for p processors with a default
 // class of weight 1 (threads not explicitly assigned go there).
 func New(p int, quantum simtime.Duration) *Hier {
-	if p < 1 {
-		panic(fmt.Sprintf("hier: invalid processor count %d", p))
+	tab := &table{
+		p:      p,
+		byName: make(map[string]*Class),
+		assign: make(map[*sched.Thread]*Class),
 	}
-	if quantum <= 0 {
-		quantum = core.DefaultQuantum
-	}
-	h := &Hier{
-		p:         p,
-		quantum:   quantum,
-		byName:    make(map[string]*Class),
-		assign:    make(map[*sched.Thread]*Class),
-		scanLimit: 32,
-	}
-	h.byStart = runqueue.NewHeap(runqueue.SlotPrimary, func(a, b *sched.Thread) bool {
-		if a.Start != b.Start {
-			return a.Start < b.Start
-		}
-		return a.ID < b.ID
-	})
-	// Heap order and Pick's no-drift prune must be the same function;
-	// both use core.SurplusQueueLess.
-	h.bySurplus = runqueue.NewHeap(runqueue.SlotSurplus, core.SurplusQueueLess)
-	h.def = h.MustAddClass("default", 1)
+	h := &Hier{SFS: core.NewOver(p, quantum, tab), tab: tab}
+	tab.def = h.MustAddClass("default", 1)
 	return h
 }
 
@@ -145,12 +138,12 @@ func (h *Hier) AddClass(name string, weight float64) (*Class, error) {
 	if !sched.ValidWeight(weight) {
 		return nil, fmt.Errorf("%w: %g", sched.ErrBadWeight, weight)
 	}
-	if _, dup := h.byName[name]; dup {
+	if _, dup := h.tab.byName[name]; dup {
 		return nil, fmt.Errorf("hier: duplicate class %q", name)
 	}
 	c := &Class{name: name, weight: weight, phi: weight}
-	h.classes = append(h.classes, c)
-	h.byName[name] = c
+	h.tab.classes = append(h.tab.classes, c)
+	h.tab.byName[name] = c
 	return c, nil
 }
 
@@ -164,15 +157,20 @@ func (h *Hier) MustAddClass(name string, weight float64) *Class {
 }
 
 // Assign routes a thread to a class; call before Add. Unassigned threads go
-// to the default class.
-func (h *Hier) Assign(t *sched.Thread, c *Class) { h.assign[t] = c }
+// to the default class. The mapping belongs to this instance: under the
+// sharded runtime each shard owns its own class table, so a thread migrated
+// here from another shard (or machine) lands in the class this instance's
+// Assign names for it, or in the default class; only its frame lead travels.
+func (h *Hier) Assign(t *sched.Thread, c *Class) { h.tab.assign[t] = c }
 
 // ClassOf returns the class a thread is (or would be) scheduled in.
-func (h *Hier) ClassOf(t *sched.Thread) *Class {
-	if c, ok := h.assign[t]; ok {
+func (h *Hier) ClassOf(t *sched.Thread) *Class { return h.tab.classOf(t) }
+
+func (tb *table) classOf(t *sched.Thread) *Class {
+	if c, ok := tb.assign[t]; ok {
 		return c
 	}
-	return h.def
+	return tb.def
 }
 
 // SetClassWeight changes a class weight at runtime.
@@ -181,313 +179,177 @@ func (h *Hier) SetClassWeight(c *Class, w float64) error {
 		return fmt.Errorf("%w: %g", sched.ErrBadWeight, w)
 	}
 	c.weight = w
-	h.readjust()
-	h.refreshSurpluses()
+	h.tab.Readjust()
 	return nil
 }
 
 // Classes returns the configured classes (including the default class).
-func (h *Hier) Classes() []*Class { return append([]*Class(nil), h.classes...) }
+func (h *Hier) Classes() []*Class { return append([]*Class(nil), h.tab.classes...) }
 
 // Name implements sched.Scheduler.
 func (h *Hier) Name() string { return "hier-SFS" }
 
-// NumCPU implements sched.Scheduler.
-func (h *Hier) NumCPU() int { return h.p }
-
-// Runnable implements sched.Scheduler.
-func (h *Hier) Runnable() int { return h.byStart.Len() }
-
-// Hier implements the full capability set the sharded runtime can exploit.
+// Hier implements the full capability set the sharded runtime can exploit,
+// all but the two charge methods through the embedded kernel.
 var (
 	_ sched.Scheduler       = (*Hier)(nil)
 	_ sched.VirtualTimer    = (*Hier)(nil)
 	_ sched.LagReporter     = (*Hier)(nil)
 	_ sched.FrameTranslator = (*Hier)(nil)
 	_ sched.Preempter       = (*Hier)(nil)
+	_ sched.InterimCharger  = (*Hier)(nil)
+	_ sched.BatchAdder      = (*Hier)(nil)
 )
 
-// VirtualTime implements sched.VirtualTimer (minimum start tag over runnable
-// threads).
-func (h *Hier) VirtualTime() float64 { return h.v }
-
-// FreshSurplus implements sched.LagReporter: t's surplus φ_i·(S_i − v)
-// against the current virtual time, with the hierarchical φ.
-func (h *Hier) FreshSurplus(t *sched.Thread) float64 { return t.Phi * (t.Start - h.v) }
-
-// FrameLead implements sched.FrameTranslator: the lead of t's finish tag
-// over the virtual time.
-func (h *Hier) FrameLead(t *sched.Thread) float64 { return t.Finish - h.v }
-
-// SetFrameLead implements sched.FrameTranslator: re-bases t's finish tag to
-// sit lead ahead of this instance's virtual time; the arrival rule
-// S_i = max(F_i, v) then re-admits a migrated thread at its old relative
-// position. Class assignment does not travel: the destination instance
-// schedules the thread in whatever class its own Assign table names.
-func (h *Hier) SetFrameLead(t *sched.Thread, lead float64) { t.Finish = h.v + lead }
-
-// Add implements sched.Scheduler: the flat SFS arrival rule with
-// hierarchical φ.
-func (h *Hier) Add(t *sched.Thread, now simtime.Time) error {
-	if !sched.ValidWeight(t.Weight) {
-		return fmt.Errorf("%w: %g", sched.ErrBadWeight, t.Weight)
-	}
-	if h.byStart.Contains(t) {
-		return fmt.Errorf("%w: %v", sched.ErrAlreadyManaged, t)
-	}
-	c := h.ClassOf(t)
-	t.Start = math.Max(t.Finish, h.v)
-	c.members = append(c.members, t)
-	c.dirty = true
-	h.byStart.Push(t)
-	h.readjust()
-	h.recomputeV()
-	h.storeSurplus(t)
-	h.bySurplus.Push(t)
-	h.refreshSurpluses()
-	return nil
-}
-
-// Remove implements sched.Scheduler.
-func (h *Hier) Remove(t *sched.Thread, now simtime.Time) error {
-	if !h.byStart.Contains(t) {
-		return fmt.Errorf("%w: %v", sched.ErrNotManaged, t)
-	}
-	h.byStart.Remove(t)
-	h.bySurplus.Remove(t)
-	c := h.ClassOf(t)
-	for i, m := range c.members {
-		if m == t {
-			c.members = append(c.members[:i], c.members[i+1:]...)
-			break
-		}
-	}
-	c.dirty = true
-	if t.State == sched.Exited {
-		delete(h.assign, t)
-	}
-	h.readjust()
-	h.recomputeV()
-	h.refreshSurpluses()
-	return nil
-}
-
-// Charge implements sched.Scheduler: F = S + q/φ with the hierarchical φ.
-// Like internal/core's exact mode, a virtual-time change does not trigger a
-// global surplus refresh: stored surpluses stay on the vRef epoch and Pick
-// compensates for the drift.
+// Charge implements sched.Scheduler: the kernel's F = S + q/φ with the
+// hierarchical φ, plus the per-class service account.
 func (h *Hier) Charge(t *sched.Thread, ran simtime.Duration, now simtime.Time) {
-	if ran < 0 {
-		panic("hier: negative charge")
-	}
-	t.Service += ran
-	h.ClassOf(t).service += ran
-	if t.Phi > 0 {
-		t.Finish = t.Start + ran.Seconds()/t.Phi
-		t.Start = t.Finish
-	}
-	h.lastFin = t.Finish
-	if h.byStart.Contains(t) {
-		h.byStart.Fix(t)
-		h.recomputeV()
-		h.storeSurplus(t)
-		h.bySurplus.Fix(t)
-	} else {
-		h.recomputeV()
-	}
-	if h.needRefresh {
-		h.refreshSurpluses()
-	}
+	h.SFS.Charge(t, ran, now)
+	h.tab.classOf(t).service += ran
 }
 
-// Timeslice implements sched.Scheduler.
-func (h *Hier) Timeslice(t *sched.Thread, now simtime.Time) simtime.Duration {
-	return h.quantum
-}
-
-// SetWeight implements sched.Scheduler (thread weight within its class).
-func (h *Hier) SetWeight(t *sched.Thread, w float64, now simtime.Time) error {
-	if !sched.ValidWeight(w) {
-		return fmt.Errorf("%w: %g", sched.ErrBadWeight, w)
-	}
-	t.Weight = w
-	if !h.byStart.Contains(t) {
-		t.Phi = w
-		return nil
-	}
-	h.ClassOf(t).dirty = true
-	h.readjust()
-	h.refreshSurpluses()
-	return nil
-}
-
-// Pick implements sched.Scheduler: the least-surplus runnable thread, flat
-// across classes. The scan runs over the stale stored order with the same
-// drift bound as core's exact pick: fresh surpluses sit below stored ones by
-// at most φ_max·(v − vRef), so the scan stops once no later thread can beat
-// the incumbent.
-func (h *Hier) Pick(cpu int, now simtime.Time) *sched.Thread {
-	noDrift := h.v == h.vRef
-	var bound, slack float64
-	if !noDrift {
-		drift := h.v - h.vRef
-		if drift < 0 {
-			drift = -drift
-		}
-		bound = h.phiMax * drift
-		slack = 1e-12 * (bound + h.phiMax*(math.Abs(h.v)+math.Abs(h.vRef)) + 1)
-	}
-	var best *sched.Thread
-	var bestS float64
-	cut := math.Inf(1)
-	scanned := 0
-	h.bySurplus.EachUnder(func(t *sched.Thread) bool {
-		if best != nil {
-			if noDrift {
-				// Fresh == stored: only queue-order predecessors of the
-				// incumbent can matter.
-				if !core.SurplusQueueLess(t, best) {
-					return false
-				}
-			} else if t.Surplus > cut {
-				return false
-			}
-		}
-		scanned++
-		if t.Running() {
-			return true
-		}
-		fresh := t.Phi * (t.Start - h.v)
-		if better := best == nil || fresh < bestS ||
-			(fresh == bestS && (t.Weight > best.Weight ||
-				(t.Weight == best.Weight && t.ID < best.ID))); better {
-			best, bestS = t, fresh
-			cut = bestS + bound + slack + 1e-12*math.Abs(bestS)
-			if noDrift {
-				return false // descendants are strictly worse
-			}
-		}
-		return true
-	})
-	if scanned > h.scanLimit && !noDrift {
-		h.needRefresh = true
-	}
-	if best != nil {
-		h.decisions++
-		best.Decisions++
-	}
-	return best
-}
-
-// Less implements sched.Scheduler for wakeup preemption.
-func (h *Hier) Less(a, b *sched.Thread) bool {
-	return a.Phi*(a.Start-h.v) < b.Phi*(b.Start-h.v)
-}
-
-// PreemptRank implements sched.Preempter: the hierarchical surplus
-// φ_i·(S_i − v) projected forward by ran of uncharged service (charging ran
-// advances S_i by ran/φ_i, so the projected surplus grows by ran seconds).
-func (h *Hier) PreemptRank(t *sched.Thread, ran simtime.Duration) float64 {
-	return t.Phi*(t.Start-h.v) + ran.Seconds()
-}
-
-// InterimCharge implements sched.InterimCharger by delegating to Charge: the
-// hierarchical tag advance ran/φ is linear in ran, so mid-slice installments
-// compose exactly with the boundary charge for the remainder.
+// InterimCharge implements sched.InterimCharger. It must be redeclared here:
+// the kernel's own InterimCharge calls the kernel's Charge, which would skip
+// the class account.
 func (h *Hier) InterimCharge(t *sched.Thread, ran simtime.Duration, now simtime.Time) {
 	h.Charge(t, ran, now)
 }
 
-// readjust recomputes runnable threads' φ as their hierarchical GMS rates:
-// nested water-filling, classes first, then threads within each class. A
-// class whose rate is unchanged and whose membership and member weights are
-// untouched since the previous pass keeps its thread rates — water-filling
-// is deterministic, so skipping the recomputation is exact, and an
-// arrival/departure in one class that leaves sibling rates unchanged costs
-// only that class's pass.
-func (h *Hier) readjust() {
-	h.active = h.active[:0]
-	h.weights = h.weights[:0]
-	h.caps = h.caps[:0]
-	for _, c := range h.classes {
+// OnPhiChange implements core.PhiSource.
+func (tb *table) OnPhiChange(fn func(*sched.Thread)) { tb.onPhi = fn }
+
+// Sum implements core.PhiSource.
+func (tb *table) Sum() float64 { return tb.sum }
+
+// MaxPhi implements core.PhiSource. Unlike Figure 2's φ_i ≤ w_i, a
+// hierarchical rate can exceed the thread's requested weight (a weight-0.1
+// thread alone in its class still fills a CPU), so the bound is the largest
+// rate itself.
+func (tb *table) MaxPhi() float64 { return tb.maxPhi }
+
+// Len implements core.PhiSource.
+func (tb *table) Len() int { return tb.n }
+
+// Passes implements core.PhiSource.
+func (tb *table) Passes() int64 { return tb.passes }
+
+// Add implements core.PhiSource.
+func (tb *table) Add(t *sched.Thread) bool {
+	tb.AddDeferred(t)
+	return tb.Readjust()
+}
+
+// AddDeferred implements core.PhiSource: t joins its class. Its φ stays
+// whatever it last was (the requested weight for a new thread) until the
+// pass that follows assigns its rate.
+func (tb *table) AddDeferred(t *sched.Thread) {
+	c := tb.classOf(t)
+	c.members = append(c.members, t)
+	c.dirty = true
+	tb.n++
+	tb.sum += t.Weight
+	tb.onPhi(t)
+}
+
+// Remove implements core.PhiSource. The departing thread keeps its last
+// rate, which is what a charge for a slice it is still finishing divides by.
+func (tb *table) Remove(t *sched.Thread) bool {
+	c := tb.classOf(t)
+	i := slices.Index(c.members, t)
+	if i < 0 {
+		return false
+	}
+	c.members = slices.Delete(c.members, i, i+1)
+	c.dirty = true
+	tb.n--
+	tb.sum -= t.Weight
+	if t.State == sched.Exited {
+		delete(tb.assign, t)
+	}
+	return tb.Readjust()
+}
+
+// UpdateWeight implements core.PhiSource (thread weight within its class).
+func (tb *table) UpdateWeight(t *sched.Thread, w float64) bool {
+	tb.sum += w - t.Weight
+	t.Weight = w
+	tb.classOf(t).dirty = true
+	tb.Readjust()
+	tb.onPhi(t) // weight breaks surplus ties, so t may move even at an unchanged rate
+	return true
+}
+
+// Readjust implements core.PhiSource: it recomputes tracked threads' φ as
+// their hierarchical GMS rates — nested water-filling, classes first, then
+// threads within each class. A class whose rate is unchanged and whose
+// membership and member weights are untouched since the previous pass keeps
+// its thread rates — water-filling is deterministic, so skipping the
+// recomputation is exact, and an arrival/departure in one class that leaves
+// sibling rates unchanged costs only that class's pass.
+func (tb *table) Readjust() bool {
+	tb.active = tb.active[:0]
+	tb.weights = tb.weights[:0]
+	tb.caps = tb.caps[:0]
+	for _, c := range tb.classes {
 		if len(c.members) == 0 {
 			c.dirty = false
 			continue
 		}
-		h.active = append(h.active, c)
-		h.weights = append(h.weights, c.weight)
-		cap := float64(len(c.members))
-		if cap > float64(h.p) {
-			cap = float64(h.p)
-		}
-		h.caps = append(h.caps, cap)
+		tb.active = append(tb.active, c)
+		tb.weights = append(tb.weights, c.weight)
+		tb.caps = append(tb.caps, float64(min(len(c.members), tb.p)))
 	}
-	if len(h.active) == 0 {
-		h.phiMax = 0
-		return
-	}
-	h.rates = h.classFiller.Fill(h.rates, h.weights, h.caps, float64(h.p))
-	h.phiMax = 0
-	for i, c := range h.active {
-		if !c.dirty && c.phi == h.rates[i] {
-			// Same class rate, same members, same member weights: the
-			// inner water-fill would reproduce the stored φ values.
-			if c.maxPhi > h.phiMax {
-				h.phiMax = c.maxPhi
-			}
-			continue
-		}
-		c.phi = h.rates[i]
-		c.tw = c.tw[:0]
-		c.tc = c.tc[:0]
-		for _, t := range c.members {
-			c.tw = append(c.tw, t.Weight)
-			c.tc = append(c.tc, 1) // a thread can hold at most one CPU
-		}
-		c.rates = h.threadFiller.Fill(c.rates, c.tw, c.tc, c.phi)
-		c.maxPhi = 0
-		for j, t := range c.members {
-			t.Phi = c.rates[j]
-			if t.Phi > c.maxPhi {
-				c.maxPhi = t.Phi
-			}
-		}
-		c.dirty = false
-		if c.maxPhi > h.phiMax {
-			h.phiMax = c.maxPhi
-		}
-	}
-}
-
-func (h *Hier) recomputeV() bool {
-	var nv float64
-	if head, ok := h.byStart.Min(); ok {
-		nv = head.Start
-	} else {
-		nv = h.lastFin
-	}
-	if nv == h.v {
+	tb.maxPhi = 0
+	if len(tb.active) == 0 {
 		return false
 	}
-	h.v = nv
-	return true
+	tb.rates = tb.classFiller.Fill(tb.rates, tb.weights, tb.caps, float64(tb.p))
+	changed := false
+	for i, c := range tb.active {
+		// Same class rate, same members, same member weights: the inner
+		// water-fill would reproduce the φ values the members hold.
+		if c.dirty || c.phi != tb.rates[i] {
+			c.phi = tb.rates[i]
+			c.tw = c.tw[:0]
+			c.tc = c.tc[:0]
+			for _, t := range c.members {
+				c.tw = append(c.tw, t.Weight)
+				c.tc = append(c.tc, 1) // a thread can hold at most one CPU
+			}
+			c.rates = tb.threadFiller.Fill(c.rates, c.tw, c.tc, c.phi)
+			c.maxPhi = 0
+			for j, t := range c.members {
+				if t.Phi != c.rates[j] {
+					t.Phi = c.rates[j]
+					changed = true
+					tb.onPhi(t)
+				}
+				c.maxPhi = max(c.maxPhi, t.Phi)
+			}
+			c.dirty = false
+		}
+		tb.maxPhi = max(tb.maxPhi, c.maxPhi)
+	}
+	if changed {
+		tb.passes++
+	}
+	return changed
 }
 
-// storeSurplus stores t's surplus against the vRef epoch shared by the
-// surplus queue.
-func (h *Hier) storeSurplus(t *sched.Thread) {
-	t.Surplus = t.Phi * (t.Start - h.vRef)
-}
-
-// refreshSurpluses snaps vRef to v, recomputes every stored surplus and
-// re-sorts the surplus queue.
-func (h *Hier) refreshSurpluses() {
-	h.vRef = h.v
-	h.needRefresh = false
-	h.scanLimit = 32 + int(math.Sqrt(float64(h.byStart.Len())))
-	h.byStart.Each(func(t *sched.Thread) bool {
-		h.storeSurplus(t)
-		return true
-	})
-	h.bySurplus.Init()
+// Validate implements core.PhiSource: every tracked thread sits in exactly
+// the class its assignment names.
+func (tb *table) Validate() error {
+	n := 0
+	for _, c := range tb.classes {
+		n += len(c.members)
+		for _, t := range c.members {
+			if got := tb.classOf(t); got != c {
+				return fmt.Errorf("hier: %v is a member of class %q but assigned to %q", t, c.name, got.name)
+			}
+		}
+	}
+	if n != tb.n {
+		return fmt.Errorf("hier: classes hold %d threads, table tracks %d", n, tb.n)
+	}
+	return nil
 }

@@ -8,7 +8,6 @@ import (
 	"sfsched/internal/sched"
 	"sfsched/internal/simtime"
 	"sfsched/internal/workload"
-	"sfsched/internal/xrand"
 )
 
 func newMachine(t *testing.T, p int) (*machine.Machine, *Hier) {
@@ -64,7 +63,8 @@ func TestClassCapAtRunnableThreads(t *testing.T) {
 }
 
 func TestIntraClassWeights(t *testing.T) {
-	// Within a class, thread weights are honoured by the inner SFS.
+	// Within a class, thread weights are honoured by the thread-level
+	// water-fill.
 	m, h := newMachine(t, 2)
 	c := h.MustAddClass("only", 1)
 	a := spawnInClass(m, h, c, "a", 3, workload.Inf())
@@ -117,36 +117,6 @@ func TestDefaultClass(t *testing.T) {
 	}
 }
 
-func TestBlockedClassNoBankedCredit(t *testing.T) {
-	// A class that sleeps must not bank credit: after waking it competes
-	// from the class virtual time, not from its stale tag.
-	m, h := newMachine(t, 1)
-	active := h.MustAddClass("active", 1)
-	sleepy := h.MustAddClass("sleepy", 1)
-	spawnInClass(m, h, active, "a", 1, workload.Inf())
-	// The sleepy class's only thread runs 1 ms, sleeps 5 s, then computes
-	// forever.
-	first := true
-	spawnInClass(m, h, sleepy, "s", 1, machine.BehaviorFunc(
-		func(now simtime.Time, r *xrand.Rand) machine.Step {
-			if first {
-				first = false
-				return machine.Step{Burst: simtime.Millisecond, Then: machine.ThenBlock, Sleep: 5 * simtime.Second}
-			}
-			return machine.Step{Burst: simtime.Infinity, Then: machine.ThenBlock}
-		}))
-	m.Run(simtime.Time(10 * simtime.Second))
-	// If the sleepy class banked credit it would monopolize the CPU after
-	// waking (catching up to parity at ~5s of service); without banking
-	// it gets only ~2.5s (half of the remaining 5s).
-	if got := sleepy.Service(); got > 3.0 {
-		t.Fatalf("sleepy class got %.2fs after waking; banked credit", got)
-	}
-	if got := active.Service(); got < 7.0 {
-		t.Fatalf("active class got only %.2fs", got)
-	}
-}
-
 func TestErrorsAndAccessors(t *testing.T) {
 	h := New(2, 0)
 	if h.Name() != "hier-SFS" || h.NumCPU() != 2 {
@@ -180,6 +150,58 @@ func TestErrorsAndAccessors(t *testing.T) {
 	}
 	if got := h.Timeslice(th, 0); got != 200*simtime.Millisecond {
 		t.Fatalf("timeslice %v", got)
+	}
+}
+
+// TestMigrationLandsInDestinationClass pins what crossing instances means
+// (shards of one runtime, machines of a cluster): the class table does not
+// travel, the frame lead does.
+func TestMigrationLandsInDestinationClass(t *testing.T) {
+	src, dst := New(2, 0), New(2, 0)
+	gold := src.MustAddClass("gold", 3)
+	silver := dst.MustAddClass("silver", 2)
+	mk := func(id int) *sched.Thread {
+		return &sched.Thread{ID: id, Weight: 1, Phi: 1, CPU: sched.NoCPU, LastCPU: sched.NoCPU}
+	}
+	mover, stays, known, resident := mk(1), mk(2), mk(3), mk(4)
+	src.Assign(mover, gold)
+	src.Assign(known, gold)
+	dst.Assign(known, silver)
+	for _, th := range []*sched.Thread{mover, stays, known} {
+		if err := src.Add(th, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := dst.Add(resident, 0); err != nil {
+		t.Fatal(err)
+	}
+	dst.Charge(resident, 70*simtime.Millisecond, 0) // the two frames differ
+	src.Charge(mover, 30*simtime.Millisecond, 0)
+	src.Charge(known, 50*simtime.Millisecond, 0)
+	for _, th := range []*sched.Thread{mover, known} {
+		if err := src.Remove(th, 0); err != nil {
+			t.Fatal(err)
+		}
+		lead := src.FrameLead(th)
+		dst.SetFrameLead(th, lead)
+		if err := dst.Add(th, 0); err != nil {
+			t.Fatal(err)
+		}
+		if got := th.Start - dst.VirtualTime(); math.Abs(got-lead) > 1e-12 || lead <= 0 {
+			t.Fatalf("%v: lead %g on the source, %g after the move", th, lead, got)
+		}
+	}
+	if c := dst.ClassOf(mover); c.Name() != "default" {
+		t.Fatalf("unassigned on the destination, yet in class %q", c.Name())
+	}
+	if c := dst.ClassOf(known); c != silver {
+		t.Fatalf("assigned to silver on the destination, yet in class %q", c.Name())
+	}
+	if err := dst.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if err := src.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -5,29 +5,21 @@
 // can be employed with most existing GPS-based scheduling algorithms". This
 // package is that decoupling. It owns the weight-sorted run queue (the first
 // of the three queues in the kernel implementation, §3.1) and recomputes φ
-// for the runnable set whenever it changes. SFS (internal/core), SFQ
-// (internal/sfq), BVT (internal/bvt) and stride (internal/stride) all embed a
-// Tracker; SFQ and friends can disable it to reproduce the unfairness the
-// paper demonstrates in Examples 1 and 2.
+// for the runnable set whenever it changes. SFS (internal/core, as the
+// default core.PhiSource), SFQ (internal/sfq), BVT (internal/bvt) and stride
+// (internal/stride) all embed a Tracker; SFQ and friends can disable it to
+// reproduce the unfairness the paper demonstrates in Examples 1 and 2.
 package phi
 
 import (
-	"fmt"
-
 	"sfsched/internal/runqueue"
 	"sfsched/internal/sched"
 )
 
 // Tracker owns the weight-sorted queue of runnable threads and their φ
 // values. Not safe for concurrent use.
-//
-// The capacity is a float64 rather than a processor count: Figure 2's
-// recursion is valid for fractional capacities unchanged, which is what
-// lets the hierarchical scheduler (internal/hier) readjust a class's
-// threads against the fractional number of CPUs the class is entitled to.
-// For a flat scheduler the capacity is simply float64(p).
 type Tracker struct {
-	cap      float64
+	cap      float64 // processor count, as the float Figure 2 divides by
 	enabled  bool
 	byWeight *runqueue.List[*sched.Thread] // descending weight
 	sum      float64                       // Σ w_i over runnable threads
@@ -76,23 +68,6 @@ func (k *Tracker) setPhi(t *sched.Thread, phi float64, force bool) bool {
 // Enabled reports whether readjustment is active.
 func (k *Tracker) Enabled() bool { return k.enabled }
 
-// SetCapacity changes the CPU capacity the feasibility constraint is
-// evaluated against (may be fractional, must be positive) and readjusts.
-// It reports whether any φ changed.
-func (k *Tracker) SetCapacity(c float64) bool {
-	if c <= 0 {
-		panic(fmt.Sprintf("phi: non-positive capacity %g", c))
-	}
-	if c == k.cap {
-		return false
-	}
-	k.cap = c
-	return k.Readjust()
-}
-
-// Capacity returns the current CPU capacity.
-func (k *Tracker) Capacity() float64 { return k.cap }
-
 // Len returns the number of tracked (runnable) threads.
 func (k *Tracker) Len() int { return k.byWeight.Len() }
 
@@ -115,11 +90,16 @@ func (k *Tracker) Passes() int64 { return k.passes }
 // Contains reports whether t is tracked.
 func (k *Tracker) Contains(t *sched.Thread) bool { return k.byWeight.Contains(t) }
 
-// Heaviest returns the tracked thread with the largest requested weight.
-// Since readjustment only ever lowers weights (φ_i ≤ w_i), the head of the
-// weight queue bounds every instantaneous weight in the runnable set — the
-// fact the exact scheduler's drift-bounded pick scan relies on.
-func (k *Tracker) Heaviest() (*sched.Thread, bool) { return k.byWeight.Head() }
+// MaxPhi returns the largest requested weight in the tracked set (0 when it
+// is empty). Since readjustment only ever lowers weights (φ_i ≤ w_i), the
+// head of the weight queue bounds every instantaneous weight in the runnable
+// set — the fact the exact scheduler's drift-bounded pick scan relies on.
+func (k *Tracker) MaxPhi() float64 {
+	if h, ok := k.byWeight.Head(); ok {
+		return h.Weight
+	}
+	return 0
+}
 
 // Add starts tracking t (which must not already be tracked) and readjusts.
 // It reports whether any φ changed. The φ hook always fires for t so that

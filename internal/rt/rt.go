@@ -173,8 +173,12 @@ type Config struct {
 	// Policy builds each shard's scheduler. Defaults to an exact-mode
 	// internal/core SFS with Config.Quantum. For two-level scheduling
 	// return an internal/hier instance and assign tenant threads
-	// (Tenant.Thread) to classes before their first Submit (single shard
-	// only: class assignment does not migrate).
+	// (Tenant.Thread) to classes before their first Submit. hier shards
+	// like every other policy, with each shard owning its own class table:
+	// a thread migrated to another shard lands in the class that shard's
+	// instance has it Assigned to, or in its default class, and only its
+	// frame lead travels — assign the thread on every shard's instance if
+	// its class must survive rebalancing and stealing.
 	Policy Policy
 	// Quantum overrides the default SFS policy's maximum quantum (ignored
 	// when Policy is non-nil — bake the quantum into the factory; 0 keeps

@@ -24,6 +24,28 @@ func interimThread(id int, w float64) *sched.Thread {
 		CPU: sched.NoCPU, LastCPU: sched.NoCPU, State: sched.Runnable}
 }
 
+// classServiceMatches checks, for the hierarchical policy, that the service
+// its classes account equals what its threads received: an installment that
+// reached the tags but not the class account would break it.
+func classServiceMatches(t *testing.T, s sched.Scheduler, threads []*sched.Thread) {
+	t.Helper()
+	h, ok := s.(*hier.Hier)
+	if !ok {
+		return
+	}
+	var byThread simtime.Duration
+	for _, th := range threads {
+		byThread += th.Service
+	}
+	var byClass float64
+	for _, c := range h.Classes() {
+		byClass += c.Service()
+	}
+	if byClass != byThread.Seconds() {
+		t.Errorf("classes account %gs of service, their threads received %gs", byClass, byThread.Seconds())
+	}
+}
+
 func TestInterimChargeComposition(t *testing.T) {
 	const quantum = 10 * simtime.Millisecond
 	factories := map[string]func() sched.Scheduler{
@@ -107,6 +129,8 @@ func TestInterimChargeComposition(t *testing.T) {
 				split.Charge(sNext, 5*simtime.Millisecond, now)
 				wNext.CPU, sNext.CPU = sched.NoCPU, sched.NoCPU
 			}
+			classServiceMatches(t, whole, wThreads)
+			classServiceMatches(t, split, sThreads)
 		})
 	}
 }

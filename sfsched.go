@@ -145,9 +145,11 @@ func NewLottery(p int, seed uint64) Scheduler {
 }
 
 // Hierarchical scheduling (the extension answering the paper's §5 open
-// problem): threads grouped into weighted classes, SFS at both levels.
+// problem): threads grouped into weighted classes, weights honoured at both
+// levels by one surplus-fair queue.
 type (
-	// Hier is the two-level hierarchical SFS scheduler.
+	// Hier is the two-level hierarchical SFS scheduler: the SFS kernel
+	// over a class table that supplies hierarchical GMS rates as φ.
 	Hier = hier.Hier
 	// Class is a scheduling class inside a Hier.
 	Class = hier.Class
@@ -217,7 +219,11 @@ func LivePolicies() []string {
 // quanta and ignores it). Every returned policy runs sharded; SFS, SFQ,
 // stride, BVT and hier carry full capability support (virtual time,
 // surplus-ranked migration, frame translation), while timeshare and lottery
-// shard through the runtime's generic lag fallback (DESIGN.md §7).
+// shard through the runtime's generic lag fallback (DESIGN.md §7). Under
+// hier each shard owns its own class table — the instances built here hold
+// only the default class — so a migrated thread lands in the class the
+// destination shard's instance has it Assigned to, or in its default class,
+// and only its frame lead travels.
 func PolicyByName(name string, quantum Duration) (RuntimePolicy, error) {
 	if quantum <= 0 {
 		quantum = core.DefaultQuantum
@@ -271,19 +277,15 @@ var (
 	ErrClusterClosed = cluster.ErrClusterClosed
 )
 
-// RuntimeConfig assembles a Runtime. The flat fields mirror the original
-// knob set one-for-one; the grown enforcement / sharding / intake knobs are
-// also reachable through the nested groups (Enforcement, Sharding, Intake),
-// which read better at call sites that configure a subsystem deliberately:
+// RuntimeConfig assembles a Runtime. The knobs every runtime needs are flat
+// fields; the enforcement, sharding and intake subsystems are each configured
+// through their own group:
 //
 //	sfsched.RuntimeConfig{
 //	    Workers:     16,
 //	    Enforcement: sfsched.EnforcementConfig{Enabled: true, Tick: sfsched.Millisecond},
 //	    Sharding:    sfsched.ShardingConfig{Shards: 4},
 //	}
-//
-// Both spellings are valid; where a knob is set in both places the nested
-// (non-zero) value wins, so existing flat-field callers are unaffected.
 type RuntimeConfig struct {
 	// Workers is the worker pool size — the number of "CPUs" the scheduler
 	// arbitrates. Required.
@@ -302,21 +304,11 @@ type RuntimeConfig struct {
 	// Preempt arms cooperative wakeup preemption (see rt.Config.Preempt).
 	Preempt bool
 
-	// Flat back-compat spellings of the grouped knobs below.
-	Shards         int
-	QueueCap       int
-	RebalanceEvery time.Duration
-	LockedSubmit   bool
-	Enforce        bool
-	EnforceTick    Duration
-	SpareWorkers   int
-	Steal          bool
-
 	// Enforcement groups the involuntary slice-enforcement knobs
 	// (rt.Config.Enforce/EnforceTick/SpareWorkers).
 	Enforcement EnforcementConfig
 	// Sharding groups the per-CPU dispatch sharding knobs
-	// (rt.Config.Shards/RebalanceEvery).
+	// (rt.Config.Shards/RebalanceEvery/Steal).
 	Sharding ShardingConfig
 	// Intake groups the submit-side knobs
 	// (rt.Config.QueueCap/LockedSubmit).
@@ -355,45 +347,28 @@ type IntakeConfig struct {
 	Locked   bool
 }
 
-// flatten merges the flat and grouped spellings into the internal config;
-// the nested non-zero value wins where both are set.
+// flatten spells the grouped config as the internal one.
 func (c RuntimeConfig) flatten() rt.Config {
-	out := rt.Config{
+	return rt.Config{
 		Workers:        c.Workers,
-		Shards:         c.Shards,
 		Policy:         c.Policy,
 		Quantum:        c.Quantum,
 		Clock:          c.Clock,
-		QueueCap:       c.QueueCap,
 		Manual:         c.Manual,
 		Preempt:        c.Preempt,
-		RebalanceEvery: c.RebalanceEvery,
-		LockedSubmit:   c.LockedSubmit || c.Intake.Locked,
-		Enforce:        c.Enforce || c.Enforcement.Enabled,
-		Steal:          c.Steal || c.Sharding.Steal,
-		EnforceTick:    c.EnforceTick,
-		SpareWorkers:   c.SpareWorkers,
+		Enforce:        c.Enforcement.Enabled,
+		EnforceTick:    c.Enforcement.Tick,
+		SpareWorkers:   c.Enforcement.SpareWorkers,
+		Shards:         c.Sharding.Shards,
+		RebalanceEvery: c.Sharding.RebalanceEvery,
+		Steal:          c.Sharding.Steal,
+		QueueCap:       c.Intake.QueueCap,
+		LockedSubmit:   c.Intake.Locked,
 	}
-	if c.Sharding.Shards != 0 {
-		out.Shards = c.Sharding.Shards
-	}
-	if c.Sharding.RebalanceEvery != 0 {
-		out.RebalanceEvery = c.Sharding.RebalanceEvery
-	}
-	if c.Intake.QueueCap != 0 {
-		out.QueueCap = c.Intake.QueueCap
-	}
-	if c.Enforcement.Tick != 0 {
-		out.EnforceTick = c.Enforcement.Tick
-	}
-	if c.Enforcement.SpareWorkers != 0 {
-		out.SpareWorkers = c.Enforcement.SpareWorkers
-	}
-	return out
 }
 
 // NewRuntime builds a wall-clock runtime and starts its worker pool; set
-// RuntimeConfig.Shards > 1 for sharded per-CPU dispatch with background
+// RuntimeConfig.Sharding.Shards > 1 for sharded per-CPU dispatch with background
 // weight rebalancing, and RuntimeConfig.Policy (e.g. via PolicyByName) to
 // dispatch with a policy other than SFS (see internal/rt and DESIGN.md
 // §6–§7).

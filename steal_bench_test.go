@@ -37,14 +37,12 @@ func benchmarkStealImbalance(b *testing.B, steal bool) {
 	)
 	clock := sfsched.NewFakeClock()
 	r := sfsched.NewRuntime(sfsched.RuntimeConfig{
-		Workers:        shards, // one worker slot per shard
-		Shards:         shards,
-		Quantum:        2 * slice,
-		Clock:          clock,
-		QueueCap:       4,
-		Manual:         true,
-		RebalanceEvery: -1,
-		Steal:          steal,
+		Workers:  shards, // one worker slot per shard
+		Quantum:  2 * slice,
+		Clock:    clock,
+		Manual:   true,
+		Sharding: sfsched.ShardingConfig{Shards: shards, RebalanceEvery: -1, Steal: steal},
+		Intake:   sfsched.IntakeConfig{QueueCap: 4},
 	})
 	defer r.Close()
 	actives := make([]*sfsched.Tenant, 0, shards)
