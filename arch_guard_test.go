@@ -125,3 +125,57 @@ func TestEngineOwnsChargeArithmetic(t *testing.T) {
 		t.Fatalf("engine no longer calls the charge methods the guard forbids elsewhere (%v); update the guard's token list", calls)
 	}
 }
+
+// TestGPSTagPoliciesStayParameterisations keeps the GPS-tag algebra from
+// forking again: internal/sfq, internal/bvt and internal/stride hand
+// internal/vtq a Policy and nothing else, so none of them may own a run queue
+// or a φ tracker, or define one of the kernel's operations. The inverse
+// direction — the kernel still defines them — keeps the method list from
+// rotting into vacuous truth after a rename.
+func TestGPSTagPoliciesStayParameterisations(t *testing.T) {
+	const kernelPath = "sfsched/internal/vtq"
+	kernelOps := []string{"Add", "Remove", "Charge", "Pick"}
+	// scan returns the import paths and the method names of dir's non-test
+	// sources.
+	scan := func(dir string) (imports, methods map[string]bool) {
+		imports, methods = map[string]bool{}, map[string]bool{}
+		fset := token.NewFileSet()
+		for _, path := range driverSources(t, dir) {
+			f, err := parser.ParseFile(fset, path, nil, 0)
+			if err != nil {
+				t.Fatalf("parse %s: %v", path, err)
+			}
+			for _, imp := range f.Imports {
+				imports[strings.Trim(imp.Path.Value, `"`)] = true
+			}
+			for _, d := range f.Decls {
+				if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv != nil {
+					methods[fn.Name.Name] = true
+				}
+			}
+		}
+		return imports, methods
+	}
+	for _, pkg := range []string{"sfq", "bvt", "stride"} {
+		imports, methods := scan(filepath.Join("internal", pkg))
+		if !imports[kernelPath] {
+			t.Errorf("internal/%s does not import %s", pkg, kernelPath)
+		}
+		for _, owned := range []string{"sfsched/internal/runqueue", "sfsched/internal/phi"} {
+			if imports[owned] {
+				t.Errorf("internal/%s imports %s; the queue and the φ tracker belong to the kernel", pkg, owned)
+			}
+		}
+		for _, op := range kernelOps {
+			if methods[op] {
+				t.Errorf("internal/%s defines its own %s; the GPS-tag algebra has one definition, in %s", pkg, op, kernelPath)
+			}
+		}
+	}
+	_, kernel := scan(filepath.Join("internal", "vtq"))
+	for _, op := range kernelOps {
+		if !kernel[op] {
+			t.Errorf("%s no longer defines %s; update the guard's method list", kernelPath, op)
+		}
+	}
+}

@@ -77,7 +77,7 @@ func BenchmarkClusterSubmit(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := tn.Submit(task); err != nil {
+			if err := tn.SubmitTask(task); err != nil {
 				b.Fatal(err)
 			}
 			d := r.Dispatch(0)
@@ -102,7 +102,7 @@ func BenchmarkClusterSubmit(b *testing.B) {
 		r := c.Node(0).(*sfsched.Runtime)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := t.Submit(task); err != nil {
+			if err := t.SubmitTask(task); err != nil {
 				b.Fatal(err)
 			}
 			d := r.Dispatch(0)

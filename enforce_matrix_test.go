@@ -94,7 +94,7 @@ func TestEnforcementPolicyMatrix(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := hog.Submit(sfsched.RunOnce(func() {})); err != nil {
+				if err := hog.SubmitTask(sfsched.RunOnce(func() {})); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -124,7 +124,7 @@ func TestEnforcementPolicyMatrix(t *testing.T) {
 					}
 				}
 				if now >= nextWake && interact.Queued() == 0 {
-					if err := interact.Submit(sfsched.RunOnce(func() {})); err != nil {
+					if err := interact.SubmitTask(sfsched.RunOnce(func() {})); err != nil {
 						t.Fatal(err)
 					}
 					nextWake = now.Add(think)

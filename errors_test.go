@@ -72,7 +72,7 @@ func TestSentinelErrorsOperational(t *testing.T) {
 	if err := r.Unregister(tn); err != nil {
 		t.Fatal(err)
 	}
-	if err := tn.Submit(sfsched.RunOnce(func() {})); !errors.Is(err, sfsched.ErrTenantClosed) {
+	if err := tn.SubmitTask(sfsched.RunOnce(func() {})); !errors.Is(err, sfsched.ErrTenantClosed) {
 		t.Errorf("unregistered tenant: %v, want ErrTenantClosed", err)
 	}
 	r.Close()

@@ -84,7 +84,7 @@ func main() {
 			}
 			totalWeight += tier.weight
 			cap := *slice
-			if err := t.Submit(func(s sfsched.Duration) bool {
+			if err := t.SubmitTask(func(s sfsched.Duration) bool {
 				d := s.Std()
 				if d > cap {
 					d = cap

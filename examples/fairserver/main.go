@@ -123,11 +123,11 @@ func main() {
 					}
 					remaining = *cost
 					if !stop.Load() {
-						_ = tn.TrySubmitPreemptible(task) // best-effort refeed
+						_ = tn.SubmitTask(nil, sfsched.NoWait(), sfsched.Preemptible(task)) // best-effort refeed
 					}
 					return true
 				}
-				if err := tn.SubmitPreemptible(task); err != nil {
+				if err := tn.SubmitTask(nil, sfsched.Preemptible(task)); err != nil {
 					panic(err)
 				}
 				continue
@@ -136,10 +136,10 @@ func main() {
 			task = sfsched.RunOnce(func() {
 				spin(*cost)
 				if !stop.Load() {
-					_ = tn.TrySubmit(task) // best-effort refeed; backpressure is fine
+					_ = tn.SubmitTask(task, sfsched.NoWait()) // best-effort refeed; backpressure is fine
 				}
 			})
-			if err := tn.Submit(task); err != nil {
+			if err := tn.SubmitTask(task); err != nil {
 				panic(err)
 			}
 		}

@@ -121,7 +121,7 @@ func TestFacadeConfigGrouping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tn.Submit(func(sfsched.Duration) bool { return false }); err != nil {
+	if err := tn.SubmitTask(func(sfsched.Duration) bool { return false }); err != nil {
 		t.Fatal(err)
 	}
 	d := r.Dispatch(0)

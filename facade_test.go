@@ -172,7 +172,7 @@ func TestFacadeRuntime(t *testing.T) {
 		}
 		tenants[i] = tn
 		for j := 0; j < 2; j++ {
-			if err := tn.Submit(sfsched.RunOnce(func() {})); err != nil {
+			if err := tn.SubmitTask(sfsched.RunOnce(func() {})); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -184,7 +184,7 @@ func TestFacadeRuntime(t *testing.T) {
 		}
 		clock.Advance(sfsched.Millisecond)
 		d.Complete(true)
-		if err := d.Tenant().Submit(sfsched.RunOnce(func() {})); err != nil {
+		if err := d.Tenant().SubmitTask(sfsched.RunOnce(func() {})); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -220,7 +220,7 @@ func TestFacadePolicyByName(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := tn.Submit(sfsched.RunOnce(func() {})); err != nil {
+				if err := tn.SubmitTask(sfsched.RunOnce(func() {})); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -245,7 +245,7 @@ func TestFacadePolicyByName(t *testing.T) {
 }
 
 // TestFacadePreemption drives the wakeup-preemption surface through the
-// public facade under every Preempter-capable policy — SubmitPreemptible,
+// public facade under every Preempter-capable policy — Preemptible submits,
 // RuntimeConfig.Preempt, the Dispatched/SliceCtx flag, and the per-tenant
 // preemption and wake-latency stats — and checks the capability-less
 // policies never flag.
@@ -277,7 +277,7 @@ func TestFacadePreemption(t *testing.T) {
 				t.Fatal(err)
 			}
 			var task sfsched.PreemptibleTask = func(ctx sfsched.SliceCtx) bool { return false }
-			if err := hog.SubmitPreemptible(task); err != nil {
+			if err := hog.SubmitTask(nil, sfsched.Preemptible(task)); err != nil {
 				t.Fatal(err)
 			}
 			d := r.Dispatch(0)
@@ -285,7 +285,7 @@ func TestFacadePreemption(t *testing.T) {
 				t.Fatal("hog not dispatched")
 			}
 			clock.Advance(2 * sfsched.Millisecond)
-			if err := interact.Submit(sfsched.RunOnce(func() {})); err != nil {
+			if err := interact.SubmitTask(sfsched.RunOnce(func() {})); err != nil {
 				t.Fatal(err)
 			}
 			if got := d.Preempted(); got != tc.preempts {

@@ -5,245 +5,54 @@
 //
 // Each thread has an actual virtual time A_i that advances by q/w_i when it
 // runs; the scheduler picks the thread with the least *effective* virtual
-// time E_i = A_i − warp_i, where the warp is a per-thread latency advantage
-// that lets interactive threads borrow against their future allocation. With
-// all warps zero BVT degenerates to SFQ, which tests exploit for trace
-// equality. The readjustment option grafts the paper's §2.1 algorithm onto
+// time E_i = A_i − warp_i, where the warp (SetWarp) is a per-thread latency
+// advantage that lets interactive threads borrow against their future
+// allocation. The readjustment option grafts the paper's §2.1 algorithm onto
 // BVT exactly as onto SFQ.
+//
+// The algorithm is the GPS-tag kernel, internal/vtq, over A_i (kept in
+// Thread.Start) under the effective-virtual-time order. With all warps zero
+// that order is SFQ's and the kernel runs the very code SFQ runs.
 package bvt
 
 import (
-	"fmt"
-	"math"
-
-	"sfsched/internal/phi"
-	"sfsched/internal/runqueue"
 	"sfsched/internal/sched"
 	"sfsched/internal/simtime"
+	"sfsched/internal/vtq"
 )
 
 // BVT is a borrowed-virtual-time scheduler for p processors. Not safe for
 // concurrent use.
-type BVT struct {
-	p           int
-	quantum     simtime.Duration
-	weights     *phi.Tracker
-	byEffective *runqueue.List[*sched.Thread]
-	v           float64 // scheduler virtual time: minimum A_i over runnable
-	lastA       float64
-	decisions   int64
-}
+type BVT = vtq.Queue
 
 // Option configures a BVT instance.
-type Option func(*cfg)
-
-type cfg struct {
-	quantum  simtime.Duration
-	readjust bool
-}
+type Option = vtq.Option
 
 // WithQuantum sets the maximum quantum granted per dispatch.
-func WithQuantum(q simtime.Duration) Option { return func(c *cfg) { c.quantum = q } }
+func WithQuantum(q simtime.Duration) Option { return vtq.WithQuantum(q) }
 
 // WithReadjustment couples BVT with the weight readjustment algorithm.
-func WithReadjustment() Option { return func(c *cfg) { c.readjust = true } }
+func WithReadjustment() Option { return vtq.WithReadjustment() }
 
 // New returns a BVT scheduler for p processors. It panics if p < 1.
 func New(p int, opts ...Option) *BVT {
-	if p < 1 {
-		panic(fmt.Sprintf("bvt: invalid processor count %d", p))
-	}
-	c := cfg{quantum: 200 * simtime.Millisecond}
-	for _, o := range opts {
-		o(&c)
-	}
-	b := &BVT{
-		p:       p,
-		quantum: c.quantum,
-		weights: phi.NewTracker(p, c.readjust),
-	}
-	// Start holds A_i; effective time is A_i − warp_i. Ties mirror SFQ's
-	// order (descending weight, then ID) so the zero-warp reduction to
-	// SFQ holds decision-for-decision.
-	b.byEffective = runqueue.NewList(runqueue.SlotPrimary, func(x, y *sched.Thread) bool {
-		ex, ey := x.Start-x.Warp, y.Start-y.Warp
-		if ex != ey {
-			return ex < ey
-		}
-		if x.Weight != y.Weight {
-			return x.Weight > y.Weight
-		}
-		return x.ID < y.ID
-	})
-	return b
-}
-
-// Name implements sched.Scheduler.
-func (b *BVT) Name() string {
-	if b.weights.Enabled() {
-		return "BVT+readjust"
-	}
-	return "BVT"
-}
-
-// NumCPU implements sched.Scheduler.
-func (b *BVT) NumCPU() int { return b.p }
-
-// Runnable implements sched.Scheduler.
-func (b *BVT) Runnable() int { return b.byEffective.Len() }
-
-// BVT implements the full capability set the sharded runtime can exploit.
-var (
-	_ sched.Scheduler       = (*BVT)(nil)
-	_ sched.VirtualTimer    = (*BVT)(nil)
-	_ sched.LagReporter     = (*BVT)(nil)
-	_ sched.FrameTranslator = (*BVT)(nil)
-	_ sched.Preempter       = (*BVT)(nil)
-)
-
-// VirtualTime implements sched.VirtualTimer: the scheduler virtual time
-// (minimum actual virtual time A_i over runnable threads).
-func (b *BVT) VirtualTime() float64 { return b.v }
-
-// FreshSurplus implements sched.LagReporter with the SFS surplus analogue
-// φ_i·(A_i − v). The warp is deliberately excluded: it is a latency
-// advantage, not banked service, so migration ranking considers only how far
-// ahead of the proportional ideal the thread's actual virtual time sits.
-func (b *BVT) FreshSurplus(t *sched.Thread) float64 { return t.Phi * (t.Start - b.v) }
-
-// FrameLead implements sched.FrameTranslator: the lead of t's actual virtual
-// time over the scheduler virtual time.
-func (b *BVT) FrameLead(t *sched.Thread) float64 { return t.Start - b.v }
-
-// SetFrameLead implements sched.FrameTranslator: re-bases t's actual virtual
-// time to sit lead ahead of this instance's scheduler virtual time; Add's
-// wakeup rule A_i = max(A_i, v) then re-admits the thread at its old
-// relative position.
-func (b *BVT) SetFrameLead(t *sched.Thread, lead float64) { t.Start = b.v + lead }
-
-// Add implements sched.Scheduler: a thread (re)joining the runnable set has
-// its actual virtual time brought up to the scheduler virtual time, BVT's
-// sleep/wakeup rule.
-func (b *BVT) Add(t *sched.Thread, now simtime.Time) error {
-	if !sched.ValidWeight(t.Weight) {
-		return fmt.Errorf("%w: %g", sched.ErrBadWeight, t.Weight)
-	}
-	if b.byEffective.Contains(t) {
-		return fmt.Errorf("%w: %v", sched.ErrAlreadyManaged, t)
-	}
-	t.Start = math.Max(t.Start, b.v)
-	b.weights.Add(t)
-	b.byEffective.Insert(t)
-	b.recomputeV()
-	return nil
-}
-
-// Remove implements sched.Scheduler.
-func (b *BVT) Remove(t *sched.Thread, now simtime.Time) error {
-	if !b.byEffective.Contains(t) {
-		return fmt.Errorf("%w: %v", sched.ErrNotManaged, t)
-	}
-	b.byEffective.Remove(t)
-	b.weights.Remove(t)
-	b.recomputeV()
-	return nil
-}
-
-// Charge implements sched.Scheduler: A_i += q/φ_i.
-func (b *BVT) Charge(t *sched.Thread, ran simtime.Duration, now simtime.Time) {
-	if ran < 0 {
-		panic("bvt: negative charge")
-	}
-	t.Service += ran
-	t.Start += ran.Seconds() / t.Phi
-	b.lastA = t.Start
-	if b.byEffective.Contains(t) {
-		b.byEffective.Fix(t)
-	}
-	b.recomputeV()
-}
-
-// Timeslice implements sched.Scheduler.
-func (b *BVT) Timeslice(t *sched.Thread, now simtime.Time) simtime.Duration {
-	return b.quantum
-}
-
-// SetWeight implements sched.Scheduler.
-func (b *BVT) SetWeight(t *sched.Thread, w float64, now simtime.Time) error {
-	if !sched.ValidWeight(w) {
-		return fmt.Errorf("%w: %g", sched.ErrBadWeight, w)
-	}
-	if !b.byEffective.Contains(t) {
-		t.Weight = w
-		t.Phi = w
-		return nil
-	}
-	b.weights.UpdateWeight(t, w)
-	return nil
-}
-
-// SetWarp changes the thread's warp (latency advantage) and repositions it.
-func (b *BVT) SetWarp(t *sched.Thread, warp float64) {
-	t.Warp = warp
-	if b.byEffective.Contains(t) {
-		b.byEffective.Fix(t)
-	}
-}
-
-// Pick implements sched.Scheduler: least effective virtual time.
-func (b *BVT) Pick(cpu int, now simtime.Time) *sched.Thread {
-	var best *sched.Thread
-	b.byEffective.Each(func(t *sched.Thread) bool {
-		if t.Running() {
-			return true
-		}
-		best = t
-		return false
-	})
-	if best != nil {
-		b.decisions++
-		best.Decisions++
-	}
-	return best
-}
-
-// Less implements sched.Scheduler: smaller effective virtual time wins.
-func (b *BVT) Less(x, y *sched.Thread) bool {
-	return x.Start-x.Warp < y.Start-y.Warp
-}
-
-// PreemptRank implements sched.Preempter with the warp-aware effective
-// virtual time E_i = A_i − warp_i, A_i projected forward by ran of uncharged
-// service. The warp participates — it is exactly BVT's dispatch-latency
-// advantage, so a warped interactive thread preempts earlier — unlike
-// FreshSurplus, where the warp is excluded because migration ranking measures
-// banked service, not latency credit.
-func (b *BVT) PreemptRank(t *sched.Thread, ran simtime.Duration) float64 {
-	return t.Start + ran.Seconds()/t.Phi - t.Warp
-}
-
-// InterimCharge implements sched.InterimCharger by delegating to Charge:
-// A_i += ran/φ_i is linear in ran, so mid-slice installments compose with
-// the boundary charge for the remainder. The warp is a dispatch-time offset,
-// not accounting state, so installments do not perturb it.
-func (b *BVT) InterimCharge(t *sched.Thread, ran simtime.Duration, now simtime.Time) {
-	b.Charge(t, ran, now)
-}
-
-// Threads returns the runnable threads in effective-virtual-time order.
-func (b *BVT) Threads() []*sched.Thread { return b.byEffective.Slice() }
-
-func (b *BVT) recomputeV() {
-	min := math.Inf(1)
-	b.byEffective.Each(func(t *sched.Thread) bool {
-		if t.Start < min {
-			min = t.Start
-		}
-		return true
-	})
-	if math.IsInf(min, 1) {
-		b.v = b.lastA
-		return
-	}
-	b.v = min
+	actual := func(t *sched.Thread) *float64 { return &t.Start }
+	return vtq.New(p, vtq.Policy{
+		Name:   "BVT",
+		Tag:    actual,
+		Rest:   actual,
+		Warped: true,
+		// Ties mirror SFQ's order (descending weight, then ID) so the
+		// zero-warp reduction to SFQ holds decision for decision.
+		Before: func(x, y *sched.Thread) bool {
+			ex, ey := x.Start-x.Warp, y.Start-y.Warp
+			if ex != ey {
+				return ex < ey
+			}
+			if x.Weight != y.Weight {
+				return x.Weight > y.Weight
+			}
+			return x.ID < y.ID
+		},
+	}, opts...)
 }

@@ -1,8 +1,10 @@
 package bvt
 
+// What is BVT's alone: the warp, and the reduction to SFQ without it.
+// Everything the GPS-tag kernel does for all three policies is tested once in
+// internal/vtq.
+
 import (
-	"errors"
-	"math"
 	"testing"
 
 	"sfsched/internal/sched"
@@ -16,49 +18,76 @@ func mkThread(id int, w float64) *sched.Thread {
 		CPU: sched.NoCPU, LastCPU: sched.NoCPU, State: sched.Runnable}
 }
 
+func add(t *testing.T, s sched.Scheduler, ths ...*sched.Thread) {
+	t.Helper()
+	for _, th := range ths {
+		th.State = sched.Runnable
+		if err := s.Add(th, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestZeroWarpMatchesSFQ(t *testing.T) {
 	// "BVT reduces to SFQ when the latency parameter is set to zero"
-	// (§1.2): identical pick traces on identical scripted workloads.
-	trace := func(s sched.Scheduler) []int {
-		threads := []*sched.Thread{mkThread(1, 1), mkThread(2, 5), mkThread(3, 2)}
-		now := simtime.Time(0)
-		for _, th := range threads {
-			if err := s.Add(th, now); err != nil {
+	// (§1.2): on one scripted workload with blocking, wakeups and a
+	// reweight, every pick is the same thread and every A_i is bit-equal to
+	// the start tag SFQ holds for that thread, as is the virtual time.
+	b, q := New(2), sfq.New(2)
+	var bs, qs []*sched.Thread
+	for id, w := range []float64{1, 5, 2, 2, 7} {
+		bs, qs = append(bs, mkThread(id+1, w)), append(qs, mkThread(id+1, w))
+	}
+	add(t, b, bs...)
+	add(t, q, qs...)
+	sides := []struct {
+		s   sched.Scheduler
+		ths []*sched.Thread
+	}{{b, bs}, {q, qs}}
+	r := xrand.New(3)
+	now := simtime.Time(0)
+	for i := 0; i < 2000; i++ {
+		bt, qt := b.Pick(0, now), q.Pick(0, now)
+		if bt.ID != qt.ID {
+			t.Fatalf("decision %d: BVT=%d SFQ=%d", i, bt.ID, qt.ID)
+		}
+		ran := simtime.Duration(1+r.Intn(100)) * simtime.Millisecond
+		now = now.Add(ran)
+		b.Charge(bt, ran, now)
+		q.Charge(qt, ran, now)
+		j, w := r.Intn(len(bs)), float64(1+r.Intn(9))
+		for _, side := range sides {
+			th := side.ths[j]
+			var err error
+			switch op := (i * 7) % 8; {
+			case op == 0 && th.State == sched.Runnable && side.s.Runnable() > 1:
+				th.State = sched.Blocked
+				err = side.s.Remove(th, now)
+			case op < 4 && th.State == sched.Blocked:
+				th.State = sched.Runnable
+				err = side.s.Add(th, now)
+			case op == 4:
+				err = side.s.SetWeight(th, w, now)
+			}
+			if err != nil {
 				t.Fatal(err)
 			}
 		}
-		r := xrand.New(3)
-		var ids []int
-		for i := 0; i < 1000; i++ {
-			th := s.Pick(0, now)
-			th.CPU = 0
-			q := simtime.Duration(1+r.Intn(100)) * simtime.Millisecond
-			now = now.Add(q)
-			s.Charge(th, q, now)
-			th.CPU = sched.NoCPU
-			ids = append(ids, th.ID)
+		if b.VirtualTime() != q.VirtualTime() {
+			t.Fatalf("decision %d: v BVT=%g SFQ=%g", i, b.VirtualTime(), q.VirtualTime())
 		}
-		return ids
-	}
-	b := trace(New(1))
-	q := trace(sfq.New(1))
-	for i := range b {
-		if b[i] != q[i] {
-			t.Fatalf("decision %d: BVT=%d SFQ=%d", i, b[i], q[i])
+		for j := range bs {
+			if bs[j].Start != qs[j].Start {
+				t.Fatalf("decision %d thread %d: A=%g, SFQ start tag %g", i, bs[j].ID, bs[j].Start, qs[j].Start)
+			}
 		}
 	}
 }
 
 func TestWarpGivesLatencyAdvantage(t *testing.T) {
 	s := New(1)
-	a := mkThread(1, 1)
-	b := mkThread(2, 1)
-	if err := s.Add(a, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Add(b, 0); err != nil {
-		t.Fatal(err)
-	}
+	a, b := mkThread(1, 1), mkThread(2, 1)
+	add(t, s, a, b)
 	// Equal virtual times; warp makes b effectively earlier.
 	s.SetWarp(b, 0.5)
 	if got := s.Pick(0, 0); got != b {
@@ -67,99 +96,35 @@ func TestWarpGivesLatencyAdvantage(t *testing.T) {
 	if !s.Less(b, a) {
 		t.Fatal("Less must honour warp")
 	}
-}
-
-func TestProportionalSharing(t *testing.T) {
-	s := New(1, WithQuantum(10*simtime.Millisecond))
-	a := mkThread(1, 3)
-	b := mkThread(2, 1)
-	if err := s.Add(a, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Add(b, 0); err != nil {
-		t.Fatal(err)
-	}
-	now := simtime.Time(0)
-	for i := 0; i < 4000; i++ {
-		th := s.Pick(0, now)
-		th.CPU = 0
-		now = now.Add(10 * simtime.Millisecond)
-		s.Charge(th, 10*simtime.Millisecond, now)
-		th.CPU = sched.NoCPU
-	}
-	ratio := a.Service.Seconds() / b.Service.Seconds()
-	if math.Abs(ratio-3) > 0.1 {
-		t.Fatalf("ratio %.3f, want ~3", ratio)
+	if s.PreemptRank(b, 0) != -0.5 || s.FreshSurplus(b) != 0 {
+		t.Fatalf("rank %g surplus %g: the warp is a preemption credit, not banked service",
+			s.PreemptRank(b, 0), s.FreshSurplus(b))
 	}
 }
 
-func TestReadjustmentOption(t *testing.T) {
-	s := New(2, WithReadjustment())
-	a := mkThread(1, 1)
-	b := mkThread(2, 10)
-	if err := s.Add(a, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Add(b, 0); err != nil {
-		t.Fatal(err)
-	}
-	if b.Phi != 1 {
-		t.Fatalf("φ = %g, want 1", b.Phi)
-	}
-	if s.Name() != "BVT+readjust" {
-		t.Fatalf("name %q", s.Name())
-	}
-}
-
-func TestWakeupCatchesUpToSVT(t *testing.T) {
+func TestVirtualTimeIsMinimumActualNotEffective(t *testing.T) {
 	s := New(1)
-	a := mkThread(1, 1)
-	b := mkThread(2, 1)
-	if err := s.Add(a, 0); err != nil {
-		t.Fatal(err)
+	a, b := mkThread(1, 1), mkThread(2, 1)
+	add(t, s, a, b)
+	s.SetWarp(b, 0.5)
+	// b runs ahead on its warp: it still heads the queue (E_b = 0.3 − 0.5)
+	// but the scheduler virtual time is the least A_i, which is a's.
+	s.Charge(b, 300*simtime.Millisecond, 0)
+	s.Charge(a, 100*simtime.Millisecond, 0)
+	if got := s.Pick(0, 0); got != b {
+		t.Fatalf("Pick = %v, want the warped thread", got)
 	}
-	if err := s.Add(b, 0); err != nil {
-		t.Fatal(err)
+	if s.VirtualTime() != a.Start {
+		t.Fatalf("v = %g, want min A_i = %g", s.VirtualTime(), a.Start)
 	}
-	s.Charge(b, 100*simtime.Millisecond, 0)
-	b.State = sched.Blocked
-	if err := s.Remove(b, 0); err != nil {
-		t.Fatal(err)
+	// With the warp gone the order is SFQ's again and so is v.
+	s.SetWarp(b, 0)
+	s.Charge(a, 100*simtime.Millisecond, 0)
+	if got := s.Pick(0, 0); got != a || s.VirtualTime() != a.Start {
+		t.Fatalf("Pick = %v, v = %g, want thread 1 at %g", got, s.VirtualTime(), a.Start)
 	}
-	for i := 0; i < 50; i++ {
-		s.Charge(a, 100*simtime.Millisecond, 0)
-	}
-	b.State = sched.Runnable
-	if err := s.Add(b, 0); err != nil {
-		t.Fatal(err)
-	}
-	if b.Start < 4.9 {
-		t.Fatalf("woken AVT %g, want ~5 (SVT)", b.Start)
-	}
-}
-
-func TestErrors(t *testing.T) {
-	s := New(2)
-	a := mkThread(1, 1)
-	if err := s.Add(a, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Add(a, 0); !errors.Is(err, sched.ErrAlreadyManaged) {
-		t.Fatalf("double add: %v", err)
-	}
-	if err := s.Remove(mkThread(9, 1), 0); !errors.Is(err, sched.ErrNotManaged) {
-		t.Fatalf("remove unmanaged: %v", err)
-	}
-	if err := s.Add(mkThread(2, -2), 0); !errors.Is(err, sched.ErrBadWeight) {
-		t.Fatalf("bad weight: %v", err)
-	}
-	if err := s.SetWeight(a, 0, 0); !errors.Is(err, sched.ErrBadWeight) {
-		t.Fatalf("bad setweight: %v", err)
-	}
-	if s.NumCPU() != 2 || s.Runnable() != 1 || len(s.Threads()) != 1 {
-		t.Fatal("accessors")
-	}
-	if got := s.Timeslice(a, 0); got != 200*simtime.Millisecond {
-		t.Fatalf("timeslice %v", got)
+	s.Charge(a, 300*simtime.Millisecond, 0)
+	if s.VirtualTime() != b.Start {
+		t.Fatalf("v = %g, want the new head's A_i = %g", s.VirtualTime(), b.Start)
 	}
 }

@@ -146,7 +146,7 @@ type Cluster struct {
 }
 
 // Tenant is a cluster-level tenant handle: a name and weight with a current
-// (machine, rt.Tenant) binding that migration rewrites. Submit-family calls
+// (machine, rt.Tenant) binding that migration rewrites. SubmitTask calls
 // hold the binding read-locked, so a tenant with a submit in flight is
 // simply skipped by the migrator (rt.Deport would refuse it anyway).
 type Tenant struct {
@@ -352,19 +352,6 @@ func (t *Tenant) SubmitTask(task rt.Task, opts ...rt.SubmitOption) error {
 		return rt.ErrTenantClosed
 	}
 	return t.tn.SubmitTask(task, opts...)
-}
-
-// Submit is SubmitTask(task).
-func (t *Tenant) Submit(task rt.Task) error { return t.SubmitTask(task) }
-
-// TrySubmit is SubmitTask(task, NoWait()).
-func (t *Tenant) TrySubmit(task rt.Task) error {
-	return t.SubmitTask(task, rt.NoWait())
-}
-
-// SubmitPreemptible is SubmitTask(nil, Preemptible(task)).
-func (t *Tenant) SubmitPreemptible(task rt.PreemptibleTask) error {
-	return t.SubmitTask(nil, rt.Preemptible(task))
 }
 
 // Rebalance runs one migration pass and reports how many tenants moved.

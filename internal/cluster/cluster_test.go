@@ -28,7 +28,7 @@ func driveCluster(t *testing.T, c *cluster.Cluster, clock *rt.FakeClock,
 	t.Helper()
 	refill := func(tn *cluster.Tenant) {
 		for tn.Queued() < 2 {
-			if err := tn.TrySubmit(rt.Once(func() {})); err != nil {
+			if err := tn.SubmitTask(rt.Once(func() {}), rt.NoWait()); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -108,7 +108,7 @@ func TestClusterDifferentialVsGiant(t *testing.T) {
 		t.Helper()
 		refill := func(tn *rt.Tenant) {
 			for tn.Queued() < 2 {
-				if err := tn.TrySubmit(rt.Once(func() {})); err != nil {
+				if err := tn.SubmitTask(rt.Once(func() {}), rt.NoWait()); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -408,7 +408,7 @@ func TestClusterErrors(t *testing.T) {
 	if err := c.Unregister(tn); !errors.Is(err, rt.ErrTenantClosed) {
 		t.Fatalf("double Unregister: %v, want ErrTenantClosed", err)
 	}
-	if err := tn.Submit(rt.Once(func() {})); !errors.Is(err, rt.ErrTenantClosed) {
+	if err := tn.SubmitTask(rt.Once(func() {})); !errors.Is(err, rt.ErrTenantClosed) {
 		t.Fatalf("submit after Unregister: %v, want ErrTenantClosed", err)
 	}
 	if err := c.SetWeight(tn, 2); !errors.Is(err, rt.ErrTenantClosed) {

@@ -146,7 +146,7 @@ func RunLiveCluster(policy rt.Policy, cfg LiveClusterConfig) LiveClusterResult {
 				panic(err)
 			}
 			totalWeight += tier.weight
-			if err := t.Submit(func(slice simtime.Duration) bool {
+			if err := t.SubmitTask(func(slice simtime.Duration) bool {
 				d := slice.Std()
 				if d > sliceCap {
 					d = sliceCap

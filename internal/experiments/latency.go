@@ -131,7 +131,7 @@ func RunLiveLatency(policy rt.Policy, cfg LiveLatencyConfig) LiveLatencyResult {
 			// A non-cooperating compute-bound tenant: a plain Task that
 			// burns its slice with no checkpoints — deaf to preemption
 			// flags, recoverable only by involuntary handoff.
-			if err := hog.Submit(func(slice simtime.Duration) bool {
+			if err := hog.SubmitTask(func(slice simtime.Duration) bool {
 				d := slice.Std()
 				if d > sliceCap {
 					d = sliceCap
@@ -146,7 +146,7 @@ func RunLiveLatency(policy rt.Policy, cfg LiveLatencyConfig) LiveLatencyResult {
 		// A well-behaved compute-bound tenant: spin through the slice in
 		// checkpoint-sized chunks, yielding early when flagged; unfinished
 		// work continues on the next dispatch.
-		if err := hog.SubmitPreemptible(func(ctx rt.SliceCtx) bool {
+		if err := hog.SubmitTask(nil, rt.Preemptible(func(ctx rt.SliceCtx) bool {
 			d := ctx.Slice().Std()
 			if d > sliceCap {
 				d = sliceCap
@@ -160,7 +160,7 @@ func RunLiveLatency(policy rt.Policy, cfg LiveLatencyConfig) LiveLatencyResult {
 				spinFor(step)
 			}
 			return false // compute-bound: never finishes, stays backlogged
-		}); err != nil {
+		})); err != nil {
 			panic(err)
 		}
 	}
@@ -174,7 +174,7 @@ func RunLiveLatency(policy rt.Policy, cfg LiveLatencyConfig) LiveLatencyResult {
 	stop := time.Now().Add(duration)
 	for time.Now().Before(stop) {
 		time.Sleep(think)
-		if err := interact.Submit(rt.Once(func() {
+		if err := interact.SubmitTask(rt.Once(func() {
 			spinFor(burst)
 			done <- struct{}{}
 		})); err != nil {

@@ -111,7 +111,7 @@ func RunLive(policy rt.Policy, cfg LiveConfig) LiveResult {
 			totalWeight += tier.weight
 			var err2 error
 			if cfg.Preempt {
-				err2 = tn.SubmitPreemptible(func(ctx rt.SliceCtx) bool {
+				err2 = tn.SubmitTask(nil, rt.Preemptible(func(ctx rt.SliceCtx) bool {
 					d := ctx.Slice().Std()
 					if d > sliceCap {
 						d = sliceCap
@@ -131,9 +131,9 @@ func RunLive(policy rt.Policy, cfg LiveConfig) LiveResult {
 						}
 					}
 					return false // compute-bound: never finishes, stays backlogged
-				})
+				}))
 			} else {
-				err2 = tn.Submit(func(slice simtime.Duration) bool {
+				err2 = tn.SubmitTask(func(slice simtime.Duration) bool {
 					d := slice.Std()
 					if d > sliceCap {
 						d = sliceCap

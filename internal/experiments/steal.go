@@ -137,7 +137,7 @@ func stealCell(cfg StealAblationConfig, mode string) StealAblationResult {
 	refill := func() {
 		for _, tn := range actives {
 			for tn.Queued() < 2 {
-				if err := tn.TrySubmit(rt.Once(func() {})); err != nil {
+				if err := tn.SubmitTask(rt.Once(func() {}), rt.NoWait()); err != nil {
 					panic(err)
 				}
 			}

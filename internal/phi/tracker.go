@@ -6,8 +6,8 @@
 // package is that decoupling. It owns the weight-sorted run queue (the first
 // of the three queues in the kernel implementation, §3.1) and recomputes φ
 // for the runnable set whenever it changes. SFS (internal/core, as the
-// default core.PhiSource), SFQ (internal/sfq), BVT (internal/bvt) and stride
-// (internal/stride) all embed a Tracker; SFQ and friends can disable it to
+// default core.PhiSource) and the GPS-tag kernel behind SFQ, BVT and stride
+// (internal/vtq) each hold a Tracker; SFQ and friends can disable it to
 // reproduce the unfairness the paper demonstrates in Examples 1 and 2.
 package phi
 

@@ -33,10 +33,10 @@ func TestEnforcementHandoffMechanics(t *testing.T) {
 	hog, _ := r.Register("hog", 1)
 	poll, _ := r.Register("poll", 1)
 	sleeper, _ := r.Register("sleeper", 1)
-	if err := hog.Submit(rt.Once(func() {})); err != nil {
+	if err := hog.SubmitTask(rt.Once(func() {})); err != nil {
 		t.Fatal(err)
 	}
-	if err := poll.SubmitPreemptible(func(rt.SliceCtx) bool { return false }); err != nil {
+	if err := poll.SubmitTask(nil, rt.Preemptible(func(rt.SliceCtx) bool { return false })); err != nil {
 		t.Fatal(err)
 	}
 	dHog := r.Dispatch(0)
@@ -79,7 +79,7 @@ func TestEnforcementHandoffMechanics(t *testing.T) {
 
 	// The hog's worker slot is free while its closure runs out of band: a
 	// wakeup dispatches there immediately.
-	if err := sleeper.Submit(rt.Once(func() {})); err != nil {
+	if err := sleeper.SubmitTask(rt.Once(func() {})); err != nil {
 		t.Fatal(err)
 	}
 	dSleep := r.Dispatch(0)
@@ -194,14 +194,14 @@ func TestEnforcementFlagAcceleration(t *testing.T) {
 	defer r.Close()
 	hog, _ := r.Register("hog", 1)
 	sleeper, _ := r.Register("sleeper", 1)
-	if err := hog.Submit(rt.Once(func() {})); err != nil {
+	if err := hog.SubmitTask(rt.Once(func() {})); err != nil {
 		t.Fatal(err)
 	}
 	d := r.Dispatch(0)
 	clock.Advance(2 * simtime.Millisecond)
 	// Full-load wakeup flags the hog; the flag alone is useless to a plain
 	// Task, so enforcement must convert it into a handoff.
-	if err := sleeper.Submit(rt.Once(func() {})); err != nil {
+	if err := sleeper.SubmitTask(rt.Once(func() {})); err != nil {
 		t.Fatal(err)
 	}
 	if !d.Preempted() {
@@ -261,7 +261,7 @@ func enforceLatencyScenario(t *testing.T, enforce bool) ([]rt.TenantStat, int64,
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := hog.Submit(rt.Once(func() {})); err != nil {
+		if err := hog.SubmitTask(rt.Once(func() {})); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -293,7 +293,7 @@ func enforceLatencyScenario(t *testing.T, enforce bool) ([]rt.TenantStat, int64,
 			trace = append(trace, fmt.Sprintf("%d dispatch w%d %s", now, w, d.Tenant().Name()))
 		}
 		if now >= nextWake && interact.Queued() == 0 {
-			if err := interact.Submit(rt.Once(func() {})); err != nil {
+			if err := interact.SubmitTask(rt.Once(func() {})); err != nil {
 				t.Fatal(err)
 			}
 			nextWake = now.Add(think)
@@ -438,7 +438,7 @@ func TestEnforcementConcurrentHandoff(t *testing.T) {
 	}
 	started := make(chan struct{})
 	release := make(chan struct{})
-	if err := hog.Submit(func(simtime.Duration) bool {
+	if err := hog.SubmitTask(func(simtime.Duration) bool {
 		close(started)
 		<-release
 		return true
@@ -452,7 +452,7 @@ func TestEnforcementConcurrentHandoff(t *testing.T) {
 	}
 	done := make(chan struct{}, 8)
 	for i := 0; i < 5; i++ {
-		if err := interact.Submit(rt.Once(func() { done <- struct{}{} })); err != nil {
+		if err := interact.SubmitTask(rt.Once(func() { done <- struct{}{} })); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -489,7 +489,7 @@ func TestEnforceHotPathZeroAlloc(t *testing.T) {
 	defer r.Close()
 	hog, _ := r.Register("hog", 1)
 	blinker, _ := r.Register("blinker", 1)
-	if err := hog.Submit(rt.Once(func() {})); err != nil {
+	if err := hog.SubmitTask(rt.Once(func() {})); err != nil {
 		t.Fatal(err)
 	}
 	task := rt.Once(func() {})
@@ -498,7 +498,7 @@ func TestEnforceHotPathZeroAlloc(t *testing.T) {
 		clock.Advance(simtime.Millisecond)
 		// With 1 ms of uncharged service the hog strictly out-ranks the
 		// waking blinker (a same-instant wakeup would tie and raise nothing).
-		if err := blinker.Submit(task); err != nil {
+		if err := blinker.SubmitTask(task); err != nil {
 			t.Fatal(err)
 		}
 		r.Enforce() // flag acceleration hands the hog off

@@ -169,7 +169,7 @@ func runtimeTrace(t *testing.T, p int, q simtime.Duration, scripts []tenantScrip
 	// the done verdict to Complete itself.
 	loadBurst := func(ts *tstate) {
 		ts.rem = ts.sc.burst(ts.idx)
-		if err := ts.tn.Submit(rt.Once(func() {})); err != nil {
+		if err := ts.tn.SubmitTask(rt.Once(func() {})); err != nil {
 			t.Fatalf("submit %s: %v", ts.sc.name, err)
 		}
 	}

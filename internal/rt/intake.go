@@ -1,6 +1,6 @@
 // Per-shard MPSC intake ring: the lock-free half of the Submit→wakeup path.
 //
-// Every Submit/TrySubmit used to serialize on the shard mutex and pay a
+// Every submit used to serialize on the shard mutex and pay a
 // cond-var signal under it — the last central chokepoint after PRs 3–5
 // sharded dispatch itself. The intake ring removes it: submitters publish
 // into a bounded multi-producer ring with one CAS (claim) and one atomic

@@ -2,14 +2,12 @@
 // hot path it carries: the raw ring protocol (claim/publish/consume lap
 // handoff, full detection, tombstones), a fuzzed multi-producer FIFO/no-loss
 // check that the race detector also replays from the seed corpus under
-// `go test -race`, and the zero-allocation guarantee of Submit on both the
-// intake route and the locked baseline — the submit-side twin of
-// TestDispatchHotPathZeroAlloc.
+// `go test -race`, and the zero-allocation guarantee of SubmitTask — the
+// submit-side twin of TestDispatchHotPathZeroAlloc.
 
 package rt
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 	"testing"
@@ -179,7 +177,7 @@ func TestIntakeOverflowPreservesTenantFIFO(t *testing.T) {
 	}
 	running := make(chan struct{})
 	release := make(chan struct{})
-	if err := gate.Submit(Once(func() {
+	if err := gate.SubmitTask(Once(func() {
 		close(running)
 		<-release
 	})); err != nil {
@@ -189,7 +187,7 @@ func TestIntakeOverflowPreservesTenantFIFO(t *testing.T) {
 	order := make([]int, 0, n)
 	for i := 0; i < n; i++ {
 		i := i
-		if err := rec.Submit(Once(func() { order = append(order, i) })); err != nil {
+		if err := rec.SubmitTask(Once(func() { order = append(order, i) })); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -209,42 +207,37 @@ func TestIntakeOverflowPreservesTenantFIFO(t *testing.T) {
 }
 
 // TestSubmitHotPathZeroAlloc pins the 0 allocs/op guarantee of the submit
-// side on both routes: the intake-ring fast path (claim, publish, doorbell,
-// batched drain) and the RuntimeConfig.LockedSubmit baseline it is gated
-// against in BENCH_6.json. It is the submit-side twin of
-// TestDispatchHotPathZeroAlloc: a steady wakeup regime where every Submit
-// re-enters the scheduler, runs the backpressure reservation, and wakes the
-// tenant, under a Manual runtime so the whole cycle stays on one goroutine.
+// side: the intake-ring path (claim, publish, doorbell, batched drain). It is
+// the submit-side twin of TestDispatchHotPathZeroAlloc: a steady wakeup
+// regime where every submit re-enters the scheduler, runs the backpressure
+// reservation, and wakes the tenant, under a Manual runtime so the whole
+// cycle stays on one goroutine.
 func TestSubmitHotPathZeroAlloc(t *testing.T) {
-	for _, locked := range []bool{false, true} {
-		t.Run(fmt.Sprintf("locked=%v", locked), func(t *testing.T) {
-			clock := NewFakeClock()
-			r := New(Config{Workers: 1, Quantum: 10 * simtime.Millisecond,
-				Clock: clock, QueueCap: 4, Manual: true, LockedSubmit: locked})
-			defer r.Close()
-			tn, err := r.Register("zero", 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			task := Once(func() {})
-			cycle := func() {
-				if err := tn.Submit(task); err != nil { // wakeup: backlog is empty
-					t.Fatal(err)
-				}
-				d := r.Dispatch(0)
-				clock.Advance(simtime.Millisecond)
-				d.Complete(true) // backlog empty again: tenant blocks
-			}
-			for i := 0; i < 100; i++ {
-				cycle() // warm up free-lists and queue capacity
-			}
-			if n := testing.AllocsPerRun(500, cycle); n != 0 {
-				t.Fatalf("submit hot path (locked=%v) allocates %.1f per cycle, want 0", locked, n)
-			}
-			if err := r.CheckInvariants(); err != nil {
-				t.Fatal(err)
-			}
-		})
+	clock := NewFakeClock()
+	r := New(Config{Workers: 1, Quantum: 10 * simtime.Millisecond,
+		Clock: clock, QueueCap: 4, Manual: true})
+	defer r.Close()
+	tn, err := r.Register("zero", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	task := Once(func() {})
+	cycle := func() {
+		if err := tn.SubmitTask(task); err != nil { // wakeup: backlog is empty
+			t.Fatal(err)
+		}
+		d := r.Dispatch(0)
+		clock.Advance(simtime.Millisecond)
+		d.Complete(true) // backlog empty again: tenant blocks
+	}
+	for i := 0; i < 100; i++ {
+		cycle() // warm up free-lists and queue capacity
+	}
+	if n := testing.AllocsPerRun(500, cycle); n != 0 {
+		t.Fatalf("submit hot path allocates %.1f per cycle, want 0", n)
+	}
+	if err := r.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 

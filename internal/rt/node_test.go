@@ -50,7 +50,7 @@ func TestDeportAdmitCarriesState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tn.Submit(rt.Once(func() {})); err != nil {
+	if err := tn.SubmitTask(rt.Once(func() {})); err != nil {
 		t.Fatal(err)
 	}
 	tickOnce(t, r1, clock, 5*simtime.Millisecond)
@@ -60,7 +60,7 @@ func TestDeportAdmitCarriesState(t *testing.T) {
 	var order []int
 	for i := 0; i < 3; i++ {
 		i := i
-		if err := tn.Submit(rt.Once(func() { order = append(order, i) })); err != nil {
+		if err := tn.SubmitTask(rt.Once(func() { order = append(order, i) })); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -89,7 +89,7 @@ func TestDeportAdmitCarriesState(t *testing.T) {
 	if _, err := r1.Deport(tn); !errors.Is(err, rt.ErrTenantClosed) {
 		t.Fatalf("second Deport: %v, want ErrTenantClosed", err)
 	}
-	if err := tn.Submit(rt.Once(func() {})); !errors.Is(err, rt.ErrTenantClosed) {
+	if err := tn.SubmitTask(rt.Once(func() {})); !errors.Is(err, rt.ErrTenantClosed) {
 		t.Fatalf("submit after Deport: %v, want ErrTenantClosed", err)
 	}
 	if load := r1.Load(); load.Tenants != 0 || load.Weight != 0 || load.Queued != 0 {
@@ -137,7 +137,7 @@ func TestDeportRefusesBusy(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Running: a dispatched slice is in flight.
-	if err := tn.Submit(func(simtime.Duration) bool { return false }); err != nil {
+	if err := tn.SubmitTask(func(simtime.Duration) bool { return false }); err != nil {
 		t.Fatal(err)
 	}
 	d := r1.Dispatch(0)

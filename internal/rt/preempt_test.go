@@ -57,7 +57,7 @@ func latencyScenario(t *testing.T, policy rt.Policy, preempt bool, hogs int) []r
 		}
 		// One perpetual task: the driver completes it done=false, so it
 		// stays at the backlog head like a burst spanning many quanta.
-		if err := hog.Submit(rt.Once(func() {})); err != nil {
+		if err := hog.SubmitTask(rt.Once(func() {})); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -85,7 +85,7 @@ func latencyScenario(t *testing.T, policy rt.Policy, preempt bool, hogs int) []r
 		}
 		// The interactive tenant wakes mid-quantum, under full load.
 		if now >= nextWake && interact.Queued() == 0 {
-			if err := interact.Submit(rt.Once(func() {})); err != nil {
+			if err := interact.SubmitTask(rt.Once(func() {})); err != nil {
 				t.Fatal(err)
 			}
 			nextWake = now.Add(think)
@@ -206,7 +206,7 @@ func TestPreemptionFlagDeterministic(t *testing.T) {
 	hogA, _ := r.Register("hogA", 1)
 	hogB, _ := r.Register("hogB", 1)
 	sleeper, _ := r.Register("sleeper", 1)
-	if err := hogA.Submit(rt.Once(func() {})); err != nil {
+	if err := hogA.SubmitTask(rt.Once(func() {})); err != nil {
 		t.Fatal(err)
 	}
 	dA := r.Dispatch(0)
@@ -215,7 +215,7 @@ func TestPreemptionFlagDeterministic(t *testing.T) {
 	}
 	clock.Advance(2 * simtime.Millisecond)
 	// hogB wakes with a worker idle: absorbed without raising any flag.
-	if err := hogB.Submit(rt.Once(func() {})); err != nil {
+	if err := hogB.SubmitTask(rt.Once(func() {})); err != nil {
 		t.Fatal(err)
 	}
 	if dA.Preempted() {
@@ -231,7 +231,7 @@ func TestPreemptionFlagDeterministic(t *testing.T) {
 	}
 	// Full-load wakeup: hogA (3 ms in flight) out-ranks hogB (1 ms) and
 	// must take the flag; hogB keeps running.
-	if err := sleeper.Submit(rt.Once(func() {})); err != nil {
+	if err := sleeper.SubmitTask(rt.Once(func() {})); err != nil {
 		t.Fatal(err)
 	}
 	if !dA.Preempted() {
@@ -303,7 +303,7 @@ func TestPreemptibleTaskConcurrent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := hog.SubmitPreemptible(func(ctx rt.SliceCtx) bool {
+		if err := hog.SubmitTask(nil, rt.Preemptible(func(ctx rt.SliceCtx) bool {
 			deadline := time.Now().Add(ctx.Slice().Std())
 			for time.Now().Before(deadline) {
 				if ctx.Preempted() {
@@ -313,7 +313,7 @@ func TestPreemptibleTaskConcurrent(t *testing.T) {
 				spin(100 * time.Microsecond)
 			}
 			return false
-		}); err != nil {
+		})); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -323,7 +323,7 @@ func TestPreemptibleTaskConcurrent(t *testing.T) {
 	}
 	done := make(chan struct{}, 1)
 	for i := 0; i < 40; i++ {
-		if err := interact.Submit(rt.Once(func() { done <- struct{}{} })); err != nil {
+		if err := interact.SubmitTask(rt.Once(func() { done <- struct{}{} })); err != nil {
 			t.Fatal(err)
 		}
 		select {
@@ -370,13 +370,13 @@ func TestDispatchHotPathZeroAlloc(t *testing.T) {
 	defer r.Close()
 	hog, _ := r.Register("hog", 1)
 	blinker, _ := r.Register("blinker", 1)
-	if err := hog.Submit(rt.Once(func() {})); err != nil {
+	if err := hog.SubmitTask(rt.Once(func() {})); err != nil {
 		t.Fatal(err)
 	}
 	task := rt.Once(func() {})
 	cycle := func() {
 		d := r.Dispatch(0) // the hog (perpetual continuation)
-		if err := blinker.Submit(task); err != nil {
+		if err := blinker.SubmitTask(task); err != nil {
 			t.Fatal(err)
 		}
 		clock.Advance(simtime.Millisecond)

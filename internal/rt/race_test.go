@@ -39,14 +39,14 @@ func selfFeed(t *testing.T, tn *rt.Tenant, cost time.Duration, stop *atomic.Bool
 	task = func(simtime.Duration) bool {
 		spin(cost)
 		if !stop.Load() {
-			if err := tn.TrySubmit(task); err != nil && !errors.Is(err, rt.ErrTenantClosed) &&
+			if err := tn.SubmitTask(task, rt.NoWait()); err != nil && !errors.Is(err, rt.ErrTenantClosed) &&
 				!errors.Is(err, rt.ErrRuntimeClosed) && !errors.Is(err, rt.ErrBackpressure) {
 				t.Errorf("self-feed: %v", err)
 			}
 		}
 		return true
 	}
-	if err := tn.Submit(task); err != nil {
+	if err := tn.SubmitTask(task); err != nil {
 		t.Fatalf("seed submit: %v", err)
 	}
 }
@@ -149,9 +149,9 @@ func TestRaceChurnStress(t *testing.T) {
 				}
 				var err error
 				if rng.Intn(4) == 0 {
-					err = tn.Submit(task)
+					err = tn.SubmitTask(task)
 				} else {
-					err = tn.TrySubmit(task)
+					err = tn.SubmitTask(task, rt.NoWait())
 				}
 				switch {
 				case err == nil:
@@ -297,23 +297,23 @@ func TestRaceQuiescentGateStress(t *testing.T) {
 				var err error
 				switch j % 5 {
 				case 0: // panicking task: its drop must release the reservation
-					err = tn.Submit(rt.Once(func() { panic("quiesce: deliberate task panic") }))
+					err = tn.SubmitTask(rt.Once(func() { panic("quiesce: deliberate task panic") }))
 				case 1: // never-yielding hog slice: the enforcer hands it off
-					err = tn.Submit(func(simtime.Duration) bool {
+					err = tn.SubmitTask(func(simtime.Duration) bool {
 						spin(2 * time.Millisecond)
 						return true
 					})
 				case 2: // cooperative slice, possibly flagged mid-run
-					err = tn.SubmitPreemptible(func(ctx rt.SliceCtx) bool {
+					err = tn.SubmitTask(nil, rt.Preemptible(func(ctx rt.SliceCtx) bool {
 						_ = ctx.Preempted()
 						return true
-					})
+					}))
 				case 3:
-					if err = tn.TrySubmit(rt.Once(func() {})); errors.Is(err, rt.ErrBackpressure) {
+					if err = tn.SubmitTask(rt.Once(func() {}), rt.NoWait()); errors.Is(err, rt.ErrBackpressure) {
 						err = nil // tight QueueCap: expected
 					}
 				default:
-					err = tn.Submit(rt.Once(func() {}))
+					err = tn.SubmitTask(rt.Once(func() {}))
 				}
 				if errors.Is(err, rt.ErrTenantClosed) {
 					return // unregistered mid-load by the churner below
@@ -350,7 +350,7 @@ func TestRaceQuiescentGateStress(t *testing.T) {
 	release := make(chan struct{})
 	const gated = 4 // = Workers: every gated hog dispatches immediately
 	for i := 3; i < 3+gated; i++ {
-		if err := tenants[i].Submit(func(simtime.Duration) bool {
+		if err := tenants[i].SubmitTask(func(simtime.Duration) bool {
 			<-release
 			return true
 		}); err != nil {
@@ -389,7 +389,7 @@ func TestRaceDrainCloseRace(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for {
-				if err := tn.Submit(rt.Once(func() { spin(50 * time.Microsecond) })); err != nil {
+				if err := tn.SubmitTask(rt.Once(func() { spin(50 * time.Microsecond) })); err != nil {
 					if !errors.Is(err, rt.ErrRuntimeClosed) && !errors.Is(err, rt.ErrTenantClosed) {
 						t.Errorf("submit: %v", err)
 					}

@@ -46,10 +46,10 @@
 // tenant occupies at most one worker at a time), which is the paper's
 // feasibility constraint — a thread can use at most one CPU — surfacing as an
 // API guarantee. A tenant with an empty backlog leaves the runnable set
-// (blocks); the first Submit re-adds it with the §2.3 wakeup rule
+// (blocks); the first SubmitTask re-adds it with the §2.3 wakeup rule
 // S_i = max(F_i, v), so sleeping tenants bank no credit. Backlogs are
-// bounded: Submit blocks when the queue is full (backpressure), TrySubmit
-// fails fast with ErrBackpressure.
+// bounded: SubmitTask blocks when the queue is full (backpressure), and with
+// NoWait() fails fast with ErrBackpressure instead.
 //
 // # Cooperative quanta
 //
@@ -91,7 +91,8 @@ var (
 	ErrRuntimeClosed = errors.New("rt: runtime closed")
 	// ErrTenantClosed reports an operation on an unregistered tenant.
 	ErrTenantClosed = errors.New("rt: tenant unregistered")
-	// ErrBackpressure reports a TrySubmit against a full tenant backlog.
+	// ErrBackpressure reports a SubmitTask with NoWait against a full tenant
+	// backlog.
 	ErrBackpressure = errors.New("rt: tenant backlog full")
 	// ErrForeignTenant reports a tenant handed to a runtime that does not
 	// own it.
@@ -120,7 +121,7 @@ func Once(fn func()) Task {
 // asked for its processor back. Unfinished work stays at the backlog head and
 // continues on a later dispatch, exactly as with Task; ignoring the flag
 // costs only dispatch latency (the task still runs out its slice), never
-// fairness. Submit with SubmitPreemptible/TrySubmitPreemptible.
+// fairness. Submit one with SubmitTask(nil, Preemptible(task)).
 type PreemptibleTask func(ctx SliceCtx) (done bool)
 
 // SliceCtx is a running task's view of its in-flight slice. It is valid only
@@ -218,13 +219,6 @@ type Config struct {
 	// dispatch traces are bit-identical to earlier releases, and TrySteal is
 	// a no-op.
 	Steal bool
-	// LockedSubmit routes every Submit/TrySubmit through the pre-intake
-	// locked slow path (shard lock plus per-submit wakeup signal) instead of
-	// the lock-free intake ring. It exists as the measured baseline for the
-	// submit-side benchmarks and their benchcmp speedup gate
-	// (BenchmarkSubmitWake, BENCH_6.json); production configurations leave
-	// it false.
-	LockedSubmit bool
 	// Enforce arms involuntary slice enforcement (enforcer.go): every
 	// dispatch is registered on its shard's timer wheel with deadline
 	// start+slice, and an enforcement pass — periodic in concurrent mode,
@@ -326,16 +320,15 @@ type Runtime struct {
 	// slot gets a fresh record so the lane's next dispatch cannot alias the
 	// still-running slice) and the detached record lives on until its
 	// out-of-band Complete.
-	dslots       []*Dispatched
-	spareShard   []*shard // spare slot index − len(workerShard) → owning shard
-	clock        Clock
-	qcap         int
-	manual       bool
-	preempt      bool
-	lockedSubmit bool
-	enforce      bool
-	enforceTick  simtime.Duration
-	steal        bool
+	dslots      []*Dispatched
+	spareShard  []*shard // spare slot index − len(workerShard) → owning shard
+	clock       Clock
+	qcap        int
+	manual      bool
+	preempt     bool
+	enforce     bool
+	enforceTick simtime.Duration
+	steal       bool
 
 	closed atomic.Bool
 	steals atomic.Int64 // successful cross-shard steals (steal.go)
@@ -396,7 +389,7 @@ func New(cfg Config) *Runtime {
 		etick = DefaultEnforceTick
 	}
 	r := &Runtime{clock: clock, qcap: qcap, manual: cfg.Manual, preempt: cfg.Preempt,
-		lockedSubmit: cfg.LockedSubmit, enforce: cfg.Enforce, enforceTick: etick,
+		enforce: cfg.Enforce, enforceTick: etick,
 		steal: cfg.Steal && nshards > 1}
 	r.quietCond = sync.NewCond(&r.quietMu)
 	base, extra := cfg.Workers/nshards, cfg.Workers%nshards
@@ -680,9 +673,7 @@ func Preemptible(task PreemptibleTask) SubmitOption { return SubmitOption{pre: t
 // ErrBackpressure failure, and Preemptible(fn) submits a cooperative
 // preemptible task in place of the plain one (pass task == nil then).
 // Exactly one task form must be given: a nil call panics, as does combining
-// a plain task with Preemptible. The four legacy methods — Submit,
-// TrySubmit, SubmitPreemptible, TrySubmitPreemptible — are thin wrappers
-// over this entry point.
+// a plain task with Preemptible.
 func (tn *Tenant) SubmitTask(task Task, opts ...SubmitOption) error {
 	q := queued{run: task}
 	block := true
@@ -702,33 +693,6 @@ func (tn *Tenant) SubmitTask(task Task, opts ...SubmitOption) error {
 		panic("rt: nil task")
 	}
 	return tn.submit(q, block)
-}
-
-// Submit appends a task to the tenant's backlog, blocking while the backlog
-// is full. It fails with ErrTenantClosed after Unregister and
-// ErrRuntimeClosed after Close. It is SubmitTask(task).
-func (tn *Tenant) Submit(task Task) error {
-	return tn.SubmitTask(task)
-}
-
-// TrySubmit is Submit without blocking: a full backlog fails with
-// ErrBackpressure. It is SubmitTask(task, NoWait()).
-func (tn *Tenant) TrySubmit(task Task) error {
-	return tn.SubmitTask(task, NoWait())
-}
-
-// SubmitPreemptible is Submit for a PreemptibleTask: the task receives a
-// SliceCtx and is expected to poll Preempted() and yield cooperatively. It is
-// SubmitTask(nil, Preemptible(task)).
-func (tn *Tenant) SubmitPreemptible(task PreemptibleTask) error {
-	return tn.SubmitTask(nil, Preemptible(task))
-}
-
-// TrySubmitPreemptible is SubmitPreemptible without blocking: a full backlog
-// fails with ErrBackpressure. It is SubmitTask(nil, NoWait(),
-// Preemptible(task)).
-func (tn *Tenant) TrySubmitPreemptible(task PreemptibleTask) error {
-	return tn.SubmitTask(nil, NoWait(), Preemptible(task))
 }
 
 // postActions accumulates work that must run after the shard lock is
@@ -772,16 +736,20 @@ func (p *postActions) run(r *Runtime) {
 // and counts the task globally. The reservation is released at pop (final
 // completion or backlog drop) or when a closing tenant's item is dropped at
 // absorption, so gQueued covers ring-resident items and Drain cannot return
-// early past them.
+// early past them. The global count rises before the gate does and is taken
+// back if the gate turns out full: CheckInvariants reads a tenant's gate and
+// then gQueued == 0 as proof that no reservation was in flight, which only
+// holds if a reservation is never visible in pending before it is in gQueued.
 func (tn *Tenant) reserve() bool {
 	limit := int64(len(tn.buf))
+	tn.r.gQueued.Add(1)
 	for {
 		p := tn.pending.Load()
 		if p >= limit {
+			tn.r.decQueued(1)
 			return false
 		}
 		if tn.pending.CompareAndSwap(p, p+1) {
-			tn.r.gQueued.Add(1)
 			return true
 		}
 	}
@@ -791,8 +759,8 @@ func (tn *Tenant) reserve() bool {
 // backpressure gate, one lock-free push onto the tenant's shard's intake
 // ring, and — when no drain is pending there — a single doorbell lock
 // acquisition for the whole burst. Every other submitter in the burst never
-// touches sh.mu. The slow path (enqueueSlow) handles a full backlog, a full
-// ring, and the Config.LockedSubmit baseline.
+// touches sh.mu. The slow path (enqueueSlow) handles a full backlog; a full
+// ring is absorbed under the lock right here.
 func (tn *Tenant) submit(q queued, block bool) error {
 	r := tn.r
 	if r.closed.Load() {
@@ -802,9 +770,6 @@ func (tn *Tenant) submit(q queued, block bool) error {
 		return ErrTenantClosed
 	}
 	at := r.clock.Now()
-	if r.lockedSubmit {
-		return tn.enqueueSlow(q, at, block)
-	}
 	if !tn.reserve() {
 		if !block {
 			return ErrBackpressure
@@ -865,9 +830,9 @@ func (tn *Tenant) submit(q queued, block bool) error {
 	}
 }
 
-// enqueueSlow is the locked submit path: backpressure waiting, ring
-// overflow, and the Config.LockedSubmit baseline land here. It preserves the
-// pre-intake blocking semantics (exact closed/closing errors, notFull wait).
+// enqueueSlow is the locked submit path a blocking submit takes when the
+// backlog is full: it waits on notFull for a slot with the exact
+// closed/closing errors, then absorbs the task under the lock.
 func (tn *Tenant) enqueueSlow(q queued, at simtime.Time, block bool) error {
 	r := tn.r
 	sh := tn.lockShard()

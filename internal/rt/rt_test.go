@@ -60,14 +60,14 @@ func TestManualProportionalShares(t *testing.T) {
 		tenants[i] = tn
 		// Keep every backlog non-empty so all tenants stay runnable.
 		for j := 0; j < 4; j++ {
-			if err := tn.TrySubmit(rt.Once(func() {})); err != nil {
+			if err := tn.SubmitTask(rt.Once(func() {}), rt.NoWait()); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
 	refill := func(tn *rt.Tenant) {
 		for tn.Queued() < 4 {
-			if err := tn.TrySubmit(rt.Once(func() {})); err != nil {
+			if err := tn.SubmitTask(rt.Once(func() {}), rt.NoWait()); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -108,7 +108,7 @@ func TestBlockWakeTransitions(t *testing.T) {
 	if d := r.Dispatch(0); d != nil {
 		t.Fatal("dispatch from an idle tenant set")
 	}
-	if err := tn.Submit(rt.Once(func() {})); err != nil {
+	if err := tn.SubmitTask(rt.Once(func() {})); err != nil {
 		t.Fatal(err)
 	}
 	spinSlice(t, r, clock, 0, simtime.Millisecond)
@@ -117,7 +117,7 @@ func TestBlockWakeTransitions(t *testing.T) {
 		t.Fatal("dispatch after the tenant's backlog drained")
 	}
 	// An unfinished task stays at the head and continues.
-	if err := tn.Submit(func(simtime.Duration) bool { return false }); err != nil {
+	if err := tn.SubmitTask(func(simtime.Duration) bool { return false }); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
@@ -144,16 +144,16 @@ func TestBackpressure(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		if err := tn.TrySubmit(rt.Once(func() {})); err != nil {
+		if err := tn.SubmitTask(rt.Once(func() {}), rt.NoWait()); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := tn.TrySubmit(rt.Once(func() {})); !errors.Is(err, rt.ErrBackpressure) {
-		t.Fatalf("TrySubmit on full backlog: %v, want ErrBackpressure", err)
+	if err := tn.SubmitTask(rt.Once(func() {}), rt.NoWait()); !errors.Is(err, rt.ErrBackpressure) {
+		t.Fatalf("NoWait submit on full backlog: %v, want ErrBackpressure", err)
 	}
 	// A blocking Submit parks until a slice completes and frees a slot.
 	unblocked := make(chan error, 1)
-	go func() { unblocked <- tn.Submit(rt.Once(func() {})) }()
+	go func() { unblocked <- tn.SubmitTask(rt.Once(func() {})) }()
 	select {
 	case err := <-unblocked:
 		t.Fatalf("Submit returned %v before capacity freed", err)
@@ -176,7 +176,7 @@ func TestUnregisterSemantics(t *testing.T) {
 	idleTn, _ := r.Register("idle", 1)
 	busyTn, _ := r.Register("busy", 1)
 	for i := 0; i < 3; i++ {
-		if err := busyTn.Submit(rt.Once(func() {})); err != nil {
+		if err := busyTn.SubmitTask(rt.Once(func() {})); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -184,7 +184,7 @@ func TestUnregisterSemantics(t *testing.T) {
 	if err := r.Unregister(idleTn); err != nil {
 		t.Fatal(err)
 	}
-	if err := idleTn.Submit(rt.Once(func() {})); !errors.Is(err, rt.ErrTenantClosed) {
+	if err := idleTn.SubmitTask(rt.Once(func() {})); !errors.Is(err, rt.ErrTenantClosed) {
 		t.Fatalf("Submit after Unregister: %v, want ErrTenantClosed", err)
 	}
 	if err := r.Unregister(idleTn); !errors.Is(err, rt.ErrTenantClosed) {
@@ -221,7 +221,7 @@ func TestSetWeightTakesEffect(t *testing.T) {
 	b, _ := r.Register("b", 1)
 	keep := func(tn *rt.Tenant) {
 		for tn.Queued() < 2 {
-			if err := tn.TrySubmit(rt.Once(func() {})); err != nil {
+			if err := tn.SubmitTask(rt.Once(func() {}), rt.NoWait()); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -254,7 +254,7 @@ func TestDrainAndClose(t *testing.T) {
 	var mu sync.Mutex
 	ran := 0
 	for i := 0; i < 30; i++ {
-		if err := tn.Submit(rt.Once(func() {
+		if err := tn.SubmitTask(rt.Once(func() {
 			mu.Lock()
 			ran++
 			mu.Unlock()
@@ -270,7 +270,7 @@ func TestDrainAndClose(t *testing.T) {
 	mu.Unlock()
 	r.Close()
 	r.Close() // idempotent
-	if err := tn.Submit(rt.Once(func() {})); !errors.Is(err, rt.ErrRuntimeClosed) {
+	if err := tn.SubmitTask(rt.Once(func() {})); !errors.Is(err, rt.ErrRuntimeClosed) {
 		t.Fatalf("Submit after Close: %v, want ErrRuntimeClosed", err)
 	}
 	if _, err := r.Register("late", 1); !errors.Is(err, rt.ErrRuntimeClosed) {
@@ -283,14 +283,14 @@ func TestTaskPanicContained(t *testing.T) {
 	defer r.Close()
 	tn, _ := r.Register("chaotic", 1)
 	calm, _ := r.Register("calm", 1)
-	if err := calm.Submit(rt.Once(func() {})); err != nil {
+	if err := calm.SubmitTask(rt.Once(func() {})); err != nil {
 		t.Fatal(err)
 	}
-	if err := tn.Submit(rt.Once(func() { panic("handler bug") })); err != nil {
+	if err := tn.SubmitTask(rt.Once(func() { panic("handler bug") })); err != nil {
 		t.Fatal(err)
 	}
 	ok := make(chan struct{})
-	if err := tn.Submit(rt.Once(func() { close(ok) })); err != nil {
+	if err := tn.SubmitTask(rt.Once(func() { close(ok) })); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -372,7 +372,7 @@ func TestHierarchicalRuntime(t *testing.T) {
 		h.Assign(tn.Thread(), c) // before the first Submit
 		tenants[i] = tn
 		for j := 0; j < 4; j++ {
-			if err := tn.TrySubmit(rt.Once(func() {})); err != nil {
+			if err := tn.SubmitTask(rt.Once(func() {}), rt.NoWait()); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -380,7 +380,7 @@ func TestHierarchicalRuntime(t *testing.T) {
 	for i := 0; i < 6000; i++ {
 		tn := spinSlice(t, r, clock, i%2, 5*simtime.Millisecond)
 		for tn.Queued() < 4 {
-			if err := tn.TrySubmit(rt.Once(func() {})); err != nil {
+			if err := tn.SubmitTask(rt.Once(func() {}), rt.NoWait()); err != nil {
 				t.Fatal(err)
 			}
 		}

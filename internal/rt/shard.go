@@ -248,8 +248,8 @@ func (sh *shard) admitBatchLocked(woke []*Tenant, now simtime.Time) {
 }
 
 // applyDirectLocked absorbs one already-reserved submission bypassing the
-// ring: the locked fallback paths (ring overflow, backpressure waiters,
-// Config.LockedSubmit) and the migration sweep land here. Callers that care
+// ring: the locked fallback paths (ring overflow, backpressure waiters) and
+// the migration sweep land here. Callers that care
 // about per-producer FIFO drain the ring first, so earlier ring items from
 // the same producer are absorbed before this one.
 func (sh *shard) applyDirectLocked(tn *Tenant, q queued, at, now simtime.Time, post *postActions) {

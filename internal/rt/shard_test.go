@@ -30,7 +30,7 @@ func driveTicks(t *testing.T, r *rt.Runtime, clock *rt.FakeClock, tenants []*rt.
 	t.Helper()
 	refill := func(tn *rt.Tenant) {
 		for tn.Queued() < 2 {
-			if err := tn.TrySubmit(rt.Once(func() {})); err != nil {
+			if err := tn.SubmitTask(rt.Once(func() {}), rt.NoWait()); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -168,7 +168,7 @@ func TestRebalanceMovesWeight(t *testing.T) {
 		}
 		tenants = append(tenants, tn)
 		// Queued work must migrate with the tenant.
-		if err := tn.TrySubmit(rt.Once(func() {})); err != nil {
+		if err := tn.SubmitTask(rt.Once(func() {}), rt.NoWait()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -223,7 +223,7 @@ func TestRebalanceSkipsPinnedTenants(t *testing.T) {
 			t.Fatal(err)
 		}
 		tenants = append(tenants, tn)
-		if err := tn.TrySubmit(func(simtime.Duration) bool { return false }); err != nil {
+		if err := tn.SubmitTask(func(simtime.Duration) bool { return false }, rt.NoWait()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -247,7 +247,7 @@ func TestRebalanceSkipsPinnedTenants(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		if err := tenants[2].Submit(rt.Once(func() {})); err != nil {
+		if err := tenants[2].SubmitTask(rt.Once(func() {})); err != nil {
 			t.Errorf("blocked submit: %v", err)
 		}
 	}()

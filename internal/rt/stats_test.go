@@ -71,7 +71,7 @@ func TestConcurrentStatsUnderChurn(t *testing.T) {
 						t.Errorf("register: %v", err)
 						return
 					}
-					_ = tn.TrySubmit(rt.Once(func() { spin(20 * time.Microsecond) }))
+					_ = tn.SubmitTask(rt.Once(func() { spin(20 * time.Microsecond) }), rt.NoWait())
 					mu.Lock()
 					live = append(live, tn)
 					victim := live[0]
@@ -98,7 +98,7 @@ func TestConcurrentStatsUnderChurn(t *testing.T) {
 					tns := append([]*rt.Tenant(nil), live...)
 					mu.Unlock()
 					for _, tn := range tns {
-						_ = tn.TrySubmit(rt.Once(func() { spin(20 * time.Microsecond) }))
+						_ = tn.SubmitTask(rt.Once(func() { spin(20 * time.Microsecond) }), rt.NoWait())
 					}
 					time.Sleep(time.Millisecond)
 				}
@@ -194,7 +194,7 @@ func TestStatsConsistentCutUnderLoad(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Perpetual compute: keeps every worker charging while Stats runs.
-		if err := tn.Submit(func(simtime.Duration) bool {
+		if err := tn.SubmitTask(func(simtime.Duration) bool {
 			spin(50 * time.Microsecond)
 			return false
 		}); err != nil {

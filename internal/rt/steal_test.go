@@ -63,7 +63,7 @@ func TestStealMovesBacklog(t *testing.T) {
 	}
 	for _, tn := range byShard[0] {
 		for i := 0; i < 2; i++ {
-			if err := tn.TrySubmit(rt.Once(func() {})); err != nil {
+			if err := tn.SubmitTask(rt.Once(func() {}), rt.NoWait()); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -123,7 +123,7 @@ func TestStealDisabledNoop(t *testing.T) {
 	if err := r.Unregister(b); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.TrySubmit(rt.Once(func() {})); err != nil {
+	if err := a.SubmitTask(rt.Once(func() {}), rt.NoWait()); err != nil {
 		t.Fatal(err)
 	}
 	if r.TrySteal(2) {
@@ -163,7 +163,7 @@ func TestStealPicksMostBacklogged(t *testing.T) {
 		}
 	}
 	for _, i := range []int{1, 2, 5} {
-		if err := tenants[i].TrySubmit(rt.Once(func() {})); err != nil {
+		if err := tenants[i].SubmitTask(rt.Once(func() {}), rt.NoWait()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -206,10 +206,10 @@ func TestStealFrameLeadConserved(t *testing.T) {
 	if err := r.SetWeight(a, 4); err != nil { // unequal weights diverge the tags
 		t.Fatal(err)
 	}
-	if err := a.TrySubmit(rt.Once(func() {})); err != nil {
+	if err := a.SubmitTask(rt.Once(func() {}), rt.NoWait()); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.TrySubmit(rt.Once(func() {})); err != nil {
+	if err := c.SubmitTask(rt.Once(func() {}), rt.NoWait()); err != nil {
 		t.Fatal(err)
 	}
 	// Advance shard 0's virtual time with both tenants perpetually busy.
@@ -273,7 +273,7 @@ func driveStealTicks(t *testing.T, r *rt.Runtime, clock *rt.FakeClock, tenants [
 			return
 		}
 		for tenants[i].Queued() < 2 {
-			if err := tenants[i].TrySubmit(rt.Once(func() {})); err != nil {
+			if err := tenants[i].SubmitTask(rt.Once(func() {}), rt.NoWait()); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -373,7 +373,7 @@ func TestStealHotPathZeroAlloc(t *testing.T) {
 		Clock: clock, QueueCap: 4, Manual: true, Steal: true})
 	defer r.Close()
 	tn, _ := r.Register("pingpong", 1) // placed on shard 0
-	if err := tn.Submit(rt.Once(func() {})); err != nil {
+	if err := tn.SubmitTask(rt.Once(func() {})); err != nil {
 		t.Fatal(err)
 	}
 	// Prime: one local dispatch+yield leaves the tenant ready on shard 0.
@@ -481,7 +481,7 @@ func TestRaceStealChurn(t *testing.T) {
 			for b := 0; b < burst; b++ {
 				seq++
 				s := seq
-				err := tenants[i].Submit(func(simtime.Duration) bool {
+				err := tenants[i].SubmitTask(func(simtime.Duration) bool {
 					spin(20 * time.Microsecond)
 					mu.Lock()
 					executed[i] = append(executed[i], s)
@@ -559,7 +559,7 @@ func FuzzStealTransfer(f *testing.F) {
 			switch b % 8 {
 			case 0, 1: // submit
 				i := arg % len(tenants)
-				if err := tenants[i].TrySubmit(rt.Once(func() {})); err == nil {
+				if err := tenants[i].SubmitTask(rt.Once(func() {}), rt.NoWait()); err == nil {
 					submitted[i]++
 				}
 			case 2: // dispatch an idle worker

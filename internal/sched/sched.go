@@ -5,8 +5,8 @@
 // The split mirrors the paper's implementation (§3): the Linux kernel owns
 // thread lifecycle (fork, block, wakeup, exit) and invokes the scheduling
 // policy at well-defined points; here internal/machine plays the kernel and
-// each policy package (internal/core for SFS, internal/sfq, internal/timeshare,
-// internal/stride, internal/bvt) implements Scheduler.
+// each policy package (internal/core for SFS, internal/vtq for SFQ, stride and
+// BVT, internal/timeshare, ...) implements Scheduler.
 package sched
 
 import (

@@ -17,226 +17,50 @@
 //     and departures, heavy threads and fresh short jobs monopolize the
 //     processors even when all weights are feasible. Only SFS
 //     (internal/core) fixes this.
+//
+// The algorithm is the GPS-tag kernel, internal/vtq, over the S_i/F_i pair.
 package sfq
 
 import (
-	"fmt"
-	"math"
-
-	"sfsched/internal/phi"
-	"sfsched/internal/runqueue"
 	"sfsched/internal/sched"
 	"sfsched/internal/simtime"
+	"sfsched/internal/vtq"
 )
 
 // SFQ is a multiprocessor start-time fair queueing scheduler. Not safe for
 // concurrent use.
-type SFQ struct {
-	p          int
-	quantum    simtime.Duration
-	weights    *phi.Tracker
-	byStart    *runqueue.List[*sched.Thread]
-	v          float64
-	lastFinish float64
-	decisions  int64
-}
+type SFQ = vtq.Queue
 
 // Option configures an SFQ instance.
-type Option func(*cfg)
-
-type cfg struct {
-	quantum  simtime.Duration
-	readjust bool
-}
+type Option = vtq.Option
 
 // WithQuantum sets the maximum quantum granted per dispatch.
-func WithQuantum(q simtime.Duration) Option {
-	return func(c *cfg) { c.quantum = q }
-}
+func WithQuantum(q simtime.Duration) Option { return vtq.WithQuantum(q) }
 
 // WithReadjustment couples SFQ with the paper's weight readjustment
 // algorithm (§2.1); tags then advance by q/φ_i instead of q/w_i.
-func WithReadjustment() Option {
-	return func(c *cfg) { c.readjust = true }
-}
+func WithReadjustment() Option { return vtq.WithReadjustment() }
 
 // New returns an SFQ scheduler for p processors. It panics if p < 1.
 func New(p int, opts ...Option) *SFQ {
-	if p < 1 {
-		panic(fmt.Sprintf("sfq: invalid processor count %d", p))
-	}
-	c := cfg{quantum: 200 * simtime.Millisecond}
-	for _, o := range opts {
-		o(&c)
-	}
-	s := &SFQ{
-		p:       p,
-		quantum: c.quantum,
-		weights: phi.NewTracker(p, c.readjust),
-	}
-	// Tie-break equal start tags by descending weight, then ID. The paper
-	// leaves tie-breaking arbitrary; favouring the heavier thread is what
-	// lets a newly arrived short task with a large weight run ahead of an
-	// equal-tagged crowd of weight-1 threads, the behaviour Example 2
-	// describes ("gets to run continuously on a processor until it
-	// departs").
-	s.byStart = runqueue.NewList(runqueue.SlotPrimary, func(a, b *sched.Thread) bool {
-		if a.Start != b.Start {
-			return a.Start < b.Start
-		}
-		if a.Weight != b.Weight {
-			return a.Weight > b.Weight
-		}
-		return a.ID < b.ID
-	})
-	return s
-}
-
-// Name implements sched.Scheduler.
-func (s *SFQ) Name() string {
-	if s.weights.Enabled() {
-		return "SFQ+readjust"
-	}
-	return "SFQ"
-}
-
-// NumCPU implements sched.Scheduler.
-func (s *SFQ) NumCPU() int { return s.p }
-
-// Runnable implements sched.Scheduler.
-func (s *SFQ) Runnable() int { return s.byStart.Len() }
-
-// SFQ implements the full capability set the sharded runtime can exploit.
-var (
-	_ sched.Scheduler       = (*SFQ)(nil)
-	_ sched.VirtualTimer    = (*SFQ)(nil)
-	_ sched.LagReporter     = (*SFQ)(nil)
-	_ sched.FrameTranslator = (*SFQ)(nil)
-	_ sched.Preempter       = (*SFQ)(nil)
-)
-
-// VirtualTime implements sched.VirtualTimer (minimum start tag).
-func (s *SFQ) VirtualTime() float64 { return s.v }
-
-// FreshSurplus implements sched.LagReporter with the SFS surplus analogue
-// φ_i·(S_i − v): SFQ keeps no surplus of its own, but the same figure ranks
-// its threads by how far ahead of the proportional ideal they sit.
-func (s *SFQ) FreshSurplus(t *sched.Thread) float64 { return t.Phi * (t.Start - s.v) }
-
-// FrameLead implements sched.FrameTranslator: the lead of t's finish tag
-// over the virtual time.
-func (s *SFQ) FrameLead(t *sched.Thread) float64 { return t.Finish - s.v }
-
-// SetFrameLead implements sched.FrameTranslator: re-bases t's finish tag to
-// sit lead ahead of this instance's virtual time, so the wakeup rule
-// S_i = max(F_i, v) re-admits a migrated thread at its old relative position.
-func (s *SFQ) SetFrameLead(t *sched.Thread, lead float64) { t.Finish = s.v + lead }
-
-// Add implements sched.Scheduler: arrivals receive S_i = v, wakeups
-// S_i = max(F_i, v).
-func (s *SFQ) Add(t *sched.Thread, now simtime.Time) error {
-	if !sched.ValidWeight(t.Weight) {
-		return fmt.Errorf("%w: %g", sched.ErrBadWeight, t.Weight)
-	}
-	if s.byStart.Contains(t) {
-		return fmt.Errorf("%w: %v", sched.ErrAlreadyManaged, t)
-	}
-	t.Start = math.Max(t.Finish, s.v)
-	s.weights.Add(t)
-	s.byStart.Insert(t)
-	s.recomputeV()
-	return nil
-}
-
-// Remove implements sched.Scheduler.
-func (s *SFQ) Remove(t *sched.Thread, now simtime.Time) error {
-	if !s.byStart.Contains(t) {
-		return fmt.Errorf("%w: %v", sched.ErrNotManaged, t)
-	}
-	s.byStart.Remove(t)
-	s.weights.Remove(t)
-	s.recomputeV()
-	return nil
-}
-
-// Charge implements sched.Scheduler: F_i = S_i + q/φ_i; S_i = F_i.
-func (s *SFQ) Charge(t *sched.Thread, ran simtime.Duration, now simtime.Time) {
-	if ran < 0 {
-		panic("sfq: negative charge")
-	}
-	t.Service += ran
-	t.Finish = t.Start + ran.Seconds()/t.Phi
-	t.Start = t.Finish
-	s.lastFinish = t.Finish
-	if s.byStart.Contains(t) {
-		s.byStart.Fix(t)
-	}
-	s.recomputeV()
-}
-
-// Timeslice implements sched.Scheduler.
-func (s *SFQ) Timeslice(t *sched.Thread, now simtime.Time) simtime.Duration {
-	return s.quantum
-}
-
-// SetWeight implements sched.Scheduler.
-func (s *SFQ) SetWeight(t *sched.Thread, w float64, now simtime.Time) error {
-	if !sched.ValidWeight(w) {
-		return fmt.Errorf("%w: %g", sched.ErrBadWeight, w)
-	}
-	if !s.byStart.Contains(t) {
-		t.Weight = w
-		t.Phi = w
-		return nil
-	}
-	s.weights.UpdateWeight(t, w)
-	return nil
-}
-
-// Pick implements sched.Scheduler: the non-running thread with the minimum
-// start tag.
-func (s *SFQ) Pick(cpu int, now simtime.Time) *sched.Thread {
-	var best *sched.Thread
-	s.byStart.Each(func(t *sched.Thread) bool {
-		if t.Running() {
-			return true
-		}
-		best = t
-		return false
-	})
-	if best != nil {
-		s.decisions++
-		best.Decisions++
-	}
-	return best
-}
-
-// Less implements sched.Scheduler: smaller start tag wins.
-func (s *SFQ) Less(a, b *sched.Thread) bool { return a.Start < b.Start }
-
-// PreemptRank implements sched.Preempter: the start tag projected forward by
-// ran of uncharged service (charging ran advances S_i by ran/φ_i).
-func (s *SFQ) PreemptRank(t *sched.Thread, ran simtime.Duration) float64 {
-	return t.Start + ran.Seconds()/t.Phi
-}
-
-// InterimCharge implements sched.InterimCharger by delegating to Charge:
-// F = S + ran/φ is linear in ran, so mid-slice installments compose with
-// the boundary charge for the remainder.
-func (s *SFQ) InterimCharge(t *sched.Thread, ran simtime.Duration, now simtime.Time) {
-	s.Charge(t, ran, now)
-}
-
-// Threads returns the runnable threads in start-tag order.
-func (s *SFQ) Threads() []*sched.Thread { return s.byStart.Slice() }
-
-// Decisions returns the number of Pick calls that returned a thread.
-func (s *SFQ) Decisions() int64 { return s.decisions }
-
-func (s *SFQ) recomputeV() {
-	if head, ok := s.byStart.Head(); ok {
-		s.v = head.Start
-		return
-	}
-	s.v = s.lastFinish
+	return vtq.New(p, vtq.Policy{
+		Name: "SFQ",
+		Tag:  func(t *sched.Thread) *float64 { return &t.Start },
+		Rest: func(t *sched.Thread) *float64 { return &t.Finish },
+		// Tie-break equal start tags by descending weight, then ID. The
+		// paper leaves tie-breaking arbitrary; favouring the heavier thread
+		// is what lets a newly arrived short task with a large weight run
+		// ahead of an equal-tagged crowd of weight-1 threads, the behaviour
+		// Example 2 describes ("gets to run continuously on a processor
+		// until it departs").
+		Before: func(a, b *sched.Thread) bool {
+			if a.Start != b.Start {
+				return a.Start < b.Start
+			}
+			if a.Weight != b.Weight {
+				return a.Weight > b.Weight
+			}
+			return a.ID < b.ID
+		},
+	}, opts...)
 }

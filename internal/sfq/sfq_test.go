@@ -1,7 +1,9 @@
 package sfq
 
+// What is SFQ's alone: the paper's Example 1 and its cure. Everything the
+// GPS-tag kernel does for all three policies is tested once in internal/vtq.
+
 import (
-	"errors"
 	"math"
 	"testing"
 
@@ -12,43 +14,6 @@ import (
 func mkThread(id int, w float64) *sched.Thread {
 	return &sched.Thread{ID: id, Weight: w, Phi: w,
 		CPU: sched.NoCPU, LastCPU: sched.NoCPU, State: sched.Runnable}
-}
-
-func runQuanta(t *testing.T, s sched.Scheduler, p, quanta int, q simtime.Duration) {
-	t.Helper()
-	now := simtime.Time(0)
-	for i := 0; i < quanta; i++ {
-		var running []*sched.Thread
-		for c := 0; c < p; c++ {
-			th := s.Pick(c, now)
-			if th == nil {
-				break
-			}
-			th.CPU = c
-			running = append(running, th)
-		}
-		now = now.Add(q)
-		for _, th := range running {
-			s.Charge(th, q, now)
-			th.CPU = sched.NoCPU
-		}
-	}
-}
-
-func TestPickMinStartTag(t *testing.T) {
-	s := New(2)
-	a := mkThread(1, 1)
-	b := mkThread(2, 1)
-	if err := s.Add(a, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Add(b, 0); err != nil {
-		t.Fatal(err)
-	}
-	s.Charge(a, 100*simtime.Millisecond, 0)
-	if got := s.Pick(0, 0); got != b {
-		t.Fatalf("Pick = %v, want thread 2", got)
-	}
 }
 
 func TestExample1Starvation(t *testing.T) {
@@ -157,124 +122,5 @@ func TestReadjustmentPreventsStarvation(t *testing.T) {
 	// T1's share is 1/4 of 2 CPUs = 0.5 of the 1 s window.
 	if math.Abs(gained-0.5) > 0.05 {
 		t.Fatalf("T1 gained %.3fs in 1s window, want ~0.5s", gained)
-	}
-}
-
-func TestProportionalOnUniprocessor(t *testing.T) {
-	s := New(1, WithQuantum(10*simtime.Millisecond))
-	a := mkThread(1, 3)
-	b := mkThread(2, 1)
-	if err := s.Add(a, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Add(b, 0); err != nil {
-		t.Fatal(err)
-	}
-	runQuanta(t, s, 1, 4000, 10*simtime.Millisecond)
-	ratio := a.Service.Seconds() / b.Service.Seconds()
-	if math.Abs(ratio-3) > 0.1 {
-		t.Fatalf("uniprocessor SFQ ratio %.3f, want ~3", ratio)
-	}
-}
-
-func TestWakeupTagRule(t *testing.T) {
-	s := New(1)
-	a := mkThread(1, 1)
-	b := mkThread(2, 1)
-	if err := s.Add(a, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Add(b, 0); err != nil {
-		t.Fatal(err)
-	}
-	s.Charge(b, 100*simtime.Millisecond, 0)
-	b.State = sched.Blocked
-	if err := s.Remove(b, 0); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 50; i++ {
-		s.Charge(a, 100*simtime.Millisecond, 0)
-	}
-	b.State = sched.Runnable
-	if err := s.Add(b, 0); err != nil {
-		t.Fatal(err)
-	}
-	if b.Start != s.VirtualTime() {
-		t.Fatalf("woken tag %g, want v=%g", b.Start, s.VirtualTime())
-	}
-}
-
-func TestNames(t *testing.T) {
-	if New(2).Name() != "SFQ" {
-		t.Fatal("plain name")
-	}
-	if New(2, WithReadjustment()).Name() != "SFQ+readjust" {
-		t.Fatal("readjust name")
-	}
-	if New(2).NumCPU() != 2 {
-		t.Fatal("NumCPU")
-	}
-}
-
-func TestErrors(t *testing.T) {
-	s := New(2)
-	a := mkThread(1, 1)
-	if err := s.Add(a, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Add(a, 0); !errors.Is(err, sched.ErrAlreadyManaged) {
-		t.Fatalf("double add: %v", err)
-	}
-	if err := s.Remove(mkThread(9, 1), 0); !errors.Is(err, sched.ErrNotManaged) {
-		t.Fatalf("remove unmanaged: %v", err)
-	}
-	if err := s.Add(mkThread(2, 0), 0); !errors.Is(err, sched.ErrBadWeight) {
-		t.Fatalf("zero weight: %v", err)
-	}
-	if err := s.SetWeight(a, -3, 0); !errors.Is(err, sched.ErrBadWeight) {
-		t.Fatalf("negative setweight: %v", err)
-	}
-}
-
-func TestSetWeightRunnable(t *testing.T) {
-	s := New(2, WithReadjustment())
-	a := mkThread(1, 1)
-	b := mkThread(2, 1)
-	if err := s.Add(a, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Add(b, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.SetWeight(b, 10, 0); err != nil {
-		t.Fatal(err)
-	}
-	if b.Weight != 10 || b.Phi != 1 {
-		t.Fatalf("w=%g φ=%g, want 10, 1", b.Weight, b.Phi)
-	}
-}
-
-func TestLessOrdersByStartTag(t *testing.T) {
-	s := New(2)
-	a := mkThread(1, 1)
-	b := mkThread(2, 1)
-	a.Start, b.Start = 1, 2
-	if !s.Less(a, b) || s.Less(b, a) {
-		t.Fatal("Less is not start-tag order")
-	}
-}
-
-func TestDecisionsCounter(t *testing.T) {
-	s := New(1)
-	a := mkThread(1, 1)
-	if err := s.Add(a, 0); err != nil {
-		t.Fatal(err)
-	}
-	runQuanta(t, s, 1, 5, 10*simtime.Millisecond)
-	if s.Decisions() != 5 {
-		t.Fatalf("Decisions = %d", s.Decisions())
-	}
-	if len(s.Threads()) != 1 {
-		t.Fatal("Threads")
 	}
 }

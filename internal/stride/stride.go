@@ -8,16 +8,15 @@
 // the runnable set starts at the global pass (the minimum pass in the
 // system), the standard remedy against sleeper credit. As with SFQ and BVT,
 // the readjustment option substitutes φ_i for w_i in the stride.
+//
+// The algorithm is the GPS-tag kernel, internal/vtq, over the pass value,
+// which advances in quanta, not seconds, and breaks ties by thread ID alone.
 package stride
 
 import (
-	"fmt"
-	"math"
-
-	"sfsched/internal/phi"
-	"sfsched/internal/runqueue"
 	"sfsched/internal/sched"
 	"sfsched/internal/simtime"
+	"sfsched/internal/vtq"
 )
 
 // Stride1 is the numerator used to derive strides from weights; any
@@ -26,197 +25,35 @@ const Stride1 = 1.0
 
 // Stride is a stride scheduler for p processors. Not safe for concurrent
 // use.
-type Stride struct {
-	p          int
-	quantum    simtime.Duration
-	weights    *phi.Tracker
-	byPass     *runqueue.List[*sched.Thread]
-	globalPass float64
-	decisions  int64
-}
+type Stride = vtq.Queue
 
 // Option configures a Stride instance.
-type Option func(*cfg)
-
-type cfg struct {
-	quantum  simtime.Duration
-	readjust bool
-}
+type Option = vtq.Option
 
 // WithQuantum sets the maximum quantum granted per dispatch.
-func WithQuantum(q simtime.Duration) Option { return func(c *cfg) { c.quantum = q } }
+func WithQuantum(q simtime.Duration) Option { return vtq.WithQuantum(q) }
 
 // WithReadjustment couples stride scheduling with weight readjustment.
-func WithReadjustment() Option { return func(c *cfg) { c.readjust = true } }
+func WithReadjustment() Option { return vtq.WithReadjustment() }
 
 // New returns a stride scheduler for p processors. It panics if p < 1.
 func New(p int, opts ...Option) *Stride {
-	if p < 1 {
-		panic(fmt.Sprintf("stride: invalid processor count %d", p))
-	}
-	c := cfg{quantum: 200 * simtime.Millisecond}
-	for _, o := range opts {
-		o(&c)
-	}
-	s := &Stride{
-		p:       p,
-		quantum: c.quantum,
-		weights: phi.NewTracker(p, c.readjust),
-	}
-	s.byPass = runqueue.NewList(runqueue.SlotPrimary, func(a, b *sched.Thread) bool {
-		if a.Pass != b.Pass {
-			return a.Pass < b.Pass
-		}
-		return a.ID < b.ID
-	})
-	return s
-}
-
-// Name implements sched.Scheduler.
-func (s *Stride) Name() string {
-	if s.weights.Enabled() {
-		return "stride+readjust"
-	}
-	return "stride"
-}
-
-// NumCPU implements sched.Scheduler.
-func (s *Stride) NumCPU() int { return s.p }
-
-// Runnable implements sched.Scheduler.
-func (s *Stride) Runnable() int { return s.byPass.Len() }
-
-// Stride implements the full capability set the sharded runtime can exploit.
-var (
-	_ sched.Scheduler       = (*Stride)(nil)
-	_ sched.VirtualTimer    = (*Stride)(nil)
-	_ sched.LagReporter     = (*Stride)(nil)
-	_ sched.FrameTranslator = (*Stride)(nil)
-	_ sched.Preempter       = (*Stride)(nil)
-)
-
-// VirtualTime implements sched.VirtualTimer: the global pass, stride
-// scheduling's normalized-service frame (minimum pass in the system).
-func (s *Stride) VirtualTime() float64 { return s.globalPass }
-
-// FreshSurplus implements sched.LagReporter with the SFS surplus analogue
-// φ_i·(pass_i − globalPass): how far ahead of the proportional ideal the
-// thread's pass value sits.
-func (s *Stride) FreshSurplus(t *sched.Thread) float64 {
-	return t.Phi * (t.Pass - s.globalPass)
-}
-
-// FrameLead implements sched.FrameTranslator: the lead of t's pass over the
-// global pass.
-func (s *Stride) FrameLead(t *sched.Thread) float64 { return t.Pass - s.globalPass }
-
-// SetFrameLead implements sched.FrameTranslator: re-bases t's pass to sit
-// lead ahead of this instance's global pass; Add's joining rule
-// pass = max(pass, globalPass) then re-admits the thread at its old
-// relative position.
-func (s *Stride) SetFrameLead(t *sched.Thread, lead float64) { t.Pass = s.globalPass + lead }
-
-// Add implements sched.Scheduler: a joining thread starts at the global
-// pass.
-func (s *Stride) Add(t *sched.Thread, now simtime.Time) error {
-	if !sched.ValidWeight(t.Weight) {
-		return fmt.Errorf("%w: %g", sched.ErrBadWeight, t.Weight)
-	}
-	if s.byPass.Contains(t) {
-		return fmt.Errorf("%w: %v", sched.ErrAlreadyManaged, t)
-	}
-	t.Pass = math.Max(t.Pass, s.globalPass)
-	s.weights.Add(t)
-	t.Stride = Stride1 / t.Phi
-	s.byPass.Insert(t)
-	return nil
-}
-
-// Remove implements sched.Scheduler.
-func (s *Stride) Remove(t *sched.Thread, now simtime.Time) error {
-	if !s.byPass.Contains(t) {
-		return fmt.Errorf("%w: %v", sched.ErrNotManaged, t)
-	}
-	s.byPass.Remove(t)
-	s.weights.Remove(t)
-	s.recomputeGlobal()
-	return nil
-}
-
-// Charge implements sched.Scheduler: pass advances in proportion to the
-// fraction of the quantum consumed.
-func (s *Stride) Charge(t *sched.Thread, ran simtime.Duration, now simtime.Time) {
-	if ran < 0 {
-		panic("stride: negative charge")
-	}
-	t.Service += ran
-	t.Stride = Stride1 / t.Phi
-	t.Pass += t.Stride * float64(ran) / float64(s.quantum)
-	if s.byPass.Contains(t) {
-		s.byPass.Fix(t)
-	}
-	s.recomputeGlobal()
-}
-
-// Timeslice implements sched.Scheduler.
-func (s *Stride) Timeslice(t *sched.Thread, now simtime.Time) simtime.Duration {
-	return s.quantum
-}
-
-// SetWeight implements sched.Scheduler.
-func (s *Stride) SetWeight(t *sched.Thread, w float64, now simtime.Time) error {
-	if !sched.ValidWeight(w) {
-		return fmt.Errorf("%w: %g", sched.ErrBadWeight, w)
-	}
-	if !s.byPass.Contains(t) {
-		t.Weight = w
-		t.Phi = w
-		t.Stride = Stride1 / w
-		return nil
-	}
-	s.weights.UpdateWeight(t, w)
-	t.Stride = Stride1 / t.Phi
-	return nil
-}
-
-// Pick implements sched.Scheduler: minimum pass among non-running threads.
-func (s *Stride) Pick(cpu int, now simtime.Time) *sched.Thread {
-	var best *sched.Thread
-	s.byPass.Each(func(t *sched.Thread) bool {
-		if t.Running() {
-			return true
-		}
-		best = t
-		return false
-	})
-	if best != nil {
-		s.decisions++
-		best.Decisions++
-	}
-	return best
-}
-
-// Less implements sched.Scheduler: smaller pass wins.
-func (s *Stride) Less(a, b *sched.Thread) bool { return a.Pass < b.Pass }
-
-// PreemptRank implements sched.Preempter: the pass value projected forward by
-// ran of uncharged service (Charge advances the pass by stride·ran/quantum).
-func (s *Stride) PreemptRank(t *sched.Thread, ran simtime.Duration) float64 {
-	return t.Pass + t.Stride*float64(ran)/float64(s.quantum)
-}
-
-// InterimCharge implements sched.InterimCharger by delegating to Charge: the
-// pass advance stride·ran/quantum is linear in ran, so mid-slice
-// installments compose with the boundary charge for the remainder.
-func (s *Stride) InterimCharge(t *sched.Thread, ran simtime.Duration, now simtime.Time) {
-	s.Charge(t, ran, now)
-}
-
-// Threads returns the runnable threads in pass order.
-func (s *Stride) Threads() []*sched.Thread { return s.byPass.Slice() }
-
-func (s *Stride) recomputeGlobal() {
-	if head, ok := s.byPass.Head(); ok {
-		s.globalPass = head.Pass
-	}
+	pass := func(t *sched.Thread) *float64 { return &t.Pass }
+	return vtq.New(p, vtq.Policy{
+		Name: "stride",
+		Tag:  pass,
+		Rest: pass,
+		Before: func(a, b *sched.Thread) bool {
+			if a.Pass != b.Pass {
+				return a.Pass < b.Pass
+			}
+			return a.ID < b.ID
+		},
+		// Thread.Stride caches Stride1/φ; a charge advances the pass by the
+		// fraction of the quantum consumed.
+		OnPhi: func(t *sched.Thread) { t.Stride = Stride1 / t.Phi },
+		Advance: func(t *sched.Thread, ran, quantum simtime.Duration) float64 {
+			return t.Stride * float64(ran) / float64(quantum)
+		},
+	}, opts...)
 }

@@ -1,7 +1,10 @@
 package stride
 
+// What is stride's alone: the cached stride and the quantum-denominated pass.
+// Everything the GPS-tag kernel does for all three policies is tested once in
+// internal/vtq.
+
 import (
-	"errors"
 	"math"
 	"testing"
 
@@ -14,23 +17,11 @@ func mkThread(id int, w float64) *sched.Thread {
 		CPU: sched.NoCPU, LastCPU: sched.NoCPU, State: sched.Runnable}
 }
 
-func run(t *testing.T, s *Stride, p, rounds int, q simtime.Duration) {
+func add(t *testing.T, s *Stride, ths ...*sched.Thread) {
 	t.Helper()
-	now := simtime.Time(0)
-	for i := 0; i < rounds; i++ {
-		var running []*sched.Thread
-		for c := 0; c < p; c++ {
-			th := s.Pick(c, now)
-			if th == nil {
-				break
-			}
-			th.CPU = c
-			running = append(running, th)
-		}
-		now = now.Add(q)
-		for _, th := range running {
-			s.Charge(th, q, now)
-			th.CPU = sched.NoCPU
+	for _, th := range ths {
+		if err := s.Add(th, 0); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
@@ -38,92 +29,41 @@ func run(t *testing.T, s *Stride, p, rounds int, q simtime.Duration) {
 func TestStrideInverseToWeight(t *testing.T) {
 	s := New(1)
 	a := mkThread(1, 4)
-	if err := s.Add(a, 0); err != nil {
-		t.Fatal(err)
-	}
+	add(t, s, a)
 	if a.Stride != Stride1/4 {
 		t.Fatalf("stride %g", a.Stride)
-	}
-}
-
-func TestProportionalAllocation(t *testing.T) {
-	s := New(1, WithQuantum(10*simtime.Millisecond))
-	a := mkThread(1, 3)
-	b := mkThread(2, 1)
-	if err := s.Add(a, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Add(b, 0); err != nil {
-		t.Fatal(err)
-	}
-	run(t, s, 1, 4000, 10*simtime.Millisecond)
-	ratio := a.Service.Seconds() / b.Service.Seconds()
-	if math.Abs(ratio-3) > 0.1 {
-		t.Fatalf("ratio %.3f, want ~3", ratio)
 	}
 }
 
 func TestPartialQuantumAdvancesPassProportionally(t *testing.T) {
 	s := New(1, WithQuantum(100*simtime.Millisecond))
 	a := mkThread(1, 1)
-	if err := s.Add(a, 0); err != nil {
-		t.Fatal(err)
-	}
+	add(t, s, a)
 	s.Charge(a, 50*simtime.Millisecond, 0) // half a quantum
 	if math.Abs(a.Pass-0.5*a.Stride) > 1e-12 {
 		t.Fatalf("pass %g, want half a stride", a.Pass)
 	}
 }
 
-func TestNewcomerStartsAtGlobalPass(t *testing.T) {
-	s := New(1)
-	a := mkThread(1, 1)
-	if err := s.Add(a, 0); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		s.Charge(a, 200*simtime.Millisecond, 0)
-	}
-	b := mkThread(2, 1)
-	if err := s.Add(b, 0); err != nil {
-		t.Fatal(err)
-	}
-	if b.Pass != a.Pass {
-		t.Fatalf("newcomer pass %g, global %g", b.Pass, a.Pass)
-	}
-}
-
-func TestReadjustmentOption(t *testing.T) {
+func TestStrideFollowsReadjustedPhi(t *testing.T) {
 	s := New(2, WithReadjustment())
-	a := mkThread(1, 1)
-	b := mkThread(2, 10)
-	if err := s.Add(a, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Add(b, 0); err != nil {
-		t.Fatal(err)
-	}
+	a, b := mkThread(1, 1), mkThread(2, 10)
+	add(t, s, a, b)
 	if b.Phi != 1 || b.Stride != Stride1 {
 		t.Fatalf("φ=%g stride=%g, want 1, %g", b.Phi, b.Stride, Stride1)
 	}
-	if s.Name() != "stride+readjust" {
-		t.Fatalf("name %q", s.Name())
-	}
-	if New(2).Name() != "stride" {
-		t.Fatal("plain name")
+	// Another thread's arrival readjusts b's φ; the cached stride must not
+	// wait for b's next charge, or a preemption rank in between is stale.
+	add(t, s, mkThread(3, 1))
+	if b.Phi != 2 || b.Stride != Stride1/2 {
+		t.Fatalf("after an arrival: φ=%g stride=%g, want 2, %g", b.Phi, b.Stride, Stride1/2)
 	}
 }
 
 func TestSetWeightUpdatesStride(t *testing.T) {
 	s := New(2)
-	a := mkThread(1, 1)
-	b := mkThread(2, 1)
-	if err := s.Add(a, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Add(b, 0); err != nil {
-		t.Fatal(err)
-	}
+	a, b := mkThread(1, 1), mkThread(2, 1)
+	add(t, s, a, b)
 	if err := s.SetWeight(a, 2, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -137,34 +77,5 @@ func TestSetWeightUpdatesStride(t *testing.T) {
 	}
 	if c.Stride != Stride1/4 {
 		t.Fatalf("blocked stride %g", c.Stride)
-	}
-}
-
-func TestErrors(t *testing.T) {
-	s := New(2)
-	a := mkThread(1, 1)
-	if err := s.Add(a, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Add(a, 0); !errors.Is(err, sched.ErrAlreadyManaged) {
-		t.Fatalf("double add: %v", err)
-	}
-	if err := s.Remove(mkThread(9, 1), 0); !errors.Is(err, sched.ErrNotManaged) {
-		t.Fatalf("remove unmanaged: %v", err)
-	}
-	if err := s.Add(mkThread(2, 0), 0); !errors.Is(err, sched.ErrBadWeight) {
-		t.Fatalf("bad weight: %v", err)
-	}
-	if err := s.SetWeight(a, -1, 0); !errors.Is(err, sched.ErrBadWeight) {
-		t.Fatalf("bad setweight: %v", err)
-	}
-	if s.NumCPU() != 2 || s.Runnable() != 1 || len(s.Threads()) != 1 {
-		t.Fatal("accessors")
-	}
-	if !s.Less(&sched.Thread{Pass: 1}, &sched.Thread{Pass: 2}) {
-		t.Fatal("Less")
-	}
-	if got := s.Timeslice(a, 0); got != 200*simtime.Millisecond {
-		t.Fatalf("timeslice %v", got)
 	}
 }

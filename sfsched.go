@@ -178,7 +178,7 @@ type (
 	RuntimeTask = rt.Task
 	// PreemptibleTask is a RuntimeTask variant that observes cooperative
 	// wakeup preemption through its SliceCtx (see RuntimeConfig.Preempt and
-	// Tenant.SubmitPreemptible).
+	// the Preemptible submit option).
 	PreemptibleTask = rt.PreemptibleTask
 	// SliceCtx is a running PreemptibleTask's view of its slice: the
 	// granted timeslice hint and the cooperative preemption flag.
@@ -261,8 +261,8 @@ var (
 	ErrRuntimeClosed = rt.ErrRuntimeClosed
 	// ErrTenantClosed reports an operation on an unregistered tenant.
 	ErrTenantClosed = rt.ErrTenantClosed
-	// ErrBackpressure reports a TrySubmit (or SubmitTask with NoWait)
-	// against a full tenant backlog.
+	// ErrBackpressure reports a SubmitTask with NoWait against a full
+	// tenant backlog.
 	ErrBackpressure = rt.ErrBackpressure
 	// ErrForeignTenant reports a tenant handed to a runtime that does not
 	// own it.
@@ -310,8 +310,7 @@ type RuntimeConfig struct {
 	// Sharding groups the per-CPU dispatch sharding knobs
 	// (rt.Config.Shards/RebalanceEvery/Steal).
 	Sharding ShardingConfig
-	// Intake groups the submit-side knobs
-	// (rt.Config.QueueCap/LockedSubmit).
+	// Intake groups the submit-side knobs (rt.Config.QueueCap).
 	Intake IntakeConfig
 }
 
@@ -340,11 +339,9 @@ type ShardingConfig struct {
 }
 
 // IntakeConfig groups RuntimeConfig's submit-side knobs: QueueCap bounds
-// each tenant's backlog (0 = 256), Locked routes submits through the locked
-// baseline path instead of the lock-free intake ring (benchmarks only).
+// each tenant's backlog (0 = 256).
 type IntakeConfig struct {
 	QueueCap int
-	Locked   bool
 }
 
 // flatten spells the grouped config as the internal one.
@@ -363,7 +360,6 @@ func (c RuntimeConfig) flatten() rt.Config {
 		RebalanceEvery: c.Sharding.RebalanceEvery,
 		Steal:          c.Sharding.Steal,
 		QueueCap:       c.Intake.QueueCap,
-		LockedSubmit:   c.Intake.Locked,
 	}
 }
 
@@ -374,9 +370,7 @@ func (c RuntimeConfig) flatten() rt.Config {
 // §6–§7).
 func NewRuntime(cfg RuntimeConfig) *Runtime { return rt.New(cfg.flatten()) }
 
-// Submit options for Tenant.SubmitTask, the unified submit entry point (the
-// legacy Submit/TrySubmit/SubmitPreemptible/TrySubmitPreemptible remain as
-// thin wrappers over it).
+// Submit options for Tenant.SubmitTask, the one submit entry point.
 type (
 	// SubmitOption modifies one SubmitTask call; options are plain values,
 	// so the submit hot path stays allocation-free.

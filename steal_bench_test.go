@@ -70,7 +70,7 @@ func benchmarkStealImbalance(b *testing.B, steal bool) {
 	refill := func() {
 		for _, tn := range actives {
 			for tn.Queued() < 2 {
-				if err := tn.TrySubmit(task); err != nil {
+				if err := tn.SubmitTask(task, sfsched.NoWait()); err != nil {
 					b.Fatal(err)
 				}
 			}
