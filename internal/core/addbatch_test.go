@@ -153,12 +153,11 @@ func TestAddBatchEquivalence(t *testing.T) {
 				a, b := threads[i][0], threads[i][1]
 				if a.Start != b.Start || a.Finish != b.Finish ||
 					a.Phi != b.Phi || a.Surplus != b.Surplus ||
-					a.FxStart != b.FxStart || a.FxFinish != b.FxFinish ||
-					a.FxSurplus != b.FxSurplus || a.FxShift != b.FxShift {
-					t.Fatalf("thread %d diverged after batch:\n seq: S=%g F=%g φ=%g α=%g fx=(%d,%d,%d,%d)\n bat: S=%g F=%g φ=%g α=%g fx=(%d,%d,%d,%d)",
+					a.FxStart != b.FxStart || a.FxFinish != b.FxFinish || a.FxShift != b.FxShift {
+					t.Fatalf("thread %d diverged after batch:\n seq: S=%g F=%g φ=%g α=%g fx=(%d,%d,%d)\n bat: S=%g F=%g φ=%g α=%g fx=(%d,%d,%d)",
 						i,
-						a.Start, a.Finish, a.Phi, a.Surplus, a.FxStart, a.FxFinish, a.FxSurplus, a.FxShift,
-						b.Start, b.Finish, b.Phi, b.Surplus, b.FxStart, b.FxFinish, b.FxSurplus, b.FxShift)
+						a.Start, a.Finish, a.Phi, a.Surplus, a.FxStart, a.FxFinish, a.FxShift,
+						b.Start, b.Finish, b.Phi, b.Surplus, b.FxStart, b.FxFinish, b.FxShift)
 				}
 			}
 			// ...and so must everything the tags feed: the pick order from

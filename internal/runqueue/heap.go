@@ -8,16 +8,15 @@ import "fmt"
 // a charged thread typically jumps from the front of a queue to its middle,
 // which costs O(rank distance) to reposition in any linked list but O(log n)
 // here — the difference between the two is most of the per-decision cost on
-// deep run queues (DESIGN.md §3). Bounded traversals (EachUnder,
+// deep run queues (DESIGN.md §3). Bounded traversals (pruned walks over At,
 // AppendKSmallest) stand in for the list's ordered scans. Like List, the
 // heap stores its per-element position in the element's Handle for the
 // configured slot (the heap field, so a List and a Heap may share a slot).
 type Heap[T Indexed[T]] struct {
-	slot  Slot
-	less  func(a, b T) bool
-	vals  []T
-	stack []int32 // EachUnder traversal scratch
-	kbuf  []int32 // AppendKSmallest candidate-heap scratch
+	slot Slot
+	less func(a, b T) bool
+	vals []T
+	kbuf []int32 // AppendKSmallest candidate-heap scratch
 }
 
 // NewHeap returns an empty heap on the given handle slot, ordered by less.
@@ -105,34 +104,14 @@ func (h *Heap[T]) Init() {
 	}
 }
 
-// EachUnder runs a pruned depth-first traversal: fn sees the root, and the
-// children of every element for which fn returned true. Since ancestors
-// precede descendants in heap order, an fn of the form "key(x) ≤ cut"
-// visits every element within the cut — even a cut that tightens during the
-// traversal, because an element within the final cut has all its ancestors
-// within it too. This is how the scheduler enumerates the candidates of a
-// drift-bounded pick without the list's ordered scan. The traversal stack is
-// retained across calls, so steady-state use does not allocate.
-func (h *Heap[T]) EachUnder(fn func(T) bool) {
-	if len(h.vals) == 0 {
-		return
-	}
-	stack := append(h.stack[:0], 0)
-	for len(stack) > 0 {
-		i := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if !fn(h.vals[i]) {
-			continue
-		}
-		if l := 2*i + 1; int(l) < len(h.vals) {
-			stack = append(stack, l)
-			if r := l + 1; int(r) < len(h.vals) {
-				stack = append(stack, r)
-			}
-		}
-	}
-	h.stack = stack[:0]
-}
+// At returns the element at heap position i (0 is the minimum; the children
+// of i sit at 2i+1 and 2i+2). Ancestors precede descendants in heap order, so
+// a caller's pruned depth-first walk — visit i, descend only while the key is
+// within a cut — sees every element within the cut, even a cut that tightens
+// during the walk: an element within the final cut has all its ancestors
+// within it too. The scheduler enumerates the candidates of a pick this way,
+// with its own position stack, in place of the list's ordered scan.
+func (h *Heap[T]) At(i int) T { return h.vals[i] }
 
 // AppendKSmallest appends the k smallest elements, in ascending order, to
 // dst and returns it — the §3.2 heuristic's bounded first-k examination.

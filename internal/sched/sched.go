@@ -82,10 +82,18 @@ type Thread struct {
 	Service simtime.Duration
 
 	// Fair-queueing tags (SFS, SFQ, BVT): start tag S_i, finish tag F_i,
-	// and the SFS surplus α_i = φ_i·(S_i − v).
+	// and the surplus α_i = φ_i·(S_i − v) heuristic-mode SFS stored at the
+	// thread's last update (exact mode stores none per thread).
 	Start   float64
 	Finish  float64
 	Surplus float64
+
+	// PhiClass links a runnable thread to its φ-class in exact-mode SFS's
+	// surplus queue (internal/core): the class's slot in the scheduler's
+	// class table plus one, 0 while the thread is in no class. Like the
+	// run-queue handles below it is intrusive, so the charge path reaches
+	// the class without a map lookup.
+	PhiClass int32
 
 	// Fixed-point shadows of the tags, used by the kernel-faithful
 	// fixed-point SFS variant. FxPhi caches the scaled conversion of Phi so
@@ -94,11 +102,10 @@ type Thread struct {
 	// wraparound-rebase shift already applied to this thread's tags, so a
 	// thread that slept across a rebase can be brought into the current tag
 	// frame on wakeup.
-	FxStart   fixedpoint.Value
-	FxFinish  fixedpoint.Value
-	FxSurplus fixedpoint.Value
-	FxPhi     fixedpoint.Value
-	FxShift   fixedpoint.Value
+	FxStart  fixedpoint.Value
+	FxFinish fixedpoint.Value
+	FxPhi    fixedpoint.Value
+	FxShift  fixedpoint.Value
 
 	// Time-sharing fields (Linux 2.2): remaining timeslice in ticks and
 	// static priority. TickRem carries the sub-tick remainder of charged

@@ -29,33 +29,65 @@ type overheadCase struct {
 	threads int
 	cpus    int
 	opts    []core.Option
+	weights func(r *xrand.Rand, i int) float64 // nil: mixedWeights
+	rampUp  bool                               // run every thread once before timing
 }
+
+// mixedWeights draws the sweep's default population: integer weights 1..40.
+func mixedWeights(r *xrand.Rand, _ int) float64 { return float64(1 + r.Intn(40)) }
 
 func overheadCases() []overheadCase {
 	var cases []overheadCase
 	for _, n := range []int{1000, 10000} {
 		for _, p := range []int{4, 16} {
 			cases = append(cases,
-				overheadCase{fmt.Sprintf("exact/float/n=%d/p=%d", n, p), n, p, nil},
-				overheadCase{fmt.Sprintf("exact/fixed/n=%d/p=%d", n, p), n, p,
-					[]core.Option{core.WithFixedPoint(4)}},
-				overheadCase{fmt.Sprintf("k=20/float/n=%d/p=%d", n, p), n, p,
-					[]core.Option{core.WithHeuristic(20)}},
-				overheadCase{fmt.Sprintf("k=20/fixed/n=%d/p=%d", n, p), n, p,
-					[]core.Option{core.WithHeuristic(20), core.WithFixedPoint(4)}},
+				overheadCase{name: fmt.Sprintf("exact/float/n=%d/p=%d", n, p), threads: n, cpus: p},
+				overheadCase{name: fmt.Sprintf("exact/fixed/n=%d/p=%d", n, p), threads: n, cpus: p,
+					opts: []core.Option{core.WithFixedPoint(4)}},
+				overheadCase{name: fmt.Sprintf("k=20/float/n=%d/p=%d", n, p), threads: n, cpus: p,
+					opts: []core.Option{core.WithHeuristic(20)}},
+				overheadCase{name: fmt.Sprintf("k=20/fixed/n=%d/p=%d", n, p), threads: n, cpus: p,
+					opts: []core.Option{core.WithHeuristic(20), core.WithFixedPoint(4)}},
 			)
 		}
+		// The two shapes the φ-class surplus queue is sensitive to. infeasible
+		// is the sim workload's: thread 1 holds half the total weight, so it
+		// is capped and φ_max sits far above every other φ. distinct is the
+		// degenerate one: no two threads share a φ, so every class is one
+		// thread; it is timed in steady state, past the ramp-up in which all
+		// surpluses tie at zero.
+		cases = append(cases,
+			overheadCase{name: fmt.Sprintf("exact/float/infeasible/n=%d/p=4", n), threads: n, cpus: 4,
+				weights: func(r *xrand.Rand, i int) float64 {
+					if i == 0 {
+						return float64(4 * n) // the others average 4
+					}
+					return float64(1 + r.Intn(7))
+				}},
+			overheadCase{name: fmt.Sprintf("exact/float/distinct/n=%d/p=4", n), threads: n, cpus: 4,
+				weights: func(r *xrand.Rand, i int) float64 { return 1 + float64(i)/16 + r.Float64()/32 },
+				rampUp:  true},
+		)
 	}
 	return cases
 }
 
 // populate fills s with n runnable threads of mixed weights.
 func populate(b *testing.B, s *core.SFS, n int) []*sched.Thread {
+	return populateWith(b, s, n, nil)
+}
+
+// populateWith fills s with n runnable threads of the given weights (nil:
+// mixedWeights).
+func populateWith(b *testing.B, s *core.SFS, n int, weight func(*xrand.Rand, int) float64) []*sched.Thread {
 	b.Helper()
+	if weight == nil {
+		weight = mixedWeights
+	}
 	r := xrand.New(42)
 	threads := make([]*sched.Thread, n)
 	for i := range threads {
-		threads[i] = mkThread(i+1, float64(1+r.Intn(40)))
+		threads[i] = mkThread(i+1, weight(r, i))
 		if err := s.Add(threads[i], 0); err != nil {
 			b.Fatal(err)
 		}
@@ -71,7 +103,7 @@ func BenchmarkOverheadPickCharge(b *testing.B) {
 	for _, c := range overheadCases() {
 		b.Run(c.name, func(b *testing.B) {
 			s := core.New(c.cpus, append(c.opts, core.WithQuantum(quantum))...)
-			populate(b, s, c.threads)
+			populateWith(b, s, c.threads, c.weights)
 			now := simtime.Time(0)
 			// Fill every CPU, then rotate one CPU per iteration.
 			running := make([]*sched.Thread, c.cpus)
@@ -83,10 +115,7 @@ func BenchmarkOverheadPickCharge(b *testing.B) {
 				t.CPU = cpu
 				running[cpu] = t
 			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				cpu := i % c.cpus
+			decide := func(cpu int) {
 				t := running[cpu]
 				now = now.Add(quantum)
 				t.LastCPU = cpu
@@ -98,6 +127,16 @@ func BenchmarkOverheadPickCharge(b *testing.B) {
 				}
 				next.CPU = cpu
 				running[cpu] = next
+			}
+			if c.rampUp {
+				for i := 0; i < 2*c.threads; i++ {
+					decide(i % c.cpus)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				decide(i % c.cpus)
 			}
 		})
 	}
