@@ -179,3 +179,32 @@ func TestGPSTagPoliciesStayParameterisations(t *testing.T) {
 		}
 	}
 }
+
+// TestWeightQueueStaysLogarithmic keeps the linear insert off the wake-up
+// path: internal/phi's weight queue is a runqueue.Heap, and the package
+// constructs no runqueue.List (the heuristic's lightest-first list lives in
+// internal/core, which pays for it only when k > 0).
+func TestWeightQueueStaysLogarithmic(t *testing.T) {
+	fset := token.NewFileSet()
+	made := map[string]int{}
+	for _, path := range driverSources(t, filepath.Join("internal", "phi")) {
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatalf("parse %s: %v", path, err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "runqueue" {
+					made[sel.Sel.Name]++
+				}
+			}
+			return true
+		})
+	}
+	if made["NewList"] > 0 || made["List"] > 0 {
+		t.Errorf("internal/phi uses runqueue.List (%v): the weight queue's insert is O(n) again", made)
+	}
+	if made["NewHeap"] == 0 {
+		t.Errorf("internal/phi no longer builds a runqueue.Heap (%v); update the guard", made)
+	}
+}

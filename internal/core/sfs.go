@@ -103,9 +103,8 @@ type SFS struct {
 	p       int
 	quantum simtime.Duration
 
-	weights  PhiSource                     // where φ values come from
-	byWeight *phi.Tracker                  // queue 1: descending weight (nil over a foreign PhiSource)
-	byStart  *runqueue.Heap[*sched.Thread] // queue 2: min-heap on (start tag, ID)
+	weights PhiSource                     // where φ values come from; owns queue 1, the weight queue
+	byStart *runqueue.Heap[*sched.Thread] // queue 2: min-heap on (start tag, ID)
 
 	v          float64 // virtual time
 	lastFinish float64 // finish tag of the thread that ran last
@@ -132,7 +131,11 @@ type SFS struct {
 	// Heuristic mode (§3.2): queue 3 is a per-thread heap on the surplus
 	// stored at the thread's last update; examine only the first k threads
 	// of each queue; refresh stored surpluses every updatePeriod decisions.
+	// byLight is the weight queue in the order the heuristic reads it,
+	// lightest first — the one reader of an order the φ source's own weight
+	// queue no longer keeps, so only this mode pays for it.
 	bySurplus    *runqueue.Heap[*sched.Thread]
+	byLight      *runqueue.List[*sched.Thread]
 	kScratch     []*sched.Thread // first-k candidate scratch
 	k            int
 	updatePeriod int64
@@ -216,7 +219,7 @@ func WithoutReadjustment() Option {
 // The paper decouples where φ comes from and what the scheduler does with it
 // (§2.1: readjustment "can be employed with most existing GPS-based
 // scheduling algorithms"); this interface is that seam. *phi.Tracker
-// (Figure 2 over the weight-sorted queue) is the source New installs;
+// (Figure 2 over the weight queue) is the source New installs;
 // internal/hier supplies hierarchical GMS rates from a class table. A source
 // tracks exactly the runnable set: the kernel reports every arrival,
 // departure and weight change through it and nowhere else, so state keyed by
@@ -266,8 +269,7 @@ func New(p int, opts ...Option) *SFS {
 	for _, o := range opts {
 		o(s)
 	}
-	s.byWeight = phi.NewTracker(p, s.useReadjust)
-	s.setSource(s.byWeight)
+	s.setSource(phi.NewTracker(p, s.useReadjust))
 	return s
 }
 
@@ -317,6 +319,7 @@ func newKernel(p int) *SFS {
 func (s *SFS) setSource(src PhiSource) {
 	if s.k > 0 {
 		s.bySurplus = runqueue.NewHeap(runqueue.SlotSurplus, surplusHeapLess)
+		s.byLight = runqueue.NewList(runqueue.SlotWeight, func(a, b *sched.Thread) bool { return heavierOrOlder(b, a) })
 	} else {
 		s.byClass = runqueue.NewHeap(runqueue.SlotSurplus, classLess)
 		s.classOf = make(map[float64]*class)
@@ -472,6 +475,7 @@ func (s *SFS) enqueue(t *sched.Thread) {
 	if s.k > 0 {
 		s.storeSurplus(t)
 		s.bySurplus.Push(t)
+		s.byLight.Insert(t)
 		return
 	}
 	// Tags enter here and grow by charges of at least 10⁻⁹ s / 10¹², so
@@ -544,6 +548,7 @@ func (s *SFS) Remove(t *sched.Thread, now simtime.Time) error {
 	s.byStart.Remove(t)
 	if s.k > 0 {
 		s.bySurplus.Remove(t)
+		s.byLight.Remove(t)
 	} else {
 		s.leave(t)
 	}
@@ -655,6 +660,7 @@ func (s *SFS) SetWeight(t *sched.Thread, w float64, now simtime.Time) error {
 	// φ changed for t (and possibly others): in exact mode the hook has
 	// restored every affected thread; heuristic mode refreshes globally.
 	if s.k > 0 {
+		s.byLight.Fix(t)
 		s.refreshSurpluses()
 	}
 	return nil
@@ -743,7 +749,7 @@ func (s *SFS) noDrift() bool {
 // pickHeuristic implements the §3.2 heuristic: the thread with minimum
 // surplus typically has a small start tag, a small weight, or a small
 // surplus at the previous update, so examining the first k entries of each
-// of the three queues (the weight queue scanned backwards) and computing
+// of the three queues (the weight queue from its light end) and computing
 // fresh surpluses for just those candidates finds it with high probability.
 func (s *SFS) pickHeuristic(cpu int) *sched.Thread {
 	var best *sched.Thread
@@ -770,7 +776,7 @@ func (s *SFS) pickHeuristic(cpu int) *sched.Thread {
 		consider(t)
 	}
 	n := 0
-	s.byWeight.EachReverse(func(t *sched.Thread) bool {
+	s.byLight.Each(func(t *sched.Thread) bool {
 		n++
 		consider(t)
 		return n < s.k
@@ -878,6 +884,12 @@ func (s *SFS) CheckInvariants() error {
 		}
 		if s.bySurplus.Len() != s.byStart.Len() {
 			return fmt.Errorf("core: surplus queue holds %d of %d threads", s.bySurplus.Len(), s.byStart.Len())
+		}
+		if err := s.byLight.Validate(); err != nil {
+			return err
+		}
+		if s.byLight.Len() != s.byStart.Len() {
+			return fmt.Errorf("core: lightest-first queue holds %d of %d threads", s.byLight.Len(), s.byStart.Len())
 		}
 	} else if err := s.checkClasses(); err != nil {
 		return err

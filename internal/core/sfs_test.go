@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"math"
+	"slices"
+	"sort"
 	"testing"
 
 	"sfsched/internal/fixedpoint"
@@ -519,6 +521,75 @@ func TestHeuristicStaysWorkConserving(t *testing.T) {
 	threads[0].CPU = 0
 	if got := s.Pick(1, 0); got == nil {
 		t.Fatal("heuristic went idle with 9 runnable threads")
+	}
+}
+
+// TestHeuristicLightestScanOrder pins the one ordered read the heuristic
+// makes of the weight queue: under block/wake/setweight churn over a crowd of
+// three weights, the k candidates its back-scan visits are the k lightest
+// runnable threads in (weight asc, ID desc) order — what scanning the
+// descending weight list from its tail used to yield.
+func TestHeuristicLightestScanOrder(t *testing.T) {
+	const k = 20
+	s := New(4, WithHeuristic(k))
+	r := xrand.New(11)
+	weights := []float64{1, 2, 50}
+	var runnable, blocked []*sched.Thread
+	check := func(step int) {
+		t.Helper()
+		if err := s.CheckInvariants(); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		want := append([]*sched.Thread(nil), runnable...)
+		sort.Slice(want, func(i, j int) bool { return heavierOrOlder(want[j], want[i]) })
+		var got []*sched.Thread
+		s.byLight.Each(func(th *sched.Thread) bool {
+			got = append(got, th)
+			return len(got) < k
+		})
+		if !slices.Equal(got, want[:min(k, len(want))]) {
+			t.Fatalf("step %d: back-scan visits %v, the %d lightest are %v", step, got, k, want[:len(got)])
+		}
+	}
+	for i := 0; i < 300; i++ {
+		th := mkThread(i+1, weights[r.Intn(len(weights))])
+		runnable = append(runnable, th)
+		if err := s.Add(th, 0); err != nil {
+			t.Fatal(err)
+		}
+		check(i)
+	}
+	now := simtime.Time(0)
+	for step := 0; step < 2000; step++ {
+		switch op := r.Intn(4); {
+		case op == 0 && len(runnable) > 1: // block
+			i := r.Intn(len(runnable))
+			th := runnable[i]
+			runnable = append(runnable[:i], runnable[i+1:]...)
+			blocked = append(blocked, th)
+			if err := s.Remove(th, now); err != nil {
+				t.Fatal(err)
+			}
+		case op == 1 && len(blocked) > 0: // wake
+			i := r.Intn(len(blocked))
+			th := blocked[i]
+			blocked = append(blocked[:i], blocked[i+1:]...)
+			runnable = append(runnable, th)
+			if err := s.Add(th, now); err != nil {
+				t.Fatal(err)
+			}
+		case op == 2: // setweight
+			if err := s.SetWeight(runnable[r.Intn(len(runnable))], weights[r.Intn(len(weights))], now); err != nil {
+				t.Fatal(err)
+			}
+		default:
+			th := s.Pick(0, now)
+			th.CPU = 0
+			now = now.Add(10 * simtime.Millisecond)
+			s.Charge(th, 10*simtime.Millisecond, now)
+			th.CPU = sched.NoCPU
+		}
+		check(step)
 	}
 }
 

@@ -3,40 +3,56 @@
 // The paper's weight readjustment algorithm (§2.1) is deliberately decoupled
 // from any particular scheduling policy: "our weight readjustment algorithm
 // can be employed with most existing GPS-based scheduling algorithms". This
-// package is that decoupling. It owns the weight-sorted run queue (the first
-// of the three queues in the kernel implementation, §3.1) and recomputes φ
+// package is that decoupling. It owns the weight queue (the first of the
+// three queues in the kernel implementation, §3.1) and recomputes φ
 // for the runnable set whenever it changes. SFS (internal/core, as the
 // default core.PhiSource) and the GPS-tag kernel behind SFQ, BVT and stride
 // (internal/vtq) each hold a Tracker; SFQ and friends can disable it to
 // reproduce the unfairness the paper demonstrates in Examples 1 and 2.
+//
+// # Cost model
+//
+// Figure 2 reads three things from the weight queue — the at most p − 1
+// heaviest threads, Σw and, when n ≤ p, the lightest weight — and never an
+// order over the rest, so the queue is a heap on (weight desc, ID asc):
+// O(log n) per arrival, departure and weight change. A readjustment pass looks
+// at the heap's head first and returns in O(1) when the heaviest thread is
+// feasible and nothing was capped; otherwise it takes the ≤ p heaviest in
+// exact order (O(p log p)) and runs Figure 2 over that prefix, or, with n ≤ p,
+// sets all n threads to the lightest weight. A pass computes each thread's
+// final φ before assigning it, so the φ hook fires once per thread whose φ
+// changed and not at all for a thread that stays capped at the same value.
 package phi
 
 import (
+	"math"
+	"slices"
+
 	"sfsched/internal/runqueue"
 	"sfsched/internal/sched"
 )
 
-// Tracker owns the weight-sorted queue of runnable threads and their φ
-// values. Not safe for concurrent use.
+// Tracker owns the weight queue of runnable threads and their φ values. Not
+// safe for concurrent use.
 type Tracker struct {
 	cap      float64 // processor count, as the float Figure 2 divides by
 	enabled  bool
-	byWeight *runqueue.List[*sched.Thread] // descending weight
+	byWeight *runqueue.Heap[*sched.Thread] // heaviest first
 	sum      float64                       // Σ w_i over runnable threads
 	capped   []*sched.Thread               // threads with φ != w after the last pass
 	heavy    []*sched.Thread               // scratch for the heaviest-prefix scan
+	maxPhi   float64                       // largest φ as of the last pass, raised by AddDeferred
 	passes   int64                         // readjustment passes that changed some φ
 	onPhi    func(*sched.Thread)           // hook invoked after a φ assignment
 }
 
 // NewTracker returns a tracker for p processors. If enabled is false the
-// tracker still maintains the weight queue (schedulers use it for heuristics)
-// but φ_i always equals w_i.
+// tracker still maintains the weight queue and Σw but φ_i always equals w_i.
 func NewTracker(p int, enabled bool) *Tracker {
 	return &Tracker{
 		cap:     float64(p),
 		enabled: enabled,
-		byWeight: runqueue.NewList(runqueue.SlotWeight, func(a, b *sched.Thread) bool {
+		byWeight: runqueue.NewHeap(runqueue.SlotWeight, func(a, b *sched.Thread) bool {
 			if a.Weight != b.Weight {
 				return a.Weight > b.Weight
 			}
@@ -74,48 +90,25 @@ func (k *Tracker) Len() int { return k.byWeight.Len() }
 // Sum returns the total requested weight of the runnable set.
 func (k *Tracker) Sum() float64 { return k.sum }
 
-// PhiSum returns the total instantaneous weight of the runnable set.
-func (k *Tracker) PhiSum() float64 {
-	var s float64
-	k.byWeight.Each(func(t *sched.Thread) bool {
-		s += t.Phi
-		return true
-	})
-	return s
-}
-
 // Passes returns how many readjustment passes changed at least one φ.
 func (k *Tracker) Passes() int64 { return k.passes }
-
-// Contains reports whether t is tracked.
-func (k *Tracker) Contains(t *sched.Thread) bool { return k.byWeight.Contains(t) }
 
 // MaxPhi returns the largest instantaneous weight in the tracked set (0 when
 // it is empty) — the φ_max of the exact scheduler's drift-bounded pick, which
 // prunes by it and never decides by it. A capped thread runs at φ < w, often
 // far below (one thread holding half the total weight on p CPUs runs at a
 // third of it for p = 4), so this is not the heaviest requested weight: it is
-// the larger of the capped threads' φ and the heaviest uncapped weight. The
-// capped threads are the heaviest ones, so the walk from the head of the
-// weight queue stops at the first uncapped thread, after at most p steps.
-// Between an AddDeferred and its Readjust the result is still an upper bound
-// (φ ≤ w for every thread behind the one the walk stopped at).
-func (k *Tracker) MaxPhi() float64 {
-	var m float64
-	k.byWeight.Each(func(t *sched.Thread) bool {
-		m = max(m, t.Phi)
-		return t.Phi != t.Weight
-	})
-	return m
-}
+// the larger of the capped threads' φ and the heaviest uncapped weight, which
+// every pass records. Between an AddDeferred and its Readjust the result is
+// still an upper bound (the new thread's weight is folded in). With
+// readjustment disabled it is the weight at the head of the queue.
+func (k *Tracker) MaxPhi() float64 { return k.maxPhi }
 
 // Add starts tracking t (which must not already be tracked) and readjusts.
 // It reports whether any φ changed. The φ hook always fires for t so that
 // derived caches (FxPhi) are primed even when φ == w.
 func (k *Tracker) Add(t *sched.Thread) bool {
-	k.setPhi(t, t.Weight, true)
-	k.sum += t.Weight
-	k.byWeight.Insert(t)
+	k.AddDeferred(t)
 	return k.Readjust()
 }
 
@@ -128,7 +121,8 @@ func (k *Tracker) Add(t *sched.Thread) bool {
 func (k *Tracker) AddDeferred(t *sched.Thread) {
 	k.setPhi(t, t.Weight, true)
 	k.sum += t.Weight
-	k.byWeight.Insert(t)
+	k.maxPhi = max(k.maxPhi, t.Weight)
+	k.byWeight.Push(t)
 }
 
 // Remove stops tracking t and readjusts. It reports whether any φ changed.
@@ -137,23 +131,28 @@ func (k *Tracker) Remove(t *sched.Thread) bool {
 		return false
 	}
 	k.sum -= t.Weight
+	if k.byWeight.Len() == 0 {
+		// Σw is kept by += and −= alone; an idle period must not carry the
+		// float residue of the churn before it into the next feasibility test.
+		k.sum = 0
+	}
 	changed := false
-	for i, c := range k.capped {
-		if c == t {
-			k.capped = append(k.capped[:i], k.capped[i+1:]...)
-			k.setPhi(t, t.Weight, false)
-			changed = true
-			break
-		}
+	if i := slices.Index(k.capped, t); i >= 0 {
+		k.capped = slices.Delete(k.capped, i, i+1)
+		changed = k.setPhi(t, t.Weight, false)
 	}
 	return k.Readjust() || changed
 }
 
-// UpdateWeight changes t's requested weight and readjusts. It reports
-// whether any φ changed (always true: t's own φ starts from the new weight).
+// UpdateWeight changes a tracked thread's requested weight and readjusts. It
+// reports whether any φ changed — true for a tracked thread, whose own φ
+// starts from the new weight; false, touching nothing, for an untracked one.
 // The φ hook fires for t unconditionally: a weight change repositions t in
 // any queue that tie-breaks on weight even when φ is numerically unchanged.
 func (k *Tracker) UpdateWeight(t *sched.Thread, w float64) bool {
+	if !k.byWeight.Contains(t) {
+		return false
+	}
 	k.sum += w - t.Weight
 	t.Weight = w
 	k.setPhi(t, w, true)
@@ -162,87 +161,79 @@ func (k *Tracker) UpdateWeight(t *sched.Thread, w float64) bool {
 	return true
 }
 
-// EachReverse iterates threads from lightest to heaviest (the backwards scan
-// of the weight queue used by the §3.2 heuristic).
-func (k *Tracker) EachReverse(fn func(*sched.Thread) bool) { k.byWeight.EachReverse(fn) }
-
 // Validate checks the weight queue's structural invariants.
 func (k *Tracker) Validate() error { return k.byWeight.Validate() }
 
 // Readjust recomputes φ for the tracked set: the weight readjustment
-// algorithm of Figure 2 operating directly on the weight-sorted queue, so
-// that only the heaviest p-1 threads are inspected. It reports whether any φ
-// changed.
+// algorithm of Figure 2 operating directly on the weight queue, so that only
+// the heaviest p-1 threads are inspected. It reports whether any φ changed.
 func (k *Tracker) Readjust() bool {
-	if !k.enabled {
-		return false
-	}
+	n, p := k.byWeight.Len(), int(k.cap)
+	head, _ := k.byWeight.Min()
 	changed := false
-	// Reset previously capped threads; still-infeasible ones are re-capped.
-	for _, t := range k.capped {
-		if k.setPhi(t, t.Weight, false) {
-			changed = true
-		}
-	}
-	k.capped = k.capped[:0]
-	n := k.byWeight.Len()
-	if n == 0 || k.cap <= 1 {
-		// With at most one CPU's worth of capacity no thread can exceed
-		// its cap, so every assignment is feasible.
-		if changed {
-			k.passes++
-		}
-		return changed
-	}
-	if float64(n) <= k.cap {
+	switch {
+	case n == 0:
+		k.maxPhi = 0 // and nothing is capped: Remove took the last one out
+	case !k.enabled, n > p && len(k.capped) == 0 && !(k.cap > 1 && head.Weight*k.cap > k.sum):
+		// Nothing to do: readjustment is off, or the heaviest thread is
+		// feasible, so every thread is (§2.1), and no earlier pass left a
+		// cap to lift.
+		k.maxPhi = head.Weight
+	case n <= p:
 		// Every thread receives a full processor under GMS, so their
 		// service rates — and hence instantaneous weights — are equal.
 		// Use the group minimum so at least one weight is unchanged.
-		tail, _ := k.byWeight.Tail()
-		min := tail.Weight
-		k.byWeight.Each(func(t *sched.Thread) bool {
-			if k.setPhi(t, min, false) {
-				changed = true
-			}
-			if t.Phi != t.Weight {
+		min := head.Weight
+		for i := 1; i < n; i++ {
+			min = math.Min(min, k.byWeight.At(i).Weight)
+		}
+		k.capped = k.capped[:0]
+		for i := 0; i < n; i++ {
+			t := k.byWeight.At(i)
+			changed = k.setPhi(t, min, false) || changed
+			if t.Weight != min {
 				k.capped = append(k.capped, t)
 			}
-			return true
-		})
-		if changed {
-			k.passes++
 		}
-		return changed
-	}
-	// General case: at most ceil(cap)-1 threads can violate the
-	// feasibility constraint (§2.1), so inspect only that many of the
-	// heaviest. Capping is possible only while the remaining capacity
-	// exceeds one CPU. The prefix scratch is reused across passes to keep
-	// the blocking/wakeup path allocation-free.
-	k.heavy = k.byWeight.AppendFirstN(k.heavy[:0], int(k.cap))
-	heavy := k.heavy
-	sum := k.sum
-	capped := 0
-	for i, t := range heavy {
-		rem := k.cap - float64(i)
-		if rem > 1 && t.Weight*rem > sum {
-			capped++
-			sum -= t.Weight
-			continue
+		k.maxPhi = min
+	default:
+		// At most ceil(cap)-1 threads can violate the feasibility
+		// constraint (§2.1), so inspect only that many of the heaviest.
+		// Capping is possible only while the remaining capacity exceeds one
+		// CPU. The prefix scratch is reused across passes to keep the
+		// blocking/wakeup path allocation-free.
+		k.heavy = k.byWeight.AppendKSmallest(k.heavy[:0], p)
+		heavy, sum, ncap := k.heavy, k.sum, 0
+		for i, t := range heavy {
+			rem := k.cap - float64(i)
+			if rem > 1 && t.Weight*rem > sum {
+				ncap++
+				sum -= t.Weight
+				continue
+			}
+			break
 		}
-		break
-	}
-	// sum now holds the total weight of uncapped threads. Unroll Figure
-	// 2's backtracking: the i-th capped thread (1-based) receives
-	// φ_i = (Σ of adjusted weights below it) / (cap − i).
-	suffix := sum
-	for j := capped - 1; j >= 0; j-- {
-		phi := suffix / (k.cap - float64(j) - 1)
-		if k.setPhi(heavy[j], phi, false) {
-			changed = true
+		// Threads the last pass capped and this one does not return to
+		// φ = w; the ones still capped go straight to their new φ.
+		for _, t := range k.capped {
+			if !slices.Contains(heavy[:ncap], t) {
+				changed = k.setPhi(t, t.Weight, false) || changed
+			}
 		}
-		k.capped = append(k.capped, heavy[j])
-		suffix += phi
+		k.capped = k.capped[:0]
+		// sum now holds the total weight of uncapped threads, the heaviest
+		// of which is heavy[ncap] (ncap < p < n). Unroll Figure 2's
+		// backtracking: the i-th capped thread (1-based) receives
+		// φ_i = (Σ of adjusted weights below it) / (cap − i).
+		k.maxPhi = heavy[ncap].Weight
+		suffix := sum
+		for j := ncap - 1; j >= 0; j-- {
+			phi := suffix / (k.cap - float64(j) - 1)
+			changed = k.setPhi(heavy[j], phi, false) || changed
+			k.capped = append(k.capped, heavy[j])
+			k.maxPhi = max(k.maxPhi, phi)
+			suffix += phi
+		}
 	}
 	if changed {
 		k.passes++

@@ -8,7 +8,9 @@ import "fmt"
 // a charged thread typically jumps from the front of a queue to its middle,
 // which costs O(rank distance) to reposition in any linked list but O(log n)
 // here — the difference between the two is most of the per-decision cost on
-// deep run queues (DESIGN.md §3). Bounded traversals (pruned walks over At,
+// deep run queues (DESIGN.md §3). So does the weight queue (internal/phi): a
+// woken thread's weight lands anywhere in the order, and Figure 2 reads only
+// the heaviest few. Bounded traversals (pruned walks over At,
 // AppendKSmallest) stand in for the list's ordered scans. Like List, the
 // heap stores its per-element position in the element's Handle for the
 // configured slot (the heap field, so a List and a Heap may share a slot).
@@ -60,15 +62,15 @@ func (h *Heap[T]) Remove(x T) bool {
 	}
 	i := int(hd.heap) - 1
 	last := len(h.vals) - 1
-	h.swap(i, last)
+	hd.heap = 0
+	if i < last {
+		h.set(i, h.vals[last])
+	}
 	var zero T
 	h.vals[last] = zero
 	h.vals = h.vals[:last]
-	hd.heap = 0
-	if i < last {
-		if !h.down(i) {
-			h.up(i)
-		}
+	if i < last && !h.down(i) {
+		h.up(i)
 	}
 	return true
 }
@@ -96,8 +98,7 @@ func (h *Heap[T]) Each(fn func(T) bool) {
 	}
 }
 
-// Init restores the heap invariant after many keys changed at once — the
-// heap analogue of List.ReSort — in O(n).
+// Init restores the heap invariant after many keys changed at once, in O(n).
 func (h *Heap[T]) Init() {
 	for i := len(h.vals)/2 - 1; i >= 0; i-- {
 		h.down(i)
@@ -114,7 +115,8 @@ func (h *Heap[T]) Init() {
 func (h *Heap[T]) At(i int) T { return h.vals[i] }
 
 // AppendKSmallest appends the k smallest elements, in ascending order, to
-// dst and returns it — the §3.2 heuristic's bounded first-k examination.
+// dst and returns it — the §3.2 heuristic's bounded first-k examination and
+// the readjustment's heaviest-p prefix.
 // It runs a best-first search over the heap with a scratch index-heap of
 // frontier candidates: O(k log k) comparisons, no allocation in steady
 // state.
@@ -188,40 +190,49 @@ func (h *Heap[T]) Validate() error {
 	return nil
 }
 
-func (h *Heap[T]) swap(i, j int) {
-	h.vals[i], h.vals[j] = h.vals[j], h.vals[i]
-	h.vals[i].RunqueueHandle(h.slot).heap = int32(i + 1)
-	h.vals[j].RunqueueHandle(h.slot).heap = int32(j + 1)
+// set stores x at position i and records the position in x's handle.
+func (h *Heap[T]) set(i int, x T) {
+	h.vals[i] = x
+	x.RunqueueHandle(h.slot).heap = int32(i + 1)
 }
 
+// up and down sift the element at i by moving a hole: the elements it passes
+// shift one level each and the element itself is stored once, at the end —
+// half the handle writes of pairwise swaps, for the same final arrangement.
 func (h *Heap[T]) up(i int) {
+	x, from := h.vals[i], i
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !h.less(h.vals[i], h.vals[parent]) {
-			return
+		if !h.less(x, h.vals[parent]) {
+			break
 		}
-		h.swap(i, parent)
+		h.set(i, h.vals[parent])
 		i = parent
+	}
+	if i != from {
+		h.set(i, x)
 	}
 }
 
 func (h *Heap[T]) down(i int) bool {
-	moved := false
-	n := len(h.vals)
+	x, from, n := h.vals[i], i, len(h.vals)
 	for {
-		l, r := 2*i+1, 2*i+2
-		if l >= n {
-			return moved
+		m := 2*i + 1
+		if m >= n {
+			break
 		}
-		m := l
-		if r < n && h.less(h.vals[r], h.vals[l]) {
+		if r := m + 1; r < n && h.less(h.vals[r], h.vals[m]) {
 			m = r
 		}
-		if !h.less(h.vals[m], h.vals[i]) {
-			return moved
+		if !h.less(h.vals[m], x) {
+			break
 		}
-		h.swap(i, m)
+		h.set(i, h.vals[m])
 		i = m
-		moved = true
 	}
+	if i == from {
+		return false
+	}
+	h.set(i, x)
+	return true
 }

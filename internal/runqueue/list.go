@@ -3,12 +3,15 @@
 //
 // The implementation of SFS in Linux 2.2.14 maintains three doubly-linked
 // lists of runnable threads — sorted by weight (descending), start tag
-// (ascending) and surplus (ascending) — giving O(1) deletion, linear-time
-// sorted insertion, and cheap re-sorting with insertion sort when surplus
-// values are recomputed (the lists stay "mostly sorted", the case where
-// insertion sort shines). List reproduces exactly that structure. Heap is a
-// container/heap-backed alternative used by the ablation benchmarks to
-// quantify the paper's design choice.
+// (ascending) and surplus (ascending) — giving O(1) deletion and linear-time
+// sorted insertion. List reproduces that structure; it serves the queues
+// whose readers walk them in order: the GPS-tag kernel's run queue
+// (internal/vtq: first non-running thread in tag order) and the §3.2
+// heuristic's lightest-first scan of the weight queue (internal/core). Heap
+// is the O(log n) structure every other queue uses — SFS's start-tag and
+// surplus queues and phi.Tracker's weight queue — because their readers need
+// only the head, a bounded ordered prefix (AppendKSmallest) or a pruned walk
+// (At), never an order over everything.
 //
 // # Intrusive handles
 //
@@ -32,8 +35,8 @@ import (
 // List is a sorted doubly-linked list over elements of type T with intrusive
 // position handles for O(1) membership tests and removal. The sort order is
 // defined by the less function at construction time; keys live inside the
-// elements, so when keys mutate the caller must reposition elements with Fix
-// or ReSort.
+// elements, so when a key mutates the caller must reposition the element with
+// Fix.
 type List[T Indexed[T]] struct {
 	slot Slot
 	less func(a, b T) bool
@@ -52,7 +55,8 @@ type Slot uint8
 
 // The handle slots reserved on every element.
 const (
-	// SlotWeight is the descending-weight queue (phi.Tracker).
+	// SlotWeight is the weight queue: phi.Tracker's heap, heaviest first, and
+	// the heuristic's lightest-first list (one Handle serves both).
 	SlotWeight Slot = iota
 	// SlotPrimary is the policy's main queue: ascending start tags for SFS
 	// and SFQ, pass order for stride, effective virtual time for BVT.
@@ -216,15 +220,6 @@ func (l *List[T]) Head() (T, bool) {
 	return l.head.val, true
 }
 
-// Tail returns the greatest element without removing it.
-func (l *List[T]) Tail() (T, bool) {
-	if l.tail == nil {
-		var zero T
-		return zero, false
-	}
-	return l.tail.val, true
-}
-
 // Fix repositions x after its key changed, scanning simultaneously from x's
 // current position and from the far end of the list until either scan finds
 // the insertion point — O(min(distance moved, distance from the end)). Both
@@ -293,30 +288,6 @@ func (l *List[T]) Fix(x T) bool {
 	return true
 }
 
-// ReSort restores sorted order after many keys changed at once, using
-// insertion sort on the linked list. The paper chooses insertion sort
-// because recomputing surpluses after a virtual-time change leaves the queue
-// mostly sorted (§3.2), where insertion sort approaches linear time.
-func (l *List[T]) ReSort() {
-	if l.head == nil {
-		return
-	}
-	cur := l.head.next
-	for cur != nil {
-		next := cur.next
-		if l.less(cur.val, cur.prev.val) {
-			// Walk backwards to the insertion point.
-			at := cur.prev
-			for at != nil && l.less(cur.val, at.val) {
-				at = at.prev
-			}
-			l.unlink(cur)
-			l.insertAfter(cur, at)
-		}
-		cur = next
-	}
-}
-
 // Each calls fn on elements in ascending order until fn returns false.
 func (l *List[T]) Each(fn func(T) bool) {
 	for n := l.head; n != nil; n = n.next {
@@ -325,44 +296,6 @@ func (l *List[T]) Each(fn func(T) bool) {
 		}
 	}
 }
-
-// EachReverse calls fn on elements in descending order until fn returns
-// false. The paper's heuristic scans the weight queue backwards this way
-// (lightest weights first).
-func (l *List[T]) EachReverse(fn func(T) bool) {
-	for n := l.tail; n != nil; n = n.prev {
-		if !fn(n.val) {
-			return
-		}
-	}
-}
-
-// AppendFirstN appends up to n elements from the front to dst, in order,
-// and returns the extended slice; callers on the hot path reuse dst across
-// invocations to stay allocation-free.
-func (l *List[T]) AppendFirstN(dst []T, n int) []T {
-	for cur := l.head; cur != nil && n > 0; cur = cur.next {
-		dst = append(dst, cur.val)
-		n--
-	}
-	return dst
-}
-
-// AppendLastN appends up to n elements from the back to dst in reverse order
-// (the least-weight end of the descending weight queue).
-func (l *List[T]) AppendLastN(dst []T, n int) []T {
-	for cur := l.tail; cur != nil && n > 0; cur = cur.prev {
-		dst = append(dst, cur.val)
-		n--
-	}
-	return dst
-}
-
-// FirstN returns up to n elements from the front, in order.
-func (l *List[T]) FirstN(n int) []T { return l.AppendFirstN(make([]T, 0, n), n) }
-
-// LastN returns up to n elements from the back, in reverse order.
-func (l *List[T]) LastN(n int) []T { return l.AppendLastN(make([]T, 0, n), n) }
 
 // Slice returns all elements in ascending order (for tests and metrics).
 func (l *List[T]) Slice() []T {

@@ -66,9 +66,6 @@ func TestListHeadTail(t *testing.T) {
 	if _, ok := l.Head(); ok {
 		t.Fatal("empty list has a head")
 	}
-	if _, ok := l.Tail(); ok {
-		t.Fatal("empty list has a tail")
-	}
 	items := newItems(2, 9, 4)
 	for _, it := range items {
 		l.Insert(it)
@@ -76,8 +73,8 @@ func TestListHeadTail(t *testing.T) {
 	if h, _ := l.Head(); h.key != 2 {
 		t.Fatalf("head %g", h.key)
 	}
-	if tl, _ := l.Tail(); tl.key != 9 {
-		t.Fatalf("tail %g", tl.key)
+	if s := l.Slice(); s[len(s)-1].key != 9 {
+		t.Fatalf("tail %g", s[len(s)-1].key)
 	}
 }
 
@@ -142,27 +139,11 @@ func TestListFix(t *testing.T) {
 	if err := l.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if tl, _ := l.Tail(); tl != items[0] {
+	if s := l.Slice(); s[len(s)-1] != items[0] {
 		t.Fatal("Fix did not move element to tail")
 	}
 	if l.Fix(&item{id: 99}) {
 		t.Fatal("Fix on absent element returned true")
-	}
-}
-
-func TestListReSort(t *testing.T) {
-	l := NewList(SlotPrimary, byKey)
-	items := newItems(1, 2, 3, 4, 5)
-	for _, it := range items {
-		l.Insert(it)
-	}
-	// Mutate all keys (what a virtual-time change does to surpluses).
-	items[0].key = 7
-	items[2].key = 0
-	items[4].key = 3.5
-	l.ReSort()
-	if err := l.Validate(); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -187,23 +168,6 @@ func TestListEachAndFirstN(t *testing.T) {
 	if len(seen) != 1 {
 		t.Fatal("Each did not stop")
 	}
-	if got := keysOf(l.FirstN(2)); got[0] != 1 || got[1] != 2 {
-		t.Fatalf("FirstN %v", got)
-	}
-	if got := keysOf(l.FirstN(10)); len(got) != 3 {
-		t.Fatalf("FirstN overflow %v", got)
-	}
-	if got := keysOf(l.LastN(2)); got[0] != 3 || got[1] != 2 {
-		t.Fatalf("LastN %v", got)
-	}
-	var rev []float64
-	l.EachReverse(func(it *item) bool {
-		rev = append(rev, it.key)
-		return true
-	})
-	if rev[0] != 3 || rev[2] != 1 {
-		t.Fatalf("EachReverse %v", rev)
-	}
 }
 
 // TestListRandomOps drives the list with a random operation mix and checks
@@ -225,17 +189,10 @@ func TestListRandomOps(t *testing.T) {
 			i := r.Intn(len(pool))
 			l.Remove(pool[i])
 			pool = append(pool[:i], pool[i+1:]...)
-		case op < 8 && len(pool) > 0: // mutate + fix
+		case len(pool) > 0: // mutate + fix
 			it := pool[r.Intn(len(pool))]
 			it.key = r.Float64() * 100
 			l.Fix(it)
-		default: // bulk mutate + resort
-			for _, it := range pool {
-				if r.Intn(3) == 0 {
-					it.key += r.Float64()*10 - 5
-				}
-			}
-			l.ReSort()
 		}
 		if err := l.Validate(); err != nil {
 			t.Fatalf("step %d: %v", step, err)
@@ -342,6 +299,9 @@ func TestHeapRandomOps(t *testing.T) {
 		}
 		if h.Len() != len(pool) {
 			t.Fatalf("step %d: len %d, want %d", step, h.Len(), len(pool))
+		}
+		if err := h.Validate(); err != nil {
+			t.Fatalf("step %d: %v", step, err)
 		}
 		// Min must match a linear scan.
 		if len(pool) > 0 {
