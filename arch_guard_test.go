@@ -181,9 +181,10 @@ func TestGPSTagPoliciesStayParameterisations(t *testing.T) {
 }
 
 // TestWeightQueueStaysLogarithmic keeps the linear insert off the wake-up
-// path: internal/phi's weight queue is a runqueue.Heap, and the package
-// constructs no runqueue.List (the heuristic's lightest-first list lives in
-// internal/core, which pays for it only when k > 0).
+// path: internal/phi's weight queue is a runqueue.Heap (the keyed form, on
+// −w), and the package constructs no runqueue.List (the heuristic's
+// lightest-first list lives in internal/core, which pays for it only when
+// k > 0).
 func TestWeightQueueStaysLogarithmic(t *testing.T) {
 	fset := token.NewFileSet()
 	made := map[string]int{}
@@ -204,7 +205,71 @@ func TestWeightQueueStaysLogarithmic(t *testing.T) {
 	if made["NewList"] > 0 || made["List"] > 0 {
 		t.Errorf("internal/phi uses runqueue.List (%v): the weight queue's insert is O(n) again", made)
 	}
-	if made["NewHeap"] == 0 {
-		t.Errorf("internal/phi no longer builds a runqueue.Heap (%v); update the guard", made)
+	if made["NewKeyedHeap"] == 0 {
+		t.Errorf("internal/phi no longer builds a keyed runqueue.Heap (%v); update the guard", made)
+	}
+}
+
+// TestOneSiftPerCharge keeps the second per-thread sift off the exact-mode
+// charge and the boxing off the simulator's event queue: internal/core builds
+// its per-thread start-tag heap (byStart) only inside an `if s.k > 0` body —
+// the §3.2 heuristic, whose three lists are the paper's — and non-test
+// internal/machine does not import container/heap, whose Push(any)/Pop() any
+// allocate per event.
+func TestOneSiftPerCharge(t *testing.T) {
+	fset := token.NewFileSet()
+	built := 0
+	for _, path := range driverSources(t, filepath.Join("internal", "core")) {
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatalf("parse %s: %v", path, err)
+		}
+		var stack []ast.Node
+		ast.Inspect(f, func(n ast.Node) bool {
+			if n == nil {
+				stack = stack[:len(stack)-1]
+				return true
+			}
+			stack = append(stack, n)
+			as, ok := n.(*ast.AssignStmt)
+			if !ok {
+				return true
+			}
+			for _, lhs := range as.Lhs {
+				if sel, ok := lhs.(*ast.SelectorExpr); !ok || sel.Sel.Name != "byStart" {
+					continue
+				}
+				built++
+				heuristic := false
+				for i := len(stack) - 2; i >= 0 && !heuristic; i-- {
+					if ifs, ok := stack[i].(*ast.IfStmt); ok && stack[i+1] == ast.Node(ifs.Body) {
+						if cond, ok := ifs.Cond.(*ast.BinaryExpr); ok && cond.Op == token.GTR {
+							k, isK := cond.X.(*ast.SelectorExpr)
+							zero, isZero := cond.Y.(*ast.BasicLit)
+							heuristic = isK && isZero && k.Sel.Name == "k" && zero.Value == "0"
+						}
+					}
+				}
+				if !heuristic {
+					t.Errorf("%s: byStart built outside the `k > 0` branch: exact mode sifts two per-thread heaps per charge again",
+						fset.Position(as.Pos()))
+				}
+			}
+			return true
+		})
+	}
+	if built == 0 {
+		t.Error("internal/core no longer assigns byStart; update the guard")
+	}
+	for _, path := range driverSources(t, filepath.Join("internal", "machine")) {
+		f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
+		if err != nil {
+			t.Fatalf("parse %s: %v", path, err)
+		}
+		for _, imp := range f.Imports {
+			if strings.Trim(imp.Path.Value, `"`) == "container/heap" {
+				t.Errorf("%s imports container/heap: the event queue boxes every event again", path)
+			}
+		}
 	}
 }

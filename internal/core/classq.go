@@ -8,29 +8,39 @@ import (
 	"sfsched/internal/sched"
 )
 
-// The exact-mode surplus queue (queue 3 of §3.1), grouped by instantaneous
-// weight. Among threads with the same φ the surplus φ·(S − v) is a
-// non-decreasing function of the start tag S for every v — the observation
-// behind the §2.3 reduction of SFS to SFQ on a uniprocessor — so the order
-// inside a φ-class is the order of start tags and no change of virtual time
-// disturbs it. Only the order *between* classes depends on v, and that is
-// the part kept lazily: one stored surplus per class, against the vRef epoch.
+// The exact-mode queues: the start-tag and surplus queues of §3.1 as one
+// structure, grouped by instantaneous weight. Among threads with the same φ
+// the surplus φ·(S − v) is a non-decreasing function of the start tag S for
+// every v — the observation behind the §2.3 reduction of SFS to SFQ on a
+// uniprocessor — so the order inside a φ-class is the order of start tags and
+// no change of virtual time disturbs it: one heap per class serves both
+// queues. Only the order *between* classes depends on v, and that is the part
+// kept lazily: one stored surplus per class, against the vRef epoch. And
+// §2.3 needs only v = min S from the start-tag queue, which is the least of
+// the class heads' tags: a second class-level heap, re-keyed wherever the
+// first is.
 
 // class is one φ-class: the runnable threads whose instantaneous weight is
-// phi, in a min-heap on (start tag, weight desc, ID). In the class-level heap
-// it is keyed by its head's stored surplus, then by the head's weight
-// (descending) and ID, mirroring the thread-level tie-break.
+// phi, in a min-heap on (start tag, weight desc, ID). In byClass it is keyed
+// by its head's stored surplus, then by the head's weight (descending) and ID,
+// mirroring the thread-level tie-break; in byHead by its head's start tag.
 type class struct {
 	phi     float64
 	threads *runqueue.Heap[*sched.Thread]
 	head    *sched.Thread // threads' minimum
 	key     float64       // head's surplus against the vRef epoch
 	slot    int32         // index in SFS.classes; Thread.PhiClass holds slot+1
-	rq      runqueue.Handle[*class]
+	rq, hq  runqueue.Handle[*class]
 }
 
-// RunqueueHandle implements runqueue.Indexed; a class sits in one queue.
-func (c *class) RunqueueHandle(runqueue.Slot) *runqueue.Handle[*class] { return &c.rq }
+// RunqueueHandle implements runqueue.Indexed; a class sits in byClass
+// (SlotSurplus) and byHead (SlotPrimary).
+func (c *class) RunqueueHandle(s runqueue.Slot) *runqueue.Handle[*class] {
+	if s == runqueue.SlotPrimary {
+		return &c.hq
+	}
+	return &c.rq
+}
 
 func classLess(a, b *class) bool {
 	if a.key != b.key {
@@ -62,6 +72,14 @@ func (s *SFS) inClassLess(a, b *sched.Thread) bool {
 	return heavierOrOlder(a, b)
 }
 
+// startKey is the cached heap key inClassLess is monotone in.
+func (s *SFS) startKey(t *sched.Thread) float64 {
+	if s.fixed {
+		return float64(t.FxStart)
+	}
+	return t.Start
+}
+
 // tinyTag bounds the operands for which a surplus φ·(S − v) with S > v could
 // underflow to zero: with every tag zero or at least tinyTag, unequal tags
 // differ by at least tinyTag·2⁻⁵², and the product with a φ of at least
@@ -79,7 +97,7 @@ func (s *SFS) classFor(phi float64) *class {
 		c, s.freeClasses = s.freeClasses[n-1], s.freeClasses[:n-1]
 	} else {
 		c = &class{slot: int32(len(s.classes)),
-			threads: runqueue.NewHeap(runqueue.SlotSurplus, s.inClassLess)}
+			threads: runqueue.NewKeyedHeap(runqueue.SlotSurplus, s.startKey, s.inClassLess)}
 		s.classes = append(s.classes, c)
 	}
 	c.phi = phi
@@ -115,6 +133,7 @@ func (s *SFS) leave(t *sched.Thread) {
 	switch {
 	case c.threads.Len() == 0:
 		s.byClass.Remove(c)
+		s.byHead.Remove(c)
 		delete(s.classOf, c.phi)
 		c.head = nil
 		s.freeClasses = append(s.freeClasses, c)
@@ -123,14 +142,17 @@ func (s *SFS) leave(t *sched.Thread) {
 	}
 }
 
-// rekey restores c's position in the class-level heap after its head changed
-// (another thread, or the same thread with another tag).
+// rekey restores c's position in the two class-level heaps after its head
+// changed (another thread, or the same thread with another tag).
 func (s *SFS) rekey(c *class) {
 	c.head, _ = c.threads.Min()
 	c.key = s.keyOf(c)
 	if !s.byClass.Fix(c) {
 		s.byClass.Push(c)
+		s.byHead.Push(c)
+		return
 	}
+	s.byHead.Fix(c)
 }
 
 // scanBase is the number of classes a pick may always visit without asking
@@ -278,16 +300,20 @@ func (s *SFS) pickExact(cpu int) *sched.Thread {
 	return best
 }
 
-// checkClasses validates the class queue: every runnable thread sits in the
-// class of its current φ, no empty class is queued, class sizes sum to the
-// runnable count, and every class key equals its head's recomputed stored
-// surplus.
+// checkClasses validates the class queues: every runnable thread sits in the
+// class of its current φ, no empty class is queued, both class-level heaps
+// hold every class, class sizes sum to the φ source's thread count, and every
+// class key equals its head's recomputed stored surplus.
 func (s *SFS) checkClasses() error {
 	if err := s.byClass.Validate(); err != nil {
 		return err
 	}
-	if len(s.classOf) != s.byClass.Len() {
-		return fmt.Errorf("core: %d classes indexed by φ, %d queued", len(s.classOf), s.byClass.Len())
+	if err := s.byHead.Validate(); err != nil {
+		return err
+	}
+	if len(s.classOf) != s.byClass.Len() || s.byHead.Len() != s.byClass.Len() {
+		return fmt.Errorf("core: %d classes indexed by φ, %d queued by surplus, %d by start tag",
+			len(s.classOf), s.byClass.Len(), s.byHead.Len())
 	}
 	n := 0
 	for i := 0; i < s.byClass.Len(); i++ {
@@ -317,8 +343,8 @@ func (s *SFS) checkClasses() error {
 		}
 		n += c.threads.Len()
 	}
-	if n != s.byStart.Len() {
-		return fmt.Errorf("core: classes hold %d threads, %d runnable", n, s.byStart.Len())
+	if n != s.weights.Len() {
+		return fmt.Errorf("core: classes hold %d threads, %d runnable", n, s.weights.Len())
 	}
 	return nil
 }

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
+	"sfsched/internal/runqueue"
 	"sfsched/internal/sched"
 	"sfsched/internal/simtime"
 )
@@ -79,4 +82,102 @@ func TestClassQueueSteadyState(t *testing.T) {
 	if len(s.classes) > len(distinct)+1 {
 		t.Errorf("class table grew to %d entries for %d distinct φ", len(s.classes), len(distinct))
 	}
+}
+
+// TestVirtualTimeIsTheLeastClassHead pins the exact-mode queue set: a runnable
+// thread sits in its φ-class heap and in no per-thread start-tag queue (its
+// SlotPrimary handle stays zero), and v — read off the class heads — is the
+// least start tag of the runnable set after every transition that changes
+// which thread, or which class, holds it: an arrival into the empty set, the
+// removal of a class head and of a whole class, a charge of the head, and the
+// φ hook moving the capped thread — here the holder of the least tag — to
+// another class when the set around it changes.
+func TestVirtualTimeIsTheLeastClassHead(t *testing.T) {
+	s := New(2, WithQuantum(10*simtime.Millisecond))
+	var runnable []*sched.Thread
+	check := func(op string) {
+		t.Helper()
+		if err := s.CheckInvariants(); err != nil {
+			t.Fatalf("after %s: %v", op, err)
+		}
+		if len(runnable) == 0 {
+			return
+		}
+		least := runnable[0].Start
+		for _, th := range runnable {
+			least = min(least, th.Start)
+			if *th.RunqueueHandle(runqueue.SlotPrimary) != (runqueue.Handle[*sched.Thread]{}) {
+				t.Fatalf("after %s: %v sits in a per-thread start-tag queue", op, th)
+			}
+		}
+		if s.VirtualTime() != least {
+			t.Fatalf("after %s: v = %g, least start tag %g", op, s.VirtualTime(), least)
+		}
+	}
+	add := func(th *sched.Thread) {
+		t.Helper()
+		if err := s.Add(th, 0); err != nil {
+			t.Fatal(err)
+		}
+		runnable = append(runnable, th)
+		check(fmt.Sprintf("add %v", th))
+	}
+	remove := func(th *sched.Thread) {
+		t.Helper()
+		if err := s.Remove(th, 0); err != nil {
+			t.Fatal(err)
+		}
+		runnable = slices.DeleteFunc(runnable, func(x *sched.Thread) bool { return x == th })
+		check(fmt.Sprintf("remove %v", th))
+	}
+	charge := func(th *sched.Thread, ms int) {
+		t.Helper()
+		s.Charge(th, simtime.Duration(ms)*simtime.Millisecond, 0)
+		check(fmt.Sprintf("charge %v", th))
+	}
+
+	// Empty → non-empty: v jumps from the last finish tag to the arrival's.
+	late := mkThread(1, 1)
+	late.Finish = 5
+	add(late)
+	if s.VirtualTime() != 5 {
+		t.Fatalf("v = %g after the first arrival, want its tag 5", s.VirtualTime())
+	}
+	remove(late)
+
+	heavy := mkThread(2, 100) // capped beside any crowd on 2 CPUs
+	add(heavy)
+	ones := []*sched.Thread{mkThread(3, 1), mkThread(4, 1), mkThread(5, 1)}
+	twos := []*sched.Thread{mkThread(6, 2), mkThread(7, 2)}
+	for _, th := range append(ones, twos...) {
+		add(th)
+	}
+	if heavy.Phi == heavy.Weight {
+		t.Fatal("the heavy thread is not capped; no arrival would move its class")
+	}
+	// Everyone but heavy runs ahead, so heavy alone — one thread, one class —
+	// holds the least tag while arrivals and departures change its φ.
+	for _, th := range append(ones, twos...) {
+		charge(th, 10)
+	}
+	was := heavy.Phi
+	remove(twos[1])
+	add(twos[1])
+	remove(ones[2])
+	if heavy.Phi == was {
+		t.Fatal("the departure did not change the capped φ; the hook path went untested")
+	}
+	// The head of a class with followers, then a whole class, leave; then the
+	// holder of the least tag is charged past everyone.
+	charge(ones[1], 10)
+	remove(ones[0])
+	remove(twos[0])
+	remove(twos[1])
+	charge(heavy, 400)
+	remove(heavy)
+	remove(ones[1])
+	if s.Runnable() != 0 {
+		t.Fatalf("%d runnable after every thread left", s.Runnable())
+	}
+	add(ones[1])
 }

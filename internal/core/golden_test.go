@@ -622,6 +622,32 @@ func TestGoldenTraceFixed(t *testing.T) {
 	}
 }
 
+// TestGoldenTraceFixedRebase runs the churn workloads in fixed point with a
+// rebase threshold a charge or two wide, invariants checked after every
+// operation. A rebase shifts every runnable thread's tags and the vRef epoch
+// by the minimum start tag, so differences — all a decision reads — are kept
+// and the picks must still be the never-rebasing oracle's; what it must also
+// do is rebuild every cached start key (the heaps' Validate compares them with
+// the tags) and read the minimum off a queue head that the charge has already
+// repositioned.
+func TestGoldenTraceFixedRebase(t *testing.T) {
+	for _, c := range goldenCases() {
+		if c.name != "churn-heavy" && c.name != "infeasible-churn" {
+			continue
+		}
+		t.Run(c.name, func(t *testing.T) {
+			s := core.New(c.cpus, core.WithQuantum(20*simtime.Millisecond), core.WithFixedPoint(4),
+				core.WithRebaseThreshold(1<<26)) // a 20 ms charge at φ = 3 is 2²⁶ tag units
+			w := newGoldenWorld(t, c.name, s, newOracle(c.cpus, 4, -1, phi.NewTracker(c.cpus, true)))
+			w.check = s.CheckInvariants
+			c.script(w, xrand.New(99))
+			if n := s.Stats().Rebases; n < 20 {
+				t.Fatalf("%d rebases mid-churn; the threshold is too high for the script", n)
+			}
+		})
+	}
+}
+
 // TestGoldenTraceFixedTies is the truncation hazard of the φ-class queue:
 // with φ < 1 in fixed point, start tags a unit apart truncate to the same
 // surplus, so a class's least start tag need not be its least thread under

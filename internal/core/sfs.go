@@ -1,8 +1,9 @@
 // Package core implements Surplus Fair Scheduling (SFS), the paper's primary
 // contribution (§2.3), together with the kernel implementation techniques of
-// §3: the three sorted run queues, the bounded-examination scheduling
-// heuristic, fixed-point tag arithmetic with wraparound rebasing, and the
-// weight readjustment hook invoked whenever the runnable set changes.
+// §3: the sorted run queues (the paper's three lists under the
+// bounded-examination scheduling heuristic; one heap per φ-class otherwise),
+// fixed-point tag arithmetic with wraparound rebasing, and the weight
+// readjustment hook invoked whenever the runnable set changes.
 //
 // # Algorithm
 //
@@ -32,19 +33,24 @@
 // implementation — recompute all n surpluses and re-sort after every charge —
 // costs O(n) per scheduling decision. But among threads with the same φ,
 // least surplus is least start tag for every v (the §2.3 reduction to SFQ,
-// applied per weight). So the surplus queue (classq.go) keeps one class per
-// distinct φ in the runnable set, each a min-heap of its threads on (start
-// tag, weight desc, ID) that no change of v disturbs, and over them a heap of
-// classes keyed by the class head's surplus against a reference virtual time
-// vRef (the epoch of the last refresh). Picks recover the exact minimum fresh
-// surplus from the stale class order using the bound
+// applied per weight). So exact mode (classq.go) keeps one class per distinct
+// φ in the runnable set, each a min-heap of its threads on (start tag, weight
+// desc, ID) that no change of v disturbs — the thread's only queue in the
+// kernel: it is the surplus queue and the start-tag queue at once — and over
+// the classes two heaps: one keyed by the class head's surplus against a
+// reference virtual time vRef (the epoch of the last refresh), one by the
+// class head's start tag, whose minimum is v. Picks recover the exact minimum
+// fresh surplus from the stale class order using the bound
 //
 //	α_i(v) ≥ α_i(vRef) − φ_max·(v − vRef)
 //
-// (surpluses shrink by at most φ_max per unit of virtual time). The costs:
+// (surpluses shrink by at most φ_max per unit of virtual time). The costs,
+// for n threads in C classes:
 //
-//   - Charge, O(log n): the thread moves inside its class heap; the class is
-//     re-keyed if the thread led it.
+//   - Charge, one O(log n/C) sift: the thread moves inside its class heap;
+//     if it led the class, the class is re-keyed in both class-level heaps,
+//     O(log C).
+//   - Add / Remove: the class heap and the φ source's weight heap.
 //   - Pick, O(classes admitted by the bound + p + ties): inside an admitted
 //     class only the head, the running threads and threads whose different
 //     tag rounds or truncates to the same surplus are looked at.
@@ -55,9 +61,9 @@
 // With all-distinct weights every class holds one thread and this is a
 // per-thread lazy heap with one more indirection. Decisions are bit-identical
 // to the eager implementation (TestGoldenTrace*). Heuristic mode (§3.2) keeps
-// the paper's own behaviour: a per-thread queue of stored surpluses that
-// refresh every updatePeriod decisions, and picks that examine k candidates
-// per queue.
+// the paper's own behaviour: three per-thread queues — start tags, weights,
+// and stored surpluses that refresh every updatePeriod decisions — and picks
+// that examine k candidates per queue.
 //
 // # Extensions
 //
@@ -103,18 +109,19 @@ type SFS struct {
 	p       int
 	quantum simtime.Duration
 
-	weights PhiSource                     // where φ values come from; owns queue 1, the weight queue
-	byStart *runqueue.Heap[*sched.Thread] // queue 2: min-heap on (start tag, ID)
+	weights PhiSource // where φ values come from; owns the weight queue
 
 	v          float64 // virtual time
 	lastFinish float64 // finish tag of the thread that ran last
 
-	// Exact mode, queue 3 (classq.go): one class per distinct φ in the
-	// runnable set, each a heap of its threads by start tag, and over them
-	// a heap of classes keyed by the class head's surplus against vRef, the
-	// virtual time of the last refresh; picks compensate for the drift
-	// v − vRef.
+	// Exact mode (classq.go): one class per distinct φ in the runnable set,
+	// each a heap of its threads by start tag — a thread's only kernel queue
+	// — and over them two heaps of classes: byClass, keyed by the class
+	// head's surplus against vRef, the virtual time of the last refresh
+	// (picks compensate for the drift v − vRef), and byHead, keyed by the
+	// class head's start tag, whose minimum is v.
 	byClass     *runqueue.Heap[*class]
+	byHead      *runqueue.Heap[*class]
 	classOf     map[float64]*class // φ → its class, live classes only
 	classes     []*class           // every class ever made, by slot (Thread.PhiClass − 1)
 	freeClasses []*class           // emptied classes awaiting reuse
@@ -128,12 +135,14 @@ type SFS struct {
 
 	useReadjust bool
 
-	// Heuristic mode (§3.2): queue 3 is a per-thread heap on the surplus
-	// stored at the thread's last update; examine only the first k threads
-	// of each queue; refresh stored surpluses every updatePeriod decisions.
-	// byLight is the weight queue in the order the heuristic reads it,
-	// lightest first — the one reader of an order the φ source's own weight
-	// queue no longer keeps, so only this mode pays for it.
+	// Heuristic mode (§3.2): the paper's three per-thread queues. byStart is
+	// a heap on (start tag, ID), bySurplus one on the surplus stored at the
+	// thread's last update; examine only the first k threads of each queue;
+	// refresh stored surpluses every updatePeriod decisions. byLight is the
+	// weight queue in the order the heuristic reads it, lightest first — the
+	// one reader of an order the φ source's own weight queue no longer
+	// keeps, so only this mode pays for it.
+	byStart      *runqueue.Heap[*sched.Thread]
 	bySurplus    *runqueue.Heap[*sched.Thread]
 	byLight      *runqueue.List[*sched.Thread]
 	kScratch     []*sched.Thread // first-k candidate scratch
@@ -291,7 +300,7 @@ func newKernel(p int) *SFS {
 	if p < 1 {
 		panic(fmt.Sprintf("core: invalid processor count %d", p))
 	}
-	s := &SFS{
+	return &SFS{
 		p:              p,
 		quantum:        DefaultQuantum,
 		useReadjust:    true,
@@ -300,17 +309,10 @@ func newKernel(p int) *SFS {
 		rebaseThresh:   fixedpoint.WrapThreshold,
 		affinityMargin: -1,
 	}
-	s.byStart = runqueue.NewHeap(runqueue.SlotPrimary, func(a, b *sched.Thread) bool {
-		if a.Start != b.Start {
-			return a.Start < b.Start
-		}
-		return a.ID < b.ID
-	})
-	return s
 }
 
-// setSource, called once the options are in, builds the mode's surplus queue
-// and installs the φ source and its hook. φ changes arrive thread-by-thread
+// setSource, called once the options are in, builds the mode's queues and
+// installs the φ source and its hook. φ changes arrive thread-by-thread
 // from the readjustment pass; the hook keeps the derived state (FxPhi cache,
 // class membership) of each affected thread current instead of sweeping the
 // whole set. It also fires for a weight change at an unchanged φ, and weight
@@ -318,10 +320,19 @@ func newKernel(p int) *SFS {
 // way.
 func (s *SFS) setSource(src PhiSource) {
 	if s.k > 0 {
+		s.byStart = runqueue.NewHeap(runqueue.SlotPrimary, func(a, b *sched.Thread) bool {
+			if a.Start != b.Start {
+				return a.Start < b.Start
+			}
+			return a.ID < b.ID
+		})
 		s.bySurplus = runqueue.NewHeap(runqueue.SlotSurplus, surplusHeapLess)
 		s.byLight = runqueue.NewList(runqueue.SlotWeight, func(a, b *sched.Thread) bool { return heavierOrOlder(b, a) })
 	} else {
-		s.byClass = runqueue.NewHeap(runqueue.SlotSurplus, classLess)
+		s.byClass = runqueue.NewKeyedHeap(runqueue.SlotSurplus, func(c *class) float64 { return c.key }, classLess)
+		s.byHead = runqueue.NewKeyedHeap(runqueue.SlotPrimary,
+			func(c *class) float64 { return s.startKey(c.head) },
+			func(a, b *class) bool { return s.inClassLess(a.head, b.head) })
 		s.classOf = make(map[float64]*class)
 	}
 	s.weights = src
@@ -358,7 +369,7 @@ func (s *SFS) Name() string {
 func (s *SFS) NumCPU() int { return s.p }
 
 // Runnable implements sched.Scheduler.
-func (s *SFS) Runnable() int { return s.byStart.Len() }
+func (s *SFS) Runnable() int { return s.weights.Len() }
 
 // VirtualTime returns the scheduler's current virtual time v (minimum start
 // tag over runnable threads).
@@ -380,7 +391,7 @@ type Snapshot struct {
 // Snapshot returns the current O(1) runnable-set summary.
 func (s *SFS) Snapshot() Snapshot {
 	return Snapshot{
-		Runnable:    s.byStart.Len(),
+		Runnable:    s.weights.Len(),
 		WeightSum:   s.weights.Sum(),
 		VirtualTime: s.v,
 	}
@@ -435,10 +446,39 @@ func (s *SFS) admissible(t *sched.Thread) error {
 	if !sched.ValidWeight(t.Weight) {
 		return fmt.Errorf("%w: %g", sched.ErrBadWeight, t.Weight)
 	}
-	if s.byStart.Contains(t) {
+	if s.queued(t) {
 		return fmt.Errorf("%w: %v", sched.ErrAlreadyManaged, t)
 	}
 	return nil
+}
+
+// queued reports whether t is in the runnable set.
+func (s *SFS) queued(t *sched.Thread) bool {
+	if s.k > 0 {
+		return s.byStart.Contains(t)
+	}
+	return t.PhiClass != 0
+}
+
+// each calls fn on every runnable thread, in unspecified order.
+func (s *SFS) each(fn func(*sched.Thread)) {
+	all := func(t *sched.Thread) bool { fn(t); return true }
+	if s.k > 0 {
+		s.byStart.Each(all)
+		return
+	}
+	s.byClass.Each(func(c *class) bool { c.threads.Each(all); return true })
+}
+
+// first returns a runnable thread holding the minimum start tag.
+func (s *SFS) first() (*sched.Thread, bool) {
+	if s.k > 0 {
+		return s.byStart.Min()
+	}
+	if c, ok := s.byHead.Min(); ok {
+		return c.head, true
+	}
+	return nil, false
 }
 
 // arrive applies the §2.3 arrival rule: a newly arriving thread receives
@@ -466,13 +506,13 @@ func (s *SFS) arrive(t *sched.Thread) {
 }
 
 // enqueue inserts t, tagged and already known to the φ source, into the
-// start and surplus queues. Adding a thread cannot lower v (its start tag is
-// >= v), so only φ changes require updating other threads' surpluses — and in
-// exact mode the φ hook moves each affected thread to its new class.
+// mode's queues. Adding a thread cannot lower v (its start tag is >= v), so
+// only φ changes require updating other threads' surpluses — and in exact
+// mode the φ hook moves each affected thread to its new class.
 func (s *SFS) enqueue(t *sched.Thread) {
-	s.byStart.Push(t)
-	s.recomputeV()
 	if s.k > 0 {
+		s.byStart.Push(t)
+		s.recomputeV()
 		s.storeSurplus(t)
 		s.bySurplus.Push(t)
 		s.byLight.Insert(t)
@@ -484,6 +524,7 @@ func (s *SFS) enqueue(t *sched.Thread) {
 		s.zeroTies = true
 	}
 	s.join(t)
+	s.recomputeV()
 }
 
 // Add implements sched.Scheduler: a new arrival or a wakeup.
@@ -542,11 +583,11 @@ func (s *SFS) AddBatch(ts []*sched.Thread, now simtime.Time) error {
 
 // Remove implements sched.Scheduler; called when a thread blocks or exits.
 func (s *SFS) Remove(t *sched.Thread, now simtime.Time) error {
-	if !s.byStart.Contains(t) {
+	if !s.queued(t) {
 		return fmt.Errorf("%w: %v", sched.ErrNotManaged, t)
 	}
-	s.byStart.Remove(t)
 	if s.k > 0 {
+		s.byStart.Remove(t)
 		s.bySurplus.Remove(t)
 		s.byLight.Remove(t)
 	} else {
@@ -560,7 +601,7 @@ func (s *SFS) Remove(t *sched.Thread, now simtime.Time) error {
 	if (changed || vChanged) && s.k > 0 {
 		s.refreshSurpluses()
 	}
-	if s.byStart.Len() == 0 {
+	if s.weights.Len() == 0 {
 		s.zeroTies = false
 	}
 	return nil
@@ -580,24 +621,30 @@ func (s *SFS) Charge(t *sched.Thread, ran simtime.Duration, now simtime.Time) {
 		s.fxLastFinish = t.FxFinish
 		t.Start = s.scale.Float(t.FxStart)
 		t.Finish = s.scale.Float(t.FxFinish)
-		s.lastFinish = t.Finish
-		// Restore t's heap position before a possible rebase: rebaseTags
-		// reads the minimum start tag off the heap head, and t — whose tag
-		// just grew past the threshold — is the entry most likely to be
-		// stale there.
-		if s.byStart.Contains(t) {
-			s.byStart.Fix(t)
-		}
-		if fixedpoint.NeedsRebase(t.FxFinish) || t.FxFinish > s.rebaseThresh {
-			s.rebaseTags()
-		}
 	} else {
 		t.Finish = t.Start + ran.Seconds()/t.Phi
 		t.Start = t.Finish
-		s.lastFinish = t.Finish
-		if s.byStart.Contains(t) {
-			s.byStart.Fix(t)
+	}
+	s.lastFinish = t.Finish
+	// Restore t's queue position before v is read and before a possible
+	// rebase: both take the minimum start tag off a queue head, and t —
+	// whose tag just grew — is the entry most likely to be stale there.
+	queued := s.queued(t)
+	switch {
+	case !queued: // charged after it blocked or exited mid-slice
+	case s.k > 0:
+		s.byStart.Fix(t)
+	default:
+		// Exact mode's one sift. The class moves, in both class-level heaps,
+		// only if t led it (a tag that grew cannot take the lead).
+		c := s.classes[t.PhiClass-1]
+		c.threads.Fix(t)
+		if c.head == t {
+			s.rekey(c)
 		}
+	}
+	if s.fixed && (fixedpoint.NeedsRebase(t.FxFinish) || t.FxFinish > s.rebaseThresh) {
+		s.rebaseTags()
 	}
 	vChanged := s.recomputeV()
 	if s.k > 0 {
@@ -605,23 +652,14 @@ func (s *SFS) Charge(t *sched.Thread, ran simtime.Duration, now simtime.Time) {
 		// update instead of paying it on every virtual-time change.
 		if vChanged && s.dueForUpdate() {
 			s.refreshSurpluses()
-		} else if s.byStart.Contains(t) {
+		} else if queued {
 			s.storeSurplus(t)
 			s.bySurplus.Fix(t)
 		}
 		return
 	}
-	// Exact mode: t moves inside its class, and the class moves only if t
-	// led it (a tag that grew cannot take the lead); re-key against the
-	// unchanged vRef epoch, and refresh only when pick scans report the
-	// drift has grown expensive.
-	if t.PhiClass != 0 {
-		c := s.classes[t.PhiClass-1]
-		c.threads.Fix(t)
-		if c.head == t {
-			s.rekey(c)
-		}
-	}
+	// Refresh the class keys only when pick scans report the drift has
+	// grown expensive.
 	if s.needRefresh {
 		s.refreshKeys()
 	}
@@ -650,7 +688,7 @@ func (s *SFS) SetWeight(t *sched.Thread, w float64, now simtime.Time) error {
 	if !sched.ValidWeight(w) {
 		return fmt.Errorf("%w: %g", sched.ErrBadWeight, w)
 	}
-	if !s.byStart.Contains(t) {
+	if !s.queued(t) {
 		// Not runnable right now; the new weight takes effect on Add.
 		t.Weight = w
 		t.Phi = w
@@ -807,16 +845,12 @@ func (s *SFS) pickHeuristic(cpu int) *sched.Thread {
 func (s *SFS) ExactMinSurplus() (*sched.Thread, float64) {
 	var best *sched.Thread
 	var bestSurplus float64
-	s.byStart.Each(func(t *sched.Thread) bool {
-		if t.Running() {
-			return true
-		}
+	s.each(func(t *sched.Thread) {
 		fresh := t.Phi * (t.Start - s.v)
-		if best == nil || fresh < bestSurplus {
+		if !t.Running() && (best == nil || fresh < bestSurplus) {
 			best = t
 			bestSurplus = fresh
 		}
-		return true
 	})
 	return best, bestSurplus
 }
@@ -852,7 +886,8 @@ func (s *SFS) InterimCharge(t *sched.Thread, ran simtime.Duration, now simtime.T
 // Threads returns the runnable threads in ascending start-tag order (tests
 // and metrics; the sort is paid here, off the scheduling hot path).
 func (s *SFS) Threads() []*sched.Thread {
-	out := s.byStart.Slice()
+	out := make([]*sched.Thread, 0, s.weights.Len())
+	s.each(func(t *sched.Thread) { out = append(out, t) })
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Start != out[j].Start {
 			return out[i].Start < out[j].Start
@@ -863,59 +898,50 @@ func (s *SFS) Threads() []*sched.Thread {
 }
 
 // CheckInvariants validates the paper's structural invariants; tests call it
-// after every operation in paranoia mode. The invariants: all three queues
-// agree on membership and remain sorted; v equals the minimum start tag; all
-// fresh surpluses are non-negative; at least one runnable thread has zero
-// surplus (the thread holding the minimum start tag, §2.3); and in exact
-// mode the class queue is consistent (checkClasses).
+// after every operation in paranoia mode. The invariants: the mode's queues
+// (heuristic: the three per-thread queues; exact: the φ-classes, checkClasses)
+// hold exactly the threads the φ source tracks and remain ordered; v equals
+// the minimum start tag, found by looking at every runnable thread rather
+// than at the queue head v was read from; all fresh surpluses are
+// non-negative; and at least one runnable thread has zero surplus (the thread
+// holding the minimum start tag, §2.3).
 func (s *SFS) CheckInvariants() error {
 	if err := s.weights.Validate(); err != nil {
 		return err
 	}
-	if err := s.byStart.Validate(); err != nil {
-		return err
-	}
-	if s.weights.Len() != s.byStart.Len() {
-		return fmt.Errorf("core: queue membership mismatch %d/%d", s.weights.Len(), s.byStart.Len())
-	}
+	n := s.weights.Len()
 	if s.k > 0 {
-		if err := s.bySurplus.Validate(); err != nil {
-			return err
+		for _, validate := range []func() error{s.byStart.Validate, s.bySurplus.Validate, s.byLight.Validate} {
+			if err := validate(); err != nil {
+				return err
+			}
 		}
-		if s.bySurplus.Len() != s.byStart.Len() {
-			return fmt.Errorf("core: surplus queue holds %d of %d threads", s.bySurplus.Len(), s.byStart.Len())
-		}
-		if err := s.byLight.Validate(); err != nil {
-			return err
-		}
-		if s.byLight.Len() != s.byStart.Len() {
-			return fmt.Errorf("core: lightest-first queue holds %d of %d threads", s.byLight.Len(), s.byStart.Len())
+		if s.byStart.Len() != n || s.bySurplus.Len() != n || s.byLight.Len() != n {
+			return fmt.Errorf("core: start/surplus/lightest-first queues hold %d/%d/%d of %d threads",
+				s.byStart.Len(), s.bySurplus.Len(), s.byLight.Len(), n)
 		}
 	} else if err := s.checkClasses(); err != nil {
 		return err
 	}
-	if s.byStart.Len() == 0 {
+	if n == 0 {
 		return nil
 	}
-	head, _ := s.byStart.Min()
-	if head.Start != s.v {
-		return fmt.Errorf("core: v=%g but min start tag is %g", s.v, head.Start)
-	}
+	minStart, minFx := math.Inf(1), fixedpoint.Value(math.MaxInt64)
 	zero := false
 	var err error
-	s.byStart.Each(func(t *sched.Thread) bool {
+	s.each(func(t *sched.Thread) {
+		minStart, minFx = math.Min(minStart, t.Start), min(minFx, t.FxStart)
 		fresh := t.Phi * (t.Start - s.v)
 		if fresh < 0 {
 			err = fmt.Errorf("core: negative surplus %g for %v", fresh, t)
-			return false
 		}
-		if fresh == 0 {
-			zero = true
-		}
-		return true
+		zero = zero || fresh == 0
 	})
 	if err != nil {
 		return err
+	}
+	if minStart != s.v || s.fixed && minFx != s.fxV {
+		return fmt.Errorf("core: v=%g (fixed %d) but the least start tag is %g (fixed %d)", s.v, s.fxV, minStart, minFx)
 	}
 	if !zero {
 		return fmt.Errorf("core: no thread with zero surplus (v=%g)", s.v)
@@ -928,7 +954,7 @@ func (s *SFS) CheckInvariants() error {
 // (§2.3).
 func (s *SFS) recomputeV() bool {
 	var nv float64
-	if head, ok := s.byStart.Min(); ok {
+	if head, ok := s.first(); ok {
 		nv = head.Start
 		if s.fixed {
 			s.fxV = head.FxStart
@@ -970,20 +996,25 @@ func (s *SFS) refreshSurpluses() {
 // thread; threads asleep during the rebase are caught up on their next Add.
 func (s *SFS) rebaseTags() {
 	var base fixedpoint.Value
-	if head, ok := s.byStart.Min(); ok {
+	if head, ok := s.first(); ok {
 		base = head.FxStart
 	} else {
 		// No runnable threads: the frame collapses to v = lastFinish = 0.
 		base = s.fxLastFinish
 	}
 	s.fxShift += base
-	s.byStart.Each(func(t *sched.Thread) bool {
+	s.each(func(t *sched.Thread) {
 		fixedpoint.Rebase(base, &t.FxStart, &t.FxFinish)
 		t.FxShift = s.fxShift
 		t.Start = s.scale.Float(t.FxStart)
 		t.Finish = s.scale.Float(t.FxFinish)
-		return true
 	})
+	if s.k == 0 {
+		// Every cached start key moved by base; the order did not, so Init
+		// re-reads the keys and sifts nothing.
+		s.byClass.Each(func(c *class) bool { c.threads.Init(); return true })
+		s.byHead.Init()
+	}
 	fixedpoint.Rebase(base, &s.fxV, &s.fxLastFinish, &s.fxVRef)
 	s.v = s.scale.Float(s.fxV)
 	s.lastFinish = s.scale.Float(s.fxLastFinish)

@@ -20,7 +20,6 @@
 package machine
 
 import (
-	"container/heap"
 	"fmt"
 
 	"sfsched/internal/engine"
@@ -154,29 +153,24 @@ type cpuState struct {
 	idleAt simtime.Time
 }
 
+// event is one entry of the event queue: call fn; or, with fn nil, wake the
+// blocked task wake; or, with both nil, end the quantum dispatch started on cpu
+// at epoch — the two events per dispatch and per block cost no closure.
 type event struct {
-	at  simtime.Time
-	seq uint64
-	fn  func()
+	at    simtime.Time
+	seq   uint64
+	fn    func()
+	wake  *Task
+	cpu   int
+	epoch uint64
 }
 
-type eventHeap []event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// before is the event order: time, then scheduling order.
+func (e *event) before(o *event) bool {
+	if e.at != o.at {
+		return e.at < o.at
 	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
+	return e.seq < o.seq
 }
 
 // Machine is a simulated SMP: the event-driven clock driver over the shared
@@ -194,7 +188,7 @@ type Machine struct {
 	rng     *xrand.Rand
 
 	now    simtime.Time
-	evq    eventHeap
+	evq    []event // binary min-heap on (at, seq)
 	seq    uint64
 	nextID int
 
@@ -253,12 +247,52 @@ func (m *Machine) SetHooks(h Hooks) { m.hooks = h }
 // compare it, event for event, against a runtime driving the same engine.
 func (m *Machine) SetDecisionRecorder(rec engine.Recorder) { m.eng.SetRecorder(rec) }
 
-func (m *Machine) push(at simtime.Time, fn func()) {
-	if at < m.now {
-		at = m.now
+// push schedules fn at simulated time at (clamped to now).
+func (m *Machine) push(at simtime.Time, fn func()) { m.pushEvent(event{at: at, fn: fn}) }
+
+func (m *Machine) pushEvent(e event) {
+	if e.at < m.now {
+		e.at = m.now
 	}
 	m.seq++
-	heap.Push(&m.evq, event{at: at, seq: m.seq, fn: fn})
+	e.seq = m.seq
+	q := append(m.evq, e)
+	i := len(q) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !e.before(&q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		i = parent
+	}
+	q[i] = e
+	m.evq = q
+}
+
+// popEvent removes and returns the earliest event of a non-empty queue.
+func (m *Machine) popEvent() event {
+	q := m.evq
+	top, n := q[0], len(q)-1
+	e := q[n]
+	q[n] = event{}
+	q = q[:n]
+	i := 0
+	for c := 1; c < n; c = 2*i + 1 {
+		if r := c + 1; r < n && q[r].before(&q[c]) {
+			c = r
+		}
+		if !q[c].before(&e) {
+			break
+		}
+		q[i] = q[c]
+		i = c
+	}
+	if n > 0 {
+		q[i] = e
+	}
+	m.evq = q
+	return top
 }
 
 // At schedules fn to run at simulated time t (clamped to now).
@@ -362,13 +396,17 @@ func (m *Machine) ServiceNow(k *Task) simtime.Duration {
 // It may be called repeatedly with increasing horizons.
 func (m *Machine) Run(until simtime.Time) {
 	m.schedule()
-	for m.evq.Len() > 0 {
-		if m.evq[0].at > until {
-			break
-		}
-		e := heap.Pop(&m.evq).(event)
+	for len(m.evq) > 0 && m.evq[0].at <= until {
+		e := m.popEvent()
 		m.now = e.at
-		e.fn()
+		switch {
+		case e.fn != nil:
+			e.fn()
+		case e.wake != nil:
+			m.wake(e.wake)
+		default:
+			m.cpuStop(e.cpu, e.epoch)
+		}
 	}
 	if until > m.now {
 		m.now = until
@@ -528,7 +566,7 @@ func (m *Machine) finishBurst(k *Task) {
 		if m.hooks.Unrunnable != nil {
 			m.hooks.Unrunnable(k.t, m.now)
 		}
-		m.push(m.now.Add(k.step.Sleep), func() { m.wake(k) })
+		m.pushEvent(event{at: m.now.Add(k.step.Sleep), wake: k})
 	default:
 		panic(fmt.Sprintf("machine: unknown burst action %d", k.step.Then))
 	}
@@ -595,8 +633,7 @@ func (m *Machine) dispatch(cpu int, k *Task) {
 	c.cur = k
 	c.last = k
 	c.epoch++
-	epoch := c.epoch
-	m.push(start.Add(runFor), func() { m.cpuStop(cpu, epoch) })
+	m.pushEvent(event{at: start.Add(runFor), cpu: cpu, epoch: c.epoch})
 }
 
 // settle charges all in-flight quanta up to the current time, leaving the

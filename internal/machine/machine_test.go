@@ -541,3 +541,40 @@ func TestSFSInvariantsUnderMachine(t *testing.T) {
 	})
 	m.Run(simtime.Time(10 * simtime.Second))
 }
+
+// TestRunSteadyStateAllocations pins what a dispatch costs the allocator once
+// the population is in place: nothing. The event queue is a typed heap over
+// []event (container/heap's Push(any)/Pop() any boxed every event twice), and
+// the two events the machine schedules for itself — the end of a quantum, a
+// blocked task's wakeup — are plain data instead of closures. The compute-bound
+// set exercises the first; the blocking set adds block/wake churn through the
+// scheduler's Add/Remove.
+func TestRunSteadyStateAllocations(t *testing.T) {
+	for name, blocking := range map[string]bool{"compute-bound": false, "block-wake": true} {
+		t.Run(name, func(t *testing.T) {
+			m := newSFSMachine(4, simtime.Millisecond)
+			for i := range 64 {
+				b := inf()
+				if blocking && i%2 == 1 {
+					b = BehaviorFunc(func(now simtime.Time, r *xrand.Rand) Step {
+						return Step{Burst: 3 * simtime.Millisecond, Then: ThenBlock, Sleep: 5 * simtime.Millisecond}
+					})
+				}
+				m.Spawn(SpawnConfig{Weight: float64(1 + i%7), Behavior: b})
+			}
+			until := simtime.Time(2 * simtime.Second)
+			m.Run(until) // queues, scratch slices and the class table reach their size
+			before := m.Stats().Dispatches
+			perChunk := testing.AllocsPerRun(20, func() {
+				until = until.Add(100 * simtime.Millisecond)
+				m.Run(until)
+			})
+			if n := m.Stats().Dispatches - before; n < 21*300 {
+				t.Fatalf("only %d dispatches in 21 chunks; the chunks measure nothing", n)
+			}
+			if perChunk != 0 {
+				t.Errorf("%v allocations per 100 ms chunk (≈ 400 dispatches), want 0", perChunk)
+			}
+		})
+	}
+}

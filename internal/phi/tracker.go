@@ -52,12 +52,14 @@ func NewTracker(p int, enabled bool) *Tracker {
 	return &Tracker{
 		cap:     float64(p),
 		enabled: enabled,
-		byWeight: runqueue.NewHeap(runqueue.SlotWeight, func(a, b *sched.Thread) bool {
-			if a.Weight != b.Weight {
-				return a.Weight > b.Weight
-			}
-			return a.ID < b.ID
-		}),
+		byWeight: runqueue.NewKeyedHeap(runqueue.SlotWeight,
+			func(t *sched.Thread) float64 { return -t.Weight },
+			func(a, b *sched.Thread) bool {
+				if a.Weight != b.Weight {
+					return a.Weight > b.Weight
+				}
+				return a.ID < b.ID
+			}),
 	}
 }
 

@@ -4,26 +4,54 @@ import "fmt"
 
 // Heap is a binary min-heap with intrusive element→index handles, offering
 // O(log n) insert/remove/fix and O(1) min. The surplus fair scheduler's
-// start-tag and surplus queues use it in place of the paper's sorted lists:
-// a charged thread typically jumps from the front of a queue to its middle,
-// which costs O(rank distance) to reposition in any linked list but O(log n)
-// here — the difference between the two is most of the per-decision cost on
-// deep run queues (DESIGN.md §3). So does the weight queue (internal/phi): a
-// woken thread's weight lands anywhere in the order, and Figure 2 reads only
-// the heaviest few. Bounded traversals (pruned walks over At,
-// AppendKSmallest) stand in for the list's ordered scans. Like List, the
-// heap stores its per-element position in the element's Handle for the
-// configured slot (the heap field, so a List and a Heap may share a slot).
+// φ-class queues and the weight queue (internal/phi) use it in place of the
+// paper's sorted lists: a charged thread typically jumps from the front of a
+// queue to its middle — O(rank distance) in any linked list, O(log n) here —
+// and Figure 2 reads only the heaviest few weights (DESIGN.md §3). Bounded
+// traversals (pruned walks over At, AppendKSmallest) stand in for the list's
+// ordered scans. Like List, the heap stores its per-element position in the
+// element's Handle for the configured slot (the heap field, so a List and a
+// Heap may share a slot).
+//
+// A heap position holds the element and a float64 key beside it, and the order
+// is (key, then less): a sift level compares two numbers of one contiguous
+// array and calls less — which dereferences both elements — only when they are
+// equal. The key contract of NewKeyedHeap: key is monotone in less (less(a, b)
+// implies key(a) ≤ key(b)), so the order is less's own; the heap reads key(x)
+// on Push, re-reads it on Fix(x) and, for every element, on Init, and at no
+// other time — Validate reports a key that changed without one of the two. A
+// NewHeap heap is the same heap with the constant key 0: less decides alone.
 type Heap[T Indexed[T]] struct {
 	slot Slot
+	key  func(T) float64
 	less func(a, b T) bool
-	vals []T
+	vals []entry[T]
 	kbuf []int32 // AppendKSmallest candidate-heap scratch
+}
+
+// entry is one heap position: the element and its cached key.
+type entry[T any] struct {
+	key float64
+	x   T
 }
 
 // NewHeap returns an empty heap on the given handle slot, ordered by less.
 func NewHeap[T Indexed[T]](slot Slot, less func(a, b T) bool) *Heap[T] {
-	return &Heap[T]{slot: slot, less: less}
+	return NewKeyedHeap(slot, func(T) float64 { return 0 }, less)
+}
+
+// NewKeyedHeap returns an empty heap on the given handle slot, ordered by key
+// and, between equal keys, by less. key must be monotone in less.
+func NewKeyedHeap[T Indexed[T]](slot Slot, key func(T) float64, less func(a, b T) bool) *Heap[T] {
+	return &Heap[T]{slot: slot, key: key, less: less}
+}
+
+// before is the heap's order over positions.
+func (h *Heap[T]) before(a, b entry[T]) bool {
+	if a.key != b.key {
+		return a.key < b.key
+	}
+	return h.less(a.x, b.x)
 }
 
 // Len returns the number of elements.
@@ -40,7 +68,7 @@ func (h *Heap[T]) Push(x T) {
 	if hd.heap != 0 {
 		panic("runqueue: duplicate heap push")
 	}
-	h.vals = append(h.vals, x)
+	h.vals = append(h.vals, entry[T]{h.key(x), x})
 	hd.heap = int32(len(h.vals))
 	h.up(len(h.vals) - 1)
 }
@@ -51,7 +79,7 @@ func (h *Heap[T]) Min() (T, bool) {
 		var zero T
 		return zero, false
 	}
-	return h.vals[0], true
+	return h.vals[0].x, true
 }
 
 // Remove deletes x, reporting whether it was present.
@@ -66,8 +94,7 @@ func (h *Heap[T]) Remove(x T) bool {
 	if i < last {
 		h.set(i, h.vals[last])
 	}
-	var zero T
-	h.vals[last] = zero
+	h.vals[last] = entry[T]{}
 	h.vals = h.vals[:last]
 	if i < last && !h.down(i) {
 		h.up(i)
@@ -75,13 +102,14 @@ func (h *Heap[T]) Remove(x T) bool {
 	return true
 }
 
-// Fix restores heap order after x's key changed.
+// Fix re-reads x's key and restores heap order after it changed.
 func (h *Heap[T]) Fix(x T) bool {
 	hd := x.RunqueueHandle(h.slot)
 	if hd.heap == 0 {
 		return false
 	}
 	i := int(hd.heap) - 1
+	h.vals[i].key = h.key(x)
 	if !h.down(i) {
 		h.up(i)
 	}
@@ -91,15 +119,19 @@ func (h *Heap[T]) Fix(x T) bool {
 // Each calls fn on every element in unspecified (heap storage) order until
 // fn returns false. Use it for order-independent reductions and sweeps.
 func (h *Heap[T]) Each(fn func(T) bool) {
-	for _, x := range h.vals {
-		if !fn(x) {
+	for _, e := range h.vals {
+		if !fn(e.x) {
 			return
 		}
 	}
 }
 
-// Init restores the heap invariant after many keys changed at once, in O(n).
+// Init re-reads every key and restores the heap invariant after many changed
+// at once, in O(n).
 func (h *Heap[T]) Init() {
+	for i := range h.vals {
+		h.vals[i].key = h.key(h.vals[i].x)
+	}
 	for i := len(h.vals)/2 - 1; i >= 0; i-- {
 		h.down(i)
 	}
@@ -112,7 +144,7 @@ func (h *Heap[T]) Init() {
 // during the walk: an element within the final cut has all its ancestors
 // within it too. The scheduler enumerates the candidates of a pick this way,
 // with its own position stack, in place of the list's ordered scan.
-func (h *Heap[T]) At(i int) T { return h.vals[i] }
+func (h *Heap[T]) At(i int) T { return h.vals[i].x }
 
 // AppendKSmallest appends the k smallest elements, in ascending order, to
 // dst and returns it — the §3.2 heuristic's bounded first-k examination and
@@ -125,7 +157,7 @@ func (h *Heap[T]) AppendKSmallest(dst []T, k int) []T {
 		return dst
 	}
 	cand := h.kbuf[:0]
-	candLess := func(a, b int32) bool { return h.less(h.vals[a], h.vals[b]) }
+	candLess := func(a, b int32) bool { return h.before(h.vals[a], h.vals[b]) }
 	push := func(i int32) {
 		cand = append(cand, i)
 		for j := len(cand) - 1; j > 0; {
@@ -158,7 +190,7 @@ func (h *Heap[T]) AppendKSmallest(dst []T, k int) []T {
 			cand[j], cand[m] = cand[m], cand[j]
 			j = m
 		}
-		dst = append(dst, h.vals[top])
+		dst = append(dst, h.vals[top].x)
 		k--
 		if l := 2*top + 1; int(l) < len(h.vals) {
 			push(l)
@@ -171,60 +203,61 @@ func (h *Heap[T]) AppendKSmallest(dst []T, k int) []T {
 	return dst
 }
 
-// Slice returns the elements in heap (not sorted) order; for tests.
-func (h *Heap[T]) Slice() []T { return append([]T(nil), h.vals...) }
-
-// Validate checks the heap invariant and handle agreement; tests and the
-// simulator's paranoia mode call it after every operation.
+// Validate checks the heap invariant, handle agreement and that every cached
+// key is the element's current key; tests and the simulator's paranoia mode
+// call it after every operation.
 func (h *Heap[T]) Validate() error {
-	for i, x := range h.vals {
-		if got := x.RunqueueHandle(h.slot).heap; int(got) != i+1 {
-			return fmt.Errorf("runqueue: heap handle out of sync at %d (%v)", i, x)
+	for i, e := range h.vals {
+		if got := e.x.RunqueueHandle(h.slot).heap; int(got) != i+1 {
+			return fmt.Errorf("runqueue: heap handle out of sync at %d (%v)", i, e.x)
+		}
+		if want := h.key(e.x); e.key != want {
+			return fmt.Errorf("runqueue: heap caches key %g at %d, %v now has %g (changed without Fix)", e.key, i, e.x, want)
 		}
 		if i > 0 {
-			if p := (i - 1) / 2; h.less(x, h.vals[p]) {
-				return fmt.Errorf("runqueue: heap order violated at %d (%v)", i, x)
+			if p := (i - 1) / 2; h.before(e, h.vals[p]) {
+				return fmt.Errorf("runqueue: heap order violated at %d (%v)", i, e.x)
 			}
 		}
 	}
 	return nil
 }
 
-// set stores x at position i and records the position in x's handle.
-func (h *Heap[T]) set(i int, x T) {
-	h.vals[i] = x
-	x.RunqueueHandle(h.slot).heap = int32(i + 1)
+// set stores e at position i and records the position in its element's handle.
+func (h *Heap[T]) set(i int, e entry[T]) {
+	h.vals[i] = e
+	e.x.RunqueueHandle(h.slot).heap = int32(i + 1)
 }
 
 // up and down sift the element at i by moving a hole: the elements it passes
 // shift one level each and the element itself is stored once, at the end —
 // half the handle writes of pairwise swaps, for the same final arrangement.
 func (h *Heap[T]) up(i int) {
-	x, from := h.vals[i], i
+	e, from := h.vals[i], i
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !h.less(x, h.vals[parent]) {
+		if !h.before(e, h.vals[parent]) {
 			break
 		}
 		h.set(i, h.vals[parent])
 		i = parent
 	}
 	if i != from {
-		h.set(i, x)
+		h.set(i, e)
 	}
 }
 
 func (h *Heap[T]) down(i int) bool {
-	x, from, n := h.vals[i], i, len(h.vals)
+	e, from, n := h.vals[i], i, len(h.vals)
 	for {
 		m := 2*i + 1
 		if m >= n {
 			break
 		}
-		if r := m + 1; r < n && h.less(h.vals[r], h.vals[m]) {
+		if r := m + 1; r < n && h.before(h.vals[r], h.vals[m]) {
 			m = r
 		}
-		if !h.less(h.vals[m], x) {
+		if !h.before(h.vals[m], e) {
 			break
 		}
 		h.set(i, h.vals[m])
@@ -233,6 +266,6 @@ func (h *Heap[T]) down(i int) bool {
 	if i == from {
 		return false
 	}
-	h.set(i, x)
+	h.set(i, e)
 	return true
 }

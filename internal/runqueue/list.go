@@ -8,10 +8,13 @@
 // whose readers walk them in order: the GPS-tag kernel's run queue
 // (internal/vtq: first non-running thread in tag order) and the §3.2
 // heuristic's lightest-first scan of the weight queue (internal/core). Heap
-// is the O(log n) structure every other queue uses — SFS's start-tag and
-// surplus queues and phi.Tracker's weight queue — because their readers need
-// only the head, a bounded ordered prefix (AppendKSmallest) or a pruned walk
-// (At), never an order over everything.
+// is the O(log n) structure every other queue uses — SFS's φ-class heaps, the
+// two class-level heaps over them, the heuristic's start-tag and surplus
+// queues and phi.Tracker's weight queue — because their readers need only the
+// head, a bounded ordered prefix (AppendKSmallest) or a pruned walk (At),
+// never an order over everything. A heap position carries a float64 key beside
+// the element (NewKeyedHeap): the key must be monotone in the heap's less, and
+// Fix and Init are the two calls that re-read it.
 //
 // # Intrusive handles
 //
@@ -58,10 +61,12 @@ const (
 	// SlotWeight is the weight queue: phi.Tracker's heap, heaviest first, and
 	// the heuristic's lightest-first list (one Handle serves both).
 	SlotWeight Slot = iota
-	// SlotPrimary is the policy's main queue: ascending start tags for SFS
-	// and SFQ, pass order for stride, effective virtual time for BVT.
+	// SlotPrimary is the policy's main queue: ascending start tags for SFQ
+	// and the SFS heuristic (exact-mode SFS leaves it unused), pass order
+	// for stride, effective virtual time for BVT.
 	SlotPrimary
-	// SlotSurplus is the ascending-surplus queue (SFS, hier).
+	// SlotSurplus is the ascending-surplus queue (SFS, hier): the thread's
+	// φ-class heap, or the heuristic's stored-surplus heap.
 	SlotSurplus
 	// NumSlots is the number of handles an element must reserve.
 	NumSlots

@@ -1,6 +1,8 @@
 package runqueue
 
 import (
+	"math"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -275,46 +277,96 @@ func TestHeapMatchesSort(t *testing.T) {
 	}
 }
 
-// TestHeapRandomOps mirrors the list property test for the heap backing.
+// coarseKey is a heap key that byKey is monotone in and that ties often, so
+// that the keyed heap's order is decided by the cached key on some sift levels
+// and by less on others.
+func coarseKey(it *item) float64 { return math.Floor(it.key) }
+
+// TestHeapRandomOps drives the heap — keyed and unkeyed — through random
+// Push / Remove / key change + Fix / bulk key change + Init against a sorted
+// slice: after every step Validate passes, the minimum is the oracle's, and
+// AppendKSmallest returns the oracle's prefix.
 func TestHeapRandomOps(t *testing.T) {
-	r := xrand.New(321)
-	h := NewHeap(SlotPrimary, byKey)
-	var pool []*item
-	id := 0
-	for step := 0; step < 5000; step++ {
-		switch op := r.Intn(10); {
-		case op < 5:
-			id++
-			it := &item{id: id, key: r.Float64() * 100}
-			pool = append(pool, it)
-			h.Push(it)
-		case op < 7 && len(pool) > 0:
-			i := r.Intn(len(pool))
-			h.Remove(pool[i])
-			pool = append(pool[:i], pool[i+1:]...)
-		case len(pool) > 0:
-			it := pool[r.Intn(len(pool))]
-			it.key = r.Float64() * 100
-			h.Fix(it)
-		}
-		if h.Len() != len(pool) {
-			t.Fatalf("step %d: len %d, want %d", step, h.Len(), len(pool))
-		}
-		if err := h.Validate(); err != nil {
-			t.Fatalf("step %d: %v", step, err)
-		}
-		// Min must match a linear scan.
-		if len(pool) > 0 {
-			best := pool[0]
-			for _, it := range pool[1:] {
-				if byKey(it, best) {
-					best = it
+	for name, mk := range map[string]func() *Heap[*item]{
+		"unkeyed": func() *Heap[*item] { return NewHeap(SlotPrimary, byKey) },
+		"keyed":   func() *Heap[*item] { return NewKeyedHeap(SlotPrimary, coarseKey, byKey) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			r := xrand.New(321)
+			h := mk()
+			var pool, got []*item
+			id := 0
+			for step := 0; step < 5000; step++ {
+				switch op := r.Intn(20); {
+				case op < 9:
+					id++
+					it := &item{id: id, key: r.Float64() * 8}
+					pool = append(pool, it)
+					h.Push(it)
+				case op < 13 && len(pool) > 0:
+					i := r.Intn(len(pool))
+					if !h.Remove(pool[i]) || h.Contains(pool[i]) {
+						t.Fatalf("step %d: Remove of a present element failed", step)
+					}
+					pool = append(pool[:i], pool[i+1:]...)
+				case op < 19 && len(pool) > 0:
+					it := pool[r.Intn(len(pool))]
+					it.key = r.Float64() * 8
+					h.Fix(it)
+				case len(pool) > 0: // many keys at once, one Init
+					shift := r.Float64() * 3
+					for _, it := range pool {
+						if r.Intn(2) == 0 {
+							it.key += shift
+						}
+					}
+					h.Init()
+				}
+				if h.Len() != len(pool) {
+					t.Fatalf("step %d: len %d, want %d", step, h.Len(), len(pool))
+				}
+				if err := h.Validate(); err != nil {
+					t.Fatalf("step %d: %v", step, err)
+				}
+				sort.Slice(pool, func(i, j int) bool { return byKey(pool[i], pool[j]) })
+				if m, ok := h.Min(); ok != (len(pool) > 0) || ok && m != pool[0] {
+					t.Fatalf("step %d: heap min %v, sorted min %v", step, m, pool[:min(1, len(pool))])
+				}
+				k := r.Intn(12)
+				got = h.AppendKSmallest(got[:0], k)
+				if want := pool[:min(k, len(pool))]; !slices.Equal(got, want) {
+					t.Fatalf("step %d: AppendKSmallest(%d) = %v, want %v", step, k, keysOf(got), keysOf(want))
 				}
 			}
-			if m, _ := h.Min(); m.key != best.key {
-				t.Fatalf("step %d: heap min %g, scan min %g", step, m.key, best.key)
-			}
-		}
+		})
+	}
+}
+
+// TestHeapValidateReportsStaleKey is the key contract's other half: the heap
+// re-reads a key only on Fix and Init, so one that changed without either is
+// a stale position, and Validate must say so even when the heap order over the
+// cached keys still holds.
+func TestHeapValidateReportsStaleKey(t *testing.T) {
+	h := NewKeyedHeap(SlotPrimary, coarseKey, byKey)
+	items := newItems(1, 2, 3, 4)
+	for _, it := range items {
+		h.Push(it)
+	}
+	items[3].key = 9 // a leaf that grew: still in heap order
+	if err := h.Validate(); err == nil {
+		t.Fatal("Validate accepted a key that changed without Fix")
+	}
+	h.Fix(items[3])
+	if err := h.Validate(); err != nil {
+		t.Fatalf("after Fix: %v", err)
+	}
+	items[0].key = 7 // the root moved below its children
+	h.Init()
+	if err := h.Validate(); err != nil {
+		t.Fatalf("after Init: %v", err)
+	}
+	if m, _ := h.Min(); m != items[1] {
+		t.Fatalf("Min after Init is %v, want the key-2 element", m)
 	}
 }
 
