@@ -273,3 +273,72 @@ func TestOneSiftPerCharge(t *testing.T) {
 		}
 	}
 }
+
+// TestPickAndSiftStayOffTheElement keeps two per-operation indirections from
+// coming back. A sift level of runqueue.Heap records the moved element's
+// position through the handle pointer cached in the heap position: up, down
+// and set contain no call to RunqueueHandle (a dictionary call per level — the
+// method is generic). And the simulator finds a picked thread's task by
+// Thread.ID in a slice: non-test internal/machine declares no
+// map[*sched.Thread]… (a hashed lookup per dispatch).
+func TestPickAndSiftStayOffTheElement(t *testing.T) {
+	fset := token.NewFileSet()
+	sifts := map[string]bool{"up": false, "down": false, "set": false}
+	for _, path := range driverSources(t, filepath.Join("internal", "runqueue")) {
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatalf("parse %s: %v", path, err)
+		}
+		for _, d := range f.Decls {
+			fn, ok := d.(*ast.FuncDecl)
+			if !ok || fn.Recv == nil || fn.Body == nil {
+				continue
+			}
+			recv := fn.Recv.List[0].Type
+			if star, ok := recv.(*ast.StarExpr); ok {
+				recv = star.X
+			}
+			if ix, ok := recv.(*ast.IndexExpr); ok {
+				recv = ix.X
+			}
+			if id, ok := recv.(*ast.Ident); !ok || id.Name != "Heap" {
+				continue
+			}
+			if _, sift := sifts[fn.Name.Name]; !sift {
+				continue
+			}
+			sifts[fn.Name.Name] = true
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "RunqueueHandle" {
+					t.Errorf("%s: Heap.%s calls RunqueueHandle: a sift level goes through the element again",
+						fset.Position(sel.Pos()), fn.Name.Name)
+				}
+				return true
+			})
+		}
+	}
+	for name, seen := range sifts {
+		if !seen {
+			t.Errorf("runqueue.Heap has no method %s; update the guard", name)
+		}
+	}
+	for _, path := range driverSources(t, filepath.Join("internal", "machine")) {
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatalf("parse %s: %v", path, err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			m, ok := n.(*ast.MapType)
+			if !ok {
+				return true
+			}
+			if star, ok := m.Key.(*ast.StarExpr); ok {
+				if sel, ok := star.X.(*ast.SelectorExpr); ok && sel.Sel.Name == "Thread" {
+					t.Errorf("%s: a map keyed by *sched.Thread: the task of a picked thread is a hashed lookup per dispatch again",
+						fset.Position(m.Pos()))
+				}
+			}
+			return true
+		})
+	}
+}

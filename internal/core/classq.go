@@ -24,13 +24,16 @@ import (
 // phi, in a min-heap on (start tag, weight desc, ID). In byClass it is keyed
 // by its head's stored surplus, then by the head's weight (descending) and ID,
 // mirroring the thread-level tie-break; in byHead by its head's start tag.
+// What a pick needs to turn a class down — φ, the head's tag, the key — sits
+// here, so a losing class costs the class struct and not its heap or its head.
 type class struct {
-	phi     float64
-	threads *runqueue.Heap[*sched.Thread]
-	head    *sched.Thread // threads' minimum
-	key     float64       // head's surplus against the vRef epoch
-	slot    int32         // index in SFS.classes; Thread.PhiClass holds slot+1
-	rq, hq  runqueue.Handle[*class]
+	phi       float64
+	threads   *runqueue.Heap[*sched.Thread]
+	head      *sched.Thread // threads' minimum
+	headStart float64       // head's start key, threads.KeyAt(0)
+	key       float64       // head's surplus against the vRef epoch
+	slot      int32         // index in SFS.classes; Thread.PhiClass holds slot+1
+	rq, hq    runqueue.Handle[*class]
 }
 
 // RunqueueHandle implements runqueue.Indexed; a class sits in byClass
@@ -145,7 +148,7 @@ func (s *SFS) leave(t *sched.Thread) {
 // rekey restores c's position in the two class-level heaps after its head
 // changed (another thread, or the same thread with another tag).
 func (s *SFS) rekey(c *class) {
-	c.head, _ = c.threads.Min()
+	c.head, c.headStart = c.threads.At(0), c.threads.KeyAt(0)
 	c.key = s.keyOf(c)
 	if !s.byClass.Fix(c) {
 		s.byClass.Push(c)
@@ -159,17 +162,41 @@ func (s *SFS) rekey(c *class) {
 // for a refresh.
 const scanBase = 8
 
+// freeScan is the number of classes a pick over C of them may visit without
+// asking for a refresh: it grows with √C so that the refresh cost and the
+// worst-case pick scan balance.
+func freeScan(classes int) int { return scanBase + int(math.Sqrt(float64(classes))) }
+
+// keySurplus returns, in float arithmetic, the surplus against ref of the
+// thread of c whose cached start key is key — bit for bit surplusAt of that
+// thread (checkClasses: t.Phi == c.phi; Heap.Validate: key == t.Start), without
+// touching it. Fixed point needs the thread's integer tags.
+func keySurplus(c *class, key, ref float64) float64 { return c.phi * (key - ref) }
+
 // keyOf returns c's head's surplus against the vRef epoch.
-func (s *SFS) keyOf(c *class) float64 { return s.surplusAt(c.head, s.vRef, s.fxVRef) }
+func (s *SFS) keyOf(c *class) float64 {
+	if s.fixed {
+		return s.surplusAt(c.head, s.vRef, s.fxVRef)
+	}
+	return keySurplus(c, c.headStart, s.vRef)
+}
+
+// refreshIsCheap reports whether the keys have drifted while there are no more
+// classes than any pick may visit: no pick could ever ask for the refresh, and
+// re-keying them costs less than the walk over all of them that every pick
+// under drift is. Charge, Remove and enqueue — where v moves — refresh on it;
+// with more classes the keys stay lazy until a pick reports the drift expensive.
+func (s *SFS) refreshIsCheap() bool {
+	return !s.noDrift() && s.byClass.Len() <= freeScan(s.byClass.Len())
+}
 
 // refreshKeys snaps vRef to the current virtual time and re-keys every class
-// — C heads, not n threads. The scan limit that asks for the next refresh
-// grows with √C so that the refresh cost and the worst-case pick scan balance.
+// — C heads, not n threads.
 func (s *SFS) refreshKeys() {
 	s.vRef, s.fxVRef = s.v, s.fxV
 	s.needRefresh = false
 	n := s.byClass.Len()
-	s.scanLimit = scanBase + int(math.Sqrt(float64(n)))
+	s.scanLimit = freeScan(n)
 	for i := 0; i < n; i++ {
 		c := s.byClass.At(i)
 		c.key = s.keyOf(c)
@@ -247,15 +274,22 @@ func (s *SFS) pickExact(cpu int) *sched.Thread {
 			continue
 		}
 		scanned++
-		threads = append(threads[:0], 0)
+		threads = threads[:0]
+		if s.fixed || keySurplus(c, c.headStart, s.v) <= reach {
+			threads = append(threads, 0)
+		}
 		for len(threads) > 0 {
 			j := int(threads[len(threads)-1])
 			threads = threads[:len(threads)-1]
-			t := c.threads.At(j)
-			fresh := s.freshSurplus(t)
+			// Judged on the heap's own array before the thread is touched.
+			fresh := keySurplus(c, c.threads.KeyAt(j), s.v)
+			if s.fixed {
+				fresh = s.freshSurplus(c.threads.At(j))
+			}
 			if fresh > reach {
 				continue
 			}
+			t := c.threads.At(j)
 			if !t.Running() {
 				if betterPick(fresh, t, bestS, best) {
 					best, bestS = t, fresh
@@ -327,10 +361,10 @@ func (s *SFS) checkClasses() error {
 		if s.classOf[c.phi] != c {
 			return fmt.Errorf("core: class φ=%g is not the one indexed under its φ", c.phi)
 		}
-		if h, _ := c.threads.Min(); h != c.head {
-			return fmt.Errorf("core: class φ=%g caches head %v, heap head is %v", c.phi, c.head, h)
+		if h, k := c.threads.At(0), c.threads.KeyAt(0); h != c.head || k != c.headStart {
+			return fmt.Errorf("core: class φ=%g caches head %v at %g, heap head is %v at %g", c.phi, c.head, c.headStart, h, k)
 		}
-		if want := s.keyOf(c); c.key != want {
+		if want := s.surplusAt(c.head, s.vRef, s.fxVRef); c.key != want {
 			return fmt.Errorf("core: class φ=%g keyed %g, head %v stores %g against vRef=%g",
 				c.phi, c.key, c.head, want, s.vRef)
 		}

@@ -8,6 +8,7 @@ import (
 	"sfsched/internal/runqueue"
 	"sfsched/internal/sched"
 	"sfsched/internal/simtime"
+	"sfsched/internal/xrand"
 )
 
 // TestClassQueueSteadyState drives block/wake/charge/pick cycles next to a
@@ -100,6 +101,11 @@ func TestVirtualTimeIsTheLeastClassHead(t *testing.T) {
 		if err := s.CheckInvariants(); err != nil {
 			t.Fatalf("after %s: %v", op, err)
 		}
+		// Never more than three classes here: the keys are refreshed wherever
+		// v moved, the jump at an arrival into the empty set included.
+		if !s.noDrift() {
+			t.Fatalf("after %s: %d classes and the keys drift: vRef = %g, v = %g", op, s.byClass.Len(), s.vRef, s.v)
+		}
 		if len(runnable) == 0 {
 			return
 		}
@@ -180,4 +186,55 @@ func TestVirtualTimeIsTheLeastClassHead(t *testing.T) {
 		t.Fatalf("%d runnable after every thread left", s.Runnable())
 	}
 	add(ones[1])
+}
+
+// TestLazyRegimeIsIntact: with all weights distinct there are as many classes
+// as threads (C = n = 128, far past a pick's free scan), and there a refresh
+// must stay what it was — asked for by a pick whose scan ran long, never done
+// because v moved: an O(C) re-key per charge is the cost the lazy keys exist
+// to avoid. v moves on two charges in three; one in twenty is followed by a
+// sweep (995 of 20 000, before and after the eager regime existed).
+func TestLazyRegimeIsIntact(t *testing.T) {
+	const cpus, n, charges = 4, 128, 20000
+	s := New(cpus, WithQuantum(10*simtime.Millisecond))
+	r := xrand.New(7)
+	for i := 0; i < n; i++ {
+		if err := s.Add(mkThread(i+1, 1+float64(i)/16+r.Float64()/32), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s.byClass.Len() != n {
+		t.Fatalf("%d classes for %d distinct weights", s.byClass.Len(), n)
+	}
+	var now simtime.Time
+	running := make([]*sched.Thread, cpus)
+	for cpu := range running {
+		running[cpu] = s.Pick(cpu, now)
+		running[cpu].CPU = cpu
+	}
+	vMoves := 0
+	for i := 0; i < charges; i++ {
+		cpu := i % cpus
+		th, q := running[cpu], simtime.Duration(1+r.Intn(10))*simtime.Millisecond
+		now = now.Add(q)
+		th.CPU, th.LastCPU = sched.NoCPU, cpu
+		v := s.v
+		s.Charge(th, q, now)
+		if s.v != v {
+			vMoves++
+		}
+		th = s.Pick(cpu, now)
+		th.CPU, running[cpu] = cpu, th
+	}
+	if err := s.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	sweeps := s.Stats().SurplusSweeps
+	t.Logf("%d charges, v moved on %d, %d sweeps", charges, vMoves, sweeps)
+	if vMoves < charges/4 {
+		t.Fatalf("v moved on %d of %d charges; the world does not tempt an eager refresh", vMoves, charges)
+	}
+	if sweeps == 0 || sweeps > charges/10 {
+		t.Fatalf("%d sweeps over %d charges, want a small fraction of them (and not none: picks do ask)", sweeps, charges)
+	}
 }

@@ -648,6 +648,58 @@ func TestGoldenTraceFixedRebase(t *testing.T) {
 	}
 }
 
+// TestGoldenTraceKeyRegimes replays every golden world in both arithmetics
+// with the class keys' two regimes checked after every operation. While the
+// classes number no more than a pick may always visit (WithinFreeScan), the
+// keys are refreshed wherever v moves: vRef is v after every operation, so
+// every pick there runs on fresh keys — and is the oracle's. Drift may exist
+// only if it arose while there were more classes than that (the lazy regime,
+// where a refresh waits for a pick to ask). In float arithmetic every heap
+// position's cached key must also yield its thread's fresh surplus to the bit
+// (CheckKeyJudgement): picks turn positions down on it, thread unseen.
+func TestGoldenTraceKeyRegimes(t *testing.T) {
+	// The worlds whose weights keep them within the free scan throughout.
+	eager := map[string]bool{"uniprocessor": true, "smp4-deep-queue": true, "infeasible-churn": true,
+		"crowd-three-weights": true, "smp4-affinity": true}
+	for _, c := range goldenCases() {
+		for _, digits := range []int{0, 4} {
+			t.Run(fmt.Sprintf("%s/digits=%d", c.name, digits), func(t *testing.T) {
+				opts := []core.Option{core.WithQuantum(20 * simtime.Millisecond)}
+				if digits > 0 {
+					opts = append(opts, core.WithFixedPoint(digits))
+				}
+				if c.margin >= 0 {
+					opts = append(opts, core.WithAffinity(c.margin))
+				}
+				s := core.New(c.cpus, opts...)
+				w := newGoldenWorld(t, c.name, s, newOracle(c.cpus, digits, c.margin, phi.NewTracker(c.cpus, true)))
+				lazy, everLazy := false, false
+				w.check = func() error {
+					switch {
+					case !s.WithinFreeScan():
+						lazy, everLazy = true, true
+					case s.KeysFresh():
+						lazy = false
+					case !lazy:
+						return fmt.Errorf("the classes are within a pick's free scan and the keys have drifted")
+					}
+					if digits == 0 {
+						return s.CheckKeyJudgement()
+					}
+					return nil
+				}
+				c.script(w, xrand.New(uint64(17+len(c.name))))
+				if everLazy == eager[c.name] {
+					t.Fatalf("left the free scan: %v, expected %v; the world no longer tests its regime", everLazy, !eager[c.name])
+				}
+				if eager[c.name] && s.Stats().SurplusSweeps == 0 {
+					t.Fatal("no refresh in a world whose virtual time moves")
+				}
+			})
+		}
+	}
+}
+
 // TestGoldenTraceFixedTies is the truncation hazard of the φ-class queue:
 // with φ < 1 in fixed point, start tags a unit apart truncate to the same
 // surplus, so a class's least start tag need not be its least thread under

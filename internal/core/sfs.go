@@ -54,9 +54,11 @@
 //   - Pick, O(classes admitted by the bound + p + ties): inside an admitted
 //     class only the head, the running threads and threads whose different
 //     tag rounds or truncates to the same surplus are looked at.
-//   - Refresh, O(C) for C classes, when a pick under drift visits more than
-//     8+√C of them. With a handful of weights that never happens: every pick
-//     looks at every class head and nothing is ever swept.
+//   - Refresh, O(C) for C classes. While C ≤ 8+√C (C ≤ 11) no pick under
+//     drift could visit more classes than it may, and re-keying them costs
+//     less than the walk over all of them it would be instead: the keys are
+//     refreshed wherever v moves, and a pick reads the first admitted class.
+//     Beyond that, when a pick under drift visits more than 8+√C classes.
 //
 // With all-distinct weights every class holds one thread and this is a
 // per-thread lazy heap with one more indirection. Decisions are bit-identical
@@ -96,7 +98,7 @@ const DefaultQuantum = 200 * simtime.Millisecond
 type Stats struct {
 	Decisions     int64 // Pick calls that returned a thread
 	Readjustments int64 // weight readjustment passes that changed some φ
-	SurplusSweeps int64 // surplus queue refreshes: every class re-keyed (exact), every thread re-stored (heuristic)
+	SurplusSweeps int64 // surplus queue refreshes: every class re-keyed (exact: per v change at C ≤ 11 classes, else per over-long pick scan), every thread re-stored (heuristic)
 	Rebases       int64 // fixed-point tag wraparound rebases
 	HeuristicHits int64 // heuristic picks (WithHeuristic only)
 	Migrations    int64 // picks where the thread last ran on a different CPU
@@ -331,7 +333,7 @@ func (s *SFS) setSource(src PhiSource) {
 	} else {
 		s.byClass = runqueue.NewKeyedHeap(runqueue.SlotSurplus, func(c *class) float64 { return c.key }, classLess)
 		s.byHead = runqueue.NewKeyedHeap(runqueue.SlotPrimary,
-			func(c *class) float64 { return s.startKey(c.head) },
+			func(c *class) float64 { return c.headStart },
 			func(a, b *class) bool { return s.inClassLess(a.head, b.head) })
 		s.classOf = make(map[float64]*class)
 	}
@@ -525,6 +527,9 @@ func (s *SFS) enqueue(t *sched.Thread) {
 	}
 	s.join(t)
 	s.recomputeV()
+	if s.refreshIsCheap() {
+		s.refreshKeys()
+	}
 }
 
 // Add implements sched.Scheduler: a new arrival or a wakeup.
@@ -596,10 +601,12 @@ func (s *SFS) Remove(t *sched.Thread, now simtime.Time) error {
 	changed := s.weights.Remove(t)
 	vChanged := s.recomputeV()
 	// Class keys are relative to vRef, not v, so a v change alone
-	// invalidates nothing in exact mode; φ changes were handled by the
-	// hook.
-	if (changed || vChanged) && s.k > 0 {
+	// invalidates nothing in exact mode (a handful of classes is re-keyed
+	// all the same); φ changes were handled by the hook.
+	if s.k > 0 && (changed || vChanged) {
 		s.refreshSurpluses()
+	} else if s.k == 0 && s.refreshIsCheap() {
+		s.refreshKeys()
 	}
 	if s.weights.Len() == 0 {
 		s.zeroTies = false
@@ -658,9 +665,9 @@ func (s *SFS) Charge(t *sched.Thread, ran simtime.Duration, now simtime.Time) {
 		}
 		return
 	}
-	// Refresh the class keys only when pick scans report the drift has
-	// grown expensive.
-	if s.needRefresh {
+	// Refresh the class keys when pick scans report the drift has grown
+	// expensive, or at once while that costs less than such a scan.
+	if s.needRefresh || s.refreshIsCheap() {
 		s.refreshKeys()
 	}
 }
@@ -1012,7 +1019,7 @@ func (s *SFS) rebaseTags() {
 	if s.k == 0 {
 		// Every cached start key moved by base; the order did not, so Init
 		// re-reads the keys and sifts nothing.
-		s.byClass.Each(func(c *class) bool { c.threads.Init(); return true })
+		s.byClass.Each(func(c *class) bool { c.threads.Init(); c.headStart = c.threads.KeyAt(0); return true })
 		s.byHead.Init()
 	}
 	fixedpoint.Rebase(base, &s.fxV, &s.fxLastFinish, &s.fxVRef)

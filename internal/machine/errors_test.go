@@ -89,17 +89,53 @@ func TestPanicWrapsThreadRunning(t *testing.T) {
 }
 
 func TestPanicWrapsUnknownThread(t *testing.T) {
-	// Pick fabricates a thread the machine never admitted.
-	ghost := &sched.Thread{ID: 999, Weight: 1, Phi: 1,
-		CPU: sched.NoCPU, LastCPU: sched.NoCPU, State: sched.Runnable}
-	sch := &rogueSched{cpus: 1, slice: 10 * simtime.Millisecond}
-	sch.pick = func([]*sched.Thread) *sched.Thread { return ghost }
-	err := runRogue(t, sch)
-	if !errors.Is(err, engine.ErrUnknownThread) {
-		t.Fatalf("got %v, want wrapped engine.ErrUnknownThread", err)
+	// Pick fabricates a thread the machine never admitted. The task table is
+	// indexed by thread ID, so the fabrication is tried past the table, below
+	// it, and under the spawned task's own ID (another thread, the same slot).
+	for _, id := range []int{999, 0, -1, 1} {
+		ghost := &sched.Thread{ID: id, Weight: 1, Phi: 1,
+			CPU: sched.NoCPU, LastCPU: sched.NoCPU, State: sched.Runnable}
+		sch := &rogueSched{cpus: 1, slice: 10 * simtime.Millisecond}
+		sch.pick = func([]*sched.Thread) *sched.Thread { return ghost }
+		err := runRogue(t, sch)
+		if !errors.Is(err, engine.ErrUnknownThread) {
+			t.Fatalf("ghost ID %d: got %v, want wrapped engine.ErrUnknownThread", id, err)
+		}
+		if !strings.HasPrefix(err.Error(), "machine: ") {
+			t.Fatalf("ghost ID %d: panic not attributed to the driver: %q", id, err)
+		}
 	}
-	if !strings.HasPrefix(err.Error(), "machine: ") {
-		t.Fatalf("panic not attributed to the driver: %q", err)
+}
+
+// TestPanicWrapsExitedThread: an exit (and a Kill) clears the thread's slot in
+// the task table, so a policy that hands an exited thread back is told it is
+// unknown rather than dispatched again.
+func TestPanicWrapsExitedThread(t *testing.T) {
+	for _, kill := range []bool{false, true} {
+		sch := &rogueSched{cpus: 1, slice: 10 * simtime.Millisecond}
+		sch.pick = func(added []*sched.Thread) *sched.Thread {
+			if len(added) == 0 || added[0].Running() {
+				return nil
+			}
+			return added[0]
+		}
+		m := New(Config{CPUs: 1, Scheduler: sch, DisableWakePreemption: true})
+		step := Step{Burst: simtime.Millisecond, Then: ThenExit}
+		if kill {
+			step = Step{Burst: simtime.Infinity}
+		}
+		k := m.Spawn(SpawnConfig{Weight: 1, Behavior: BehaviorFunc(func(simtime.Time, *xrand.Rand) Step { return step })})
+		if kill {
+			m.At(simtime.Time(simtime.Millisecond), func(simtime.Time) { m.Kill(k) })
+		}
+		var recovered any
+		func() {
+			defer func() { recovered = recover() }()
+			m.Run(simtime.Time(simtime.Second))
+		}()
+		if err, _ := recovered.(error); !errors.Is(err, engine.ErrUnknownThread) {
+			t.Fatalf("kill=%v: got %v, want wrapped engine.ErrUnknownThread", kill, recovered)
+		}
 	}
 }
 

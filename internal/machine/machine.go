@@ -192,7 +192,7 @@ type Machine struct {
 	seq    uint64
 	nextID int
 
-	tasks map[*sched.Thread]*Task
+	tasks []*Task // by Thread.ID (dense from 1; slot 0 unused); nil once exited
 	hooks Hooks
 	stats Stats
 
@@ -221,7 +221,7 @@ func New(cfg Config) *Machine {
 		ctxCost: cfg.ContextSwitchCost,
 		preempt: !cfg.DisableWakePreemption,
 		rng:     xrand.New(cfg.Seed),
-		tasks:   make(map[*sched.Thread]*Task),
+		tasks:   make([]*Task, 1),
 		victims: make([]*sched.Thread, 0, cfg.CPUs),
 	}
 	return m
@@ -339,7 +339,7 @@ func (m *Machine) Spawn(cfg SpawnConfig) *Task {
 		onExit:     cfg.OnExit,
 		onBurstEnd: cfg.OnBurstEnd,
 	}
-	m.tasks[t] = k
+	m.tasks = append(m.tasks, k)
 	m.push(cfg.At, func() { m.arrive(k) })
 	return k
 }
@@ -373,7 +373,7 @@ func (m *Machine) Kill(k *Task) {
 		k.t.State = sched.Exited
 	}
 	k.exited = true
-	delete(m.tasks, k.t)
+	m.tasks[k.t.ID] = nil
 	if k.onExit != nil {
 		k.onExit(m.now)
 	}
@@ -555,7 +555,7 @@ func (m *Machine) finishBurst(k *Task) {
 			m.hooks.Unrunnable(k.t, m.now)
 		}
 		k.exited = true
-		delete(m.tasks, k.t)
+		m.tasks[k.t.ID] = nil
 		if k.onExit != nil {
 			k.onExit(m.now)
 		}
@@ -605,8 +605,11 @@ func (m *Machine) schedule() {
 		if t == nil {
 			continue
 		}
-		k, ok := m.tasks[t]
-		if !ok {
+		var k *Task
+		if uint(t.ID) < uint(len(m.tasks)) {
+			k = m.tasks[t.ID]
+		}
+		if k == nil || k.t != t {
 			panic(fmt.Errorf("machine: %w: %v", engine.ErrUnknownThread, t))
 		}
 		m.dispatch(i, k)

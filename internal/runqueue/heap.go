@@ -13,14 +13,20 @@ import "fmt"
 // element's Handle for the configured slot (the heap field, so a List and a
 // Heap may share a slot).
 //
-// A heap position holds the element and a float64 key beside it, and the order
-// is (key, then less): a sift level compares two numbers of one contiguous
-// array and calls less — which dereferences both elements — only when they are
-// equal. The key contract of NewKeyedHeap: key is monotone in less (less(a, b)
-// implies key(a) ≤ key(b)), so the order is less's own; the heap reads key(x)
-// on Push, re-reads it on Fix(x) and, for every element, on Init, and at no
-// other time — Validate reports a key that changed without one of the two. A
-// NewHeap heap is the same heap with the constant key 0: less decides alone.
+// A heap position is 24 bytes for a pointer element: a float64 key, the element
+// and the element's Handle for the heap's slot. The order is (key, then less):
+// a sift level compares two numbers of one contiguous array, calls less — which
+// dereferences both elements — only when they are equal, and records a moved
+// element's position through the handle pointer beside it, never through the
+// element; a caller's walk may judge position i by KeyAt(i) before it touches
+// At(i). The handle contract: Push reads x.RunqueueHandle(slot) once, and until
+// x is removed that call must keep returning the same pointer — Validate
+// reports a position whose pointer is not its element's. The key contract of
+// NewKeyedHeap: key is monotone in less (less(a, b) implies key(a) ≤ key(b)),
+// so the order is less's own; the heap reads key(x) on Push, re-reads it on
+// Fix(x) and, for every element, on Init, and at no other time — Validate
+// reports a key that changed without one of the two. A NewHeap heap is the same
+// heap with the constant key 0: less decides alone.
 type Heap[T Indexed[T]] struct {
 	slot Slot
 	key  func(T) float64
@@ -29,10 +35,11 @@ type Heap[T Indexed[T]] struct {
 	kbuf []int32 // AppendKSmallest candidate-heap scratch
 }
 
-// entry is one heap position: the element and its cached key.
+// entry is one heap position: the element, its cached key and its handle.
 type entry[T any] struct {
 	key float64
 	x   T
+	hd  *Handle[T]
 }
 
 // NewHeap returns an empty heap on the given handle slot, ordered by less.
@@ -68,7 +75,7 @@ func (h *Heap[T]) Push(x T) {
 	if hd.heap != 0 {
 		panic("runqueue: duplicate heap push")
 	}
-	h.vals = append(h.vals, entry[T]{h.key(x), x})
+	h.vals = append(h.vals, entry[T]{h.key(x), x, hd})
 	hd.heap = int32(len(h.vals))
 	h.up(len(h.vals) - 1)
 }
@@ -146,6 +153,10 @@ func (h *Heap[T]) Init() {
 // with its own position stack, in place of the list's ordered scan.
 func (h *Heap[T]) At(i int) T { return h.vals[i].x }
 
+// KeyAt returns the cached key of position i without touching the element, so
+// a walk whose cut is a function of the key prunes on the heap's own array.
+func (h *Heap[T]) KeyAt(i int) float64 { return h.vals[i].key }
+
 // AppendKSmallest appends the k smallest elements, in ascending order, to
 // dst and returns it — the §3.2 heuristic's bounded first-k examination and
 // the readjustment's heaviest-p prefix.
@@ -203,12 +214,16 @@ func (h *Heap[T]) AppendKSmallest(dst []T, k int) []T {
 	return dst
 }
 
-// Validate checks the heap invariant, handle agreement and that every cached
-// key is the element's current key; tests and the simulator's paranoia mode
-// call it after every operation.
+// Validate checks the heap invariant, handle agreement (each cached handle is
+// its element's own and holds the position) and that every cached key is the
+// element's current key; tests and paranoia mode call it after every operation.
 func (h *Heap[T]) Validate() error {
 	for i, e := range h.vals {
-		if got := e.x.RunqueueHandle(h.slot).heap; int(got) != i+1 {
+		hd := e.x.RunqueueHandle(h.slot)
+		if e.hd != hd {
+			return fmt.Errorf("runqueue: heap caches a foreign handle at %d (%v)", i, e.x)
+		}
+		if int(hd.heap) != i+1 {
 			return fmt.Errorf("runqueue: heap handle out of sync at %d (%v)", i, e.x)
 		}
 		if want := h.key(e.x); e.key != want {
@@ -226,7 +241,7 @@ func (h *Heap[T]) Validate() error {
 // set stores e at position i and records the position in its element's handle.
 func (h *Heap[T]) set(i int, e entry[T]) {
 	h.vals[i] = e
-	e.x.RunqueueHandle(h.slot).heap = int32(i + 1)
+	e.hd.heap = int32(i + 1)
 }
 
 // up and down sift the element at i by moving a hole: the elements it passes

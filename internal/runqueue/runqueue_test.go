@@ -4,6 +4,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -367,6 +368,45 @@ func TestHeapValidateReportsStaleKey(t *testing.T) {
 	}
 	if m, _ := h.Min(); m != items[1] {
 		t.Fatalf("Min after Init is %v, want the key-2 element", m)
+	}
+}
+
+// shifty is an element that can break the handle contract: its handle lives
+// outside it and can be swapped while the element is queued.
+type shifty struct {
+	key float64
+	hd  *Handle[*shifty]
+}
+
+func (s *shifty) RunqueueHandle(Slot) *Handle[*shifty] { return s.hd }
+
+// TestHeapValidateReportsForeignHandle is the handle contract's other half: a
+// position caches the pointer RunqueueHandle returned at Push and every sift
+// writes through it, so an element that starts answering with another Handle —
+// even one holding the right position — has left the heap writing to a handle
+// nobody reads, and Validate must say so before a sift makes the two disagree.
+func TestHeapValidateReportsForeignHandle(t *testing.T) {
+	h := NewKeyedHeap(SlotPrimary, func(s *shifty) float64 { return s.key },
+		func(a, b *shifty) bool { return a.key < b.key })
+	var items []*shifty
+	for _, k := range []float64{1, 2, 3, 4} {
+		it := &shifty{key: k, hd: new(Handle[*shifty])}
+		items = append(items, it)
+		h.Push(it)
+	}
+	if err := h.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	own := items[2].hd
+	copied := *own
+	items[2].hd = &copied // same position, another Handle
+	err := h.Validate()
+	if err == nil || !strings.Contains(err.Error(), "foreign handle") {
+		t.Fatalf("Validate on a swapped handle: %v, want a foreign-handle report", err)
+	}
+	items[2].hd = own
+	if err := h.Validate(); err != nil {
+		t.Fatalf("after the element's own handle is back: %v", err)
 	}
 }
 
