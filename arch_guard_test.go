@@ -342,3 +342,98 @@ func TestPickAndSiftStayOffTheElement(t *testing.T) {
 		})
 	}
 }
+
+// TestTaskPathStaysOnItsShard guards what makes a flood task cheap on an SMP:
+// the concurrent per-task path of internal/rt writes no word that belongs to
+// the whole Runtime, so two shards' workers never trade a cache line per task.
+// reserve, submit, pop, completeLocked, drainLocked and dispatchLocked may not
+// call Add, Store or CompareAndSwap on a field selected from a *Runtime (r, or
+// any x.r, by the package's naming), and completeLocked may signal a tenant's
+// notFull only inside an if that tests waiters — the cold sync.Cond is not
+// touched when nobody waits. The per-shard counters the path does write are
+// held apart by internal/rt's TestTaskCounterLayout.
+func TestTaskPathStaysOnItsShard(t *testing.T) {
+	fset := token.NewFileSet()
+	path := map[string]bool{"reserve": false, "submit": false, "pop": false,
+		"completeLocked": false, "drainLocked": false, "dispatchLocked": false}
+	writes := map[string]bool{"Add": true, "Store": true, "CompareAndSwap": true}
+	isRuntime := func(e ast.Expr) bool {
+		switch x := e.(type) {
+		case *ast.Ident:
+			return x.Name == "r"
+		case *ast.SelectorExpr:
+			return x.Sel.Name == "r"
+		}
+		return false
+	}
+	mentions := func(n ast.Node, field string) (found bool) {
+		ast.Inspect(n, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == field {
+				found = true
+			}
+			return !found
+		})
+		return found
+	}
+	signals := 0
+	for _, file := range driverSources(t, filepath.Join("internal", "rt")) {
+		f, err := parser.ParseFile(fset, file, nil, 0)
+		if err != nil {
+			t.Fatalf("parse %s: %v", file, err)
+		}
+		for _, d := range f.Decls {
+			fn, ok := d.(*ast.FuncDecl)
+			if !ok || fn.Recv == nil || fn.Body == nil {
+				continue
+			}
+			name := fn.Name.Name
+			if _, on := path[name]; !on {
+				continue
+			}
+			path[name] = true
+			// The calls that sit under an if testing waiters.
+			guarded := map[*ast.CallExpr]bool{}
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				if st, ok := n.(*ast.IfStmt); ok && mentions(st.Cond, "waiters") {
+					ast.Inspect(st.Body, func(n ast.Node) bool {
+						if call, ok := n.(*ast.CallExpr); ok {
+							guarded[call] = true
+						}
+						return true
+					})
+				}
+				return true
+			})
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				sel, ok := call.Fun.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				if field, ok := sel.X.(*ast.SelectorExpr); ok && writes[sel.Sel.Name] && isRuntime(field.X) {
+					t.Errorf("%s: %s writes Runtime.%s per task: every shard's worker takes that cache line",
+						fset.Position(call.Pos()), name, field.Sel.Name)
+				}
+				if name == "completeLocked" && sel.Sel.Name == "Signal" && mentions(sel.X, "notFull") {
+					signals++
+					if !guarded[call] {
+						t.Errorf("%s: completeLocked signals notFull outside an if on waiters",
+							fset.Position(call.Pos()))
+					}
+				}
+				return true
+			})
+		}
+	}
+	for name, seen := range path {
+		if !seen {
+			t.Errorf("internal/rt has no method %s; update the guard", name)
+		}
+	}
+	if signals == 0 {
+		t.Error("completeLocked no longer signals notFull; update the guard")
+	}
+}

@@ -138,7 +138,6 @@ func (r *Runtime) Deport(tn *Tenant) (Departure, error) {
 			tn.pop()
 			sh.queued--
 		}
-		r.decQueued(int64(len(dep.Backlog)))
 	}
 	tn.closing = true
 	tn.closingAtomic.Store(true)

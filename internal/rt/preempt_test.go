@@ -14,9 +14,11 @@ package rt_test
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"sfsched/internal/engine"
 	"sfsched/internal/rt"
 	"sfsched/internal/sched"
 	"sfsched/internal/simtime"
@@ -393,5 +395,55 @@ func TestDispatchHotPathZeroAlloc(t *testing.T) {
 	}
 	if err := r.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// scriptedClock returns whatever instant the test last stored — backwards
+// too, which FakeClock refuses: it plays a reading taken before a lock wait.
+type scriptedClock struct{ now atomic.Int64 }
+
+func (c *scriptedClock) Now() simtime.Time { return simtime.Time(c.now.Load()) }
+
+// TestDoorbellDrainNeverStepsBack pins the floor under the clock reading the
+// doorbell winner reuses: submit reads the clock before it has the shard lock,
+// so by the time its inline drain runs the shard may have completed or drained
+// at a later instant. The scripted clock plays a submitter that was descheduled
+// between its reading (50) and its TryLock, after the worker's hold at 100:
+// the wakeup must be admitted at 100, not 50.
+func TestDoorbellDrainNeverStepsBack(t *testing.T) {
+	clock := &scriptedClock{}
+	clock.now.Store(100)
+	r := rt.New(rt.Config{Workers: 1, Preempt: true, Clock: clock, RebalanceEvery: -1})
+	defer r.Close()
+	hog, err := r.Register("hog", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	woken, err := r.Register("woken", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	started, release := make(chan struct{}), make(chan struct{})
+	if err := hog.SubmitTask(rt.Once(func() { close(started); <-release })); err != nil {
+		t.Fatal(err)
+	}
+	<-started // the only worker is inside the task: dispatched at 100, lock free
+	rec := &decisionLog{}
+	r.SetDecisionRecorder(0, rec)
+	clock.now.Store(50)
+	if err := woken.SubmitTask(rt.Once(func() {})); err != nil {
+		t.Fatal(err)
+	}
+	clock.now.Store(200)
+	close(release)
+	r.Drain()
+	var admitted []simtime.Time
+	for _, e := range rec.events {
+		if e.Kind == engine.KindAdmit {
+			admitted = append(admitted, e.Now)
+		}
+	}
+	if len(admitted) != 1 || admitted[0] != 100 {
+		t.Fatalf("wakeup admitted at %v, want one admission at the shard's last instant 100", admitted)
 	}
 }

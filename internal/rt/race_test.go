@@ -57,25 +57,45 @@ func selfFeed(t *testing.T, tn *rt.Tenant, cost time.Duration, stop *atomic.Bool
 // wall-clock CPU shares to match the weight proportions within 5%. The
 // measurement is a wall-clock canary: when it overlaps another package's
 // spinning workers on a small host, the host's scheduler, not this one,
-// decides the shares (ROADMAP: about one full `go test ./...` in four missed
-// the bound, none in twenty on its own). So a miss is re-measured, up to
-// three attempts; hard failures (no service, broken invariants) fail at once.
+// decides the shares — a tenant whose worker was descheduled cannot recover
+// the time (`go test ./internal/rt/ ./internal/cluster/ .` on 2 vCPUs missed
+// six times in six, shares ≈ 0.37/0.31/0.21/0.11). So a miss is judged by what
+// the process was given: an attempt in which it got under 90 % of workers ×
+// wall time (getrusage) measured the host and is void, and three void
+// attempts skip the test with the figures logged. A miss with the CPUs in
+// hand is re-measured, up to three attempts, and then fails; hard failures
+// (no service, broken invariants) fail at once. ROADMAP item 5(ii) owns
+// replacing the canary with a deterministic oracle.
 func TestRaceProportionalWallClockShares(t *testing.T) {
 	const attempts = 3
-	var miss string
-	for i := 0; i < attempts; i++ {
-		if miss = wallClockSharesMiss(t); miss == "" {
+	for misses, voids := 0, 0; ; {
+		wall, cpu := time.Now(), processCPU()
+		miss, workers := wallClockSharesMiss(t)
+		if miss == "" {
 			return
 		}
-		t.Logf("attempt %d/%d: %s", i+1, attempts, miss)
+		given := float64(processCPU()-cpu) / (float64(workers) * float64(time.Since(wall)))
+		if cpu >= 0 && given < 0.9 {
+			voids++
+			t.Logf("void attempt %d/%d: the process got %.0f%% of %d CPUs: %s", voids, attempts, given*100, workers, miss)
+			if voids == attempts {
+				t.Skipf("%d attempts starved of CPU by the host; nothing measured", voids)
+			}
+			continue
+		}
+		misses++
+		t.Logf("attempt %d/%d: %s", misses, attempts, miss)
+		if misses == attempts {
+			t.Fatal(miss)
+		}
 	}
-	t.Fatal(miss)
 }
 
-// wallClockSharesMiss runs the flood once and describes how the measured
-// shares missed their bounds, "" if they did not.
-func wallClockSharesMiss(t *testing.T) string {
-	workers := 2
+// wallClockSharesMiss runs the flood once on the returned number of workers
+// and describes how the measured shares missed their bounds, "" if they did
+// not.
+func wallClockSharesMiss(t *testing.T) (miss string, workers int) {
+	workers = 2
 	if runtime.GOMAXPROCS(0) < 2 {
 		// With a single schedulable core, two spinning workers only add
 		// charge noise; the fairness property itself is per-pool-size.
@@ -110,12 +130,12 @@ func wallClockSharesMiss(t *testing.T) string {
 	}
 	if worst := metrics.RatioError(measured, weights); worst > 0.05 {
 		return fmt.Sprintf("wall-clock share error %.1f%% exceeds 5%% (shares %v vs weights %v)",
-			worst*100, measured, weights)
+			worst*100, measured, weights), workers
 	}
 	if j := r.JainIndex(); j < 0.995 {
-		return fmt.Sprintf("Jain index %.4f under steady flood", j)
+		return fmt.Sprintf("Jain index %.4f under steady flood", j), workers
 	}
-	return ""
+	return "", workers
 }
 
 // TestRaceChurnStress hammers one runtime from many goroutines: floods,
@@ -292,9 +312,13 @@ func TestRaceChurnStress(t *testing.T) {
 // (blocking submits woken by close broadcasts), and involuntary enforcement
 // handoffs of never-yielding slices — then drains and runs CheckInvariants,
 // whose exact quiescent-state check demands that every tenant's lock-free
-// backpressure gate equal its absorbed backlog once gQueued reads zero. A
-// reservation leaked on any of those paths (the hole the pre-PR-7 one-sided
-// check could not see outside Manual mode) fails the final check.
+// backpressure gate equal its absorbed backlog once the shard task counters
+// sum to zero. A reservation leaked on any of those paths (the hole the
+// pre-PR-7 one-sided check could not see outside Manual mode) fails the final
+// check; a task count leaked on any of them never lets Drain return, which
+// drainOrFail turns into a failure. The last phase takes the one release path
+// the storm reaches only by luck: an item accepted into the intake ring whose
+// tenant closes before a drain absorbs it.
 func TestRaceQuiescentGateStress(t *testing.T) {
 	r := rt.New(rt.Config{Workers: 4, Shards: 2, Quantum: simtime.Millisecond,
 		QueueCap: 2, Preempt: true, Enforce: true,
@@ -360,7 +384,7 @@ func TestRaceQuiescentGateStress(t *testing.T) {
 		}
 	}()
 	wg.Wait()
-	r.Drain()
+	drainOrFail(t, r)
 	// Deterministic handoff phase: plain hogs that block on a channel. A
 	// spinning hog can dodge the enforcer on a single-CPU host (the enforcer
 	// goroutine only gets the processor when the workers are idle), but a
@@ -384,7 +408,7 @@ func TestRaceQuiescentGateStress(t *testing.T) {
 	}
 	handoffs := r.Handoffs()
 	close(release)
-	r.Drain()
+	drainOrFail(t, r)
 	if err := r.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
@@ -394,6 +418,151 @@ func TestRaceQuiescentGateStress(t *testing.T) {
 	if handoffs < gated {
 		t.Fatalf("enforcer handed off %d gated hogs, want %d", handoffs, gated)
 	}
+	closedAfterAcceptance(t)
+}
+
+// drainOrFail is Drain with a deadline: a task count that is never retired
+// keeps Drain waiting for ever.
+func drainOrFail(t *testing.T, r *rt.Runtime) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() { r.Drain(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Drain still waiting after 10 s: a task count was never retired")
+	}
+}
+
+// closedAfterAcceptance parks an accepted item in the intake ring — the only
+// worker is inside a blocked task and, with preemption disarmed, the doorbell
+// winner signals instead of draining — unregisters its tenant, and lets the
+// worker go: the drain must drop the item and release both its gate
+// reservation and its task count.
+func closedAfterAcceptance(t *testing.T) {
+	r := rt.New(rt.Config{Workers: 1, Quantum: simtime.Millisecond, SpareWorkers: -1})
+	defer r.Close()
+	hog, err := r.Register("hog", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	late, err := r.Register("late", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	started, release := make(chan struct{}), make(chan struct{})
+	if err := hog.SubmitTask(rt.Once(func() { close(started); <-release })); err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	var ran atomic.Bool
+	if err := late.SubmitTask(rt.Once(func() { ran.Store(true) })); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Unregister(late); err != nil {
+		t.Fatal(err)
+	}
+	if q := late.Queued(); q != 1 {
+		t.Fatalf("closed tenant shows %d accepted tasks before the drain, want the ring's 1", q)
+	}
+	close(release)
+	drainOrFail(t, r)
+	if err := r.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if ran.Load() {
+		t.Fatal("a task accepted before Unregister ran after it")
+	}
+	if q := late.Queued(); q != 0 {
+		t.Fatalf("dropped item left the closed tenant's gate at %d", q)
+	}
+}
+
+// TestDrainHoldsAcrossShardHops runs one chain of tasks in which every link
+// submits its successor to a tenant that started on the other shard and then
+// completes, so exactly one or two tasks are live at any instant and the live
+// one keeps changing shards — with the rebalancer and stealing armed, so the
+// two tenants are themselves moved about. Goroutines call Drain in a loop the
+// whole time: it must not return while the chain is alive, which is until the
+// stop flag is up. A Drain that trusted a sum of the per-shard counters read
+// one after the other would: it reads shard A before the hop's reservation
+// lands there and shard B after the hopper retired. The sum only counts when
+// re-read with every shard lock held.
+func TestDrainHoldsAcrossShardHops(t *testing.T) {
+	// Sixty-four shards put sixty-two counters between the two reads that
+	// matter, which is what makes the unfrozen sum miss the hop dozens of
+	// times a second instead of once in a few runs.
+	const hopShards = 64
+	r := rt.New(rt.Config{Workers: hopShards, Shards: hopShards, Quantum: simtime.Millisecond,
+		Steal: true, RebalanceEvery: time.Millisecond, SpareWorkers: -1})
+	defer r.Close()
+	// Equal weights place one tenant per shard in shard order; the chain runs
+	// between the first and the last.
+	var tenants [2]*rt.Tenant
+	for i := 0; i < hopShards; i++ {
+		tn, err := r.Register("hop", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 || i == hopShards-1 {
+			tenants[i/(hopShards-1)] = tn
+		}
+	}
+	if a, b := tenants[0].Shard(), tenants[1].Shard(); a != 0 || b != hopShards-1 {
+		t.Fatalf("chain tenants placed on shards %d and %d, want 0 and %d", a, b, hopShards-1)
+	}
+	var stop atomic.Bool
+	var links, early atomic.Int64
+	var link [2]rt.Task
+	for i := range link {
+		next := 1 - i
+		link[i] = func(simtime.Duration) bool {
+			links.Add(1)
+			if !stop.Load() {
+				if err := tenants[next].SubmitTask(link[next], rt.NoWait()); err != nil {
+					t.Errorf("hop: %v", err)
+				}
+			}
+			return true
+		}
+	}
+	if err := tenants[0].SubmitTask(link[0]); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// The chain ends only after a link has seen the flag, so a return
+			// that finds it down came while a link was live.
+			for r.Drain(); !stop.Load(); r.Drain() {
+				early.Add(1)
+			}
+		}()
+	}
+	span := 1500 * time.Millisecond
+	if testing.Short() {
+		span = 300 * time.Millisecond
+	}
+	time.Sleep(span)
+	stop.Store(true)
+	wg.Wait()
+	hops := links.Load()
+	if n := early.Load(); n > 0 {
+		t.Errorf("Drain returned %d times with the chain alive (%d hops)", n, hops)
+	}
+	time.Sleep(5 * time.Millisecond)
+	if after := links.Load(); after != hops {
+		t.Errorf("%d links ran after the last Drain returned", after-hops)
+	}
+	if hops < 100 {
+		t.Errorf("chain made only %d hops", hops)
+	}
+	if err := r.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d hops, %d migrations, %d steals", hops, r.Migrations(), r.Steals())
 }
 
 // TestRaceDrainCloseRace closes the runtime while submitters are blocked on

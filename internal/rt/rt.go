@@ -140,10 +140,13 @@ func (c SliceCtx) Slice() simtime.Duration { return c.d.sl.Quantum }
 // work is unfinished). The flag stays raised until the slice completes.
 func (c SliceCtx) Preempted() bool { return c.d.Preempted() }
 
-// queued is one backlog entry: exactly one of the two task forms is set.
+// queued is one backlog entry: exactly one of the two task forms is set. cnt
+// is the shard task counter its reservation was counted on and, wherever the
+// tenant lives by then, is retired from — so no counter ever goes negative.
 type queued struct {
 	run Task
 	pre PreemptibleTask
+	cnt *atomic.Int64
 }
 
 // DefaultRebalanceEvery is the background rebalancer's period when
@@ -333,12 +336,12 @@ type Runtime struct {
 	closed atomic.Bool
 	steals atomic.Int64 // successful cross-shard steals (steal.go)
 
-	// gQueued counts queued tasks across all shards, including in-flight
-	// continuations; every task stays counted until its final Complete, so
-	// gQueued == 0 means no backlog and nothing running.
-	gQueued    atomic.Int64
+	// Queued tasks, in-flight continuations included, stay counted per shard
+	// (shard.tasks) until their final Complete; Drain waits on quietCond for a
+	// zero sum, and quietGen moves on whenever one shard's counter empties.
 	quietMu    sync.Mutex
 	quietCond  *sync.Cond
+	quietGen   atomic.Uint64
 	taskPanics atomic.Int64
 	migrations atomic.Int64
 	handoffs   atomic.Int64
@@ -733,24 +736,26 @@ func (p *postActions) run(r *Runtime) {
 }
 
 // reserve claims one backlog slot against the lock-free backpressure gate
-// and counts the task globally. The reservation is released at pop (final
-// completion or backlog drop) or when a closing tenant's item is dropped at
-// absorption, so gQueued covers ring-resident items and Drain cannot return
-// early past them. The global count rises before the gate does and is taken
-// back if the gate turns out full: CheckInvariants reads a tenant's gate and
-// then gQueued == 0 as proof that no reservation was in flight, which only
-// holds if a reservation is never visible in pending before it is in gQueued.
-func (tn *Tenant) reserve() bool {
+// and counts the task on the shard the tenant is bound to right now (its own
+// worker's when a tenant feeds itself), returning that counter for the entry
+// to carry, nil when the gate is full. The reservation is released at pop or
+// when a closing tenant's item is dropped at absorption, so the counters cover
+// ring-resident items and Drain cannot return early past them. The count rises
+// before the gate does and is taken back if the gate turns out full:
+// CheckInvariants reads a tenant's gate and then a zero sum as proof that no
+// reservation was in flight, which needs pending never to show one uncounted.
+func (tn *Tenant) reserve() *atomic.Int64 {
 	limit := int64(len(tn.buf))
-	tn.r.gQueued.Add(1)
+	cnt := &tn.sh.Load().tasks
+	cnt.Add(1)
 	for {
 		p := tn.pending.Load()
 		if p >= limit {
-			tn.r.decQueued(1)
-			return false
+			tn.r.retire(cnt)
+			return nil
 		}
 		if tn.pending.CompareAndSwap(p, p+1) {
-			return true
+			return cnt
 		}
 	}
 }
@@ -770,7 +775,7 @@ func (tn *Tenant) submit(q queued, block bool) error {
 		return ErrTenantClosed
 	}
 	at := r.clock.Now()
-	if !tn.reserve() {
+	if q.cnt = tn.reserve(); q.cnt == nil {
 		if !block {
 			return ErrBackpressure
 		}
@@ -816,10 +821,16 @@ func (tn *Tenant) submit(q queued, block bool) error {
 			// and no worker is idle, the wakeup must not wait for a worker's
 			// next drain (a full slice away): drain inline so the PR-5
 			// preemption flag is raised at the Submit instant.
+			// An uncontended lock cost no wait worth a second clock read: reuse
+			// at, floored below at the shard's last drain or completion.
 			post := postActions{sh: sh}
-			sh.mu.Lock()
+			now := at
+			if !sh.mu.TryLock() {
+				sh.mu.Lock()
+				now = r.clock.Now()
+			}
 			if r.preempt && sh.eng.Pre != nil && sh.running >= sh.workers {
-				sh.drainLocked(r.clock.Now(), &post)
+				sh.drainLocked(max(now, sh.lastNow), &post)
 			} else {
 				sh.workCond.Signal()
 			}
@@ -845,7 +856,7 @@ func (tn *Tenant) enqueueSlow(q queued, at simtime.Time, block bool) error {
 			sh.mu.Unlock()
 			return ErrTenantClosed
 		}
-		if tn.reserve() {
+		if q.cnt = tn.reserve(); q.cnt != nil {
 			break
 		}
 		if !block {
@@ -988,6 +999,7 @@ func (d *Dispatched) Complete(done bool) simtime.Duration {
 	sh.mu.Lock()
 	post := postActions{sh: sh}
 	elapsed := d.completeLocked(done, r.clock.Now(), &post)
+	sh.publishReady()
 	sh.mu.Unlock()
 	post.run(r)
 	return elapsed
@@ -1006,6 +1018,7 @@ func (d *Dispatched) completeLocked(done bool, now simtime.Time, post *postActio
 	}
 	d.inFlight = false
 	d.task = queued{} // release the closure; the slot outlives the slice
+	sh.lastNow = now
 	elapsed := d.sl.Elapsed(now)
 	th := tn.th
 	if d.detached {
@@ -1018,7 +1031,7 @@ func (d *Dispatched) completeLocked(done bool, now simtime.Time, post *postActio
 		tn.detached = false
 		mustSched(sh.eng.Admit(th, now))
 		tn.inSched = true
-		sh.nready.Add(1)
+		sh.ready++
 		if d.sl.Uncharged(now) > 0 {
 			sh.service += sh.eng.Settle(&d.sl, now, engine.NoCap)
 		}
@@ -1037,7 +1050,7 @@ func (d *Dispatched) completeLocked(done bool, now simtime.Time, post *postActio
 		sh.running--
 		// The tenant is runnable-not-running from here until the pop below
 		// decides whether it stays in the set; the Remove branch re-decrements.
-		sh.nready.Add(1)
+		sh.ready++
 		sh.activeRemove(d)
 		if d.armed {
 			sh.wheel.remove(d)
@@ -1051,7 +1064,6 @@ func (d *Dispatched) completeLocked(done bool, now simtime.Time, post *postActio
 	if done {
 		tn.pop()
 		sh.queued--
-		r.decQueued(1)
 	}
 	if tn.closing {
 		sh.dropBacklogLocked(tn)
@@ -1063,7 +1075,7 @@ func (d *Dispatched) completeLocked(done bool, now simtime.Time, post *postActio
 		}
 		mustSched(sh.eng.Depart(th, st, now))
 		tn.inSched = false
-		sh.nready.Add(-1)
+		sh.ready--
 		if tn.closing {
 			sh.finalizeLocked(tn)
 			post.finalized = tn
@@ -1075,10 +1087,10 @@ func (d *Dispatched) completeLocked(done bool, now simtime.Time, post *postActio
 		tn.readyAt = now
 		post.signals++
 	}
-	if done {
+	if done && tn.waiters > 0 {
 		// A backlog slot was freed; one blocked submitter can proceed. The
 		// signal stays under the lock: notFull is rebound when the tenant
-		// migrates, so the field may only be read here.
+		// migrates, so the field may only be read here — waiters likewise.
 		tn.notFull.Signal()
 	}
 	return elapsed
@@ -1126,6 +1138,7 @@ func (r *Runtime) worker(slot int, sh *shard, lane int) {
 		triedSteal := false
 		for {
 			if r.closed.Load() {
+				sh.publishReady()
 				sh.mu.Unlock()
 				post.run(r)
 				return
@@ -1135,6 +1148,7 @@ func (r *Runtime) worker(slot int, sh *shard, lane int) {
 					lane = sh.lanes[n-1]
 					sh.lanes = sh.lanes[:n-1]
 				} else {
+					sh.publishReady()
 					if post.pending() {
 						sh.mu.Unlock()
 						post.run(r)
@@ -1218,25 +1232,47 @@ func (r *Runtime) runTask(d *Dispatched) (done bool) {
 	return d.task.run(d.sl.Quantum)
 }
 
-// decQueued retires n globally-queued tasks and wakes Drain when the last
-// one goes. quietMu nests inside shard locks (shard.mu → quietMu), never the
-// reverse.
-func (r *Runtime) decQueued(n int64) {
-	if r.gQueued.Add(-n) == 0 {
+// retire takes one reservation back from the counter it was counted on and
+// wakes Drain when that empties. Lock order: shard.mu → quietMu, never back.
+func (r *Runtime) retire(cnt *atomic.Int64) {
+	if cnt.Add(-1) == 0 {
 		r.quietMu.Lock()
+		r.quietGen.Add(1)
 		r.quietCond.Broadcast()
 		r.quietMu.Unlock()
 	}
 }
 
+// taskSum adds up the shard task counters.
+func (r *Runtime) taskSum() (n int64) {
+	for _, sh := range r.shards {
+		n += sh.tasks.Load()
+	}
+	return n
+}
+
 // Drain blocks until every backlog is empty and no task is in flight (or the
 // runtime is closed). With tenants that perpetually resubmit, Drain only
-// returns once their submitters stop.
+// returns once their submitters stop. A zero sum counts only when re-read with
+// every shard lock held: read counter by counter it can miss a task hopping
+// shards, and retiring needs a lock, so a frozen sum can only rise. Reading
+// the generation first means a counter emptying after that ends the wait.
 func (r *Runtime) Drain() {
-	r.quietMu.Lock()
-	defer r.quietMu.Unlock()
-	for r.gQueued.Load() > 0 && !r.closed.Load() {
-		r.quietCond.Wait()
+	for !r.closed.Load() {
+		gen := r.quietGen.Load()
+		if r.taskSum() == 0 {
+			r.lockShards()
+			quiet := r.taskSum() == 0
+			r.unlockShards()
+			if quiet {
+				return
+			}
+		}
+		r.quietMu.Lock()
+		for r.quietGen.Load() == gen && !r.closed.Load() {
+			r.quietCond.Wait()
+		}
+		r.quietMu.Unlock()
 	}
 }
 
@@ -1443,7 +1479,7 @@ func (r *Runtime) CheckInvariants() error {
 		}
 	}
 	// In Manual mode the counters are exact; in concurrent mode lock-free
-	// reservations (tn.pending, gQueued) can land between the drain above
+	// reservations (tn.pending, shard.tasks) can land between the drain above
 	// and the reads below without their items being in any backlog yet, so
 	// those two checks are one-sided there.
 	exact := r.manual
@@ -1508,11 +1544,14 @@ func (r *Runtime) CheckInvariants() error {
 				sh.id, sh.running, running)
 		}
 		// nready is the lock-free victim-selection signal thieves read; it is
-		// updated under the shard lock at every runnable-set transition, so
-		// under this full freeze it must equal the runnable-not-running count.
+		// published before the lock hold that changed it is given up, so under
+		// this full freeze it must equal the runnable-not-running count.
 		if nr := sh.nready.Load(); nr != int64(ready) {
 			return fmt.Errorf("rt: shard %d nready counter %d, threads show %d",
 				sh.id, nr, ready)
+		}
+		if c := sh.tasks.Load(); c < 0 {
+			return fmt.Errorf("rt: shard %d task counter %d: a retirement went to the wrong shard", sh.id, c)
 		}
 		if len(sh.active) != sh.running {
 			return fmt.Errorf("rt: shard %d running counter %d, active list holds %d",
@@ -1533,16 +1572,16 @@ func (r *Runtime) CheckInvariants() error {
 		return fmt.Errorf("rt: registry lists %d live tenants, shards hold %d",
 			len(registered), seen)
 	}
-	if g := r.gQueued.Load(); g < int64(totalQueued) || (exact && g != int64(totalQueued)) {
-		return fmt.Errorf("rt: global queued counter %d, shards hold %d", g, totalQueued)
+	if g := r.taskSum(); g < int64(totalQueued) || (exact && g != int64(totalQueued)) {
+		return fmt.Errorf("rt: shard task counters sum to %d, shards hold %d", g, totalQueued)
 	}
 	// Exact quiescent-state check, concurrent mode included: retiring a
-	// reservation needs a shard lock (all held), so gQueued cannot decrease
+	// reservation needs a shard lock (all held), so the sum cannot decrease
 	// during this freeze, and reading it zero *after* the per-tenant gate
 	// reads proves no reservation was in flight while they were taken — any
 	// recorded gate slack is then a leaked backpressure reservation, the
 	// exact failure the one-sided check above cannot see.
-	if r.gQueued.Load() == 0 && len(gateSlack) > 0 {
+	if r.taskSum() == 0 && len(gateSlack) > 0 {
 		tn := gateSlack[0]
 		return fmt.Errorf("rt: quiescent but tenant %s pending gate %d with %d queued (leaked reservation)",
 			tn.th, tn.pending.Load(), tn.n)
@@ -1551,6 +1590,7 @@ func (r *Runtime) CheckInvariants() error {
 }
 
 func (tn *Tenant) pop() {
+	tn.r.retire(tn.buf[tn.head].cnt)
 	tn.buf[tn.head] = queued{}
 	tn.head = (tn.head + 1) % len(tn.buf)
 	tn.n--

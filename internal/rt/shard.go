@@ -42,6 +42,7 @@ type shard struct {
 	weight   float64          // Σ tenant weights: the shard's sub-share of the machine
 	queued   int              // queued tasks across this shard's tenants
 	running  int              // dispatched slices in flight on this shard
+	ready    int64            // unpublished nready change of this lock hold
 	service  simtime.Duration // total time charged on this shard (survives migrations)
 	preempts int64            // preemption flags raised on this shard's slices
 	waitHist metrics.Histogram
@@ -74,8 +75,12 @@ type shard struct {
 
 	// Work stealing (steal.go). nready is the atomic per-shard load count
 	// thieves pick victims by: the number of runnable-not-running tenants,
-	// updated under the shard lock at every runnable-set transition but read
-	// lock-free. idlers counts workers parked on workCond, read lock-free by
+	// read lock-free and published by the lock holder — at once, except that
+	// completeLocked accumulates in ready (beside running, off this line: it
+	// is written every task) and the hold's dispatchLocked, or else its exit,
+	// publishes the net change, so completing a backlogged tenant and
+	// dispatching the next, +1 −1, writes nothing to the line thieves poll.
+	// idlers counts workers parked on workCond, read lock-free by
 	// offerSteal to route surplus wakeups to an idle sibling. steals/stolen
 	// count this shard's thefts as thief and victim; stealHist records, at
 	// each steal, how long the stolen tenant had been ready on the victim —
@@ -92,6 +97,15 @@ type shard struct {
 	// after the clear is covered by a later doorbell win.
 	intake       intakeRing
 	drainPending atomic.Bool
+	// lastNow is the latest instant a drain or a completion ran at here: the
+	// floor for submit's doorbell drain, whose clock reading predates the lock.
+	lastNow simtime.Time
+	// tasks counts the accepted, unretired tasks reserved while their tenant
+	// was bound here (Tenant.reserve, queued.cnt): a self-feeding tenant's
+	// whole traffic on it is this shard's worker's, hence a line of its own.
+	_     [64]byte
+	tasks atomic.Int64
+	_     [56]byte
 
 	// Drain scratch, preallocated to the ring capacity (woke/th) and the
 	// worker count (rank/slot) so the drain side allocates nothing.
@@ -140,6 +154,7 @@ func (sh *shard) drainLocked(now simtime.Time, post *postActions) {
 	// drain's tail read necessarily CASes drainPending after this store, so
 	// it wins the doorbell and a follow-up drain covers it.
 	sh.drainPending.Store(false)
+	sh.lastNow = now
 	n := sh.intake.beginDrain()
 	if n == 0 {
 		return
@@ -184,7 +199,7 @@ func (sh *shard) drainLocked(now simtime.Time, post *postActions) {
 }
 
 // absorbLocked moves one accepted submission into the tenant's backlog. The
-// backpressure reservation (tn.pending, gQueued) was taken at submit time;
+// backpressure reservation (tn.pending, q.cnt) was taken at submit time;
 // dropped items for closing tenants release it here instead. It reports
 // whether the item woke the tenant (empty backlog before, so the tenant must
 // be admitted to the runnable set).
@@ -193,7 +208,7 @@ func (sh *shard) absorbLocked(tn *Tenant, q queued, at, now simtime.Time) bool {
 		// Accepted before the tenant closed, dropped at absorption — the
 		// same fate Unregister deals any backlogged task.
 		tn.pending.Add(-1)
-		sh.r.decQueued(1)
+		sh.r.retire(q.cnt)
 		return false
 	}
 	tn.buf[(tn.head+tn.n)%len(tn.buf)] = q
@@ -270,6 +285,7 @@ func (sh *shard) dispatchLocked(worker, local int, now simtime.Time) *Dispatched
 		panic(fmt.Errorf("rt: %w", err))
 	}
 	if th == nil {
+		sh.publishReady()
 		return nil
 	}
 	tn := sh.byThread[th]
@@ -277,7 +293,8 @@ func (sh *shard) dispatchLocked(worker, local int, now simtime.Time) *Dispatched
 		panic(fmt.Errorf("rt: %w: %v with no queued work", engine.ErrUnknownThread, th))
 	}
 	sh.running++
-	sh.nready.Add(-1)
+	sh.ready-- // cancels completeLocked's +1 when that tenant stayed backlogged
+	sh.publishReady()
 	// Latency accounting: ready→dispatch on every dispatch, wakeup→first
 	// dispatch when a wakeup Submit is still pending its dispatch. Both are
 	// bare histogram increments (metrics.Histogram is fixed-size), keeping
@@ -437,14 +454,18 @@ func (sh *shard) preemptBatchLocked(woke []*Tenant, now simtime.Time) {
 // dropBacklogLocked discards a closing tenant's pending tasks, including an
 // unfinished continuation at the head.
 func (sh *shard) dropBacklogLocked(tn *Tenant) {
-	dropped := int64(0)
 	for tn.n > 0 {
 		tn.pop()
 		sh.queued--
-		dropped++
 	}
-	if dropped > 0 {
-		sh.r.decQueued(dropped)
+}
+
+// publishReady flushes the hold's accumulated nready change: dispatchLocked
+// calls it, and so must every Unlock or Wait a completeLocked reaches first.
+func (sh *shard) publishReady() {
+	if sh.ready != 0 {
+		sh.nready.Add(sh.ready)
+		sh.ready = 0
 	}
 }
 

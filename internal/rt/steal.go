@@ -13,9 +13,9 @@
 // steals from the most backlogged siblings, and only then (3) parks.
 //
 // Victim selection is lock-free: each shard maintains nready, an atomic count
-// of its runnable-not-running tenants (updated under the shard lock at every
-// runnable-set transition, the same counters rt.PlanBalance-style load
-// summaries read), and the thief probes the argmax without touching any lock.
+// of its runnable-not-running tenants (published under the shard lock, net
+// once per lock hold on the worker's path, so a thief sees a change at most
+// one hold late), and the thief probes the argmax without touching any lock.
 // The steal itself takes both shard locks in the canonical ascending-id
 // order — the same two-lock protocol migrate uses, so steals, migrations,
 // enforcement handoffs and cluster Deport/Admit serialize against each other
