@@ -1,0 +1,139 @@
+// The worker pool loop: complete, drain, dispatch and park.
+
+package rt
+
+// worker is the pool loop, fused so that completing a slice, draining the
+// intake ring and picking the next tenant share one lock acquisition. Tasks
+// run outside the lock; a panicking task is recovered, charged, and dropped,
+// so one bad handler cannot wedge a worker.
+//
+// Regular workers start holding a lane (a shard-local CPU index); spare
+// workers start without one (lane < 0) and park on spareCond until an
+// involuntary handoff lends a lane into the shard's free list. The two kinds
+// are otherwise identical — a regular worker whose lane was confiscated by a
+// handoff finishes the detached closure, recycles the detached record, and
+// re-enters the pool as a spare, so lanes and goroutines pair up anonymously
+// and no reclaim handshake is needed.
+func (r *Runtime) worker(slot int, sh *shard, lane int) {
+	defer r.wg.Done()
+	var d *Dispatched
+	var done bool
+	for {
+		post := postActions{sh: sh}
+		sh.mu.Lock()
+		// One clock read per lock hold: the completion charge, the intake
+		// drain and the next dispatch below all anchor to this instant. It is
+		// re-read after every Wait and every unlock/relock, where unbounded
+		// real time may have passed.
+		now := r.clock.Now()
+		if d != nil {
+			detached := d.detached
+			d.completeLocked(done, now, &post)
+			if detached {
+				// The lane was lent away at the handoff and the record was
+				// swapped out of the slot there; pool it for the next
+				// handoff and rejoin laneless.
+				lane = -1
+				sh.dfree = append(sh.dfree, d)
+			}
+			d = nil
+		}
+		// triedSteal bounds the idle path to one steal round per park cycle:
+		// after a failed round the worker sleeps until a signal — local work,
+		// or a sibling's surplus offer (offerSteal) — re-arms it.
+		triedSteal := false
+		for {
+			if r.closed.Load() {
+				sh.publishReady()
+				sh.mu.Unlock()
+				post.run(r)
+				return
+			}
+			if lane < 0 {
+				if n := len(sh.lanes); n > 0 {
+					lane = sh.lanes[n-1]
+					sh.lanes = sh.lanes[:n-1]
+				} else {
+					sh.publishReady()
+					if post.pending() {
+						sh.mu.Unlock()
+						post.run(r)
+						sh.mu.Lock()
+						now = r.clock.Now()
+						continue
+					}
+					// Laneless: only a handoff can make this goroutine
+					// useful, so it parks on the spare condition rather than
+					// competing for (and losing) work signals.
+					sh.spareCond.Wait()
+					now = r.clock.Now()
+					continue
+				}
+			}
+			sh.drainLocked(now, &post)
+			if nd := sh.dispatchLocked(slot, lane, now); nd != nil {
+				d = nd
+				if post.signals > 0 {
+					post.signals-- // this dispatch consumes one owed wakeup
+				}
+				// Dispatch-side steal offer: this shard still has ready
+				// tenants beyond what its (fully busy) workers can take. A
+				// perpetually backlogged tenant re-queues from completions
+				// and never crosses the drain's wakeup admission, so without
+				// this the drain-side offer would never advertise a steady
+				// backlog to parked siblings.
+				if r.steal && sh.nready.Load() > 0 && sh.idlers.Load() == 0 {
+					post.offer = true
+				}
+				break
+			}
+			if r.steal && !triedSteal {
+				// Idle path: nothing local. Spin briefly off the lock, then
+				// try to steal from the most backlogged sibling; either way
+				// the next iteration re-checks local work (a successful steal
+				// parks the stolen tenant in this shard's scheduler, so the
+				// re-check dispatches it).
+				triedSteal = true
+				sh.mu.Unlock()
+				post.run(r)
+				r.stealForWorker(sh)
+				sh.mu.Lock()
+				now = r.clock.Now()
+				continue
+			}
+			if post.pending() {
+				// Nothing to dispatch here, but deferred effects are owed
+				// (a finalized tenant's registry removal; signals are
+				// impossible with no dispatchable tenant). Run them off the
+				// lock before sleeping.
+				sh.mu.Unlock()
+				post.run(r)
+				sh.mu.Lock()
+				now = r.clock.Now()
+				continue
+			}
+			sh.idlers.Add(1)
+			sh.workCond.Wait()
+			sh.idlers.Add(-1)
+			now = r.clock.Now()
+			triedSteal = false
+		}
+		sh.mu.Unlock()
+		post.run(r)
+		done = r.runTask(d)
+	}
+}
+
+func (r *Runtime) runTask(d *Dispatched) (done bool) {
+	defer func() {
+		if e := recover(); e != nil {
+			r.taskPanics.Add(1)
+			d.tn.panics.Add(1) // attribute the panic to the misbehaving tenant
+			done = true        // drop the panicking task; the slice is still charged
+		}
+	}()
+	if d.task.pre != nil {
+		return d.task.pre(SliceCtx{d: d})
+	}
+	return d.task.run(d.sl.Quantum)
+}
