@@ -352,6 +352,15 @@ func TestPickAndSiftStayOffTheElement(t *testing.T) {
 // notFull only inside an if that tests waiters — the cold sync.Cond is not
 // touched when nobody waits. The per-shard counters the path does write are
 // held apart by internal/rt's TestTaskCounterLayout.
+//
+// Nor does the path sleep on a shard lock somebody holds for a microsecond:
+// submit may take one with Lock only under the ring-full branch, in Manual
+// mode, or inside an if on idlers — a worker on its way into workCond.Wait is
+// the one holder a doorbell cannot be left with — and takes it with TryLock
+// otherwise. That leaves the doorbell to the holder, so outside shard.unlock
+// (which reads the doorbell again after the release) and the worker's own loop
+// no non-test file of the package may call mu.Unlock on a shard: a new lock
+// holder cannot forget it.
 func TestTaskPathStaysOnItsShard(t *testing.T) {
 	fset := token.NewFileSet()
 	path := map[string]bool{"reserve": false, "submit": false, "pop": false,
@@ -366,16 +375,49 @@ func TestTaskPathStaysOnItsShard(t *testing.T) {
 		}
 		return false
 	}
-	mentions := func(n ast.Node, field string) (found bool) {
+	// mentions reports an identifier of that name anywhere in n: a variable, or
+	// the field of a selector.
+	mentions := func(n ast.Node, name string) (found bool) {
 		ast.Inspect(n, func(n ast.Node) bool {
-			if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == field {
+			if id, ok := n.(*ast.Ident); ok && id.Name == name {
 				found = true
 			}
 			return !found
 		})
 		return found
 	}
-	signals := 0
+	// under marks the calls inside the body (and else) of every if whose
+	// condition ok accepts.
+	under := func(body ast.Node, ok func(cond ast.Expr) bool) map[*ast.CallExpr]bool {
+		marked := map[*ast.CallExpr]bool{}
+		ast.Inspect(body, func(n ast.Node) bool {
+			if st, isIf := n.(*ast.IfStmt); isIf && ok(st.Cond) {
+				for _, branch := range []ast.Node{st.Body, st.Else} {
+					if branch == nil {
+						continue
+					}
+					ast.Inspect(branch, func(n ast.Node) bool {
+						if call, isCall := n.(*ast.CallExpr); isCall {
+							marked[call] = true
+						}
+						return true
+					})
+				}
+			}
+			return true
+		})
+		return marked
+	}
+	// onMu reports a call of the named method on some x.mu.
+	onMu := func(call *ast.CallExpr, method string) bool {
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok || sel.Sel.Name != method {
+			return false
+		}
+		mu, ok := sel.X.(*ast.SelectorExpr)
+		return ok && mu.Sel.Name == "mu"
+	}
+	signals, idlerLocks, tryLocks, helperUnlocks := 0, 0, 0, 0
 	for _, file := range driverSources(t, filepath.Join("internal", "rt")) {
 		f, err := parser.ParseFile(fset, file, nil, 0)
 		if err != nil {
@@ -383,10 +425,61 @@ func TestTaskPathStaysOnItsShard(t *testing.T) {
 		}
 		for _, d := range f.Decls {
 			fn, ok := d.(*ast.FuncDecl)
-			if !ok || fn.Recv == nil || fn.Body == nil {
+			if !ok || fn.Body == nil {
 				continue
 			}
 			name := fn.Name.Name
+			recv := ""
+			if fn.Recv != nil {
+				if star, ok := fn.Recv.List[0].Type.(*ast.StarExpr); ok {
+					recv = star.X.(*ast.Ident).Name
+				}
+			}
+			// Who may give a shard lock up directly. (FakeClock's mu is its own.)
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok && onMu(call, "Unlock") && recv != "FakeClock" {
+					switch {
+					case recv == "shard" && name == "unlock":
+						helperUnlocks++
+					case recv == "Runtime" && name == "worker":
+					default:
+						t.Errorf("%s: %s releases a shard lock with mu.Unlock: only shard.unlock reads the doorbell again",
+							fset.Position(call.Pos()), name)
+					}
+				}
+				return true
+			})
+			if fn.Recv == nil {
+				continue
+			}
+			if name == "submit" {
+				mayBlock := under(fn.Body, func(cond ast.Expr) bool {
+					not, isNot := cond.(*ast.UnaryExpr)
+					ringFull := isNot && not.Op == token.NOT && mentions(not.X, "ok")
+					return ringFull || mentions(cond, "manual") || mentions(cond, "idlers")
+				})
+				byIdlers := under(fn.Body, func(cond ast.Expr) bool { return mentions(cond, "idlers") })
+				ast.Inspect(fn.Body, func(n ast.Node) bool {
+					call, ok := n.(*ast.CallExpr)
+					if !ok {
+						return true
+					}
+					sel, _ := call.Fun.(*ast.SelectorExpr)
+					switch {
+					case onMu(call, "TryLock"):
+						tryLocks++
+					case onMu(call, "Lock") || (sel != nil && sel.Sel.Name == "lockShard"):
+						if !mayBlock[call] {
+							t.Errorf("%s: submit waits for a shard lock outside the ring-full branch, Manual mode and an if on idlers",
+								fset.Position(call.Pos()))
+						}
+						if byIdlers[call] {
+							idlerLocks++
+						}
+					}
+					return true
+				})
+			}
 			if _, on := path[name]; !on {
 				continue
 			}
@@ -435,5 +528,11 @@ func TestTaskPathStaysOnItsShard(t *testing.T) {
 	}
 	if signals == 0 {
 		t.Error("completeLocked no longer signals notFull; update the guard")
+	}
+	if idlerLocks != 1 || tryLocks == 0 {
+		t.Errorf("submit has %d Lock calls under an if on idlers and %d TryLock calls, want 1 and ≥ 1; update the guard", idlerLocks, tryLocks)
+	}
+	if helperUnlocks == 0 {
+		t.Error("internal/rt has no shard.unlock releasing mu; update the guard")
 	}
 }

@@ -273,7 +273,7 @@ func (r *Runtime) Enforce() {
 		post := postActions{sh: sh}
 		sh.mu.Lock()
 		sh.enforceLocked(now, &post)
-		sh.mu.Unlock()
+		sh.unlock()
 		post.run(r)
 	}
 }

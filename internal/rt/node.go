@@ -45,7 +45,7 @@ func (r *Runtime) Load() NodeLoad {
 		l.Tenants += len(sh.byThread)
 		l.Weight += sh.weight
 		l.Queued += sh.queued
-		sh.mu.Unlock()
+		sh.unlock()
 	}
 	return l
 }
@@ -93,7 +93,7 @@ func (r *Runtime) Deport(tn *Tenant) (Departure, error) {
 	defer r.regMu.Unlock()
 	sh := tn.lockShard()
 	if tn.closing || tn.gone {
-		sh.mu.Unlock()
+		sh.unlock()
 		return Departure{}, ErrTenantClosed
 	}
 	// Absorb any ring-resident submissions first so the backlog is complete;
@@ -110,7 +110,7 @@ func (r *Runtime) Deport(tn *Tenant) (Departure, error) {
 		// binding (the submitter's retry loop handles a *migrated* tenant,
 		// not an unregistered one, and replaying it here would reorder it
 		// ahead of its producer's earlier items).
-		sh.mu.Unlock()
+		sh.unlock()
 		post.run(r)
 		return Departure{}, ErrMigrationRace
 	}
@@ -143,7 +143,7 @@ func (r *Runtime) Deport(tn *Tenant) (Departure, error) {
 	tn.closingAtomic.Store(true)
 	th.State = sched.Exited
 	sh.finalizeLocked(tn)
-	sh.mu.Unlock()
+	sh.unlock()
 	post.run(r)
 	r.removeTenantLocked(tn)
 	return dep, nil
@@ -172,7 +172,7 @@ func (r *Runtime) Admit(dep Departure) (*Tenant, error) {
 		// then applies the wakeup rule against the restored tag.
 		sh.eng.RestoreLead(tn.th, dep.Lead)
 	}
-	sh.mu.Unlock()
+	sh.unlock()
 	for _, q := range dep.Backlog {
 		if q.Pre != nil {
 			err = tn.SubmitTask(nil, Preemptible(q.Pre))
@@ -192,14 +192,14 @@ func (r *Runtime) Admit(dep Departure) (*Tenant, error) {
 // the trade the cluster migrator makes to rank candidates cheaply.
 func (tn *Tenant) Service() simtime.Duration {
 	sh := tn.lockShard()
-	defer sh.mu.Unlock()
+	defer sh.unlock()
 	return tn.th.Service
 }
 
 // Weight returns the tenant's current weight.
 func (tn *Tenant) Weight() float64 {
 	sh := tn.lockShard()
-	defer sh.mu.Unlock()
+	defer sh.unlock()
 	return tn.th.Weight
 }
 

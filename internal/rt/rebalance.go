@@ -176,7 +176,7 @@ func (r *Runtime) Rebalance() int {
 			movable[i] = append(movable[i], c.tn.th.Weight)
 			handles[i] = append(handles[i], c.tn)
 		}
-		sh.mu.Unlock()
+		sh.unlock()
 	}
 	moves := planRebalance(totals, workers, movable, rebalanceTolerance)
 	migrated := 0
@@ -396,7 +396,7 @@ func (r *Runtime) ShardStats() []ShardStat {
 		if len(services) > 0 {
 			st.Jain = metrics.JainIndex(services, weights)
 		}
-		sh.mu.Unlock()
+		sh.unlock()
 	}
 	var total simtime.Duration
 	for i := range out {

@@ -27,7 +27,7 @@
 //
 // Submission is lock-free: each shard fronts its lock with a bounded MPSC
 // intake ring (intake.go) that submitters publish into with two atomic
-// operations, plus one doorbell lock acquisition per burst; workers absorb
+// operations, plus at most one doorbell TryLock per burst; workers absorb
 // the ring in batches under a single lock hold, admitting N simultaneous
 // wakeups with one weight-readjustment pass (sched.BatchAdder). DESIGN.md §9
 // gives the protocol and its correctness argument.
@@ -509,7 +509,7 @@ func (r *Runtime) Register(name string, weight float64) (*Tenant, error) {
 	}
 	tn := &Tenant{r: r, th: th, buf: make([]queued, r.qcap)}
 	best := r.placeTenant(tn, weight)
-	best.mu.Unlock()
+	best.unlock()
 	r.tenants = append(r.tenants, tn)
 	return tn, nil
 }
@@ -535,7 +535,7 @@ func (r *Runtime) placeTenant(tn *Tenant, weight float64) *shard {
 			for i, sh := range r.shards {
 				sh.mu.Lock()
 				load := sh.weight / float64(sh.workers)
-				sh.mu.Unlock()
+				sh.unlock()
 				switch {
 				case i == 0:
 					best, bestLoad, nextLoad = sh, load, load
@@ -549,7 +549,7 @@ func (r *Runtime) placeTenant(tn *Tenant, weight float64) *shard {
 			if try == attempts-1 || best.weight/float64(best.workers) <= nextLoad {
 				break
 			}
-			best.mu.Unlock() // the choice regressed past the runner-up; rescan
+			best.unlock() // the choice regressed past the runner-up; rescan
 		}
 	} else {
 		best.mu.Lock()
@@ -574,7 +574,7 @@ func (r *Runtime) Unregister(tn *Tenant) error {
 	defer r.regMu.Unlock()
 	sh := tn.lockShard()
 	if tn.closing || tn.gone {
-		sh.mu.Unlock()
+		sh.unlock()
 		return ErrTenantClosed
 	}
 	tn.closing = true
@@ -584,7 +584,7 @@ func (r *Runtime) Unregister(tn *Tenant) error {
 		// A detached tenant's head task is still executing out of band even
 		// though its thread shows no CPU; dropping its backlog now would pop
 		// the entry the in-flight Complete will pop again.
-		sh.mu.Unlock()
+		sh.unlock()
 		return nil // Complete finalizes after the in-flight slice
 	}
 	sh.dropBacklogLocked(tn)
@@ -594,7 +594,7 @@ func (r *Runtime) Unregister(tn *Tenant) error {
 		sh.nready.Add(-1) // was runnable-not-running (the Running case returned above)
 	}
 	sh.finalizeLocked(tn)
-	sh.mu.Unlock()
+	sh.unlock()
 	r.removeTenantLocked(tn)
 	return nil
 }
@@ -610,7 +610,7 @@ func (r *Runtime) SetWeight(tn *Tenant, w float64) error {
 		return ErrRuntimeClosed
 	}
 	sh := tn.lockShard()
-	defer sh.mu.Unlock()
+	defer sh.unlock()
 	if tn.closing || tn.gone {
 		return ErrTenantClosed
 	}
@@ -634,7 +634,7 @@ func (tn *Tenant) Name() string { return tn.th.Name }
 // Shard returns the index of the shard the tenant currently lives on.
 func (tn *Tenant) Shard() int {
 	sh := tn.lockShard()
-	defer sh.mu.Unlock()
+	defer sh.unlock()
 	return sh.id
 }
 
@@ -649,7 +649,7 @@ func (tn *Tenant) lockShard() *shard {
 		if tn.sh.Load() == sh {
 			return sh
 		}
-		sh.mu.Unlock()
+		sh.unlock()
 	}
 }
 
@@ -707,7 +707,7 @@ func (r *Runtime) SetDecisionRecorder(shard int, rec engine.Recorder) {
 	sh := r.shards[shard]
 	sh.mu.Lock()
 	sh.eng.SetRecorder(rec)
-	sh.mu.Unlock()
+	sh.unlock()
 }
 
 // Worker returns the worker index the slice was dispatched to.
@@ -740,7 +740,7 @@ func (r *Runtime) Dispatch(worker int) *Dispatched {
 	sh := r.workerShard[worker]
 	sh.mu.Lock()
 	if r.closed.Load() {
-		sh.mu.Unlock()
+		sh.unlock()
 		return nil // Close abandons the remaining backlog
 	}
 	// Absorb any intake first: in Manual mode the ring is already empty
@@ -755,7 +755,7 @@ func (r *Runtime) Dispatch(worker int) *Dispatched {
 	if d != nil && post.signals > 0 {
 		post.signals-- // this dispatch consumes one owed wakeup
 	}
-	sh.mu.Unlock()
+	sh.unlock()
 	post.run(r)
 	return d
 }
@@ -772,7 +772,7 @@ func (d *Dispatched) Complete(done bool) simtime.Duration {
 	post := postActions{sh: sh}
 	elapsed := d.completeLocked(done, r.clock.Now(), &post)
 	sh.publishReady()
-	sh.mu.Unlock()
+	sh.unlock()
 	post.run(r)
 	return elapsed
 }
@@ -790,7 +790,7 @@ func (d *Dispatched) completeLocked(done bool, now simtime.Time, post *postActio
 	}
 	d.inFlight = false
 	d.task = queued{} // release the closure; the slot outlives the slice
-	sh.lastNow = now
+	sh.lastNow = max(sh.lastNow, now)
 	elapsed := d.sl.Elapsed(now)
 	th := tn.th
 	if d.detached {
@@ -930,7 +930,7 @@ func (r *Runtime) Close() {
 			for _, tn := range sh.byThread {
 				tn.notFull.Broadcast()
 			}
-			sh.mu.Unlock()
+			sh.unlock()
 		}
 		r.quietMu.Lock()
 		r.quietCond.Broadcast()
@@ -1072,7 +1072,7 @@ func (r *Runtime) lockShards() {
 
 func (r *Runtime) unlockShards() {
 	for i := len(r.shards) - 1; i >= 0; i-- {
-		r.shards[i].mu.Unlock()
+		r.shards[i].unlock()
 	}
 }
 

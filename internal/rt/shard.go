@@ -92,7 +92,7 @@ type shard struct {
 	stealHist metrics.Histogram
 
 	// intake is the lock-free submit path (intake.go); drainPending is its
-	// doorbell: set by the one submitter per burst that takes the lock,
+	// doorbell: set by the one submitter per burst that answers for it,
 	// cleared by drainLocked before it reads the tail, so every push strictly
 	// after the clear is covered by a later doorbell win.
 	intake       intakeRing
@@ -154,7 +154,7 @@ func (sh *shard) drainLocked(now simtime.Time, post *postActions) {
 	// drain's tail read necessarily CASes drainPending after this store, so
 	// it wins the doorbell and a follow-up drain covers it.
 	sh.drainPending.Store(false)
-	sh.lastNow = now
+	sh.lastNow = max(sh.lastNow, now)
 	n := sh.intake.beginDrain()
 	if n == 0 {
 		return

@@ -1,6 +1,5 @@
-// The submit path: SubmitTask and its options, the lock-free intake fast path
-// with its doorbell, the locked slow path a full backlog takes, and the
-// effects a lock holder defers until the shard lock is released.
+// The submit path: SubmitTask, the lock-free intake push and its doorbell, the
+// locked slow path of a full backlog, and the effects deferred past an unlock.
 
 package rt
 
@@ -119,10 +118,9 @@ func (tn *Tenant) reserve() *atomic.Int64 {
 
 // submit is the lock-free intake fast path: one CAS reservation against the
 // backpressure gate, one lock-free push onto the tenant's shard's intake
-// ring, and — when no drain is pending there — a single doorbell lock
-// acquisition for the whole burst. Every other submitter in the burst never
-// touches sh.mu. The slow path (enqueueSlow) handles a full backlog; a full
-// ring is absorbed under the lock right here.
+// ring, and — for the one submitter per burst that wins the doorbell — a
+// TryLock of sh.mu. The slow path (enqueueSlow) handles a full backlog; a
+// full ring is absorbed under the lock right here.
 func (tn *Tenant) submit(q queued, block bool) error {
 	r := tn.r
 	if r.closed.Load() {
@@ -154,7 +152,7 @@ func (tn *Tenant) submit(q queued, block bool) error {
 			post := postActions{sh: sh}
 			sh.drainLocked(now, &post)
 			sh.applyDirectLocked(tn, q, at, now, &post)
-			sh.mu.Unlock()
+			sh.unlock()
 			post.run(r)
 			return nil
 		}
@@ -166,32 +164,37 @@ func (tn *Tenant) submit(q queued, block bool) error {
 			post := postActions{sh: sh}
 			sh.mu.Lock()
 			sh.drainLocked(r.clock.Now(), &post)
-			sh.mu.Unlock()
+			sh.unlock()
 			post.run(r)
 			return nil
 		}
 		if sh.drainPending.CompareAndSwap(false, true) {
-			// Doorbell: one submitter per burst takes the lock. While the
-			// flag is up every other submitter skips both lock and signal;
-			// the winner must therefore act under the lock itself — a lost
-			// wakeup here would never be repaired. If preemption is armed
-			// and no worker is idle, the wakeup must not wait for a worker's
-			// next drain (a full slice away): drain inline so the PR-5
-			// preemption flag is raised at the Submit instant.
-			// An uncontended lock cost no wait worth a second clock read: reuse
-			// at, floored below at the shard's last drain or completion.
+			// Doorbell: one submitter per burst acts, the others skip lock and
+			// signal, and the winner never sleeps on a lock held for a
+			// microsecond. Lock free: with preemption armed and no worker idle
+			// it drains inline, so the PR-5 flag is raised at the Submit
+			// instant, and otherwise signals — at the submit instant, floored
+			// at the shard's last hold: no wait, no second clock read. Lock
+			// held: the holder owes the drain when it lets go (shard.unlock,
+			// worker) and the flag stays up for it — unless a worker is on its
+			// way into workCond.Wait, whose release a Signal without the lock
+			// can precede: that one case waits for the lock.
 			post := postActions{sh: sh}
 			now := at
 			if !sh.mu.TryLock() {
-				sh.mu.Lock()
-				now = r.clock.Now()
+				if sh.idlers.Load() > 0 {
+					sh.mu.Lock()
+					now = r.clock.Now()
+				} else {
+					return nil
+				}
 			}
 			if r.preempt && sh.eng.Pre != nil && sh.running >= sh.workers {
 				sh.drainLocked(max(now, sh.lastNow), &post)
 			} else {
 				sh.workCond.Signal()
 			}
-			sh.mu.Unlock()
+			sh.unlock()
 			post.run(r)
 		}
 		return nil
@@ -206,22 +209,25 @@ func (tn *Tenant) enqueueSlow(q queued, at simtime.Time, block bool) error {
 	sh := tn.lockShard()
 	for {
 		if r.closed.Load() {
-			sh.mu.Unlock()
+			sh.unlock()
 			return ErrRuntimeClosed
 		}
 		if tn.closing || tn.gone {
-			sh.mu.Unlock()
+			sh.unlock()
 			return ErrTenantClosed
 		}
 		if q.cnt = tn.reserve(); q.cnt != nil {
 			break
 		}
 		if !block {
-			sh.mu.Unlock()
+			sh.unlock()
 			return ErrBackpressure
 		}
 		// A positive waiter count pins the tenant to this shard, so the
 		// condition variable's mutex is still the right one after Wait.
+		post := postActions{sh: sh}
+		sh.drainLocked(r.clock.Now(), &post) // this hold ends inside Wait, not in unlock
+		post.run(r)                          // signals only: legal under the lock
 		tn.waiters++
 		tn.notFull.Wait()
 		tn.waiters--
@@ -233,7 +239,7 @@ func (tn *Tenant) enqueueSlow(q queued, at simtime.Time, block bool) error {
 	post := postActions{sh: sh}
 	sh.drainLocked(now, &post)
 	sh.applyDirectLocked(tn, q, at, now, &post)
-	sh.mu.Unlock()
+	sh.unlock()
 	post.run(r)
 	return nil
 }
