@@ -43,9 +43,7 @@ func driverSources(t *testing.T, dir string) []string {
 }
 
 // chargeCalls and sliceWrites are the seam violations: direct scheduler
-// charge calls and assignments to engine.Slice accounting fields. The
-// machine's Charged *hook* (a past-tense observation callback) is distinct
-// from the scheduler's Charge mutation and stays legal.
+// charge calls and assignments to engine.Slice accounting fields.
 var (
 	forbiddenCalls  = map[string]bool{"Charge": true, "InterimCharge": true}
 	forbiddenWrites = map[string]bool{"Charged": true, "LastCharge": true}
@@ -182,9 +180,7 @@ func TestGPSTagPoliciesStayParameterisations(t *testing.T) {
 
 // TestWeightQueueStaysLogarithmic keeps the linear insert off the wake-up
 // path: internal/phi's weight queue is a runqueue.Heap (the keyed form, on
-// −w), and the package constructs no runqueue.List (the heuristic's
-// lightest-first list lives in internal/core, which pays for it only when
-// k > 0).
+// −w), and the package constructs no runqueue.List.
 func TestWeightQueueStaysLogarithmic(t *testing.T) {
 	fset := token.NewFileSet()
 	made := map[string]int{}
@@ -210,56 +206,59 @@ func TestWeightQueueStaysLogarithmic(t *testing.T) {
 	}
 }
 
-// TestOneSiftPerCharge keeps the second per-thread sift off the exact-mode
-// charge and the boxing off the simulator's event queue: internal/core builds
-// its per-thread start-tag heap (byStart) only inside an `if s.k > 0` body —
-// the §3.2 heuristic, whose three lists are the paper's — and non-test
-// internal/machine does not import container/heap, whose Push(any)/Pop() any
-// allocate per event.
+// TestOneSiftPerCharge keeps the second per-thread sift off the charge and the
+// boxing off the simulator's event queue: a runnable thread sits in one kernel
+// queue, its φ-class heap, so internal/core's SFS struct holds no queue of
+// threads of its own — its heaps are over classes — and nothing in the package
+// is called byStart, the per-thread start-tag heap v was once read from; and
+// non-test internal/machine does not import container/heap, whose
+// Push(any)/Pop() any allocate per event.
 func TestOneSiftPerCharge(t *testing.T) {
 	fset := token.NewFileSet()
-	built := 0
+	classHeaps := 0
 	for _, path := range driverSources(t, filepath.Join("internal", "core")) {
 		f, err := parser.ParseFile(fset, path, nil, 0)
 		if err != nil {
 			t.Fatalf("parse %s: %v", path, err)
 		}
-		var stack []ast.Node
 		ast.Inspect(f, func(n ast.Node) bool {
-			if n == nil {
-				stack = stack[:len(stack)-1]
-				return true
-			}
-			stack = append(stack, n)
-			as, ok := n.(*ast.AssignStmt)
-			if !ok {
-				return true
-			}
-			for _, lhs := range as.Lhs {
-				if sel, ok := lhs.(*ast.SelectorExpr); !ok || sel.Sel.Name != "byStart" {
-					continue
+			switch n := n.(type) {
+			case *ast.Ident:
+				if n.Name == "byStart" {
+					t.Errorf("%s: a byStart in internal/core: a charge sifts two per-thread heaps again", fset.Position(n.Pos()))
 				}
-				built++
-				heuristic := false
-				for i := len(stack) - 2; i >= 0 && !heuristic; i-- {
-					if ifs, ok := stack[i].(*ast.IfStmt); ok && stack[i+1] == ast.Node(ifs.Body) {
-						if cond, ok := ifs.Cond.(*ast.BinaryExpr); ok && cond.Op == token.GTR {
-							k, isK := cond.X.(*ast.SelectorExpr)
-							zero, isZero := cond.Y.(*ast.BasicLit)
-							heuristic = isK && isZero && k.Sel.Name == "k" && zero.Value == "0"
+			case *ast.TypeSpec:
+				st, ok := n.Type.(*ast.StructType)
+				if !ok || n.Name.Name != "SFS" {
+					return true
+				}
+				for _, field := range st.Fields.List {
+					queue := false // a runqueue.Heap[…] or runqueue.List[…], by pointer or value
+					ast.Inspect(field.Type, func(n ast.Node) bool {
+						if ix, ok := n.(*ast.IndexExpr); ok {
+							if sel, ok := ix.X.(*ast.SelectorExpr); ok {
+								if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "runqueue" {
+									queue = true
+									if elem, ok := ix.Index.(*ast.StarExpr); ok {
+										if of, ok := elem.X.(*ast.SelectorExpr); ok && of.Sel.Name == "Thread" {
+											t.Errorf("%s: SFS.%s is a queue of threads beside the φ-class heaps", fset.Position(field.Pos()), field.Names[0].Name)
+										}
+									}
+								}
+							}
 						}
+						return true
+					})
+					if queue {
+						classHeaps++
 					}
-				}
-				if !heuristic {
-					t.Errorf("%s: byStart built outside the `k > 0` branch: exact mode sifts two per-thread heaps per charge again",
-						fset.Position(as.Pos()))
 				}
 			}
 			return true
 		})
 	}
-	if built == 0 {
-		t.Error("internal/core no longer assigns byStart; update the guard")
+	if classHeaps == 0 {
+		t.Error("internal/core's SFS struct declares no runqueue queue at all; update the guard")
 	}
 	for _, path := range driverSources(t, filepath.Join("internal", "machine")) {
 		f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
@@ -271,6 +270,102 @@ func TestOneSiftPerCharge(t *testing.T) {
 				t.Errorf("%s imports container/heap: the event queue boxes every event again", path)
 			}
 		}
+	}
+}
+
+// TestOnePickPath keeps the kernel from forking again: SFS.Pick makes exactly
+// one call to a pick… method, and internal/core declares exactly one. A second
+// way to choose a thread (the paper's §3.2 heuristic was one for 21 PRs) wraps
+// the kernel from outside, as internal/experiments/fig3.go does.
+func TestOnePickPath(t *testing.T) {
+	fset := token.NewFileSet()
+	declared, called := 0, -1
+	for _, path := range driverSources(t, filepath.Join("internal", "core")) {
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatalf("parse %s: %v", path, err)
+		}
+		for _, d := range f.Decls {
+			fn, ok := d.(*ast.FuncDecl)
+			if !ok || fn.Body == nil {
+				continue
+			}
+			if strings.HasPrefix(fn.Name.Name, "pick") {
+				declared++
+			}
+			if fn.Name.Name != "Pick" || fn.Recv == nil {
+				continue
+			}
+			called = 0
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok {
+					if sel, ok := call.Fun.(*ast.SelectorExpr); ok && strings.HasPrefix(sel.Sel.Name, "pick") {
+						called++
+					}
+				}
+				return true
+			})
+		}
+	}
+	if called == -1 {
+		t.Fatal("internal/core has no Pick method; update the guard")
+	}
+	if declared != 1 || called != 1 {
+		t.Errorf("internal/core declares %d pick… functions and Pick calls %d, want 1 and 1: one pick path through the kernel", declared, called)
+	}
+}
+
+// TestOneOrderedQueue keeps the schedulers on one ordered-queue
+// implementation: outside internal/runqueue no non-test file of the root
+// module names runqueue.List or runqueue.NewList (the nested benchmark module,
+// cmd/sfsbench, prices the list against the heap and is the reason the type
+// still exists).
+func TestOneOrderedQueue(t *testing.T) {
+	fset := token.NewFileSet()
+	heapUsers := 0
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == filepath.Join("cmd", "sfsbench") || path == filepath.Join("internal", "runqueue") || strings.HasPrefix(d.Name(), ".") && path != "." {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		usesHeap := false
+		ast.Inspect(f, func(n ast.Node) bool {
+			sel, ok := n.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "runqueue" {
+				switch sel.Sel.Name {
+				case "List", "NewList":
+					t.Errorf("%s: runqueue.%s: a second ordered-queue implementation under a scheduler again", fset.Position(sel.Pos()), sel.Sel.Name)
+				case "Heap":
+					usesHeap = true
+				}
+			}
+			return true
+		})
+		if usesHeap {
+			heapUsers++
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if heapUsers < 3 {
+		t.Errorf("only %d files outside internal/runqueue name runqueue.Heap (core, phi and vtq did); update the guard", heapUsers)
 	}
 }
 

@@ -16,10 +16,8 @@ import (
 	"sfsched/internal/core"
 	"sfsched/internal/experiments"
 	"sfsched/internal/hier"
-	"sfsched/internal/runqueue"
 	"sfsched/internal/sched"
 	"sfsched/internal/simtime"
-	"sfsched/internal/xrand"
 )
 
 // shortHorizon scales a timeline experiment down for per-iteration runs.
@@ -149,71 +147,6 @@ func BenchmarkFig7SwitchCost(b *testing.B) {
 func mkThread(id int, w float64) *sched.Thread {
 	return &sched.Thread{ID: id, Weight: w, Phi: w,
 		CPU: sched.NoCPU, LastCPU: sched.NoCPU, State: sched.Runnable}
-}
-
-// BenchmarkAblationQueueBacking compares the paper's sorted linked list
-// against a binary heap under the run queue's real operation mix: remove the
-// head, mutate its key upward, reinsert.
-func BenchmarkAblationQueueBacking(b *testing.B) {
-	const n = 256
-	less := func(a, c *sched.Thread) bool {
-		if a.Start != c.Start {
-			return a.Start < c.Start
-		}
-		return a.ID < c.ID
-	}
-	b.Run("list", func(b *testing.B) {
-		l := runqueue.NewList(runqueue.SlotPrimary, less)
-		r := xrand.New(1)
-		for i := 0; i < n; i++ {
-			l.Insert(mkThread(i+1, 1))
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			t, _ := l.Head()
-			t.Start += r.Float64()
-			l.Fix(t)
-		}
-	})
-	b.Run("heap", func(b *testing.B) {
-		h := runqueue.NewHeap(runqueue.SlotPrimary, less)
-		r := xrand.New(1)
-		for i := 0; i < n; i++ {
-			h.Push(mkThread(i+1, 1))
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			t, _ := h.Min()
-			t.Start += r.Float64()
-			h.Fix(t)
-		}
-	})
-}
-
-// BenchmarkAblationHeuristic compares the exact pick (plus its surplus
-// sweeps) against the k=20 bounded heuristic at 400 runnable threads — the
-// trade-off §3.2 introduces the heuristic for.
-func BenchmarkAblationHeuristic(b *testing.B) {
-	bench := func(b *testing.B, opts ...core.Option) {
-		s := core.New(4, append(opts, core.WithQuantum(10*simtime.Millisecond))...)
-		r := xrand.New(9)
-		for i := 0; i < 400; i++ {
-			if err := s.Add(mkThread(i+1, float64(1+r.Intn(40))), 0); err != nil {
-				b.Fatal(err)
-			}
-		}
-		now := simtime.Time(0)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			t := s.Pick(0, now)
-			t.CPU = 0
-			now = now.Add(10 * simtime.Millisecond)
-			s.Charge(t, 10*simtime.Millisecond, now)
-			t.CPU = sched.NoCPU
-		}
-	}
-	b.Run("exact", func(b *testing.B) { bench(b) })
-	b.Run("k=20", func(b *testing.B) { bench(b, core.WithHeuristic(20)) })
 }
 
 // BenchmarkAblationFixedPoint compares float64 tag arithmetic against the

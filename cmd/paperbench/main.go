@@ -19,7 +19,6 @@ import (
 
 	"sfsched/internal/experiments"
 	"sfsched/internal/metrics"
-	"sfsched/internal/trace"
 )
 
 func main() {
@@ -45,7 +44,7 @@ func main() {
 			os.Exit(1)
 		}
 		defer f.Close()
-		if err := trace.WriteSeriesCSV(f, series...); err != nil {
+		if err := writeSeriesCSV(f, series...); err != nil {
 			fmt.Fprintf(os.Stderr, "paperbench: %v\n", err)
 			os.Exit(1)
 		}

@@ -8,8 +8,8 @@
 //	sfsim -sched sfs -cpus 2 -weights 1,10,1 -duration 30s
 //	sfsim -sched sfq -cpus 4 -weights 20,5,1,1,1,1 -quantum 100ms
 //
-// Available schedulers: sfs, sfs-heuristic, sfs-fixed, sfs-noadjust, sfq,
-// sfq+readjust, timeshare, stride, bvt.
+// Available schedulers: sfs, sfs-fixed, sfs-noadjust, sfq, sfq+readjust,
+// timeshare, stride, bvt.
 package main
 
 import (

@@ -62,11 +62,9 @@ func TestFacadeConstructors(t *testing.T) {
 			t.Errorf("%s: NumCPU %d", want, s.NumCPU())
 		}
 	}
-	opts := sfsched.NewSFS(4,
-		sfsched.WithQuantum(50*sfsched.Millisecond),
-		sfsched.WithHeuristic(20))
-	if opts.Name() != "SFS(k=20)" || opts.Quantum() != 50*sfsched.Millisecond {
-		t.Fatalf("option plumbing broken: %s %v", opts.Name(), opts.Quantum())
+	opts := sfsched.NewSFS(4, sfsched.WithQuantum(50*sfsched.Millisecond))
+	if opts.Quantum() != 50*sfsched.Millisecond {
+		t.Fatalf("option plumbing broken: %v", opts.Quantum())
 	}
 	if sfsched.NewSFS(2, sfsched.WithFixedPoint(4)).Name() != "SFS" {
 		t.Fatal("fixed point constructor")
@@ -112,9 +110,6 @@ func TestDifferentialVsGMS(t *testing.T) {
 		},
 		"sfs-fixed": func() sfsched.Scheduler {
 			return sfsched.NewSFS(2, sfsched.WithQuantum(quantum), sfsched.WithFixedPoint(4))
-		},
-		"sfs-heuristic": func() sfsched.Scheduler {
-			return sfsched.NewSFS(2, sfsched.WithQuantum(quantum), sfsched.WithHeuristic(20))
 		},
 	}
 	for name, mk := range schedulers {

@@ -1,7 +1,8 @@
 package sfsched_test
 
-// Property-based fairness testing against the GMS fluid ideal, in float,
-// fixed-point and heuristic modes, over randomized workloads.
+// Property-based fairness testing against the GMS fluid ideal, in float and
+// fixed-point arithmetic and under Figure 3's §3.2 heuristic scheduler, over
+// randomized workloads.
 //
 // Two scenarios split along the paper's own guarantee boundary:
 //
@@ -25,6 +26,7 @@ import (
 	"testing"
 
 	"sfsched"
+	"sfsched/internal/experiments"
 	"sfsched/internal/xrand"
 )
 
@@ -41,11 +43,23 @@ var sfsModes = []struct {
 	lagFactor float64
 	// pairQuanta scales the pairwise bound in the blocking-churn scenario.
 	pairQuanta float64
-	opts       []sfsched.SFSOption
+	new        func(p int, quantum sfsched.Duration) checkedScheduler
 }{
-	{"float", 5, 4, nil},
-	{"fixed4", 5, 4, []sfsched.SFSOption{sfsched.WithFixedPoint(4)}},
-	{"heuristic20", 6, 6, []sfsched.SFSOption{sfsched.WithHeuristic(20)}},
+	{"float", 5, 4, func(p int, q sfsched.Duration) checkedScheduler {
+		return sfsched.NewSFS(p, sfsched.WithQuantum(q))
+	}},
+	{"fixed4", 5, 4, func(p int, q sfsched.Duration) checkedScheduler {
+		return sfsched.NewSFS(p, sfsched.WithQuantum(q), sfsched.WithFixedPoint(4))
+	}},
+	{"heuristic20", 6, 6, func(p int, q sfsched.Duration) checkedScheduler {
+		return experiments.NewHeuristicSFS(p, q, 20)
+	}},
+}
+
+// checkedScheduler is what the property tests drive.
+type checkedScheduler interface {
+	sfsched.Scheduler
+	CheckInvariants() error
 }
 
 func TestPropertyFairnessComputeChurn(t *testing.T) {
@@ -58,8 +72,7 @@ func TestPropertyFairnessComputeChurn(t *testing.T) {
 			for trial := 0; trial < 10; trial++ {
 				r := xrand.New(uint64(1000*len(mode.name) + trial))
 				p := 2 + r.Intn(3)
-				opts := append([]sfsched.SFSOption{sfsched.WithQuantum(quantum)}, mode.opts...)
-				sfs := sfsched.NewSFS(p, opts...)
+				sfs := mode.new(p, quantum)
 				m := sfsched.NewMachine(sfsched.MachineConfig{
 					CPUs: p, Scheduler: sfs, Seed: uint64(trial),
 				})
@@ -126,8 +139,7 @@ func TestPropertyFairnessBlockingChurn(t *testing.T) {
 			for trial := 0; trial < 10; trial++ {
 				r := xrand.New(uint64(7000*len(mode.name) + trial))
 				p := 2 + r.Intn(2)
-				opts := append([]sfsched.SFSOption{sfsched.WithQuantum(quantum)}, mode.opts...)
-				sfs := sfsched.NewSFS(p, opts...)
+				sfs := mode.new(p, quantum)
 				m := sfsched.NewMachine(sfsched.MachineConfig{
 					CPUs: p, Scheduler: sfs, Seed: uint64(trial),
 				})

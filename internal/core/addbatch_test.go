@@ -1,7 +1,7 @@
 // TestAddBatchEquivalence locks in the claim AddBatch's doc comment makes:
 // admitting a wakeup batch with one deferred readjustment pass leaves the
 // scheduler in exactly the state N sequential Adds would have, across the
-// exact, fixed-point and heuristic variants and for the same kernel over
+// float and fixed-point variants and for the same kernel over
 // hier's class table (where the batch must also land every thread in its
 // class). Two schedulers replay an
 // identical pre-history (admissions, pick/charge cycles, blocks), then one
@@ -50,8 +50,6 @@ func TestAddBatchEquivalence(t *testing.T) {
 	}{
 		{"exact", flat()},
 		{"fixed", flat(core.WithFixedPoint(4))},
-		{"heuristic", flat(core.WithHeuristic(20))},
-		{"heuristic_fixed", flat(core.WithHeuristic(20), core.WithFixedPoint(4))},
 		{"hier", classed},
 	}
 	// Weights spread over two orders of magnitude so the batch admission
@@ -152,12 +150,12 @@ func TestAddBatchEquivalence(t *testing.T) {
 			for i := range threads {
 				a, b := threads[i][0], threads[i][1]
 				if a.Start != b.Start || a.Finish != b.Finish ||
-					a.Phi != b.Phi || a.Surplus != b.Surplus ||
+					a.Phi != b.Phi ||
 					a.FxStart != b.FxStart || a.FxFinish != b.FxFinish || a.FxShift != b.FxShift {
-					t.Fatalf("thread %d diverged after batch:\n seq: S=%g F=%g φ=%g α=%g fx=(%d,%d,%d)\n bat: S=%g F=%g φ=%g α=%g fx=(%d,%d,%d)",
+					t.Fatalf("thread %d diverged after batch:\n seq: S=%g F=%g φ=%g fx=(%d,%d,%d)\n bat: S=%g F=%g φ=%g fx=(%d,%d,%d)",
 						i,
-						a.Start, a.Finish, a.Phi, a.Surplus, a.FxStart, a.FxFinish, a.FxShift,
-						b.Start, b.Finish, b.Phi, b.Surplus, b.FxStart, b.FxFinish, b.FxShift)
+						a.Start, a.Finish, a.Phi, a.FxStart, a.FxFinish, a.FxShift,
+						b.Start, b.Finish, b.Phi, b.FxStart, b.FxFinish, b.FxShift)
 				}
 			}
 			// ...and so must everything the tags feed: the pick order from

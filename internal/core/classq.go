@@ -8,7 +8,7 @@ import (
 	"sfsched/internal/sched"
 )
 
-// The exact-mode queues: the start-tag and surplus queues of §3.1 as one
+// The kernel's queues: the start-tag and surplus queues of §3.1 as one
 // structure, grouped by instantaneous weight. Among threads with the same φ
 // the surplus φ·(S − v) is a non-decreasing function of the start tag S for
 // every v — the observation behind the §2.3 reduction of SFS to SFQ on a
@@ -284,7 +284,7 @@ func (s *SFS) pickExact(cpu int) *sched.Thread {
 			// Judged on the heap's own array before the thread is touched.
 			fresh := keySurplus(c, c.threads.KeyAt(j), s.v)
 			if s.fixed {
-				fresh = s.freshSurplus(c.threads.At(j))
+				fresh = s.FreshSurplus(c.threads.At(j))
 			}
 			if fresh > reach {
 				continue

@@ -5,7 +5,7 @@ import (
 	"math"
 )
 
-// Views of the exact-mode key regime for the external golden tests (which sit
+// Views of the class-key regime for the external golden tests (which sit
 // outside the package because hier imports core).
 
 // WithinFreeScan reports whether there are no more classes than any pick may
@@ -23,7 +23,7 @@ func (s *SFS) CheckKeyJudgement() error {
 		c := s.byClass.At(i)
 		for j := 0; j < c.threads.Len(); j++ {
 			t := c.threads.At(j)
-			got, want := keySurplus(c, c.threads.KeyAt(j), s.v), s.freshSurplus(t)
+			got, want := keySurplus(c, c.threads.KeyAt(j), s.v), s.FreshSurplus(t)
 			if math.Float64bits(got) != math.Float64bits(want) {
 				return fmt.Errorf("%v at position %d of class φ=%g: surplus %g from the cached key, %g fresh", t, j, c.phi, got, want)
 			}

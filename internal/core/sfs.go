@@ -1,9 +1,10 @@
 // Package core implements Surplus Fair Scheduling (SFS), the paper's primary
 // contribution (§2.3), together with the kernel implementation techniques of
-// §3: the sorted run queues (the paper's three lists under the
-// bounded-examination scheduling heuristic; one heap per φ-class otherwise),
-// fixed-point tag arithmetic with wraparound rebasing, and the weight
-// readjustment hook invoked whenever the runnable set changes.
+// §3: the sorted run queue (one heap per φ-class in place of the paper's three
+// lists), fixed-point tag arithmetic with wraparound rebasing, and the weight
+// readjustment hook invoked whenever the runnable set changes. The paper's
+// §3.2 bounded-examination heuristic is reproduced where Figure 3 measures it
+// (internal/experiments/fig3.go), over this kernel, not inside it.
 //
 // # Algorithm
 //
@@ -33,7 +34,7 @@
 // implementation — recompute all n surpluses and re-sort after every charge —
 // costs O(n) per scheduling decision. But among threads with the same φ,
 // least surplus is least start tag for every v (the §2.3 reduction to SFQ,
-// applied per weight). So exact mode (classq.go) keeps one class per distinct
+// applied per weight). So the kernel (classq.go) keeps one class per distinct
 // φ in the runnable set, each a min-heap of its threads on (start tag, weight
 // desc, ID) that no change of v disturbs — the thread's only queue in the
 // kernel: it is the surplus queue and the start-tag queue at once — and over
@@ -62,10 +63,7 @@
 //
 // With all-distinct weights every class holds one thread and this is a
 // per-thread lazy heap with one more indirection. Decisions are bit-identical
-// to the eager implementation (TestGoldenTrace*). Heuristic mode (§3.2) keeps
-// the paper's own behaviour: three per-thread queues — start tags, weights,
-// and stored surpluses that refresh every updatePeriod decisions — and picks
-// that examine k candidates per queue.
+// to the eager implementation (TestGoldenTrace*).
 //
 // # Extensions
 //
@@ -98,9 +96,8 @@ const DefaultQuantum = 200 * simtime.Millisecond
 type Stats struct {
 	Decisions     int64 // Pick calls that returned a thread
 	Readjustments int64 // weight readjustment passes that changed some φ
-	SurplusSweeps int64 // surplus queue refreshes: every class re-keyed (exact: per v change at C ≤ 11 classes, else per over-long pick scan), every thread re-stored (heuristic)
+	SurplusSweeps int64 // surplus queue refreshes, every class re-keyed: per v change at C ≤ 11 classes, else per over-long pick scan
 	Rebases       int64 // fixed-point tag wraparound rebases
-	HeuristicHits int64 // heuristic picks (WithHeuristic only)
 	Migrations    int64 // picks where the thread last ran on a different CPU
 }
 
@@ -116,7 +113,7 @@ type SFS struct {
 	v          float64 // virtual time
 	lastFinish float64 // finish tag of the thread that ran last
 
-	// Exact mode (classq.go): one class per distinct φ in the runnable set,
+	// The surplus queue (classq.go): one class per distinct φ in the runnable set,
 	// each a heap of its threads by start tag — a thread's only kernel queue
 	// — and over them two heaps of classes: byClass, keyed by the class
 	// head's surplus against vRef, the virtual time of the last refresh
@@ -136,21 +133,6 @@ type SFS struct {
 	zeroTies    bool // some tag or φ is small enough that a positive lead S − v may have zero surplus
 
 	useReadjust bool
-
-	// Heuristic mode (§3.2): the paper's three per-thread queues. byStart is
-	// a heap on (start tag, ID), bySurplus one on the surplus stored at the
-	// thread's last update; examine only the first k threads of each queue;
-	// refresh stored surpluses every updatePeriod decisions. byLight is the
-	// weight queue in the order the heuristic reads it, lightest first — the
-	// one reader of an order the φ source's own weight queue no longer
-	// keeps, so only this mode pays for it.
-	byStart      *runqueue.Heap[*sched.Thread]
-	bySurplus    *runqueue.Heap[*sched.Thread]
-	byLight      *runqueue.List[*sched.Thread]
-	kScratch     []*sched.Thread // first-k candidate scratch
-	k            int
-	updatePeriod int64
-	sinceUpdate  int64
 
 	// Fixed-point mode (§3.2): tags computed in scaled integers. fxShift
 	// accumulates the total wraparound-rebase shift; threads carry the
@@ -175,21 +157,6 @@ type Option func(*SFS)
 // WithQuantum sets the maximum quantum granted per dispatch.
 func WithQuantum(q simtime.Duration) Option {
 	return func(s *SFS) { s.quantum = q }
-}
-
-// WithHeuristic enables the bounded-examination heuristic, inspecting the
-// first k threads of each of the three queues per decision (k > 0). The
-// paper finds k=20 gives >99% accuracy for up to 400 runnable threads on
-// four processors (Figure 3).
-func WithHeuristic(k int) Option {
-	return func(s *SFS) { s.k = k }
-}
-
-// WithUpdatePeriod sets how many decisions may elapse between full surplus
-// refreshes in heuristic mode ("infrequent updates and sorting are still
-// required to maintain a high accuracy of the heuristic", §3.2).
-func WithUpdatePeriod(n int64) Option {
-	return func(s *SFS) { s.updatePeriod = n }
 }
 
 // WithFixedPoint switches tag arithmetic to scaled integers with factor
@@ -284,7 +251,7 @@ func New(p int, opts ...Option) *SFS {
 	return s
 }
 
-// NewOver returns the exact-mode, float-arithmetic SFS kernel for p
+// NewOver returns the float-arithmetic SFS kernel for p
 // processors over a caller-supplied φ source: everything New's scheduler does
 // — tags, virtual time, the lazily refreshed surplus queue, picks, preemption
 // ranks, frame translation, batch admission — with src deciding each
@@ -306,14 +273,13 @@ func newKernel(p int) *SFS {
 		p:              p,
 		quantum:        DefaultQuantum,
 		useReadjust:    true,
-		updatePeriod:   50,
 		scanLimit:      scanBase,
 		rebaseThresh:   fixedpoint.WrapThreshold,
 		affinityMargin: -1,
 	}
 }
 
-// setSource, called once the options are in, builds the mode's queues and
+// setSource, called once the options are in, builds the class-level heaps and
 // installs the φ source and its hook. φ changes arrive thread-by-thread
 // from the readjustment pass; the hook keeps the derived state (FxPhi cache,
 // class membership) of each affected thread current instead of sweeping the
@@ -321,22 +287,11 @@ func newKernel(p int) *SFS {
 // is a tie-break key inside the class, so the thread is re-inserted either
 // way.
 func (s *SFS) setSource(src PhiSource) {
-	if s.k > 0 {
-		s.byStart = runqueue.NewHeap(runqueue.SlotPrimary, func(a, b *sched.Thread) bool {
-			if a.Start != b.Start {
-				return a.Start < b.Start
-			}
-			return a.ID < b.ID
-		})
-		s.bySurplus = runqueue.NewHeap(runqueue.SlotSurplus, surplusHeapLess)
-		s.byLight = runqueue.NewList(runqueue.SlotWeight, func(a, b *sched.Thread) bool { return heavierOrOlder(b, a) })
-	} else {
-		s.byClass = runqueue.NewKeyedHeap(runqueue.SlotSurplus, func(c *class) float64 { return c.key }, classLess)
-		s.byHead = runqueue.NewKeyedHeap(runqueue.SlotPrimary,
-			func(c *class) float64 { return c.headStart },
-			func(a, b *class) bool { return s.inClassLess(a.head, b.head) })
-		s.classOf = make(map[float64]*class)
-	}
+	s.byClass = runqueue.NewKeyedHeap(runqueue.SlotSurplus, func(c *class) float64 { return c.key }, classLess)
+	s.byHead = runqueue.NewKeyedHeap(runqueue.SlotPrimary,
+		func(c *class) float64 { return c.headStart },
+		func(a, b *class) bool { return s.inClassLess(a.head, b.head) })
+	s.classOf = make(map[float64]*class)
 	s.weights = src
 	src.OnPhiChange(func(t *sched.Thread) {
 		if s.fixed {
@@ -360,12 +315,7 @@ var (
 )
 
 // Name implements sched.Scheduler.
-func (s *SFS) Name() string {
-	if s.k > 0 {
-		return fmt.Sprintf("SFS(k=%d)", s.k)
-	}
-	return "SFS"
-}
+func (s *SFS) Name() string { return "SFS" }
 
 // NumCPU implements sched.Scheduler.
 func (s *SFS) NumCPU() int { return s.p }
@@ -377,35 +327,13 @@ func (s *SFS) Runnable() int { return s.weights.Len() }
 // tag over runnable threads).
 func (s *SFS) VirtualTime() float64 { return s.v }
 
-// Snapshot is an O(1) summary of the runnable set, exported for the sharded
-// runtime (internal/rt): enough to measure a shard's load and to anchor
-// per-thread fresh-surplus computations without walking any queue.
-type Snapshot struct {
-	// Runnable is the number of runnable threads (including running).
-	Runnable int
-	// WeightSum is Σ w_i over the runnable set (requested weights, the
-	// quantity the shard rebalancer equalizes per processor).
-	WeightSum float64
-	// VirtualTime is v, the minimum start tag over runnable threads.
-	VirtualTime float64
-}
-
-// Snapshot returns the current O(1) runnable-set summary.
-func (s *SFS) Snapshot() Snapshot {
-	return Snapshot{
-		Runnable:    s.weights.Len(),
-		WeightSum:   s.weights.Sum(),
-		VirtualTime: s.v,
-	}
-}
-
 // FreshSurplus returns t's surplus α_i = φ_i·(S_i − v) against the current
 // virtual time, in the arithmetic (float or fixed) a full refresh would use.
 // The sharded runtime's rebalancer uses it (via sched.LagReporter) to choose
 // migration victims: a thread with a large surplus is ahead of its ideal
 // allocation, so the wakeup-style tag re-entry a migration entails costs it
 // the least.
-func (s *SFS) FreshSurplus(t *sched.Thread) float64 { return s.freshSurplus(t) }
+func (s *SFS) FreshSurplus(t *sched.Thread) float64 { return s.surplusAt(t, s.v, s.fxV) }
 
 // FrameLead implements sched.FrameTranslator: the lead of t's finish tag
 // over this scheduler's virtual time, in the arithmetic the instance uses.
@@ -455,28 +383,16 @@ func (s *SFS) admissible(t *sched.Thread) error {
 }
 
 // queued reports whether t is in the runnable set.
-func (s *SFS) queued(t *sched.Thread) bool {
-	if s.k > 0 {
-		return s.byStart.Contains(t)
-	}
-	return t.PhiClass != 0
-}
+func (s *SFS) queued(t *sched.Thread) bool { return t.PhiClass != 0 }
 
 // each calls fn on every runnable thread, in unspecified order.
 func (s *SFS) each(fn func(*sched.Thread)) {
 	all := func(t *sched.Thread) bool { fn(t); return true }
-	if s.k > 0 {
-		s.byStart.Each(all)
-		return
-	}
 	s.byClass.Each(func(c *class) bool { c.threads.Each(all); return true })
 }
 
 // first returns a runnable thread holding the minimum start tag.
 func (s *SFS) first() (*sched.Thread, bool) {
-	if s.k > 0 {
-		return s.byStart.Min()
-	}
 	if c, ok := s.byHead.Min(); ok {
 		return c.head, true
 	}
@@ -507,19 +423,11 @@ func (s *SFS) arrive(t *sched.Thread) {
 	t.Start = s.scale.Float(t.FxStart)
 }
 
-// enqueue inserts t, tagged and already known to the φ source, into the
-// mode's queues. Adding a thread cannot lower v (its start tag is >= v), so
-// only φ changes require updating other threads' surpluses — and in exact
-// mode the φ hook moves each affected thread to its new class.
+// enqueue inserts t, tagged and already known to the φ source, into its
+// φ-class. Adding a thread cannot lower v (its start tag is >= v), so only φ
+// changes require updating other threads' surpluses — and the φ hook moves
+// each affected thread to its new class.
 func (s *SFS) enqueue(t *sched.Thread) {
-	if s.k > 0 {
-		s.byStart.Push(t)
-		s.recomputeV()
-		s.storeSurplus(t)
-		s.bySurplus.Push(t)
-		s.byLight.Insert(t)
-		return
-	}
 	// Tags enter here and grow by charges of at least 10⁻⁹ s / 10¹², so
 	// this is the one place a tag below tinyTag can appear.
 	if !s.fixed && t.Start > 0 && t.Start < tinyTag {
@@ -538,18 +446,14 @@ func (s *SFS) Add(t *sched.Thread, now simtime.Time) error {
 		return err
 	}
 	s.arrive(t)
-	changed := s.weights.Add(t)
+	s.weights.Add(t)
 	s.enqueue(t)
-	if changed && s.k > 0 {
-		s.refreshSurpluses()
-	}
 	return nil
 }
 
 // AddBatch implements sched.BatchAdder: admit a batch of newly woken threads
 // at one instant, equivalent to calling Add for each element of ts in order
-// but with the weight-readjustment pass — and, in heuristic mode, the global
-// surplus refresh a φ change forces — run once for the whole batch. The
+// but with the weight-readjustment pass run once for the whole batch. The
 // sharded runtime's intake drain uses it so N simultaneous wakeups cost one
 // readjustment pass.
 //
@@ -558,10 +462,10 @@ func (s *SFS) Add(t *sched.Thread, now simtime.Time) error {
 // history), each thread's wakeup tag max(F_i, v) is unaffected by the other
 // admissions (adding a thread can never lower v, and v is recomputed after
 // every insertion exactly as the sequential path would), and the deferred
-// readjustment's φ hook re-stores the surplus of every thread whose φ
-// changed — exactly the state N per-Add passes would have left behind.
-// TestAddBatchEquivalence locks this in across the exact, fixed-point,
-// heuristic and hierarchical variants.
+// readjustment's φ hook moves every thread whose φ changed to its new class
+// — exactly the state N per-Add passes would have left behind.
+// TestAddBatchEquivalence locks this in across the float, fixed-point and
+// hierarchical variants.
 func (s *SFS) AddBatch(ts []*sched.Thread, now simtime.Time) error {
 	// Validate the whole batch up front (including intra-batch duplicates)
 	// so that an error leaves the runnable set untouched.
@@ -580,9 +484,7 @@ func (s *SFS) AddBatch(ts []*sched.Thread, now simtime.Time) error {
 		s.weights.AddDeferred(t)
 		s.enqueue(t)
 	}
-	if s.weights.Readjust() && s.k > 0 {
-		s.refreshSurpluses()
-	}
+	s.weights.Readjust()
 	return nil
 }
 
@@ -591,21 +493,13 @@ func (s *SFS) Remove(t *sched.Thread, now simtime.Time) error {
 	if !s.queued(t) {
 		return fmt.Errorf("%w: %v", sched.ErrNotManaged, t)
 	}
-	if s.k > 0 {
-		s.byStart.Remove(t)
-		s.bySurplus.Remove(t)
-		s.byLight.Remove(t)
-	} else {
-		s.leave(t)
-	}
-	changed := s.weights.Remove(t)
-	vChanged := s.recomputeV()
+	s.leave(t)
+	s.weights.Remove(t)
+	s.recomputeV()
 	// Class keys are relative to vRef, not v, so a v change alone
-	// invalidates nothing in exact mode (a handful of classes is re-keyed
-	// all the same); φ changes were handled by the hook.
-	if s.k > 0 && (changed || vChanged) {
-		s.refreshSurpluses()
-	} else if s.k == 0 && s.refreshIsCheap() {
+	// invalidates nothing (a handful of classes is re-keyed all the same);
+	// φ changes were handled by the hook.
+	if s.refreshIsCheap() {
 		s.refreshKeys()
 	}
 	if s.weights.Len() == 0 {
@@ -636,13 +530,8 @@ func (s *SFS) Charge(t *sched.Thread, ran simtime.Duration, now simtime.Time) {
 	// Restore t's queue position before v is read and before a possible
 	// rebase: both take the minimum start tag off a queue head, and t —
 	// whose tag just grew — is the entry most likely to be stale there.
-	queued := s.queued(t)
-	switch {
-	case !queued: // charged after it blocked or exited mid-slice
-	case s.k > 0:
-		s.byStart.Fix(t)
-	default:
-		// Exact mode's one sift. The class moves, in both class-level heaps,
+	if s.queued(t) { // not if it was charged after it blocked or exited mid-slice
+		// The charge's one sift. The class moves, in both class-level heaps,
 		// only if t led it (a tag that grew cannot take the lead).
 		c := s.classes[t.PhiClass-1]
 		c.threads.Fix(t)
@@ -653,34 +542,12 @@ func (s *SFS) Charge(t *sched.Thread, ran simtime.Duration, now simtime.Time) {
 	if s.fixed && (fixedpoint.NeedsRebase(t.FxFinish) || t.FxFinish > s.rebaseThresh) {
 		s.rebaseTags()
 	}
-	vChanged := s.recomputeV()
-	if s.k > 0 {
-		// Heuristic mode: defer the global refresh to the periodic
-		// update instead of paying it on every virtual-time change.
-		if vChanged && s.dueForUpdate() {
-			s.refreshSurpluses()
-		} else if queued {
-			s.storeSurplus(t)
-			s.bySurplus.Fix(t)
-		}
-		return
-	}
+	s.recomputeV()
 	// Refresh the class keys when pick scans report the drift has grown
 	// expensive, or at once while that costs less than such a scan.
 	if s.needRefresh || s.refreshIsCheap() {
 		s.refreshKeys()
 	}
-}
-
-// dueForUpdate reports (and consumes) whether a periodic surplus refresh is
-// due in heuristic mode.
-func (s *SFS) dueForUpdate() bool {
-	s.sinceUpdate++
-	if s.sinceUpdate >= s.updatePeriod {
-		s.sinceUpdate = 0
-		return true
-	}
-	return false
 }
 
 // Timeslice implements sched.Scheduler: SFS grants a fixed maximum quantum;
@@ -701,24 +568,15 @@ func (s *SFS) SetWeight(t *sched.Thread, w float64, now simtime.Time) error {
 		t.Phi = w
 		return nil
 	}
+	// φ changed for t (and possibly others): the hook restores every
+	// affected thread.
 	s.weights.UpdateWeight(t, w)
-	// φ changed for t (and possibly others): in exact mode the hook has
-	// restored every affected thread; heuristic mode refreshes globally.
-	if s.k > 0 {
-		s.byLight.Fix(t)
-		s.refreshSurpluses()
-	}
 	return nil
 }
 
 // Pick implements sched.Scheduler.
 func (s *SFS) Pick(cpu int, now simtime.Time) *sched.Thread {
-	var t *sched.Thread
-	if s.k > 0 {
-		t = s.pickHeuristic(cpu)
-	} else {
-		t = s.pickExact(cpu)
-	}
+	t := s.pickExact(cpu)
 	if t != nil {
 		s.stats.Decisions++
 		t.Decisions++
@@ -728,10 +586,6 @@ func (s *SFS) Pick(cpu int, now simtime.Time) *sched.Thread {
 	}
 	return t
 }
-
-// freshSurplus returns t's surplus against the current virtual time, using
-// the same arithmetic (float or fixed) that a full refresh would.
-func (s *SFS) freshSurplus(t *sched.Thread) float64 { return s.surplusAt(t, s.v, s.fxV) }
 
 // surplusAt returns t's surplus against the virtual time ref (fxRef in
 // fixed-point mode): the current one for a fresh surplus, the vRef epoch for
@@ -750,15 +604,6 @@ func betterPick(fresh float64, t *sched.Thread, bestS float64, best *sched.Threa
 		return best == nil || fresh < bestS
 	}
 	return heavierOrOlder(t, best)
-}
-
-// surplusHeapLess is the heuristic mode's surplus queue order: ascending
-// stored surplus, then descending weight, then ID.
-func surplusHeapLess(a, b *sched.Thread) bool {
-	if a.Surplus != b.Surplus {
-		return a.Surplus < b.Surplus
-	}
-	return heavierOrOlder(a, b)
 }
 
 // driftBound returns the pick-scan prune bound φ_max·|v−vRef| and its
@@ -789,61 +634,6 @@ func (s *SFS) noDrift() bool {
 		return s.fxV == s.fxVRef
 	}
 	return s.v == s.vRef
-}
-
-// pickHeuristic implements the §3.2 heuristic: the thread with minimum
-// surplus typically has a small start tag, a small weight, or a small
-// surplus at the previous update, so examining the first k entries of each
-// of the three queues (the weight queue from its light end) and computing
-// fresh surpluses for just those candidates finds it with high probability.
-func (s *SFS) pickHeuristic(cpu int) *sched.Thread {
-	var best *sched.Thread
-	var bestSurplus float64
-	consider := func(t *sched.Thread) {
-		if t.Running() {
-			return
-		}
-		fresh := t.Phi * (t.Start - s.v)
-		better := best == nil || fresh < bestSurplus ||
-			(fresh == bestSurplus && (t.Weight > best.Weight ||
-				(t.Weight == best.Weight && t.ID < best.ID)))
-		if better {
-			best = t
-			bestSurplus = fresh
-		}
-	}
-	s.kScratch = s.byStart.AppendKSmallest(s.kScratch[:0], s.k)
-	for _, t := range s.kScratch {
-		consider(t)
-	}
-	s.kScratch = s.bySurplus.AppendKSmallest(s.kScratch[:0], s.k)
-	for _, t := range s.kScratch {
-		consider(t)
-	}
-	n := 0
-	s.byLight.Each(func(t *sched.Thread) bool {
-		n++
-		consider(t)
-		return n < s.k
-	})
-	if best == nil {
-		// All candidates were running; stay work-conserving by falling
-		// back to the earliest non-running thread in start-tag order.
-		s.byStart.Each(func(t *sched.Thread) bool {
-			if t.Running() {
-				return true
-			}
-			if best == nil || t.Start < best.Start ||
-				(t.Start == best.Start && t.ID < best.ID) {
-				best = t
-			}
-			return true
-		})
-	}
-	if best != nil {
-		s.stats.HeuristicHits++
-	}
-	return best
 }
 
 // ExactMinSurplus returns the runnable non-running thread with the smallest
@@ -905,29 +695,18 @@ func (s *SFS) Threads() []*sched.Thread {
 }
 
 // CheckInvariants validates the paper's structural invariants; tests call it
-// after every operation in paranoia mode. The invariants: the mode's queues
-// (heuristic: the three per-thread queues; exact: the φ-classes, checkClasses)
-// hold exactly the threads the φ source tracks and remain ordered; v equals
-// the minimum start tag, found by looking at every runnable thread rather
-// than at the queue head v was read from; all fresh surpluses are
-// non-negative; and at least one runnable thread has zero surplus (the thread
-// holding the minimum start tag, §2.3).
+// after every operation in paranoia mode. The invariants: the φ-classes
+// (checkClasses) hold exactly the threads the φ source tracks and remain
+// ordered; v equals the minimum start tag, found by looking at every runnable
+// thread rather than at the queue head v was read from; all fresh surpluses
+// are non-negative; and at least one runnable thread has zero surplus (the
+// thread holding the minimum start tag, §2.3).
 func (s *SFS) CheckInvariants() error {
 	if err := s.weights.Validate(); err != nil {
 		return err
 	}
 	n := s.weights.Len()
-	if s.k > 0 {
-		for _, validate := range []func() error{s.byStart.Validate, s.bySurplus.Validate, s.byLight.Validate} {
-			if err := validate(); err != nil {
-				return err
-			}
-		}
-		if s.byStart.Len() != n || s.bySurplus.Len() != n || s.byLight.Len() != n {
-			return fmt.Errorf("core: start/surplus/lightest-first queues hold %d/%d/%d of %d threads",
-				s.byStart.Len(), s.bySurplus.Len(), s.byLight.Len(), n)
-		}
-	} else if err := s.checkClasses(); err != nil {
+	if err := s.checkClasses(); err != nil {
 		return err
 	}
 	if n == 0 {
@@ -956,43 +735,20 @@ func (s *SFS) CheckInvariants() error {
 	return nil
 }
 
-// recomputeV updates the virtual time and reports whether it changed. When
-// no thread is runnable, v takes the finish tag of the thread that ran last
-// (§2.3).
-func (s *SFS) recomputeV() bool {
-	var nv float64
+// recomputeV updates the virtual time. When no thread is runnable, v takes the
+// finish tag of the thread that ran last (§2.3).
+func (s *SFS) recomputeV() {
 	if head, ok := s.first(); ok {
-		nv = head.Start
+		s.v = head.Start
 		if s.fixed {
 			s.fxV = head.FxStart
 		}
 	} else {
-		nv = s.lastFinish
+		s.v = s.lastFinish
 		if s.fixed {
 			s.fxV = s.fxLastFinish
 		}
 	}
-	if nv == s.v {
-		return false
-	}
-	s.v = nv
-	return true
-}
-
-// storeSurplus recomputes and stores t's surplus against the current v
-// (heuristic mode, the paper's kernel behaviour: entries go stale
-// individually until the periodic refresh).
-func (s *SFS) storeSurplus(t *sched.Thread) { t.Surplus = s.freshSurplus(t) }
-
-// refreshSurpluses is the heuristic mode's periodic update: recompute every
-// stored surplus and re-sort the surplus queue (§3.2).
-func (s *SFS) refreshSurpluses() {
-	s.byStart.Each(func(t *sched.Thread) bool {
-		s.storeSurplus(t)
-		return true
-	})
-	s.bySurplus.Init()
-	s.stats.SurplusSweeps++
 }
 
 // rebaseTags shifts all tags by the minimum start tag and resets the virtual
@@ -1016,12 +772,10 @@ func (s *SFS) rebaseTags() {
 		t.Start = s.scale.Float(t.FxStart)
 		t.Finish = s.scale.Float(t.FxFinish)
 	})
-	if s.k == 0 {
-		// Every cached start key moved by base; the order did not, so Init
-		// re-reads the keys and sifts nothing.
-		s.byClass.Each(func(c *class) bool { c.threads.Init(); c.headStart = c.threads.KeyAt(0); return true })
-		s.byHead.Init()
-	}
+	// Every cached start key moved by base; the order did not, so Init
+	// re-reads the keys and sifts nothing.
+	s.byClass.Each(func(c *class) bool { c.threads.Init(); c.headStart = c.threads.KeyAt(0); return true })
+	s.byHead.Init()
 	fixedpoint.Rebase(base, &s.fxV, &s.fxLastFinish, &s.fxVRef)
 	s.v = s.scale.Float(s.fxV)
 	s.lastFinish = s.scale.Float(s.fxLastFinish)

@@ -3,8 +3,6 @@ package core
 import (
 	"errors"
 	"math"
-	"slices"
-	"sort"
 	"testing"
 
 	"sfsched/internal/fixedpoint"
@@ -405,9 +403,6 @@ func TestTimesliceAndName(t *testing.T) {
 	if s.Name() != "SFS" {
 		t.Fatalf("Name = %q", s.Name())
 	}
-	if New(2, WithHeuristic(20)).Name() != "SFS(k=20)" {
-		t.Fatal("heuristic name wrong")
-	}
 	if s.NumCPU() != 2 {
 		t.Fatal("NumCPU wrong")
 	}
@@ -465,131 +460,6 @@ func TestRandomOpsKeepInvariants(t *testing.T) {
 				t.Fatalf("p=%d step %d: %v", p, step, err)
 			}
 		}
-	}
-}
-
-func TestHeuristicMatchesExactWithLargeK(t *testing.T) {
-	// With k >= n the heuristic examines every thread and must agree with
-	// the exact scheduler decision-for-decision.
-	mkSet := func() []*sched.Thread {
-		r := xrand.New(5)
-		var out []*sched.Thread
-		for i := 0; i < 30; i++ {
-			out = append(out, mkThread(i+1, float64(1+r.Intn(20))))
-		}
-		return out
-	}
-	trace := func(s sched.Scheduler) []int {
-		threads := mkSet()
-		now := simtime.Time(0)
-		for _, th := range threads {
-			if err := s.Add(th, now); err != nil {
-				t.Fatal(err)
-			}
-		}
-		var ids []int
-		for i := 0; i < 1500; i++ {
-			th := s.Pick(0, now)
-			th.CPU = 0
-			now = now.Add(10 * simtime.Millisecond)
-			s.Charge(th, 10*simtime.Millisecond, now)
-			th.CPU = sched.NoCPU
-			ids = append(ids, th.ID)
-		}
-		return ids
-	}
-	exact := trace(New(4))
-	heur := trace(New(4, WithHeuristic(100), WithUpdatePeriod(1)))
-	for i := range exact {
-		if exact[i] != heur[i] {
-			t.Fatalf("decision %d differs: exact=%d heuristic=%d", i, exact[i], heur[i])
-		}
-	}
-}
-
-func TestHeuristicStaysWorkConserving(t *testing.T) {
-	s := New(2, WithHeuristic(1))
-	var threads []*sched.Thread
-	for i := 0; i < 10; i++ {
-		th := mkThread(i+1, 1)
-		threads = append(threads, th)
-		if err := s.Add(th, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Occupy the most attractive candidates.
-	threads[0].CPU = 0
-	if got := s.Pick(1, 0); got == nil {
-		t.Fatal("heuristic went idle with 9 runnable threads")
-	}
-}
-
-// TestHeuristicLightestScanOrder pins the one ordered read the heuristic
-// makes of the weight queue: under block/wake/setweight churn over a crowd of
-// three weights, the k candidates its back-scan visits are the k lightest
-// runnable threads in (weight asc, ID desc) order — what scanning the
-// descending weight list from its tail used to yield.
-func TestHeuristicLightestScanOrder(t *testing.T) {
-	const k = 20
-	s := New(4, WithHeuristic(k))
-	r := xrand.New(11)
-	weights := []float64{1, 2, 50}
-	var runnable, blocked []*sched.Thread
-	check := func(step int) {
-		t.Helper()
-		if err := s.CheckInvariants(); err != nil {
-			t.Fatalf("step %d: %v", step, err)
-		}
-		want := append([]*sched.Thread(nil), runnable...)
-		sort.Slice(want, func(i, j int) bool { return heavierOrOlder(want[j], want[i]) })
-		var got []*sched.Thread
-		s.byLight.Each(func(th *sched.Thread) bool {
-			got = append(got, th)
-			return len(got) < k
-		})
-		if !slices.Equal(got, want[:min(k, len(want))]) {
-			t.Fatalf("step %d: back-scan visits %v, the %d lightest are %v", step, got, k, want[:len(got)])
-		}
-	}
-	for i := 0; i < 300; i++ {
-		th := mkThread(i+1, weights[r.Intn(len(weights))])
-		runnable = append(runnable, th)
-		if err := s.Add(th, 0); err != nil {
-			t.Fatal(err)
-		}
-		check(i)
-	}
-	now := simtime.Time(0)
-	for step := 0; step < 2000; step++ {
-		switch op := r.Intn(4); {
-		case op == 0 && len(runnable) > 1: // block
-			i := r.Intn(len(runnable))
-			th := runnable[i]
-			runnable = append(runnable[:i], runnable[i+1:]...)
-			blocked = append(blocked, th)
-			if err := s.Remove(th, now); err != nil {
-				t.Fatal(err)
-			}
-		case op == 1 && len(blocked) > 0: // wake
-			i := r.Intn(len(blocked))
-			th := blocked[i]
-			blocked = append(blocked[:i], blocked[i+1:]...)
-			runnable = append(runnable, th)
-			if err := s.Add(th, now); err != nil {
-				t.Fatal(err)
-			}
-		case op == 2: // setweight
-			if err := s.SetWeight(runnable[r.Intn(len(runnable))], weights[r.Intn(len(weights))], now); err != nil {
-				t.Fatal(err)
-			}
-		default:
-			th := s.Pick(0, now)
-			th.CPU = 0
-			now = now.Add(10 * simtime.Millisecond)
-			s.Charge(th, 10*simtime.Millisecond, now)
-			th.CPU = sched.NoCPU
-		}
-		check(step)
 	}
 }
 

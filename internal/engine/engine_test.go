@@ -185,8 +185,7 @@ func classServiceMatches(t *testing.T, s sched.Scheduler, threads []*sched.Threa
 // plus the boundary Settle must leave every thread exactly where one Settle
 // of the whole slice would have — Service exactly, tags up to the arithmetic
 // mode's quantization, and never a different pick order. Run across the
-// interim-capable policies and the exact, heuristic and fixed-point SFS
-// modes.
+// interim-capable policies and the float and fixed-point SFS arithmetics.
 func TestEngineChargeComposition(t *testing.T) {
 	const quantum = 10 * simtime.Millisecond
 	cases := []struct {
@@ -195,9 +194,6 @@ func TestEngineChargeComposition(t *testing.T) {
 		tol  float64 // absolute tag tolerance; 0 means relative 1e-9
 	}{
 		{"sfs-exact", func() sched.Scheduler { return core.New(2, core.WithQuantum(quantum)) }, 0},
-		{"sfs-heuristic", func() sched.Scheduler {
-			return core.New(2, core.WithQuantum(quantum), core.WithHeuristic(20))
-		}, 0},
 		{"sfs-fixedpoint", func() sched.Scheduler {
 			return core.New(2, core.WithQuantum(quantum), core.WithFixedPoint(4))
 		}, 1e-3},

@@ -31,23 +31,22 @@ type Kind string
 
 // Scheduler kinds.
 const (
-	SFS          Kind = "sfs"               // surplus fair scheduling (exact)
-	SFSHeuristic Kind = "sfs-heuristic"     // SFS with the k=20 pick heuristic
-	SFSFixed     Kind = "sfs-fixed"         // SFS with 10^4 fixed-point tags
-	SFSNoAdjust  Kind = "sfs-noadjust"      // ablation: SFS without readjustment
-	SFQ          Kind = "sfq"               // start-time fair queueing (plain)
-	SFQReadjust  Kind = "sfq+readjust"      // SFQ + weight readjustment
-	Timeshare    Kind = "timeshare"         // Linux 2.2-style time sharing
-	Stride       Kind = "stride"            // stride scheduling (plain)
-	BVT          Kind = "bvt"               // borrowed virtual time (plain)
-	Lottery      Kind = "lottery"           // lottery scheduling (plain)
-	Partitioned  Kind = "partitioned"       // per-CPU SFQ, static placement
-	PartRebal    Kind = "partitioned+rebal" // per-CPU SFQ, 1s rebalance
+	SFS         Kind = "sfs"               // surplus fair scheduling
+	SFSFixed    Kind = "sfs-fixed"         // SFS with 10^4 fixed-point tags
+	SFSNoAdjust Kind = "sfs-noadjust"      // ablation: SFS without readjustment
+	SFQ         Kind = "sfq"               // start-time fair queueing (plain)
+	SFQReadjust Kind = "sfq+readjust"      // SFQ + weight readjustment
+	Timeshare   Kind = "timeshare"         // Linux 2.2-style time sharing
+	Stride      Kind = "stride"            // stride scheduling (plain)
+	BVT         Kind = "bvt"               // borrowed virtual time (plain)
+	Lottery     Kind = "lottery"           // lottery scheduling (plain)
+	Partitioned Kind = "partitioned"       // per-CPU SFQ, static placement
+	PartRebal   Kind = "partitioned+rebal" // per-CPU SFQ, 1s rebalance
 )
 
 // Kinds lists every scheduler kind, for CLI help and sweep experiments.
 func Kinds() []Kind {
-	return []Kind{SFS, SFSHeuristic, SFSFixed, SFSNoAdjust, SFQ, SFQReadjust,
+	return []Kind{SFS, SFSFixed, SFSNoAdjust, SFQ, SFQReadjust,
 		Timeshare, Stride, BVT, Lottery, Partitioned, PartRebal}
 }
 
@@ -57,8 +56,6 @@ func NewScheduler(kind Kind, p int, quantum simtime.Duration) (sched.Scheduler, 
 	switch kind {
 	case SFS:
 		return core.New(p, core.WithQuantum(quantum)), nil
-	case SFSHeuristic:
-		return core.New(p, core.WithQuantum(quantum), core.WithHeuristic(20)), nil
 	case SFSFixed:
 		return core.New(p, core.WithQuantum(quantum), core.WithFixedPoint(4)), nil
 	case SFSNoAdjust:

@@ -1,12 +1,17 @@
 package experiments
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"testing"
 
+	"sfsched/internal/core"
 	"sfsched/internal/machine"
+	"sfsched/internal/sched"
 	"sfsched/internal/simtime"
 	"sfsched/internal/workload"
+	"sfsched/internal/xrand"
 )
 
 func TestNewSchedulerKinds(t *testing.T) {
@@ -189,11 +194,12 @@ func TestFig6cInteractive(t *testing.T) {
 }
 
 // TestFig3HeuristicAccuracy asserts the paper's headline: ~20 candidates per
-// queue suffice for >99% accuracy up to 400 runnable threads on 4 CPUs.
+// queue suffice for >99% accuracy up to 400 runnable threads on 4 CPUs. A k
+// that covers the whole run queue examines every thread and cannot miss.
 func TestFig3HeuristicAccuracy(t *testing.T) {
 	p := Fig3Defaults()
 	p.Threads = []int{100, 400}
-	p.Ks = []int{1, 5, 20}
+	p.Ks = []int{1, 5, 20, 400}
 	p.Horizon = simtime.Time(5 * simtime.Second)
 	r := Fig3(p)
 	for _, n := range p.Threads {
@@ -203,6 +209,80 @@ func TestFig3HeuristicAccuracy(t *testing.T) {
 		}
 		if acc[0] > acc[2] {
 			t.Fatalf("n=%d: accuracy not improving with k: %v", n, acc)
+		}
+		if acc[3] != 100 {
+			t.Fatalf("n=%d: accuracy at k=%d >= n is %.2f%%, want 100%%", n, p.Ks[3], acc[3])
+		}
+	}
+}
+
+func mkThread(id int, w float64) *sched.Thread {
+	return &sched.Thread{ID: id, Weight: w, Phi: w, CPU: sched.NoCPU, LastCPU: sched.NoCPU, State: sched.Runnable}
+}
+
+// TestHeuristicMatchesExactWithLargeK: with k >= n the heuristic examines
+// every thread and must agree with the exact kernel decision for decision,
+// tie-breaks included.
+func TestHeuristicMatchesExactWithLargeK(t *testing.T) {
+	trace := func(s sched.Scheduler) []int {
+		r := xrand.New(5)
+		now := simtime.Time(0)
+		for i := 0; i < 30; i++ {
+			if err := s.Add(mkThread(i+1, float64(1+r.Intn(20))), now); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var ids []int
+		for i := 0; i < 1500; i++ {
+			th := s.Pick(0, now)
+			th.CPU = 0
+			now = now.Add(10 * simtime.Millisecond)
+			s.Charge(th, 10*simtime.Millisecond, now)
+			th.CPU = sched.NoCPU
+			ids = append(ids, th.ID)
+		}
+		return ids
+	}
+	exact := trace(core.New(4))
+	heur := trace(NewHeuristicSFS(4, core.DefaultQuantum, 100))
+	if !slices.Equal(exact, heur) {
+		t.Fatalf("decisions differ:\nexact     %v\nheuristic %v", exact, heur)
+	}
+}
+
+// TestHeuristicStaysWorkConserving: when every examined candidate is running,
+// the pick falls back to the earliest thread that is not.
+func TestHeuristicStaysWorkConserving(t *testing.T) {
+	s := NewHeuristicSFS(3, core.DefaultQuantum, 1)
+	var threads []*sched.Thread
+	for i := 0; i < 10; i++ {
+		threads = append(threads, mkThread(i+1, 1))
+		if err := s.Add(threads[i], 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	threads[0].CPU = 0 // the head of the start-tag and surplus queues
+	threads[9].CPU = 1 // the lightest-first head
+	if got := s.Pick(2, 0); got != threads[1] {
+		t.Fatalf("picked %v with 8 runnable threads waiting, want %v", got, threads[1])
+	}
+}
+
+// TestFirstKIsTheSortedPrefix pins the bounded selection standing in for the
+// paper's sorted queues: the k least under the order, in order.
+func TestFirstKIsTheSortedPrefix(t *testing.T) {
+	r := xrand.New(11)
+	lighter := func(a, b *sched.Thread) int {
+		return cmp.Or(cmp.Compare(a.Weight, b.Weight), cmp.Compare(b.ID, a.ID))
+	}
+	var ts []*sched.Thread
+	for i := 0; i < 50; i++ {
+		ts = append(ts, mkThread(i+1, float64(1+r.Intn(3))))
+	}
+	sorted := slices.SortedFunc(slices.Values(ts), lighter)
+	for _, k := range []int{0, 1, 7, 20, 50} {
+		if got := firstK(ts, k, lighter); !slices.Equal(got, sorted[:k]) {
+			t.Fatalf("k=%d: firstK = %v, the sorted prefix is %v", k, got, sorted[:k])
 		}
 	}
 }

@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"sfsched/internal/core"
@@ -45,17 +47,116 @@ type Fig3Result struct {
 	Accuracy map[int][]float64 // thread count -> accuracy aligned with Params.Ks
 }
 
-// accuracyProbe wraps SFS, comparing every heuristic pick against the exact
-// minimum surplus.
-type accuracyProbe struct {
+// HeuristicSFS is the paper's §3.2 scheduler, reproduced for the one thing
+// that still uses it, Figure 3. The paper's exact pick was a linear scan of
+// all runnable threads, so its kernel kept three sorted queues — start tags,
+// weights, and surpluses as of each thread's last update — and examined only
+// the first k of each. Here the exact kernel (internal/core) keeps tags, φ
+// and v, and this type adds what the heuristic is: the stored surpluses,
+// stale between refreshes as in the paper's kernel, and the bounded pick. It
+// is deliberately not a core option, an experiments.Kind or a policy name:
+// core's own pick is exact and cheaper at every size.
+type HeuristicSFS struct {
 	*core.SFS
+	k int
+	// stored is each thread's surplus as of its last update: when it
+	// arrived, when it was last charged, or at the last periodic refresh.
+	stored map[*sched.Thread]float64
+	since  int // decisions since the last periodic refresh
+}
+
+// surplusUpdatePeriod is how many decisions pass between refreshes of every
+// stored surplus ("infrequent updates and sorting are still required to
+// maintain a high accuracy of the heuristic", §3.2).
+const surplusUpdatePeriod = 50
+
+// NewHeuristicSFS returns an SFS scheduler for p processors whose picks
+// examine k threads per queue.
+func NewHeuristicSFS(p int, quantum simtime.Duration, k int) *HeuristicSFS {
+	return &HeuristicSFS{SFS: core.New(p, core.WithQuantum(quantum)), k: k, stored: make(map[*sched.Thread]float64)}
+}
+
+// Name implements sched.Scheduler.
+func (h *HeuristicSFS) Name() string { return fmt.Sprintf("SFS(k=%d)", h.k) }
+
+// Add implements sched.Scheduler: an arrival enters the surplus queue at its
+// surplus of the moment.
+func (h *HeuristicSFS) Add(t *sched.Thread, now simtime.Time) error {
+	if err := h.SFS.Add(t, now); err != nil {
+		return err
+	}
+	h.stored[t] = h.FreshSurplus(t)
+	return nil
+}
+
+// Charge implements sched.Scheduler: only the charged thread is re-sorted;
+// every other stored surplus keeps the virtual time it was computed against.
+func (h *HeuristicSFS) Charge(t *sched.Thread, ran simtime.Duration, now simtime.Time) {
+	h.SFS.Charge(t, ran, now)
+	h.stored[t] = h.FreshSurplus(t)
+}
+
+// Pick implements sched.Scheduler: the thread with the least surplus
+// typically has a small start tag, a small weight or a small surplus at its
+// last update, so the least fresh surplus among the first k threads of each
+// queue finds it with high probability. Ties go to the heavier thread, then
+// the lower ID, as in the kernel.
+func (h *HeuristicSFS) Pick(cpu int, now simtime.Time) *sched.Thread {
+	byStart := h.Threads() // the start-tag queue: ascending (start tag, ID)
+	if h.since++; h.since >= surplusUpdatePeriod {
+		h.since = 0
+		clear(h.stored) // and with it the entries of threads that left
+		for _, t := range byStart {
+			h.stored[t] = h.FreshSurplus(t)
+		}
+	}
+	k := min(h.k, len(byStart))
+	examined := slices.Concat(byStart[:k],
+		firstK(byStart, k, func(a, b *sched.Thread) int { // the surplus queue as last sorted
+			return cmp.Or(cmp.Compare(h.stored[a], h.stored[b]), cmp.Compare(b.Weight, a.Weight), cmp.Compare(a.ID, b.ID))
+		}),
+		firstK(byStart, k, func(a, b *sched.Thread) int { // the weight queue from its light end
+			return cmp.Or(cmp.Compare(a.Weight, b.Weight), cmp.Compare(b.ID, a.ID))
+		}))
+	var best *sched.Thread
+	if waiting := slices.DeleteFunc(examined, (*sched.Thread).Running); len(waiting) > 0 {
+		best = slices.MinFunc(waiting, func(a, b *sched.Thread) int {
+			return cmp.Or(cmp.Compare(h.FreshSurplus(a), h.FreshSurplus(b)), cmp.Compare(b.Weight, a.Weight), cmp.Compare(a.ID, b.ID))
+		})
+	} else if i := slices.IndexFunc(byStart, func(t *sched.Thread) bool { return !t.Running() }); i >= 0 {
+		best = byStart[i] // all examined are running: stay work-conserving with the earliest that is not
+	}
+	if best != nil {
+		best.Decisions++
+	}
+	return best
+}
+
+// firstK returns the first k of ts sorted by order: the head of one of the
+// paper's sorted queues, without keeping the queue.
+func firstK(ts []*sched.Thread, k int, order func(a, b *sched.Thread) int) []*sched.Thread {
+	head := make([]*sched.Thread, 0, k)
+	for _, t := range ts {
+		if len(head) == k && (k == 0 || order(t, head[k-1]) >= 0) {
+			continue // not among the first k so far
+		}
+		i, _ := slices.BinarySearchFunc(head, t, order)
+		head = slices.Insert(head[:min(len(head), k-1)], i, t)
+	}
+	return head
+}
+
+// accuracyProbe wraps the heuristic scheduler, comparing every pick against
+// the exact minimum surplus.
+type accuracyProbe struct {
+	*HeuristicSFS
 	hits, total int64
 }
 
 // Pick implements sched.Scheduler, recording heuristic accuracy.
 func (p *accuracyProbe) Pick(cpu int, now simtime.Time) *sched.Thread {
-	_, exact := p.SFS.ExactMinSurplus()
-	t := p.SFS.Pick(cpu, now)
+	_, exact := p.ExactMinSurplus()
+	t := p.HeuristicSFS.Pick(cpu, now)
 	if t != nil {
 		p.total++
 		fresh := t.Phi * (t.Start - p.VirtualTime())
@@ -88,9 +189,7 @@ func Fig3(p Fig3Params) Fig3Result {
 
 // fig3Run measures accuracy for one (thread count, k) cell.
 func fig3Run(p Fig3Params, n, k int) float64 {
-	probe := &accuracyProbe{SFS: core.New(p.CPUs,
-		core.WithQuantum(p.Quantum),
-		core.WithHeuristic(k))}
+	probe := &accuracyProbe{HeuristicSFS: NewHeuristicSFS(p.CPUs, p.Quantum, k)}
 	m := machine.New(machine.Config{
 		CPUs:      p.CPUs,
 		Scheduler: probe,

@@ -65,15 +65,14 @@ type BehaviorFunc func(now simtime.Time, r *xrand.Rand) Step
 // Next implements Behavior.
 func (f BehaviorFunc) Next(now simtime.Time, r *xrand.Rand) Step { return f(now, r) }
 
-// Hooks observe thread lifecycle transitions; the GMS fluid reference and
-// trace collectors attach here. Nil fields are skipped.
+// Hooks observe thread lifecycle transitions; the GMS fluid reference
+// attaches here. Charges and every other decision are observed through
+// SetDecisionRecorder. Nil fields are skipped.
 type Hooks struct {
 	// Runnable fires after a thread arrives or wakes.
 	Runnable func(t *sched.Thread, now simtime.Time)
 	// Unrunnable fires after a thread blocks or exits.
 	Unrunnable func(t *sched.Thread, now simtime.Time)
-	// Charged fires after the scheduler accounted ran to t.
-	Charged func(t *sched.Thread, ran simtime.Duration, now simtime.Time)
 	// WeightChanging fires immediately before a weight change is applied.
 	WeightChanging func(t *sched.Thread, now simtime.Time)
 }
@@ -464,17 +463,9 @@ func (k *Task) loadStep() {
 func (m *Machine) syncRunning() {
 	for i := range m.cpus {
 		c := &m.cpus[i]
-		if c.cur == nil {
-			continue
+		if c.cur != nil {
+			c.cur.rem -= m.eng.ChargeInstallment(&c.sl, m.now, c.cur.rem)
 		}
-		ran := m.eng.ChargeInstallment(&c.sl, m.now, c.cur.rem)
-		if ran == 0 {
-			continue
-		}
-		if m.hooks.Charged != nil {
-			m.hooks.Charged(c.cur.t, ran, m.now)
-		}
-		c.cur.rem -= ran
 	}
 }
 
@@ -514,11 +505,7 @@ func (m *Machine) stop(cpu int) *Task {
 	}
 	// Settle the remainder through the engine, capped at the remaining
 	// burst (a task cannot consume beyond it).
-	ran := m.eng.Settle(&c.sl, m.now, k.rem)
-	if m.hooks.Charged != nil {
-		m.hooks.Charged(k.t, ran, m.now)
-	}
-	k.rem -= ran
+	k.rem -= m.eng.Settle(&c.sl, m.now, k.rem)
 	k.t.LastCPU = cpu
 	k.t.CPU = sched.NoCPU
 	c.cur = nil

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"sfsched/internal/core"
+	"sfsched/internal/engine"
 	"sfsched/internal/sched"
 	"sfsched/internal/simtime"
 	"sfsched/internal/timeshare"
@@ -278,11 +279,10 @@ func TestContextSwitchCostReducesThroughput(t *testing.T) {
 
 func TestHooksFire(t *testing.T) {
 	m := newSFSMachine(1, 200*simtime.Millisecond)
-	var runnable, unrunnable, charged int
+	var runnable, unrunnable int
 	m.SetHooks(Hooks{
 		Runnable:   func(th *sched.Thread, now simtime.Time) { runnable++ },
 		Unrunnable: func(th *sched.Thread, now simtime.Time) { unrunnable++ },
-		Charged:    func(th *sched.Thread, d simtime.Duration, now simtime.Time) { charged++ },
 	})
 	m.Spawn(SpawnConfig{
 		Name: "looper",
@@ -291,8 +291,8 @@ func TestHooksFire(t *testing.T) {
 		}),
 	})
 	m.Run(simtime.Time(simtime.Second))
-	if runnable < 10 || unrunnable < 10 || charged < 10 {
-		t.Fatalf("hooks fired %d/%d/%d times", runnable, unrunnable, charged)
+	if runnable < 10 || unrunnable < 10 {
+		t.Fatalf("hooks fired %d/%d times", runnable, unrunnable)
 	}
 }
 
@@ -467,6 +467,15 @@ func TestDoubleKillIsIdempotent(t *testing.T) {
 	}
 }
 
+// chargeSum is a decision recorder adding up every charge the engine makes.
+type chargeSum simtime.Duration
+
+func (c *chargeSum) Record(e engine.Event) {
+	if e.Kind == engine.KindInterim || e.Kind == engine.KindSettle {
+		*c += chargeSum(e.Ran)
+	}
+}
+
 // TestServiceConservation is the machine's core accounting property: over
 // any horizon, delivered service plus idle time equals machine capacity,
 // under arbitrary churn (arrivals, blocking, exits, kills, preemptions).
@@ -477,12 +486,8 @@ func TestServiceConservation(t *testing.T) {
 			Scheduler: core.New(3, core.WithQuantum(30*simtime.Millisecond)),
 			Seed:      seed,
 		})
-		var delivered simtime.Duration
-		m.SetHooks(Hooks{
-			Charged: func(th *sched.Thread, ran simtime.Duration, now simtime.Time) {
-				delivered += ran
-			},
-		})
+		var delivered chargeSum
+		m.SetDecisionRecorder(&delivered)
 		r := xrand.New(seed * 99)
 		for i := 0; i < 12; i++ {
 			w := float64(1 + r.Intn(9))
@@ -509,9 +514,9 @@ func TestServiceConservation(t *testing.T) {
 		horizon := simtime.Time(15 * simtime.Second)
 		m.Run(horizon)
 		capacity := simtime.Duration(horizon) * 3
-		if got := delivered + m.Stats().IdleTime; got != capacity {
+		if got := simtime.Duration(delivered) + m.Stats().IdleTime; got != capacity {
 			t.Fatalf("seed %d: delivered %v + idle %v = %v, want %v",
-				seed, delivered, m.Stats().IdleTime, got, capacity)
+				seed, simtime.Duration(delivered), m.Stats().IdleTime, got, capacity)
 		}
 	}
 }

@@ -19,7 +19,6 @@ import (
 	"sfsched/internal/rt"
 	"sfsched/internal/sched"
 	"sfsched/internal/simtime"
-	"sfsched/internal/trace"
 	"sfsched/internal/xrand"
 )
 
@@ -43,7 +42,8 @@ func (sc tenantScript) burst(i int) simtime.Duration { return sc.bursts[i%len(sc
 func (sc tenantScript) sleep(i int) simtime.Duration { return sc.sleeps[i%len(sc.sleeps)] }
 
 // machineTrace runs the scripts on the simulated machine and returns the
-// charge sequence, final per-thread service, and the engine decision trace.
+// engine decision trace, the charge sequence read off it (every interim and
+// settlement charge, in order) and the final per-thread service.
 func machineTrace(t *testing.T, p int, q simtime.Duration, scripts []tenantScript, horizon simtime.Time) ([]chargeEvent, map[int]simtime.Duration, []engine.Event) {
 	t.Helper()
 	m := machine.New(machine.Config{
@@ -51,8 +51,6 @@ func machineTrace(t *testing.T, p int, q simtime.Duration, scripts []tenantScrip
 		Scheduler:             core.New(p, core.WithQuantum(q)),
 		DisableWakePreemption: true,
 	})
-	rec := trace.NewRecorder(1 << 22)
-	m.SetHooks(rec.Hooks())
 	dec := &decisionLog{}
 	m.SetDecisionRecorder(dec)
 	tasks := make([]*machine.Task, len(scripts))
@@ -73,13 +71,10 @@ func machineTrace(t *testing.T, p int, q simtime.Duration, scripts []tenantScrip
 		})
 	}
 	m.Run(horizon)
-	if rec.Dropped() > 0 {
-		t.Fatalf("trace recorder dropped %d events", rec.Dropped())
-	}
 	var charges []chargeEvent
-	for _, e := range rec.Events() {
-		if e.Kind == trace.Charged {
-			charges = append(charges, chargeEvent{e.Thread, e.Ran})
+	for _, e := range dec.events {
+		if e.Kind == engine.KindInterim || e.Kind == engine.KindSettle {
+			charges = append(charges, chargeEvent{e.ID, e.Ran})
 		}
 	}
 	services := make(map[int]simtime.Duration)

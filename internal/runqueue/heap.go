@@ -4,10 +4,11 @@ import "fmt"
 
 // Heap is a binary min-heap with intrusive element→index handles, offering
 // O(log n) insert/remove/fix and O(1) min. The surplus fair scheduler's
-// φ-class queues and the weight queue (internal/phi) use it in place of the
-// paper's sorted lists: a charged thread typically jumps from the front of a
-// queue to its middle — O(rank distance) in any linked list, O(log n) here —
-// and Figure 2 reads only the heaviest few weights (DESIGN.md §3). Bounded
+// φ-class queues, the GPS-tag run queue (internal/vtq) and the weight queue
+// (internal/phi) use it in place of the paper's sorted lists: a charged thread
+// typically jumps from the front of a queue to its middle — O(rank distance)
+// in any linked list, O(log n) here — and Figure 2 reads only the heaviest
+// few weights (DESIGN.md §3). Bounded
 // traversals (pruned walks over At, AppendKSmallest) stand in for the list's
 // ordered scans. Like List, the heap stores its per-element position in the
 // element's Handle for the configured slot (the heap field, so a List and a
@@ -158,8 +159,8 @@ func (h *Heap[T]) At(i int) T { return h.vals[i].x }
 func (h *Heap[T]) KeyAt(i int) float64 { return h.vals[i].key }
 
 // AppendKSmallest appends the k smallest elements, in ascending order, to
-// dst and returns it — the §3.2 heuristic's bounded first-k examination and
-// the readjustment's heaviest-p prefix.
+// dst and returns it — the GPS-tag kernel's first p+1 in queue order and the
+// readjustment's heaviest-p prefix.
 // It runs a best-first search over the heap with a scratch index-heap of
 // frontier candidates: O(k log k) comparisons, no allocation in steady
 // state.

@@ -1,20 +1,19 @@
-// Package runqueue provides the sorted run-queue structures the paper's
-// kernel implementation is built on (§3.1–3.2).
+// Package runqueue provides the run-queue structure every scheduler in this
+// repository orders its threads with (§3.1–3.2).
 //
-// The implementation of SFS in Linux 2.2.14 maintains three doubly-linked
-// lists of runnable threads — sorted by weight (descending), start tag
-// (ascending) and surplus (ascending) — giving O(1) deletion and linear-time
-// sorted insertion. List reproduces that structure; it serves the queues
-// whose readers walk them in order: the GPS-tag kernel's run queue
-// (internal/vtq: first non-running thread in tag order) and the §3.2
-// heuristic's lightest-first scan of the weight queue (internal/core). Heap
-// is the O(log n) structure every other queue uses — SFS's φ-class heaps, the
-// two class-level heaps over them, the heuristic's start-tag and surplus
-// queues and phi.Tracker's weight queue — because their readers need only the
-// head, a bounded ordered prefix (AppendKSmallest) or a pruned walk (At),
-// never an order over everything. A heap position carries a float64 key beside
-// the element (NewKeyedHeap): the key must be monotone in the heap's less, and
-// Fix and Init are the two calls that re-read it.
+// Heap is that structure: SFS's φ-class heaps and the two class-level heaps
+// over them, the GPS-tag kernel's run queue (internal/vtq) and phi.Tracker's
+// weight queue — O(log n) because their readers need only the head, a bounded
+// ordered prefix (AppendKSmallest) or a pruned walk (At), never an order over
+// everything. A heap position carries a float64 key beside the element
+// (NewKeyedHeap): the key must be monotone in the heap's less, and Fix and
+// Init are the two calls that re-read it.
+//
+// The implementation of SFS in Linux 2.2.14 kept sorted doubly-linked lists
+// instead, with O(1) deletion and linear-time sorted insertion. List is that
+// structure cut down to insert and remove; no scheduler uses it, and it is
+// kept only for the benchmark's runqueue.list.insert_ns row (cmd/sfsbench),
+// which prices it against the heap.
 //
 // # Intrusive handles
 //
@@ -38,8 +37,7 @@ import (
 // List is a sorted doubly-linked list over elements of type T with intrusive
 // position handles for O(1) membership tests and removal. The sort order is
 // defined by the less function at construction time; keys live inside the
-// elements, so when a key mutates the caller must reposition the element with
-// Fix.
+// elements and must not change while the element is in the list.
 type List[T Indexed[T]] struct {
 	slot Slot
 	less func(a, b T) bool
@@ -58,15 +56,14 @@ type Slot uint8
 
 // The handle slots reserved on every element.
 const (
-	// SlotWeight is the weight queue: phi.Tracker's heap, heaviest first, and
-	// the heuristic's lightest-first list (one Handle serves both).
+	// SlotWeight is the weight queue: phi.Tracker's heap, heaviest first.
 	SlotWeight Slot = iota
 	// SlotPrimary is the policy's main queue: ascending start tags for SFQ
-	// and the SFS heuristic (exact-mode SFS leaves it unused), pass order
-	// for stride, effective virtual time for BVT.
+	// (SFS leaves it unused), pass order for stride, effective virtual time
+	// for BVT.
 	SlotPrimary
 	// SlotSurplus is the ascending-surplus queue (SFS, hier): the thread's
-	// φ-class heap, or the heuristic's stored-surplus heap.
+	// φ-class heap.
 	SlotSurplus
 	// NumSlots is the number of handles an element must reserve.
 	NumSlots
@@ -214,101 +211,6 @@ func (l *List[T]) unlink(n *Node[T]) {
 		l.tail = n.prev
 	}
 	n.prev, n.next = nil, nil
-}
-
-// Head returns the least element without removing it.
-func (l *List[T]) Head() (T, bool) {
-	if l.head == nil {
-		var zero T
-		return zero, false
-	}
-	return l.head.val, true
-}
-
-// Fix repositions x after its key changed, scanning simultaneously from x's
-// current position and from the far end of the list until either scan finds
-// the insertion point — O(min(distance moved, distance from the end)). Both
-// common cases are cheap: a charged thread jumping from the head to near the
-// tail is found from the tail in a few steps (the case the original
-// scan-from-tail handled), and a thread nudged a few positions is found from
-// its old position (the case that made scan-from-tail O(n) on deep queues).
-//
-// With genuine key ties a leftward move lands after its equals and a
-// rightward move before them; every scheduler queue orders ties by thread ID,
-// so run-queue positions are unaffected. Fix reports whether x was present.
-func (l *List[T]) Fix(x T) bool {
-	n := x.RunqueueHandle(l.slot).node
-	if n == nil {
-		return false
-	}
-	switch {
-	case n.prev != nil && l.less(n.val, n.prev.val):
-		// Moves left. Target: after the last element ≤ x. The near scan
-		// walks left from the old position, the far scan right from the
-		// head; they close in on the same spot from opposite sides.
-		a, b := n.prev, l.head
-		for {
-			if !l.less(x, a.val) { // a ≤ x: insert right after a
-				l.unlink(n)
-				l.insertAfter(n, a)
-				return true
-			}
-			if a = a.prev; a == nil { // everything left of n exceeds x
-				l.unlink(n)
-				l.insertAfter(n, nil)
-				return true
-			}
-			if l.less(x, b.val) { // b > x: insert right before b
-				at := b.prev
-				l.unlink(n)
-				l.insertAfter(n, at)
-				return true
-			}
-			b = b.next
-		}
-	case n.next != nil && l.less(n.next.val, n.val):
-		// Moves right. Target: after the last element < x.
-		a, b := n.next, l.tail
-		for {
-			if !l.less(a.val, x) { // a ≥ x: insert right before a
-				at := a.prev
-				l.unlink(n)
-				l.insertAfter(n, at)
-				return true
-			}
-			if a.next == nil { // everything right of n is below x
-				l.unlink(n)
-				l.insertAfter(n, a)
-				return true
-			}
-			a = a.next
-			if l.less(b.val, x) { // b < x: insert right after b
-				l.unlink(n)
-				l.insertAfter(n, b)
-				return true
-			}
-			b = b.prev
-		}
-	}
-	return true
-}
-
-// Each calls fn on elements in ascending order until fn returns false.
-func (l *List[T]) Each(fn func(T) bool) {
-	for n := l.head; n != nil; n = n.next {
-		if !fn(n.val) {
-			return
-		}
-	}
-}
-
-// Slice returns all elements in ascending order (for tests and metrics).
-func (l *List[T]) Slice() []T {
-	out := make([]T, 0, l.n)
-	for n := l.head; n != nil; n = n.next {
-		out = append(out, n.val)
-	}
-	return out
 }
 
 // Validate checks structural invariants: forward/backward consistency,

@@ -44,6 +44,16 @@ func keysOf(s []*item) []float64 {
 	return out
 }
 
+// listSlice walks l from head to tail (the list itself no longer exports an
+// ordered read).
+func listSlice(l *List[*item]) []*item {
+	var out []*item
+	for n := l.head; n != nil; n = n.next {
+		out = append(out, n.val)
+	}
+	return out
+}
+
 func TestListInsertSorted(t *testing.T) {
 	l := NewList(SlotPrimary, byKey)
 	for _, it := range newItems(5, 1, 3, 2, 4) {
@@ -52,7 +62,7 @@ func TestListInsertSorted(t *testing.T) {
 	if err := l.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	got := keysOf(l.Slice())
+	got := keysOf(listSlice(l))
 	want := []float64{1, 2, 3, 4, 5}
 	for i := range want {
 		if got[i] != want[i] {
@@ -61,23 +71,6 @@ func TestListInsertSorted(t *testing.T) {
 	}
 	if l.Len() != 5 {
 		t.Fatalf("Len = %d", l.Len())
-	}
-}
-
-func TestListHeadTail(t *testing.T) {
-	l := NewList(SlotPrimary, byKey)
-	if _, ok := l.Head(); ok {
-		t.Fatal("empty list has a head")
-	}
-	items := newItems(2, 9, 4)
-	for _, it := range items {
-		l.Insert(it)
-	}
-	if h, _ := l.Head(); h.key != 2 {
-		t.Fatalf("head %g", h.key)
-	}
-	if s := l.Slice(); s[len(s)-1].key != 9 {
-		t.Fatalf("tail %g", s[len(s)-1].key)
 	}
 }
 
@@ -123,53 +116,9 @@ func TestListFIFOTieBreakByInsertion(t *testing.T) {
 	b := &item{id: 2, key: 5}
 	l.Insert(a)
 	l.Insert(b)
-	s := l.Slice()
+	s := listSlice(l)
 	if s[0] != a || s[1] != b {
 		t.Fatal("tie-break is not FIFO")
-	}
-}
-
-func TestListFix(t *testing.T) {
-	l := NewList(SlotPrimary, byKey)
-	items := newItems(1, 2, 3, 4)
-	for _, it := range items {
-		l.Insert(it)
-	}
-	items[0].key = 10 // was the head; now the tail
-	if !l.Fix(items[0]) {
-		t.Fatal("Fix returned false")
-	}
-	if err := l.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if s := l.Slice(); s[len(s)-1] != items[0] {
-		t.Fatal("Fix did not move element to tail")
-	}
-	if l.Fix(&item{id: 99}) {
-		t.Fatal("Fix on absent element returned true")
-	}
-}
-
-func TestListEachAndFirstN(t *testing.T) {
-	l := NewList(SlotPrimary, byKey)
-	for _, it := range newItems(3, 1, 2) {
-		l.Insert(it)
-	}
-	var seen []float64
-	l.Each(func(it *item) bool {
-		seen = append(seen, it.key)
-		return true
-	})
-	if len(seen) != 3 || seen[0] != 1 || seen[2] != 3 {
-		t.Fatalf("Each order %v", seen)
-	}
-	seen = seen[:0]
-	l.Each(func(it *item) bool {
-		seen = append(seen, it.key)
-		return false
-	})
-	if len(seen) != 1 {
-		t.Fatal("Each did not stop")
 	}
 }
 
@@ -183,19 +132,15 @@ func TestListRandomOps(t *testing.T) {
 	id := 0
 	for step := 0; step < 5000; step++ {
 		switch op := r.Intn(10); {
-		case op < 4: // insert
+		case op < 6: // insert
 			id++
 			it := &item{id: id, key: r.Float64() * 100}
 			pool = append(pool, it)
 			l.Insert(it)
-		case op < 6 && len(pool) > 0: // remove
+		case len(pool) > 0: // remove
 			i := r.Intn(len(pool))
 			l.Remove(pool[i])
 			pool = append(pool[:i], pool[i+1:]...)
-		case len(pool) > 0: // mutate + fix
-			it := pool[r.Intn(len(pool))]
-			it.key = r.Float64() * 100
-			l.Fix(it)
 		}
 		if err := l.Validate(); err != nil {
 			t.Fatalf("step %d: %v", step, err)
@@ -421,7 +366,7 @@ func TestListSortedAfterArbitraryInserts(t *testing.T) {
 		if l.Len() != len(keys) {
 			return false
 		}
-		s := l.Slice()
+		s := listSlice(l)
 		for i := 1; i < len(s); i++ {
 			if byKey(s[i], s[i-1]) {
 				return false

@@ -81,14 +81,12 @@ type Thread struct {
 	// Service is the total CPU time received so far.
 	Service simtime.Duration
 
-	// Fair-queueing tags (SFS, SFQ, BVT): start tag S_i, finish tag F_i,
-	// and the surplus α_i = φ_i·(S_i − v) heuristic-mode SFS stored at the
-	// thread's last update (exact mode stores none per thread).
-	Start   float64
-	Finish  float64
-	Surplus float64
+	// Fair-queueing tags (SFS, SFQ, BVT): start tag S_i and finish tag F_i.
+	// The surplus α_i = φ_i·(S_i − v) is never stored per thread.
+	Start  float64
+	Finish float64
 
-	// PhiClass links a runnable thread to its φ-class in exact-mode SFS's
+	// PhiClass links a runnable thread to its φ-class in SFS's
 	// surplus queue (internal/core): the class's slot in the scheduler's
 	// class table plus one, 0 while the thread is in no class. Like the
 	// run-queue handles below it is intrusive, so the charge path reaches

@@ -5,8 +5,10 @@ package vtq_test
 // alone (SFQ's Example 1, BVT's warp, stride's cached stride).
 
 import (
+	"cmp"
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"sfsched/internal/bvt"
@@ -15,24 +17,27 @@ import (
 	"sfsched/internal/simtime"
 	"sfsched/internal/stride"
 	"sfsched/internal/vtq"
+	"sfsched/internal/xrand"
 )
 
 func startTag(t *sched.Thread) *float64  { return &t.Start }
 func finishTag(t *sched.Thread) *float64 { return &t.Finish }
 func passTag(t *sched.Thread) *float64   { return &t.Pass }
 
-// kernels are the three parameterisations with the two things a test must know
-// to read their tags: which fields they are, and the unit a charge advances
-// them in (ran/unit/φ).
+// kernels are the three parameterisations with what a test must know to read
+// their tags and predict their order: which fields the tags are, the unit a
+// charge advances them in (ran/unit/φ), whether the order takes the warp off
+// the tag, and whether equal tags go heavier first before lower ID first.
 var kernels = []struct {
-	name      string
-	new       func(p int, opts ...vtq.Option) *vtq.Queue
-	tag, rest func(*sched.Thread) *float64
-	unit      simtime.Duration
+	name          string
+	new           func(p int, opts ...vtq.Option) *vtq.Queue
+	tag, rest     func(*sched.Thread) *float64
+	unit          simtime.Duration
+	warped, byWgt bool
 }{
-	{"SFQ", sfq.New, startTag, finishTag, simtime.Second},
-	{"BVT", bvt.New, startTag, startTag, simtime.Second},
-	{"stride", stride.New, passTag, passTag, traceQuantum},
+	{"SFQ", sfq.New, startTag, finishTag, simtime.Second, false, true},
+	{"BVT", bvt.New, startTag, startTag, simtime.Second, true, true},
+	{"stride", stride.New, passTag, passTag, traceQuantum, false, false},
 }
 
 func near(a, b float64) bool { return math.Abs(a-b) <= 1e-12*math.Max(1, math.Abs(b)) }
@@ -177,6 +182,66 @@ func TestConformance(t *testing.T) {
 			add(t, q, c)
 			if a.Phi != 1 || b.Phi != 5 || c.Phi != 4 {
 				t.Fatalf("after join: φ = %g, %g, %g, want 1, 5, 4", a.Phi, b.Phi, c.Phi)
+			}
+		})
+
+		// before is the policy's documented order, written out independently.
+		before := func(a, b *sched.Thread) int {
+			ta, tb := *k.tag(a), *k.tag(b)
+			if k.warped {
+				ta, tb = ta-a.Warp, tb-b.Warp
+			}
+			switch {
+			case ta != tb:
+				return cmp.Compare(ta, tb)
+			case k.byWgt && a.Weight != b.Weight:
+				return cmp.Compare(b.Weight, a.Weight)
+			}
+			return cmp.Compare(a.ID, b.ID)
+		}
+
+		// Equal tags are ordered by weight (SFQ, BVT), so a weight change
+		// must move a runnable thread at once, not at its next charge —
+		// with and without a warp in the set (BVT's scan for v).
+		t.Run(k.name+"/SetWeight repositions a runnable thread", func(t *testing.T) {
+			for _, warp := range []float64{0, 0.5} {
+				q := mk(1)
+				a, b := mkThread(1, 1), mkThread(2, 2)
+				add(t, q, a, b)
+				q.SetWarp(a, warp)
+				q.SetWarp(b, warp)
+				if want := slices.MinFunc([]*sched.Thread{a, b}, before); q.Pick(0, 0) != want {
+					t.Fatalf("warp %g: first in order is %v", warp, want)
+				}
+				if err := q.SetWeight(a, 3, 0); err != nil {
+					t.Fatal(err)
+				}
+				if got := q.Pick(0, 0); got != a || q.Threads()[0] != a {
+					t.Fatalf("warp %g: after SetWeight(a, 3) Pick = %v and Threads = %v, want thread 1 first", warp, got, q.Threads())
+				}
+			}
+		})
+
+		t.Run(k.name+"/queue order", func(t *testing.T) {
+			const p = 8
+			q, r := mk(p), xrand.New(3)
+			var want []*sched.Thread
+			for i := 0; i < 40; i++ {
+				th := mkThread(i+1, float64(1+r.Intn(3)))
+				want = append(want, th)
+				add(t, q, th)
+				q.SetWarp(th, float64(r.Intn(2))*traceQuantum.Seconds())
+				q.Charge(th, simtime.Duration(r.Intn(4))*traceQuantum, 0) // tags tie in groups
+			}
+			slices.SortFunc(want, before)
+			if got := q.Threads(); !slices.Equal(got, want) {
+				t.Fatalf("Threads() = %v\nwant the policy's order %v", got, want)
+			}
+			for _, th := range want[:p-1] {
+				th.CPU = 0
+			}
+			if got := q.Pick(p-1, 0); got != want[p-1] {
+				t.Fatalf("with the first %d in order running Pick = %v, want %v", p-1, got, want[p-1])
 			}
 		})
 

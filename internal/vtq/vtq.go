@@ -55,10 +55,12 @@ type Queue struct {
 	p       int
 	quantum simtime.Duration
 	weights *phi.Tracker
-	run     *runqueue.List[*sched.Thread]
+	run     *runqueue.Heap[*sched.Thread]
 	v       float64 // virtual time: the minimum tag over the runnable set
 	last    float64 // tag the latest charge left: v of an idle queue
 	warped  bool    // some runnable thread may carry a warp Before subtracts
+
+	picks []*sched.Thread // Pick's scratch: the first p+1 in queue order
 }
 
 // Option configures a Queue.
@@ -81,7 +83,7 @@ func New(p int, pol Policy, opts ...Option) *Queue {
 		pol.Advance = func(t *sched.Thread, ran, _ simtime.Duration) float64 { return ran.Seconds() / t.Phi }
 	}
 	q := &Queue{pol: pol, p: p, quantum: 200 * simtime.Millisecond, weights: phi.NewTracker(p, false),
-		run: runqueue.NewList(runqueue.SlotPrimary, pol.Before)}
+		run: runqueue.NewHeap(runqueue.SlotPrimary, pol.Before)}
 	for _, opt := range opts {
 		opt(q)
 	}
@@ -116,7 +118,7 @@ func (q *Queue) NumCPU() int { return q.p }
 func (q *Queue) Runnable() int { return q.run.Len() }
 
 // Threads returns the runnable threads in queue order.
-func (q *Queue) Threads() []*sched.Thread { return q.run.Slice() }
+func (q *Queue) Threads() []*sched.Thread { return q.run.AppendKSmallest(nil, q.run.Len()) }
 
 // Timeslice implements sched.Scheduler.
 func (q *Queue) Timeslice(t *sched.Thread, now simtime.Time) simtime.Duration { return q.quantum }
@@ -158,7 +160,7 @@ func (q *Queue) Add(t *sched.Thread, now simtime.Time) error {
 	}
 	*q.pol.Tag(t) = math.Max(*q.pol.Rest(t), q.v)
 	q.weights.Add(t)
-	q.run.Insert(t)
+	q.run.Push(t)
 	q.warped = q.warped || q.warp(t) != 0
 	q.recomputeV()
 	return nil
@@ -196,15 +198,15 @@ func (q *Queue) InterimCharge(t *sched.Thread, ran simtime.Duration, now simtime
 	q.Charge(t, ran, now)
 }
 
-// SetWeight implements sched.Scheduler. A runnable thread is not re-sorted:
-// only the tie-break among equal tags can read the weight, and the thread's
-// next charge repositions it.
+// SetWeight implements sched.Scheduler. The tie-break among equal tags may
+// read the weight, so a runnable thread is repositioned.
 func (q *Queue) SetWeight(t *sched.Thread, w float64, now simtime.Time) error {
 	if !sched.ValidWeight(w) {
 		return fmt.Errorf("%w: %g", sched.ErrBadWeight, w)
 	}
 	if q.run.Contains(t) {
 		q.weights.UpdateWeight(t, w)
+		q.run.Fix(t)
 		return nil
 	}
 	t.Weight, t.Phi = w, w
@@ -224,20 +226,16 @@ func (q *Queue) SetWarp(t *sched.Thread, warp float64) {
 }
 
 // Pick implements sched.Scheduler: the first thread in queue order that is
-// not already running.
+// not already running. At most p threads are, so it is among the first p+1.
 func (q *Queue) Pick(cpu int, now simtime.Time) *sched.Thread {
-	var best *sched.Thread
-	q.run.Each(func(t *sched.Thread) bool {
-		if t.Running() {
-			return true
+	q.picks = q.run.AppendKSmallest(q.picks[:0], q.p+1)
+	for _, t := range q.picks {
+		if !t.Running() {
+			t.Decisions++
+			return t
 		}
-		best = t
-		return false
-	})
-	if best != nil {
-		best.Decisions++
 	}
-	return best
+	return nil
 }
 
 // Less implements sched.Scheduler: the smaller tag, less its warp, wins.
@@ -258,7 +256,7 @@ func (q *Queue) PreemptRank(t *sched.Thread, ran simtime.Duration) float64 {
 // An idle queue's v is the tag the latest charge left: the SFQ rule, taken
 // for every policy (DESIGN.md §1).
 func (q *Queue) recomputeV() {
-	head, ok := q.run.Head()
+	head, ok := q.run.Min()
 	switch {
 	case !ok:
 		q.v = q.last

@@ -1,8 +1,8 @@
 // Scale benchmarks for the scheduler hot path (Table 1 / Figure 7 at modern
 // run-queue depths). BenchmarkFig*/BenchmarkTable1* in bench_test.go stay at
 // the paper's scale (tens to hundreds of threads); these push the same
-// charge+pick cycle to 1k and 10k runnable threads on 4 and 16 CPUs, in exact
-// and heuristic mode, with float and fixed-point tag arithmetic — the regime
+// charge+pick cycle to 1k and 10k runnable threads on 4 and 16 CPUs,
+// with float and fixed-point tag arithmetic — the regime
 // the ROADMAP's "tens of thousands of threads" target cares about.
 //
 // Run with:
@@ -44,10 +44,6 @@ func overheadCases() []overheadCase {
 				overheadCase{name: fmt.Sprintf("exact/float/n=%d/p=%d", n, p), threads: n, cpus: p},
 				overheadCase{name: fmt.Sprintf("exact/fixed/n=%d/p=%d", n, p), threads: n, cpus: p,
 					opts: []core.Option{core.WithFixedPoint(4)}},
-				overheadCase{name: fmt.Sprintf("k=20/float/n=%d/p=%d", n, p), threads: n, cpus: p,
-					opts: []core.Option{core.WithHeuristic(20)}},
-				overheadCase{name: fmt.Sprintf("k=20/fixed/n=%d/p=%d", n, p), threads: n, cpus: p,
-					opts: []core.Option{core.WithHeuristic(20), core.WithFixedPoint(4)}},
 			)
 		}
 		// The two shapes the φ-class surplus queue is sensitive to. infeasible

@@ -107,9 +107,6 @@ const (
 var (
 	// WithQuantum sets the maximum quantum.
 	WithQuantum = core.WithQuantum
-	// WithHeuristic bounds each scheduling decision to k candidates per
-	// run queue (§3.2).
-	WithHeuristic = core.WithHeuristic
 	// WithFixedPoint uses scaled-integer tags with 10^digits precision.
 	WithFixedPoint = core.WithFixedPoint
 	// WithAffinity enables the processor-affinity extension.
