@@ -297,124 +297,3 @@ func (r *Runtime) rebalanceLoop(every time.Duration) {
 		}
 	}
 }
-
-// ShardStat is a point-in-time view of one dispatch shard, for metrics
-// export: its capacity, its sub-share of the total weight, the service it
-// has delivered and the fairness of that delivery among its own tenants.
-type ShardStat struct {
-	Shard    int
-	Workers  int
-	Policy   string  // shard scheduler's Name()
-	Tenants  int     // tenants currently assigned to the shard
-	Runnable int     // tenants in the shard's runnable set
-	Weight   float64 // Σ tenant weights: the shard's sub-share
-	// VirtualTime is the shard scheduler's current virtual time when the
-	// policy reports one (sched.VirtualTimer: the fair-queueing family and
-	// stride), and 0 for policies without a virtual-time notion.
-	VirtualTime float64
-	Service     simtime.Duration // time charged on this shard (stays here when tenants migrate)
-	Share       float64          // fraction of all charged time delivered by this shard
-	Jain        float64          // Jain index of per-weight service among the shard's current tenants
-	MaxLag      simtime.Duration
-	// Preemptions counts the cooperative preemption flags raised on this
-	// shard's slices; Dispatch and Wake are the shard-level ready→dispatch
-	// and wakeup→first-dispatch latency distributions (recorded where the
-	// dispatch happened, so they stay with the shard when tenants migrate).
-	Preemptions int64
-	// Enforcement counters (enforcer.go), all zero with enforcement disarmed:
-	// Handoffs counts involuntary handoffs of expired plain-Task slices,
-	// EnforceFlags the preemption flags raised by slice expiry (a subset of
-	// Preemptions), Interims the mid-slice charge installments applied, and
-	// Overrun the distribution of how far past their granted slice handed-off
-	// tasks kept running before their closure returned.
-	Handoffs     int64
-	EnforceFlags int64
-	Interims     int64
-	Overrun      LatencyStat
-	// Work-stealing counters (steal.go), all zero with stealing disarmed:
-	// Steals counts thefts performed by this shard's idle workers, Stolen the
-	// tenants other shards pulled from this one, and StealWait the
-	// distribution of how long each stolen tenant had sat ready on its victim
-	// shard before a thief moved it — the transient-imbalance window that
-	// stealing (rather than the periodic rebalancer) closed.
-	Steals    int64
-	Stolen    int64
-	StealWait LatencyStat
-	Dispatch  LatencyStat
-	Wake      LatencyStat
-	// Intake is the submit→ready stage: how long accepted submissions sat
-	// in this shard's intake ring before a drain absorbed them into their
-	// tenant's backlog (near zero unless every worker is pinned by
-	// long-running slices between drains).
-	Intake LatencyStat
-}
-
-// ShardStats returns per-shard statistics in shard order. Lags are computed
-// against the global proportional ideal, so a shard whose tenants are
-// collectively behind shows a positive MaxLag.
-func (r *Runtime) ShardStats() []ShardStat {
-	r.regMu.Lock()
-	defer r.regMu.Unlock()
-	out := make([]ShardStat, len(r.shards))
-	var allServices []simtime.Duration
-	var allWeights []float64
-	var allShards []int
-	for i, sh := range r.shards {
-		sh.mu.Lock()
-		st := &out[i]
-		st.Shard = i
-		st.Workers = sh.workers
-		st.Policy = sh.eng.Scheduler().Name()
-		st.Tenants = len(sh.byThread)
-		st.Runnable = sh.eng.Scheduler().Runnable()
-		st.Weight = sh.weight
-		st.Service = sh.service
-		st.Jain = 1
-		st.Preemptions = sh.preempts
-		st.Handoffs = sh.handoffs
-		st.EnforceFlags = sh.enforceFlags
-		st.Interims = sh.interims
-		st.Overrun = latencyStatOf(&sh.overrunHist)
-		st.Steals = sh.steals
-		st.Stolen = sh.stolen
-		st.StealWait = latencyStatOf(&sh.stealHist)
-		st.Dispatch = latencyStatOf(&sh.waitHist)
-		st.Wake = latencyStatOf(&sh.wakeHist)
-		st.Intake = latencyStatOf(&sh.intakeHist)
-		if sh.eng.VT != nil {
-			st.VirtualTime = sh.eng.VT.VirtualTime()
-		}
-		var services []simtime.Duration
-		var weights []float64
-		for th := range sh.byThread {
-			services = append(services, th.Service)
-			weights = append(weights, th.Weight)
-			allServices = append(allServices, th.Service)
-			allWeights = append(allWeights, th.Weight)
-			allShards = append(allShards, i)
-		}
-		if len(services) > 0 {
-			st.Jain = metrics.JainIndex(services, weights)
-		}
-		sh.unlock()
-	}
-	var total simtime.Duration
-	for i := range out {
-		total += out[i].Service
-	}
-	if total > 0 {
-		for i := range out {
-			out[i].Share = float64(out[i].Service) / float64(total)
-		}
-	}
-	if len(allServices) > 0 {
-		lags := metrics.Lags(allServices, allWeights)
-		for j, lag := range lags {
-			d := simtime.Duration(lag * float64(simtime.Second))
-			if d > out[allShards[j]].MaxLag {
-				out[allShards[j]].MaxLag = d
-			}
-		}
-	}
-	return out
-}

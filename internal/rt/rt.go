@@ -939,292 +939,6 @@ func (r *Runtime) Close() {
 	r.wg.Wait()
 }
 
-// LatencyStat summarizes one latency distribution for metrics export.
-// Quantiles come from the log-bucketed metrics.Histogram and overestimate by
-// at most 25% (one sub-bucket).
-type LatencyStat struct {
-	Count         uint64
-	P50, P95, P99 simtime.Duration
-	Max           simtime.Duration
-}
-
-func latencyStatOf(h *metrics.Histogram) LatencyStat {
-	return LatencyStat{
-		Count: h.Count(),
-		P50:   h.Quantile(0.50),
-		P95:   h.Quantile(0.95),
-		P99:   h.Quantile(0.99),
-		Max:   h.Max(),
-	}
-}
-
-// TenantStat is a point-in-time view of one tenant, for metrics export.
-type TenantStat struct {
-	Name    string
-	Weight  float64
-	Shard   int              // shard the tenant currently lives on
-	Service simtime.Duration // charged clock time
-	Share   float64          // fraction of all charged time
-	Lag     simtime.Duration // proportional ideal minus received (positive = behind)
-	Queued  int
-	Running bool
-	// Preemptions counts this tenant's slices flagged for cooperative
-	// preemption (a newly woken tenant out-ranked it); Resumes counts
-	// dispatches that continued an unfinished task — a preempted-and-resumed
-	// continuation is distinguishable from a fresh dispatch; TaskPanics
-	// counts this tenant's panicking tasks, so a misbehaving tenant is
-	// identifiable rather than drowned in the global counter; Handoffs
-	// counts this tenant's slices the enforcer involuntarily handed off —
-	// the adversarial-hog fingerprint.
-	Preemptions int64
-	Resumes     int64
-	TaskPanics  int64
-	Handoffs    int64
-	// Dispatch is the ready→dispatch latency distribution: every interval
-	// from the instant the tenant became dispatchable (woke, or completed a
-	// slice with work left) to its next dispatch. Wake restricts to wakeups:
-	// a Submit that found the tenant blocked, to its first dispatch — the
-	// paper's interactive response-time metric (Figure 6(c)).
-	Dispatch LatencyStat
-	Wake     LatencyStat
-}
-
-// Stats returns per-tenant statistics in registration order, with shares and
-// lags computed by internal/metrics over the charged service. The snapshot is
-// a consistent cut: the whole runtime is frozen (every shard lock held, the
-// same freeze CheckInvariants takes) while the service and weight vectors are
-// gathered, so shares, lags and the Jain index are computed from one instant
-// rather than skewed by charges landing between per-tenant samples.
-func (r *Runtime) Stats() []TenantStat {
-	r.regMu.Lock()
-	defer r.regMu.Unlock()
-	r.lockShards()
-	defer r.unlockShards()
-	out := make([]TenantStat, 0, len(r.tenants))
-	services := make([]simtime.Duration, 0, len(r.tenants))
-	weights := make([]float64, 0, len(r.tenants))
-	for _, tn := range r.tenants {
-		if tn.gone { // finalized by Complete, not yet pruned
-			continue
-		}
-		sh := tn.sh.Load() // stable: migration needs the shard locks we hold
-		out = append(out, TenantStat{
-			Name:        tn.th.Name,
-			Weight:      tn.th.Weight,
-			Shard:       sh.id,
-			Service:     tn.th.Service,
-			Queued:      tn.n,
-			Running:     tn.th.Running() || tn.detached,
-			Preemptions: tn.preempts,
-			Resumes:     tn.resumes,
-			TaskPanics:  tn.panics.Load(),
-			Handoffs:    tn.handoffs,
-			Dispatch:    latencyStatOf(&tn.waitHist),
-			Wake:        latencyStatOf(&tn.wakeHist),
-		})
-		services = append(services, tn.th.Service)
-		weights = append(weights, tn.th.Weight)
-	}
-	if len(out) == 0 {
-		return out
-	}
-	shares := metrics.SharesOf(services...)
-	lags := metrics.Lags(services, weights)
-	for i := range out {
-		out[i].Share = shares[i]
-		out[i].Lag = simtime.Duration(lags[i] * float64(simtime.Second))
-	}
-	return out
-}
-
-// JainIndex returns Jain's fairness index of per-weight normalized charged
-// service across the current tenants (1.0 = perfectly proportional), or 1
-// with no tenants. Like Stats, it computes over a whole-runtime freeze so the
-// service vector is a consistent cut.
-func (r *Runtime) JainIndex() float64 {
-	r.regMu.Lock()
-	defer r.regMu.Unlock()
-	r.lockShards()
-	defer r.unlockShards()
-	var services []simtime.Duration
-	var weights []float64
-	for _, tn := range r.tenants {
-		if !tn.gone {
-			services = append(services, tn.th.Service)
-			weights = append(weights, tn.th.Weight)
-		}
-	}
-	if len(services) == 0 {
-		return 1
-	}
-	return metrics.JainIndex(services, weights)
-}
-
-// lockShards freezes the whole runtime by taking every shard lock in
-// ascending id order (the documented lock order); unlockShards releases in
-// reverse. Metrics exports and invariant checks use the pair so their
-// snapshots are consistent cuts.
-func (r *Runtime) lockShards() {
-	for _, sh := range r.shards {
-		sh.mu.Lock()
-	}
-}
-
-func (r *Runtime) unlockShards() {
-	for i := len(r.shards) - 1; i >= 0; i-- {
-		r.shards[i].unlock()
-	}
-}
-
-// TaskPanics returns how many submitted tasks panicked and were dropped.
-func (r *Runtime) TaskPanics() int64 { return r.taskPanics.Load() }
-
-// Migrations returns how many tenants the rebalancer has moved between
-// shards since the runtime started.
-func (r *Runtime) Migrations() int64 { return r.migrations.Load() }
-
-// Handoffs returns how many slices the enforcer has involuntarily handed
-// off since the runtime started (always 0 with enforcement disarmed).
-func (r *Runtime) Handoffs() int64 { return r.handoffs.Load() }
-
-// Steals returns how many tenants idle workers have stolen across shards
-// since the runtime started (always 0 with stealing disarmed).
-func (r *Runtime) Steals() int64 { return r.steals.Load() }
-
-// CheckInvariants validates runtime-level bookkeeping — per-shard queue and
-// weight accounting, tenant↔shard binding, the global queued count — and,
-// where the underlying schedulers support it (internal/core), each shard
-// scheduler's own structural invariants. Stress tests call it concurrently
-// with traffic; it freezes the whole runtime (registry plus every shard) for
-// the duration.
-func (r *Runtime) CheckInvariants() error {
-	r.regMu.Lock()
-	defer r.regMu.Unlock()
-	r.lockShards()
-	defer r.unlockShards()
-	// Absorb pending intake first so ring-resident items are visible as
-	// backlog. Every shard lock is held, so no drain races this one; the
-	// few worker signals a drain can owe are issued under the lock (this is
-	// not a hot path).
-	now := r.clock.Now()
-	for _, sh := range r.shards {
-		post := postActions{sh: sh}
-		sh.drainLocked(now, &post)
-		for ; post.signals > 0; post.signals-- {
-			sh.workCond.Signal()
-		}
-	}
-	// In Manual mode the counters are exact; in concurrent mode lock-free
-	// reservations (tn.pending, shard.tasks) can land between the drain above
-	// and the reads below without their items being in any backlog yet, so
-	// those two checks are one-sided there.
-	exact := r.manual
-	totalQueued := 0
-	registered := make(map[*Tenant]bool, len(r.tenants))
-	for _, tn := range r.tenants {
-		if !tn.gone {
-			registered[tn] = true
-		}
-	}
-	seen := 0
-	// gateSlack collects tenants whose lock-free backpressure gate exceeds
-	// their absorbed backlog; legitimate only while reservations are in
-	// flight, which the quiescence check below rules out.
-	var gateSlack []*Tenant
-	for _, sh := range r.shards {
-		queued, running, ready := 0, 0, 0
-		weight := 0.0
-		for th, tn := range sh.byThread {
-			if tn.th != th || tn.sh.Load() != sh {
-				return fmt.Errorf("rt: tenant %s bound to shard %d but indexed on %d",
-					th, tn.sh.Load().id, sh.id)
-			}
-			if !registered[tn] {
-				return fmt.Errorf("rt: tenant %s on shard %d missing from the registry", th, sh.id)
-			}
-			seen++
-			queued += tn.n
-			weight += th.Weight
-			if th.Running() {
-				running++
-			} else if tn.inSched {
-				ready++
-			}
-			// A tenant is in the runnable set exactly while it has
-			// dispatchable work; a running tenant always holds its head task
-			// until Complete, and a detached tenant holds it while its
-			// closure runs out of band, outside the runnable set.
-			if tn.inSched != (tn.n > 0 && !tn.detached) {
-				return fmt.Errorf("rt: tenant %s inSched=%v detached=%v with %d queued",
-					th, tn.inSched, tn.detached, tn.n)
-			}
-			if tn.detached && (tn.n == 0 || th.Running()) {
-				return fmt.Errorf("rt: tenant %s detached with %d queued, running=%v",
-					th, tn.n, th.Running())
-			}
-			// The backpressure gate covers at least the absorbed backlog;
-			// any excess is in-flight reservations (none in Manual mode).
-			if p := tn.pending.Load(); p < int64(tn.n) || (exact && p != int64(tn.n)) {
-				return fmt.Errorf("rt: tenant %s pending gate %d with %d queued",
-					th, p, tn.n)
-			} else if p != int64(tn.n) {
-				gateSlack = append(gateSlack, tn)
-			}
-		}
-		if queued != sh.queued {
-			return fmt.Errorf("rt: shard %d queued counter %d, tenants hold %d",
-				sh.id, sh.queued, queued)
-		}
-		if running != sh.running {
-			return fmt.Errorf("rt: shard %d running counter %d, threads show %d",
-				sh.id, sh.running, running)
-		}
-		// nready is the lock-free victim-selection signal thieves read; it is
-		// published before the lock hold that changed it is given up, so under
-		// this full freeze it must equal the runnable-not-running count.
-		if nr := sh.nready.Load(); nr != int64(ready) {
-			return fmt.Errorf("rt: shard %d nready counter %d, threads show %d",
-				sh.id, nr, ready)
-		}
-		if c := sh.tasks.Load(); c < 0 {
-			return fmt.Errorf("rt: shard %d task counter %d: a retirement went to the wrong shard", sh.id, c)
-		}
-		if len(sh.active) != sh.running {
-			return fmt.Errorf("rt: shard %d running counter %d, active list holds %d",
-				sh.id, sh.running, len(sh.active))
-		}
-		if diff := weight - sh.weight; diff > 1e-6*(1+weight) || diff < -1e-6*(1+weight) {
-			return fmt.Errorf("rt: shard %d weight account %g, tenants weigh %g",
-				sh.id, sh.weight, weight)
-		}
-		totalQueued += queued
-		if c, ok := sh.eng.Scheduler().(interface{ CheckInvariants() error }); ok {
-			if err := c.CheckInvariants(); err != nil {
-				return err
-			}
-		}
-	}
-	if seen != len(registered) {
-		return fmt.Errorf("rt: registry lists %d live tenants, shards hold %d",
-			len(registered), seen)
-	}
-	if g := r.taskSum(); g < int64(totalQueued) || (exact && g != int64(totalQueued)) {
-		return fmt.Errorf("rt: shard task counters sum to %d, shards hold %d", g, totalQueued)
-	}
-	// Exact quiescent-state check, concurrent mode included: retiring a
-	// reservation needs a shard lock (all held), so the sum cannot decrease
-	// during this freeze, and reading it zero *after* the per-tenant gate
-	// reads proves no reservation was in flight while they were taken — any
-	// recorded gate slack is then a leaked backpressure reservation, the
-	// exact failure the one-sided check above cannot see.
-	if r.taskSum() == 0 && len(gateSlack) > 0 {
-		tn := gateSlack[0]
-		return fmt.Errorf("rt: quiescent but tenant %s pending gate %d with %d queued (leaked reservation)",
-			tn.th, tn.pending.Load(), tn.n)
-	}
-	return nil
-}
-
 func (tn *Tenant) pop() {
 	tn.r.retire(tn.buf[tn.head].cnt)
 	tn.buf[tn.head] = queued{}
