@@ -631,3 +631,43 @@ func TestTaskPathStaysOnItsShard(t *testing.T) {
 		t.Error("internal/rt has no shard.unlock releasing mu; update the guard")
 	}
 }
+
+// TestExperimentsStaySimulated keeps one way to measure: internal/experiments
+// reproduces the paper's figures inside the simulator and starts no worker —
+// the runtime and the cluster are measured by cmd/sfsbench — so no file there,
+// tests included, imports either, and the examples show the facade, not the
+// experiments behind cmd/paperbench.
+func TestExperimentsStaySimulated(t *testing.T) {
+	fset := token.NewFileSet()
+	forbidden := map[string][]string{
+		filepath.Join("internal", "experiments"): {"sfsched/internal/rt", "sfsched/internal/cluster"},
+		"examples":                               {"sfsched/internal/experiments"},
+	}
+	for root, banned := range forbidden {
+		parsed := 0
+		err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
+				return err
+			}
+			f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
+			if err != nil {
+				return err
+			}
+			parsed++
+			for _, imp := range f.Imports {
+				for _, b := range banned {
+					if strings.Trim(imp.Path.Value, `"`) == b {
+						t.Errorf("%s imports %s: a second measurement stack beside cmd/sfsbench again", path, b)
+					}
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if parsed == 0 {
+			t.Errorf("no Go sources under %s; update the guard", root)
+		}
+	}
+}

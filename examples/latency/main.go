@@ -4,44 +4,20 @@
 // report its response-time distribution under SFS and time sharing, and how
 // far each scheduler's allocation drifts from the idealized GMS fluid.
 //
-//	go run ./examples/latency                   # inside the deterministic simulator
-//	go run ./examples/latency -live             # on the wall-clock runtime (sfsrt)
-//	go run ./examples/latency -live -enforce    # adversarial hogs vs the enforcer
+//	go run ./examples/latency
 //
-// -live reprises the same scenario on real goroutines: compute-bound hogs run
-// as cooperative PreemptibleTasks, the interactive tenant's wakeups raise
-// preemption flags through the scheduler's sched.Preempter capability, and
-// the printed quantiles come from the runtime's own per-tenant dispatch
-// latency histograms — the claim the simulator demonstrates, demonstrated
-// live.
-//
-// -enforce hardens the live scenario: the hogs become plain tasks that never
-// poll a preemption flag (cooperative preemption cannot touch them) and the
-// runtime's involuntary slice enforcement (DESIGN.md §10) is armed, so each
-// expired hog slice is handed off to a spare worker and the interactive
-// latency stays bounded even against non-cooperating load.
+// The same scenario on the runtime, hogs against woken interactive tenants
+// with preemption and slice enforcement armed, is sfsbench's `hogs` workload
+// (bench/README.md).
 package main
 
 import (
-	"flag"
 	"fmt"
-	"time"
 
 	"sfsched"
-	"sfsched/internal/experiments"
 )
 
 func main() {
-	live := flag.Bool("live", false, "run on the wall-clock runtime instead of the simulator")
-	duration := flag.Duration("duration", time.Second, "load duration per cell in -live mode")
-	hogs := flag.Int("hogs", 8, "background hogs in -live mode")
-	enforce := flag.Bool("enforce", false,
-		"in -live mode: adversarial never-yielding hogs with involuntary slice enforcement armed")
-	flag.Parse()
-	if *live {
-		runLive(*duration, *hogs, *enforce)
-		return
-	}
 	fmt.Println("Interactive response vs. background load (2 CPUs, 30s, weight 1 each)")
 	fmt.Printf("%-10s %22s %22s\n", "disksims", "SFS mean/p95 (ms)", "timeshare mean/p95 (ms)")
 	for _, n := range []int{0, 4, 8} {
@@ -52,44 +28,6 @@ func main() {
 	fmt.Println("\nBoth schedulers keep the interactive task responsive: time sharing")
 	fmt.Println("via its sleeper counter boost, SFS because a woken thread resumes")
 	fmt.Println("at the virtual time with zero surplus and preempts a CPU hog.")
-}
-
-// runLive is the wall-clock Figure 6(c): interactive wake→dispatch quantiles
-// under SFS and time sharing, with cooperative preemption armed and disarmed.
-// With enforce, the hogs never yield and the enforcer does the preempting.
-func runLive(duration time.Duration, hogs int, enforce bool) {
-	mode := ""
-	if enforce {
-		mode = ", adversarial hogs, enforcement armed"
-	}
-	fmt.Printf("Interactive dispatch latency vs. %d live hogs (%v per cell%s)\n\n",
-		hogs, duration, mode)
-	var policies []sfsched.RuntimePolicy
-	for _, name := range []string{"sfs", "timeshare"} {
-		p, err := sfsched.PolicyByName(name, 20*sfsched.Millisecond)
-		if err != nil {
-			panic(err)
-		}
-		policies = append(policies, p)
-	}
-	results := experiments.CrossPolicyLiveLatency(policies, experiments.LiveLatencyConfig{
-		Hogs:        hogs,
-		Duration:    duration,
-		Enforce:     enforce,
-		Adversarial: enforce,
-	})
-	fmt.Print(experiments.LatencyTable(results))
-	if enforce {
-		fmt.Println("\nThe hogs are deaf to preemption flags, so cooperative preemption")
-		fmt.Println("alone cannot help; the enforcer detaches each expired hog slice")
-		fmt.Println("(handoffs column) and a spare worker takes the lane, bounding the")
-		fmt.Println("interactive latency by the enforcement tick under SFS.")
-		return
-	}
-	fmt.Println("\nWith preemption on, a wakeup flags the worst-ranked running hog")
-	fmt.Println("(sched.Preempter) and the interactive p95 collapses to the hogs'")
-	fmt.Println("cooperative checkpoint; time sharing has no preemption order, so")
-	fmt.Println("its wakeups wait out whole slices either way.")
 }
 
 func run(s sfsched.Scheduler, disksims int) (mean, p95 float64) {

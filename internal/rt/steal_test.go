@@ -2,11 +2,13 @@ package rt_test
 
 // Tests of idle-path cross-shard work stealing (steal.go): deterministic
 // Manual-mode drivers pin the mechanics (victim selection, frame-lead
-// conservation, disarmed bit-identity, the 0 allocs/op steal path), a
-// differential run bounds the fairness perturbation against the single-queue
-// oracle, concurrent tests exercise the worker idle path and the offer
-// protocol under the race detector, and FuzzStealTransfer drives randomized
-// op sequences through the transfer machinery checking task conservation.
+// conservation, disarmed bit-identity, the 0 allocs/op steal path), the §1.2
+// pile-up holds stealing to more than twice the completions of a runtime
+// with neither recovery mechanism, a differential run bounds the fairness
+// perturbation against the single-queue oracle, concurrent tests exercise the
+// worker idle path and the offer protocol under the race detector, and
+// FuzzStealTransfer drives randomized op sequences through the transfer
+// machinery checking task conservation.
 
 import (
 	"math"
@@ -264,10 +266,12 @@ func TestStealFrameLeadConserved(t *testing.T) {
 // blocked get no refills during periodic windows — draining whichever shard
 // holds them and forcing the idle path to actually fire. The window pattern
 // depends only on tick index and tenant index, so a single-shard oracle run
-// sees the identical workload.
+// sees the identical workload. It returns how many workers dispatched on each
+// tick.
 func driveStealTicks(t *testing.T, r *rt.Runtime, clock *rt.FakeClock, tenants []*rt.Tenant,
-	ticks int, slice simtime.Duration, rebalanceEvery int, blocked map[int]bool) {
+	ticks int, slice simtime.Duration, rebalanceEvery int, blocked map[int]bool) []int {
 	t.Helper()
+	busy := make([]int, ticks)
 	refill := func(i int, tick int) {
 		if blocked[i] && tick%400 >= 200 && tick%400 < 260 {
 			return
@@ -292,6 +296,7 @@ func driveStealTicks(t *testing.T, r *rt.Runtime, clock *rt.FakeClock, tenants [
 				ds = append(ds, d)
 			}
 		}
+		busy[tick] = len(ds)
 		clock.Advance(slice)
 		for _, d := range ds {
 			d.Complete(true)
@@ -301,6 +306,89 @@ func driveStealTicks(t *testing.T, r *rt.Runtime, clock *rt.FakeClock, tenants [
 		}
 		if rebalanceEvery > 0 && (tick+1)%rebalanceEvery == 0 {
 			r.Rebalance()
+		}
+	}
+	return busy
+}
+
+// TestStealPileUp is the paper's §1.2 argument against partitioned run queues
+// as a within-run floor: every active tenant piled onto shard 0 of a
+// one-worker-per-shard runtime, every other shard idle. Stealing must recover
+// on the first tick, the rebalancer only at its first pass, a runtime with
+// neither never — and the stealing run must complete more than twice what the
+// run with neither does.
+func TestStealPileUp(t *testing.T) {
+	const shards, ticks, every = 4, 120, 30
+	type cell struct {
+		recovery, completed int // first tick with every worker busy (-1: none); Σ dispatches
+		jain                float64
+		steals, migrations  int64
+	}
+	run := func(steal bool, rebalanceEvery int) cell {
+		clock := rt.NewFakeClock()
+		r := rt.New(rt.Config{Workers: shards, Shards: shards, Quantum: 10 * simtime.Millisecond,
+			Clock: clock, QueueCap: 4, Manual: true, Steal: steal})
+		defer r.Close()
+		register := func() *rt.Tenant {
+			tn, err := r.Register("t", 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return tn
+		}
+		// Least-loaded placement breaks ties toward shard 0, so an active
+		// registered while the shards are level lands there and shards-1
+		// ballast tenants level them again; with the ballast gone every
+		// active sits on shard 0 and the weight imbalance is in plain sight
+		// of the rebalancer.
+		var actives, ballast []*rt.Tenant
+		for i := 0; i < shards; i++ {
+			tn := register()
+			if tn.Shard() != 0 {
+				t.Fatalf("active %d placed on shard %d, want 0", i, tn.Shard())
+			}
+			actives = append(actives, tn)
+			for j := 1; j < shards; j++ {
+				ballast = append(ballast, register())
+			}
+		}
+		for _, tn := range ballast {
+			if err := r.Unregister(tn); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c := cell{recovery: -1}
+		for tick, n := range driveStealTicks(t, r, clock, actives, ticks, 5*simtime.Millisecond, rebalanceEvery, nil) {
+			c.completed += n
+			if c.recovery < 0 && n == shards {
+				c.recovery = tick
+			}
+		}
+		if err := r.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		c.jain, c.steals, c.migrations = r.JainIndex(), r.Steals(), r.Migrations()
+		return c
+	}
+	neither, rebalanced, stolen := run(false, 0), run(false, every), run(true, 0)
+	if neither.recovery != -1 || neither.completed != ticks || neither.steals != 0 || neither.migrations != 0 {
+		t.Errorf("neither: %+v, want no recovery, one busy worker of %d (%d completions) and nothing moved",
+			neither, shards, ticks)
+	}
+	if rebalanced.recovery < every-1 || rebalanced.migrations == 0 || rebalanced.steals != 0 {
+		t.Errorf("rebalancer: %+v, want recovery no earlier than its first pass (tick %d), ≥ 1 migration, 0 steals",
+			rebalanced, every-1)
+	}
+	if stolen.recovery != 0 || stolen.completed != ticks*shards || stolen.steals != shards-1 || stolen.migrations != 0 {
+		t.Errorf("steal: %+v, want recovery on tick 0, every worker busy throughout, %d steals, 0 migrations",
+			stolen, shards-1)
+	}
+	if stolen.completed <= 2*neither.completed {
+		t.Errorf("steal completed %d, not more than 2× neither's %d", stolen.completed, neither.completed)
+	}
+	for name, c := range map[string]cell{"neither": neither, "rebalancer": rebalanced, "steal": stolen} {
+		if c.jain < 0.99 {
+			t.Errorf("%s: Jain %.4f among equal-weight actives", name, c.jain)
 		}
 	}
 }

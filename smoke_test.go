@@ -1,9 +1,8 @@
 // Build-and-run smoke tests for every binary in the repository: the example
-// programs (fairserver once per live scheduling policy), cmd/paperbench and
-// cmd/livecmp. Each runs end-to-end (tiny iteration counts where the binary
-// accepts them) so CI exercises the full wiring — facade, machine,
-// workloads, experiments, policy factories, CSV output — not just the
-// library packages.
+// programs (fairserver once per live scheduling policy) and cmd/paperbench.
+// Each runs end-to-end (tiny iteration counts where the binary accepts them)
+// so CI exercises the full wiring — facade, machine, workloads, experiments,
+// policy factories, CSV output — not just the library packages.
 package sfsched_test
 
 import (
@@ -91,71 +90,6 @@ func TestFairserverPolicySmoke(t *testing.T) {
 			t.Fatalf("unhelpful error for unknown policy:\n%s", out)
 		}
 	})
-}
-
-// TestLivecmpSmoke runs the wall-clock cross-policy comparison end to end
-// and checks it reports one fairness row per requested policy.
-func TestLivecmpSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("subprocess smoke tests skipped in -short mode")
-	}
-	out := runBinary(t, "cmd/livecmp",
-		"-policies", "sfs,timeshare", "-duration", "200ms", "-slice", "5ms", "-v")
-	for _, want := range []string{"SFS", "timeshare", "jain", "worst_err"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("livecmp output missing %q:\n%s", want, out)
-		}
-	}
-}
-
-// TestLivecmpLatencySmoke runs the Figure 6(c) latency reprise end to end:
-// one row per (policy, preempt on/off) cell with the interactive quantile
-// columns, and at least one preemption recorded for the Preempter-capable
-// policy cell.
-func TestLivecmpLatencySmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("subprocess smoke tests skipped in -short mode")
-	}
-	out := runBinary(t, "cmd/livecmp",
-		"-latency", "-policies", "sfs,timeshare", "-hogs", "4",
-		"-duration", "250ms", "-slice", "5ms")
-	for _, want := range []string{"SFS", "timeshare", "p95_ms", "preemptions", "preempt"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("livecmp -latency output missing %q:\n%s", want, out)
-		}
-	}
-}
-
-// TestLivecmpClusterSmoke runs the cluster tier demo end to end: per-machine
-// share tables plus the cross-policy cluster summary, with k=1 placement so
-// the run exercises the migrator against a deliberately imbalanced cluster.
-func TestLivecmpClusterSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("subprocess smoke tests skipped in -short mode")
-	}
-	out := runBinary(t, "cmd/livecmp",
-		"-cluster", "-machines", "3", "-workers", "2", "-k", "1",
-		"-policies", "sfs", "-duration", "400ms", "-slice", "5ms",
-		"-migrate-every", "100ms")
-	for _, want := range []string{"per-machine shares", "machine", "cluster jain", "migrations"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("livecmp -cluster output missing %q:\n%s", want, out)
-		}
-	}
-}
-
-// TestLatencyLiveSmoke runs examples/latency on the wall-clock runtime.
-func TestLatencyLiveSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("subprocess smoke tests skipped in -short mode")
-	}
-	out := runBinary(t, "examples/latency",
-		"-live", "-duration", "250ms", "-hogs", "4")
-	for _, want := range []string{"SFS", "timeshare", "p95_ms"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("latency -live output missing %q:\n%s", want, out)
-		}
-	}
 }
 
 func TestPaperbenchSmoke(t *testing.T) {
