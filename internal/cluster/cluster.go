@@ -92,21 +92,17 @@ type Config struct {
 	// K is the number of machines a placement probes (power-of-k-choices).
 	// 0 means 2; values ≥ Machines degrade to best-fit over all machines.
 	K int
-	// Workers, Shards, Policy, Quantum, Clock, QueueCap, Manual, Preempt,
-	// Enforce, EnforceTick, SpareWorkers and RebalanceEvery configure each
-	// machine exactly as the same rt.Config fields do.
-	Workers        int
-	Shards         int
-	Policy         rt.Policy
-	Quantum        simtime.Duration
-	Clock          rt.Clock
-	QueueCap       int
-	Manual         bool
-	Preempt        bool
-	Enforce        bool
-	EnforceTick    simtime.Duration
-	SpareWorkers   int
-	RebalanceEvery time.Duration
+	// Workers, Policy, Quantum, Clock, QueueCap, Manual, Preempt and Enforce
+	// configure each machine exactly as the same rt.Config fields do; every
+	// other rt.Config field keeps its default (one shard per machine).
+	Workers  int
+	Policy   rt.Policy
+	Quantum  simtime.Duration
+	Clock    rt.Clock
+	QueueCap int
+	Manual   bool
+	Preempt  bool
+	Enforce  bool
 	// MigrateEvery is the period of the background cross-machine migrator.
 	// 0 means DefaultMigrateEvery; negative disables the background loop
 	// (Rebalance may still be called directly). Manual mode never starts
@@ -170,18 +166,14 @@ func New(cfg Config) (*Cluster, error) {
 	nodes := make([]Node, cfg.Machines)
 	for i := range nodes {
 		nodes[i] = rt.New(rt.Config{
-			Workers:        cfg.Workers,
-			Shards:         cfg.Shards,
-			Policy:         cfg.Policy,
-			Quantum:        cfg.Quantum,
-			Clock:          cfg.Clock,
-			QueueCap:       cfg.QueueCap,
-			Manual:         cfg.Manual,
-			Preempt:        cfg.Preempt,
-			Enforce:        cfg.Enforce,
-			EnforceTick:    cfg.EnforceTick,
-			SpareWorkers:   cfg.SpareWorkers,
-			RebalanceEvery: cfg.RebalanceEvery,
+			Workers:  cfg.Workers,
+			Policy:   cfg.Policy,
+			Quantum:  cfg.Quantum,
+			Clock:    cfg.Clock,
+			QueueCap: cfg.QueueCap,
+			Manual:   cfg.Manual,
+			Preempt:  cfg.Preempt,
+			Enforce:  cfg.Enforce,
 		})
 	}
 	return Compose(cfg, nodes...)

@@ -69,6 +69,14 @@ func (s *gatedSFS) Add(t *sched.Thread, now simtime.Time) error {
 	return s.SFS.Add(t, now)
 }
 
+// AddBatch is how a drain admits (a batch of one included): gated like Add.
+func (s *gatedSFS) AddBatch(ts []*sched.Thread, now simtime.Time) error {
+	for _, t := range ts {
+		s.g.at("add " + t.Name)
+	}
+	return s.SFS.AddBatch(ts, now)
+}
+
 func (s *gatedSFS) InterimCharge(t *sched.Thread, ran simtime.Duration, now simtime.Time) {
 	s.g.at("interim")
 	s.SFS.InterimCharge(t, ran, now)
@@ -414,7 +422,8 @@ func TestHolderDrainNeverStepsBack(t *testing.T) {
 // TestManualClockAnomalies drives submit → drain → dispatch → settle in
 // Manual mode on a clock that stalls and steps backwards between any two
 // steps: no charge is negative, no tenant's service or start tag and no
-// shard's lastNow moves back, and the invariants hold after every step.
+// shard's lastNow moves back, the invariants hold after every step, and an
+// enforcement deadline set after a backward step is honoured on time.
 func TestManualClockAnomalies(t *testing.T) {
 	clock := &scriptedClock{}
 	r := New(Config{Workers: 2, Shards: 2, Manual: true, Preempt: true, Enforce: true,
@@ -489,5 +498,34 @@ func TestManualClockAnomalies(t *testing.T) {
 	}
 	if backwards < 100 {
 		t.Fatalf("the clock stepped back %d times; the test walked nothing", backwards)
+	}
+	// A slice dispatched after a backward step expires at its own boundary:
+	// whether it is due depends on its deadline and the clock alone, not on
+	// how far an earlier pass had already read.
+	for _, d := range inFlight {
+		if d != nil {
+			d.Complete(true)
+		}
+	}
+	const top = int64(60 * simtime.Minute)
+	clock.now.Store(top)
+	r.Enforce()
+	clock.now.Store(top - int64(30*simtime.Millisecond))
+	tn := tenants[0]
+	if err := tn.SubmitTask(Once(func() {}), NoWait()); err != nil && err != ErrBackpressure {
+		t.Fatal(err)
+	}
+	d := r.Dispatch(tn.sh.Load().firstWorker)
+	if d == nil {
+		t.Fatal("nothing dispatchable on a shard with a backlogged tenant")
+	}
+	clock.now.Store(clock.now.Load() + int64(d.Slice()+DefaultEnforceTick))
+	r.Enforce()
+	if !d.Detached() {
+		t.Fatalf("a %v slice dispatched after a backward step is still on its lane a tick past its deadline", d.Slice())
+	}
+	d.Complete(true)
+	if err := r.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -10,6 +10,7 @@ package rt_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -393,7 +394,7 @@ func TestEnforcementWakeLatency(t *testing.T) {
 
 // TestEnforcementArmedDeterministic replays the armed acceptance scenario
 // twice and requires identical dispatch/handoff traces and identical final
-// accounting: enforcement decisions (wheel expiry order, flag acceleration,
+// accounting: enforcement decisions (expiry order, flag acceleration,
 // detachments) are deterministic under a FakeClock.
 func TestEnforcementArmedDeterministic(t *testing.T) {
 	statsA, handoffsA, traceA := enforceLatencyScenario(t, true)
@@ -420,8 +421,8 @@ func TestEnforcementArmedDeterministic(t *testing.T) {
 
 // TestEnforcementConcurrentHandoff wedges the only worker with a closure
 // blocked on a channel — the hardest non-cooperator — and requires the live
-// enforcer to hand it off so interactive tasks run on the spare worker while
-// the hog is still blocked. Without enforcement this workload deadlocks the
+// enforcer to hand it off so interactive tasks run on the handoff's fresh
+// worker while the hog is still blocked. Without enforcement this workload deadlocks the
 // interactive tenant until the hog is released.
 func TestEnforcementConcurrentHandoff(t *testing.T) {
 	r := rt.New(rt.Config{Workers: 1, Quantum: 5 * simtime.Millisecond,
@@ -478,8 +479,83 @@ func TestEnforcementConcurrentHandoff(t *testing.T) {
 	}
 }
 
+// waitGoroutines polls until the process runs exactly want goroutines: one
+// that has called wg.Done is a few instructions short of gone.
+func waitGoroutines(t *testing.T, want int, when string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() != want {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: %d goroutines, want %d", when, runtime.NumGoroutine(), want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestHandoffNeverStrandsLane wedges the only worker's lane three times over:
+// three tenants, each inside a plain task that does not return until released,
+// are handed off in turn, and a fourth tenant's task must still run while all
+// three are blocked — every handoff staffs the lane it confiscates, however
+// many closures are already running out of band. The runtime runs its workers
+// (an enforcement loop beside them when armed) plus one goroutine per detached
+// tenant, and all of them are gone after the release and Close. Only the
+// quantum is set, to keep three deadlines short.
+func TestHandoffNeverStrandsLane(t *testing.T) {
+	base := runtime.NumGoroutine()
+	off := rt.New(rt.Config{Workers: 3})
+	waitGoroutines(t, base+3, "Enforce off")
+	off.Close()
+	waitGoroutines(t, base, "after Close")
+
+	r := rt.New(rt.Config{Workers: 1, Quantum: 5 * simtime.Millisecond, Enforce: true})
+	defer r.Close()
+	started := make(chan struct{})
+	release := make(chan struct{})
+	for i := 0; i < 3; i++ {
+		hog, err := r.Register(fmt.Sprintf("hog%d", i), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := hog.SubmitTask(rt.Once(func() { started <- struct{}{}; <-release })); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		select {
+		case <-started:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("hog %d never dispatched: the lane idles behind %d handed-off closures", i, i)
+		}
+	}
+	fourth, err := r.Register("fourth", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ran := make(chan struct{})
+	if err := fourth.SubmitTask(rt.Once(func() { close(ran) })); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-ran:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the fourth tenant starved behind three handed-off closures")
+	}
+	if h := r.Handoffs(); h != 3 {
+		t.Errorf("%d handoffs, want 3", h)
+	}
+	waitGoroutines(t, base+2+3, "three tenants detached") // worker, enforcement loop, three closures
+	close(release)
+	r.Drain()
+	if err := r.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	waitGoroutines(t, base+2, "closures returned")
+	r.Close()
+	waitGoroutines(t, base, "after Close")
+}
+
 // TestEnforceHotPathZeroAlloc pins the steady-state allocation contract with
-// enforcement armed: a full flag→handoff→spare-dispatch→late-Complete cycle
+// enforcement armed: a full flag→handoff→dispatch→late-Complete cycle
 // allocates nothing once the record pool is warm.
 func TestEnforceHotPathZeroAlloc(t *testing.T) {
 	clock := rt.NewFakeClock()

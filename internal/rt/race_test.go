@@ -440,7 +440,7 @@ func drainOrFail(t *testing.T, r *rt.Runtime) {
 // worker go: the drain must drop the item and release both its gate
 // reservation and its task count.
 func closedAfterAcceptance(t *testing.T) {
-	r := rt.New(rt.Config{Workers: 1, Quantum: simtime.Millisecond, SpareWorkers: -1})
+	r := rt.New(rt.Config{Workers: 1, Quantum: simtime.Millisecond})
 	defer r.Close()
 	hog, err := r.Register("hog", 1)
 	if err != nil {
@@ -494,7 +494,7 @@ func TestDrainHoldsAcrossShardHops(t *testing.T) {
 	// times a second instead of once in a few runs.
 	const hopShards = 64
 	r := rt.New(rt.Config{Workers: hopShards, Shards: hopShards, Quantum: simtime.Millisecond,
-		Steal: true, RebalanceEvery: time.Millisecond, SpareWorkers: -1})
+		Steal: true, RebalanceEvery: time.Millisecond})
 	defer r.Close()
 	// Equal weights place one tenant per shard in shard order; the chain runs
 	// between the first and the last.

@@ -222,30 +222,22 @@ type Config struct {
 	// dispatch traces are bit-identical to earlier releases, and TrySteal is
 	// a no-op.
 	Steal bool
-	// Enforce arms involuntary slice enforcement (enforcer.go): every
-	// dispatch is registered on its shard's timer wheel with deadline
-	// start+slice, and an enforcement pass — periodic in concurrent mode,
-	// Enforce() in Manual mode — interim-charges running slices
-	// (sched.InterimCharger, bounding tag staleness to one tick), raises the
-	// preemption flag on expired PreemptibleTask slices, and involuntarily
-	// hands off plain Task slices that expired or carry a raised preemption
-	// flag: the overrun is charged, the tenant leaves the runnable set until
-	// the closure returns, and the worker's lane is lent to a spare worker so
-	// the shard keeps its CPU count honest. Disarmed (the default), none of
-	// this machinery runs and dispatch traces are bit-identical to earlier
-	// releases. See DESIGN.md §10.
+	// Enforce arms involuntary slice enforcement (enforcer.go, DESIGN.md
+	// §10): an enforcement pass — periodic in concurrent mode, Enforce() in
+	// Manual mode — interim-charges running slices (sched.InterimCharger,
+	// bounding tag staleness to one tick), raises the preemption flag on
+	// PreemptibleTask slices past their deadline (start plus granted slice),
+	// and involuntarily hands off plain Task slices that are past it or carry
+	// a raised flag: the overrun is charged, the tenant leaves the runnable
+	// set until the closure returns, and a fresh worker goroutine takes over
+	// the slot and lane so the shard keeps its CPU count honest. Disarmed (the
+	// default), none of this runs and dispatch traces are bit-identical to
+	// earlier releases.
 	Enforce bool
-	// EnforceTick is the enforcement granularity: the timer-wheel tick, the
-	// interim-charge period, and the bound on how long a flagged
+	// EnforceTick is the enforcement granularity: deadlines round up to it,
+	// and it is the interim-charge period and the bound on how long a flagged
 	// non-cooperating task keeps its lane. 0 means DefaultEnforceTick.
 	EnforceTick simtime.Duration
-	// SpareWorkers bounds the spare worker pool per shard: parked goroutines
-	// that take over a lane lent away by an involuntary handoff, so a shard
-	// whose workers are stuck in non-cooperating closures still dispatches.
-	// 0 means one spare per shard worker; negative disables spares (a lane
-	// freed by a handoff then idles until the hog returns). Ignored in
-	// Manual mode, where the driver owns all dispatching.
-	SpareWorkers int
 }
 
 // Tenant is a registered principal: one scheduler thread plus a bounded FIFO
@@ -314,17 +306,14 @@ type Tenant struct {
 // regMu → shard.mu (ascending shard id when taking several) → quietMu.
 type Runtime struct {
 	shards      []*shard
-	workerShard []*shard // regular worker index → owning shard
-	workerLocal []int    // regular worker index → CPU index within the shard
-	// dslots holds one preallocated Dispatched record per dispatch slot —
-	// regular workers first, then spare workers — reused across slices so
-	// the hot path allocates nothing. The records are pointers because an
-	// involuntary handoff detaches the in-flight record from its slot (the
-	// slot gets a fresh record so the lane's next dispatch cannot alias the
-	// still-running slice) and the detached record lives on until its
-	// out-of-band Complete.
+	workerShard []*shard // worker index → owning shard
+	workerLocal []int    // worker index → CPU index within the shard
+	// dslots holds one preallocated Dispatched record per worker, reused
+	// across slices so the hot path allocates nothing. Pointers, because an
+	// involuntary handoff detaches the in-flight record from its slot (which
+	// gets a fresh one, so the lane's next dispatch cannot alias the still
+	// running slice) and the record lives on until its out-of-band Complete.
 	dslots      []*Dispatched
-	spareShard  []*shard // spare slot index − len(workerShard) → owning shard
 	clock       Clock
 	qcap        int
 	manual      bool
@@ -421,46 +410,26 @@ func New(cfg Config) *Runtime {
 		// dispatch or rebalance paths.
 		sh.eng = engine.New(sch)
 		sh.workCond = sync.NewCond(&sh.mu)
-		sh.spareCond = sync.NewCond(&sh.mu)
 		sh.intake.init()
 		sh.wokeScratch = make([]*Tenant, 0, intakeCap)
 		sh.thScratch = make([]*sched.Thread, 0, intakeCap)
 		sh.rankScratch = make([]float64, 0, count)
 		sh.slotScratch = make([]*Dispatched, 0, count)
 		sh.active = make([]*Dispatched, 0, count)
-		sh.lanes = make([]int, 0, count)
-		sh.wheel.tick = etick
 		r.shards = append(r.shards, sh)
 		for local := 0; local < count; local++ {
 			r.workerShard = append(r.workerShard, sh)
 			r.workerLocal = append(r.workerLocal, local)
 		}
 	}
-	// Spare worker slots: only meaningful in concurrent mode (Manual drivers
-	// reuse worker indices after a handoff, since the handoff frees the slot).
-	if !cfg.Manual && cfg.SpareWorkers >= 0 {
-		for _, sh := range r.shards {
-			spares := cfg.SpareWorkers
-			if spares == 0 {
-				spares = sh.workers
-			}
-			for s := 0; s < spares; s++ {
-				r.spareShard = append(r.spareShard, sh)
-			}
-		}
-	}
-	r.dslots = make([]*Dispatched, len(r.workerShard)+len(r.spareShard))
+	r.dslots = make([]*Dispatched, len(r.workerShard))
 	for i := range r.dslots {
 		r.dslots[i] = &Dispatched{}
 	}
 	if !cfg.Manual {
 		for w := range r.workerShard {
 			r.wg.Add(1)
-			go r.worker(w, r.workerShard[w], r.workerLocal[w])
-		}
-		for s, sh := range r.spareShard {
-			r.wg.Add(1)
-			go r.worker(len(r.workerShard)+s, sh, -1)
+			go r.worker(w)
 		}
 		if nshards > 1 && cfg.RebalanceEvery >= 0 {
 			every := cfg.RebalanceEvery
@@ -515,46 +484,22 @@ func (r *Runtime) Register(name string, weight float64) (*Tenant, error) {
 }
 
 // placeTenant binds a new tenant to the shard with the least weight per
-// processor and returns that shard still locked. The load scan releases each
-// shard's lock before moving on, so the choice can go stale — a concurrent
-// SetWeight, Unregister or migration may load the chosen shard up between the
-// scan and the placement (concurrent Registers themselves serialize on regMu,
-// but would otherwise all observe the same lightest shard through such a
-// window and stampede onto it). The choice is therefore re-validated under
-// the winner's lock: if its load has regressed past the scan's runner-up, the
-// scan re-runs, with a bounded retry count so a pathological interleaving
-// degrades to a slightly imbalanced placement instead of a livelock (the
-// rebalancer corrects it).
+// processor and returns that shard still locked. The scan releases each
+// shard's lock before moving on, so a SetWeight, Unregister or migration can
+// load the chosen shard up before the placement lands; Registers themselves
+// serialize on regMu, and correcting such drift is the rebalancer's job.
 func (r *Runtime) placeTenant(tn *Tenant, weight float64) *shard {
-	th := tn.th
-	best := r.shards[0]
-	if len(r.shards) > 1 {
-		const attempts = 4
-		for try := 0; ; try++ {
-			bestLoad, nextLoad := 0.0, 0.0
-			for i, sh := range r.shards {
-				sh.mu.Lock()
-				load := sh.weight / float64(sh.workers)
-				sh.unlock()
-				switch {
-				case i == 0:
-					best, bestLoad, nextLoad = sh, load, load
-				case load < bestLoad:
-					best, bestLoad, nextLoad = sh, load, bestLoad
-				case load < nextLoad || i == 1:
-					nextLoad = load
-				}
-			}
-			best.mu.Lock()
-			if try == attempts-1 || best.weight/float64(best.workers) <= nextLoad {
-				break
-			}
-			best.unlock() // the choice regressed past the runner-up; rescan
+	best, bestLoad := r.shards[0], 0.0
+	for i, sh := range r.shards {
+		sh.mu.Lock()
+		load := sh.weight / float64(sh.workers)
+		sh.unlock()
+		if i == 0 || load < bestLoad {
+			best, bestLoad = sh, load
 		}
-	} else {
-		best.mu.Lock()
 	}
-	best.byThread[th] = tn
+	best.mu.Lock()
+	best.byThread[tn.th] = tn
 	best.weight += weight
 	tn.notFull = sync.NewCond(&best.mu)
 	tn.sh.Store(best)
@@ -678,19 +623,14 @@ type Dispatched struct {
 	// preempted is the cooperative preemption flag, embedded in the record
 	// so the running task can poll it lock-free (SliceCtx.Preempted) while
 	// the shard lock holder raises it. Raised by a wakeup
-	// (maybePreemptLocked) or by the enforcer at slice expiry; cleared when
+	// (preemptBatchLocked) or by the enforcer at slice expiry; cleared when
 	// the record's slot is next dispatched.
 	preempted atomic.Bool
 	// detached marks an involuntarily handed-off slice: the record has been
 	// swapped out of its worker slot and its tenant out of the runnable set,
 	// and the closure is running on borrowed time until Complete.
-	detached bool
-	// Timer-wheel linkage (enforcer.go), touched only under the shard lock
-	// and only when enforcement is armed.
-	wheelNext, wheelPrev *Dispatched
-	deadline             simtime.Time
-	armed                bool
-	activeIdx            int // position in the shard's active-slice list
+	detached  bool
+	activeIdx int // position in the shard's active-slice list
 }
 
 // Tenant returns the tenant whose task was dispatched.
@@ -751,7 +691,7 @@ func (r *Runtime) Dispatch(worker int) *Dispatched {
 	now := r.clock.Now()
 	post := postActions{sh: sh}
 	sh.drainLocked(now, &post)
-	d := sh.dispatchLocked(worker, r.workerLocal[worker], now)
+	d := sh.dispatchLocked(worker, now)
 	if d != nil && post.signals > 0 {
 		post.signals-- // this dispatch consumes one owed wakeup
 	}
@@ -784,7 +724,7 @@ func (d *Dispatched) Complete(done bool) simtime.Duration {
 // instant. Deferred effects (worker signals, registry removal of a finalized
 // tenant) accumulate in post.
 func (d *Dispatched) completeLocked(done bool, now simtime.Time, post *postActions) simtime.Duration {
-	r, sh, tn := d.r, d.sh, d.tn
+	sh, tn := d.sh, d.tn
 	if !d.inFlight {
 		panic("rt: slice completed twice")
 	}
@@ -795,8 +735,8 @@ func (d *Dispatched) completeLocked(done bool, now simtime.Time, post *postActio
 	th := tn.th
 	if d.detached {
 		// Out-of-band completion of an involuntarily handed-off slice: the
-		// lane accounting (CPU clear, running--, active/wheel removal) was
-		// done at the handoff. Re-admit the thread with the §2.3 wakeup rule
+		// lane accounting (CPU clear, running--, active removal) was done at
+		// the handoff. Re-admit the thread with the §2.3 wakeup rule
 		// and charge the post-handoff overrun, so the time the hog kept
 		// burning after losing its lane is docked from its future
 		// entitlement; then fall through to the ordinary pop/close handling.
@@ -810,12 +750,8 @@ func (d *Dispatched) completeLocked(done bool, now simtime.Time, post *postActio
 		if over := elapsed - d.sl.Quantum; over > 0 {
 			sh.overrunHist.Record(over)
 		}
-		if r.manual {
-			// Recycle the detached record (its slot got a fresh one at the
-			// handoff). Concurrent workers do this themselves after
-			// completeLocked returns, since they also shed their lane.
-			sh.dfree = append(sh.dfree, d)
-		}
+		// Recycle the detached record: its slot got a fresh one at the handoff.
+		sh.dfree = append(sh.dfree, d)
 	} else {
 		th.CPU = sched.NoCPU
 		th.LastCPU = d.local
@@ -824,9 +760,6 @@ func (d *Dispatched) completeLocked(done bool, now simtime.Time, post *postActio
 		// decides whether it stays in the set; the Remove branch re-decrements.
 		sh.ready++
 		sh.activeRemove(d)
-		if d.armed {
-			sh.wheel.remove(d)
-		}
 		// Settle the uncharged remainder through the engine: interim
 		// installments already advanced the slice's accounting; with
 		// enforcement disarmed nothing has, and this is the historical
@@ -926,7 +859,6 @@ func (r *Runtime) Close() {
 		for _, sh := range r.shards {
 			sh.mu.Lock()
 			sh.workCond.Broadcast()
-			sh.spareCond.Broadcast()
 			for _, tn := range sh.byThread {
 				tn.notFull.Broadcast()
 			}

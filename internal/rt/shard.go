@@ -52,19 +52,12 @@ type shard struct {
 	intakeHist metrics.Histogram
 	workCond   *sync.Cond
 
-	// Slice enforcement (enforcer.go). active lists the in-flight slices —
-	// the preemption scans and the enforcer's interim-charge pass iterate it
-	// instead of a worker-index range, since handed-off slices live outside
-	// any slot range. lanes is the free-lane stack of an anonymous
-	// lane/goroutine pairing: a handoff pushes the confiscated lane here and
-	// signals spareCond, where laneless goroutines (spares, and ex-workers
-	// finishing detached closures) park. dfree pools detached records.
+	// Slice enforcement (enforcer.go). active lists the in-flight slices,
+	// never more than the shard has workers — the preemption scan and every
+	// phase of the enforcement pass iterate it instead of a worker-index
+	// range. dfree pools the records of handed-off slices.
 	active       []*Dispatched
-	lanes        []int
-	spareCond    *sync.Cond
 	dfree        []*Dispatched
-	wheel        timerWheel
-	dueScratch   []*Dispatched
 	handoffs     int64 // involuntary handoffs performed on this shard
 	enforceFlags int64 // preemption flags raised by slice expiry (vs wakeups)
 	interims     int64 // interim-charge installments applied
@@ -108,7 +101,8 @@ type shard struct {
 	_     [56]byte
 
 	// Drain scratch, preallocated to the ring capacity (woke/th) and the
-	// worker count (rank/slot) so the drain side allocates nothing.
+	// worker count (rank/slot; slot also holds a pass's due set) so neither
+	// the drain side nor the enforcer allocates.
 	wokeScratch []*Tenant
 	thScratch   []*sched.Thread
 	rankScratch []float64
@@ -175,17 +169,11 @@ func (sh *shard) drainLocked(now simtime.Time, post *postActions) {
 			woke = append(woke, tn)
 		}
 	}
-	switch len(woke) {
-	case 0:
-	case 1:
-		// Single wakeup: the exact sequence the locked submit path used, so
-		// Manual-mode drains (batch size 1 by construction) replay the
-		// pre-intake golden traces bit for bit.
-		sh.admitLocked(woke[0], now)
-		post.signals++
-	default:
-		sh.admitBatchLocked(woke, now)
-		post.signals += len(woke)
+	if len(woke) > 0 {
+		// Manual-mode drains are batches of one by construction, and a batch
+		// of one is the plain Add and the single-wakeup preemption check: the
+		// pre-intake golden traces replay bit for bit.
+		sh.admitBatchLocked(woke, now, post)
 	}
 	if sh.r.steal && int64(len(woke)) > sh.idlers.Load() {
 		// More wakeups than this shard has parked workers: the surplus would
@@ -228,7 +216,7 @@ func (sh *shard) absorbLocked(tn *Tenant, q queued, at, now simtime.Time) bool {
 		return false
 	}
 	// Wakeup: S_i = max(F_i, v) via the scheduler's Add rule, applied by
-	// admitLocked/admitBatchLocked once the batch is collected.
+	// admitBatchLocked once the batch is collected.
 	tn.th.State = sched.Runnable
 	tn.readyAt = now
 	tn.wokeAt = now
@@ -236,19 +224,11 @@ func (sh *shard) absorbLocked(tn *Tenant, q queued, at, now simtime.Time) bool {
 	return true
 }
 
-// admitLocked admits one woken tenant: scheduler Add, then the single-wakeup
-// preemption check, exactly as the pre-intake locked submit path did.
-func (sh *shard) admitLocked(tn *Tenant, now simtime.Time) {
-	mustSched(sh.eng.Admit(tn.th, now))
-	tn.inSched = true
-	sh.nready.Add(1)
-	sh.maybePreemptLocked(tn, now)
-}
-
-// admitBatchLocked admits several woken tenants at one instant: one AddBatch
-// (one readjustment pass) when the policy implements sched.BatchAdder, plain
-// Adds otherwise, then one batch-wide preemption pass.
-func (sh *shard) admitBatchLocked(woke []*Tenant, now simtime.Time) {
+// admitBatchLocked admits the woken tenants of one drain at one instant: one
+// AddBatch (one readjustment pass) when the policy implements
+// sched.BatchAdder, plain Adds otherwise, then one batch-wide preemption pass;
+// each owes a worker wakeup.
+func (sh *shard) admitBatchLocked(woke []*Tenant, now simtime.Time, post *postActions) {
 	ths := sh.thScratch[:0]
 	for _, tn := range woke {
 		ths = append(ths, tn.th)
@@ -259,27 +239,28 @@ func (sh *shard) admitBatchLocked(woke []*Tenant, now simtime.Time) {
 		tn.inSched = true
 	}
 	sh.nready.Add(int64(len(woke)))
+	post.signals += len(woke)
 	sh.preemptBatchLocked(woke, now)
 }
 
 // applyDirectLocked absorbs one already-reserved submission bypassing the
 // ring: the locked fallback paths (ring overflow, backpressure waiters) and
-// the migration sweep land here. Callers that care
-// about per-producer FIFO drain the ring first, so earlier ring items from
-// the same producer are absorbed before this one.
+// the migration sweep land here. Callers that care about per-producer FIFO
+// drain the ring first, so earlier ring items from the same producer are
+// absorbed before this one.
 func (sh *shard) applyDirectLocked(tn *Tenant, q queued, at, now simtime.Time, post *postActions) {
 	if sh.absorbLocked(tn, q, at, now) {
-		sh.admitLocked(tn, now)
-		post.signals++
+		sh.admitBatchLocked(append(sh.wokeScratch[:0], tn), now, post)
 	}
 }
 
-// dispatchLocked picks the next tenant for the given worker (global index,
-// shard-local CPU) and marks it running. The returned Dispatched is the
-// worker's reusable slot — every worker index has at most one dispatch in
-// flight (the Dispatch contract), so the hot path allocates nothing. now is
-// the caller's cached clock read for this lock hold.
-func (sh *shard) dispatchLocked(worker, local int, now simtime.Time) *Dispatched {
+// dispatchLocked picks the next tenant for the given worker (global index;
+// its lane is that index's shard-local CPU) and marks it running. The
+// returned Dispatched is the worker's reusable slot — every worker index has
+// at most one dispatch in flight (the Dispatch contract), so the hot path
+// allocates nothing. now is the caller's cached clock read for this lock hold.
+func (sh *shard) dispatchLocked(worker int, now simtime.Time) *Dispatched {
+	local := sh.r.workerLocal[worker]
 	th, err := sh.eng.Pick(local, now)
 	if err != nil {
 		panic(fmt.Errorf("rt: %w", err))
@@ -336,9 +317,6 @@ func (sh *shard) dispatchLocked(worker, local int, now simtime.Time) *Dispatched
 	d.detached = false
 	d.activeIdx = len(sh.active)
 	sh.active = append(sh.active, d)
-	if sh.r.enforce {
-		sh.wheel.arm(d, d.sl.Start.Add(d.sl.Quantum), sh.r.enforceTick)
-	}
 	return d
 }
 
@@ -363,55 +341,26 @@ func (sh *shard) newSlotLocked() *Dispatched {
 	return &Dispatched{}
 }
 
-// maybePreemptLocked implements wakeup preemption (shard lock held): when the
-// newly woken tenant out-ranks the worst-ranked running slice under the
-// policy's own sched.Preempter ordering — both sides projected to "right
-// now", the running side by its uncharged in-flight service — the runtime
-// raises the cooperative preemption flag on that slice. A cooperating task
-// yields at its next checkpoint, its Complete charges exactly what it ran
+// preemptBatchLocked implements wakeup preemption (shard lock held) for the
+// tenants one drain woke: when a newly woken tenant out-ranks the worst-ranked
+// running slice under the policy's own sched.Preempter ordering — both sides
+// projected to "right now", the running side by its uncharged in-flight
+// service (with enforcement armed, interim installments have already advanced
+// the tags up to the last charge; disarmed, that is the dispatch start) — the
+// runtime raises the cooperative preemption flag on that slice. A cooperating
+// task yields at its next checkpoint, its Complete charges exactly what it ran
 // (SFS is built for variable-length quanta, §2.3, so the early stop never
 // perturbs fairness), and the freed worker's next pick lands on the woken
 // tenant, which holds the shard's minimum rank. Nothing happens when a worker
 // is idle (the wakeup is absorbed without preempting), when the policy has no
 // preemption order (time sharing, lottery), or when preemption is disabled.
-func (sh *shard) maybePreemptLocked(woken *Tenant, now simtime.Time) {
-	r := sh.r
-	if !r.preempt || sh.eng.Pre == nil || sh.running < sh.workers {
-		return
-	}
-	var victim *Dispatched
-	var worst float64
-	for _, d := range sh.active {
-		if d.preempted.Load() {
-			continue // a preemption is already pending there
-		}
-		// Project forward by only the *uncharged* in-flight service: with
-		// enforcement armed, interim installments have already advanced the
-		// tags up to the last charge (disarmed, that is the dispatch start
-		// and this is the historical whole-slice projection).
-		rank := sh.eng.RankRunning(&d.sl, now)
-		// Ties break toward the lowest worker slot, matching the old
-		// ascending-index scan (the active list is in dispatch order, which
-		// differs under handoffs).
-		if victim == nil || rank > worst || (rank == worst && d.worker < victim.worker) {
-			victim, worst = d, rank
-		}
-	}
-	if victim == nil || sh.eng.RankWoken(woken.th) >= worst {
-		return
-	}
-	victim.preempted.Store(true)
-	victim.tn.preempts++
-	sh.preempts++
-}
-
-// preemptBatchLocked is maybePreemptLocked for a multi-wakeup drain batch:
-// instead of rescanning every running slice once per woken tenant, the
-// slices are ranked once into shard scratch, then each woken tenant (in
-// intake FIFO order, matching the order sequential Submits would have been
-// applied) claims the worst-ranked remaining slice it out-ranks. Already
-// flagged slices are excluded up front, exactly as the per-wakeup scan
-// excludes them.
+//
+// The running slices are ranked once into shard scratch, already flagged ones
+// excluded (a preemption is pending there); then each woken tenant, in intake
+// FIFO order — the order sequential Submits would have been applied in —
+// claims the worst-ranked remaining slice it out-ranks. Ties break toward the
+// lowest worker slot: the active list is in dispatch order, which differs
+// from slot order under handoffs.
 func (sh *shard) preemptBatchLocked(woke []*Tenant, now simtime.Time) {
 	r := sh.r
 	if !r.preempt || sh.eng.Pre == nil || sh.running < sh.workers {

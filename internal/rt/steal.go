@@ -31,10 +31,10 @@
 // reason: the wakeup-style re-entry on the thief shard costs them the least.
 //
 // A stolen tenant is never mid-slice (Running and detached tenants are
-// ineligible), so it carries no armed timer-wheel entry; its next dispatch on
-// the thief shard arms the thief's wheel exactly as any local dispatch would,
-// which is how stealing composes with slice enforcement without touching the
-// wheel here.
+// ineligible), so it is on no shard's active list and carries no deadline;
+// its next dispatch on the thief shard sets one exactly as any local dispatch
+// would, which is how stealing composes with slice enforcement without
+// touching it here.
 //
 // Parked workers re-arm through the victim side: a drain that admits more
 // wakeups than its shard has idle workers, or a dispatch that leaves ready

@@ -61,23 +61,19 @@ func (tn *Tenant) SubmitTask(task Task, opts ...SubmitOption) error {
 // never be taken inside a shard lock). The struct lives on its caller's
 // stack; run leaves it reusable.
 type postActions struct {
-	sh           *shard
-	signals      int     // workCond signals owed to sh
-	spareSignals int     // spareCond signals owed to sh (lanes freed by handoffs)
-	offer        bool    // sh admitted more wakeups than it has idle workers: offer a steal
-	finalized    *Tenant // tenant finalized under the shard lock, if any
+	sh        *shard
+	signals   int     // workCond signals owed to sh
+	offer     bool    // sh admitted more wakeups than it has idle workers: offer a steal
+	finalized *Tenant // tenant finalized under the shard lock, if any
 }
 
 func (p *postActions) pending() bool {
-	return p.signals > 0 || p.spareSignals > 0 || p.offer || p.finalized != nil
+	return p.signals > 0 || p.offer || p.finalized != nil
 }
 
 func (p *postActions) run(r *Runtime) {
 	for ; p.signals > 0; p.signals-- {
 		p.sh.workCond.Signal()
-	}
-	for ; p.spareSignals > 0; p.spareSignals-- {
-		p.sh.spareCond.Signal()
 	}
 	if p.offer {
 		p.offer = false

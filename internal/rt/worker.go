@@ -12,15 +12,13 @@ const reacquireSpins = 4096
 // run outside the lock; a panicking task is recovered, charged, and dropped,
 // so one bad handler cannot wedge a worker.
 //
-// Regular workers start holding a lane (a shard-local CPU index); spare
-// workers start without one (lane < 0) and park on spareCond until an
-// involuntary handoff lends a lane into the shard's free list. The two kinds
-// are otherwise identical — a regular worker whose lane was confiscated by a
-// handoff finishes the detached closure, recycles the detached record, and
-// re-enters the pool as a spare, so lanes and goroutines pair up anonymously
-// and no reclaim handshake is needed.
-func (r *Runtime) worker(slot int, sh *shard, lane int) {
+// A worker owns one dispatch slot and that slot's lane (shard-local CPU index)
+// until an involuntary handoff confiscates both mid-closure: the handoff
+// starts a fresh worker on them (detachLocked), and this one, once the closure
+// returns, completes the detached record and exits.
+func (r *Runtime) worker(slot int) {
 	defer r.wg.Done()
+	sh := r.workerShard[slot]
 	var d *Dispatched
 	var done bool
 	for {
@@ -36,16 +34,9 @@ func (r *Runtime) worker(slot int, sh *shard, lane int) {
 		// re-read after every Wait and every unlock/relock, where unbounded
 		// real time may have passed.
 		now := r.clock.Now()
+		replaced := d != nil && d.detached
 		if d != nil {
-			detached := d.detached
 			d.completeLocked(done, now, &post)
-			if detached {
-				// The lane was lent away at the handoff and the record was
-				// swapped out of the slot there; pool it for the next
-				// handoff and rejoin laneless.
-				lane = -1
-				sh.dfree = append(sh.dfree, d)
-			}
 			d = nil
 		}
 		// triedSteal bounds the idle path to one steal round per park cycle:
@@ -53,36 +44,16 @@ func (r *Runtime) worker(slot int, sh *shard, lane int) {
 		// or a sibling's surplus offer (offerSteal) — re-arms it.
 		triedSteal := false
 		for {
-			if r.closed.Load() {
+			if replaced || r.closed.Load() {
+				// unlock, not Unlock: a replaced worker is no longer one, and
+				// owes a doorbell rung during this hold what any holder does.
 				sh.publishReady()
-				sh.mu.Unlock()
+				sh.unlock()
 				post.run(r)
 				return
 			}
-			if lane < 0 {
-				if n := len(sh.lanes); n > 0 {
-					lane = sh.lanes[n-1]
-					sh.lanes = sh.lanes[:n-1]
-				} else {
-					sh.drainLocked(now, &post) // this hold ends inside Wait, not in unlock
-					sh.publishReady()
-					if post.pending() {
-						sh.mu.Unlock()
-						post.run(r)
-						sh.mu.Lock()
-						now = r.clock.Now()
-						continue
-					}
-					// Laneless: only a handoff can make this goroutine
-					// useful, so it parks on the spare condition rather than
-					// competing for (and losing) work signals.
-					sh.spareCond.Wait()
-					now = r.clock.Now()
-					continue
-				}
-			}
 			sh.drainLocked(now, &post)
-			if nd := sh.dispatchLocked(slot, lane, now); nd != nil {
+			if nd := sh.dispatchLocked(slot, now); nd != nil {
 				d = nd
 				if post.signals > 0 {
 					post.signals-- // this dispatch consumes one owed wakeup

@@ -302,7 +302,7 @@ type RuntimeConfig struct {
 	Preempt bool
 
 	// Enforcement groups the involuntary slice-enforcement knobs
-	// (rt.Config.Enforce/EnforceTick/SpareWorkers).
+	// (rt.Config.Enforce/EnforceTick).
 	Enforcement EnforcementConfig
 	// Sharding groups the per-CPU dispatch sharding knobs
 	// (rt.Config.Shards/RebalanceEvery/Steal).
@@ -313,12 +313,10 @@ type RuntimeConfig struct {
 
 // EnforcementConfig groups RuntimeConfig's involuntary slice-enforcement
 // knobs: Enabled arms the enforcer, Tick is the enforcement granularity
-// (0 = default), SpareWorkers bounds the per-shard spare pool (0 = one per
-// worker, negative disables spares).
+// (0 = default).
 type EnforcementConfig struct {
-	Enabled      bool
-	Tick         Duration
-	SpareWorkers int
+	Enabled bool
+	Tick    Duration
 }
 
 // ShardingConfig groups RuntimeConfig's dispatch-sharding knobs: Shards
@@ -352,7 +350,6 @@ func (c RuntimeConfig) flatten() rt.Config {
 		Preempt:        c.Preempt,
 		Enforce:        c.Enforcement.Enabled,
 		EnforceTick:    c.Enforcement.Tick,
-		SpareWorkers:   c.Enforcement.SpareWorkers,
 		Shards:         c.Sharding.Shards,
 		RebalanceEvery: c.Sharding.RebalanceEvery,
 		Steal:          c.Sharding.Steal,
