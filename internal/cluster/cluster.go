@@ -60,7 +60,6 @@ type Node interface {
 	SetWeight(tn *rt.Tenant, w float64) error
 	Load() rt.NodeLoad
 	Stats() []rt.TenantStat
-	JainIndex() float64
 	Deport(tn *rt.Tenant) (rt.Departure, error)
 	Admit(dep rt.Departure) (*rt.Tenant, error)
 	Drain()

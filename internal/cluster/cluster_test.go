@@ -269,7 +269,6 @@ func (s *stubNode) Load() rt.NodeLoad {
 	return rt.NodeLoad{Workers: s.workers, Weight: s.weight, Tenants: s.tenants}
 }
 func (s *stubNode) Stats() []rt.TenantStat { return nil }
-func (s *stubNode) JainIndex() float64     { return 1 }
 func (s *stubNode) Deport(*rt.Tenant) (rt.Departure, error) {
 	return rt.Departure{}, rt.ErrMigrationRace
 }
@@ -382,6 +381,43 @@ func TestClusterStatsRollup(t *testing.T) {
 	}
 	if jain := c.JainIndex(); jain < 0.999 {
 		t.Errorf("Jain %.4f for two equal tenants in lockstep", jain)
+	}
+}
+
+// TestMachineStatsFromOneSnapshot: at quiescence, the rollup's per-machine
+// Jain index, computed from the machine's one Stats snapshot, is the
+// machine's own JainIndex bit for bit, and its Service is that snapshot's sum.
+func TestMachineStatsFromOneSnapshot(t *testing.T) {
+	clock := rt.NewFakeClock()
+	c, err := cluster.New(cluster.Config{
+		Machines: 2, K: 2, Workers: 1, Clock: clock,
+		QueueCap: 4, Manual: true, Seed: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var tenants []*cluster.Tenant
+	for i, w := range []float64{1, 2, 5, 1, 3, 7} {
+		tn, err := c.Register(fmt.Sprintf("t%d", i), w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tenants = append(tenants, tn)
+	}
+	driveCluster(t, c, clock, tenants, 37, simtime.Millisecond, 0)
+	for i, m := range c.MachineStats() {
+		r := c.Node(i).(*rt.Runtime)
+		if want := r.JainIndex(); m.Jain != want || m.Jain == 1 {
+			t.Errorf("machine %d: rollup Jain %v, machine's JainIndex %v (want equal and < 1)", i, m.Jain, want)
+		}
+		var service simtime.Duration
+		for _, st := range r.Stats() {
+			service += st.Service
+		}
+		if m.Service != service {
+			t.Errorf("machine %d: rollup Service %v, Stats sum %v", i, m.Service, service)
+		}
 	}
 }
 

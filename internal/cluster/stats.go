@@ -34,32 +34,27 @@ type MachineStat struct {
 // is being read skews shares by at most the sampling window.
 func (c *Cluster) Stats() []TenantStat {
 	var out []TenantStat
-	var services []simtime.Duration
-	var weights []float64
+	var tot metrics.Totals
 	for i, n := range c.nodes {
 		for _, st := range n.Stats() {
 			out = append(out, TenantStat{TenantStat: st, Machine: i})
-			services = append(services, st.Service)
-			weights = append(weights, st.Weight)
+			tot.Add(st.Service, st.Weight)
 		}
 	}
-	if len(out) == 0 {
-		return out
-	}
-	shares := metrics.SharesOf(services...)
-	lags := metrics.Lags(services, weights)
 	for i := range out {
-		out[i].Share = shares[i]
-		out[i].Lag = simtime.Duration(lags[i] * float64(simtime.Second))
+		out[i].Share = tot.Share(out[i].Service)
+		out[i].Lag = simtime.Duration(tot.Lag(out[i].Service, out[i].Weight) * float64(simtime.Second))
 	}
 	return out
 }
 
 // MachineStats returns the per-machine rollup: load, aggregate charged
-// service, cluster share and within-machine Jain index.
+// service, cluster share and within-machine Jain index. Service and Jain come
+// from one Stats snapshot per machine, the Jain index in the order the
+// machine's own JainIndex sums it.
 func (c *Cluster) MachineStats() []MachineStat {
 	out := make([]MachineStat, len(c.nodes))
-	var total simtime.Duration
+	var tot metrics.Totals
 	for i, n := range c.nodes {
 		load := n.Load()
 		out[i] = MachineStat{
@@ -68,17 +63,17 @@ func (c *Cluster) MachineStats() []MachineStat {
 			Tenants: load.Tenants,
 			Weight:  load.Weight,
 			Queued:  load.Queued,
-			Jain:    n.JainIndex(),
 		}
+		var jain metrics.Jain
 		for _, st := range n.Stats() {
 			out[i].Service += st.Service
+			jain.Add(st.Service, st.Weight)
 		}
-		total += out[i].Service
+		out[i].Jain = jain.Index()
+		tot.Service += out[i].Service
 	}
-	if total > 0 {
-		for i := range out {
-			out[i].Share = float64(out[i].Service) / float64(total)
-		}
+	for i := range out {
+		out[i].Share = tot.Share(out[i].Service)
 	}
 	return out
 }
@@ -87,16 +82,11 @@ func (c *Cluster) MachineStats() []MachineStat {
 // tenant's charged service (1.0 = perfectly proportional), or 1 with no
 // tenants — the rollup the acceptance demo prints.
 func (c *Cluster) JainIndex() float64 {
-	var services []simtime.Duration
-	var weights []float64
+	var jain metrics.Jain
 	for _, n := range c.nodes {
 		for _, st := range n.Stats() {
-			services = append(services, st.Service)
-			weights = append(weights, st.Weight)
+			jain.Add(st.Service, st.Weight)
 		}
 	}
-	if len(services) == 0 {
-		return 1
-	}
-	return metrics.JainIndex(services, weights)
+	return jain.Index()
 }

@@ -77,34 +77,36 @@ func (h *Histogram) Count() uint64 { return h.n }
 // Max returns the largest recorded sample, 0 when empty.
 func (h *Histogram) Max() simtime.Duration { return simtime.Duration(h.max) }
 
-// Quantile returns an upper bound on the q-quantile (0 < q ≤ 1) of the
-// recorded samples: the upper edge of the bucket holding the ⌈q·n⌉-th
-// smallest sample, clamped to the observed maximum. It returns 0 for an
-// empty histogram. The bound is within one sub-bucket (≤ 25%) of the true
-// quantile.
-func (h *Histogram) Quantile(q float64) simtime.Duration {
-	if h.n == 0 {
-		return 0
+// Quantiles sets out[k] to an upper bound on the qs[k]-quantile of the
+// recorded samples, for qs ascending in (0, 1]: the upper edge of the bucket
+// holding the ⌈q·n⌉-th smallest sample, clamped to the observed maximum, and
+// 0 for an empty histogram. The bound is within one sub-bucket (≤ 25%) of the
+// true quantile. All of qs share one cumulative scan of the buckets.
+func (h *Histogram) Quantiles(qs []float64, out []simtime.Duration) {
+	if len(qs) == 0 {
+		return
 	}
-	target := uint64(q * float64(h.n))
-	if float64(target) < q*float64(h.n) || target == 0 {
-		target++
+	// rank is ⌈q·n⌉ kept within [1, n]; for n = 0 it is 0, met at bucket 0,
+	// whose upper edge clamps to max = 0.
+	rank := func(q float64) uint64 {
+		target := uint64(q * float64(h.n))
+		if float64(target) < q*float64(h.n) || target == 0 {
+			target++
+		}
+		return min(target, h.n)
 	}
-	if target > h.n {
-		target = h.n
-	}
+	k, target := 0, rank(qs[0])
 	var cum uint64
 	for i := range h.counts {
 		cum += uint64(h.counts[i])
-		if cum >= target {
-			up := histUpper(i)
-			if up > h.max {
-				up = h.max
+		for cum >= target {
+			out[k] = simtime.Duration(min(histUpper(i), h.max))
+			if k++; k == len(qs) {
+				return
 			}
-			return simtime.Duration(up)
+			target = rank(qs[k])
 		}
 	}
-	return simtime.Duration(h.max) // unreachable: cum reaches n
 }
 
 // Merge adds o's samples into h (shard-level histograms aggregate tenant

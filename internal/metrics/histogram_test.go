@@ -54,11 +54,18 @@ func TestHistogramBucketGeometry(t *testing.T) {
 	}
 }
 
+// quantileOf reads one quantile through Quantiles.
+func quantileOf(h *Histogram, q float64) simtime.Duration {
+	var out [1]simtime.Duration
+	h.Quantiles([]float64{q}, out[:])
+	return out[0]
+}
+
 // TestHistogramQuantile compares reported quantiles against exact ones on a
 // random sample: never below, and within the 25% relative bound.
 func TestHistogramQuantile(t *testing.T) {
 	var h Histogram
-	if h.Quantile(0.5) != 0 || h.Count() != 0 || h.Max() != 0 {
+	if quantileOf(&h, 0.5) != 0 || h.Count() != 0 || h.Max() != 0 {
 		t.Fatal("empty histogram must report zeros")
 	}
 	rng := rand.New(rand.NewSource(7))
@@ -75,15 +82,93 @@ func TestHistogramQuantile(t *testing.T) {
 	if uint64(h.Max()) != samples[len(samples)-1] {
 		t.Fatalf("max %d, want %d", h.Max(), samples[len(samples)-1])
 	}
-	for _, q := range []float64{0.01, 0.5, 0.95, 0.99, 1} {
+	qs := []float64{0.01, 0.5, 0.95, 0.99, 1}
+	got := make([]simtime.Duration, len(qs))
+	h.Quantiles(qs, got)
+	for k, q := range qs {
 		idx := int(math.Ceil(q*float64(len(samples)))) - 1
 		exact := samples[idx]
-		got := uint64(h.Quantile(q))
-		if got < exact {
-			t.Errorf("q=%g: reported %d below exact %d", q, got, exact)
+		if uint64(got[k]) < exact {
+			t.Errorf("q=%g: reported %d below exact %d", q, got[k], exact)
 		}
-		if exact >= histLinear && float64(got-exact) > 0.25*float64(exact) {
-			t.Errorf("q=%g: reported %d overestimates exact %d by more than 25%%", q, got, exact)
+		if exact >= histLinear && float64(uint64(got[k])-exact) > 0.25*float64(exact) {
+			t.Errorf("q=%g: reported %d overestimates exact %d by more than 25%%", q, got[k], exact)
+		}
+	}
+}
+
+// refQuantile is the per-q reference scan Quantiles must match: the upper
+// edge of the bucket holding the ⌈q·n⌉-th smallest sample (at least the
+// first, at most the n-th), clamped to max; 0 when empty.
+func refQuantile(h *Histogram, q float64) simtime.Duration {
+	if h.n == 0 {
+		return 0
+	}
+	target := uint64(q * float64(h.n))
+	if float64(target) < q*float64(h.n) || target == 0 {
+		target++
+	}
+	if target > h.n {
+		target = h.n
+	}
+	var cum uint64
+	for i := range h.counts {
+		if cum += uint64(h.counts[i]); cum >= target {
+			if up := histUpper(i); up < h.max {
+				return simtime.Duration(up)
+			}
+			return simtime.Duration(h.max)
+		}
+	}
+	panic("cumulative count never reached n")
+}
+
+// TestHistogramQuantiles is the one-scan property: on seeded random
+// histograms (empty and single-sample ones included) and random ascending q
+// lists (duplicates and q = 1 included), every Quantiles output equals the
+// per-q reference scan.
+func TestHistogramQuantiles(t *testing.T) {
+	// The clamp: a lone sample of 1000 sits in the bucket [896, 1023].
+	var one Histogram
+	one.Record(1000)
+	out := make([]simtime.Duration, 3)
+	one.Quantiles([]float64{0.5, 1, 1}, out)
+	if histUpper(histBucket(1000)) <= 1000 || out[0] != 1000 || out[1] != 1000 || out[2] != 1000 {
+		t.Fatalf("single sample 1000: %v, want every quantile clamped to max 1000", out)
+	}
+	rng := rand.New(rand.NewSource(25))
+	fixed := []float64{0.01, 0.25, 0.5, 0.5, 0.9, 0.95, 0.99, 0.999, 1}
+	for iter := 0; iter < 500; iter++ {
+		var h Histogram
+		n := rng.Intn(400)
+		switch iter % 5 {
+		case 0:
+			n = 0
+		case 1:
+			n = 1
+		}
+		scale := math.Pow(10, float64(rng.Intn(10)))
+		for i := 0; i < n; i++ {
+			h.Record(simtime.Duration(rng.ExpFloat64() * scale))
+		}
+		var qs []float64
+		for m := 1 + rng.Intn(6); len(qs) < m; {
+			if rng.Intn(2) == 0 {
+				qs = append(qs, fixed[rng.Intn(len(fixed))])
+			} else {
+				qs = append(qs, 1-rng.Float64()) // (0, 1]
+			}
+		}
+		if iter%3 == 0 {
+			qs = append(qs, qs[0], 1) // a duplicate, and q = 1
+		}
+		sort.Float64s(qs)
+		got := make([]simtime.Duration, len(qs))
+		h.Quantiles(qs, got)
+		for k, q := range qs {
+			if want := refQuantile(&h, q); got[k] != want {
+				t.Fatalf("iter %d, n %d, qs %v: q=%g got %v, reference %v", iter, n, qs, q, got[k], want)
+			}
 		}
 	}
 }
@@ -104,29 +189,31 @@ func TestHistogramMergeReset(t *testing.T) {
 		t.Fatalf("merge count/max %d/%v, want %d/%v", a.Count(), a.Max(), both.Count(), both.Max())
 	}
 	for _, q := range []float64{0.1, 0.5, 0.9, 0.99} {
-		if a.Quantile(q) != both.Quantile(q) {
-			t.Fatalf("merge q=%g: %v, want %v", q, a.Quantile(q), both.Quantile(q))
+		if quantileOf(&a, q) != quantileOf(&both, q) {
+			t.Fatalf("merge q=%g: %v, want %v", q, quantileOf(&a, q), quantileOf(&both, q))
 		}
 	}
 	a.Reset()
-	if a.Count() != 0 || a.Quantile(0.5) != 0 {
+	if a.Count() != 0 || quantileOf(&a, 0.5) != 0 {
 		t.Fatal("reset did not empty the histogram")
 	}
 	// Negative samples clamp to zero rather than corrupting a bucket.
 	a.Record(-5)
-	if a.Count() != 1 || a.Quantile(1) != 0 {
-		t.Fatalf("negative sample mishandled: count %d, q1 %v", a.Count(), a.Quantile(1))
+	if a.Count() != 1 || quantileOf(&a, 1) != 0 {
+		t.Fatalf("negative sample mishandled: count %d, q1 %v", a.Count(), quantileOf(&a, 1))
 	}
 }
 
 // TestHistogramRecordAllocationFree pins the hot-path guarantee the dispatch
-// benchmarks rely on: Record and Quantile allocate nothing.
+// benchmarks rely on: Record and Quantiles allocate nothing.
 func TestHistogramRecordAllocationFree(t *testing.T) {
 	var h Histogram
+	qs := []float64{0.5, 0.95, 0.99}
+	out := make([]simtime.Duration, len(qs))
 	if n := testing.AllocsPerRun(1000, func() {
 		h.Record(12345 * simtime.Microsecond)
-		_ = h.Quantile(0.95)
+		h.Quantiles(qs, out)
 	}); n != 0 {
-		t.Fatalf("Record/Quantile allocate %.1f times per call, want 0", n)
+		t.Fatalf("Record/Quantiles allocate %.1f times per call, want 0", n)
 	}
 }

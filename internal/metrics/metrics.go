@@ -76,18 +76,47 @@ func (s *ServiceSampler) sample(now simtime.Time) {
 // Series returns the recorded series, one per task, in task order.
 func (s *ServiceSampler) Series() []*Series { return s.series }
 
+// Totals holds the sums that shares and lags are taken against. A caller that
+// already walks its entities accumulates them with Add and then reads each
+// entity's Share and Lag without building a vector; SharesOf and Lags are the
+// same expressions over slices.
+type Totals struct {
+	Service simtime.Duration
+	Weight  float64
+}
+
+// Add counts one entity.
+func (t *Totals) Add(service simtime.Duration, weight float64) {
+	t.Service += service
+	t.Weight += weight
+}
+
+// Share is service's fraction of the total service, 0 when there is none.
+func (t *Totals) Share(service simtime.Duration) float64 {
+	if t.Service == 0 {
+		return 0
+	}
+	return float64(service) / float64(t.Service)
+}
+
+// Lag is one entity's lag behind the proportional ideal in seconds (see
+// Lags), 0 when the weights sum to zero.
+func (t *Totals) Lag(service simtime.Duration, weight float64) float64 {
+	if t.Weight == 0 {
+		return 0
+	}
+	return t.Service.Seconds()*weight/t.Weight - service.Seconds()
+}
+
 // SharesOf normalizes services to fractions of their sum.
 func SharesOf(services ...simtime.Duration) []float64 {
-	var total simtime.Duration
+	var t Totals
 	for _, s := range services {
-		total += s
+		t.Service += s
 	}
 	out := make([]float64, len(services))
-	if total == 0 {
-		return out
-	}
 	for i, s := range services {
-		out[i] = float64(s) / float64(total)
+		out[i] = t.Share(s)
 	}
 	return out
 }
@@ -133,18 +162,13 @@ func Lags(services []simtime.Duration, weights []float64) []float64 {
 	if len(services) != len(weights) || len(services) == 0 {
 		panic("metrics: mismatched lag vectors")
 	}
-	var total simtime.Duration
-	var wsum float64
+	var t Totals
 	for i := range services {
-		total += services[i]
-		wsum += weights[i]
+		t.Add(services[i], weights[i])
 	}
 	out := make([]float64, len(services))
-	if wsum == 0 {
-		return out
-	}
 	for i := range services {
-		out[i] = total.Seconds()*weights[i]/wsum - services[i].Seconds()
+		out[i] = t.Lag(services[i], weights[i])
 	}
 	return out
 }
@@ -156,17 +180,35 @@ func JainIndex(services []simtime.Duration, weights []float64) float64 {
 	if len(services) != len(weights) || len(services) == 0 {
 		panic("metrics: mismatched fairness vectors")
 	}
-	var sum, sumsq float64
+	var j Jain
 	for i := range services {
-		x := services[i].Seconds() / weights[i]
-		sum += x
-		sumsq += x * x
+		j.Add(services[i], weights[i])
 	}
-	if sumsq == 0 {
+	return j.Index()
+}
+
+// Jain accumulates JainIndex one entity at a time, in Add order, so a caller
+// walking its entities needs no vectors. The zero value is empty.
+type Jain struct {
+	n          int
+	sum, sumsq float64
+}
+
+// Add counts one entity.
+func (j *Jain) Add(service simtime.Duration, weight float64) {
+	x := service.Seconds() / weight
+	j.n++
+	j.sum += x
+	j.sumsq += x * x
+}
+
+// Index is Jain's index of the entities added, 1 when all x_i are zero or
+// none was added.
+func (j *Jain) Index() float64 {
+	if j.sumsq == 0 {
 		return 1
 	}
-	n := float64(len(services))
-	return sum * sum / (n * sumsq)
+	return j.sum * j.sum / (float64(j.n) * j.sumsq)
 }
 
 // Table is a simple fixed-column text table for experiment output.

@@ -56,7 +56,8 @@
 package rt
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 
 	"sfsched/internal/engine"
@@ -99,11 +100,11 @@ func (sh *shard) enforceLocked(now simtime.Time) {
 		}
 	}
 	if len(due) > 1 {
-		sort.Slice(due, func(i, j int) bool {
-			if di, dj := due[i].deadline(), due[j].deadline(); di != dj {
-				return di < dj
+		slices.SortFunc(due, func(a, b *Dispatched) int {
+			if c := cmp.Compare(a.deadline(), b.deadline()); c != 0 {
+				return c
 			}
-			return due[i].tn.th.ID < due[j].tn.th.ID
+			return cmp.Compare(a.tn.th.ID, b.tn.th.ID)
 		})
 	}
 	for _, d := range due {

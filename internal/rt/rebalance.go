@@ -11,8 +11,9 @@
 package rt
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"sfsched/internal/engine"
@@ -126,20 +127,17 @@ func (r *Runtime) Rebalance() int {
 	}
 	r.regMu.Lock()
 	defer r.regMu.Unlock()
-	n := len(r.shards)
-	totals := make([]float64, n)
-	workers := make([]int, n)
-	movable := make([][]float64, n)
-	handles := make([][]*Tenant, n)
-	type candidate struct {
-		tn      *Tenant
-		surplus float64
+	s := &r.rebal
+	if s.totals == nil {
+		n := len(r.shards)
+		s.totals, s.workers = make([]float64, n), make([]int, n)
+		s.movable, s.handles = make([][]float64, n), make([][]*Tenant, n)
 	}
 	for i, sh := range r.shards {
 		sh.mu.Lock()
-		workers[i] = sh.workers
-		totals[i] = sh.weight
-		var cands []candidate
+		s.workers[i] = sh.workers
+		s.totals[i] = sh.weight
+		cands := s.cands[:0]
 		for th, tn := range sh.byThread {
 			// A detached tenant's head task is still executing out of band on
 			// this shard even though its thread shows no CPU; it is pinned here
@@ -151,44 +149,70 @@ func (r *Runtime) Rebalance() int {
 			if sh.eng.Lag != nil && tn.inSched {
 				surplus = sh.eng.Surplus(th)
 			}
-			cands = append(cands, candidate{tn, surplus})
+			cands = append(cands, rebalanceCandidate{tn, surplus, th.ID})
 		}
 		if sh.eng.Lag == nil && len(cands) > 1 {
 			// Generic fallback: surplus = received − entitled over the
 			// candidate set (the negated metrics lag).
-			services := make([]simtime.Duration, len(cands))
-			weights := make([]float64, len(cands))
+			var tot metrics.Totals
+			for _, c := range cands {
+				tot.Add(c.tn.th.Service, c.tn.th.Weight)
+			}
 			for j, c := range cands {
-				services[j] = c.tn.th.Service
-				weights[j] = c.tn.th.Weight
-			}
-			for j, lag := range metrics.Lags(services, weights) {
-				cands[j].surplus = -lag
+				cands[j].surplus = -tot.Lag(c.tn.th.Service, c.tn.th.Weight)
 			}
 		}
-		sort.Slice(cands, func(a, b int) bool {
-			if cands[a].surplus != cands[b].surplus {
-				return cands[a].surplus > cands[b].surplus
+		slices.SortFunc(cands, func(a, b rebalanceCandidate) int {
+			switch {
+			case a.surplus > b.surplus:
+				return -1
+			case a.surplus < b.surplus:
+				return 1
 			}
-			return cands[a].tn.th.ID < cands[b].tn.th.ID
+			return cmp.Compare(a.id, b.id)
 		})
+		movable, handles := s.movable[i][:0], s.handles[i][:0]
 		for _, c := range cands {
-			movable[i] = append(movable[i], c.tn.th.Weight)
-			handles[i] = append(handles[i], c.tn)
+			movable = append(movable, c.tn.th.Weight)
+			handles = append(handles, c.tn)
 		}
+		s.movable[i], s.handles[i] = movable, handles
+		s.cands = cands
 		sh.unlock()
 	}
-	moves := planRebalance(totals, workers, movable, rebalanceTolerance)
+	clear(s.cands[:cap(s.cands)])
+	moves := planRebalance(s.totals, s.workers, s.movable, rebalanceTolerance)
 	migrated := 0
 	for _, mv := range moves {
-		if r.migrate(handles[mv.src][mv.idx], r.shards[mv.src], r.shards[mv.dst]) {
+		if r.migrate(s.handles[mv.src][mv.idx], r.shards[mv.src], r.shards[mv.dst]) {
 			migrated++
 		}
+	}
+	for _, h := range s.handles {
+		clear(h[:cap(h)])
 	}
 	if migrated > 0 {
 		r.migrations.Add(int64(migrated))
 	}
 	return migrated
+}
+
+// rebalanceCandidate is one movable tenant and its migration preference.
+type rebalanceCandidate struct {
+	tn      *Tenant
+	surplus float64
+	id      int // tn.th.ID, the tie-break, kept beside the key the sort reads
+}
+
+// rebalanceScratch is Rebalance's working set, reused across passes under
+// regMu. A pass clears every tenant reference it leaves in it, so the scratch
+// never keeps an unregistered tenant alive.
+type rebalanceScratch struct {
+	totals  []float64
+	workers []int
+	movable [][]float64
+	handles [][]*Tenant
+	cands   []rebalanceCandidate
 }
 
 // migrate moves a tenant from src to dst, re-checking eligibility under both

@@ -169,3 +169,41 @@ func FuzzRebalance(f *testing.F) {
 		}
 	})
 }
+
+// TestRebalanceScratchHoldsNoTenant: Rebalance's reused working set must not
+// keep a tenant reachable between passes — not in its live length, not in
+// its spare capacity — or an unregistered tenant (its closures, its backlog)
+// would stay pinned until a later pass happened to overwrite the slot.
+func TestRebalanceScratchHoldsNoTenant(t *testing.T) {
+	r := New(Config{Workers: 2, Shards: 2, Manual: true, Clock: NewFakeClock()})
+	defer r.Close()
+	var tenants []*Tenant
+	for i := 0; i < 6; i++ {
+		tn, err := r.Register("t", float64(1+i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tenants = append(tenants, tn)
+	}
+	r.Rebalance()
+	if err := r.Unregister(tenants[0]); err != nil {
+		t.Fatal(err)
+	}
+	r.Rebalance()
+	s := &r.rebal
+	if cap(s.cands) == 0 {
+		t.Fatal("Rebalance kept no candidate scratch; the check below would be vacuous")
+	}
+	for i, c := range s.cands[:cap(s.cands)] {
+		if c.tn != nil {
+			t.Errorf("candidate scratch slot %d still holds tenant %d", i, c.tn.th.ID)
+		}
+	}
+	for sh, h := range s.handles {
+		for i, tn := range h[:cap(h)] {
+			if tn != nil {
+				t.Errorf("shard %d handle slot %d still holds tenant %d", sh, i, tn.th.ID)
+			}
+		}
+	}
+}

@@ -338,6 +338,9 @@ type Runtime struct {
 	regMu   sync.Mutex
 	tenants []*Tenant
 	nextID  int
+	// Working sets ShardStats and Rebalance reuse across calls (regMu).
+	statScratch []tenantSample
+	rebal       rebalanceScratch
 
 	stopRebalance chan struct{}
 	stopEnforce   chan struct{}

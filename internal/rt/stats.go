@@ -17,14 +17,13 @@ type LatencyStat struct {
 	Max           simtime.Duration
 }
 
+// latencyQuantiles are P50, P95 and P99, ascending for Histogram.Quantiles.
+var latencyQuantiles = [...]float64{0.50, 0.95, 0.99}
+
 func latencyStatOf(h *metrics.Histogram) LatencyStat {
-	return LatencyStat{
-		Count: h.Count(),
-		P50:   h.Quantile(0.50),
-		P95:   h.Quantile(0.95),
-		P99:   h.Quantile(0.99),
-		Max:   h.Max(),
-	}
+	var q [len(latencyQuantiles)]simtime.Duration
+	h.Quantiles(latencyQuantiles[:], q[:])
+	return LatencyStat{Count: h.Count(), P50: q[0], P95: q[1], P99: q[2], Max: h.Max()}
 }
 
 // TenantStat is a point-in-time view of one tenant, for metrics export.
@@ -61,17 +60,17 @@ type TenantStat struct {
 // Stats returns per-tenant statistics in registration order, with shares and
 // lags computed by internal/metrics over the charged service. The snapshot is
 // a consistent cut: the whole runtime is frozen (every shard lock held, the
-// same freeze CheckInvariants takes) while the service and weight vectors are
-// gathered, so shares, lags and the Jain index are computed from one instant
-// rather than skewed by charges landing between per-tenant samples.
+// same freeze CheckInvariants takes) while services and weights are read, so
+// shares, lags and the Jain index are computed from one instant rather than
+// skewed by charges landing between per-tenant samples. Its one allocation is
+// the result.
 func (r *Runtime) Stats() []TenantStat {
 	r.regMu.Lock()
 	defer r.regMu.Unlock()
 	r.lockShards()
 	defer r.unlockShards()
 	out := make([]TenantStat, 0, len(r.tenants))
-	services := make([]simtime.Duration, 0, len(r.tenants))
-	weights := make([]float64, 0, len(r.tenants))
+	var tot metrics.Totals
 	for _, tn := range r.tenants {
 		if tn.gone { // finalized by Complete, not yet pruned
 			continue
@@ -91,17 +90,11 @@ func (r *Runtime) Stats() []TenantStat {
 			Dispatch:    latencyStatOf(&tn.waitHist),
 			Wake:        latencyStatOf(&tn.wakeHist),
 		})
-		services = append(services, tn.th.Service)
-		weights = append(weights, tn.th.Weight)
+		tot.Add(tn.th.Service, tn.th.Weight)
 	}
-	if len(out) == 0 {
-		return out
-	}
-	shares := metrics.SharesOf(services...)
-	lags := metrics.Lags(services, weights)
 	for i := range out {
-		out[i].Share = shares[i]
-		out[i].Lag = simtime.Duration(lags[i] * float64(simtime.Second))
+		out[i].Share = tot.Share(out[i].Service)
+		out[i].Lag = simtime.Duration(tot.Lag(out[i].Service, out[i].Weight) * float64(simtime.Second))
 	}
 	return out
 }
@@ -109,24 +102,19 @@ func (r *Runtime) Stats() []TenantStat {
 // JainIndex returns Jain's fairness index of per-weight normalized charged
 // service across the current tenants (1.0 = perfectly proportional), or 1
 // with no tenants. Like Stats, it computes over a whole-runtime freeze so the
-// service vector is a consistent cut.
+// service vector is a consistent cut; it allocates nothing.
 func (r *Runtime) JainIndex() float64 {
 	r.regMu.Lock()
 	defer r.regMu.Unlock()
 	r.lockShards()
 	defer r.unlockShards()
-	var services []simtime.Duration
-	var weights []float64
+	var j metrics.Jain
 	for _, tn := range r.tenants {
 		if !tn.gone {
-			services = append(services, tn.th.Service)
-			weights = append(weights, tn.th.Weight)
+			j.Add(tn.th.Service, tn.th.Weight)
 		}
 	}
-	if len(services) == 0 {
-		return 1
-	}
-	return metrics.JainIndex(services, weights)
+	return j.Index()
 }
 
 // lockShards freezes the whole runtime by taking every shard lock in
@@ -211,16 +199,23 @@ type ShardStat struct {
 	Intake LatencyStat
 }
 
+// tenantSample is one tenant's (service, weight) in ShardStats' scratch.
+type tenantSample struct {
+	service simtime.Duration
+	weight  float64
+}
+
 // ShardStats returns per-shard statistics in shard order. Lags are computed
 // against the global proportional ideal, so a shard whose tenants are
-// collectively behind shows a positive MaxLag.
+// collectively behind shows a positive MaxLag. The per-tenant samples that
+// ideal needs go to a scratch reused across calls (regMu), so the result is
+// the one allocation.
 func (r *Runtime) ShardStats() []ShardStat {
 	r.regMu.Lock()
 	defer r.regMu.Unlock()
 	out := make([]ShardStat, len(r.shards))
-	var allServices []simtime.Duration
-	var allWeights []float64
-	var allShards []int
+	samples := r.statScratch[:0]
+	var tot metrics.Totals
 	for i, sh := range r.shards {
 		sh.mu.Lock()
 		st := &out[i]
@@ -231,7 +226,6 @@ func (r *Runtime) ShardStats() []ShardStat {
 		st.Runnable = sh.eng.Scheduler().Runnable()
 		st.Weight = sh.weight
 		st.Service = sh.service
-		st.Jain = 1
 		st.Preemptions = sh.preempts
 		st.Handoffs = sh.handoffs
 		st.EnforceFlags = sh.enforceFlags
@@ -246,37 +240,29 @@ func (r *Runtime) ShardStats() []ShardStat {
 		if sh.eng.VT != nil {
 			st.VirtualTime = sh.eng.VT.VirtualTime()
 		}
-		var services []simtime.Duration
-		var weights []float64
+		var jain metrics.Jain
 		for th := range sh.byThread {
-			services = append(services, th.Service)
-			weights = append(weights, th.Weight)
-			allServices = append(allServices, th.Service)
-			allWeights = append(allWeights, th.Weight)
-			allShards = append(allShards, i)
+			jain.Add(th.Service, th.Weight)
+			tot.Add(th.Service, th.Weight)
+			samples = append(samples, tenantSample{th.Service, th.Weight})
 		}
-		if len(services) > 0 {
-			st.Jain = metrics.JainIndex(services, weights)
-		}
+		st.Jain = jain.Index()
 		sh.unlock()
 	}
-	var total simtime.Duration
+	r.statScratch = samples[:0]
+	var shardTot metrics.Totals
 	for i := range out {
-		total += out[i].Service
+		shardTot.Service += out[i].Service
 	}
-	if total > 0 {
-		for i := range out {
-			out[i].Share = float64(out[i].Service) / float64(total)
-		}
-	}
-	if len(allServices) > 0 {
-		lags := metrics.Lags(allServices, allWeights)
-		for j, lag := range lags {
-			d := simtime.Duration(lag * float64(simtime.Second))
-			if d > out[allShards[j]].MaxLag {
-				out[allShards[j]].MaxLag = d
+	// samples holds each shard's tenants in shard order, out[i].Tenants apiece.
+	for i := range out {
+		out[i].Share = shardTot.Share(out[i].Service)
+		for _, s := range samples[:out[i].Tenants] {
+			if d := simtime.Duration(tot.Lag(s.service, s.weight) * float64(simtime.Second)); d > out[i].MaxLag {
+				out[i].MaxLag = d
 			}
 		}
+		samples = samples[out[i].Tenants:]
 	}
 	return out
 }

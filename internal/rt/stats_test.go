@@ -299,6 +299,53 @@ func TestConcurrentRegisterNoStampede(t *testing.T) {
 	}
 }
 
+// TestStatsCallsAllocate pins what the metrics surface allocates per call on
+// a 2-shard, 64-tenant Manual runtime with recorded latencies: Stats and
+// ShardStats only their result, JainIndex nothing, and a Rebalance pass that
+// moves nothing only what the pure planner allocates (its target, cur and
+// used vectors: 5 on 2 shards). Everything else is reused scratch.
+func TestStatsCallsAllocate(t *testing.T) {
+	clock := rt.NewFakeClock()
+	r := rt.New(rt.Config{Workers: 2, Shards: 2, Quantum: 5 * simtime.Millisecond,
+		Clock: clock, QueueCap: 4, Manual: true})
+	defer r.Close()
+	for i := 0; i < 64; i++ {
+		tn, err := r.Register("t", float64(1+i%4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := 0; j < 4; j++ {
+			if err := tn.SubmitTask(rt.Once(func() {}), rt.NoWait()); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i := 0; i < 256; i++ {
+		if d := r.Dispatch(i % 2); d != nil {
+			clock.Advance(simtime.Millisecond)
+			d.Complete(true)
+		}
+	}
+	for _, c := range []struct {
+		name string
+		max  float64
+		call func()
+	}{
+		{"Stats", 1, func() { _ = r.Stats() }},
+		{"ShardStats", 1, func() { _ = r.ShardStats() }},
+		{"JainIndex", 0, func() { _ = r.JainIndex() }},
+		{"Rebalance", 5, func() {
+			if n := r.Rebalance(); n != 0 {
+				t.Fatalf("Rebalance moved %d tenants of a placement-balanced runtime", n)
+			}
+		}},
+	} {
+		if got := testing.AllocsPerRun(50, c.call); got > c.max {
+			t.Errorf("%s allocates %.1f times per call, want ≤ %.0f", c.name, got, c.max)
+		}
+	}
+}
+
 // TestStatsReflectUnregister pins the synchronous part of the contract: a
 // fully unregistered tenant disappears from Stats and per-shard tenant
 // counts immediately.
