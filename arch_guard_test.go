@@ -448,14 +448,15 @@ func TestPickAndSiftStayOffTheElement(t *testing.T) {
 // touched when nobody waits. The per-shard counters the path does write are
 // held apart by internal/rt's TestTaskCounterLayout.
 //
-// Nor does the path sleep on a shard lock somebody holds for a microsecond:
-// submit may take one with Lock only under the ring-full branch, in Manual
-// mode, or inside an if on idlers — a worker on its way into workCond.Wait is
-// the one holder a doorbell cannot be left with — and takes it with TryLock
-// otherwise. That leaves the doorbell to the holder, so outside shard.unlock
-// (which reads the doorbell again after the release) and the worker's own loop
-// no non-test file of the package may call mu.Unlock on a shard: a new lock
-// holder cannot forget it.
+// Nor does a submit sleep on a shard lock somebody holds for a microsecond, or
+// drain a ring that is not its own: submit calls no TryLock, and takes the lock
+// once under each of the ring-full branch, Manual mode and an if on idlers — a
+// worker on its way into workCond.Wait is the one it must signal under the
+// lock. The doorbell it leaves up is answered on the shard's own side, so
+// drainLocked is called only from owners' sites: the worker and Manual
+// Dispatch, a polling task's Preempted, the enforcement pass, the locked
+// submit paths, a thief's stealFrom (which must see the victim's ring),
+// Deport (which must see the whole backlog) and CheckInvariants.
 func TestTaskPathStaysOnItsShard(t *testing.T) {
 	fset := token.NewFileSet()
 	path := map[string]bool{"reserve": false, "submit": false, "pop": false,
@@ -512,7 +513,12 @@ func TestTaskPathStaysOnItsShard(t *testing.T) {
 		mu, ok := sel.X.(*ast.SelectorExpr)
 		return ok && mu.Sel.Name == "mu"
 	}
-	signals, idlerLocks, tryLocks, helperUnlocks := 0, 0, 0, 0
+	drainers := map[string]bool{"Runtime.worker": false, "Runtime.Dispatch": false,
+		"Dispatched.Preempted": false, "Runtime.Enforce": false, "Tenant.submit": false,
+		"Tenant.enqueueSlow": false, "Runtime.stealFrom": false, "Runtime.Deport": false,
+		"Runtime.CheckInvariants": false}
+	signals := 0
+	submitLocks := map[string]int{}
 	for _, file := range driverSources(t, filepath.Join("internal", "rt")) {
 		f, err := parser.ParseFile(fset, file, nil, 0)
 		if err != nil {
@@ -530,17 +536,18 @@ func TestTaskPathStaysOnItsShard(t *testing.T) {
 					recv = star.X.(*ast.Ident).Name
 				}
 			}
-			// Who may give a shard lock up directly. (FakeClock's mu is its own.)
+			site := recv + "." + name
 			ast.Inspect(fn.Body, func(n ast.Node) bool {
-				if call, ok := n.(*ast.CallExpr); ok && onMu(call, "Unlock") && recv != "FakeClock" {
-					switch {
-					case recv == "shard" && name == "unlock":
-						helperUnlocks++
-					case recv == "Runtime" && name == "worker":
-					default:
-						t.Errorf("%s: %s releases a shard lock with mu.Unlock: only shard.unlock reads the doorbell again",
-							fset.Position(call.Pos()), name)
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "drainLocked" {
+					if _, owner := drainers[site]; !owner {
+						t.Errorf("%s: %s drains a shard's ring: only the shard's own side does",
+							fset.Position(call.Pos()), site)
 					}
+					drainers[site] = true
 				}
 				return true
 			})
@@ -548,12 +555,19 @@ func TestTaskPathStaysOnItsShard(t *testing.T) {
 				continue
 			}
 			if name == "submit" {
-				mayBlock := under(fn.Body, func(cond ast.Expr) bool {
-					not, isNot := cond.(*ast.UnaryExpr)
-					ringFull := isNot && not.Op == token.NOT && mentions(not.X, "ok")
-					return ringFull || mentions(cond, "manual") || mentions(cond, "idlers")
-				})
-				byIdlers := under(fn.Body, func(cond ast.Expr) bool { return mentions(cond, "idlers") })
+				// Each Lock is counted under the kind of if it sits in.
+				kinds := map[string]func(cond ast.Expr) bool{
+					"ring-full": func(cond ast.Expr) bool {
+						not, isNot := cond.(*ast.UnaryExpr)
+						return isNot && not.Op == token.NOT && mentions(not.X, "ok")
+					},
+					"manual": func(cond ast.Expr) bool { return mentions(cond, "manual") },
+					"idlers": func(cond ast.Expr) bool { return mentions(cond, "idlers") },
+				}
+				marked := map[string]map[*ast.CallExpr]bool{}
+				for kind, ok := range kinds {
+					marked[kind] = under(fn.Body, ok)
+				}
 				ast.Inspect(fn.Body, func(n ast.Node) bool {
 					call, ok := n.(*ast.CallExpr)
 					if !ok {
@@ -562,15 +576,20 @@ func TestTaskPathStaysOnItsShard(t *testing.T) {
 					sel, _ := call.Fun.(*ast.SelectorExpr)
 					switch {
 					case onMu(call, "TryLock"):
-						tryLocks++
+						t.Errorf("%s: submit calls TryLock: a doorbell winner drains a ring that is not its own again",
+							fset.Position(call.Pos()))
 					case onMu(call, "Lock") || (sel != nil && sel.Sel.Name == "lockShard"):
-						if !mayBlock[call] {
+						kind := ""
+						for k, m := range marked {
+							if m[call] {
+								kind = k
+							}
+						}
+						if kind == "" {
 							t.Errorf("%s: submit waits for a shard lock outside the ring-full branch, Manual mode and an if on idlers",
 								fset.Position(call.Pos()))
 						}
-						if byIdlers[call] {
-							idlerLocks++
-						}
+						submitLocks[kind]++
 					}
 					return true
 				})
@@ -624,11 +643,15 @@ func TestTaskPathStaysOnItsShard(t *testing.T) {
 	if signals == 0 {
 		t.Error("completeLocked no longer signals notFull; update the guard")
 	}
-	if idlerLocks != 1 || tryLocks == 0 {
-		t.Errorf("submit has %d Lock calls under an if on idlers and %d TryLock calls, want 1 and ≥ 1; update the guard", idlerLocks, tryLocks)
+	for _, kind := range []string{"ring-full", "manual", "idlers"} {
+		if submitLocks[kind] != 1 {
+			t.Errorf("submit takes the shard lock %d times under its %s if, want 1; update the guard", submitLocks[kind], kind)
+		}
 	}
-	if helperUnlocks == 0 {
-		t.Error("internal/rt has no shard.unlock releasing mu; update the guard")
+	for site, seen := range drainers {
+		if !seen {
+			t.Errorf("%s no longer drains its shard's ring; update the guard", site)
+		}
 	}
 }
 

@@ -1,9 +1,10 @@
 package rt
 
-// White-box tests of the doorbell hand-over (DESIGN.md §9): a submit that
-// finds its shard's lock held leaves the doorbell up and returns, and whoever
-// holds the lock answers it on release. The holders are stopped inside their
-// hold by a gate in the shard's policy, which every one of them calls into.
+// White-box tests of the doorbell hand-over (DESIGN.md §9): a submit pushes
+// onto its shard's ring, leaves the doorbell up and returns, whoever holds the
+// shard's lock, and the shard's own side answers it — here the running task's
+// next Preempted poll. The holders are stopped inside their hold by a gate in
+// the shard's policy, which every one of them calls into.
 
 import (
 	"sync/atomic"
@@ -93,22 +94,25 @@ func (s *gatedSFS) SetFrameLead(t *sched.Thread, lead float64) {
 }
 
 // heldWorld is the scene every sub-test starts from: shard 0's only worker is
-// inside the hog's slice (a preemptible task that never polls, so nothing but
-// the test ends it), idle is a blocked tenant of shard 0, Preempt is armed.
+// inside the hog's slice (a preemptible task that polls only when the test
+// asks, so nothing but the test ends it), idle is a blocked tenant of shard 0,
+// Preempt is armed.
 type heldWorld struct {
 	t         *testing.T
 	r         *Runtime
 	g         *gate
 	hog, idle *Tenant
-	hogs      int           // workers occupied
-	started   chan struct{} // a hog slice began
-	step      chan bool     // ends one hog's slice: true = task finished
-	ran       chan struct{} // idle's task ran
-	quit      chan struct{} // closed when the test is over
+	hogs      int            // workers occupied
+	started   chan struct{}  // a hog slice began
+	step      chan bool      // ends one hog's slice: true = task finished
+	poll      chan chan bool // has hog's slice poll Preempted and send the answer
+	ran       chan struct{}  // idle's task ran
+	quit      chan struct{}  // closed when the test is over
 }
 
 func newHeldWorld(t *testing.T, cfg Config) *heldWorld {
-	w := &heldWorld{t: t, g: newGate(), started: make(chan struct{}), step: make(chan bool), ran: make(chan struct{}), quit: make(chan struct{})}
+	w := &heldWorld{t: t, g: newGate(), started: make(chan struct{}), step: make(chan bool),
+		poll: make(chan chan bool), ran: make(chan struct{}), quit: make(chan struct{})}
 	cfg.Workers, cfg.Preempt, cfg.RebalanceEvery = max(cfg.Shards, 1), true, -1
 	cfg.Quantum, cfg.EnforceTick = 60*simtime.Minute, 60*simtime.Minute // the background enforcer never fires; Enforce() is called by hand
 	cfg.Policy = func(cpus int) sched.Scheduler {
@@ -121,6 +125,16 @@ func newHeldWorld(t *testing.T, cfg Config) *heldWorld {
 		w.r.Close()
 	})
 	w.hog, w.idle = w.register("hog", 0), w.register("idle", 0)
+	// Every worker parks first: a thief still in its first steal round sees
+	// shard 0's doorbell and could take the hog before shard 0's worker drains.
+	for _, sh := range w.r.shards {
+		for deadline := time.Now().Add(deadlockDeadline); sh.idlers.Load() < int64(sh.workers); {
+			if time.Now().After(deadline) {
+				t.Fatalf("shard %d's workers never parked", sh.id)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
 	w.occupy(w.hog)
 	return w
 }
@@ -138,19 +152,28 @@ func (w *heldWorld) register(name string, shard int) *Tenant {
 	return tn
 }
 
-// occupy puts tn's shard's worker inside a slice only w.step ends.
+// occupy puts tn's shard's worker inside a slice only w.step ends. Only the
+// first hog, w.hog, answers w.poll.
 func (w *heldWorld) occupy(tn *Tenant) {
-	hog := func(SliceCtx) bool {
+	poll := w.poll
+	if tn != w.hog {
+		poll = nil
+	}
+	hog := func(ctx SliceCtx) bool {
 		select {
 		case w.started <- struct{}{}:
 		case <-w.quit:
 			return true
 		}
-		select {
-		case done := <-w.step:
-			return done
-		case <-w.quit:
-			return true
+		for {
+			select {
+			case done := <-w.step:
+				return done
+			case reply := <-poll:
+				reply <- ctx.Preempted()
+			case <-w.quit:
+				return true
+			}
 		}
 	}
 	w.hogs++
@@ -175,21 +198,32 @@ func (w *heldWorld) submitWhileHeld() {
 		w.t.Fatal("the shard lock was not held while the submit ran")
 	}
 	if !sh.drainPending.Load() {
-		w.t.Fatal("the submit left no doorbell for the holder")
+		w.t.Fatal("the submit left no doorbell for the owner")
 	}
 }
 
-// answered checks what the holder owed once it has let go, with no further
-// submit: the woken tenant is admitted and the hog's slice flagged. Then the
-// hog is let go and the woken task must run.
+// pollHog has the hog's slice poll Preempted once and returns the answer.
+func (w *heldWorld) pollHog() bool {
+	w.t.Helper()
+	reply := make(chan bool)
+	w.poll <- reply
+	return await(w.t, reply, "the hog's poll")
+}
+
+// answered checks what the owner's poll does once the holder has let go, with
+// no further submit: the woken tenant is admitted and the hog's slice flagged.
+// Then the hog is let go and the woken task must run.
 func (w *heldWorld) answered() {
 	w.t.Helper()
 	sh := w.r.shards[0]
+	if !w.pollHog() {
+		w.t.Error("the hog's poll did not see the preemption flag")
+	}
 	sh.mu.Lock()
 	admitted, flagged := w.idle.inSched, len(sh.active) == 1 && sh.active[0].preempted.Load()
 	sh.mu.Unlock()
 	if !admitted || !flagged {
-		w.t.Fatalf("after the holder let go: woken tenant admitted=%v, running slice flagged=%v", admitted, flagged)
+		w.t.Fatalf("after the holder let go and the hog polled: woken tenant admitted=%v, running slice flagged=%v", admitted, flagged)
 	}
 	for ; w.hogs > 0; w.hogs-- {
 		w.step <- true
@@ -239,13 +273,14 @@ func (w *heldWorld) holdPastSweep(op func()) {
 	w.answered()
 }
 
-// TestSubmitNeverWaitsForShardLock pins ROADMAP item 3's outsider half: a
+// TestSubmitNeverWaitsForShardLock pins the outsider half of the hand-over: a
 // SubmitTask from outside the worker pool does not wait for a shard lock that
 // somebody holds, and what it would have done under the lock — admit the
 // wake-up, raise the preemption flag on the slice it out-ranks — is done by
-// the holder when it lets go, with the shard's worker mid-slice throughout.
-// One sub-test per kind of holder. At the parent each submit blocks until the
-// gate opens, which never happens: the deadline fails it.
+// the running task's next poll once the holder has let go, with the shard's
+// worker mid-slice throughout. One sub-test per kind of holder; a submit that
+// blocked on the lock would wait for a gate that never opens, and the
+// deadline fails it.
 func TestSubmitNeverWaitsForShardLock(t *testing.T) {
 	t.Run("worker", func(t *testing.T) {
 		w := newHeldWorld(t, Config{})
@@ -396,10 +431,10 @@ func (l *admitLog) Record(e engine.Event) {
 	}
 }
 
-// TestHolderDrainNeverStepsBack is TestDoorbellDrainNeverStepsBack for the
-// holder's drain: the instant unlock reads follows the shard's last hold in
-// real time, but a clock that stepped back in between must not date the
-// admission before it.
+// TestHolderDrainNeverStepsBack pins the floor under the poll's drain: the
+// clock the poll reads under the lock follows the shard's last hold in real
+// time, but a clock that stepped back in between must not date the admission
+// before that hold.
 func TestHolderDrainNeverStepsBack(t *testing.T) {
 	clock := &scriptedClock{}
 	w := newHeldWorld(t, Config{Clock: clock}) // the hog's slice is dispatched at 0
@@ -409,13 +444,87 @@ func TestHolderDrainNeverStepsBack(t *testing.T) {
 	sh.mu.Lock() // the test is the holder, and its hold is the shard's last instant
 	sh.eng.SetRecorder(rec)
 	sh.drainLocked(clock.Now(), &postActions{sh: sh})
+	sh.mu.Unlock()
 	clock.now.Store(50)
-	w.submitWhileHeld()
-	sh.unlock()
-	clock.now.Store(200)
-	w.answered()
+	if err := w.idle.SubmitTask(Once(func() { close(w.ran) }), NoWait()); err != nil {
+		t.Fatal(err)
+	}
+	w.answered() // the poll reads 50
 	if len(rec.at) != 1 || rec.at[0] != 100 {
 		t.Fatalf("wake-up admitted at %v, want one admission at the shard's last instant 100", rec.at)
+	}
+}
+
+// TestForeignSubmitLeavesOwnerAlone pins who answers the doorbell: with the
+// shard's only worker mid-slice, a submit from outside pushes onto the ring
+// and returns without entering the shard's policy — the wake-up is neither
+// admitted nor ranked against the running slice by the submitter — and the
+// running task's next poll admits it and raises the flag.
+func TestForeignSubmitLeavesOwnerAlone(t *testing.T) {
+	w := newHeldWorld(t, Config{})
+	sh := w.r.shards[0]
+	w.g.arm("add idle")
+	done := make(chan error, 1)
+	go func() { done <- w.idle.SubmitTask(Once(func() { close(w.ran) }), NoWait()) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-w.g.entered:
+		t.Fatal("the submit admitted the wake-up itself: it entered the shard's policy")
+	case <-time.After(deadlockDeadline):
+		t.Fatal("deadlocked waiting for SubmitTask to return")
+	}
+	w.g.armed.Store(nil)
+	sh.mu.Lock()
+	admitted := w.idle.inSched
+	sh.mu.Unlock()
+	if admitted {
+		t.Fatal("the woken tenant was admitted before its shard's owner drained the ring")
+	}
+	w.answered()
+}
+
+// TestStealSeesUndrainedRing pins that a thief sees a wake-up its victim's
+// owner has not drained yet: shard 0's ring holds an item for a blocked
+// tenant and its doorbell is up, so nready still reads 0, and shard 1's worker
+// must steal the tenant all the same.
+func TestStealSeesUndrainedRing(t *testing.T) {
+	r := New(Config{Workers: 2, Shards: 2, Manual: true, Steal: true, Clock: NewFakeClock()})
+	defer r.Close()
+	tn, err := r.Register("sleeper", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh0 := r.shards[0]
+	if from := tn.sh.Load(); from != sh0 && !r.migrate(tn, from, sh0) {
+		t.Fatal("could not place the tenant on shard 0")
+	}
+	q := queued{run: Once(func() {})}
+	if q.cnt = tn.reserve(); q.cnt == nil {
+		t.Fatal("no backlog slot")
+	}
+	if ok, moved := sh0.intakePush(tn, q, r.clock.Now()); !ok || moved {
+		t.Fatalf("intakePush: ok=%v moved=%v", ok, moved)
+	}
+	sh0.drainPending.Store(true)
+	if n := sh0.nready.Load(); n != 0 {
+		t.Fatalf("shard 0 nready %d before its drain, want 0", n)
+	}
+	if !r.TrySteal(r.shards[1].firstWorker) {
+		t.Fatal("the thief did not see the undrained ring")
+	}
+	if got := tn.sh.Load(); got != r.shards[1] {
+		t.Fatalf("the tenant is on shard %d, want the thief's", got.id)
+	}
+	d := r.Dispatch(r.shards[1].firstWorker)
+	if d == nil || d.Tenant() != tn {
+		t.Fatal("the thief's worker did not dispatch the stolen tenant")
+	}
+	d.Complete(true)
+	if err := r.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -26,9 +26,10 @@
 //     yield at its next checkpoint. A plain Task slice cannot observe the
 //     flag, so it is involuntarily handed off (below).
 //
-//  3. Flag acceleration. A plain Task slice carrying a flag raised earlier by
-//     wakeup preemption (preemptBatchLocked) would otherwise wait out its
-//     full deadline for no benefit — the task cannot see the flag. Such
+//  3. Flag acceleration. A plain Task slice carrying a flag raised by wakeup
+//     preemption (preemptBatchLocked) — earlier, or by the pass itself, which
+//     first drains a ring whose doorbell is still up — would otherwise wait
+//     out its full deadline for no benefit: the task cannot see the flag. Such
 //     slices are handed off at the next pass, which is what bounds a woken
 //     interactive tenant's dispatch latency by ~2 enforcement ticks even
 //     against never-yielding hogs.
@@ -190,8 +191,14 @@ func (r *Runtime) Enforce() {
 	now := r.clock.Now()
 	for _, sh := range r.shards {
 		sh.mu.Lock()
+		// A doorbell still up is answered first, so phase 3 sees its flags.
+		post := postActions{sh: sh}
+		if sh.drainPending.Load() {
+			sh.drainLocked(max(now, sh.lastNow), &post)
+		}
 		sh.enforceLocked(now)
-		sh.unlock()
+		sh.mu.Unlock()
+		post.run(r)
 	}
 }
 

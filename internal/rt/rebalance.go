@@ -178,7 +178,7 @@ func (r *Runtime) Rebalance() int {
 		}
 		s.movable[i], s.handles[i] = movable, handles
 		s.cands = cands
-		sh.unlock()
+		sh.mu.Unlock()
 	}
 	clear(s.cands[:cap(s.cands)])
 	moves := planRebalance(s.totals, s.workers, s.movable, rebalanceTolerance)

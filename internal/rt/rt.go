@@ -27,10 +27,11 @@
 //
 // Submission is lock-free: each shard fronts its lock with a bounded MPSC
 // intake ring (intake.go) that submitters publish into with two atomic
-// operations, plus at most one doorbell TryLock per burst; workers absorb
-// the ring in batches under a single lock hold, admitting N simultaneous
-// wakeups with one weight-readjustment pass (sched.BatchAdder). DESIGN.md §9
-// gives the protocol and its correctness argument.
+// operations and a doorbell CAS, taking the lock only to wake a parked
+// worker; the shard's own side (its workers, a polling task, the enforcement
+// pass) absorbs the ring in batches under a single lock hold, admitting N
+// simultaneous wakeups with one weight-readjustment pass (sched.BatchAdder).
+// DESIGN.md §9 gives the protocol and its correctness argument.
 //
 // The runtime depends only on the sched.Scheduler interface plus the
 // optional capability interfaces of internal/sched (VirtualTimer,
@@ -137,7 +138,8 @@ func (c SliceCtx) Slice() simtime.Duration { return c.d.sl.Quantum }
 // Preempted reports whether the shard has raised the cooperative preemption
 // flag on this slice: a newly woken tenant out-ranks this one right now, and
 // the task should return at its next checkpoint (reporting done=false if its
-// work is unfinished). The flag stays raised until the slice completes.
+// work is unfinished). The flag stays raised until the slice completes. The
+// poll also admits wake-ups submitted since the shard's last drain.
 func (c SliceCtx) Preempted() bool { return c.d.Preempted() }
 
 // queued is one backlog entry: exactly one of the two task forms is set. cnt
@@ -203,8 +205,10 @@ type Config struct {
 	// preemption (SliceCtx.Preempted) so a cooperating task yields its
 	// processor early and the woken tenant dispatches without waiting out a
 	// full slice — the runtime's rendering of the kernel's reschedule_idle
-	// path (DESIGN.md §8). Flag raising is deterministic in Manual mode.
-	// Policies without the capability (time sharing, lottery) never flag.
+	// path (DESIGN.md §8). The flag is raised at the owner's next hold, at a
+	// polling task's next Preempted() call or at the next enforcement tick;
+	// in Manual mode, deterministically at the Submit. Policies without the
+	// capability (time sharing, lottery) never flag.
 	Preempt bool
 	// RebalanceEvery is the period of the background shard rebalancer
 	// (concurrent mode with Shards > 1 only). 0 means
@@ -481,7 +485,7 @@ func (r *Runtime) Register(name string, weight float64) (*Tenant, error) {
 	}
 	tn := &Tenant{r: r, th: th, buf: make([]queued, r.qcap)}
 	best := r.placeTenant(tn, weight)
-	best.unlock()
+	best.mu.Unlock()
 	r.tenants = append(r.tenants, tn)
 	return tn, nil
 }
@@ -496,7 +500,7 @@ func (r *Runtime) placeTenant(tn *Tenant, weight float64) *shard {
 	for i, sh := range r.shards {
 		sh.mu.Lock()
 		load := sh.weight / float64(sh.workers)
-		sh.unlock()
+		sh.mu.Unlock()
 		if i == 0 || load < bestLoad {
 			best, bestLoad = sh, load
 		}
@@ -522,7 +526,7 @@ func (r *Runtime) Unregister(tn *Tenant) error {
 	defer r.regMu.Unlock()
 	sh := tn.lockShard()
 	if tn.closing || tn.gone {
-		sh.unlock()
+		sh.mu.Unlock()
 		return ErrTenantClosed
 	}
 	tn.closing = true
@@ -532,7 +536,7 @@ func (r *Runtime) Unregister(tn *Tenant) error {
 		// A detached tenant's head task is still executing out of band even
 		// though its thread shows no CPU; dropping its backlog now would pop
 		// the entry the in-flight Complete will pop again.
-		sh.unlock()
+		sh.mu.Unlock()
 		return nil // Complete finalizes after the in-flight slice
 	}
 	sh.dropBacklogLocked(tn)
@@ -542,7 +546,7 @@ func (r *Runtime) Unregister(tn *Tenant) error {
 		sh.nready.Add(-1) // was runnable-not-running (the Running case returned above)
 	}
 	sh.finalizeLocked(tn)
-	sh.unlock()
+	sh.mu.Unlock()
 	r.removeTenantLocked(tn)
 	return nil
 }
@@ -558,7 +562,7 @@ func (r *Runtime) SetWeight(tn *Tenant, w float64) error {
 		return ErrRuntimeClosed
 	}
 	sh := tn.lockShard()
-	defer sh.unlock()
+	defer sh.mu.Unlock()
 	if tn.closing || tn.gone {
 		return ErrTenantClosed
 	}
@@ -582,7 +586,7 @@ func (tn *Tenant) Name() string { return tn.th.Name }
 // Shard returns the index of the shard the tenant currently lives on.
 func (tn *Tenant) Shard() int {
 	sh := tn.lockShard()
-	defer sh.unlock()
+	defer sh.mu.Unlock()
 	return sh.id
 }
 
@@ -597,7 +601,7 @@ func (tn *Tenant) lockShard() *shard {
 		if tn.sh.Load() == sh {
 			return sh
 		}
-		sh.unlock()
+		sh.mu.Unlock()
 	}
 }
 
@@ -650,7 +654,7 @@ func (r *Runtime) SetDecisionRecorder(shard int, rec engine.Recorder) {
 	sh := r.shards[shard]
 	sh.mu.Lock()
 	sh.eng.SetRecorder(rec)
-	sh.unlock()
+	sh.mu.Unlock()
 }
 
 // Worker returns the worker index the slice was dispatched to.
@@ -659,7 +663,17 @@ func (d *Dispatched) Worker() int { return d.worker }
 // Preempted reports whether this slice carries a raised cooperative
 // preemption flag. Concurrent tasks read it through their SliceCtx; Manual
 // drivers read it directly to model a cooperating task deciding to yield.
-func (d *Dispatched) Preempted() bool { return d.preempted.Load() }
+// A doorbell still up is answered first, if the lock is free: the poll drains
+// its own shard's ring at the clock read under the lock, floored at lastNow.
+func (d *Dispatched) Preempted() bool {
+	if sh := d.sh; sh.drainPending.Load() && sh.mu.TryLock() {
+		post := postActions{sh: sh}
+		sh.drainLocked(max(d.r.clock.Now(), sh.lastNow), &post)
+		sh.mu.Unlock()
+		post.run(d.r)
+	}
+	return d.preempted.Load()
+}
 
 // Detached reports whether the enforcer involuntarily handed this slice off:
 // its lane and dispatch slot were confiscated and its tenant left the
@@ -683,7 +697,7 @@ func (r *Runtime) Dispatch(worker int) *Dispatched {
 	sh := r.workerShard[worker]
 	sh.mu.Lock()
 	if r.closed.Load() {
-		sh.unlock()
+		sh.mu.Unlock()
 		return nil // Close abandons the remaining backlog
 	}
 	// Absorb any intake first: in Manual mode the ring is already empty
@@ -698,7 +712,7 @@ func (r *Runtime) Dispatch(worker int) *Dispatched {
 	if d != nil && post.signals > 0 {
 		post.signals-- // this dispatch consumes one owed wakeup
 	}
-	sh.unlock()
+	sh.mu.Unlock()
 	post.run(r)
 	return d
 }
@@ -715,7 +729,7 @@ func (d *Dispatched) Complete(done bool) simtime.Duration {
 	post := postActions{sh: sh}
 	elapsed := d.completeLocked(done, r.clock.Now(), &post)
 	sh.publishReady()
-	sh.unlock()
+	sh.mu.Unlock()
 	post.run(r)
 	return elapsed
 }
@@ -865,7 +879,7 @@ func (r *Runtime) Close() {
 			for _, tn := range sh.byThread {
 				tn.notFull.Broadcast()
 			}
-			sh.unlock()
+			sh.mu.Unlock()
 		}
 		r.quietMu.Lock()
 		r.quietCond.Broadcast()

@@ -85,13 +85,14 @@ type shard struct {
 	stealHist metrics.Histogram
 
 	// intake is the lock-free submit path (intake.go); drainPending is its
-	// doorbell: set by the one submitter per burst that answers for it,
-	// cleared by drainLocked before it reads the tail, so every push strictly
-	// after the clear is covered by a later doorbell win.
+	// doorbell: set by the first push after a drain, which signals a parked
+	// worker if there is one, and cleared by drainLocked before it reads the
+	// tail, so every push strictly after the clear is covered by a later
+	// doorbell win. The shard's own side answers it.
 	intake       intakeRing
 	drainPending atomic.Bool
 	// lastNow is the latest instant a drain or a completion ran at here: the
-	// floor for submit's doorbell drain, whose clock reading predates the lock.
+	// floor for a poll's and the enforcement pass's drains.
 	lastNow simtime.Time
 	// tasks counts the accepted, unretired tasks reserved while their tenant
 	// was bound here (Tenant.reserve, queued.cnt): a self-feeding tenant's

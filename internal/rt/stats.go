@@ -129,7 +129,7 @@ func (r *Runtime) lockShards() {
 
 func (r *Runtime) unlockShards() {
 	for i := len(r.shards) - 1; i >= 0; i-- {
-		r.shards[i].unlock()
+		r.shards[i].mu.Unlock()
 	}
 }
 
@@ -247,7 +247,7 @@ func (r *Runtime) ShardStats() []ShardStat {
 			samples = append(samples, tenantSample{th.Service, th.Weight})
 		}
 		st.Jain = jain.Index()
-		sh.unlock()
+		sh.mu.Unlock()
 	}
 	r.statScratch = samples[:0]
 	var shardTot metrics.Totals

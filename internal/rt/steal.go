@@ -15,7 +15,8 @@
 // Victim selection is lock-free: each shard maintains nready, an atomic count
 // of its runnable-not-running tenants (published under the shard lock, net
 // once per lock hold on the worker's path, so a thief sees a change at most
-// one hold late), and the thief probes the argmax without touching any lock.
+// one hold late; one more while its doorbell is up), and the thief probes the
+// argmax without touching any lock.
 // The steal itself takes both shard locks in the canonical ascending-id
 // order — the same two-lock protocol migrate uses, so steals, migrations,
 // enforcement handoffs and cluster Deport/Admit serialize against each other
@@ -126,7 +127,11 @@ func (r *Runtime) trySteal(thief *shard) bool {
 			if sh == thief || sh == tried[0] || sh == tried[1] || sh == tried[2] || sh == tried[3] {
 				continue
 			}
-			if l := sh.nready.Load(); l > load {
+			l := sh.nready.Load() // plus an undrained ring, which stealFrom drains
+			if sh.drainPending.Load() {
+				l++
+			}
+			if l > load {
 				victim, load = sh, l
 			}
 		}

@@ -114,9 +114,8 @@ func (tn *Tenant) reserve() *atomic.Int64 {
 
 // submit is the lock-free intake fast path: one CAS reservation against the
 // backpressure gate, one lock-free push onto the tenant's shard's intake
-// ring, and — for the one submitter per burst that wins the doorbell — a
-// TryLock of sh.mu. The slow path (enqueueSlow) handles a full backlog; a
-// full ring is absorbed under the lock right here.
+// ring, and the doorbell CAS. The slow path (enqueueSlow) handles a full
+// backlog; a full ring is absorbed under the lock right here.
 func (tn *Tenant) submit(q queued, block bool) error {
 	r := tn.r
 	if r.closed.Load() {
@@ -148,7 +147,7 @@ func (tn *Tenant) submit(q queued, block bool) error {
 			post := postActions{sh: sh}
 			sh.drainLocked(now, &post)
 			sh.applyDirectLocked(tn, q, at, now, &post)
-			sh.unlock()
+			sh.mu.Unlock()
 			post.run(r)
 			return nil
 		}
@@ -160,38 +159,20 @@ func (tn *Tenant) submit(q queued, block bool) error {
 			post := postActions{sh: sh}
 			sh.mu.Lock()
 			sh.drainLocked(r.clock.Now(), &post)
-			sh.unlock()
+			sh.mu.Unlock()
 			post.run(r)
 			return nil
 		}
-		if sh.drainPending.CompareAndSwap(false, true) {
-			// Doorbell: one submitter per burst acts, the others skip lock and
-			// signal, and the winner never sleeps on a lock held for a
-			// microsecond. Lock free: with preemption armed and no worker idle
-			// it drains inline, so the PR-5 flag is raised at the Submit
-			// instant, and otherwise signals — at the submit instant, floored
-			// at the shard's last hold: no wait, no second clock read. Lock
-			// held: the holder owes the drain when it lets go (shard.unlock,
-			// worker) and the flag stays up for it — unless a worker is on its
-			// way into workCond.Wait, whose release a Signal without the lock
-			// can precede: that one case waits for the lock.
-			post := postActions{sh: sh}
-			now := at
-			if !sh.mu.TryLock() {
-				if sh.idlers.Load() > 0 {
-					sh.mu.Lock()
-					now = r.clock.Now()
-				} else {
-					return nil
-				}
-			}
-			if r.preempt && sh.eng.Pre != nil && sh.running >= sh.workers {
-				sh.drainLocked(max(now, sh.lastNow), &post)
-			} else {
-				sh.workCond.Signal()
-			}
-			sh.unlock()
-			post.run(r)
+		if sh.drainPending.CompareAndSwap(false, true) && sh.idlers.Load() > 0 {
+			// Doorbell: one submitter per burst acts, and only to wake a parked
+			// worker. The ring belongs to the shard's owners — the worker's
+			// next hold, a polling task's Preempted, the enforcement tick —
+			// and the flag stays up for them. The signal is sent under the
+			// lock: a worker may still be on its way into workCond.Wait, whose
+			// release a Signal without the lock can precede.
+			sh.mu.Lock()
+			sh.workCond.Signal()
+			sh.mu.Unlock()
 		}
 		return nil
 	}
@@ -205,25 +186,22 @@ func (tn *Tenant) enqueueSlow(q queued, at simtime.Time, block bool) error {
 	sh := tn.lockShard()
 	for {
 		if r.closed.Load() {
-			sh.unlock()
+			sh.mu.Unlock()
 			return ErrRuntimeClosed
 		}
 		if tn.closing || tn.gone {
-			sh.unlock()
+			sh.mu.Unlock()
 			return ErrTenantClosed
 		}
 		if q.cnt = tn.reserve(); q.cnt != nil {
 			break
 		}
 		if !block {
-			sh.unlock()
+			sh.mu.Unlock()
 			return ErrBackpressure
 		}
 		// A positive waiter count pins the tenant to this shard, so the
 		// condition variable's mutex is still the right one after Wait.
-		post := postActions{sh: sh}
-		sh.drainLocked(r.clock.Now(), &post) // this hold ends inside Wait, not in unlock
-		post.run(r)                          // signals only: legal under the lock
 		tn.waiters++
 		tn.notFull.Wait()
 		tn.waiters--
@@ -235,7 +213,7 @@ func (tn *Tenant) enqueueSlow(q queued, at simtime.Time, block bool) error {
 	post := postActions{sh: sh}
 	sh.drainLocked(now, &post)
 	sh.applyDirectLocked(tn, q, at, now, &post)
-	sh.unlock()
+	sh.mu.Unlock()
 	post.run(r)
 	return nil
 }
