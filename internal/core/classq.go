@@ -167,6 +167,12 @@ const scanBase = 8
 // worst-case pick scan balance.
 func freeScan(classes int) int { return scanBase + int(math.Sqrt(float64(classes))) }
 
+// eagerClasses is the largest class count a pick may always visit in full:
+// C ≤ freeScan(C) holds exactly for C ≤ 11 (TestEagerClassesIsFreeScanBound),
+// so the refresh test that runs on every Charge, Add and Remove compares
+// against it instead of taking a square root.
+const eagerClasses = 11
+
 // keySurplus returns, in float arithmetic, the surplus against ref of the
 // thread of c whose cached start key is key — bit for bit surplusAt of that
 // thread (checkClasses: t.Phi == c.phi; Heap.Validate: key == t.Start), without
@@ -187,7 +193,7 @@ func (s *SFS) keyOf(c *class) float64 {
 // under drift is. Charge, Remove and enqueue — where v moves — refresh on it;
 // with more classes the keys stay lazy until a pick reports the drift expensive.
 func (s *SFS) refreshIsCheap() bool {
-	return !s.noDrift() && s.byClass.Len() <= freeScan(s.byClass.Len())
+	return !s.noDrift() && s.byClass.Len() <= eagerClasses
 }
 
 // refreshKeys snaps vRef to the current virtual time and re-keys every class

@@ -238,3 +238,15 @@ func TestLazyRegimeIsIntact(t *testing.T) {
 		t.Fatalf("%d sweeps over %d charges, want a small fraction of them (and not none: picks do ask)", sweeps, charges)
 	}
 }
+
+// TestEagerClassesIsFreeScanBound: the refresh test reads a constant for the
+// class counts at which a pick may visit every class, C ≤ freeScan(C). That
+// set must be exactly C ≤ eagerClasses, at every count a queue can reach here.
+func TestEagerClassesIsFreeScanBound(t *testing.T) {
+	for c := 0; c <= 1_000_000; c++ {
+		if within, want := c <= eagerClasses, c <= freeScan(c); within != want {
+			t.Fatalf("C = %d: C ≤ eagerClasses (%d) is %v, C ≤ freeScan(C) = %d is %v",
+				c, eagerClasses, within, freeScan(c), want)
+		}
+	}
+}

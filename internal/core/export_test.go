@@ -10,7 +10,7 @@ import (
 
 // WithinFreeScan reports whether there are no more classes than any pick may
 // visit — the regime in which keys are refreshed wherever v moves.
-func (s *SFS) WithinFreeScan() bool { return s.byClass.Len() <= freeScan(s.byClass.Len()) }
+func (s *SFS) WithinFreeScan() bool { return s.byClass.Len() <= eagerClasses }
 
 // KeysFresh reports whether vRef is v, in the scheduler's arithmetic.
 func (s *SFS) KeysFresh() bool { return s.noDrift() }

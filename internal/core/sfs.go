@@ -49,8 +49,9 @@
 // for n threads in C classes:
 //
 //   - Charge, one O(log n/C) sift: the thread moves inside its class heap;
-//     if it led the class, the class is re-keyed in both class-level heaps,
-//     O(log C).
+//     if it led the class, the class moves in the start-tag class heap and,
+//     unless a refresh re-keys every class anyway, in the surplus one,
+//     O(log C) each.
 //   - Add / Remove: the class heap and the φ source's weight heap.
 //   - Pick, O(classes admitted by the bound + p + ties): inside an admitted
 //     class only the head, the running threads and threads whose different
@@ -530,23 +531,31 @@ func (s *SFS) Charge(t *sched.Thread, ran simtime.Duration, now simtime.Time) {
 	// Restore t's queue position before v is read and before a possible
 	// rebase: both take the minimum start tag off a queue head, and t —
 	// whose tag just grew — is the entry most likely to be stale there.
+	var led *class   // t's class when t led it: its surplus key is still due
 	if s.queued(t) { // not if it was charged after it blocked or exited mid-slice
-		// The charge's one sift. The class moves, in both class-level heaps,
-		// only if t led it (a tag that grew cannot take the lead).
+		// The charge's one sift. The class moves only if t led it (a tag that
+		// grew cannot take the lead): in byHead now, because v is read off
+		// it, and in byClass below.
 		c := s.classes[t.PhiClass-1]
 		c.threads.Fix(t)
 		if c.head == t {
-			s.rekey(c)
+			c.head, c.headStart = c.threads.At(0), c.threads.KeyAt(0)
+			s.byHead.Fix(c)
+			led = c
 		}
 	}
 	if s.fixed && (fixedpoint.NeedsRebase(t.FxFinish) || t.FxFinish > s.rebaseThresh) {
-		s.rebaseTags()
+		s.rebaseTags() // shifts tags and vRef alike: led's key is the same after
 	}
 	s.recomputeV()
 	// Refresh the class keys when pick scans report the drift has grown
-	// expensive, or at once while that costs less than such a scan.
+	// expensive, or at once while that costs less than such a scan. A
+	// refresh re-keys every class, so led is re-keyed only without one.
 	if s.needRefresh || s.refreshIsCheap() {
 		s.refreshKeys()
+	} else if led != nil {
+		led.key = s.keyOf(led)
+		s.byClass.Fix(led)
 	}
 }
 

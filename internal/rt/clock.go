@@ -8,7 +8,7 @@ package rt
 
 import (
 	"fmt"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"sfsched/internal/simtime"
@@ -39,39 +39,36 @@ func (c *wallClock) Now() simtime.Time {
 
 // FakeClock is a manually advanced Clock for deterministic tests: the test
 // harness plays the role of time, setting the instant each modelled quantum
-// ends before completing it.
+// ends before completing it. It is one atomic word, so a Now on the dispatch
+// path costs a load, not a lock.
 type FakeClock struct {
-	mu  sync.Mutex
-	now simtime.Time
+	now atomic.Int64 // simtime.Time
 }
 
 // NewFakeClock returns a fake clock at time 0.
 func NewFakeClock() *FakeClock { return &FakeClock{} }
 
 // Now implements Clock.
-func (c *FakeClock) Now() simtime.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
+func (c *FakeClock) Now() simtime.Time { return simtime.Time(c.now.Load()) }
 
 // Set moves the clock to t. It panics if t is earlier than the current time;
 // Clock implementations must be monotonic.
 func (c *FakeClock) Set(t simtime.Time) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if t < c.now {
-		panic(fmt.Sprintf("rt: fake clock moved backwards (%v -> %v)", c.now, t))
+	for {
+		cur := c.now.Load()
+		if int64(t) < cur {
+			panic(fmt.Sprintf("rt: fake clock moved backwards (%v -> %v)", simtime.Time(cur), t))
+		}
+		if c.now.CompareAndSwap(cur, int64(t)) {
+			return
+		}
 	}
-	c.now = t
 }
 
 // Advance moves the clock forward by d (d must be non-negative).
 func (c *FakeClock) Advance(d simtime.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if d < 0 {
 		panic(fmt.Sprintf("rt: fake clock moved backwards (advance %v)", d))
 	}
-	c.now = c.now.Add(d)
+	c.now.Add(int64(d))
 }

@@ -64,8 +64,8 @@ func selfFeed(t *testing.T, tn *rt.Tenant, cost time.Duration, stop *atomic.Bool
 // wall time (getrusage) measured the host and is void, and three void
 // attempts skip the test with the figures logged. A miss with the CPUs in
 // hand is re-measured, up to three attempts, and then fails; hard failures
-// (no service, broken invariants) fail at once. ROADMAP item 5(ii) owns
-// replacing the canary with a deterministic oracle.
+// (no service, broken invariants) fail at once. ROADMAP item 1 (the
+// testing/synctest port) owns replacing the canary with a deterministic oracle.
 func TestRaceProportionalWallClockShares(t *testing.T) {
 	const attempts = 3
 	for misses, voids := 0, 0; ; {

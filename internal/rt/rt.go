@@ -81,7 +81,6 @@ import (
 
 	"sfsched/internal/core"
 	"sfsched/internal/engine"
-	"sfsched/internal/metrics"
 	"sfsched/internal/sched"
 	"sfsched/internal/simtime"
 )
@@ -267,6 +266,7 @@ type Tenant struct {
 	closing     bool // Unregister called; drains in-flight work, drops backlog
 	gone        bool // fully unregistered
 	headStarted bool // buf[head] has been dispatched at least once
+	wokePending bool // a wakeup Submit awaits its first dispatch (wokeAt)
 	// detached marks an involuntary handoff in progress: the head task's
 	// closure is still executing out of band while the thread has left the
 	// runnable set (enforcer.go). The tenant is pinned to its shard and must
@@ -288,12 +288,13 @@ type Tenant struct {
 
 	// Latency accounting (shard lock): readyAt is when the tenant last
 	// became dispatchable (woke, or completed a slice with work left);
-	// wokeAt is the wakeup Submit still awaiting its first dispatch.
-	readyAt     simtime.Time
-	wokeAt      simtime.Time
-	wokePending bool
-	waitHist    metrics.Histogram // ready→dispatch, every dispatch
-	wakeHist    metrics.Histogram // wakeup Submit→first dispatch
+	// wokeAt is the wakeup Submit still awaiting its first dispatch. The
+	// flag that says so, wokePending, sits with the other bools: the padding
+	// it would take here is what keeps Tenant in its size class.
+	readyAt  simtime.Time
+	wokeAt   simtime.Time
+	waitHist latencyHist // ready→dispatch, every dispatch
+	wakeHist latencyHist // wakeup Submit→first dispatch
 
 	preempts int64        // slices of this tenant flagged for preemption (shard lock)
 	resumes  int64        // continuation dispatches of unfinished tasks (shard lock)

@@ -19,7 +19,6 @@ import (
 	"sync/atomic"
 
 	"sfsched/internal/engine"
-	"sfsched/internal/metrics"
 	"sfsched/internal/sched"
 	"sfsched/internal/simtime"
 )
@@ -45,11 +44,11 @@ type shard struct {
 	ready    int64            // unpublished nready change of this lock hold
 	service  simtime.Duration // total time charged on this shard (survives migrations)
 	preempts int64            // preemption flags raised on this shard's slices
-	waitHist metrics.Histogram
-	wakeHist metrics.Histogram
+	waitHist latencyHist
+	wakeHist latencyHist
 	// intakeHist is the submit→ready stage: how long an accepted submission
 	// sat in the intake ring before the drain absorbed it into the backlog.
-	intakeHist metrics.Histogram
+	intakeHist latencyHist
 	workCond   *sync.Cond
 
 	// Slice enforcement (enforcer.go). active lists the in-flight slices,
@@ -64,7 +63,7 @@ type shard struct {
 	// overrunHist records, at each handed-off slice's final completion, how
 	// far past its granted slice the task ran — the enforcement-latency
 	// histogram stage.
-	overrunHist metrics.Histogram
+	overrunHist latencyHist
 
 	// Work stealing (steal.go). nready is the atomic per-shard load count
 	// thieves pick victims by: the number of runnable-not-running tenants,
@@ -82,7 +81,7 @@ type shard struct {
 	idlers    atomic.Int64
 	steals    int64 // steals performed by this shard's idle workers (shard lock)
 	stolen    int64 // tenants stolen from this shard (shard lock)
-	stealHist metrics.Histogram
+	stealHist latencyHist
 
 	// intake is the lock-free submit path (intake.go); drainPending is its
 	// doorbell: set by the first push after a drain, which signals a parked

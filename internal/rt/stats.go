@@ -20,10 +20,33 @@ type LatencyStat struct {
 // latencyQuantiles are P50, P95 and P99, ascending for Histogram.Quantiles.
 var latencyQuantiles = [...]float64{0.50, 0.95, 0.99}
 
+// latencyStatOf summarizes h from scratch: one scan of its buckets.
 func latencyStatOf(h *metrics.Histogram) LatencyStat {
 	var q [len(latencyQuantiles)]simtime.Duration
 	h.Quantiles(latencyQuantiles[:], q[:])
 	return LatencyStat{Count: h.Count(), P50: q[0], P95: q[1], P99: q[2], Max: h.Max()}
+}
+
+// latencyHist is a latency histogram with its last summary: the quantiles and
+// the sample count they were cut at. A histogram only grows, so while its
+// count is the cut's the quantiles still hold, and Stats and ShardStats scan
+// only the histograms that recorded since the previous call. The cut keeps no
+// Max (a field read) and no whole LatencyStat: Tenant embeds two of these and
+// must stay in its allocation size class (TestTenantSizeClass).
+type latencyHist struct {
+	metrics.Histogram
+	cutAt         uint64
+	p50, p95, p99 simtime.Duration
+}
+
+// stat returns the histogram's summary, re-cut only when its count moved.
+// Callers hold the lock the histogram records under.
+func (h *latencyHist) stat() LatencyStat {
+	if n := h.Count(); n != h.cutAt {
+		s := latencyStatOf(&h.Histogram)
+		h.cutAt, h.p50, h.p95, h.p99 = n, s.P50, s.P95, s.P99
+	}
+	return LatencyStat{Count: h.cutAt, P50: h.p50, P95: h.p95, P99: h.p99, Max: h.Max()}
 }
 
 // TenantStat is a point-in-time view of one tenant, for metrics export.
@@ -87,8 +110,8 @@ func (r *Runtime) Stats() []TenantStat {
 			Resumes:     tn.resumes,
 			TaskPanics:  tn.panics.Load(),
 			Handoffs:    tn.handoffs,
-			Dispatch:    latencyStatOf(&tn.waitHist),
-			Wake:        latencyStatOf(&tn.wakeHist),
+			Dispatch:    tn.waitHist.stat(),
+			Wake:        tn.wakeHist.stat(),
 		})
 		tot.Add(tn.th.Service, tn.th.Weight)
 	}
@@ -230,13 +253,13 @@ func (r *Runtime) ShardStats() []ShardStat {
 		st.Handoffs = sh.handoffs
 		st.EnforceFlags = sh.enforceFlags
 		st.Interims = sh.interims
-		st.Overrun = latencyStatOf(&sh.overrunHist)
+		st.Overrun = sh.overrunHist.stat()
 		st.Steals = sh.steals
 		st.Stolen = sh.stolen
-		st.StealWait = latencyStatOf(&sh.stealHist)
-		st.Dispatch = latencyStatOf(&sh.waitHist)
-		st.Wake = latencyStatOf(&sh.wakeHist)
-		st.Intake = latencyStatOf(&sh.intakeHist)
+		st.StealWait = sh.stealHist.stat()
+		st.Dispatch = sh.waitHist.stat()
+		st.Wake = sh.wakeHist.stat()
+		st.Intake = sh.intakeHist.stat()
 		if sh.eng.VT != nil {
 			st.VirtualTime = sh.eng.VT.VirtualTime()
 		}
