@@ -373,9 +373,10 @@ func TestOneOrderedQueue(t *testing.T) {
 // coming back. A sift level of runqueue.Heap records the moved element's
 // position through the handle pointer cached in the heap position: up, down
 // and set contain no call to RunqueueHandle (a dictionary call per level — the
-// method is generic). And the simulator finds a picked thread's task by
-// Thread.ID in a slice: non-test internal/machine declares no
-// map[*sched.Thread]… (a hashed lookup per dispatch).
+// method is generic). And neither driver hashes a picked thread: the
+// simulator finds its task by Thread.ID in a slice, the runtime its tenant
+// through Thread.Owner, and non-test internal/machine and internal/rt declare
+// no map[*sched.Thread]… (a hashed lookup per dispatch).
 func TestPickAndSiftStayOffTheElement(t *testing.T) {
 	fset := token.NewFileSet()
 	sifts := map[string]bool{"up": false, "down": false, "set": false}
@@ -417,7 +418,9 @@ func TestPickAndSiftStayOffTheElement(t *testing.T) {
 			t.Errorf("runqueue.Heap has no method %s; update the guard", name)
 		}
 	}
-	for _, path := range driverSources(t, filepath.Join("internal", "machine")) {
+	drivers := append(driverSources(t, filepath.Join("internal", "machine")),
+		driverSources(t, filepath.Join("internal", "rt"))...)
+	for _, path := range drivers {
 		f, err := parser.ParseFile(fset, path, nil, 0)
 		if err != nil {
 			t.Fatalf("parse %s: %v", path, err)
@@ -429,7 +432,7 @@ func TestPickAndSiftStayOffTheElement(t *testing.T) {
 			}
 			if star, ok := m.Key.(*ast.StarExpr); ok {
 				if sel, ok := star.X.(*ast.SelectorExpr); ok && sel.Sel.Name == "Thread" {
-					t.Errorf("%s: a map keyed by *sched.Thread: the task of a picked thread is a hashed lookup per dispatch again",
+					t.Errorf("%s: a map keyed by *sched.Thread: the task or tenant of a picked thread is a hashed lookup per dispatch again",
 						fset.Position(m.Pos()))
 				}
 			}

@@ -392,14 +392,6 @@ func (s *SFS) each(fn func(*sched.Thread)) {
 	s.byClass.Each(func(c *class) bool { c.threads.Each(all); return true })
 }
 
-// first returns a runnable thread holding the minimum start tag.
-func (s *SFS) first() (*sched.Thread, bool) {
-	if c, ok := s.byHead.Min(); ok {
-		return c.head, true
-	}
-	return nil, false
-}
-
 // arrive applies the §2.3 arrival rule: a newly arriving thread receives
 // start tag v; a newly woken thread receives max(F_i, v), which prevents a
 // thread from banking credit while asleep and starving others on wakeup.
@@ -747,10 +739,11 @@ func (s *SFS) CheckInvariants() error {
 // recomputeV updates the virtual time. When no thread is runnable, v takes the
 // finish tag of the thread that ran last (§2.3).
 func (s *SFS) recomputeV() {
-	if head, ok := s.first(); ok {
-		s.v = head.Start
+	if c, ok := s.byHead.Min(); ok {
 		if s.fixed {
-			s.fxV = head.FxStart
+			s.v, s.fxV = c.head.Start, c.head.FxStart
+		} else {
+			s.v = c.headStart // head.Start: checkClasses and Heap.Validate hold them equal
 		}
 	} else {
 		s.v = s.lastFinish
@@ -768,8 +761,8 @@ func (s *SFS) recomputeV() {
 // thread; threads asleep during the rebase are caught up on their next Add.
 func (s *SFS) rebaseTags() {
 	var base fixedpoint.Value
-	if head, ok := s.first(); ok {
-		base = head.FxStart
+	if c, ok := s.byHead.Min(); ok {
+		base = c.head.FxStart
 	} else {
 		// No runnable threads: the frame collapses to v = lastFinish = 0.
 		base = s.fxLastFinish

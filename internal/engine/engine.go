@@ -301,23 +301,18 @@ func (e *Engine) InterimInstallment(sl *Slice, now simtime.Time) simtime.Duratio
 }
 
 // Settle charges the slice's remainder at its boundary: remainder =
-// now − LastCharge (equivalently elapsed − Charged), clamped ≥ 0 and capped
-// at cap. The charge is issued unconditionally — a zero-length remainder
-// still passes through the scheduler, exactly as both drivers historically
-// did — and the slice's accounting is closed. Processor bookkeeping
-// (CPU/LastCPU fields) stays with the driver, which orders it around the
-// settlement exactly as its trace requires.
+// Uncharged(now) (equivalently elapsed − Charged), capped at cap. The charge
+// is issued unconditionally — a zero-length remainder still passes through
+// the scheduler, exactly as both drivers historically did — and the slice's
+// accounting is closed. LastCharge never moves backwards, so a clock that
+// steps back neither charges nor re-opens time already charged.
+// Processor bookkeeping (CPU/LastCPU fields) stays with the driver, which
+// orders it around the settlement exactly as its trace requires.
 func (e *Engine) Settle(sl *Slice, now simtime.Time, cap simtime.Duration) simtime.Duration {
-	ran := now.Sub(sl.LastCharge)
-	if ran < 0 {
-		ran = 0
-	}
-	if ran > cap {
-		ran = cap
-	}
+	ran := min(sl.Uncharged(now), cap)
 	e.sch.Charge(sl.Thread, ran, now)
 	sl.Charged += ran
-	sl.LastCharge = now
+	sl.LastCharge = max(sl.LastCharge, now)
 	if e.rec != nil {
 		e.rec.Record(Event{Kind: KindSettle, ID: sl.Thread.ID, CPU: sched.NoCPU, Ran: ran, Now: now})
 	}

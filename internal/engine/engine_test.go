@@ -106,6 +106,29 @@ func TestEngineChargeFallback(t *testing.T) {
 	}
 }
 
+// TestSettleNeverMovesLastChargeBack settles a slice at a clock that stepped
+// back behind its last installment: nothing is charged, LastCharge stays put,
+// and the next installment charges only what is new, so Charged == LastCharge
+// − Start holds throughout.
+func TestSettleNeverMovesLastChargeBack(t *testing.T) {
+	st := &stubSched{slice: simtime.Millisecond}
+	e := engine.New(st)
+	var sl engine.Slice
+	if err := e.Begin(&sl, newThread(1, 1), 0, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	e.ChargeInstallment(&sl, 100, engine.NoCap)
+	if ran := e.Settle(&sl, 50, engine.NoCap); ran != 0 || sl.LastCharge != 100 {
+		t.Errorf("Settle at 50 after LastCharge 100: charged %d, LastCharge %d; want 0, 100", ran, sl.LastCharge)
+	}
+	if ran := e.ChargeInstallment(&sl, 120, engine.NoCap); ran != 20 {
+		t.Fatalf("installment at 120 charged %d, want 20: the step back re-opened charged time", ran)
+	}
+	if got := sl.LastCharge.Sub(sl.Start); sl.Charged != got {
+		t.Fatalf("Charged %v, LastCharge − Start %v", sl.Charged, got)
+	}
+}
+
 // traceRecorder collects engine decisions for inspection.
 type traceRecorder struct{ events []engine.Event }
 

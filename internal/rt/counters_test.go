@@ -70,7 +70,7 @@ func checkTaskCounters(t *testing.T, r *Runtime, op string) {
 			t.Fatalf("after %s: shard %d task counter %d", op, sh.id, c)
 		}
 		sum += c
-		for _, tn := range sh.byThread {
+		for tn := range sh.tenants {
 			backlog += int64(tn.n)
 		}
 	}

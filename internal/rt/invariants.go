@@ -45,10 +45,14 @@ func (r *Runtime) CheckInvariants() error {
 	for _, sh := range r.shards {
 		queued, running, ready := 0, 0, 0
 		weight := 0.0
-		for th, tn := range sh.byThread {
-			if tn.th != th || tn.sh.Load() != sh {
+		for tn := range sh.tenants {
+			th := tn.th
+			if tn.sh.Load() != sh {
 				return fmt.Errorf("rt: tenant %s bound to shard %d but indexed on %d",
 					th, tn.sh.Load().id, sh.id)
+			}
+			if th.Owner != tn {
+				return fmt.Errorf("rt: tenant %s's thread names owner %v", th, th.Owner)
 			}
 			if !registered[tn] {
 				return fmt.Errorf("rt: tenant %s on shard %d missing from the registry", th, sh.id)

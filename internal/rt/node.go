@@ -42,7 +42,7 @@ func (r *Runtime) Load() NodeLoad {
 	l := NodeLoad{Workers: len(r.workerShard)}
 	for _, sh := range r.shards {
 		sh.mu.Lock()
-		l.Tenants += len(sh.byThread)
+		l.Tenants += len(sh.tenants)
 		l.Weight += sh.weight
 		l.Queued += sh.queued
 		sh.mu.Unlock()

@@ -138,7 +138,8 @@ func (r *Runtime) Rebalance() int {
 		s.workers[i] = sh.workers
 		s.totals[i] = sh.weight
 		cands := s.cands[:0]
-		for th, tn := range sh.byThread {
+		for tn := range sh.tenants {
+			th := tn.th
 			// A detached tenant's head task is still executing out of band on
 			// this shard even though its thread shows no CPU; it is pinned here
 			// until the handed-off slice's Complete, exactly like a running one.
@@ -260,12 +261,12 @@ func (r *Runtime) transferLocked(tn *Tenant, src, dst *shard, now simtime.Time) 
 		mustSched(src.eng.Depart(th, sched.Blocked, now))
 		src.nready.Add(-1)
 	}
-	delete(src.byThread, th)
+	delete(src.tenants, tn)
 	src.weight -= th.Weight
 	src.queued -= tn.n
 	engine.TransferLead(src.eng, dst.eng, th)
 	th.LastCPU = sched.NoCPU
-	dst.byThread[th] = tn
+	dst.tenants[tn] = struct{}{}
 	dst.weight += th.Weight
 	dst.queued += tn.n
 	// No submitter is waiting (waiters == 0, checked under both locks), so

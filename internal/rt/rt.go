@@ -399,7 +399,7 @@ func New(cfg Config) *Runtime {
 			count++
 		}
 		sh := &shard{r: r, id: i, workers: count,
-			firstWorker: len(r.workerShard), byThread: make(map[*sched.Thread]*Tenant)}
+			firstWorker: len(r.workerShard), tenants: make(map[*Tenant]struct{})}
 		sch := policy(count)
 		if sch == nil {
 			panic(fmt.Sprintf("rt: Policy returned nil for shard %d", i))
@@ -485,6 +485,7 @@ func (r *Runtime) Register(name string, weight float64) (*Tenant, error) {
 		LastCPU: sched.NoCPU,
 	}
 	tn := &Tenant{r: r, th: th, buf: make([]queued, r.qcap)}
+	th.Owner = tn
 	best := r.placeTenant(tn, weight)
 	best.mu.Unlock()
 	r.tenants = append(r.tenants, tn)
@@ -507,7 +508,7 @@ func (r *Runtime) placeTenant(tn *Tenant, weight float64) *shard {
 		}
 	}
 	best.mu.Lock()
-	best.byThread[tn.th] = tn
+	best.tenants[tn] = struct{}{}
 	best.weight += weight
 	tn.notFull = sync.NewCond(&best.mu)
 	tn.sh.Store(best)
@@ -877,7 +878,7 @@ func (r *Runtime) Close() {
 		for _, sh := range r.shards {
 			sh.mu.Lock()
 			sh.workCond.Broadcast()
-			for _, tn := range sh.byThread {
+			for tn := range sh.tenants {
 				tn.notFull.Broadcast()
 			}
 			sh.mu.Unlock()

@@ -36,8 +36,10 @@ type shard struct {
 	// eng is the shared decision core (internal/engine) wrapped around this
 	// shard's private policy instance: the same pick/charge/preempt/migrate
 	// code the simulated machine drives, here driven by the wall clock.
-	eng      *engine.Engine
-	byThread map[*sched.Thread]*Tenant
+	eng *engine.Engine
+	// tenants is the set of tenants bound here. A picked thread names its
+	// tenant (sched.Thread.Owner), so dispatch never looks one up.
+	tenants  map[*Tenant]struct{}
 	weight   float64          // Σ tenant weights: the shard's sub-share of the machine
 	queued   int              // queued tasks across this shard's tenants
 	running  int              // dispatched slices in flight on this shard
@@ -85,9 +87,9 @@ type shard struct {
 
 	// intake is the lock-free submit path (intake.go); drainPending is its
 	// doorbell: set by the first push after a drain, which signals a parked
-	// worker if there is one, and cleared by drainLocked before it reads the
-	// tail, so every push strictly after the clear is covered by a later
-	// doorbell win. The shard's own side answers it.
+	// worker if there is one, and cleared (if up) by drainLocked before it
+	// reads the tail, so every push strictly after the clear is covered by a
+	// later doorbell win. The shard's own side answers it.
 	intake       intakeRing
 	drainPending atomic.Bool
 	// lastNow is the latest instant a drain or a completion ran at here: the
@@ -145,9 +147,12 @@ func (sh *shard) intakePush(tn *Tenant, q queued, at simtime.Time) (ok, moved bo
 // dispatch) shares one instant instead of re-reading the clock per stage.
 func (sh *shard) drainLocked(now simtime.Time, post *postActions) {
 	// Clear the doorbell before reading the tail: a push that misses this
-	// drain's tail read necessarily CASes drainPending after this store, so
-	// it wins the doorbell and a follow-up drain covers it.
-	sh.drainPending.Store(false)
+	// drain's tail read necessarily CASes drainPending after this load, so
+	// it wins the doorbell and a follow-up drain covers it. A flag read down
+	// needs no store (a full fence) to put it down.
+	if sh.drainPending.Load() {
+		sh.drainPending.Store(false)
+	}
 	sh.lastNow = max(sh.lastNow, now)
 	n := sh.intake.beginDrain()
 	if n == 0 {
@@ -269,9 +274,9 @@ func (sh *shard) dispatchLocked(worker int, now simtime.Time) *Dispatched {
 		sh.publishReady()
 		return nil
 	}
-	tn := sh.byThread[th]
-	if tn == nil || tn.n == 0 {
-		panic(fmt.Errorf("rt: %w: %v with no queued work", engine.ErrUnknownThread, th))
+	tn, _ := th.Owner.(*Tenant)
+	if tn == nil || tn.n == 0 || tn.sh.Load() != sh {
+		panic(fmt.Errorf("rt: %w: %v with no queued work on shard %d", engine.ErrUnknownThread, th, sh.id))
 	}
 	sh.running++
 	sh.ready-- // cancels completeLocked's +1 when that tenant stayed backlogged
@@ -313,7 +318,11 @@ func (sh *shard) dispatchLocked(worker int, now simtime.Time) *Dispatched {
 	}
 	d.task = tn.buf[tn.head]
 	d.inFlight = true
-	d.preempted.Store(false)
+	if d.preempted.Load() {
+		// Only lock holders iterating sh.active raise the flag, and a
+		// completed record has left it, so a flag read down stays down.
+		d.preempted.Store(false)
+	}
 	d.detached = false
 	d.activeIdx = len(sh.active)
 	sh.active = append(sh.active, d)
@@ -422,6 +431,6 @@ func (sh *shard) publishReady() {
 // caller removes it from the runtime registry (under regMu) afterwards.
 func (sh *shard) finalizeLocked(tn *Tenant) {
 	tn.gone = true
-	delete(sh.byThread, tn.th)
+	delete(sh.tenants, tn)
 	sh.weight -= tn.th.Weight
 }

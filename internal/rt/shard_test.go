@@ -10,11 +10,13 @@ package rt_test
 // diverge.
 
 import (
+	"errors"
 	"sync"
 	"testing"
 	"time"
 
 	"sfsched/internal/core"
+	"sfsched/internal/engine"
 	"sfsched/internal/metrics"
 	"sfsched/internal/rt"
 	"sfsched/internal/sched"
@@ -293,4 +295,64 @@ func TestShardedConfigValidation(t *testing.T) {
 		rt.New(rt.Config{Workers: 4, Shards: 2, Manual: true,
 			Policy: func(int) sched.Scheduler { return shared }})
 	})
+}
+
+// foreignPick is core's SFS made to return a chosen thread from Pick: a policy
+// naming a thread its shard does not own.
+type foreignPick struct {
+	*core.SFS
+	next *sched.Thread
+}
+
+func (p *foreignPick) Pick(cpu int, now simtime.Time) *sched.Thread {
+	if p.next != nil {
+		return p.next
+	}
+	return p.SFS.Pick(cpu, now)
+}
+
+// TestDispatchChecksPickedOwner pins the check a dispatch makes on the tenant
+// its picked thread names (sched.Thread.Owner): shard 0's policy picks the
+// backlogged thread of a tenant bound to shard 1, or a thread with no owner,
+// and Dispatch panics with a wrapped engine.ErrUnknownThread either way.
+func TestDispatchChecksPickedOwner(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		pick func(foreign *rt.Tenant) *sched.Thread
+	}{
+		{"tenant of another shard", func(foreign *rt.Tenant) *sched.Thread { return foreign.Thread() }},
+		{"no owner", func(*rt.Tenant) *sched.Thread {
+			return &sched.Thread{ID: 1 << 20, Weight: 1, Phi: 1, CPU: sched.NoCPU, LastCPU: sched.NoCPU}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var policies []*foreignPick
+			// The panic leaves shard 0 locked, so r is never closed; a Manual
+			// runtime runs no goroutine to leak.
+			r := rt.New(rt.Config{Workers: 2, Shards: 2, Manual: true, Clock: rt.NewFakeClock(),
+				Policy: func(cpus int) sched.Scheduler {
+					p := &foreignPick{SFS: core.New(cpus)}
+					policies = append(policies, p)
+					return p
+				}})
+			own, _ := r.Register("own", 1)
+			foreign, _ := r.Register("foreign", 1)
+			if own.Shard() != 0 || foreign.Shard() != 1 {
+				t.Fatalf("tenants placed on shards %d and %d, want 0 and 1", own.Shard(), foreign.Shard())
+			}
+			for _, tn := range []*rt.Tenant{own, foreign} {
+				if err := tn.SubmitTask(func(simtime.Duration) bool { return true }); err != nil {
+					t.Fatal(err)
+				}
+			}
+			policies[0].next = tc.pick(foreign)
+			defer func() {
+				if err, _ := recover().(error); !errors.Is(err, engine.ErrUnknownThread) {
+					t.Fatalf("shard 0 dispatched %v: recovered %v, want a wrapped engine.ErrUnknownThread",
+						policies[0].next, err)
+				}
+			}()
+			r.Dispatch(0)
+		})
+	}
 }

@@ -245,7 +245,7 @@ func (r *Runtime) ShardStats() []ShardStat {
 		st.Shard = i
 		st.Workers = sh.workers
 		st.Policy = sh.eng.Scheduler().Name()
-		st.Tenants = len(sh.byThread)
+		st.Tenants = len(sh.tenants)
 		st.Runnable = sh.eng.Scheduler().Runnable()
 		st.Weight = sh.weight
 		st.Service = sh.service
@@ -264,7 +264,8 @@ func (r *Runtime) ShardStats() []ShardStat {
 			st.VirtualTime = sh.eng.VT.VirtualTime()
 		}
 		var jain metrics.Jain
-		for th := range sh.byThread {
+		for tn := range sh.tenants {
+			th := tn.th
 			jain.Add(th.Service, th.Weight)
 			tot.Add(th.Service, th.Weight)
 			samples = append(samples, tenantSample{th.Service, th.Weight})

@@ -163,7 +163,8 @@ func (r *Runtime) stealFrom(victim, thief *shard) bool {
 	victim.drainLocked(now, &postV)
 	var best *Tenant
 	var bestSurplus float64
-	for th, tn := range victim.byThread {
+	for tn := range victim.tenants {
+		th := tn.th
 		// Steal eligibility is migration eligibility: mid-slice, detached,
 		// closing tenants and those with blocked submitters are pinned.
 		if !tn.inSched || tn.closing || tn.gone || th.Running() || tn.detached || tn.waiters > 0 {

@@ -60,9 +60,12 @@ const NoCPU = -1
 // Thread is the scheduler-visible control block. One struct carries the
 // fields of every policy (as a kernel task_struct would); each policy uses
 // only its own fields. All times are simulated.
+//
+// The fields are ordered hot first: everything a pick, a charge, a heap sift
+// and the φ-class queue read or write sits in the first 128 bytes, two cache
+// lines, and the policy-specific fields follow (TestThreadHotFieldsFirst).
 type Thread struct {
-	ID   int
-	Name string
+	ID int
 
 	// Weight is the user-requested weight w_i; always > 0.
 	Weight float64
@@ -70,8 +73,11 @@ type Thread struct {
 	// algorithm; schedulers that do not readjust keep Phi == Weight.
 	Phi float64
 
-	// State is maintained by the machine around Scheduler calls.
-	State State
+	// Fair-queueing tags (SFS, SFQ, BVT): start tag S_i and finish tag F_i.
+	// The surplus α_i = φ_i·(S_i − v) is never stored per thread.
+	Start  float64
+	Finish float64
+
 	// CPU is the processor the thread currently occupies, or NoCPU.
 	CPU int
 	// LastCPU is the processor the thread most recently ran on, or NoCPU;
@@ -81,17 +87,30 @@ type Thread struct {
 	// Service is the total CPU time received so far.
 	Service simtime.Duration
 
-	// Fair-queueing tags (SFS, SFQ, BVT): start tag S_i and finish tag F_i.
-	// The surplus α_i = φ_i·(S_i − v) is never stored per thread.
-	Start  float64
-	Finish float64
+	// rq holds the intrusive run-queue handles, one per runqueue.Slot, the
+	// task_struct-style embedding that lets the queues skip hash lookups.
+	// Every sift level writes one.
+	rq [runqueue.NumSlots]runqueue.Handle[*Thread]
 
 	// PhiClass links a runnable thread to its φ-class in SFS's
 	// surplus queue (internal/core): the class's slot in the scheduler's
 	// class table plus one, 0 while the thread is in no class. Like the
-	// run-queue handles below it is intrusive, so the charge path reaches
-	// the class without a map lookup.
+	// run-queue handles it is intrusive, so the charge path reaches the
+	// class without a map lookup.
 	PhiClass int32
+
+	// State is maintained by the machine around Scheduler calls.
+	State State
+
+	// Decisions counts how many times this thread was picked; useful for
+	// tests and overhead accounting.
+	Decisions int64
+
+	// Owner is the driver's record for the thread (internal/rt's tenant), so
+	// a driver finds what a pick chose without a lookup. No policy reads it.
+	Owner any
+
+	Name string
 
 	// Fixed-point shadows of the tags, used by the kernel-faithful
 	// fixed-point SFS variant. FxPhi caches the scaled conversion of Phi so
@@ -122,14 +141,6 @@ type Thread struct {
 	// BVT fields: warp advantage in virtual-time units (0 = plain SFQ
 	// behaviour).
 	Warp float64
-
-	// Decisions counts how many times this thread was picked; useful for
-	// tests and overhead accounting.
-	Decisions int64
-
-	// rq holds the intrusive run-queue handles, one per runqueue.Slot, the
-	// task_struct-style embedding that lets the queues skip hash lookups.
-	rq [runqueue.NumSlots]runqueue.Handle[*Thread]
 }
 
 // RunqueueHandle implements runqueue.Indexed: the thread's intrusive handle

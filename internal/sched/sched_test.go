@@ -4,6 +4,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func TestStateString(t *testing.T) {
@@ -31,6 +32,39 @@ func TestThreadRunning(t *testing.T) {
 	th.CPU = 0
 	if !th.Running() {
 		t.Fatal("CPU 0 thread reported not running")
+	}
+}
+
+// TestThreadHotFieldsFirst keeps what a pick, a charge, a heap sift and the
+// φ-class queue touch in Thread's first two cache lines, and Thread inside the
+// 256-byte size class it is allocated in.
+func TestThreadHotFieldsFirst(t *testing.T) {
+	const hotEnd, sizeClass = 128, 256
+	var th Thread
+	hot := []struct {
+		name string
+		end  uintptr
+	}{
+		{"ID", unsafe.Offsetof(th.ID) + unsafe.Sizeof(th.ID)},
+		{"Weight", unsafe.Offsetof(th.Weight) + unsafe.Sizeof(th.Weight)},
+		{"Phi", unsafe.Offsetof(th.Phi) + unsafe.Sizeof(th.Phi)},
+		{"Start", unsafe.Offsetof(th.Start) + unsafe.Sizeof(th.Start)},
+		{"Finish", unsafe.Offsetof(th.Finish) + unsafe.Sizeof(th.Finish)},
+		{"CPU", unsafe.Offsetof(th.CPU) + unsafe.Sizeof(th.CPU)},
+		{"LastCPU", unsafe.Offsetof(th.LastCPU) + unsafe.Sizeof(th.LastCPU)},
+		{"Service", unsafe.Offsetof(th.Service) + unsafe.Sizeof(th.Service)},
+		{"rq", unsafe.Offsetof(th.rq) + unsafe.Sizeof(th.rq)},
+		{"PhiClass", unsafe.Offsetof(th.PhiClass) + unsafe.Sizeof(th.PhiClass)},
+		{"State", unsafe.Offsetof(th.State) + unsafe.Sizeof(th.State)},
+	}
+	for _, f := range hot {
+		if f.end > hotEnd {
+			t.Errorf("Thread.%s ends at byte %d, past the hot %d: with the hot fields on all four of "+
+				"Thread's cache lines an sfsbench flood task cost 2–6 %% more CPU (2 vCPUs)", f.name, f.end, hotEnd)
+		}
+	}
+	if size := unsafe.Sizeof(th); size > sizeClass {
+		t.Errorf("Thread is %d bytes, past the %d-byte size class it is allocated in", size, sizeClass)
 	}
 }
 
