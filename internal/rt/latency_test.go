@@ -112,7 +112,10 @@ func TestLatencySummaryCache(t *testing.T) {
 // TestTenantSizeClass keeps Tenant inside Go's 2 304-byte allocation size
 // class, which an object this large shares with an 8-byte header. Caching two
 // whole LatencyStat values made it 2 320 bytes, the next class up, and cost
-// sfsbench 3.3 MB of peak_rss_mb on flood and 2.7 MB on wake.
+// sfsbench 3.3 MB of peak_rss_mb on flood and 2.7 MB on wake. Staying under
+// 4 096 bytes also keeps explicit nil checks off Tenant's fields: past that
+// offset the compiler loads byte 0 to check the pointer, as it does for a
+// shard (TestShardHeaderLineIsConstant).
 func TestTenantSizeClass(t *testing.T) {
 	const sizeClass, header = 2304, 8
 	var tn Tenant

@@ -24,22 +24,30 @@ import (
 )
 
 type shard struct {
+	// The first cache line holds only fields New writes once.
+	// A shard is larger than 4 096 bytes, so the compiler guards a far field's
+	// access (idlers, nready, intake, tasks, drainPending) with an explicit
+	// nil check that loads byte 0: a sibling's probe reads this line, and a
+	// lock word here would bounce it between cores every task
+	// (TestShardHeaderLineIsConstant).
 	r           *Runtime
 	id          int
 	workers     int // processors owned by this shard
 	firstWorker int // global index of the shard's first worker (contiguous block)
+	// eng is the shared decision core (internal/engine) wrapped around this
+	// shard's private policy instance: the same pick/charge/preempt/migrate
+	// code the simulated machine drives, here driven by the wall clock.
+	eng      *engine.Engine
+	workCond *sync.Cond
+	// tenants is the set of tenants bound here. A picked thread names its
+	// tenant (sched.Thread.Owner), so dispatch never looks one up.
+	tenants map[*Tenant]struct{}
+	_       [8]byte // fills the line: mu starts at byte 64
 
 	// mu serializes all scheduling on this shard — the per-shard equivalent
 	// of the kernel run-queue lock. It guards every field below and every
 	// mutable field of the tenants currently assigned here.
-	mu sync.Mutex
-	// eng is the shared decision core (internal/engine) wrapped around this
-	// shard's private policy instance: the same pick/charge/preempt/migrate
-	// code the simulated machine drives, here driven by the wall clock.
-	eng *engine.Engine
-	// tenants is the set of tenants bound here. A picked thread names its
-	// tenant (sched.Thread.Owner), so dispatch never looks one up.
-	tenants  map[*Tenant]struct{}
+	mu       sync.Mutex
 	weight   float64          // Σ tenant weights: the shard's sub-share of the machine
 	queued   int              // queued tasks across this shard's tenants
 	running  int              // dispatched slices in flight on this shard
@@ -51,7 +59,6 @@ type shard struct {
 	// intakeHist is the submit→ready stage: how long an accepted submission
 	// sat in the intake ring before the drain absorbed it into the backlog.
 	intakeHist latencyHist
-	workCond   *sync.Cond
 
 	// Slice enforcement (enforcer.go). active lists the in-flight slices,
 	// never more than the shard has workers — the preemption scan and every

@@ -208,12 +208,16 @@ func (r *Runtime) stealFrom(victim, thief *shard) bool {
 
 // offerSteal routes one shard's surplus wakeups to an idle sibling: called
 // off-lock by postActions.run when a drain admitted more tenants than the
-// shard has parked workers, it signals the workCond of the first sibling
-// advertising idle workers. Signaling a sync.Cond without holding its mutex
-// is legal; the woken worker re-checks local work under its own lock, finds
-// none, and re-enters the steal path with the offering shard now the argmax
-// victim. At most one sibling is woken per offer — the steal itself moves
-// only one tenant, and the next drain re-offers if surplus remains.
+// shard has parked workers, or when a worker's dispatch left ready tenants
+// and no parked local worker (worker.go; on flood, every task), it signals
+// the workCond of the first sibling advertising idle workers. Each sibling's
+// idlers load carries an explicit nil check that reads the sibling's first
+// cache line (TestShardHeaderLineIsConstant). Signaling a sync.Cond without
+// holding its mutex is legal; the woken worker re-checks local work under
+// its own lock, finds none, and re-enters the steal path with the offering
+// shard now the argmax victim. At most one sibling is woken per offer — the
+// steal itself moves only one tenant, and the next drain re-offers if
+// surplus remains.
 func (r *Runtime) offerSteal(sh *shard) {
 	for _, sib := range r.shards {
 		if sib == sh {
