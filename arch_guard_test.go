@@ -453,13 +453,15 @@ func TestPickAndSiftStayOffTheElement(t *testing.T) {
 //
 // Nor does a submit sleep on a shard lock somebody holds for a microsecond, or
 // drain a ring that is not its own: submit calls no TryLock, and takes the lock
-// once under each of the ring-full branch, Manual mode and an if on idlers — a
-// worker on its way into workCond.Wait is the one it must signal under the
-// lock. The doorbell it leaves up is answered on the shard's own side, so
-// drainLocked is called only from owners' sites: the worker and Manual
-// Dispatch, a polling task's Preempted, the enforcement pass, the locked
-// submit paths, a thief's stealFrom (which must see the victim's ring),
-// Deport (which must see the whole backlog) and CheckInvariants.
+// once under each of the backpressure branch (a failed reservation), the
+// ring-full branch, Manual mode and an if on idlers — a worker on its way into
+// workCond.Wait is the one it must signal under the lock. A call to
+// enqueueSlow, the one locked submit path, counts as taking the lock. The
+// doorbell it leaves up is answered on the shard's own side, so drainLocked is
+// called only from owners' sites: the worker and Manual Dispatch, a polling
+// task's Preempted, the enforcement pass, the locked submit path, a thief's
+// stealFrom (which must see the victim's ring), Deport (which must see the
+// whole backlog) and CheckInvariants.
 func TestTaskPathStaysOnItsShard(t *testing.T) {
 	fset := token.NewFileSet()
 	path := map[string]bool{"reserve": false, "submit": false, "pop": false,
@@ -560,6 +562,7 @@ func TestTaskPathStaysOnItsShard(t *testing.T) {
 			if name == "submit" {
 				// Each Lock is counted under the kind of if it sits in.
 				kinds := map[string]func(cond ast.Expr) bool{
+					"backpressure": func(cond ast.Expr) bool { return mentions(cond, "cnt") },
 					"ring-full": func(cond ast.Expr) bool {
 						not, isNot := cond.(*ast.UnaryExpr)
 						return isNot && not.Op == token.NOT && mentions(not.X, "ok")
@@ -581,7 +584,7 @@ func TestTaskPathStaysOnItsShard(t *testing.T) {
 					case onMu(call, "TryLock"):
 						t.Errorf("%s: submit calls TryLock: a doorbell winner drains a ring that is not its own again",
 							fset.Position(call.Pos()))
-					case onMu(call, "Lock") || (sel != nil && sel.Sel.Name == "lockShard"):
+					case onMu(call, "Lock") || (sel != nil && (sel.Sel.Name == "lockShard" || sel.Sel.Name == "enqueueSlow")):
 						kind := ""
 						for k, m := range marked {
 							if m[call] {
@@ -589,7 +592,7 @@ func TestTaskPathStaysOnItsShard(t *testing.T) {
 							}
 						}
 						if kind == "" {
-							t.Errorf("%s: submit waits for a shard lock outside the ring-full branch, Manual mode and an if on idlers",
+							t.Errorf("%s: submit waits for a shard lock outside the backpressure and ring-full branches, Manual mode and an if on idlers",
 								fset.Position(call.Pos()))
 						}
 						submitLocks[kind]++
@@ -646,7 +649,7 @@ func TestTaskPathStaysOnItsShard(t *testing.T) {
 	if signals == 0 {
 		t.Error("completeLocked no longer signals notFull; update the guard")
 	}
-	for _, kind := range []string{"ring-full", "manual", "idlers"} {
+	for _, kind := range []string{"backpressure", "ring-full", "manual", "idlers"} {
 		if submitLocks[kind] != 1 {
 			t.Errorf("submit takes the shard lock %d times under its %s if, want 1; update the guard", submitLocks[kind], kind)
 		}

@@ -193,7 +193,7 @@ func TestVirtualTimeIsTheLeastClassHead(t *testing.T) {
 // must stay what it was — asked for by a pick whose scan ran long, never done
 // because v moved: an O(C) re-key per charge is the cost the lazy keys exist
 // to avoid. v moves on two charges in three; one in twenty is followed by a
-// sweep (995 of 20 000, before and after the eager regime existed).
+// sweep (the test logs 1 000 of 20 000).
 func TestLazyRegimeIsIntact(t *testing.T) {
 	const cpus, n, charges = 4, 128, 20000
 	s := New(cpus, WithQuantum(10*simtime.Millisecond))

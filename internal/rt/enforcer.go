@@ -148,7 +148,6 @@ func (sh *shard) detachLocked(d *Dispatched, now simtime.Time) {
 	th := tn.th
 	th.CPU = sched.NoCPU
 	th.LastCPU = d.local
-	sh.running--
 	sh.activeRemove(d)
 	// Settle the uncharged service so the thread's tags are exact at the
 	// instant it leaves the runnable set. Plain Charge is always legal —
@@ -161,14 +160,12 @@ func (sh *shard) detachLocked(d *Dispatched, now simtime.Time) {
 	mustSched(sh.eng.Depart(th, sched.Blocked, now))
 	tn.inSched = false
 	tn.detached = true
-	d.detached = true
 	// The record leaves its dispatch slot so the lane's next dispatch cannot
 	// alias the still-running slice; it lives on until its out-of-band
 	// Complete.
 	r.dslots[d.worker] = sh.newSlotLocked()
 	sh.handoffs++
 	tn.handoffs++
-	r.handoffs.Add(1)
 	if !r.manual {
 		// Staff the confiscated slot and lane with a fresh worker (in Manual
 		// mode the driver just dispatches on the slot again). The goroutine in
@@ -210,7 +207,7 @@ func (r *Runtime) enforceLoop() {
 	defer t.Stop()
 	for {
 		select {
-		case <-r.stopEnforce:
+		case <-r.stop:
 			return
 		case <-t.C:
 			r.Enforce()

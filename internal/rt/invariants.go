@@ -2,8 +2,8 @@ package rt
 
 import "fmt"
 
-// CheckInvariants validates runtime-level bookkeeping — per-shard queue and
-// weight accounting, tenant↔shard binding, the global queued count — and,
+// CheckInvariants validates runtime-level bookkeeping — per-shard weight
+// accounting and active list, tenant↔shard binding, the task counters — and,
 // where the underlying schedulers support it (internal/core), each shard
 // scheduler's own structural invariants. Stress tests call it concurrently
 // with traffic; it freezes the whole runtime (registry plus every shard) for
@@ -86,13 +86,9 @@ func (r *Runtime) CheckInvariants() error {
 				gateSlack = append(gateSlack, tn)
 			}
 		}
-		if queued != sh.queued {
-			return fmt.Errorf("rt: shard %d queued counter %d, tenants hold %d",
-				sh.id, sh.queued, queued)
-		}
-		if running != sh.running {
-			return fmt.Errorf("rt: shard %d running counter %d, threads show %d",
-				sh.id, sh.running, running)
+		if running != len(sh.active) {
+			return fmt.Errorf("rt: shard %d active list holds %d, threads show %d running",
+				sh.id, len(sh.active), running)
 		}
 		// nready is the lock-free victim-selection signal thieves read; it is
 		// published before the lock hold that changed it is given up, so under
@@ -103,10 +99,6 @@ func (r *Runtime) CheckInvariants() error {
 		}
 		if c := sh.tasks.Load(); c < 0 {
 			return fmt.Errorf("rt: shard %d task counter %d: a retirement went to the wrong shard", sh.id, c)
-		}
-		if len(sh.active) != sh.running {
-			return fmt.Errorf("rt: shard %d running counter %d, active list holds %d",
-				sh.id, sh.running, len(sh.active))
 		}
 		if diff := weight - sh.weight; diff > 1e-6*(1+weight) || diff < -1e-6*(1+weight) {
 			return fmt.Errorf("rt: shard %d weight account %g, tenants weigh %g",

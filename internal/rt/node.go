@@ -32,19 +32,21 @@ type NodeLoad struct {
 	Workers int     // worker pool size
 	Tenants int     // registered tenants
 	Weight  float64 // Σ tenant weights
-	Queued  int     // queued tasks across all tenants
+	// Queued counts accepted, unfinished tasks across all tenants: the shard
+	// task counters Drain sums. In concurrent mode it includes submissions
+	// still in an intake ring.
+	Queued int
 }
 
 // Load returns the runtime's current load summary. It takes each shard lock
 // briefly (never all at once), so the summary is cheap but only
 // per-shard-consistent — exactly good enough for a placement probe.
 func (r *Runtime) Load() NodeLoad {
-	l := NodeLoad{Workers: len(r.workerShard)}
+	l := NodeLoad{Workers: len(r.workerShard), Queued: int(r.taskSum())}
 	for _, sh := range r.shards {
 		sh.mu.Lock()
 		l.Tenants += len(sh.tenants)
 		l.Weight += sh.weight
-		l.Queued += sh.queued
 		sh.mu.Unlock()
 	}
 	return l
@@ -92,7 +94,7 @@ func (r *Runtime) Deport(tn *Tenant) (Departure, error) {
 	r.regMu.Lock()
 	defer r.regMu.Unlock()
 	sh := tn.lockShard()
-	if tn.closing || tn.gone {
+	if tn.closing.Load() {
 		sh.mu.Unlock()
 		return Departure{}, ErrTenantClosed
 	}
@@ -103,8 +105,7 @@ func (r *Runtime) Deport(tn *Tenant) (Departure, error) {
 	now := r.clock.Now()
 	post := postActions{sh: sh}
 	sh.drainLocked(now, &post)
-	if tn.th.Running() || tn.detached || tn.waiters > 0 ||
-		tn.pending.Load() != int64(tn.n) {
+	if tn.pinned() || tn.pending.Load() != int64(tn.n) {
 		// The pending-gate mismatch is a submission accepted but not yet
 		// pushed onto the ring; deporting now would strand it on a dead
 		// binding (the submitter's retry loop handles a *migrated* tenant,
@@ -136,11 +137,9 @@ func (r *Runtime) Deport(tn *Tenant) (Departure, error) {
 			q := tn.buf[tn.head]
 			dep.Backlog = append(dep.Backlog, QueuedTask{Run: q.run, Pre: q.pre})
 			tn.pop()
-			sh.queued--
 		}
 	}
-	tn.closing = true
-	tn.closingAtomic.Store(true)
+	tn.closing.Store(true)
 	th.State = sched.Exited
 	sh.finalizeLocked(tn)
 	sh.mu.Unlock()

@@ -139,13 +139,10 @@ func (r *Runtime) Rebalance() int {
 		s.totals[i] = sh.weight
 		cands := s.cands[:0]
 		for tn := range sh.tenants {
-			th := tn.th
-			// A detached tenant's head task is still executing out of band on
-			// this shard even though its thread shows no CPU; it is pinned here
-			// until the handed-off slice's Complete, exactly like a running one.
-			if tn.closing || tn.gone || th.Running() || tn.detached || tn.waiters > 0 {
+			if tn.pinned() {
 				continue
 			}
+			th := tn.th
 			surplus := 0.0
 			if sh.eng.Lag != nil && tn.inSched {
 				surplus = sh.eng.Surplus(th)
@@ -229,33 +226,31 @@ func (r *Runtime) migrate(tn *Tenant, src, dst *shard) bool {
 		return false
 	}
 	lockPair(src, dst)
-	th := tn.th
-	if tn.sh.Load() != src || tn.closing || tn.gone || th.Running() || tn.detached || tn.waiters > 0 {
+	if tn.sh.Load() != src || tn.pinned() {
 		unlockPair(src, dst)
 		return false
 	}
 	now := r.clock.Now()
 	postSrc := postActions{sh: src}
 	postDst := postActions{sh: dst}
-	r.transferLocked(tn, src, dst, now)
 	if tn.inSched {
 		postDst.signals++
 	}
-	r.sweepIntakeLocked(src, dst, now, &postSrc, &postDst)
+	r.transferLocked(tn, src, dst, now, &postSrc, &postDst)
 	unlockPair(src, dst)
 	postSrc.run(r)
 	postDst.run(r)
 	return true
 }
 
-// transferLocked moves one eligible tenant (not running, not detached, no
-// blocked submitters — the caller has re-checked under the locks) from src to
-// dst with both shard locks held. It is the mechanism migrate and the steal
-// path (steal.go) share: remove from the source runnable set, carry the
-// virtual-time frame lead across instances, rebind shard bookkeeping, and
-// re-admit on the destination under the §2.3 wakeup rule. It allocates
-// nothing, which is what keeps the steal hot path at 0 allocs/op.
-func (r *Runtime) transferLocked(tn *Tenant, src, dst *shard, now simtime.Time) {
+// transferLocked moves one tenant the caller found not pinned under both
+// shard locks from src to dst. It is the mechanism migrate and the steal path
+// (steal.go) share: remove from the source runnable set, carry the
+// virtual-time frame lead across instances, rebind shard bookkeeping,
+// re-admit on the destination under the §2.3 wakeup rule, and sweep src's
+// ring for items published against the old binding. It allocates nothing,
+// which is what keeps the steal hot path at 0 allocs/op.
+func (r *Runtime) transferLocked(tn *Tenant, src, dst *shard, now simtime.Time, postSrc, postDst *postActions) {
 	th := tn.th
 	if tn.inSched {
 		mustSched(src.eng.Depart(th, sched.Blocked, now))
@@ -263,12 +258,10 @@ func (r *Runtime) transferLocked(tn *Tenant, src, dst *shard, now simtime.Time) 
 	}
 	delete(src.tenants, tn)
 	src.weight -= th.Weight
-	src.queued -= tn.n
 	engine.TransferLead(src.eng, dst.eng, th)
 	th.LastCPU = sched.NoCPU
 	dst.tenants[tn] = struct{}{}
 	dst.weight += th.Weight
-	dst.queued += tn.n
 	// No submitter is waiting (waiters == 0, checked under both locks), so
 	// rebinding the backpressure condition variable to the destination lock
 	// is safe: Wait reads L at call time and Signal/Broadcast never touch it.
@@ -280,18 +273,13 @@ func (r *Runtime) transferLocked(tn *Tenant, src, dst *shard, now simtime.Time) 
 		mustSched(dst.eng.Admit(th, now))
 		dst.nready.Add(1)
 	}
-}
-
-// sweepIntakeLocked drains src's intake ring with both shard locks held,
-// absorbing every item that could still name a binding moved by the transfer
-// just performed. The tail is read once (beginDrain), strictly after the
-// transfer's tn.sh.Store: a producer whose claim lands after that read also
-// rechecks the binding after its claim, so — by the seq-cst total order on
-// the ring tail — it observes dst and publishes a tombstone. Every real item
-// the sweep sees therefore belongs to a tenant currently bound to src, or to
-// the moved tenant (now bound to dst); each is absorbed under its owner's
-// lock, both of which are held.
-func (r *Runtime) sweepIntakeLocked(src, dst *shard, now simtime.Time, postSrc, postDst *postActions) {
+	// The sweep reads the tail once (beginDrain), strictly after the
+	// tn.sh.Store above: a producer whose claim lands after that read also
+	// rechecks the binding after its claim, so — by the seq-cst total order
+	// on the ring tail — it observes dst and publishes a tombstone. Every
+	// real item the sweep sees therefore belongs to a tenant bound to src, or
+	// to the moved tenant (now bound to dst); each is absorbed under its
+	// owner's lock, both of which are held.
 	for i, n := 0, src.intake.beginDrain(); i < n; i++ {
 		itn, q, at := src.intake.consume()
 		if itn == nil {
@@ -315,7 +303,7 @@ func (r *Runtime) rebalanceLoop(every time.Duration) {
 	defer t.Stop()
 	for {
 		select {
-		case <-r.stopRebalance:
+		case <-r.stop:
 			return
 		case <-t.C:
 			r.Rebalance()

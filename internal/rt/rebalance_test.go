@@ -4,11 +4,14 @@ package rt
 // (shard weight totals + per-shard movable tenant weights → moves), so its
 // invariants — weight conservation, non-negative sub-shares, monotone
 // imbalance — are checked directly and fuzzed (FuzzRebalance, run by CI's
-// fuzz-smoke job).
+// fuzz-smoke job). The movability rule every move obeys is checked last.
 
 import (
+	"errors"
 	"math"
 	"testing"
+
+	"sfsched/internal/simtime"
 )
 
 // applyMoves replays a plan onto copies of the inputs and returns the
@@ -205,5 +208,110 @@ func TestRebalanceScratchHoldsNoTenant(t *testing.T) {
 				t.Errorf("shard %d handle slot %d still holds tenant %d", sh, i, tn.th.ID)
 			}
 		}
+	}
+}
+
+// TestPinnedTenantsStay is the movability rule, one row per pin of
+// Tenant.pinned: for each, Rebalance leaves the tenant where it is, TrySteal
+// skips it and Deport refuses it. Shard 0 holds p (weight 1, backlogged, so
+// ready to steal) and q (weight 4, idle), shard 1 holds one idle tenant of
+// weight 1: p is the one move that narrows the 5:1 split, and the one
+// tenant a thief on shard 1 can take, so a pin left out of the rule moves it.
+// The unpinned row shows that both would.
+func TestPinnedTenantsStay(t *testing.T) {
+	setup := func(t *testing.T) (*Runtime, *FakeClock, *Tenant) {
+		clock := NewFakeClock()
+		r := New(Config{Workers: 2, Shards: 2, Manual: true, Steal: true, Enforce: true,
+			Clock: clock, Quantum: simtime.Millisecond, QueueCap: 1})
+		t.Cleanup(r.Close)
+		var tns []*Tenant
+		for _, w := range []float64{1, 1, 4} { // p → shard 0, then shard 1, then q → shard 0 on the tie
+			tn, err := r.Register("t", w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tns = append(tns, tn)
+		}
+		p := tns[0]
+		if p.Shard() != 0 || tns[1].Shard() != 1 || tns[2].Shard() != 0 {
+			t.Fatalf("placement %d/%d/%d, want 0/1/0", p.Shard(), tns[1].Shard(), tns[2].Shard())
+		}
+		if err := p.SubmitTask(Once(func() {})); err != nil {
+			t.Fatal(err)
+		}
+		return r, clock, p
+	}
+	for _, op := range []string{"Rebalance", "TrySteal"} {
+		t.Run("unpinned/"+op, func(t *testing.T) {
+			r, _, p := setup(t)
+			if op == "Rebalance" {
+				r.Rebalance()
+			} else {
+				r.TrySteal(1)
+			}
+			if p.Shard() != 1 {
+				t.Fatalf("%s left an unpinned p on shard %d: the rows below prove nothing", op, p.Shard())
+			}
+		})
+	}
+	cases := []struct {
+		name       string
+		pin        func(t *testing.T, r *Runtime, clock *FakeClock, p *Tenant)
+		wantDeport error
+	}{
+		{"closing", func(t *testing.T, r *Runtime, clock *FakeClock, p *Tenant) {
+			// Unregister and Deport finalize a tenant no slice holds in the
+			// lock hold that closes it, so the flag is set here by hand.
+			sh := p.lockShard()
+			p.closing.Store(true)
+			sh.mu.Unlock()
+		}, ErrTenantClosed},
+		{"mid-slice", func(t *testing.T, r *Runtime, clock *FakeClock, p *Tenant) {
+			if d := r.Dispatch(0); d == nil || d.Tenant() != p {
+				t.Fatal("worker 0 did not dispatch p")
+			}
+		}, ErrMigrationRace},
+		{"detached", func(t *testing.T, r *Runtime, clock *FakeClock, p *Tenant) {
+			d := r.Dispatch(0)
+			clock.Advance(2 * simtime.Millisecond)
+			r.Enforce()
+			if d == nil || !d.Detached() {
+				t.Fatal("the enforcer did not hand p's slice off")
+			}
+		}, ErrMigrationRace},
+		{"blocked submitter", func(t *testing.T, r *Runtime, clock *FakeClock, p *Tenant) {
+			done := make(chan error, 1)
+			go func() { done <- p.SubmitTask(Once(func() {})) }()
+			for waiting := false; !waiting; {
+				sh := p.lockShard()
+				waiting = p.waiters > 0
+				sh.mu.Unlock()
+			}
+			t.Cleanup(func() {
+				// Close wakes the submitter with ErrRuntimeClosed. It reaches
+				// only tenants still on a shard, so the broadcast covers a p
+				// that a broken rule let Deport finalize.
+				r.Close()
+				sh := p.lockShard()
+				p.notFull.Broadcast()
+				sh.mu.Unlock()
+				<-done
+			})
+		}, ErrMigrationRace},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			r, clock, p := setup(t)
+			c.pin(t, r, clock, p)
+			if n := r.Rebalance(); n != 0 || p.Shard() != 0 {
+				t.Errorf("Rebalance migrated %d and left p on shard %d, want 0 and shard 0", n, p.Shard())
+			}
+			if r.TrySteal(1) || p.Shard() != 0 {
+				t.Errorf("TrySteal took a tenant, p on shard %d", p.Shard())
+			}
+			if _, err := r.Deport(p); !errors.Is(err, c.wantDeport) {
+				t.Errorf("Deport: %v, want %v", err, c.wantDeport)
+			}
+		})
 	}
 }

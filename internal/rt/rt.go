@@ -263,8 +263,7 @@ type Tenant struct {
 
 	waiters     int  // submitters blocked in notFull.Wait (pins the shard)
 	inSched     bool // thread currently in its shard scheduler's runnable set
-	closing     bool // Unregister called; drains in-flight work, drops backlog
-	gone        bool // fully unregistered
+	gone        bool // fully unregistered (closing was set first)
 	headStarted bool // buf[head] has been dispatched at least once
 	wokePending bool // a wakeup Submit awaits its first dispatch (wokeAt)
 	// detached marks an involuntary handoff in progress: the head task's
@@ -282,9 +281,10 @@ type Tenant struct {
 	// still in flight toward its backlog — in particular always in Manual
 	// mode, where Submit absorbs eagerly.
 	pending atomic.Int64
-	// closingAtomic mirrors closing for the lock-free submit fast path;
-	// exact error selection still happens under the shard lock.
-	closingAtomic atomic.Bool
+	// closing is set by Unregister or Deport, under the shard lock: in-flight
+	// work drains, the backlog is dropped. The submit fast path reads it
+	// lock-free.
+	closing atomic.Bool
 
 	// Latency accounting (shard lock): readyAt is when the tenant last
 	// became dispatchable (woke, or completed a slice with work left);
@@ -312,7 +312,6 @@ type Tenant struct {
 type Runtime struct {
 	shards      []*shard
 	workerShard []*shard // worker index → owning shard
-	workerLocal []int    // worker index → CPU index within the shard
 	// dslots holds one preallocated Dispatched record per worker, reused
 	// across slices so the hot path allocates nothing. Pointers, because an
 	// involuntary handoff detaches the in-flight record from its slot (which
@@ -328,7 +327,6 @@ type Runtime struct {
 	steal       bool
 
 	closed atomic.Bool
-	steals atomic.Int64 // successful cross-shard steals (steal.go)
 
 	// Queued tasks, in-flight continuations included, stay counted per shard
 	// (shard.tasks) until their final Complete; Drain waits on quietCond for a
@@ -338,7 +336,6 @@ type Runtime struct {
 	quietGen   atomic.Uint64
 	taskPanics atomic.Int64
 	migrations atomic.Int64
-	handoffs   atomic.Int64
 
 	regMu   sync.Mutex
 	tenants []*Tenant
@@ -347,9 +344,8 @@ type Runtime struct {
 	statScratch []tenantSample
 	rebal       rebalanceScratch
 
-	stopRebalance chan struct{}
-	stopEnforce   chan struct{}
-	wg            sync.WaitGroup
+	stop chan struct{} // closed by Close: ends the rebalance and enforcement loops
+	wg   sync.WaitGroup
 }
 
 // New builds a runtime from cfg and, unless cfg.Manual is set, starts its
@@ -390,7 +386,7 @@ func New(cfg Config) *Runtime {
 	}
 	r := &Runtime{clock: clock, qcap: qcap, manual: cfg.Manual, preempt: cfg.Preempt,
 		enforce: cfg.Enforce, enforceTick: etick,
-		steal: cfg.Steal && nshards > 1}
+		steal: cfg.Steal && nshards > 1, stop: make(chan struct{})}
 	r.quietCond = sync.NewCond(&r.quietMu)
 	base, extra := cfg.Workers/nshards, cfg.Workers%nshards
 	for i := 0; i < nshards; i++ {
@@ -419,15 +415,13 @@ func New(cfg Config) *Runtime {
 		sh.eng = engine.New(sch)
 		sh.workCond = sync.NewCond(&sh.mu)
 		sh.intake.init()
-		sh.wokeScratch = make([]*Tenant, 0, intakeCap)
-		sh.thScratch = make([]*sched.Thread, 0, intakeCap)
+		sh.wokeScratch = make([]*sched.Thread, 0, intakeCap)
 		sh.rankScratch = make([]float64, 0, count)
 		sh.slotScratch = make([]*Dispatched, 0, count)
 		sh.active = make([]*Dispatched, 0, count)
 		r.shards = append(r.shards, sh)
-		for local := 0; local < count; local++ {
+		for range count {
 			r.workerShard = append(r.workerShard, sh)
-			r.workerLocal = append(r.workerLocal, local)
 		}
 	}
 	r.dslots = make([]*Dispatched, len(r.workerShard))
@@ -444,12 +438,10 @@ func New(cfg Config) *Runtime {
 			if every == 0 {
 				every = DefaultRebalanceEvery
 			}
-			r.stopRebalance = make(chan struct{})
 			r.wg.Add(1)
 			go r.rebalanceLoop(every)
 		}
 		if cfg.Enforce {
-			r.stopEnforce = make(chan struct{})
 			r.wg.Add(1)
 			go r.enforceLoop()
 		}
@@ -527,12 +519,11 @@ func (r *Runtime) Unregister(tn *Tenant) error {
 	r.regMu.Lock()
 	defer r.regMu.Unlock()
 	sh := tn.lockShard()
-	if tn.closing || tn.gone {
+	if tn.closing.Load() {
 		sh.mu.Unlock()
 		return ErrTenantClosed
 	}
-	tn.closing = true
-	tn.closingAtomic.Store(true)
+	tn.closing.Store(true)
 	tn.notFull.Broadcast()
 	if tn.th.Running() || tn.detached {
 		// A detached tenant's head task is still executing out of band even
@@ -565,7 +556,7 @@ func (r *Runtime) SetWeight(tn *Tenant, w float64) error {
 	}
 	sh := tn.lockShard()
 	defer sh.mu.Unlock()
-	if tn.closing || tn.gone {
+	if tn.closing.Load() {
 		return ErrTenantClosed
 	}
 	old := tn.th.Weight
@@ -612,6 +603,14 @@ func (tn *Tenant) lockShard() *shard {
 // ring.
 func (tn *Tenant) Queued() int { return int(tn.pending.Load()) }
 
+// pinned reports whether the tenant must stay on its shard (shard lock held):
+// it is closing, mid-slice (running, or detached by a handoff), or has
+// blocked submitters, whose notFull wait is bound to this shard's lock. The
+// rebalancer, a thief and Deport move only tenants for which it is false.
+func (tn *Tenant) pinned() bool {
+	return tn.closing.Load() || tn.th.Running() || tn.detached || tn.waiters > 0
+}
+
 // Dispatched is an in-flight slice: a tenant's head task granted to a worker.
 type Dispatched struct {
 	r      *Runtime
@@ -635,10 +634,6 @@ type Dispatched struct {
 	// (preemptBatchLocked) or by the enforcer at slice expiry; cleared when
 	// the record's slot is next dispatched.
 	preempted atomic.Bool
-	// detached marks an involuntarily handed-off slice: the record has been
-	// swapped out of its worker slot and its tenant out of the runnable set,
-	// and the closure is running on borrowed time until Complete.
-	detached  bool
 	activeIdx int // position in the shard's active-slice list
 }
 
@@ -681,9 +676,11 @@ func (d *Dispatched) Preempted() bool {
 // its lane and dispatch slot were confiscated and its tenant left the
 // runnable set, but the slice still owes its Complete — which a Manual driver
 // issues when its workload model says the non-cooperating closure finally
-// returned. Manual-mode use only: the driver thread is the only writer and
-// reader. (Concurrent workers learn the same fact under the shard lock.)
-func (d *Dispatched) Detached() bool { return d.detached }
+// returned. Manual-mode use only, before that Complete: the one thread that
+// steps the runtime is the only writer and reader. (Concurrent workers learn
+// the same fact under the shard lock.) It reads the tenant's flag, since a
+// tenant has at most one slice in flight, detached or not.
+func (d *Dispatched) Detached() bool { return d.tn.detached }
 
 // Dispatch asks the worker's shard scheduler for the next tenant to run and
 // marks it running, or returns nil when the shard has no runnable
@@ -752,9 +749,9 @@ func (d *Dispatched) completeLocked(done bool, now simtime.Time, post *postActio
 	sh.lastNow = max(sh.lastNow, now)
 	elapsed := d.sl.Elapsed(now)
 	th := tn.th
-	if d.detached {
+	if tn.detached {
 		// Out-of-band completion of an involuntarily handed-off slice: the
-		// lane accounting (CPU clear, running--, active removal) was done at
+		// lane accounting (CPU clear, active removal) was done at
 		// the handoff. Re-admit the thread with the §2.3 wakeup rule
 		// and charge the post-handoff overrun, so the time the hog kept
 		// burning after losing its lane is docked from its future
@@ -774,7 +771,6 @@ func (d *Dispatched) completeLocked(done bool, now simtime.Time, post *postActio
 	} else {
 		th.CPU = sched.NoCPU
 		th.LastCPU = d.local
-		sh.running--
 		// The tenant is runnable-not-running from here until the pop below
 		// decides whether it stays in the set; the Remove branch re-decrements.
 		sh.ready++
@@ -787,20 +783,20 @@ func (d *Dispatched) completeLocked(done bool, now simtime.Time, post *postActio
 	}
 	if done {
 		tn.pop()
-		sh.queued--
 	}
-	if tn.closing {
+	closing := tn.closing.Load()
+	if closing {
 		sh.dropBacklogLocked(tn)
 	}
 	if tn.n == 0 && tn.inSched {
 		st := sched.Blocked
-		if tn.closing {
+		if closing {
 			st = sched.Exited
 		}
 		mustSched(sh.eng.Depart(th, st, now))
 		tn.inSched = false
 		sh.ready--
-		if tn.closing {
+		if closing {
 			sh.finalizeLocked(tn)
 			post.finalized = tn
 		}
@@ -869,12 +865,7 @@ func (r *Runtime) Drain() {
 // graceful shutdown. Close is idempotent.
 func (r *Runtime) Close() {
 	if r.closed.CompareAndSwap(false, true) {
-		if r.stopRebalance != nil {
-			close(r.stopRebalance)
-		}
-		if r.stopEnforce != nil {
-			close(r.stopEnforce)
-		}
+		close(r.stop)
 		for _, sh := range r.shards {
 			sh.mu.Lock()
 			sh.workCond.Broadcast()

@@ -49,8 +49,6 @@ type shard struct {
 	// mutable field of the tenants currently assigned here.
 	mu       sync.Mutex
 	weight   float64          // Σ tenant weights: the shard's sub-share of the machine
-	queued   int              // queued tasks across this shard's tenants
-	running  int              // dispatched slices in flight on this shard
 	ready    int64            // unpublished nready change of this lock hold
 	service  simtime.Duration // total time charged on this shard (survives migrations)
 	preempts int64            // preemption flags raised on this shard's slices
@@ -60,10 +58,11 @@ type shard struct {
 	// sat in the intake ring before the drain absorbed it into the backlog.
 	intakeHist latencyHist
 
-	// Slice enforcement (enforcer.go). active lists the in-flight slices,
-	// never more than the shard has workers — the preemption scan and every
-	// phase of the enforcement pass iterate it instead of a worker-index
-	// range. dfree pools the records of handed-off slices.
+	// active lists the in-flight slices, never more than the shard has
+	// workers — the preemption scan and every phase of the enforcement pass
+	// (enforcer.go) iterate it instead of a worker-index range, and its
+	// length is the shard's busy-worker count. dfree pools the records of
+	// handed-off slices.
 	active       []*Dispatched
 	dfree        []*Dispatched
 	handoffs     int64 // involuntary handoffs performed on this shard
@@ -77,8 +76,8 @@ type shard struct {
 	// Work stealing (steal.go). nready is the atomic per-shard load count
 	// thieves pick victims by: the number of runnable-not-running tenants,
 	// read lock-free and published by the lock holder — at once, except that
-	// completeLocked accumulates in ready (beside running, off this line: it
-	// is written every task) and the hold's dispatchLocked, or else its exit,
+	// completeLocked accumulates in ready (off this line: it is written
+	// every task) and the hold's dispatchLocked, or else its exit,
 	// publishes the net change, so completing a backlogged tenant and
 	// dispatching the next, +1 −1, writes nothing to the line thieves poll.
 	// idlers counts workers parked on workCond, read lock-free by
@@ -109,11 +108,10 @@ type shard struct {
 	tasks atomic.Int64
 	_     [56]byte
 
-	// Drain scratch, preallocated to the ring capacity (woke/th) and the
-	// worker count (rank/slot; slot also holds a pass's due set) so neither
-	// the drain side nor the enforcer allocates.
-	wokeScratch []*Tenant
-	thScratch   []*sched.Thread
+	// Drain scratch, preallocated to the ring capacity (woke) and the worker
+	// count (rank/slot; slot also holds a pass's due set) so neither the
+	// drain side nor the enforcer allocates.
+	wokeScratch []*sched.Thread
 	rankScratch []float64
 	slotScratch []*Dispatched
 }
@@ -178,7 +176,7 @@ func (sh *shard) drainLocked(now simtime.Time, post *postActions) {
 			panic("rt: intake item for a tenant bound to another shard")
 		}
 		if sh.absorbLocked(tn, q, at, now) {
-			woke = append(woke, tn)
+			woke = append(woke, tn.th)
 		}
 	}
 	if len(woke) > 0 {
@@ -204,7 +202,7 @@ func (sh *shard) drainLocked(now simtime.Time, post *postActions) {
 // whether the item woke the tenant (empty backlog before, so the tenant must
 // be admitted to the runnable set).
 func (sh *shard) absorbLocked(tn *Tenant, q queued, at, now simtime.Time) bool {
-	if tn.closing || tn.gone {
+	if tn.closing.Load() {
 		// Accepted before the tenant closed, dropped at absorption — the
 		// same fate Unregister deals any backlogged task.
 		tn.pending.Add(-1)
@@ -213,7 +211,6 @@ func (sh *shard) absorbLocked(tn *Tenant, q queued, at, now simtime.Time) bool {
 	}
 	tn.buf[(tn.head+tn.n)%len(tn.buf)] = q
 	tn.n++
-	sh.queued++
 	if lat := now.Sub(at); lat >= 0 {
 		sh.intakeHist.Record(lat)
 	}
@@ -236,19 +233,14 @@ func (sh *shard) absorbLocked(tn *Tenant, q queued, at, now simtime.Time) bool {
 	return true
 }
 
-// admitBatchLocked admits the woken tenants of one drain at one instant: one
+// admitBatchLocked admits the woken threads of one drain at one instant: one
 // AddBatch (one readjustment pass) when the policy implements
 // sched.BatchAdder, plain Adds otherwise, then one batch-wide preemption pass;
 // each owes a worker wakeup.
-func (sh *shard) admitBatchLocked(woke []*Tenant, now simtime.Time, post *postActions) {
-	ths := sh.thScratch[:0]
-	for _, tn := range woke {
-		ths = append(ths, tn.th)
-	}
-	mustSched(sh.eng.AdmitBatch(ths, now))
-	sh.thScratch = ths[:0]
-	for _, tn := range woke {
-		tn.inSched = true
+func (sh *shard) admitBatchLocked(woke []*sched.Thread, now simtime.Time, post *postActions) {
+	mustSched(sh.eng.AdmitBatch(woke, now))
+	for _, th := range woke {
+		th.Owner.(*Tenant).inSched = true
 	}
 	sh.nready.Add(int64(len(woke)))
 	post.signals += len(woke)
@@ -262,7 +254,7 @@ func (sh *shard) admitBatchLocked(woke []*Tenant, now simtime.Time, post *postAc
 // absorbed before this one.
 func (sh *shard) applyDirectLocked(tn *Tenant, q queued, at, now simtime.Time, post *postActions) {
 	if sh.absorbLocked(tn, q, at, now) {
-		sh.admitBatchLocked(append(sh.wokeScratch[:0], tn), now, post)
+		sh.admitBatchLocked(append(sh.wokeScratch[:0], tn.th), now, post)
 	}
 }
 
@@ -272,7 +264,7 @@ func (sh *shard) applyDirectLocked(tn *Tenant, q queued, at, now simtime.Time, p
 // at most one dispatch in flight (the Dispatch contract), so the hot path
 // allocates nothing. now is the caller's cached clock read for this lock hold.
 func (sh *shard) dispatchLocked(worker int, now simtime.Time) *Dispatched {
-	local := sh.r.workerLocal[worker]
+	local := worker - sh.firstWorker
 	th, err := sh.eng.Pick(local, now)
 	if err != nil {
 		panic(fmt.Errorf("rt: %w", err))
@@ -285,7 +277,6 @@ func (sh *shard) dispatchLocked(worker int, now simtime.Time) *Dispatched {
 	if tn == nil || tn.n == 0 || tn.sh.Load() != sh {
 		panic(fmt.Errorf("rt: %w: %v with no queued work on shard %d", engine.ErrUnknownThread, th, sh.id))
 	}
-	sh.running++
 	sh.ready-- // cancels completeLocked's +1 when that tenant stayed backlogged
 	sh.publishReady()
 	// Latency accounting: ready→dispatch on every dispatch, wakeup→first
@@ -330,7 +321,6 @@ func (sh *shard) dispatchLocked(worker int, now simtime.Time) *Dispatched {
 		// completed record has left it, so a flag read down stays down.
 		d.preempted.Store(false)
 	}
-	d.detached = false
 	d.activeIdx = len(sh.active)
 	sh.active = append(sh.active, d)
 	return d
@@ -377,9 +367,8 @@ func (sh *shard) newSlotLocked() *Dispatched {
 // claims the worst-ranked remaining slice it out-ranks. Ties break toward the
 // lowest worker slot: the active list is in dispatch order, which differs
 // from slot order under handoffs.
-func (sh *shard) preemptBatchLocked(woke []*Tenant, now simtime.Time) {
-	r := sh.r
-	if !r.preempt || sh.eng.Pre == nil || sh.running < sh.workers {
+func (sh *shard) preemptBatchLocked(woke []*sched.Thread, now simtime.Time) {
+	if !sh.r.preempt || sh.eng.Pre == nil || len(sh.active) < sh.workers {
 		return
 	}
 	ranks := sh.rankScratch[:0]
@@ -391,7 +380,7 @@ func (sh *shard) preemptBatchLocked(woke []*Tenant, now simtime.Time) {
 		ranks = append(ranks, sh.eng.RankRunning(&d.sl, now))
 		slots = append(slots, d)
 	}
-	for _, tn := range woke {
+	for _, th := range woke {
 		if len(slots) == 0 {
 			break
 		}
@@ -402,7 +391,7 @@ func (sh *shard) preemptBatchLocked(woke []*Tenant, now simtime.Time) {
 				worst = i
 			}
 		}
-		if sh.eng.RankWoken(tn.th) >= ranks[worst] {
+		if sh.eng.RankWoken(th) >= ranks[worst] {
 			continue
 		}
 		victim := slots[worst]
@@ -421,7 +410,6 @@ func (sh *shard) preemptBatchLocked(woke []*Tenant, now simtime.Time) {
 func (sh *shard) dropBacklogLocked(tn *Tenant) {
 	for tn.n > 0 {
 		tn.pop()
-		sh.queued--
 	}
 }
 

@@ -165,11 +165,21 @@ func (r *Runtime) Migrations() int64 { return r.migrations.Load() }
 
 // Handoffs returns how many slices the enforcer has involuntarily handed
 // off since the runtime started (always 0 with enforcement disarmed).
-func (r *Runtime) Handoffs() int64 { return r.handoffs.Load() }
+func (r *Runtime) Handoffs() int64 { return r.shardSum(func(sh *shard) int64 { return sh.handoffs }) }
 
 // Steals returns how many tenants idle workers have stolen across shards
 // since the runtime started (always 0 with stealing disarmed).
-func (r *Runtime) Steals() int64 { return r.steals.Load() }
+func (r *Runtime) Steals() int64 { return r.shardSum(func(sh *shard) int64 { return sh.steals }) }
+
+// shardSum adds up one per-shard counter, taking each shard lock briefly.
+func (r *Runtime) shardSum(field func(*shard) int64) (n int64) {
+	for _, sh := range r.shards {
+		sh.mu.Lock()
+		n += field(sh)
+		sh.mu.Unlock()
+	}
+	return n
+}
 
 // ShardStat is a point-in-time view of one dispatch shard, for metrics
 // export: its capacity, its sub-share of the total weight, the service it

@@ -53,7 +53,10 @@
 
 package rt
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 const (
 	// stealSpinIters bounds the pre-steal idle spin: a tight loop of two
@@ -124,7 +127,7 @@ func (r *Runtime) trySteal(thief *shard) bool {
 		var victim *shard
 		var load int64
 		for _, sh := range r.shards {
-			if sh == thief || sh == tried[0] || sh == tried[1] || sh == tried[2] || sh == tried[3] {
+			if sh == thief || slices.Contains(tried[:a], sh) {
 				continue
 			}
 			l := sh.nready.Load() // plus an undrained ring, which stealFrom drains
@@ -158,18 +161,16 @@ func (r *Runtime) stealFrom(victim, thief *shard) bool {
 	postT := postActions{sh: thief}
 	// Drain the victim's intake first: ring items predate anything the
 	// runnable-set scan below sees, and absorbing them both preserves the
-	// per-producer FIFO the sweep after the transfer relies on and may
-	// surface a fresher (higher-surplus) candidate.
+	// per-producer FIFO the transfer's sweep relies on and may surface a
+	// fresher (higher-surplus) candidate.
 	victim.drainLocked(now, &postV)
 	var best *Tenant
 	var bestSurplus float64
 	for tn := range victim.tenants {
-		th := tn.th
-		// Steal eligibility is migration eligibility: mid-slice, detached,
-		// closing tenants and those with blocked submitters are pinned.
-		if !tn.inSched || tn.closing || tn.gone || th.Running() || tn.detached || tn.waiters > 0 {
+		if !tn.inSched || tn.pinned() {
 			continue
 		}
+		th := tn.th
 		surplus := victim.eng.Surplus(th)
 		// Highest surplus wins — the re-entry costs it the least (§2.3: the
 		// wakeup rule forgives lead, never debt). Ties, and the whole scan
@@ -192,14 +193,10 @@ func (r *Runtime) stealFrom(victim, thief *shard) bool {
 	if wait := now.Sub(best.readyAt); wait >= 0 {
 		thief.stealHist.Record(wait)
 	}
-	r.transferLocked(best, victim, thief, now)
+	r.transferLocked(best, victim, thief, now, &postV, &postT)
 	best.readyAt = now // its wait on the thief starts now
 	victim.stolen++
 	thief.steals++
-	r.steals.Add(1)
-	// Sweep the victim's ring for items published against the old binding
-	// while the transfer rebound it (same protocol as migrate's sweep).
-	r.sweepIntakeLocked(victim, thief, now, &postV, &postT)
 	unlockPair(victim, thief)
 	postV.run(r)
 	postT.run(r)

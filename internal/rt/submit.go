@@ -114,14 +114,14 @@ func (tn *Tenant) reserve() *atomic.Int64 {
 
 // submit is the lock-free intake fast path: one CAS reservation against the
 // backpressure gate, one lock-free push onto the tenant's shard's intake
-// ring, and the doorbell CAS. The slow path (enqueueSlow) handles a full
-// backlog; a full ring is absorbed under the lock right here.
+// ring, and the doorbell CAS. A full backlog or a full ring takes the one
+// locked path, enqueueSlow.
 func (tn *Tenant) submit(q queued, block bool) error {
 	r := tn.r
 	if r.closed.Load() {
 		return ErrRuntimeClosed
 	}
-	if tn.closingAtomic.Load() {
+	if tn.closing.Load() {
 		return ErrTenantClosed
 	}
 	at := r.clock.Now()
@@ -129,7 +129,7 @@ func (tn *Tenant) submit(q queued, block bool) error {
 		if !block {
 			return ErrBackpressure
 		}
-		return tn.enqueueSlow(q, at, true)
+		return tn.enqueueSlow(q, at)
 	}
 	for {
 		sh := tn.sh.Load()
@@ -138,18 +138,7 @@ func (tn *Tenant) submit(q queued, block bool) error {
 			continue // migrated between shard lookup and slot claim; retry
 		}
 		if !ok {
-			// Ring full: absorb under the lock. Draining first keeps this
-			// producer's item behind its own earlier ring items (FIFO). The
-			// clock is re-read under the lock: the mutex wait is unbounded,
-			// and absorption instants anchor wakeup tags.
-			sh := tn.lockShard()
-			now := r.clock.Now()
-			post := postActions{sh: sh}
-			sh.drainLocked(now, &post)
-			sh.applyDirectLocked(tn, q, at, now, &post)
-			sh.mu.Unlock()
-			post.run(r)
-			return nil
+			return tn.enqueueSlow(q, at) // ring full: absorb under the lock
 		}
 		if r.manual {
 			// Manual mode: absorb eagerly so Submit keeps its deterministic
@@ -178,27 +167,25 @@ func (tn *Tenant) submit(q queued, block bool) error {
 	}
 }
 
-// enqueueSlow is the locked submit path a blocking submit takes when the
-// backlog is full: it waits on notFull for a slot with the exact
-// closed/closing errors, then absorbs the task under the lock.
-func (tn *Tenant) enqueueSlow(q queued, at simtime.Time, block bool) error {
+// enqueueSlow is the one locked submit path: a blocking submit against a full
+// backlog, which holds no reservation yet and waits on notFull for one with
+// the exact closed/closing errors, and a reserved submit that met a full
+// ring. Draining first keeps the item behind its producer's earlier ring
+// items (FIFO).
+func (tn *Tenant) enqueueSlow(q queued, at simtime.Time) error {
 	r := tn.r
 	sh := tn.lockShard()
-	for {
+	for q.cnt == nil {
 		if r.closed.Load() {
 			sh.mu.Unlock()
 			return ErrRuntimeClosed
 		}
-		if tn.closing || tn.gone {
+		if tn.closing.Load() {
 			sh.mu.Unlock()
 			return ErrTenantClosed
 		}
 		if q.cnt = tn.reserve(); q.cnt != nil {
 			break
-		}
-		if !block {
-			sh.mu.Unlock()
-			return ErrBackpressure
 		}
 		// A positive waiter count pins the tenant to this shard, so the
 		// condition variable's mutex is still the right one after Wait.
@@ -206,9 +193,9 @@ func (tn *Tenant) enqueueSlow(q queued, at simtime.Time, block bool) error {
 		tn.notFull.Wait()
 		tn.waiters--
 	}
-	// The clock is re-read after the reservation succeeds: a backpressured
-	// submitter may have slept in notFull.Wait across many clock advances,
-	// and absorbing at the stale pre-wait instant would backdate the wakeup.
+	// The clock is re-read under the lock: the mutex wait and a
+	// backpressured notFull.Wait are unbounded, and absorbing at a stale
+	// instant would backdate the wakeup its tags anchor to.
 	now := r.clock.Now()
 	post := postActions{sh: sh}
 	sh.drainLocked(now, &post)

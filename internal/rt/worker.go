@@ -35,7 +35,7 @@ func (r *Runtime) worker(slot int) {
 		// re-read after every Wait and every unlock/relock, where unbounded
 		// real time may have passed.
 		now := r.clock.Now()
-		replaced := d != nil && d.detached
+		replaced := d != nil && d.tn.detached
 		if d != nil {
 			d.completeLocked(done, now, &post)
 			d = nil

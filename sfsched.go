@@ -410,12 +410,6 @@ type (
 // its background migrator (unless Manual or MigrateEvery < 0).
 func NewCluster(cfg ClusterConfig) (*Cluster, error) { return cluster.New(cfg) }
 
-// ComposeCluster builds a cluster over caller-supplied nodes — stubs or
-// instrumented runtimes; machine-level ClusterConfig fields are ignored.
-func ComposeCluster(cfg ClusterConfig, nodes ...Node) (*Cluster, error) {
-	return cluster.Compose(cfg, nodes...)
-}
-
 // NewFakeClock returns a manually advanced clock at time 0.
 func NewFakeClock() *FakeClock { return rt.NewFakeClock() }
 
