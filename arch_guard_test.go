@@ -315,6 +315,39 @@ func TestOnePickPath(t *testing.T) {
 	}
 }
 
+// TestOneRefreshSite keeps the class-key refresh where the keys are read:
+// internal/core calls refreshKeys exactly once, from pickExact, after the
+// early return of the waiting holder of v. A refresh wherever v moves re-keys
+// classes no pick reads.
+func TestOneRefreshSite(t *testing.T) {
+	fset := token.NewFileSet()
+	var sites []string
+	for _, path := range driverSources(t, filepath.Join("internal", "core")) {
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatalf("parse %s: %v", path, err)
+		}
+		for _, d := range f.Decls {
+			fn, ok := d.(*ast.FuncDecl)
+			if !ok || fn.Body == nil {
+				continue
+			}
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok {
+					if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "refreshKeys" {
+						sites = append(sites, fn.Name.Name)
+					}
+				}
+				return true
+			})
+		}
+	}
+	if len(sites) != 1 || sites[0] != "pickExact" {
+		t.Errorf("internal/core calls refreshKeys from %v, want once, from pickExact: a refresh on every v move "+
+			"cost flood 9 %% of its CPU and hogs 12.7 refreshes per pick", sites)
+	}
+}
+
 // TestOneOrderedQueue keeps the schedulers on one ordered-queue
 // implementation: outside internal/runqueue no non-test file of the root
 // module names runqueue.List or runqueue.NewList (the nested benchmark module,

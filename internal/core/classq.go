@@ -169,8 +169,8 @@ func freeScan(classes int) int { return scanBase + int(math.Sqrt(float64(classes
 
 // eagerClasses is the largest class count a pick may always visit in full:
 // C ≤ freeScan(C) holds exactly for C ≤ 11 (TestEagerClassesIsFreeScanBound),
-// so the refresh test that runs on every Charge, Add and Remove compares
-// against it instead of taking a square root.
+// so the refresh test that runs on every walking pick compares against it
+// instead of taking a square root.
 const eagerClasses = 11
 
 // keySurplus returns, in float arithmetic, the surplus against ref of the
@@ -190,8 +190,8 @@ func (s *SFS) keyOf(c *class) float64 {
 // refreshIsCheap reports whether the keys have drifted while there are no more
 // classes than any pick may visit: no pick could ever ask for the refresh, and
 // re-keying them costs less than the walk over all of them that every pick
-// under drift is. Charge, Remove and enqueue — where v moves — refresh on it;
-// with more classes the keys stay lazy until a pick reports the drift expensive.
+// under drift is. The pick about to walk them refreshes on it; with more
+// classes the keys stay lazy until a pick reports the drift expensive.
 func (s *SFS) refreshIsCheap() bool {
 	return !s.noDrift() && s.byClass.Len() <= eagerClasses
 }
@@ -226,8 +226,12 @@ func (s *SFS) tiesAbove(t *sched.Thread, fresh float64) bool {
 }
 
 // pickExact returns the non-running thread that is least under (fresh
-// surplus, weight desc, ID) by two nested pruned walks: over the class-level
-// heap, and inside each class it admits over the class's thread heap.
+// surplus, weight desc, ID). A waiting holder of v, byHead's least head, is
+// it: its surplus 0 is the least, and without zeroTies every thread at 0 has
+// S = v, where byHead's order is betterPick's (a non-head follows its class's
+// head). Otherwise — that head running, or affinity on — it refreshes the
+// keys if due and takes two nested pruned walks: over the class-level heap,
+// and inside each class it admits over the class's thread heap.
 //
 // Class level. Keys are relative to vRef; since every φ is at most the
 // source's MaxPhi, a fresh surplus can sit below its stored value by at most
@@ -250,11 +254,14 @@ func (s *SFS) pickExact(cpu int) *sched.Thread {
 	if s.byClass.Len() == 0 {
 		return nil
 	}
-	margin := 0.0
 	affinity := s.affinityMargin >= 0
-	if affinity {
-		margin = s.affinityMargin
+	if least, _ := s.byHead.Min(); !affinity && !s.zeroTies && !least.head.Running() {
+		return least.head
 	}
+	if s.needRefresh || s.refreshIsCheap() {
+		s.refreshKeys()
+	}
+	margin := max(s.affinityMargin, 0)
 	noDrift := s.noDrift()
 	var bound, slack float64
 	if !noDrift {

