@@ -13,6 +13,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"maps"
 	"os"
 	"path/filepath"
 	"strings"
@@ -731,5 +732,156 @@ func TestExperimentsStaySimulated(t *testing.T) {
 		if parsed == 0 {
 			t.Errorf("no Go sources under %s; update the guard", root)
 		}
+	}
+}
+
+// exportsWithoutCallers is the allowlist of TestInternalExportsHaveCallers:
+// exported functions and methods under internal/ that no non-test file
+// names, each kept for a reason the tests give it.
+var exportsWithoutCallers = map[string]string{
+	"readjust.IsFeasible":                    "reference: Equation 1's feasibility test, checked by the readjustment tests",
+	"readjust.NumCapped":                     "reference: the count of weights Figure 2 caps, FuzzReadjust's oracle",
+	"readjust.WaterFill":                     "reference: the allocating form of Filler.Fill, the readjustment and core golden tests' oracle",
+	"machine.Machine.SetDecisionRecorder":    "seam: the structural golden tests record the simulator's decision trace",
+	"rt.Runtime.SetDecisionRecorder":         "seam: the structural golden tests record a shard's decision trace",
+	"vtq.Queue.SetWarp":                      "seam: BVT's warp, set by the BVT and kernel tests",
+	"hier.Class.Rate":                        "hier's class API: a class's GMS rate, read by the hier tests",
+	"hier.Hier.ClassOf":                      "hier's class API: a thread's class, read by the hier tests",
+	"hier.Hier.SetClassWeight":               "hier's class API: a class reweight, driven by the hier tests",
+	"partition.Partitioned.Moves":            "seam: the partitioned baseline's migration count, read by its tests",
+	"partition.Partitioned.PartitionWeights": "seam: per-partition weight totals, read by the partition tests",
+	"lottery.Lottery.Picks":                  "seam: the drawing count, read by the lottery tests",
+	"timeshare.TS.Epochs":                    "seam: the counter-recharge epoch count, read by the time-sharing tests",
+	"simtime.FromSeconds":                    "reference: fractional seconds to a Duration, for the simtime tests' round trips",
+	"simtime.Time.After":                     "reference: the instant order the simtime tests check beside Sub and Add",
+	"rt.SliceCtx.Slice":                      "facade API: a PreemptibleTask's timeslice hint, which a plain Task gets as its argument",
+	"rt.Dispatched.Slice":                    "facade API: a Manual driver's granted timeslice, which the golden and preempt tests run by",
+}
+
+// TestInternalExportsHaveCallers is arch guard 13: every exported function or
+// method declared in a non-test file under internal/ is named somewhere else
+// in a non-test file of the repository (cmd/sfsbench and the examples count),
+// or sits in exportsWithoutCallers with its reason. A function counts as
+// named when another site calls or refers to it through its package, a
+// method when any selector or interface names it. An export only its own
+// unit test uses is a knob or helper nobody needs: delete it, or allowlist it
+// with the reason a test keeps it.
+func TestInternalExportsHaveCallers(t *testing.T) {
+	type decl struct {
+		key  string // pkg.Name or pkg.Recv.Name
+		pkg  string // import path
+		name string
+		fn   bool // a function, not a method
+		at   token.Position
+	}
+	fset := token.NewFileSet()
+	var decls []decl
+	pkgRefs := map[string]bool{} // import path + "." + name, referenced
+	methodRefs := map[string]bool{}
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		dir := filepath.ToSlash(filepath.Dir(path))
+		self := "sfsched/" + dir
+		imports := map[string]string{}
+		for _, imp := range f.Imports {
+			p := strings.Trim(imp.Path.Value, `"`)
+			name := p[strings.LastIndex(p, "/")+1:]
+			if imp.Name != nil {
+				name = imp.Name.Name
+			}
+			imports[name] = p
+		}
+		own := map[*ast.Ident]bool{} // identifiers that are not bare references: declared names, selected names
+		for _, dd := range f.Decls {
+			fd, ok := dd.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			own[fd.Name] = true
+			if !strings.HasPrefix(dir, "internal/") || !fd.Name.IsExported() {
+				continue
+			}
+			pkg := dir[strings.LastIndex(dir, "/")+1:]
+			dc := decl{key: pkg + "." + fd.Name.Name, pkg: self, name: fd.Name.Name, fn: fd.Recv == nil,
+				at: fset.Position(fd.Pos())}
+			if fd.Recv != nil {
+				recv := fd.Recv.List[0].Type
+				if star, ok := recv.(*ast.StarExpr); ok {
+					recv = star.X
+				}
+				if idx, ok := recv.(*ast.IndexExpr); ok {
+					recv = idx.X
+				}
+				if id, ok := recv.(*ast.Ident); ok {
+					dc.key = pkg + "." + id.Name + "." + fd.Name.Name
+				}
+			}
+			decls = append(decls, dc)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				own[n.Sel] = true // a selected name is not a bare reference
+				if x, ok := n.X.(*ast.Ident); ok {
+					if p, ok := imports[x.Name]; ok {
+						pkgRefs[p+"."+n.Sel.Name] = true
+						return true
+					}
+				}
+				methodRefs[n.Sel.Name] = true
+			case *ast.InterfaceType:
+				for _, m := range n.Methods.List {
+					for _, name := range m.Names {
+						methodRefs[name.Name] = true
+					}
+				}
+			case *ast.Ident:
+				if !own[n] {
+					pkgRefs[self+"."+n.Name] = true
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(decls) < 100 {
+		t.Fatalf("found only %d exported functions under internal/; update the guard", len(decls))
+	}
+	unlisted := maps.Clone(exportsWithoutCallers)
+	for _, d := range decls {
+		named := methodRefs[d.name]
+		if d.fn {
+			named = pkgRefs[d.pkg+"."+d.name]
+		}
+		_, allowed := unlisted[d.key]
+		switch {
+		case !named && !allowed:
+			t.Errorf("%s: %s is exported but no non-test file names it; delete it, or allowlist it with the reason a test keeps it",
+				d.at, d.key)
+		case named && allowed:
+			t.Errorf("%s: %s has a caller now; take it off the allowlist", d.at, d.key)
+		}
+		delete(unlisted, d.key)
+	}
+	for key := range unlisted {
+		t.Errorf("allowlisted %s is not an exported function under internal/; take it off the list", key)
 	}
 }

@@ -7,7 +7,7 @@
 // runs; the scheduler picks the thread with the least *effective* virtual
 // time E_i = A_i − warp_i, where the warp (SetWarp) is a per-thread latency
 // advantage that lets interactive threads borrow against their future
-// allocation. The readjustment option grafts the paper's §2.1 algorithm onto
+// allocation. vtq.WithReadjustment grafts the paper's §2.1 algorithm onto
 // BVT exactly as onto SFQ.
 //
 // The algorithm is the GPS-tag kernel, internal/vtq, over A_i (kept in
@@ -30,9 +30,6 @@ type Option = vtq.Option
 
 // WithQuantum sets the maximum quantum granted per dispatch.
 func WithQuantum(q simtime.Duration) Option { return vtq.WithQuantum(q) }
-
-// WithReadjustment couples BVT with the weight readjustment algorithm.
-func WithReadjustment() Option { return vtq.WithReadjustment() }
 
 // New returns a BVT scheduler for p processors. It panics if p < 1.
 func New(p int, opts ...Option) *BVT {

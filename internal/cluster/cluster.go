@@ -91,9 +91,10 @@ type Config struct {
 	// K is the number of machines a placement probes (power-of-k-choices).
 	// 0 means 2; values ≥ Machines degrade to best-fit over all machines.
 	K int
-	// Workers, Policy, Quantum, Clock, QueueCap, Manual, Preempt and Enforce
-	// configure each machine exactly as the same rt.Config fields do; every
-	// other rt.Config field keeps its default (one shard per machine).
+	// Workers, Policy, Quantum, Clock, Manual and Preempt configure each
+	// machine exactly as the same rt.Config fields do, QueueCap as
+	// Intake.QueueCap and Enforce as Enforcement.Enabled; every other
+	// rt.Config field keeps its default (one shard per machine).
 	Workers  int
 	Policy   rt.Policy
 	Quantum  simtime.Duration
@@ -165,14 +166,14 @@ func New(cfg Config) (*Cluster, error) {
 	nodes := make([]Node, cfg.Machines)
 	for i := range nodes {
 		nodes[i] = rt.New(rt.Config{
-			Workers:  cfg.Workers,
-			Policy:   cfg.Policy,
-			Quantum:  cfg.Quantum,
-			Clock:    cfg.Clock,
-			QueueCap: cfg.QueueCap,
-			Manual:   cfg.Manual,
-			Preempt:  cfg.Preempt,
-			Enforce:  cfg.Enforce,
+			Workers:     cfg.Workers,
+			Policy:      cfg.Policy,
+			Quantum:     cfg.Quantum,
+			Clock:       cfg.Clock,
+			Manual:      cfg.Manual,
+			Preempt:     cfg.Preempt,
+			Enforcement: rt.EnforcementConfig{Enabled: cfg.Enforce},
+			Intake:      rt.IntakeConfig{QueueCap: cfg.QueueCap},
 		})
 	}
 	return Compose(cfg, nodes...)

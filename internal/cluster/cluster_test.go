@@ -94,7 +94,8 @@ func TestClusterDifferentialVsGiant(t *testing.T) {
 	// Giant baseline: one machine with all 16 workers.
 	clock := rt.NewFakeClock()
 	giant := rt.New(rt.Config{Workers: 16, Quantum: 20 * simtime.Millisecond,
-		Clock: clock, QueueCap: 4, Manual: true})
+		Clock: clock, Manual: true,
+		Intake: rt.IntakeConfig{QueueCap: 4}})
 	defer giant.Close()
 	gtenants := make([]*rt.Tenant, len(weights))
 	for i, w := range weights {

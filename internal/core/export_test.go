@@ -4,8 +4,16 @@ import (
 	"fmt"
 	"math"
 
+	"sfsched/internal/fixedpoint"
 	"sfsched/internal/sched"
 )
+
+// WithRebaseThreshold overrides the tag magnitude that triggers a wraparound
+// rebase: a test seam that reaches the rebase path without running tags up
+// to fixedpoint.WrapThreshold.
+func WithRebaseThreshold(v fixedpoint.Value) Option {
+	return func(s *SFS) { s.rebaseThresh = v }
+}
 
 // Views of the class-key regime for the external golden tests (which sit
 // outside the package because hier imports core).

@@ -174,12 +174,6 @@ func WithFixedPoint(digits int) Option {
 	}
 }
 
-// WithRebaseThreshold overrides the tag magnitude that triggers a wraparound
-// rebase; tests use small thresholds to exercise the rebase path.
-func WithRebaseThreshold(v fixedpoint.Value) Option {
-	return func(s *SFS) { s.rebaseThresh = v }
-}
-
 // WithAffinity enables the processor-affinity extension: among threads whose
 // surplus exceeds the minimum by at most margin, prefer one whose last CPU is
 // the dispatching CPU. margin is in surplus units (weighted virtual time,

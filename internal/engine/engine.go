@@ -243,8 +243,10 @@ func (e *Engine) Pick(cpu int, now simtime.Time) (*sched.Thread, error) {
 
 // Begin opens a slice for t on cpu: asks the policy for its quantum
 // (validated positive), binds the thread to the processor, and initializes
-// the charge accounting. start is the instant service accrual begins — now,
-// or later when the driver bills a context-switch delay first.
+// the charge accounting. start is the instant service accrual begins. Both
+// drivers (internal/machine and internal/rt) pass start == now; the
+// parameter stays because cmd/sfsbench's replay calls this five-argument
+// form.
 func (e *Engine) Begin(sl *Slice, t *sched.Thread, cpu int, now, start simtime.Time) error {
 	q := e.sch.Timeslice(t, now)
 	if q <= 0 {

@@ -24,7 +24,6 @@ type Value int64
 
 // Scale describes a fixed-point format with factor 10^digits.
 type Scale struct {
-	digits int
 	factor int64
 }
 
@@ -40,7 +39,7 @@ func NewScale(digits int) (Scale, error) {
 	for i := 0; i < digits; i++ {
 		f *= 10
 	}
-	return Scale{digits: digits, factor: f}, nil
+	return Scale{factor: f}, nil
 }
 
 // MustScale is NewScale for known-good constants.
@@ -51,9 +50,6 @@ func MustScale(digits int) Scale {
 	}
 	return s
 }
-
-// Digits returns the number of scaled decimal digits.
-func (s Scale) Digits() int { return s.digits }
 
 // Factor returns the multiplicative scale factor 10^digits.
 func (s Scale) Factor() int64 { return s.factor }
@@ -72,18 +68,6 @@ func (s Scale) FromInt(x int64) Value { return Value(x * s.factor) }
 // Float converts a fixed-point value back to float64 (for reporting only;
 // the scheduler itself never leaves integer arithmetic).
 func (s Scale) Float(v Value) float64 { return float64(v) / float64(s.factor) }
-
-// DivInt computes the scaled quotient q/w where q is an unscaled integer
-// (quantum length in µs) and w an unscaled integer weight: exactly the
-// F_i = S_i + q·10^n / w_i update from §3.2. w must be positive.
-func (s Scale) DivInt(q int64, w int64) Value {
-	if w <= 0 {
-		panic("fixedpoint: division by non-positive weight")
-	}
-	// Round to nearest to keep long-run drift unbiased.
-	num := q * s.factor
-	return Value((num + w/2) / w)
-}
 
 // DivValue computes the scaled quotient a/b of two same-scale values,
 // yielding a scaled result: (a·factor)/b.

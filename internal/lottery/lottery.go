@@ -7,9 +7,10 @@
 // threads and runs its holder. Expected service is proportional to tickets,
 // but only in expectation — the variance is what deterministic schedulers
 // (stride, SFQ, SFS) were invented to remove. On multiprocessors lottery
-// shares the infeasible-weights problem of all GPS-based schedulers: a
-// thread holding most of the tickets wins almost every drawing yet can only
-// use one CPU; the optional readjustment hook caps it exactly as for SFQ.
+// shares the infeasible-weights problem: a thread holding most of the
+// tickets wins almost every drawing yet can only use one CPU. The paper
+// proposes its readjustment (§2.1) for GPS-based schedulers, which lottery
+// is not, so a thread's tickets are its weight (φ = w).
 //
 // The draw uses the machine-independent deterministic generator from
 // internal/xrand, so simulations remain reproducible.
@@ -18,7 +19,6 @@ package lottery
 import (
 	"fmt"
 
-	"sfsched/internal/phi"
 	"sfsched/internal/sched"
 	"sfsched/internal/simtime"
 	"sfsched/internal/xrand"
@@ -29,7 +29,6 @@ import (
 type Lottery struct {
 	p        int
 	quantum  simtime.Duration
-	weights  *phi.Tracker
 	runnable []*sched.Thread
 	rng      *xrand.Rand
 	picks    int64
@@ -39,17 +38,12 @@ type Lottery struct {
 type Option func(*cfg)
 
 type cfg struct {
-	quantum  simtime.Duration
-	readjust bool
-	seed     uint64
+	quantum simtime.Duration
+	seed    uint64
 }
 
 // WithQuantum sets the maximum quantum granted per dispatch.
 func WithQuantum(q simtime.Duration) Option { return func(c *cfg) { c.quantum = q } }
-
-// WithReadjustment couples lottery scheduling with weight readjustment:
-// tickets are drawn against φ_i instead of w_i.
-func WithReadjustment() Option { return func(c *cfg) { c.readjust = true } }
 
 // WithSeed sets the drawing seed (default 1).
 func WithSeed(seed uint64) Option { return func(c *cfg) { c.seed = seed } }
@@ -66,18 +60,12 @@ func New(p int, opts ...Option) *Lottery {
 	return &Lottery{
 		p:       p,
 		quantum: c.quantum,
-		weights: phi.NewTracker(p, c.readjust),
 		rng:     xrand.New(c.seed),
 	}
 }
 
 // Name implements sched.Scheduler.
-func (l *Lottery) Name() string {
-	if l.weights.Enabled() {
-		return "lottery+readjust"
-	}
-	return "lottery"
-}
+func (l *Lottery) Name() string { return "lottery" }
 
 // NumCPU implements sched.Scheduler.
 func (l *Lottery) NumCPU() int { return l.p }
@@ -96,7 +84,7 @@ func (l *Lottery) Add(t *sched.Thread, now simtime.Time) error {
 		}
 	}
 	l.runnable = append(l.runnable, t)
-	l.weights.Add(t)
+	t.Phi = t.Weight
 	return nil
 }
 
@@ -105,7 +93,6 @@ func (l *Lottery) Remove(t *sched.Thread, now simtime.Time) error {
 	for i, r := range l.runnable {
 		if r == t {
 			l.runnable = append(l.runnable[:i], l.runnable[i+1:]...)
-			l.weights.Remove(t)
 			return nil
 		}
 	}
@@ -130,12 +117,6 @@ func (l *Lottery) Timeslice(t *sched.Thread, now simtime.Time) simtime.Duration 
 func (l *Lottery) SetWeight(t *sched.Thread, w float64, now simtime.Time) error {
 	if !sched.ValidWeight(w) {
 		return fmt.Errorf("%w: %g", sched.ErrBadWeight, w)
-	}
-	for _, r := range l.runnable {
-		if r == t {
-			l.weights.UpdateWeight(t, w)
-			return nil
-		}
 	}
 	t.Weight = w
 	t.Phi = w

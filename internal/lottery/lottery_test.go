@@ -91,35 +91,6 @@ func TestSkipsRunning(t *testing.T) {
 	}
 }
 
-func TestReadjustmentCapsTickets(t *testing.T) {
-	// 1:10 on p=2 with readjustment: φ = 1:1, so drawings are even.
-	l := New(2, WithReadjustment(), WithSeed(3))
-	a := mkThread(1, 1)
-	b := mkThread(2, 10)
-	if err := l.Add(a, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Add(b, 0); err != nil {
-		t.Fatal(err)
-	}
-	if b.Phi != 1 {
-		t.Fatalf("φ = %g, want 1", b.Phi)
-	}
-	if l.Name() != "lottery+readjust" {
-		t.Fatalf("name %q", l.Name())
-	}
-	wins := 0
-	const draws = 10000
-	for i := 0; i < draws; i++ {
-		if l.Pick(0, 0) == b {
-			wins++
-		}
-	}
-	if frac := float64(wins) / draws; math.Abs(frac-0.5) > 0.03 {
-		t.Fatalf("capped thread won %.3f of drawings, want ~0.5", frac)
-	}
-}
-
 func TestErrors(t *testing.T) {
 	l := New(2)
 	a := mkThread(1, 1)

@@ -83,9 +83,6 @@ type Config struct {
 	CPUs int
 	// Scheduler is the policy under test.
 	Scheduler sched.Scheduler
-	// ContextSwitchCost is unbillable latency inserted before a dispatch
-	// that switches a CPU to a different task (0 = free switches).
-	ContextSwitchCost simtime.Duration
 	// DisableWakePreemption turns off the reschedule-on-wakeup path.
 	DisableWakePreemption bool
 	// Seed initializes the deterministic workload RNG.
@@ -182,7 +179,6 @@ type Machine struct {
 	sch     sched.Scheduler
 	eng     *engine.Engine
 	cpus    []cpuState
-	ctxCost simtime.Duration
 	preempt bool
 	rng     *xrand.Rand
 
@@ -217,7 +213,6 @@ func New(cfg Config) *Machine {
 		sch:     cfg.Scheduler,
 		eng:     engine.New(cfg.Scheduler),
 		cpus:    make([]cpuState, cfg.CPUs),
-		ctxCost: cfg.ContextSwitchCost,
 		preempt: !cfg.DisableWakePreemption,
 		rng:     xrand.New(cfg.Seed),
 		tasks:   make([]*Task, 1),
@@ -231,9 +226,6 @@ func (m *Machine) Now() simtime.Time { return m.now }
 
 // Scheduler returns the policy under test.
 func (m *Machine) Scheduler() sched.Scheduler { return m.sch }
-
-// Rand returns the machine's deterministic workload RNG.
-func (m *Machine) Rand() *xrand.Rand { return m.rng }
 
 // Stats returns a snapshot of machine counters.
 func (m *Machine) Stats() Stats { return m.stats }
@@ -608,22 +600,20 @@ func (m *Machine) dispatch(cpu int, k *Task) {
 	c := &m.cpus[cpu]
 	m.stats.Dispatches++
 	m.stats.IdleTime += m.now.Sub(c.idleAt)
-	start := m.now
 	if c.last != k {
 		m.stats.ContextSwitches++
-		start = start.Add(m.ctxCost)
 	}
 	if k.t.LastCPU != sched.NoCPU && k.t.LastCPU != cpu {
 		m.stats.Migrations++
 	}
-	if err := m.eng.Begin(&c.sl, k.t, cpu, m.now, start); err != nil {
+	if err := m.eng.Begin(&c.sl, k.t, cpu, m.now, m.now); err != nil {
 		panic(fmt.Errorf("machine: %w", err))
 	}
 	runFor := simtime.Min(c.sl.Quantum, k.rem)
 	c.cur = k
 	c.last = k
 	c.epoch++
-	m.pushEvent(event{at: start.Add(runFor), cpu: cpu, epoch: c.epoch})
+	m.pushEvent(event{at: m.now.Add(runFor), cpu: cpu, epoch: c.epoch})
 }
 
 // settle charges all in-flight quanta up to the current time, leaving the

@@ -249,34 +249,6 @@ func TestEveryAndAtOrdering(t *testing.T) {
 	}
 }
 
-func TestContextSwitchCostReducesThroughput(t *testing.T) {
-	run := func(cost simtime.Duration) simtime.Duration {
-		m := New(Config{
-			CPUs:              1,
-			Scheduler:         core.New(1, core.WithQuantum(10*simtime.Millisecond)),
-			ContextSwitchCost: cost,
-			Seed:              1,
-		})
-		a := m.Spawn(SpawnConfig{Name: "a", Behavior: inf()})
-		b := m.Spawn(SpawnConfig{Name: "b", Behavior: inf()})
-		m.Run(simtime.Time(10 * simtime.Second))
-		return a.Thread().Service + b.Thread().Service
-	}
-	free := run(0)
-	costly := run(simtime.Millisecond)
-	if free != 10*simtime.Second {
-		t.Fatalf("free total %v", free)
-	}
-	if costly >= free {
-		t.Fatalf("context switch cost had no effect: %v >= %v", costly, free)
-	}
-	// 1 ms per 10 ms quantum switch: ~10% throughput loss expected.
-	loss := float64(free-costly) / float64(free)
-	if loss < 0.05 || loss > 0.15 {
-		t.Fatalf("loss %.3f, want ~0.10", loss)
-	}
-}
-
 func TestHooksFire(t *testing.T) {
 	m := newSFSMachine(1, 200*simtime.Millisecond)
 	var runnable, unrunnable int
@@ -401,28 +373,6 @@ func TestStatsCounters(t *testing.T) {
 	st := m.Stats()
 	if st.Dispatches == 0 || st.ContextSwitches == 0 {
 		t.Fatalf("stats %+v", st)
-	}
-}
-
-func TestKillDuringContextSwitchWindow(t *testing.T) {
-	// A task killed before its context-switch latency elapses must be
-	// charged nothing and the machine must keep running.
-	m := New(Config{
-		CPUs:              1,
-		Scheduler:         core.New(1, core.WithQuantum(100*simtime.Millisecond)),
-		ContextSwitchCost: 10 * simtime.Millisecond,
-		Seed:              1,
-	})
-	a := m.Spawn(SpawnConfig{Name: "a", Behavior: inf()})
-	b := m.Spawn(SpawnConfig{Name: "b", Behavior: inf()})
-	// a dispatches at t=0 with runStart=10ms; kill it at t=5ms.
-	m.At(simtime.Time(5*simtime.Millisecond), func(now simtime.Time) { m.Kill(a) })
-	m.Run(simtime.Time(simtime.Second))
-	if a.Thread().Service != 0 {
-		t.Fatalf("killed-in-switch task has service %v", a.Thread().Service)
-	}
-	if b.Thread().Service == 0 {
-		t.Fatal("survivor never ran")
 	}
 }
 

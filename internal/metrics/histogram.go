@@ -108,18 +108,3 @@ func (h *Histogram) Quantiles(qs []float64, out []simtime.Duration) {
 		}
 	}
 }
-
-// Merge adds o's samples into h (shard-level histograms aggregate tenant
-// recordings this way when a caller wants a machine-wide view).
-func (h *Histogram) Merge(o *Histogram) {
-	for i := range h.counts {
-		h.counts[i] += o.counts[i]
-	}
-	h.n += o.n
-	if o.max > h.max {
-		h.max = o.max
-	}
-}
-
-// Reset empties the histogram.
-func (h *Histogram) Reset() { *h = Histogram{} }

@@ -173,34 +173,13 @@ func TestHistogramQuantiles(t *testing.T) {
 	}
 }
 
-// TestHistogramMergeReset: merging equals recording the union; reset empties.
-func TestHistogramMergeReset(t *testing.T) {
-	var a, b, both Histogram
-	for i := 0; i < 1000; i++ {
-		a.Record(simtime.Duration(i))
-		both.Record(simtime.Duration(i))
-	}
-	for i := 1000; i < 1500; i++ {
-		b.Record(simtime.Duration(i * 17))
-		both.Record(simtime.Duration(i * 17))
-	}
-	a.Merge(&b)
-	if a.Count() != both.Count() || a.Max() != both.Max() {
-		t.Fatalf("merge count/max %d/%v, want %d/%v", a.Count(), a.Max(), both.Count(), both.Max())
-	}
-	for _, q := range []float64{0.1, 0.5, 0.9, 0.99} {
-		if quantileOf(&a, q) != quantileOf(&both, q) {
-			t.Fatalf("merge q=%g: %v, want %v", q, quantileOf(&a, q), quantileOf(&both, q))
-		}
-	}
-	a.Reset()
-	if a.Count() != 0 || quantileOf(&a, 0.5) != 0 {
-		t.Fatal("reset did not empty the histogram")
-	}
-	// Negative samples clamp to zero rather than corrupting a bucket.
-	a.Record(-5)
-	if a.Count() != 1 || quantileOf(&a, 1) != 0 {
-		t.Fatalf("negative sample mishandled: count %d, q1 %v", a.Count(), quantileOf(&a, 1))
+// TestHistogramClampsNegativeSamples: a negative sample clamps to zero rather
+// than corrupting a bucket.
+func TestHistogramClampsNegativeSamples(t *testing.T) {
+	var h Histogram
+	h.Record(-5)
+	if h.Count() != 1 || quantileOf(&h, 1) != 0 {
+		t.Fatalf("negative sample mishandled: count %d, q1 %v", h.Count(), quantileOf(&h, 1))
 	}
 }
 

@@ -119,8 +119,10 @@ func checkTaskCounters(t *testing.T, r *Runtime, op string) {
 // counted on — the case the per-entry counter exists for.
 func TestTaskCountersFollowBacklogs(t *testing.T) {
 	clock := NewFakeClock()
-	r := New(Config{Workers: 3, Shards: 3, Manual: true, Steal: true, Clock: clock,
-		Quantum: simtime.Millisecond, QueueCap: 4})
+	r := New(Config{Workers: 3, Manual: true, Clock: clock,
+		Quantum:  simtime.Millisecond,
+		Sharding: ShardingConfig{Shards: 3, Steal: true},
+		Intake:   IntakeConfig{QueueCap: 4}})
 	defer r.Close()
 	rng := rand.New(rand.NewSource(20))
 	var tenants []*Tenant

@@ -113,8 +113,8 @@ type heldWorld struct {
 func newHeldWorld(t *testing.T, cfg Config) *heldWorld {
 	w := &heldWorld{t: t, g: newGate(), started: make(chan struct{}), step: make(chan bool),
 		poll: make(chan chan bool), ran: make(chan struct{}), quit: make(chan struct{})}
-	cfg.Workers, cfg.Preempt, cfg.RebalanceEvery = max(cfg.Shards, 1), true, -1
-	cfg.Quantum, cfg.EnforceTick = 60*simtime.Minute, 60*simtime.Minute // the background enforcer never fires; Enforce() is called by hand
+	cfg.Workers, cfg.Preempt = max(cfg.Sharding.Shards, 1), true
+	cfg.Quantum, cfg.Enforcement.Tick = 60*simtime.Minute, 60*simtime.Minute // the background enforcer never fires; Enforce() is called by hand
 	cfg.Policy = func(cpus int) sched.Scheduler {
 		return &gatedSFS{SFS: core.New(cpus, core.WithQuantum(cfg.Quantum)), g: w.g}
 	}
@@ -293,13 +293,13 @@ func TestSubmitNeverWaitsForShardLock(t *testing.T) {
 		w.answered()
 	})
 	t.Run("Enforce", func(t *testing.T) {
-		w := newHeldWorld(t, Config{Enforce: true})
+		w := newHeldWorld(t, Config{Enforcement: EnforcementConfig{Enabled: true}})
 		for start := w.r.clock.Now(); w.r.clock.Now() == start; { // an installment needs a clock tick of service
 		}
 		w.hold("interim", w.r.Enforce)
 	})
 	t.Run("TrySteal", func(t *testing.T) {
-		w := newHeldWorld(t, Config{Shards: 2, Steal: true})
+		w := newHeldWorld(t, Config{Sharding: ShardingConfig{Shards: 2, Steal: true}})
 		w.occupy(w.register("hog2", 1)) // no idle thief: the steal below is the test's
 		ready := w.register("ready", 0)
 		if err := ready.SubmitTask(Once(func() {})); err != nil {
@@ -312,7 +312,7 @@ func TestSubmitNeverWaitsForShardLock(t *testing.T) {
 		})
 	})
 	t.Run("migrate", func(t *testing.T) {
-		w := newHeldWorld(t, Config{Shards: 2})
+		w := newHeldWorld(t, Config{Sharding: ShardingConfig{Shards: 2}})
 		mover := w.register("mover", 0)
 		w.holdPastSweep(func() {
 			if !w.r.migrate(mover, w.r.shards[0], w.r.shards[1]) {
@@ -323,7 +323,7 @@ func TestSubmitNeverWaitsForShardLock(t *testing.T) {
 	t.Run("Stats", func(t *testing.T) {
 		// Stats takes the shard locks in order, so holding shard 1's stops it
 		// inside its hold of shard 0's.
-		w := newHeldWorld(t, Config{Shards: 2})
+		w := newHeldWorld(t, Config{Sharding: ShardingConfig{Shards: 2}})
 		sh0, sh1 := w.r.shards[0], w.r.shards[1]
 		sh1.mu.Lock()
 		done := make(chan struct{})
@@ -408,7 +408,8 @@ func TestOneTokenPingPong(t *testing.T) {
 		play(t, register(t, ra, "a"), register(t, rb, "b"))
 	})
 	t.Run("shards", func(t *testing.T) {
-		r := New(Config{Workers: 2, Shards: 2, Preempt: true, Steal: true})
+		r := New(Config{Workers: 2, Preempt: true,
+			Sharding: ShardingConfig{Shards: 2, Steal: true}})
 		defer r.Close()
 		play(t, register(t, r, "a"), register(t, r, "b"))
 		if err := r.CheckInvariants(); err != nil {
@@ -491,7 +492,8 @@ func TestForeignSubmitLeavesOwnerAlone(t *testing.T) {
 // tenant and its doorbell is up, so nready still reads 0, and shard 1's worker
 // must steal the tenant all the same.
 func TestStealSeesUndrainedRing(t *testing.T) {
-	r := New(Config{Workers: 2, Shards: 2, Manual: true, Steal: true, Clock: NewFakeClock()})
+	r := New(Config{Workers: 2, Manual: true, Clock: NewFakeClock(),
+		Sharding: ShardingConfig{Shards: 2, Steal: true}})
 	defer r.Close()
 	tn, err := r.Register("sleeper", 1)
 	if err != nil {
@@ -535,8 +537,11 @@ func TestStealSeesUndrainedRing(t *testing.T) {
 // enforcement deadline set after a backward step is honoured on time.
 func TestManualClockAnomalies(t *testing.T) {
 	clock := &scriptedClock{}
-	r := New(Config{Workers: 2, Shards: 2, Manual: true, Preempt: true, Enforce: true,
-		Clock: clock, QueueCap: 4, Quantum: 10 * simtime.Millisecond})
+	r := New(Config{Workers: 2, Manual: true, Preempt: true,
+		Clock: clock, Quantum: 10 * simtime.Millisecond,
+		Enforcement: EnforcementConfig{Enabled: true},
+		Sharding:    ShardingConfig{Shards: 2},
+		Intake:      IntakeConfig{QueueCap: 4}})
 	defer r.Close()
 	var tenants []*Tenant
 	for i := 0; i < 6; i++ {

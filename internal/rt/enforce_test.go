@@ -28,8 +28,9 @@ func TestEnforcementHandoffMechanics(t *testing.T) {
 	const tick = simtime.Millisecond
 	clock := rt.NewFakeClock()
 	r := rt.New(rt.Config{Workers: 2, Quantum: 20 * simtime.Millisecond,
-		Clock: clock, QueueCap: 4, Manual: true, Preempt: true,
-		Enforce: true, EnforceTick: tick})
+		Clock: clock, Manual: true, Preempt: true,
+		Enforcement: rt.EnforcementConfig{Enabled: true, Tick: tick},
+		Intake:      rt.IntakeConfig{QueueCap: 4}})
 	defer r.Close()
 	hog, _ := r.Register("hog", 1)
 	poll, _ := r.Register("poll", 1)
@@ -190,8 +191,9 @@ func TestEnforcementFlagAcceleration(t *testing.T) {
 	const tick = simtime.Millisecond
 	clock := rt.NewFakeClock()
 	r := rt.New(rt.Config{Workers: 1, Quantum: 20 * simtime.Millisecond,
-		Clock: clock, QueueCap: 4, Manual: true, Preempt: true,
-		Enforce: true, EnforceTick: tick})
+		Clock: clock, Manual: true, Preempt: true,
+		Enforcement: rt.EnforcementConfig{Enabled: true, Tick: tick},
+		Intake:      rt.IntakeConfig{QueueCap: 4}})
 	defer r.Close()
 	hog, _ := r.Register("hog", 1)
 	sleeper, _ := r.Register("sleeper", 1)
@@ -250,8 +252,9 @@ func enforceLatencyScenario(t *testing.T, enforce bool) ([]rt.TenantStat, int64,
 	)
 	clock := rt.NewFakeClock()
 	r := rt.New(rt.Config{Workers: workers, Quantum: 20 * simtime.Millisecond,
-		Clock: clock, QueueCap: 4, Manual: true, Preempt: true,
-		Enforce: enforce, EnforceTick: tick})
+		Clock: clock, Manual: true, Preempt: true,
+		Enforcement: rt.EnforcementConfig{Enabled: enforce, Tick: tick},
+		Intake:      rt.IntakeConfig{QueueCap: 4}})
 	defer r.Close()
 	interact, err := r.Register("interact", 1)
 	if err != nil {
@@ -426,8 +429,9 @@ func TestEnforcementArmedDeterministic(t *testing.T) {
 // interactive tenant until the hog is released.
 func TestEnforcementConcurrentHandoff(t *testing.T) {
 	r := rt.New(rt.Config{Workers: 1, Quantum: 5 * simtime.Millisecond,
-		QueueCap: 8, Preempt: true, Enforce: true,
-		EnforceTick: 2 * simtime.Millisecond})
+		Preempt:     true,
+		Enforcement: rt.EnforcementConfig{Enabled: true, Tick: 2 * simtime.Millisecond},
+		Intake:      rt.IntakeConfig{QueueCap: 8}})
 	defer r.Close()
 	hog, err := r.Register("hog", 1)
 	if err != nil {
@@ -507,7 +511,8 @@ func TestHandoffNeverStrandsLane(t *testing.T) {
 	off.Close()
 	waitGoroutines(t, base, "after Close")
 
-	r := rt.New(rt.Config{Workers: 1, Quantum: 5 * simtime.Millisecond, Enforce: true})
+	r := rt.New(rt.Config{Workers: 1, Quantum: 5 * simtime.Millisecond,
+		Enforcement: rt.EnforcementConfig{Enabled: true}})
 	defer r.Close()
 	started := make(chan struct{})
 	release := make(chan struct{})
@@ -560,8 +565,9 @@ func TestHandoffNeverStrandsLane(t *testing.T) {
 func TestEnforceHotPathZeroAlloc(t *testing.T) {
 	clock := rt.NewFakeClock()
 	r := rt.New(rt.Config{Workers: 1, Quantum: 10 * simtime.Millisecond,
-		Clock: clock, QueueCap: 4, Manual: true, Preempt: true,
-		Enforce: true, EnforceTick: simtime.Millisecond})
+		Clock: clock, Manual: true, Preempt: true,
+		Enforcement: rt.EnforcementConfig{Enabled: true, Tick: simtime.Millisecond},
+		Intake:      rt.IntakeConfig{QueueCap: 4}})
 	defer r.Close()
 	hog, _ := r.Register("hog", 1)
 	blinker, _ := r.Register("blinker", 1)

@@ -4,10 +4,10 @@
 // as its closure runs, unboundedly degrading dispatch latency even though
 // fairness survives.
 //
-// With Config.Enforce armed, an enforcement pass — periodic
-// (Config.EnforceTick) in concurrent mode, Enforce() in Manual mode — walks
-// the shard's in-flight slices (shard.active, never more than the shard has
-// workers) and does three things under the shard lock:
+// With Config.Enforcement.Enabled armed, an enforcement pass — periodic
+// (Config.Enforcement.Tick) in concurrent mode, Enforce() in Manual mode —
+// walks the shard's in-flight slices (shard.active, never more than the
+// shard has workers) and does three things under the shard lock:
 //
 //  1. Interim charging. When the shard's policy implements
 //     sched.InterimCharger, every in-flight slice is charged for the service
@@ -66,9 +66,9 @@ import (
 	"sfsched/internal/simtime"
 )
 
-// DefaultEnforceTick is the enforcement granularity when Config.EnforceTick
-// is zero: the deadline rounding, the interim-charge period, and the bound
-// on tag staleness.
+// DefaultEnforceTick is the enforcement granularity when
+// Config.Enforcement.Tick is zero: the deadline rounding, the interim-charge
+// period, and the bound on tag staleness.
 const DefaultEnforceTick = simtime.Millisecond
 
 // deadline is the instant the slice's grant runs out. Enforcement rounds it
@@ -177,10 +177,11 @@ func (sh *shard) detachLocked(d *Dispatched, now simtime.Time) {
 
 // Enforce runs one enforcement pass over every shard at the current clock
 // instant. Manual drivers call it at the cadence their workload model
-// dictates (Config.EnforceTick bounds nothing in Manual mode — the driver's
-// call spacing does); in concurrent mode the background loop calls it and
-// Enforce need not be used. It is a no-op unless Config.Enforce armed the
-// machinery, so golden replays that never arm it cannot be perturbed.
+// dictates (Config.Enforcement.Tick bounds nothing in Manual mode — the
+// driver's call spacing does); in concurrent mode the background loop calls
+// it and Enforce need not be used. It is a no-op unless
+// Config.Enforcement.Enabled armed the machinery, so golden replays that
+// never arm it cannot be perturbed.
 func (r *Runtime) Enforce() {
 	if !r.enforce || r.closed.Load() {
 		return
@@ -200,7 +201,7 @@ func (r *Runtime) Enforce() {
 }
 
 // enforceLoop is the background enforcement pass (concurrent mode with
-// Config.Enforce).
+// Config.Enforcement.Enabled).
 func (r *Runtime) enforceLoop() {
 	defer r.wg.Done()
 	t := time.NewTicker(r.enforceTick.Std())

@@ -120,12 +120,12 @@ func runtimeTrace(t *testing.T, p int, q simtime.Duration, scripts []tenantScrip
 	t.Helper()
 	clock := rt.NewFakeClock()
 	r := rt.New(rt.Config{
-		Workers:  p,
-		Policy:   func(cpus int) sched.Scheduler { return core.New(cpus, core.WithQuantum(q)) },
-		Clock:    clock,
-		Manual:   true,
-		QueueCap: 4,
-		Preempt:  preempt,
+		Workers: p,
+		Policy:  func(cpus int) sched.Scheduler { return core.New(cpus, core.WithQuantum(q)) },
+		Clock:   clock,
+		Manual:  true,
+		Intake:  rt.IntakeConfig{QueueCap: 4},
+		Preempt: preempt,
 	})
 	dec := &decisionLog{}
 	r.SetDecisionRecorder(0, dec)

@@ -165,7 +165,8 @@ func FuzzIntakeRing(f *testing.F) {
 // order.
 func TestIntakeOverflowPreservesTenantFIFO(t *testing.T) {
 	const n = intakeCap + intakeCap/2 // forces the ring-full slow path mid-burst
-	r := New(Config{Workers: 1, Quantum: simtime.Millisecond, QueueCap: n + 1})
+	r := New(Config{Workers: 1, Quantum: simtime.Millisecond,
+		Intake: IntakeConfig{QueueCap: n + 1}})
 	defer r.Close()
 	gate, err := r.Register("gate", 1)
 	if err != nil {
@@ -215,7 +216,8 @@ func TestIntakeOverflowPreservesTenantFIFO(t *testing.T) {
 func TestSubmitHotPathZeroAlloc(t *testing.T) {
 	clock := NewFakeClock()
 	r := New(Config{Workers: 1, Quantum: 10 * simtime.Millisecond,
-		Clock: clock, QueueCap: 4, Manual: true})
+		Clock: clock, Manual: true,
+		Intake: IntakeConfig{QueueCap: 4}})
 	defer r.Close()
 	tn, err := r.Register("zero", 1)
 	if err != nil {
@@ -248,7 +250,8 @@ func TestSubmitHotPathZeroAlloc(t *testing.T) {
 func TestSubmitTaskOptionsZeroAlloc(t *testing.T) {
 	clock := NewFakeClock()
 	r := New(Config{Workers: 1, Quantum: 10 * simtime.Millisecond,
-		Clock: clock, QueueCap: 4, Manual: true})
+		Clock: clock, Manual: true,
+		Intake: IntakeConfig{QueueCap: 4}})
 	defer r.Close()
 	tn, err := r.Register("zero", 1)
 	if err != nil {

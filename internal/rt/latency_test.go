@@ -22,9 +22,12 @@ import (
 // anything but the sample count serves a stale summary there.
 func TestLatencySummaryCache(t *testing.T) {
 	clock := NewFakeClock()
-	r := New(Config{Workers: 2, Shards: 2, Manual: true, Clock: clock,
-		Quantum: 2 * simtime.Millisecond, QueueCap: 4,
-		Steal: true, Preempt: true, Enforce: true, EnforceTick: simtime.Millisecond})
+	r := New(Config{Workers: 2, Manual: true, Clock: clock,
+		Quantum:     2 * simtime.Millisecond,
+		Preempt:     true,
+		Enforcement: EnforcementConfig{Enabled: true, Tick: simtime.Millisecond},
+		Sharding:    ShardingConfig{Shards: 2, Steal: true},
+		Intake:      IntakeConfig{QueueCap: 4}})
 	defer r.Close()
 	rng := rand.New(rand.NewSource(27))
 	var tenants []*Tenant

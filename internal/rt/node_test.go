@@ -17,7 +17,8 @@ func newManualPair(t *testing.T) (*rt.Runtime, *rt.Runtime, *rt.FakeClock) {
 	clock := rt.NewFakeClock()
 	mk := func() *rt.Runtime {
 		return rt.New(rt.Config{Workers: 2, Quantum: 20 * simtime.Millisecond,
-			Clock: clock, QueueCap: 8, Manual: true})
+			Clock: clock, Manual: true,
+			Intake: rt.IntakeConfig{QueueCap: 8}})
 	}
 	r1, r2 := mk(), mk()
 	t.Cleanup(func() { r1.Close(); r2.Close() })
@@ -200,7 +201,8 @@ func TestDeportRefusesBusy(t *testing.T) {
 func TestSubmitTaskOptions(t *testing.T) {
 	// Backpressure and misuse: a Manual runtime whose backlog never drains.
 	clock := rt.NewFakeClock()
-	r := rt.New(rt.Config{Workers: 1, Clock: clock, QueueCap: 2, Manual: true})
+	r := rt.New(rt.Config{Workers: 1, Clock: clock, Manual: true,
+		Intake: rt.IntakeConfig{QueueCap: 2}})
 	defer r.Close()
 	tn, err := r.Register("t", 1)
 	if err != nil {
@@ -220,7 +222,8 @@ func TestSubmitTaskOptions(t *testing.T) {
 	})
 
 	// Execution routing: real workers run both forms.
-	rc := rt.New(rt.Config{Workers: 1, QueueCap: 4})
+	rc := rt.New(rt.Config{Workers: 1,
+		Intake: rt.IntakeConfig{QueueCap: 4}})
 	defer rc.Close()
 	tc, err := rc.Register("c", 1)
 	if err != nil {

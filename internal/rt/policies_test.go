@@ -48,11 +48,11 @@ func runPolicySharded(t *testing.T, policy rt.Policy) (jain float64, migrations 
 	clock := rt.NewFakeClock()
 	r := rt.New(rt.Config{
 		Workers:  4,
-		Shards:   4,
+		Sharding: rt.ShardingConfig{Shards: 4},
+		Intake:   rt.IntakeConfig{QueueCap: 4},
 		Policy:   policy,
 		Quantum:  20 * simtime.Millisecond,
 		Clock:    clock,
-		QueueCap: 4,
 		Manual:   true,
 	})
 	defer r.Close()
@@ -147,8 +147,10 @@ func TestShardStatsNonSFS(t *testing.T) {
 				want = "timeshare"
 			}
 			clock := rt.NewFakeClock()
-			r := rt.New(rt.Config{Workers: 4, Shards: 2, Policy: policy,
-				Clock: clock, QueueCap: 4, Manual: true})
+			r := rt.New(rt.Config{Workers: 4, Policy: policy,
+				Clock: clock, Manual: true,
+				Sharding: rt.ShardingConfig{Shards: 2},
+				Intake:   rt.IntakeConfig{QueueCap: 4}})
 			defer r.Close()
 			tenants := make([]*rt.Tenant, len(shardedWeights))
 			for i, w := range shardedWeights {

@@ -37,13 +37,13 @@ func latencyScenario(t *testing.T, policy rt.Policy, preempt bool, hogs int) []r
 	)
 	clock := rt.NewFakeClock()
 	r := rt.New(rt.Config{
-		Workers:  workers,
-		Quantum:  20 * simtime.Millisecond,
-		Policy:   policy,
-		Clock:    clock,
-		QueueCap: 4,
-		Manual:   true,
-		Preempt:  preempt,
+		Workers: workers,
+		Quantum: 20 * simtime.Millisecond,
+		Policy:  policy,
+		Clock:   clock,
+		Intake:  rt.IntakeConfig{QueueCap: 4},
+		Manual:  true,
+		Preempt: preempt,
 	})
 	defer r.Close()
 	interact, err := r.Register("interact", 1)
@@ -201,7 +201,8 @@ func TestWakeupPreemptionLatency(t *testing.T) {
 func TestPreemptionFlagDeterministic(t *testing.T) {
 	clock := rt.NewFakeClock()
 	r := rt.New(rt.Config{Workers: 2, Quantum: 20 * simtime.Millisecond,
-		Clock: clock, QueueCap: 4, Manual: true, Preempt: true})
+		Clock: clock, Manual: true, Preempt: true,
+		Intake: rt.IntakeConfig{QueueCap: 4}})
 	defer r.Close()
 	hogA, _ := r.Register("hogA", 1)
 	hogB, _ := r.Register("hogB", 1)
@@ -294,7 +295,8 @@ func TestPreemptionFlagDeterministic(t *testing.T) {
 // line up — the concurrent half of what the Manual tests pin deterministically.
 func TestPreemptibleTaskConcurrent(t *testing.T) {
 	r := rt.New(rt.Config{Workers: 2, Quantum: 50 * simtime.Millisecond,
-		QueueCap: 4, Preempt: true})
+		Preempt: true,
+		Intake:  rt.IntakeConfig{QueueCap: 4}})
 	defer r.Close()
 	var yields sync.Map // hog name → observed a raised flag
 	for i := 0; i < 4; i++ {
@@ -366,7 +368,8 @@ func TestPreemptibleTaskConcurrent(t *testing.T) {
 func TestDispatchHotPathZeroAlloc(t *testing.T) {
 	clock := rt.NewFakeClock()
 	r := rt.New(rt.Config{Workers: 1, Quantum: 10 * simtime.Millisecond,
-		Clock: clock, QueueCap: 4, Manual: true, Preempt: true})
+		Clock: clock, Manual: true, Preempt: true,
+		Intake: rt.IntakeConfig{QueueCap: 4}})
 	defer r.Close()
 	hog, _ := r.Register("hog", 1)
 	blinker, _ := r.Register("blinker", 1)

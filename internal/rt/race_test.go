@@ -28,6 +28,27 @@ func spin(d time.Duration) {
 	}
 }
 
+// rebalanceEvery calls r.Rebalance every period from a goroutine of its own
+// until the test ends — what the background rebalancer does, at the test's
+// cadence instead of DefaultRebalanceEvery.
+func rebalanceEvery(t *testing.T, r *rt.Runtime, period time.Duration) {
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		tick := time.NewTicker(period)
+		defer tick.Stop()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-tick.C:
+				r.Rebalance()
+			}
+		}
+	}()
+	t.Cleanup(func() { close(stop); <-done })
+}
+
 // selfFeed submits a task that spins and resubmits itself before completing,
 // keeping the tenant's backlog permanently non-empty until stop flips — the
 // "flooding" regime where the pool is capacity-limited and weights decide
@@ -102,7 +123,8 @@ func wallClockSharesMiss(t *testing.T) (miss string, workers int) {
 		workers = 1
 	}
 	weights := []float64{4, 3, 2, 1}
-	r := rt.New(rt.Config{Workers: workers, Quantum: 10 * simtime.Millisecond, QueueCap: 8})
+	r := rt.New(rt.Config{Workers: workers, Quantum: 10 * simtime.Millisecond,
+		Intake: rt.IntakeConfig{QueueCap: 8}})
 	defer r.Close()
 	var stop atomic.Bool
 	tenants := make([]*rt.Tenant, len(weights))
@@ -144,7 +166,8 @@ func wallClockSharesMiss(t *testing.T) (miss string, workers int) {
 // data race, no deadlock, bookkeeping consistent — the fairness math is
 // covered by the deterministic tests.
 func TestRaceChurnStress(t *testing.T) {
-	r := rt.New(rt.Config{Workers: 4, Quantum: 2 * simtime.Millisecond, QueueCap: 4})
+	r := rt.New(rt.Config{Workers: 4, Quantum: 2 * simtime.Millisecond,
+		Intake: rt.IntakeConfig{QueueCap: 4}})
 	defer r.Close()
 
 	var (
@@ -320,9 +343,11 @@ func TestRaceChurnStress(t *testing.T) {
 // the storm reaches only by luck: an item accepted into the intake ring whose
 // tenant closes before a drain absorbs it.
 func TestRaceQuiescentGateStress(t *testing.T) {
-	r := rt.New(rt.Config{Workers: 4, Shards: 2, Quantum: simtime.Millisecond,
-		QueueCap: 2, Preempt: true, Enforce: true,
-		EnforceTick: 500 * simtime.Microsecond})
+	r := rt.New(rt.Config{Workers: 4, Quantum: simtime.Millisecond,
+		Preempt:     true,
+		Enforcement: rt.EnforcementConfig{Enabled: true, Tick: 500 * simtime.Microsecond},
+		Sharding:    rt.ShardingConfig{Shards: 2},
+		Intake:      rt.IntakeConfig{QueueCap: 2}})
 	defer r.Close()
 	const nTenants = 10
 	tenants := make([]*rt.Tenant, nTenants)
@@ -493,9 +518,10 @@ func TestDrainHoldsAcrossShardHops(t *testing.T) {
 	// matter, which is what makes the unfrozen sum miss the hop dozens of
 	// times a second instead of once in a few runs.
 	const hopShards = 64
-	r := rt.New(rt.Config{Workers: hopShards, Shards: hopShards, Quantum: simtime.Millisecond,
-		Steal: true, RebalanceEvery: time.Millisecond})
+	r := rt.New(rt.Config{Workers: hopShards, Quantum: simtime.Millisecond,
+		Sharding: rt.ShardingConfig{Shards: hopShards, Steal: true}})
 	defer r.Close()
+	rebalanceEvery(t, r, time.Millisecond)
 	// Equal weights place one tenant per shard in shard order; the chain runs
 	// between the first and the last.
 	var tenants [2]*rt.Tenant
@@ -568,7 +594,8 @@ func TestDrainHoldsAcrossShardHops(t *testing.T) {
 // TestRaceDrainCloseRace closes the runtime while submitters are blocked on
 // backpressure; everyone must unblock promptly with ErrRuntimeClosed.
 func TestRaceDrainCloseRace(t *testing.T) {
-	r := rt.New(rt.Config{Workers: 1, Quantum: simtime.Millisecond, QueueCap: 2})
+	r := rt.New(rt.Config{Workers: 1, Quantum: simtime.Millisecond,
+		Intake: rt.IntakeConfig{QueueCap: 2}})
 	tn, err := r.Register("blocked", 1)
 	if err != nil {
 		t.Fatal(err)

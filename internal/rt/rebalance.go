@@ -120,7 +120,7 @@ func planRebalance(totals []float64, workers []int, movable [][]float64, tol flo
 // instead of instantaneous tags; see DESIGN.md §7) but policy-agnostic, which
 // is what lets time sharing and lottery shard at all.
 // It returns the number of tenants migrated. Concurrent mode runs it
-// periodically (Config.RebalanceEvery); Manual mode calls it directly.
+// periodically (every DefaultRebalanceEvery); Manual mode calls it directly.
 func (r *Runtime) Rebalance() int {
 	if len(r.shards) < 2 || r.closed.Load() {
 		return 0
@@ -297,9 +297,9 @@ func (r *Runtime) transferLocked(tn *Tenant, src, dst *shard, now simtime.Time, 
 }
 
 // rebalanceLoop is the background rebalancer (concurrent mode, Shards > 1).
-func (r *Runtime) rebalanceLoop(every time.Duration) {
+func (r *Runtime) rebalanceLoop() {
 	defer r.wg.Done()
-	t := time.NewTicker(every)
+	t := time.NewTicker(DefaultRebalanceEvery)
 	defer t.Stop()
 	for {
 		select {

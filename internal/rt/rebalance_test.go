@@ -178,7 +178,8 @@ func FuzzRebalance(f *testing.F) {
 // its spare capacity — or an unregistered tenant (its closures, its backlog)
 // would stay pinned until a later pass happened to overwrite the slot.
 func TestRebalanceScratchHoldsNoTenant(t *testing.T) {
-	r := New(Config{Workers: 2, Shards: 2, Manual: true, Clock: NewFakeClock()})
+	r := New(Config{Workers: 2, Manual: true, Clock: NewFakeClock(),
+		Sharding: ShardingConfig{Shards: 2}})
 	defer r.Close()
 	var tenants []*Tenant
 	for i := 0; i < 6; i++ {
@@ -221,8 +222,11 @@ func TestRebalanceScratchHoldsNoTenant(t *testing.T) {
 func TestPinnedTenantsStay(t *testing.T) {
 	setup := func(t *testing.T) (*Runtime, *FakeClock, *Tenant) {
 		clock := NewFakeClock()
-		r := New(Config{Workers: 2, Shards: 2, Manual: true, Steal: true, Enforce: true,
-			Clock: clock, Quantum: simtime.Millisecond, QueueCap: 1})
+		r := New(Config{Workers: 2, Manual: true,
+			Clock: clock, Quantum: simtime.Millisecond,
+			Enforcement: EnforcementConfig{Enabled: true},
+			Sharding:    ShardingConfig{Shards: 2, Steal: true},
+			Intake:      IntakeConfig{QueueCap: 1}})
 		t.Cleanup(r.Close)
 		var tns []*Tenant
 		for _, w := range []float64{1, 1, 4} { // p → shard 0, then shard 1, then q → shard 0 on the tie

@@ -12,18 +12,18 @@
 //
 // # Sharded dispatch
 //
-// By default (Shards ≤ 1) one central lock serializes every dispatch, charge
-// and wakeup, exactly as the paper's kernel serializes scheduling under the
-// run queue lock (§3.1). Config.Shards > 1 splits the machine into
-// independent per-CPU runqueues instead: each shard owns a private scheduler
-// instance (built by Config.Policy), a private lock and a contiguous block
-// of the worker pool, and tenants carry their weight as a sub-share of the
-// shard they are assigned to. A rebalancer (periodic in concurrent mode,
-// Rebalance in Manual mode) migrates tenants between shards so every shard's
-// total weight stays proportional to its processor count, which is what
-// keeps the partitioned schedule within a bounded distance of the
-// single-queue one; DESIGN.md §6 gives the argument and rebalance.go the
-// mechanism.
+// By default (Config.Sharding.Shards ≤ 1) one central lock serializes every
+// dispatch, charge and wakeup, exactly as the paper's kernel serializes
+// scheduling under the run queue lock (§3.1). Config.Sharding.Shards > 1
+// splits the machine into independent per-CPU runqueues instead: each shard
+// owns a private scheduler instance (built by Config.Policy), a private lock
+// and a contiguous block of the worker pool, and tenants carry their weight
+// as a sub-share of the shard they are assigned to. A rebalancer (every
+// DefaultRebalanceEvery in concurrent mode, Rebalance in Manual mode)
+// migrates tenants between shards so every shard's total weight stays
+// proportional to its processor count, which is what keeps the partitioned
+// schedule within a bounded distance of the single-queue one; DESIGN.md §6
+// gives the argument and rebalance.go the mechanism.
 //
 // Submission is lock-free: each shard fronts its lock with a bounded MPSC
 // intake ring (intake.go) that submitters publish into with two atomic
@@ -150,8 +150,9 @@ type queued struct {
 	cnt *atomic.Int64
 }
 
-// DefaultRebalanceEvery is the background rebalancer's period when
-// Config.RebalanceEvery is zero.
+// DefaultRebalanceEvery is the period of the background shard rebalancer a
+// concurrent runtime with more than one shard runs (Rebalance may still be
+// called directly, and Manual mode never starts the loop).
 const DefaultRebalanceEvery = 100 * time.Millisecond
 
 // Policy constructs one dispatch shard's scheduler for the given processor
@@ -164,17 +165,13 @@ const DefaultRebalanceEvery = 100 * time.Millisecond
 // instances without them fall back to policy-agnostic equivalents.
 type Policy func(cpus int) sched.Scheduler
 
-// Config assembles a Runtime.
+// Config assembles a Runtime; the facade calls it sfsched.RuntimeConfig. The
+// knobs every runtime needs are flat fields; the enforcement, sharding and
+// intake subsystems are each configured through their own group.
 type Config struct {
 	// Workers is the worker pool size — the number of "CPUs" the scheduler
 	// arbitrates. Required.
 	Workers int
-	// Shards splits dispatch into that many independent per-CPU runqueues,
-	// each with its own scheduler instance, lock and contiguous worker
-	// block (Workers must be ≥ Shards). 0 or 1 keeps the single central
-	// runqueue whose lock serializes all scheduling, as the paper's kernel
-	// does.
-	Shards int
 	// Policy builds each shard's scheduler. Defaults to an exact-mode
 	// internal/core SFS with Config.Quantum. For two-level scheduling
 	// return an internal/hier instance and assign tenant threads
@@ -192,8 +189,6 @@ type Config struct {
 	// Clock supplies time for charging. Defaults to the monotonic wall
 	// clock; tests inject a FakeClock.
 	Clock Clock
-	// QueueCap bounds each tenant's backlog (backpressure). Default 256.
-	QueueCap int
 	// Manual suppresses the worker pool and the background rebalancer; the
 	// caller drives Dispatch, Dispatched.Complete and Rebalance directly
 	// (deterministic tests).
@@ -209,11 +204,44 @@ type Config struct {
 	// in Manual mode, deterministically at the Submit. Policies without the
 	// capability (time sharing, lottery) never flag.
 	Preempt bool
-	// RebalanceEvery is the period of the background shard rebalancer
-	// (concurrent mode with Shards > 1 only). 0 means
-	// DefaultRebalanceEvery; negative disables the background rebalancer
-	// (Rebalance may still be called directly).
-	RebalanceEvery time.Duration
+
+	// Enforcement groups the involuntary slice-enforcement knobs.
+	Enforcement EnforcementConfig
+	// Sharding groups the per-CPU dispatch sharding knobs.
+	Sharding ShardingConfig
+	// Intake groups the submit-side knobs.
+	Intake IntakeConfig
+}
+
+// EnforcementConfig groups Config's involuntary slice-enforcement knobs.
+type EnforcementConfig struct {
+	// Enabled arms involuntary slice enforcement (enforcer.go, DESIGN.md
+	// §10): an enforcement pass — periodic in concurrent mode, Enforce() in
+	// Manual mode — interim-charges running slices (sched.InterimCharger,
+	// bounding tag staleness to one tick), raises the preemption flag on
+	// PreemptibleTask slices past their deadline (start plus granted slice),
+	// and involuntarily hands off plain Task slices that are past it or carry
+	// a raised flag: the overrun is charged, the tenant leaves the runnable
+	// set until the closure returns, and a fresh worker goroutine takes over
+	// the slot and lane so the shard keeps its CPU count honest. Disarmed (the
+	// default), none of this runs and dispatch traces are bit-identical to
+	// earlier releases.
+	Enabled bool
+	// Tick is the enforcement granularity: deadlines round up to it, and it
+	// is the interim-charge period and the bound on how long a flagged
+	// non-cooperating task keeps its lane. 0 means DefaultEnforceTick.
+	Tick simtime.Duration
+}
+
+// ShardingConfig groups Config's per-CPU dispatch sharding knobs.
+type ShardingConfig struct {
+	// Shards splits dispatch into that many independent per-CPU runqueues,
+	// each with its own scheduler instance, lock and contiguous worker
+	// block (Workers must be ≥ Shards). 0 or 1 keeps the single central
+	// runqueue whose lock serializes all scheduling, as the paper's kernel
+	// does. A concurrent runtime with more than one shard rebalances every
+	// DefaultRebalanceEvery.
+	Shards int
 	// Steal arms idle-path cross-shard work stealing (steal.go, Shards > 1
 	// only): a worker that finds its shard's runqueue and intake ring empty
 	// spins briefly, then transfers the highest-surplus ready tenant from
@@ -225,22 +253,12 @@ type Config struct {
 	// dispatch traces are bit-identical to earlier releases, and TrySteal is
 	// a no-op.
 	Steal bool
-	// Enforce arms involuntary slice enforcement (enforcer.go, DESIGN.md
-	// §10): an enforcement pass — periodic in concurrent mode, Enforce() in
-	// Manual mode — interim-charges running slices (sched.InterimCharger,
-	// bounding tag staleness to one tick), raises the preemption flag on
-	// PreemptibleTask slices past their deadline (start plus granted slice),
-	// and involuntarily hands off plain Task slices that are past it or carry
-	// a raised flag: the overrun is charged, the tenant leaves the runnable
-	// set until the closure returns, and a fresh worker goroutine takes over
-	// the slot and lane so the shard keeps its CPU count honest. Disarmed (the
-	// default), none of this runs and dispatch traces are bit-identical to
-	// earlier releases.
-	Enforce bool
-	// EnforceTick is the enforcement granularity: deadlines round up to it,
-	// and it is the interim-charge period and the bound on how long a flagged
-	// non-cooperating task keeps its lane. 0 means DefaultEnforceTick.
-	EnforceTick simtime.Duration
+}
+
+// IntakeConfig groups Config's submit-side knobs.
+type IntakeConfig struct {
+	// QueueCap bounds each tenant's backlog (backpressure). Default 256.
+	QueueCap int
 }
 
 // Tenant is a registered principal: one scheduler thread plus a bounded FIFO
@@ -357,7 +375,7 @@ func New(cfg Config) *Runtime {
 	if cfg.Workers < 1 {
 		panic(fmt.Sprintf("rt: invalid worker count %d", cfg.Workers))
 	}
-	nshards := cfg.Shards
+	nshards := cfg.Sharding.Shards
 	if nshards <= 0 {
 		nshards = 1
 	}
@@ -376,17 +394,17 @@ func New(cfg Config) *Runtime {
 	if clock == nil {
 		clock = NewWallClock()
 	}
-	qcap := cfg.QueueCap
+	qcap := cfg.Intake.QueueCap
 	if qcap <= 0 {
 		qcap = 256
 	}
-	etick := cfg.EnforceTick
+	etick := cfg.Enforcement.Tick
 	if etick <= 0 {
 		etick = DefaultEnforceTick
 	}
 	r := &Runtime{clock: clock, qcap: qcap, manual: cfg.Manual, preempt: cfg.Preempt,
-		enforce: cfg.Enforce, enforceTick: etick,
-		steal: cfg.Steal && nshards > 1, stop: make(chan struct{})}
+		enforce: cfg.Enforcement.Enabled, enforceTick: etick,
+		steal: cfg.Sharding.Steal && nshards > 1, stop: make(chan struct{})}
 	r.quietCond = sync.NewCond(&r.quietMu)
 	base, extra := cfg.Workers/nshards, cfg.Workers%nshards
 	for i := 0; i < nshards; i++ {
@@ -433,15 +451,11 @@ func New(cfg Config) *Runtime {
 			r.wg.Add(1)
 			go r.worker(w)
 		}
-		if nshards > 1 && cfg.RebalanceEvery >= 0 {
-			every := cfg.RebalanceEvery
-			if every == 0 {
-				every = DefaultRebalanceEvery
-			}
+		if nshards > 1 {
 			r.wg.Add(1)
-			go r.rebalanceLoop(every)
+			go r.rebalanceLoop()
 		}
-		if cfg.Enforce {
+		if cfg.Enforcement.Enabled {
 			r.wg.Add(1)
 			go r.enforceLoop()
 		}
@@ -653,9 +667,6 @@ func (r *Runtime) SetDecisionRecorder(shard int, rec engine.Recorder) {
 	sh.eng.SetRecorder(rec)
 	sh.mu.Unlock()
 }
-
-// Worker returns the worker index the slice was dispatched to.
-func (d *Dispatched) Worker() int { return d.worker }
 
 // Preempted reports whether this slice carries a raised cooperative
 // preemption flag. Concurrent tasks read it through their SliceCtx; Manual

@@ -24,11 +24,11 @@ func manualRuntime(t *testing.T, workers, qcap int) (*rt.Runtime, *rt.FakeClock)
 	t.Helper()
 	clock := rt.NewFakeClock()
 	r := rt.New(rt.Config{
-		Workers:  workers,
-		Quantum:  20 * simtime.Millisecond,
-		Clock:    clock,
-		QueueCap: qcap,
-		Manual:   true,
+		Workers: workers,
+		Quantum: 20 * simtime.Millisecond,
+		Clock:   clock,
+		Intake:  rt.IntakeConfig{QueueCap: qcap},
+		Manual:  true,
 	})
 	return r, clock
 }
@@ -246,7 +246,8 @@ func TestSetWeightTakesEffect(t *testing.T) {
 }
 
 func TestDrainAndClose(t *testing.T) {
-	r := rt.New(rt.Config{Workers: 2, QueueCap: 16})
+	r := rt.New(rt.Config{Workers: 2,
+		Intake: rt.IntakeConfig{QueueCap: 16}})
 	tn, err := r.Register("worky", 1)
 	if err != nil {
 		t.Fatal(err)
@@ -279,7 +280,8 @@ func TestDrainAndClose(t *testing.T) {
 }
 
 func TestTaskPanicContained(t *testing.T) {
-	r := rt.New(rt.Config{Workers: 1, QueueCap: 8})
+	r := rt.New(rt.Config{Workers: 1,
+		Intake: rt.IntakeConfig{QueueCap: 8}})
 	defer r.Close()
 	tn, _ := r.Register("chaotic", 1)
 	calm, _ := r.Register("calm", 1)
@@ -360,7 +362,8 @@ func TestHierarchicalRuntime(t *testing.T) {
 	gold := h.MustAddClass("gold", 3)
 	bronze := h.MustAddClass("bronze", 1)
 	r := rt.New(rt.Config{Workers: 2, Policy: func(int) sched.Scheduler { return h },
-		Clock: clock, QueueCap: 4, Manual: true})
+		Clock: clock, Manual: true,
+		Intake: rt.IntakeConfig{QueueCap: 4}})
 	defer r.Close()
 	classes := []*hier.Class{gold, gold, bronze, bronze}
 	tenants := make([]*rt.Tenant, len(classes))

@@ -1,5 +1,6 @@
 // shard is one dispatch partition of the runtime: a private scheduler, a
-// private lock, and a contiguous block of the worker pool. With Shards ≤ 1
+// private lock, and a contiguous block of the worker pool. With
+// Config.Sharding.Shards ≤ 1
 // the single shard *is* the paper's central run queue; with more, each shard
 // schedules its own tenants independently and the rebalancer (rebalance.go)
 // keeps the per-shard weight sums proportional to the per-shard processor

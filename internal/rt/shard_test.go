@@ -69,10 +69,10 @@ func newSharded(t *testing.T, shards int) (*rt.Runtime, *rt.FakeClock, []*rt.Ten
 	clock := rt.NewFakeClock()
 	r := rt.New(rt.Config{
 		Workers:  4,
-		Shards:   shards,
+		Sharding: rt.ShardingConfig{Shards: shards},
+		Intake:   rt.IntakeConfig{QueueCap: 4},
 		Quantum:  20 * simtime.Millisecond,
 		Clock:    clock,
-		QueueCap: 4,
 		Manual:   true,
 	})
 	tenants := make([]*rt.Tenant, len(shardedWeights))
@@ -159,8 +159,10 @@ func TestShardedMigrationConverges(t *testing.T) {
 // survives the move and keeps running on the new shard.
 func TestRebalanceMovesWeight(t *testing.T) {
 	clock := rt.NewFakeClock()
-	r := rt.New(rt.Config{Workers: 4, Shards: 2, Quantum: 20 * simtime.Millisecond,
-		Clock: clock, QueueCap: 4, Manual: true})
+	r := rt.New(rt.Config{Workers: 4, Quantum: 20 * simtime.Millisecond,
+		Clock: clock, Manual: true,
+		Sharding: rt.ShardingConfig{Shards: 2},
+		Intake:   rt.IntakeConfig{QueueCap: 4}})
 	defer r.Close()
 	var tenants []*rt.Tenant
 	for i := 0; i < 6; i++ {
@@ -215,8 +217,10 @@ func TestRebalanceMovesWeight(t *testing.T) {
 // blocked submitter both stay put; only free tenants migrate.
 func TestRebalanceSkipsPinnedTenants(t *testing.T) {
 	clock := rt.NewFakeClock()
-	r := rt.New(rt.Config{Workers: 2, Shards: 2, Quantum: 20 * simtime.Millisecond,
-		Clock: clock, QueueCap: 1, Manual: true})
+	r := rt.New(rt.Config{Workers: 2, Quantum: 20 * simtime.Millisecond,
+		Clock: clock, Manual: true,
+		Sharding: rt.ShardingConfig{Shards: 2},
+		Intake:   rt.IntakeConfig{QueueCap: 1}})
 	defer r.Close()
 	var tenants []*rt.Tenant
 	for i := 0; i < 4; i++ {
@@ -283,17 +287,20 @@ func TestRebalanceSkipsPinnedTenants(t *testing.T) {
 // TestShardedConfigValidation pins the static-configuration panics.
 func TestShardedConfigValidation(t *testing.T) {
 	mustPanic(t, "more shards than workers", func() {
-		rt.New(rt.Config{Workers: 2, Shards: 4, Manual: true})
+		rt.New(rt.Config{Workers: 2, Manual: true,
+			Sharding: rt.ShardingConfig{Shards: 4}})
 	})
 	mustPanic(t, "policy CPU mismatch per shard", func() {
 		// Each of the 2 shards owns 2 workers; a 4-CPU instance is wrong.
-		rt.New(rt.Config{Workers: 4, Shards: 2, Manual: true,
-			Policy: func(int) sched.Scheduler { return core.New(4) }})
+		rt.New(rt.Config{Workers: 4, Manual: true,
+			Policy:   func(int) sched.Scheduler { return core.New(4) },
+			Sharding: rt.ShardingConfig{Shards: 2}})
 	})
 	mustPanic(t, "policy recycling one instance across shards", func() {
 		shared := core.New(2)
-		rt.New(rt.Config{Workers: 4, Shards: 2, Manual: true,
-			Policy: func(int) sched.Scheduler { return shared }})
+		rt.New(rt.Config{Workers: 4, Manual: true,
+			Policy:   func(int) sched.Scheduler { return shared },
+			Sharding: rt.ShardingConfig{Shards: 2}})
 	})
 }
 
@@ -329,12 +336,13 @@ func TestDispatchChecksPickedOwner(t *testing.T) {
 			var policies []*foreignPick
 			// The panic leaves shard 0 locked, so r is never closed; a Manual
 			// runtime runs no goroutine to leak.
-			r := rt.New(rt.Config{Workers: 2, Shards: 2, Manual: true, Clock: rt.NewFakeClock(),
+			r := rt.New(rt.Config{Workers: 2, Manual: true, Clock: rt.NewFakeClock(),
 				Policy: func(cpus int) sched.Scheduler {
 					p := &foreignPick{SFS: core.New(cpus)}
 					policies = append(policies, p)
 					return p
-				}})
+				},
+				Sharding: rt.ShardingConfig{Shards: 2}})
 			own, _ := r.Register("own", 1)
 			foreign, _ := r.Register("foreign", 1)
 			if own.Shard() != 0 || foreign.Shard() != 1 {
@@ -368,12 +376,14 @@ func TestSingleWorkerShardNeverSweeps(t *testing.T) {
 	const tenants, cycles = 2048, 20000
 	clock := rt.NewFakeClock()
 	var kernels []*core.SFS
-	r := rt.New(rt.Config{Workers: 2, Shards: 2, Clock: clock, QueueCap: 4, Manual: true,
+	r := rt.New(rt.Config{Workers: 2, Clock: clock, Manual: true,
 		Policy: func(cpus int) sched.Scheduler {
 			s := core.New(cpus, core.WithQuantum(20*simtime.Millisecond))
 			kernels = append(kernels, s)
 			return s
-		}})
+		},
+		Sharding: rt.ShardingConfig{Shards: 2},
+		Intake:   rt.IntakeConfig{QueueCap: 4}})
 	defer r.Close()
 	for i := 0; i < tenants; i++ {
 		tn, err := r.Register("t", float64(1+i%7))

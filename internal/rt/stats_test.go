@@ -27,13 +27,13 @@ func TestConcurrentStatsUnderChurn(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			r := rt.New(rt.Config{
-				Workers:        4,
-				Shards:         shards,
-				Quantum:        2 * simtime.Millisecond,
-				QueueCap:       4,
-				RebalanceEvery: 5 * time.Millisecond,
+				Workers:  4,
+				Sharding: rt.ShardingConfig{Shards: shards},
+				Intake:   rt.IntakeConfig{QueueCap: 4},
+				Quantum:  2 * simtime.Millisecond,
 			})
 			defer r.Close()
+			rebalanceEvery(t, r, 5*time.Millisecond)
 
 			var (
 				mu   sync.Mutex
@@ -185,7 +185,9 @@ func TestConcurrentStatsUnderChurn(t *testing.T) {
 // Jain within [0,1] — and JainIndex must agree with a Jain computed from the
 // same call's Stats vector to within the drift of two adjacent freezes.
 func TestStatsConsistentCutUnderLoad(t *testing.T) {
-	r := rt.New(rt.Config{Workers: 4, Shards: 2, Quantum: simtime.Millisecond, QueueCap: 4})
+	r := rt.New(rt.Config{Workers: 4, Quantum: simtime.Millisecond,
+		Sharding: rt.ShardingConfig{Shards: 2},
+		Intake:   rt.IntakeConfig{QueueCap: 4}})
 	defer r.Close()
 	weights := []float64{4, 3, 2, 1, 4, 3, 2, 1}
 	for i, w := range weights {
@@ -244,8 +246,10 @@ func TestConcurrentRegisterNoStampede(t *testing.T) {
 		registrars    = 8
 		tenantsPlaced = registrars * perGoroutine
 	)
-	r := rt.New(rt.Config{Workers: shards, Shards: shards, QueueCap: 2,
-		Manual: true, RebalanceEvery: -1})
+	r := rt.New(rt.Config{Workers: shards,
+		Manual:   true,
+		Sharding: rt.ShardingConfig{Shards: shards},
+		Intake:   rt.IntakeConfig{QueueCap: 2}})
 	defer r.Close()
 	var wg sync.WaitGroup
 	tenants := make(chan *rt.Tenant, tenantsPlaced)
@@ -306,8 +310,10 @@ func TestConcurrentRegisterNoStampede(t *testing.T) {
 // used vectors: 5 on 2 shards). Everything else is reused scratch.
 func TestStatsCallsAllocate(t *testing.T) {
 	clock := rt.NewFakeClock()
-	r := rt.New(rt.Config{Workers: 2, Shards: 2, Quantum: 5 * simtime.Millisecond,
-		Clock: clock, QueueCap: 4, Manual: true})
+	r := rt.New(rt.Config{Workers: 2, Quantum: 5 * simtime.Millisecond,
+		Clock: clock, Manual: true,
+		Sharding: rt.ShardingConfig{Shards: 2},
+		Intake:   rt.IntakeConfig{QueueCap: 4}})
 	defer r.Close()
 	for i := 0; i < 64; i++ {
 		tn, err := r.Register("t", float64(1+i%4))
@@ -350,7 +356,9 @@ func TestStatsCallsAllocate(t *testing.T) {
 // fully unregistered tenant disappears from Stats and per-shard tenant
 // counts immediately.
 func TestStatsReflectUnregister(t *testing.T) {
-	r := rt.New(rt.Config{Workers: 2, Shards: 2, QueueCap: 4, Manual: true})
+	r := rt.New(rt.Config{Workers: 2, Manual: true,
+		Sharding: rt.ShardingConfig{Shards: 2},
+		Intake:   rt.IntakeConfig{QueueCap: 4}})
 	defer r.Close()
 	a, _ := r.Register("a", 2)
 	b, _ := r.Register("b", 1)

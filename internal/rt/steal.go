@@ -7,7 +7,7 @@
 // block parks its workers on workCond while a sibling's runqueue overflows,
 // and the only remedy — the surplus-driven rebalancer — runs at a period
 // (100 ms default) five orders of magnitude above a dispatch. With
-// Config.Steal armed, an idle worker closes the gap itself: finding its
+// Config.Sharding.Steal armed, an idle worker closes the gap itself: finding its
 // shard's runqueue and intake ring empty, it (1) spins briefly off the lock
 // in case local work is already in flight, (2) attempts a bounded number of
 // steals from the most backlogged siblings, and only then (3) parks.
@@ -82,7 +82,7 @@ const (
 // shard. It reports whether a tenant was stolen; a subsequent Dispatch for
 // the worker then picks it (or better) up. It is the Manual-mode driver's
 // entry point — deterministic given deterministic shard state — and a no-op
-// unless Config.Steal armed stealing. Concurrent workers call the same
+// unless Config.Sharding.Steal armed stealing. Concurrent workers call the same
 // machinery from their idle path.
 func (r *Runtime) TrySteal(worker int) bool {
 	if worker < 0 || worker >= len(r.workerShard) {

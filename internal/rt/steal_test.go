@@ -29,12 +29,11 @@ func newStealPair(t *testing.T, each int) (*rt.Runtime, *rt.FakeClock, [2][]*rt.
 	clock := rt.NewFakeClock()
 	r := rt.New(rt.Config{
 		Workers:  4,
-		Shards:   2,
+		Sharding: rt.ShardingConfig{Shards: 2, Steal: true},
+		Intake:   rt.IntakeConfig{QueueCap: 8},
 		Quantum:  20 * simtime.Millisecond,
 		Clock:    clock,
-		QueueCap: 8,
 		Manual:   true,
-		Steal:    true,
 	})
 	var byShard [2][]*rt.Tenant
 	for i := 0; i < 2*each; i++ {
@@ -111,14 +110,16 @@ func TestStealMovesBacklog(t *testing.T) {
 	}
 }
 
-// TestStealDisabledNoop pins the disarmed contract: with Config.Steal unset
+// TestStealDisabledNoop pins the disarmed contract: with Config.Sharding.Steal unset
 // TrySteal is an inert no-op even when a sibling is backlogged, so disarmed
 // runs keep their pre-steal dispatch traces bit-identical (the golden suite
 // pins the traces themselves; this pins the entry point).
 func TestStealDisabledNoop(t *testing.T) {
 	clock := rt.NewFakeClock()
-	r := rt.New(rt.Config{Workers: 4, Shards: 2, Quantum: 20 * simtime.Millisecond,
-		Clock: clock, QueueCap: 8, Manual: true})
+	r := rt.New(rt.Config{Workers: 4, Quantum: 20 * simtime.Millisecond,
+		Clock: clock, Manual: true,
+		Sharding: rt.ShardingConfig{Shards: 2},
+		Intake:   rt.IntakeConfig{QueueCap: 8}})
 	defer r.Close()
 	a, _ := r.Register("a", 1) // shard 0
 	b, _ := r.Register("b", 1) // shard 1
@@ -146,8 +147,10 @@ func TestStealDisabledNoop(t *testing.T) {
 // probes the sibling advertising the largest runnable-not-running count.
 func TestStealPicksMostBacklogged(t *testing.T) {
 	clock := rt.NewFakeClock()
-	r := rt.New(rt.Config{Workers: 3, Shards: 3, Quantum: 20 * simtime.Millisecond,
-		Clock: clock, QueueCap: 8, Manual: true, Steal: true})
+	r := rt.New(rt.Config{Workers: 3, Quantum: 20 * simtime.Millisecond,
+		Clock: clock, Manual: true,
+		Sharding: rt.ShardingConfig{Shards: 3, Steal: true},
+		Intake:   rt.IntakeConfig{QueueCap: 8}})
 	defer r.Close()
 	tenants := make([]*rt.Tenant, 6) // alternating placement: i%3 is the shard
 	for i := range tenants {
@@ -326,8 +329,10 @@ func TestStealPileUp(t *testing.T) {
 	}
 	run := func(steal bool, rebalanceEvery int) cell {
 		clock := rt.NewFakeClock()
-		r := rt.New(rt.Config{Workers: shards, Shards: shards, Quantum: 10 * simtime.Millisecond,
-			Clock: clock, QueueCap: 4, Manual: true, Steal: steal})
+		r := rt.New(rt.Config{Workers: shards, Quantum: 10 * simtime.Millisecond,
+			Clock: clock, Manual: true,
+			Sharding: rt.ShardingConfig{Shards: shards, Steal: steal},
+			Intake:   rt.IntakeConfig{QueueCap: 4}})
 		defer r.Close()
 		register := func() *rt.Tenant {
 			tn, err := r.Register("t", 1)
@@ -408,8 +413,10 @@ func TestStealDifferentialVsCentral(t *testing.T) {
 	blocked := map[int]bool{0: true, 3: true, 4: true, 7: true}
 	run := func(shards int) ([]simtime.Duration, int64) {
 		clock := rt.NewFakeClock()
-		r := rt.New(rt.Config{Workers: 4, Shards: shards, Quantum: 20 * simtime.Millisecond,
-			Clock: clock, QueueCap: 4, Manual: true, Steal: true})
+		r := rt.New(rt.Config{Workers: 4, Quantum: 20 * simtime.Millisecond,
+			Clock: clock, Manual: true,
+			Sharding: rt.ShardingConfig{Shards: shards, Steal: true},
+			Intake:   rt.IntakeConfig{QueueCap: 4}})
 		defer r.Close()
 		tenants := make([]*rt.Tenant, len(shardedWeights))
 		for i, w := range shardedWeights {
@@ -457,8 +464,10 @@ func TestStealDifferentialVsCentral(t *testing.T) {
 // cycle.
 func TestStealHotPathZeroAlloc(t *testing.T) {
 	clock := rt.NewFakeClock()
-	r := rt.New(rt.Config{Workers: 2, Shards: 2, Quantum: 10 * simtime.Millisecond,
-		Clock: clock, QueueCap: 4, Manual: true, Steal: true})
+	r := rt.New(rt.Config{Workers: 2, Quantum: 10 * simtime.Millisecond,
+		Clock: clock, Manual: true,
+		Sharding: rt.ShardingConfig{Shards: 2, Steal: true},
+		Intake:   rt.IntakeConfig{QueueCap: 4}})
 	defer r.Close()
 	tn, _ := r.Register("pingpong", 1) // placed on shard 0
 	if err := tn.SubmitTask(rt.Once(func() {})); err != nil {
@@ -499,8 +508,9 @@ func TestStealHotPathZeroAlloc(t *testing.T) {
 // (spin → probe → steal, re-armed by the victim-side offer) for the pool to
 // become work-conserving.
 func TestStealConcurrentImbalance(t *testing.T) {
-	r := rt.New(rt.Config{Workers: 4, Shards: 2, Quantum: 5 * simtime.Millisecond,
-		QueueCap: 16, Steal: true, RebalanceEvery: -1})
+	r := rt.New(rt.Config{Workers: 4, Quantum: 5 * simtime.Millisecond,
+		Sharding: rt.ShardingConfig{Shards: 2, Steal: true},
+		Intake:   rt.IntakeConfig{QueueCap: 16}})
 	defer r.Close()
 	var tenants []*rt.Tenant
 	for i := 0; i < 6; i++ {
@@ -542,10 +552,13 @@ func TestRaceStealChurn(t *testing.T) {
 	if testing.Short() {
 		burst = 60
 	}
-	r := rt.New(rt.Config{Workers: 4, Shards: 2, Quantum: 2 * simtime.Millisecond,
-		QueueCap: 16, Steal: true, Preempt: true, Enforce: true,
-		RebalanceEvery: time.Millisecond})
+	r := rt.New(rt.Config{Workers: 4, Quantum: 2 * simtime.Millisecond,
+		Preempt:     true,
+		Enforcement: rt.EnforcementConfig{Enabled: true},
+		Sharding:    rt.ShardingConfig{Shards: 2, Steal: true},
+		Intake:      rt.IntakeConfig{QueueCap: 16}})
 	defer r.Close()
+	rebalanceEvery(t, r, time.Millisecond)
 	const nt = 6
 	var (
 		mu       sync.Mutex
@@ -618,8 +631,10 @@ func FuzzStealTransfer(f *testing.F) {
 	f.Add([]byte{1, 1, 1, 1, 2, 4, 5, 3, 0, 8, 16, 24, 2, 10, 3, 11, 6, 5, 5, 5})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		clock := rt.NewFakeClock()
-		r := rt.New(rt.Config{Workers: 3, Shards: 3, Quantum: 10 * simtime.Millisecond,
-			Clock: clock, QueueCap: 4, Manual: true, Steal: true})
+		r := rt.New(rt.Config{Workers: 3, Quantum: 10 * simtime.Millisecond,
+			Clock: clock, Manual: true,
+			Sharding: rt.ShardingConfig{Shards: 3, Steal: true},
+			Intake:   rt.IntakeConfig{QueueCap: 4}})
 		defer r.Close()
 		weights := []float64{4, 3, 2, 1, 2, 1}
 		tenants := make([]*rt.Tenant, len(weights))

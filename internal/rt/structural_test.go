@@ -126,11 +126,11 @@ func TestShardedDecisionTraceVsReplica(t *testing.T) {
 		rep := &decisionLog{}
 		clock2 := rt.NewFakeClock()
 		r2 := rt.New(rt.Config{
-			Workers:  2,
-			Quantum:  20 * simtime.Millisecond,
-			Clock:    clock2,
-			QueueCap: 4,
-			Manual:   true,
+			Workers: 2,
+			Quantum: 20 * simtime.Millisecond,
+			Clock:   clock2,
+			Intake:  rt.IntakeConfig{QueueCap: 4},
+			Manual:  true,
 		})
 		r2.SetDecisionRecorder(0, rep)
 		idmap := make(map[int]int)

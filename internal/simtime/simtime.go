@@ -87,21 +87,9 @@ func FromSeconds(s float64) Duration {
 	return Duration(s*float64(Second) + 0.5)
 }
 
-// FromMilliseconds converts fractional milliseconds to a Duration, rounding
-// to the nearest microsecond.
-func FromMilliseconds(ms float64) Duration { return FromSeconds(ms / 1000) }
-
 // Min returns the smaller of two durations.
 func Min(a, b Duration) Duration {
 	if a < b {
-		return a
-	}
-	return b
-}
-
-// Max returns the larger of two durations.
-func Max(a, b Duration) Duration {
-	if a > b {
 		return a
 	}
 	return b

@@ -7,7 +7,7 @@
 // scheduler always runs the thread with the minimum pass. A thread joining
 // the runnable set starts at the global pass (the minimum pass in the
 // system), the standard remedy against sleeper credit. As with SFQ and BVT,
-// the readjustment option substitutes φ_i for w_i in the stride.
+// vtq.WithReadjustment substitutes φ_i for w_i in the stride.
 //
 // The algorithm is the GPS-tag kernel, internal/vtq, over the pass value,
 // which advances in quanta, not seconds, and breaks ties by thread ID alone.
@@ -32,9 +32,6 @@ type Option = vtq.Option
 
 // WithQuantum sets the maximum quantum granted per dispatch.
 func WithQuantum(q simtime.Duration) Option { return vtq.WithQuantum(q) }
-
-// WithReadjustment couples stride scheduling with weight readjustment.
-func WithReadjustment() Option { return vtq.WithReadjustment() }
 
 // New returns a stride scheduler for p processors. It panics if p < 1.
 func New(p int, opts ...Option) *Stride {

@@ -10,6 +10,7 @@ import (
 
 	"sfsched/internal/sched"
 	"sfsched/internal/simtime"
+	"sfsched/internal/vtq"
 )
 
 func mkThread(id int, w float64) *sched.Thread {
@@ -46,7 +47,7 @@ func TestPartialQuantumAdvancesPassProportionally(t *testing.T) {
 }
 
 func TestStrideFollowsReadjustedPhi(t *testing.T) {
-	s := New(2, WithReadjustment())
+	s := New(2, vtq.WithReadjustment())
 	a, b := mkThread(1, 1), mkThread(2, 10)
 	add(t, s, a, b)
 	if b.Phi != 1 || b.Stride != Stride1 {

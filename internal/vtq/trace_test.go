@@ -27,6 +27,7 @@ import (
 	"sfsched/internal/sfq"
 	"sfsched/internal/simtime"
 	"sfsched/internal/stride"
+	"sfsched/internal/vtq"
 	"sfsched/internal/xrand"
 )
 
@@ -63,7 +64,7 @@ var policies = []struct {
 	{"bvt+warp", func(p int) policy { return bvt.New(p, bvt.WithQuantum(traceQuantum)) }, true, true},
 	{"stride", func(p int) policy { return stride.New(p, stride.WithQuantum(traceQuantum)) }, false, false},
 	{"stride+readjust", func(p int) policy {
-		return stride.New(p, stride.WithQuantum(traceQuantum), stride.WithReadjustment())
+		return stride.New(p, stride.WithQuantum(traceQuantum), vtq.WithReadjustment())
 	}, false, false},
 }
 

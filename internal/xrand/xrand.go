@@ -58,11 +58,6 @@ func (r *Rand) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
-// Int63 returns a non-negative 63-bit integer.
-func (r *Rand) Int63() int64 {
-	return int64(r.Uint64() >> 1)
-}
-
 // Float64 returns a uniform float64 in [0, 1).
 func (r *Rand) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
@@ -79,17 +74,6 @@ func (r *Rand) ExpFloat64() float64 {
 	return -math.Log(u)
 }
 
-// NormFloat64 returns a standard normal variate (Box–Muller; one value per
-// call, the paired value is discarded for simplicity).
-func (r *Rand) NormFloat64() float64 {
-	u1 := r.Float64()
-	if u1 <= 0 {
-		u1 = math.SmallestNonzeroFloat64
-	}
-	u2 := r.Float64()
-	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
-}
-
 // Perm returns a random permutation of [0, n) (Fisher–Yates).
 func (r *Rand) Perm(n int) []int {
 	p := make([]int, n)
@@ -101,13 +85,4 @@ func (r *Rand) Perm(n int) []int {
 		p[i], p[j] = p[j], p[i]
 	}
 	return p
-}
-
-// Shuffle pseudo-randomly reorders n elements using the provided swap
-// function (Fisher–Yates).
-func (r *Rand) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
 }

@@ -25,7 +25,6 @@ package sfsched
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"sfsched/internal/bvt"
 	"sfsched/internal/cluster"
@@ -274,95 +273,40 @@ var (
 	ErrClusterClosed = cluster.ErrClusterClosed
 )
 
-// RuntimeConfig assembles a Runtime. The knobs every runtime needs are flat
-// fields; the enforcement, sharding and intake subsystems are each configured
-// through their own group:
+// Runtime configuration: RuntimeConfig is rt.Config, the one spelling of
+// the runtime's options. The knobs every runtime needs are flat fields; the
+// enforcement, sharding and intake subsystems are each configured through
+// their own group:
 //
 //	sfsched.RuntimeConfig{
 //	    Workers:     16,
 //	    Enforcement: sfsched.EnforcementConfig{Enabled: true, Tick: sfsched.Millisecond},
 //	    Sharding:    sfsched.ShardingConfig{Shards: 4},
 //	}
-type RuntimeConfig struct {
-	// Workers is the worker pool size — the number of "CPUs" the scheduler
-	// arbitrates. Required.
-	Workers int
-	// Policy builds each dispatch shard's scheduler (e.g. via
-	// PolicyByName); nil defaults to exact-mode SFS with Quantum.
-	Policy RuntimePolicy
-	// Quantum overrides the default SFS policy's maximum quantum.
-	Quantum Duration
-	// Clock supplies time for charging; nil defaults to the monotonic wall
-	// clock, tests inject a FakeClock.
-	Clock RuntimeClock
-	// Manual suppresses the worker pool and background loops; the caller
-	// drives Dispatch/Complete/Rebalance directly (deterministic tests).
-	Manual bool
-	// Preempt arms cooperative wakeup preemption (see rt.Config.Preempt).
-	Preempt bool
-
-	// Enforcement groups the involuntary slice-enforcement knobs
-	// (rt.Config.Enforce/EnforceTick).
-	Enforcement EnforcementConfig
-	// Sharding groups the per-CPU dispatch sharding knobs
-	// (rt.Config.Shards/RebalanceEvery/Steal).
-	Sharding ShardingConfig
-	// Intake groups the submit-side knobs (rt.Config.QueueCap).
-	Intake IntakeConfig
-}
-
-// EnforcementConfig groups RuntimeConfig's involuntary slice-enforcement
-// knobs: Enabled arms the enforcer, Tick is the enforcement granularity
-// (0 = default).
-type EnforcementConfig struct {
-	Enabled bool
-	Tick    Duration
-}
-
-// ShardingConfig groups RuntimeConfig's dispatch-sharding knobs: Shards
-// splits dispatch into per-CPU runqueues (0 or 1 = the central queue),
-// RebalanceEvery is the background rebalancer period (negative disables),
-// and Steal arms idle-path cross-shard work stealing — an idle worker pulls
-// the highest-surplus ready tenant from the most backlogged sibling shard
-// with lead-preserving frame translation before parking, closing the
-// transient-imbalance window between rebalancer passes (rt.Config.Steal,
-// DESIGN.md §12).
-type ShardingConfig struct {
-	Shards         int
-	RebalanceEvery time.Duration
-	Steal          bool
-}
-
-// IntakeConfig groups RuntimeConfig's submit-side knobs: QueueCap bounds
-// each tenant's backlog (0 = 256).
-type IntakeConfig struct {
-	QueueCap int
-}
-
-// flatten spells the grouped config as the internal one.
-func (c RuntimeConfig) flatten() rt.Config {
-	return rt.Config{
-		Workers:        c.Workers,
-		Policy:         c.Policy,
-		Quantum:        c.Quantum,
-		Clock:          c.Clock,
-		Manual:         c.Manual,
-		Preempt:        c.Preempt,
-		Enforce:        c.Enforcement.Enabled,
-		EnforceTick:    c.Enforcement.Tick,
-		Shards:         c.Sharding.Shards,
-		RebalanceEvery: c.Sharding.RebalanceEvery,
-		Steal:          c.Sharding.Steal,
-		QueueCap:       c.Intake.QueueCap,
-	}
-}
+type (
+	// RuntimeConfig assembles a Runtime: Workers, Policy, Quantum, Clock,
+	// Manual and Preempt, plus the three groups below.
+	RuntimeConfig = rt.Config
+	// EnforcementConfig groups the involuntary slice-enforcement knobs:
+	// Enabled arms the enforcer, Tick is the enforcement granularity
+	// (0 = default).
+	EnforcementConfig = rt.EnforcementConfig
+	// ShardingConfig groups the dispatch-sharding knobs: Shards splits
+	// dispatch into per-CPU runqueues (0 or 1 = the central queue), and Steal
+	// arms idle-path cross-shard work stealing (DESIGN.md §12). More than one
+	// shard runs the background rebalancer every rt.DefaultRebalanceEvery.
+	ShardingConfig = rt.ShardingConfig
+	// IntakeConfig groups the submit-side knobs: QueueCap bounds each
+	// tenant's backlog (0 = 256).
+	IntakeConfig = rt.IntakeConfig
+)
 
 // NewRuntime builds a wall-clock runtime and starts its worker pool; set
 // RuntimeConfig.Sharding.Shards > 1 for sharded per-CPU dispatch with background
 // weight rebalancing, and RuntimeConfig.Policy (e.g. via PolicyByName) to
 // dispatch with a policy other than SFS (see internal/rt and DESIGN.md
 // §6–§7).
-func NewRuntime(cfg RuntimeConfig) *Runtime { return rt.New(cfg.flatten()) }
+func NewRuntime(cfg RuntimeConfig) *Runtime { return rt.New(cfg) }
 
 // Submit options for Tenant.SubmitTask, the one submit entry point.
 type (
