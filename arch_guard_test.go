@@ -496,10 +496,17 @@ func TestPickAndSiftStayOffTheElement(t *testing.T) {
 // task's Preempted, the enforcement pass, the locked submit path, a thief's
 // stealFrom (which must see the victim's ring), Deport (which must see the
 // whole backlog) and CheckInvariants.
+//
+// Nor does the path, the worker loop or the post-unlock effects name regMu:
+// the shard sets are the only tenant registry, so no worker serializes on
+// Register, Rebalance or ShardStats.
 func TestTaskPathStaysOnItsShard(t *testing.T) {
 	fset := token.NewFileSet()
 	path := map[string]bool{"reserve": false, "submit": false, "pop": false,
 		"completeLocked": false, "drainLocked": false, "dispatchLocked": false}
+	offRegistry := map[string]bool{"Tenant.reserve": false, "Tenant.submit": false, "Tenant.pop": false,
+		"Dispatched.completeLocked": false, "shard.drainLocked": false, "shard.dispatchLocked": false,
+		"postActions.run": false, "Runtime.worker": false}
 	writes := map[string]bool{"Add": true, "Store": true, "CompareAndSwap": true}
 	isRuntime := func(e ast.Expr) bool {
 		switch x := e.(type) {
@@ -576,6 +583,13 @@ func TestTaskPathStaysOnItsShard(t *testing.T) {
 				}
 			}
 			site := recv + "." + name
+			if _, on := offRegistry[site]; on {
+				offRegistry[site] = true
+				if mentions(fn.Body, "regMu") {
+					t.Errorf("%s: %s names regMu: a worker serializes on the registry again",
+						fset.Position(fn.Pos()), site)
+				}
+			}
 			ast.Inspect(fn.Body, func(n ast.Node) bool {
 				call, ok := n.(*ast.CallExpr)
 				if !ok {
@@ -680,6 +694,11 @@ func TestTaskPathStaysOnItsShard(t *testing.T) {
 			t.Errorf("internal/rt has no method %s; update the guard", name)
 		}
 	}
+	for site, seen := range offRegistry {
+		if !seen {
+			t.Errorf("internal/rt has no method %s; update the guard", site)
+		}
+	}
 	if signals == 0 {
 		t.Error("completeLocked no longer signals notFull; update the guard")
 	}
@@ -756,6 +775,8 @@ var exportsWithoutCallers = map[string]string{
 	"simtime.Time.After":                     "reference: the instant order the simtime tests check beside Sub and Add",
 	"rt.SliceCtx.Slice":                      "facade API: a PreemptibleTask's timeslice hint, which a plain Task gets as its argument",
 	"rt.Dispatched.Slice":                    "facade API: a Manual driver's granted timeslice, which the golden and preempt tests run by",
+	"rt.Runtime.Workers":                     "facade API: the worker pool size, the slot range a Manual driver dispatches over",
+	"core.SFS.Quantum":                       "facade API: an SFS's maximum quantum, which the facade and core tests read back from WithQuantum",
 }
 
 // TestInternalExportsHaveCallers is arch guard 13: every exported function or
@@ -763,7 +784,9 @@ var exportsWithoutCallers = map[string]string{
 // in a non-test file of the repository (cmd/sfsbench and the examples count),
 // or sits in exportsWithoutCallers with its reason. A function counts as
 // named when another site calls or refers to it through its package, a
-// method when any selector or interface names it. An export only its own
+// method when an interface names it, a selector calls it, or an uncalled
+// selector names it and no struct has a field of that name (th.Weight reads a
+// field; it does not name rt.Tenant.Weight). An export only its own
 // unit test uses is a knob or helper nobody needs: delete it, or allowlist it
 // with the reason a test keeps it.
 func TestInternalExportsHaveCallers(t *testing.T) {
@@ -776,8 +799,10 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 	}
 	fset := token.NewFileSet()
 	var decls []decl
-	pkgRefs := map[string]bool{} // import path + "." + name, referenced
-	methodRefs := map[string]bool{}
+	pkgRefs := map[string]bool{}      // import path + "." + name, referenced
+	methodRefs := map[string]bool{}   // names an interface lists or a selector calls
+	selectedOnly := map[string]bool{} // names selected but never called: a field read or a method value
+	fields := map[string]bool{}       // names of struct fields, embedded ones included
 	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -806,7 +831,8 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 			}
 			imports[name] = p
 		}
-		own := map[*ast.Ident]bool{} // identifiers that are not bare references: declared names, selected names
+		own := map[*ast.Ident]bool{}           // identifiers that are not bare references: declared names, selected names
+		called := map[*ast.SelectorExpr]bool{} // selectors in a call's function position
 		for _, dd := range f.Decls {
 			fd, ok := dd.(*ast.FuncDecl)
 			if !ok {
@@ -835,6 +861,28 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
+			case *ast.CallExpr:
+				if sel, ok := n.Fun.(*ast.SelectorExpr); ok {
+					called[sel] = true
+				}
+			case *ast.StructType:
+				for _, fl := range n.Fields.List {
+					for _, name := range fl.Names {
+						fields[name.Name] = true
+					}
+					if len(fl.Names) == 0 { // embedded: the field is named by its type
+						typ := fl.Type
+						if star, ok := typ.(*ast.StarExpr); ok {
+							typ = star.X
+						}
+						if sel, ok := typ.(*ast.SelectorExpr); ok {
+							typ = sel.Sel
+						}
+						if id, ok := typ.(*ast.Ident); ok {
+							fields[id.Name] = true
+						}
+					}
+				}
 			case *ast.SelectorExpr:
 				own[n.Sel] = true // a selected name is not a bare reference
 				if x, ok := n.X.(*ast.Ident); ok {
@@ -843,7 +891,11 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 						return true
 					}
 				}
-				methodRefs[n.Sel.Name] = true
+				if called[n] {
+					methodRefs[n.Sel.Name] = true
+				} else {
+					selectedOnly[n.Sel.Name] = true
+				}
 			case *ast.InterfaceType:
 				for _, m := range n.Methods.List {
 					for _, name := range m.Names {
@@ -867,7 +919,7 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 	}
 	unlisted := maps.Clone(exportsWithoutCallers)
 	for _, d := range decls {
-		named := methodRefs[d.name]
+		named := methodRefs[d.name] || (selectedOnly[d.name] && !fields[d.name])
 		if d.fn {
 			named = pkgRefs[d.pkg+"."+d.name]
 		}

@@ -141,10 +141,11 @@ type Cluster struct {
 	wg   sync.WaitGroup
 }
 
-// Tenant is a cluster-level tenant handle: a name and weight with a current
-// (machine, rt.Tenant) binding that migration rewrites. SubmitTask calls
-// hold the binding read-locked, so a tenant with a submit in flight is
-// simply skipped by the migrator (rt.Deport would refuse it anyway).
+// Tenant is a cluster-level tenant handle: a name with a current (machine,
+// rt.Tenant) binding that migration rewrites; the weight lives on the bound
+// rt.Tenant. SubmitTask calls hold the binding read-locked, so a tenant with
+// a submit in flight is simply skipped by the migrator (rt.Deport would
+// refuse it anyway).
 type Tenant struct {
 	c    *Cluster
 	name string
@@ -152,7 +153,6 @@ type Tenant struct {
 	mu     sync.RWMutex
 	node   int
 	tn     *rt.Tenant
-	weight float64
 	closed bool
 }
 
@@ -248,7 +248,7 @@ func (c *Cluster) Register(name string, weight float64) (*Tenant, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &Tenant{c: c, name: name, node: best, tn: tn, weight: weight}
+	t := &Tenant{c: c, name: name, node: best, tn: tn}
 	c.tenants = append(c.tenants, t)
 	return t, nil
 }
@@ -295,11 +295,7 @@ func (c *Cluster) SetWeight(t *Tenant, w float64) error {
 	if t.closed {
 		return rt.ErrTenantClosed
 	}
-	if err := c.nodes[t.node].SetWeight(t.tn, w); err != nil {
-		return err
-	}
-	t.weight = w
-	return nil
+	return c.nodes[t.node].SetWeight(t.tn, w)
 }
 
 // Name returns the tenant's display name.
@@ -387,9 +383,10 @@ func (c *Cluster) Rebalance() int {
 	for _, t := range tenants {
 		t.mu.RLock()
 		if !t.closed {
-			cands = append(cands, cand{t: t, node: t.node, weight: t.weight})
+			w := t.tn.Weight()
+			cands = append(cands, cand{t: t, node: t.node, weight: w})
 			services = append(services, t.tn.Service())
-			weights = append(weights, t.weight)
+			weights = append(weights, w)
 		}
 		t.mu.RUnlock()
 	}
@@ -519,9 +516,10 @@ func (c *Cluster) Close() {
 
 // CheckInvariants verifies cluster-level consistency: every machine's own
 // invariants hold, every live tenant's binding points at a machine that
-// still knows it, and weight is conserved — the sum of machine weight
-// totals equals the sum of live tenant weights (placement and migration
-// neither mint nor destroy weight). Migration is frozen for the duration.
+// still knows it, and weight is conserved — each machine's weight total
+// equals the weights its runtime reports for the live tenants the cluster
+// binds there (placement and migration neither mint nor destroy weight).
+// Migration is frozen for the duration.
 func (c *Cluster) CheckInvariants() error {
 	c.migMu.Lock()
 	defer c.migMu.Unlock()
@@ -538,8 +536,9 @@ func (c *Cluster) CheckInvariants() error {
 	for _, t := range c.tenants {
 		t.mu.RLock()
 		if !t.closed {
-			want += t.weight
-			perNode[t.node] += t.weight
+			w := t.tn.Weight()
+			want += w
+			perNode[t.node] += w
 			perNodeCount[t.node]++
 		}
 		t.mu.RUnlock()

@@ -6,11 +6,9 @@ import "fmt"
 // accounting and active list, tenant↔shard binding, the task counters — and,
 // where the underlying schedulers support it (internal/core), each shard
 // scheduler's own structural invariants. Stress tests call it concurrently
-// with traffic; it freezes the whole runtime (registry plus every shard) for
-// the duration.
+// with traffic; it freezes the whole runtime (every shard lock) for the
+// duration.
 func (r *Runtime) CheckInvariants() error {
-	r.regMu.Lock()
-	defer r.regMu.Unlock()
 	r.lockShards()
 	defer r.unlockShards()
 	// Absorb pending intake first so ring-resident items are visible as
@@ -31,13 +29,6 @@ func (r *Runtime) CheckInvariants() error {
 	// those two checks are one-sided there.
 	exact := r.manual
 	totalQueued := 0
-	registered := make(map[*Tenant]bool, len(r.tenants))
-	for _, tn := range r.tenants {
-		if !tn.gone {
-			registered[tn] = true
-		}
-	}
-	seen := 0
 	// gateSlack collects tenants whose lock-free backpressure gate exceeds
 	// their absorbed backlog; legitimate only while reservations are in
 	// flight, which the quiescence check below rules out.
@@ -54,10 +45,6 @@ func (r *Runtime) CheckInvariants() error {
 			if th.Owner != tn {
 				return fmt.Errorf("rt: tenant %s's thread names owner %v", th, th.Owner)
 			}
-			if !registered[tn] {
-				return fmt.Errorf("rt: tenant %s on shard %d missing from the registry", th, sh.id)
-			}
-			seen++
 			queued += tn.n
 			weight += th.Weight
 			if th.Running() {
@@ -110,10 +97,6 @@ func (r *Runtime) CheckInvariants() error {
 				return err
 			}
 		}
-	}
-	if seen != len(registered) {
-		return fmt.Errorf("rt: registry lists %d live tenants, shards hold %d",
-			len(registered), seen)
 	}
 	if g := r.taskSum(); g < int64(totalQueued) || (exact && g != int64(totalQueued)) {
 		return fmt.Errorf("rt: shard task counters sum to %d, shards hold %d", g, totalQueued)

@@ -78,11 +78,11 @@ func TestLatencySummaryCache(t *testing.T) {
 		case k == 14:
 			r.TrySteal(rng.Intn(r.Workers()))
 		case k < 17:
-			for i, tn := range r.tenants {
+			for i, tn := range tenants {
 				cuts[i] = tn.waitHist.cutAt
 			}
 			for i, st := range r.Stats() { // registration order: nobody leaves
-				tn := r.tenants[i]
+				tn := tenants[i]
 				if st.Dispatch.Count > 0 && st.Dispatch.Count == cuts[i] {
 					hits++
 				}

@@ -91,8 +91,6 @@ func (r *Runtime) Deport(tn *Tenant) (Departure, error) {
 	if tn.r != r {
 		return Departure{}, ErrForeignTenant
 	}
-	r.regMu.Lock()
-	defer r.regMu.Unlock()
 	sh := tn.lockShard()
 	if tn.closing.Load() {
 		sh.mu.Unlock()
@@ -144,7 +142,6 @@ func (r *Runtime) Deport(tn *Tenant) (Departure, error) {
 	sh.finalizeLocked(tn)
 	sh.mu.Unlock()
 	post.run(r)
-	r.removeTenantLocked(tn)
 	return dep, nil
 }
 

@@ -173,10 +173,11 @@ func FuzzRebalance(f *testing.F) {
 	})
 }
 
-// TestRebalanceScratchHoldsNoTenant: Rebalance's reused working set must not
-// keep a tenant reachable between passes — not in its live length, not in
-// its spare capacity — or an unregistered tenant (its closures, its backlog)
-// would stay pinned until a later pass happened to overwrite the slot.
+// TestRebalanceScratchHoldsNoTenant: Rebalance's reused working set, and the
+// tenant list Stats and JainIndex sort, must not keep a tenant reachable
+// between calls — not in their live length, not in their spare capacity — or
+// an unregistered tenant (its closures, its backlog) would stay pinned until a
+// later call happened to overwrite the slot.
 func TestRebalanceScratchHoldsNoTenant(t *testing.T) {
 	r := New(Config{Workers: 2, Manual: true, Clock: NewFakeClock(),
 		Sharding: ShardingConfig{Shards: 2}})
@@ -194,6 +195,16 @@ func TestRebalanceScratchHoldsNoTenant(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.Rebalance()
+	r.Stats()
+	r.JainIndex()
+	if cap(r.frozen) == 0 {
+		t.Fatal("Stats kept no tenant list; the check below would be vacuous")
+	}
+	for i, reg := range r.frozen[:cap(r.frozen)] {
+		if reg.tn != nil {
+			t.Errorf("Stats' tenant list slot %d still holds tenant %d", i, reg.id)
+		}
+	}
 	s := &r.rebal
 	if cap(s.cands) == 0 {
 		t.Fatal("Rebalance kept no candidate scratch; the check below would be vacuous")

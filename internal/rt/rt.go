@@ -16,9 +16,10 @@
 // dispatch, charge and wakeup, exactly as the paper's kernel serializes
 // scheduling under the run queue lock (§3.1). Config.Sharding.Shards > 1
 // splits the machine into independent per-CPU runqueues instead: each shard
-// owns a private scheduler instance (built by Config.Policy), a private lock
-// and a contiguous block of the worker pool, and tenants carry their weight
-// as a sub-share of the shard they are assigned to. A rebalancer (every
+// owns a private scheduler instance (built by Config.Policy), a private lock,
+// a contiguous block of the worker pool and the set of tenants bound to it —
+// the runtime keeps no other list of its tenants — and tenants carry their
+// weight as a sub-share of the shard they are assigned to. A rebalancer (every
 // DefaultRebalanceEvery in concurrent mode, Rebalance in Manual mode)
 // migrates tenants between shards so every shard's total weight stays
 // proportional to its processor count, which is what keeps the partitioned
@@ -281,7 +282,6 @@ type Tenant struct {
 
 	waiters     int  // submitters blocked in notFull.Wait (pins the shard)
 	inSched     bool // thread currently in its shard scheduler's runnable set
-	gone        bool // fully unregistered (closing was set first)
 	headStarted bool // buf[head] has been dispatched at least once
 	wokePending bool // a wakeup Submit awaits its first dispatch (wokeAt)
 	// detached marks an involuntary handoff in progress: the head task's
@@ -325,8 +325,10 @@ type Tenant struct {
 // Runtime is the concurrent wall-clock scheduling runtime. All exported
 // methods are safe for concurrent use. Scheduling state is partitioned into
 // shards, each serialized by its own mutex (one shard ≡ the kernel run-queue
-// lock); the registry of live tenants is guarded by regMu. Lock order:
-// regMu → shard.mu (ascending shard id when taking several) → quietMu.
+// lock), and the live tenants are the union of the shard sets. regMu
+// serializes only Register's ID and placement, Rebalance and ShardStats'
+// scratch; no worker takes it. Lock order: regMu → shard.mu (ascending shard
+// id when taking several) → quietMu.
 type Runtime struct {
 	shards      []*shard
 	workerShard []*shard // worker index → owning shard
@@ -355,12 +357,14 @@ type Runtime struct {
 	taskPanics atomic.Int64
 	migrations atomic.Int64
 
-	regMu   sync.Mutex
-	tenants []*Tenant
-	nextID  int
+	regMu  sync.Mutex
+	nextID int
 	// Working sets ShardStats and Rebalance reuse across calls (regMu).
 	statScratch []tenantSample
 	rebal       rebalanceScratch
+	// frozen is the tenant list Stats and JainIndex sort, reused across calls
+	// under the whole-runtime freeze and cleared after each.
+	frozen []registered
 
 	stop chan struct{} // closed by Close: ends the rebalance and enforcement loops
 	wg   sync.WaitGroup
@@ -466,9 +470,6 @@ func New(cfg Config) *Runtime {
 // Workers returns the worker pool size.
 func (r *Runtime) Workers() int { return len(r.workerShard) }
 
-// Shards returns the number of dispatch shards (1 = central runqueue).
-func (r *Runtime) Shards() int { return len(r.shards) }
-
 // Register creates a tenant with the given display name and weight, placing
 // it on the shard with the least weight per processor. The tenant joins its
 // shard scheduler's runnable set on its first Submit.
@@ -492,9 +493,7 @@ func (r *Runtime) Register(name string, weight float64) (*Tenant, error) {
 	}
 	tn := &Tenant{r: r, th: th, buf: make([]queued, r.qcap)}
 	th.Owner = tn
-	best := r.placeTenant(tn, weight)
-	best.mu.Unlock()
-	r.tenants = append(r.tenants, tn)
+	r.placeTenant(tn, weight).mu.Unlock()
 	return tn, nil
 }
 
@@ -530,8 +529,6 @@ func (r *Runtime) Unregister(tn *Tenant) error {
 	if tn.r != r {
 		return ErrForeignTenant
 	}
-	r.regMu.Lock()
-	defer r.regMu.Unlock()
 	sh := tn.lockShard()
 	if tn.closing.Load() {
 		sh.mu.Unlock()
@@ -554,7 +551,6 @@ func (r *Runtime) Unregister(tn *Tenant) error {
 	}
 	sh.finalizeLocked(tn)
 	sh.mu.Unlock()
-	r.removeTenantLocked(tn)
 	return nil
 }
 
@@ -748,8 +744,7 @@ func (d *Dispatched) Complete(done bool) simtime.Duration {
 // worker loop uses it to complete and re-dispatch in one lock acquisition,
 // and now is that lock hold's single cached clock read — the completion
 // charge, the drain absorption and the next dispatch all anchor to the same
-// instant. Deferred effects (worker signals, registry removal of a finalized
-// tenant) accumulate in post.
+// instant. Deferred worker signals accumulate in post.
 func (d *Dispatched) completeLocked(done bool, now simtime.Time, post *postActions) simtime.Duration {
 	sh, tn := d.sh, d.tn
 	if !d.inFlight {
@@ -809,7 +804,6 @@ func (d *Dispatched) completeLocked(done bool, now simtime.Time, post *postActio
 		sh.ready--
 		if closing {
 			sh.finalizeLocked(tn)
-			post.finalized = tn
 		}
 	} else if tn.inSched {
 		// Work remains: the tenant is dispatchable again from this instant,
@@ -899,17 +893,6 @@ func (tn *Tenant) pop() {
 	tn.n--
 	tn.pending.Add(-1) // release the submit-side backpressure reservation
 	tn.headStarted = false
-}
-
-// removeTenantLocked prunes a finalized tenant from the registry (regMu
-// held).
-func (r *Runtime) removeTenantLocked(tn *Tenant) {
-	for i, x := range r.tenants {
-		if x == tn {
-			r.tenants = append(r.tenants[:i], r.tenants[i+1:]...)
-			break
-		}
-	}
 }
 
 // mustSched panics on scheduler errors that indicate runtime bookkeeping

@@ -40,8 +40,9 @@ type shard struct {
 	// code the simulated machine drives, here driven by the wall clock.
 	eng      *engine.Engine
 	workCond *sync.Cond
-	// tenants is the set of tenants bound here. A picked thread names its
-	// tenant (sched.Thread.Owner), so dispatch never looks one up.
+	// tenants is the set of tenants bound here; the runtime's live tenants
+	// are the union of these sets. A picked thread names its tenant
+	// (sched.Thread.Owner), so dispatch never looks one up.
 	tenants map[*Tenant]struct{}
 	_       [8]byte // fills the line: mu starts at byte 64
 
@@ -423,10 +424,9 @@ func (sh *shard) publishReady() {
 	}
 }
 
-// finalizeLocked detaches a fully-unregistered tenant from the shard. The
-// caller removes it from the runtime registry (under regMu) afterwards.
+// finalizeLocked detaches a fully-unregistered tenant from the shard, which
+// unregisters it: the shard sets are the runtime's only tenant registry.
 func (sh *shard) finalizeLocked(tn *Tenant) {
-	tn.gone = true
 	delete(sh.tenants, tn)
 	sh.weight -= tn.th.Weight
 }

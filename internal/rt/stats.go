@@ -4,6 +4,8 @@
 package rt
 
 import (
+	"slices"
+
 	"sfsched/internal/metrics"
 	"sfsched/internal/simtime"
 )
@@ -88,16 +90,14 @@ type TenantStat struct {
 // skewed by charges landing between per-tenant samples. Its one allocation is
 // the result.
 func (r *Runtime) Stats() []TenantStat {
-	r.regMu.Lock()
-	defer r.regMu.Unlock()
 	r.lockShards()
 	defer r.unlockShards()
-	out := make([]TenantStat, 0, len(r.tenants))
+	tenants := r.frozenTenants()
+	defer clear(tenants)
+	out := make([]TenantStat, 0, len(tenants))
 	var tot metrics.Totals
-	for _, tn := range r.tenants {
-		if tn.gone { // finalized by Complete, not yet pruned
-			continue
-		}
+	for _, reg := range tenants {
+		tn := reg.tn
 		sh := tn.sh.Load() // stable: migration needs the shard locks we hold
 		out = append(out, TenantStat{
 			Name:        tn.th.Name,
@@ -127,17 +127,40 @@ func (r *Runtime) Stats() []TenantStat {
 // with no tenants. Like Stats, it computes over a whole-runtime freeze so the
 // service vector is a consistent cut; it allocates nothing.
 func (r *Runtime) JainIndex() float64 {
-	r.regMu.Lock()
-	defer r.regMu.Unlock()
 	r.lockShards()
 	defer r.unlockShards()
+	tenants := r.frozenTenants()
+	defer clear(tenants)
 	var j metrics.Jain
-	for _, tn := range r.tenants {
-		if !tn.gone {
-			j.Add(tn.th.Service, tn.th.Weight)
-		}
+	for _, reg := range tenants {
+		j.Add(reg.tn.th.Service, reg.tn.th.Weight)
 	}
 	return j.Index()
+}
+
+// frozenTenants lists the live tenants — the union of the shard sets — in
+// registration order: Register hands out thread IDs in that order. Stats and
+// JainIndex sum in it, so a rollup over Stats reproduces JainIndex bit for
+// bit. The list is the frozen scratch, which the caller holds the freeze
+// for and clears after use so it never keeps an unregistered tenant alive.
+func (r *Runtime) frozenTenants() []registered {
+	tenants := r.frozen[:0]
+	for _, sh := range r.shards {
+		for tn := range sh.tenants {
+			tenants = append(tenants, registered{tn.th.ID, tn})
+		}
+	}
+	// IDs are positive, so the difference cannot overflow.
+	slices.SortFunc(tenants, func(a, b registered) int { return a.id - b.id })
+	r.frozen = tenants
+	return tenants
+}
+
+// registered is a live tenant and its thread ID, the key frozenTenants sorts
+// on beside the pointer, so the sort reads no tenant.
+type registered struct {
+	id int
+	tn *Tenant
 }
 
 // lockShards freezes the whole runtime by taking every shard lock in

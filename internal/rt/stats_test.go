@@ -9,11 +9,14 @@ package rt_test
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"sfsched/internal/metrics"
 	"sfsched/internal/rt"
 	"sfsched/internal/simtime"
 )
@@ -380,4 +383,145 @@ func TestStatsReflectUnregister(t *testing.T) {
 		t.Fatalf("shards report %d tenants, want 1", total)
 	}
 	_ = b
+}
+
+// TestStatsKeepRegistrationOrder: the shard sets are the runtime's only
+// tenant registry, so Stats and JainIndex walk them and sort. Stats must still
+// list tenants in registration order after they moved between shards
+// (Rebalance, TrySteal), left (Unregister, one of them mid-slice and finalized
+// by its Complete) and came back (Deport, then Admit: a new registration, so
+// last), and JainIndex must be the Jain index of Stats' vector summed in that
+// order, bit for bit — the cluster rollup relies on it.
+func TestStatsKeepRegistrationOrder(t *testing.T) {
+	clock := rt.NewFakeClock()
+	r := rt.New(rt.Config{Workers: 2, Quantum: simtime.Millisecond, Clock: clock, Manual: true,
+		Sharding: rt.ShardingConfig{Shards: 2, Steal: true},
+		Intake:   rt.IntakeConfig{QueueCap: 8}})
+	defer r.Close()
+	var order []string // registration order of the live tenants
+	tenants := map[string]*rt.Tenant{}
+	for i := range 12 {
+		name := fmt.Sprintf("t%02d", i)
+		tn, err := r.Register(name, float64(1+i%4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		order = append(order, name)
+		tenants[name] = tn
+	}
+	drop := func(name string) {
+		order = slices.DeleteFunc(order, func(s string) bool { return s == name })
+		delete(tenants, name)
+	}
+	submit := func(name string, n int) {
+		for range n {
+			if err := tenants[name].SubmitTask(rt.Once(func() {}), rt.NoWait()); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	serve := func() {
+		for i := 0; ; i++ {
+			var ran bool
+			for w := range 2 {
+				if d := r.Dispatch(w); d != nil {
+					clock.Advance(simtime.Duration(100 + 37*i))
+					d.Complete(true)
+					ran = true
+				}
+			}
+			if !ran {
+				return
+			}
+		}
+	}
+	check := func(when string) {
+		t.Helper()
+		stats := r.Stats()
+		got := make([]string, len(stats))
+		var want metrics.Jain
+		for i, st := range stats {
+			got[i] = st.Name
+			want.Add(st.Service, st.Weight)
+		}
+		if !slices.Equal(got, order) {
+			t.Fatalf("%s: Stats lists %v, registration order is %v", when, got, order)
+		}
+		if j := r.JainIndex(); j != want.Index() {
+			t.Fatalf("%s: JainIndex %v, Jain over Stats in order %v", when, j, want.Index())
+		}
+		if err := r.CheckInvariants(); err != nil {
+			t.Fatalf("%s: %v", when, err)
+		}
+	}
+	for _, name := range order {
+		submit(name, 3)
+	}
+	serve()
+	check("served")
+
+	// A weight shift on shard 0 makes the rebalancer move tenants across.
+	for _, name := range order {
+		if tenants[name].Shard() == 0 {
+			if err := r.SetWeight(tenants[name], 12); err != nil {
+				t.Fatal(err)
+			}
+			break
+		}
+	}
+	if r.Rebalance() == 0 {
+		t.Fatal("Rebalance moved nothing; the check below would not cover a migration")
+	}
+	check("rebalanced")
+
+	// Backlog on shard 0 only: the idle shard 1 steals one of its tenants.
+	for _, name := range order {
+		if tenants[name].Shard() == 0 {
+			submit(name, 2)
+		}
+	}
+	if !r.TrySteal(1) {
+		t.Fatal("TrySteal found nothing to steal")
+	}
+	check("stolen")
+	serve()
+
+	// Unregister an idle tenant, and one mid-slice: it stays listed until the
+	// Complete that finalizes it.
+	if err := r.Unregister(tenants[order[3]]); err != nil {
+		t.Fatal(err)
+	}
+	drop(order[3])
+	busy := order[5]
+	submit(busy, 1)
+	d := r.Dispatch(tenants[busy].Shard()) // worker i serves shard i
+	if d == nil || d.Tenant() != tenants[busy] {
+		t.Fatalf("dispatch did not pick %s", busy)
+	}
+	if err := r.Unregister(tenants[busy]); err != nil {
+		t.Fatal(err)
+	}
+	check("unregistered mid-slice")
+	clock.Advance(simtime.Millisecond)
+	d.Complete(true)
+	drop(busy)
+	check("finalized")
+
+	// Deport and re-admit: the tenant comes back as the newest registration.
+	moved := order[0]
+	dep, err := r.Deport(tenants[moved])
+	if err != nil {
+		t.Fatal(err)
+	}
+	drop(moved)
+	check("deported")
+	back, err := r.Admit(dep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	order = append(order, moved)
+	tenants[moved] = back
+	submit(moved, 2)
+	serve()
+	check("admitted")
 }

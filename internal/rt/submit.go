@@ -56,19 +56,12 @@ func (tn *Tenant) SubmitTask(task Task, opts ...SubmitOption) error {
 
 // postActions accumulates work that must run after the shard lock is
 // released: worker wakeup signals (moved off the lock so woken workers do
-// not immediately block on the mutex the signaler still holds) and the
-// registry removal of a tenant finalized by its last Complete (regMu must
-// never be taken inside a shard lock). The struct lives on its caller's
-// stack; run leaves it reusable.
+// not immediately block on the mutex the signaler still holds) and a steal
+// offer. The struct lives on its caller's stack; run leaves it reusable.
 type postActions struct {
-	sh        *shard
-	signals   int     // workCond signals owed to sh
-	offer     bool    // sh admitted more wakeups than it has idle workers: offer a steal
-	finalized *Tenant // tenant finalized under the shard lock, if any
-}
-
-func (p *postActions) pending() bool {
-	return p.signals > 0 || p.offer || p.finalized != nil
+	sh      *shard
+	signals int  // workCond signals owed to sh
+	offer   bool // sh admitted more wakeups than it has idle workers: offer a steal
 }
 
 func (p *postActions) run(r *Runtime) {
@@ -78,12 +71,6 @@ func (p *postActions) run(r *Runtime) {
 	if p.offer {
 		p.offer = false
 		r.offerSteal(p.sh)
-	}
-	if p.finalized != nil {
-		r.regMu.Lock()
-		r.removeTenantLocked(p.finalized)
-		r.regMu.Unlock()
-		p.finalized = nil
 	}
 }
 

@@ -82,17 +82,8 @@ func (r *Runtime) worker(slot int) {
 				now = r.clock.Now()
 				continue
 			}
-			if post.pending() {
-				// Nothing to dispatch here, but deferred effects are owed
-				// (a finalized tenant's registry removal; signals are
-				// impossible with no dispatchable tenant). Run them off the
-				// lock before sleeping.
-				sh.mu.Unlock()
-				post.run(r)
-				sh.mu.Lock()
-				now = r.clock.Now()
-				continue
-			}
+			// post owes nothing here: a drain that wakes a tenant, or a
+			// completion that leaves one backlogged, leaves it to dispatch.
 			// Announce the park, then read the ring again: a submit that met
 			// this hold pushed first and read idlers second, so either it saw
 			// the announcement and is waiting for the lock to signal under it,
