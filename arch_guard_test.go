@@ -492,10 +492,11 @@ func TestPickAndSiftStayOffTheElement(t *testing.T) {
 // workCond.Wait is the one it must signal under the lock. A call to
 // enqueueSlow, the one locked submit path, counts as taking the lock. The
 // doorbell it leaves up is answered on the shard's own side, so drainLocked is
-// called only from owners' sites: the worker and Manual Dispatch, a polling
-// task's Preempted, the enforcement pass, the locked submit path, a thief's
-// stealFrom (which must see the victim's ring), Deport (which must see the
-// whole backlog) and CheckInvariants.
+// called only from owners' sites: the worker and Manual Dispatch, a
+// completion (which must see a successor its own task submitted before it
+// departs the tenant), a polling task's Preempted, the enforcement pass, the
+// locked submit path, a thief's stealFrom (which must see the victim's ring),
+// Deport (which must see the whole backlog) and CheckInvariants.
 //
 // Nor does the path, the worker loop or the post-unlock effects name regMu:
 // the shard sets are the only tenant registry, so no worker serializes on
@@ -560,9 +561,9 @@ func TestTaskPathStaysOnItsShard(t *testing.T) {
 		return ok && mu.Sel.Name == "mu"
 	}
 	drainers := map[string]bool{"Runtime.worker": false, "Runtime.Dispatch": false,
-		"Dispatched.Preempted": false, "Runtime.Enforce": false, "Tenant.submit": false,
-		"Tenant.enqueueSlow": false, "Runtime.stealFrom": false, "Runtime.Deport": false,
-		"Runtime.CheckInvariants": false}
+		"Dispatched.completeLocked": false, "Dispatched.Preempted": false, "Runtime.Enforce": false,
+		"Tenant.submit": false, "Tenant.enqueueSlow": false, "Runtime.stealFrom": false,
+		"Runtime.Deport": false, "Runtime.CheckInvariants": false}
 	signals := 0
 	submitLocks := map[string]int{}
 	for _, file := range driverSources(t, filepath.Join("internal", "rt")) {

@@ -22,9 +22,17 @@
 // sets all n threads to the lightest weight. A pass computes each thread's
 // final φ before assigning it, so the φ hook fires once per thread whose φ
 // changed and not at all for a thread that stays capped at the same value.
+//
+// On one processor no weight is infeasible (wᵢ/Σw ≤ 1 always), so φ = w for
+// every thread and nothing reads an order: a tracker built for p = 1 keeps its
+// threads in an unordered set on the same handle — O(1) per arrival,
+// departure and weight change, no sift — and a readjustment pass returns at
+// once. MaxPhi stays exact there by counting the threads at the maximum; only
+// a read after the last of them left rescans the set, O(n).
 package phi
 
 import (
+	"fmt"
 	"math"
 	"slices"
 
@@ -37,11 +45,13 @@ import (
 type Tracker struct {
 	cap      float64 // processor count, as the float Figure 2 divides by
 	enabled  bool
-	byWeight *runqueue.Heap[*sched.Thread] // heaviest first
+	oneCPU   bool                          // p ≤ 1: φ = w always, and byWeight keeps no order
+	byWeight *runqueue.Heap[*sched.Thread] // heaviest first; a plain set when oneCPU
 	sum      float64                       // Σ w_i over runnable threads
 	capped   []*sched.Thread               // threads with φ != w after the last pass
 	heavy    []*sched.Thread               // scratch for the heaviest-prefix scan
 	maxPhi   float64                       // largest φ as of the last pass, raised by AddDeferred
+	atMax    int                           // oneCPU: tracked threads weighing maxPhi; 0 while any are tracked means stale
 	passes   int64                         // readjustment passes that changed some φ
 	onPhi    func(*sched.Thread)           // hook invoked after a φ assignment
 }
@@ -49,18 +59,23 @@ type Tracker struct {
 // NewTracker returns a tracker for p processors. If enabled is false the
 // tracker still maintains the weight queue and Σw but φ_i always equals w_i.
 func NewTracker(p int, enabled bool) *Tracker {
-	return &Tracker{
-		cap:     float64(p),
-		enabled: enabled,
-		byWeight: runqueue.NewKeyedHeap(runqueue.SlotWeight,
-			func(t *sched.Thread) float64 { return -t.Weight },
-			func(a, b *sched.Thread) bool {
-				if a.Weight != b.Weight {
-					return a.Weight > b.Weight
-				}
-				return a.ID < b.ID
-			}),
+	k := &Tracker{cap: float64(p), enabled: enabled, oneCPU: p <= 1}
+	if k.oneCPU {
+		// No element precedes another, so Push and Remove never sift; the
+		// heap is kept for its handle-backed Contains and Len, and for Each,
+		// which MaxPhi's rescan and Validate walk.
+		k.byWeight = runqueue.NewHeap(runqueue.SlotWeight, func(a, b *sched.Thread) bool { return false })
+		return k
 	}
+	k.byWeight = runqueue.NewKeyedHeap(runqueue.SlotWeight,
+		func(t *sched.Thread) float64 { return -t.Weight },
+		func(a, b *sched.Thread) bool {
+			if a.Weight != b.Weight {
+				return a.Weight > b.Weight
+			}
+			return a.ID < b.ID
+		})
+	return k
 }
 
 // OnPhiChange registers a hook called every time the tracker assigns a
@@ -103,8 +118,30 @@ func (k *Tracker) Passes() int64 { return k.passes }
 // the larger of the capped threads' φ and the heaviest uncapped weight, which
 // every pass records. Between an AddDeferred and its Readjust the result is
 // still an upper bound (the new thread's weight is folded in). With
-// readjustment disabled it is the weight at the head of the queue.
-func (k *Tracker) MaxPhi() float64 { return k.maxPhi }
+// readjustment disabled it is the weight at the head of the queue. On one
+// processor it is always exact: the heaviest weight, found again by a scan of
+// the set when the last thread that carried it has left.
+func (k *Tracker) MaxPhi() float64 {
+	if k.oneCPU && k.atMax == 0 {
+		k.maxPhi = 0
+		k.byWeight.Each(func(t *sched.Thread) bool {
+			k.raiseMax(t.Weight)
+			return true
+		})
+	}
+	return k.maxPhi
+}
+
+// raiseMax folds a tracked weight into the one-processor maximum and its count.
+// maxPhi only ever bounds the set from above, so a weight above a stale
+// maximum is the new maximum, and one equal to it is again a holder.
+func (k *Tracker) raiseMax(w float64) {
+	if w > k.maxPhi {
+		k.maxPhi, k.atMax = w, 1
+	} else if w == k.maxPhi {
+		k.atMax++
+	}
+}
 
 // Add starts tracking t (which must not already be tracked) and readjusts.
 // It reports whether any φ changed. The φ hook always fires for t so that
@@ -123,7 +160,11 @@ func (k *Tracker) Add(t *sched.Thread) bool {
 func (k *Tracker) AddDeferred(t *sched.Thread) {
 	k.setPhi(t, t.Weight, true)
 	k.sum += t.Weight
-	k.maxPhi = max(k.maxPhi, t.Weight)
+	if k.oneCPU {
+		k.raiseMax(t.Weight)
+	} else {
+		k.maxPhi = max(k.maxPhi, t.Weight)
+	}
 	k.byWeight.Push(t)
 }
 
@@ -137,6 +178,12 @@ func (k *Tracker) Remove(t *sched.Thread) bool {
 		// Σw is kept by += and −= alone; an idle period must not carry the
 		// float residue of the churn before it into the next feasibility test.
 		k.sum = 0
+	}
+	if k.oneCPU {
+		if t.Weight == k.maxPhi {
+			k.atMax--
+		}
+		return false // φ = w throughout: nothing was capped, nothing is
 	}
 	changed := false
 	if i := slices.Index(k.capped, t); i >= 0 {
@@ -156,6 +203,12 @@ func (k *Tracker) UpdateWeight(t *sched.Thread, w float64) bool {
 		return false
 	}
 	k.sum += w - t.Weight
+	if k.oneCPU {
+		if t.Weight == k.maxPhi {
+			k.atMax--
+		}
+		k.raiseMax(w)
+	}
 	t.Weight = w
 	k.setPhi(t, w, true)
 	k.byWeight.Fix(t)
@@ -163,13 +216,38 @@ func (k *Tracker) UpdateWeight(t *sched.Thread, w float64) bool {
 	return true
 }
 
-// Validate checks the weight queue's structural invariants.
-func (k *Tracker) Validate() error { return k.byWeight.Validate() }
+// Validate checks the weight queue's structural invariants and, on one
+// processor, the maximum's bookkeeping: no tracked weight above maxPhi and
+// atMax threads at it.
+func (k *Tracker) Validate() error {
+	if err := k.byWeight.Validate(); err != nil || !k.oneCPU {
+		return err
+	}
+	at := 0
+	var err error
+	k.byWeight.Each(func(t *sched.Thread) bool {
+		if t.Weight > k.maxPhi {
+			err = fmt.Errorf("phi: %v weighs %g, above the recorded maximum %g", t, t.Weight, k.maxPhi)
+			return false
+		}
+		if t.Weight == k.maxPhi {
+			at++
+		}
+		return true
+	})
+	if err == nil && at != k.atMax {
+		err = fmt.Errorf("phi: %d threads weigh the maximum %g, %d recorded", at, k.maxPhi, k.atMax)
+	}
+	return err
+}
 
 // Readjust recomputes φ for the tracked set: the weight readjustment
 // algorithm of Figure 2 operating directly on the weight queue, so that only
 // the heaviest p-1 threads are inspected. It reports whether any φ changed.
 func (k *Tracker) Readjust() bool {
+	if k.oneCPU {
+		return false // every weight is feasible on one processor (§2.1)
+	}
 	n, p := k.byWeight.Len(), int(k.cap)
 	head, _ := k.byWeight.Min()
 	changed := false

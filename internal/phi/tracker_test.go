@@ -536,3 +536,66 @@ func TestTrackerChurnAllocs(t *testing.T) {
 		t.Fatalf("Remove + Add allocates %v times", n)
 	}
 }
+
+// TestOneProcessorTrackerChurn: a one-processor tracker keeps its threads in
+// an unordered set, so MaxPhi is the only order it still owes. It must follow
+// the heaviest weight exactly while the heaviest threads leave first, a
+// weight at the maximum falls, and the set empties and refills; after every
+// step φ, Σw, Len and MaxPhi are Figure 2's, and steady-state churn — the
+// rescan included — allocates nothing.
+func TestOneProcessorTrackerChurn(t *testing.T) {
+	w := newTrackerWorld(t, 1)
+	heaviest := func() int {
+		i := 0
+		for j, th := range w.live {
+			if th.Weight > w.live[i].Weight {
+				i = j
+			}
+		}
+		return i
+	}
+	for round := 0; round < 3; round++ {
+		w.add(7, 7, 5, 3, 1)
+		w.add(2)
+		w.remove(heaviest()) // one of two at the maximum: it stays 7
+		w.remove(heaviest()) // the last at 7: 5 is the maximum now
+		w.setWeight(heaviest(), 4)
+		w.setWeight(heaviest(), 1) // the 4 falls below 3
+		w.add(3)                   // a second holder of the maximum
+		w.setWeight(heaviest(), 6) // one holder rises past the other
+		for len(w.live) > 0 {
+			w.remove(heaviest())
+		}
+	}
+
+	k := NewTracker(1, true)
+	k.OnPhiChange(func(*sched.Thread) {})
+	top := mkThread(0, 100)
+	k.Add(top)
+	var ts []*sched.Thread
+	for i := 1; i < 10_000; i++ {
+		ts = append(ts, mkThread(i, float64(1+i%7)))
+		k.Add(ts[len(ts)-1])
+	}
+	i := 0
+	if n := testing.AllocsPerRun(1000, func() {
+		th := ts[i%len(ts)]
+		i += 13
+		k.Remove(th)
+		k.Remove(top)
+		if k.MaxPhi() != 7 {
+			t.Fatalf("MaxPhi %g without the top thread, want 7", k.MaxPhi())
+		}
+		k.Add(top)
+		k.Add(th)
+		k.UpdateWeight(th, th.Weight)
+	}); n != 0 {
+		t.Fatalf("one-processor churn allocates %v times", n)
+	}
+	if k.MaxPhi() != 100 || k.Len() != 10_000 {
+		t.Fatalf("after churn: MaxPhi %g Len %d", k.MaxPhi(), k.Len())
+	}
+	if err := k.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}

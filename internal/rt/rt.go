@@ -793,6 +793,14 @@ func (d *Dispatched) completeLocked(done bool, now simtime.Time, post *postActio
 	closing := tn.closing.Load()
 	if closing {
 		sh.dropBacklogLocked(tn)
+	} else if tn.n == 0 && tn.inSched && tn.pending.Load() > 0 {
+		// A submit accepted before this completion — a task's own successor,
+		// typically — may still sit in the intake ring. Absorb it before
+		// deciding: departing here would re-admit the tenant by the wakeup
+		// rule at the drain, and a continuously backlogged tenant would
+		// forfeit its lead on every task (§2.3). Manual mode never gets here:
+		// its submits drain eagerly, so pending is n.
+		sh.drainLocked(now, post)
 	}
 	if tn.n == 0 && tn.inSched {
 		st := sched.Blocked
