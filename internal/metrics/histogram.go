@@ -2,10 +2,14 @@
 // latency accounting. The paper's interactive-performance evaluation (Figure
 // 6(c)) is a latency distribution, not a mean; the runtime records every
 // ready→dispatch and wakeup→dispatch interval per tenant, which rules out
-// storing samples. A Histogram is a fixed-size value type — no pointers, no
-// growth — so it embeds directly in per-tenant and per-shard state and its
-// Record sits on the dispatch hot path at zero allocations (the dispatch
-// benchmarks' 0 allocs/op gate covers it).
+// storing samples. A Histogram keeps its counts in two tiers: the 64 buckets
+// of samples below 2^17 µs (131 ms) inline, so it embeds directly in
+// per-tenant and per-shard state at 280 bytes, and the other 192 behind a
+// pointer allocated on the first sample at or above 2^17 µs. Record therefore
+// allocates at most once per histogram, and nothing grows after that; a
+// runtime in steady state records no wait that long, so Record sits on the
+// dispatch hot path at zero allocations (the dispatch benchmarks' 0 allocs/op
+// gate covers it).
 package metrics
 
 import (
@@ -19,32 +23,36 @@ import (
 // quantile overestimates the true one by at most 1/histSub of its magnitude
 // (25%) — coarse-grained by design, since the latency comparisons of
 // interest (preemption vs a full quantum, SFS vs time sharing) differ by
-// multiples. 256 buckets cover every uint64 microsecond value.
+// multiples. 256 buckets cover every uint64 microsecond value; the first
+// histLow of them hold exactly the values below 1<<histLowBits.
 const (
 	histSubBits = 2
 	histSub     = 1 << histSubBits
 	histLinear  = histSub
 	histBuckets = 256
+	histLowBits = 17
+	histLow     = (histLowBits - histSubBits + 1) * histSub
 )
 
-// Histogram is an allocation-free log-bucketed histogram of durations at
-// microsecond resolution. The zero value is empty and ready to use. It is a
-// value type with no internal pointers; callers embed it and provide their
-// own synchronization (the runtime records and reads under its shard locks).
+// Histogram is a log-bucketed histogram of durations at microsecond
+// resolution. The zero value is empty and ready to use. Its low tier is
+// inline; its high tier is allocated by the first sample at or above 2^17 µs
+// and shared by copies of the histogram, so callers embed it, never copy it,
+// and provide their own synchronization (the runtime records and reads under
+// its shard locks).
 type Histogram struct {
-	n      uint64
-	max    uint64
-	counts [histBuckets]uint32
+	n    uint64
+	max  uint64
+	low  [histLow]uint32
+	high *[histBuckets - histLow]uint32
 }
 
-// histBucket maps a microsecond value to its bucket index.
+// histBucket maps a microsecond value to its bucket index: e is the octave
+// above the linear range, and values below histLinear fall out of the same
+// expression with e = 0. Branch-free, it leaves Record cheap enough to inline.
 func histBucket(v uint64) int {
-	if v < histLinear {
-		return int(v)
-	}
-	e := bits.Len64(v) // position of the top bit, ≥ histSubBits+1
-	sub := int((v >> (e - histSubBits - 1)) & (histSub - 1))
-	return (e-histSubBits)*histSub + sub
+	e := bits.Len64(v >> histSubBits)
+	return e*histSub + int(v>>uint(max(e-1, 0))&(histSub-1))
 }
 
 // histUpper returns the largest microsecond value a bucket holds.
@@ -58,17 +66,31 @@ func histUpper(idx int) uint64 {
 }
 
 // Record adds one duration sample. Negative durations (a clock artifact the
-// runtime already clamps) count as zero.
+// runtime already clamps) count as zero. It allocates only on the first
+// sample at or above 2^17 µs.
 func (h *Histogram) Record(d simtime.Duration) {
-	v := uint64(0)
-	if d > 0 {
-		v = uint64(d)
+	v := uint64(max(d, 0))
+	if i := histBucket(v); i < histLow {
+		h.low[i]++
+	} else {
+		if h.high == nil {
+			h.high = new([histBuckets - histLow]uint32)
+		}
+		h.high[i-histLow]++
 	}
-	h.counts[histBucket(v)]++
 	h.n++
-	if v > h.max {
-		h.max = v
+	h.max = max(h.max, v)
+}
+
+// count returns bucket i's count; a high tier never allocated counts zero.
+func (h *Histogram) count(i int) uint32 {
+	if i < histLow {
+		return h.low[i]
 	}
+	if h.high == nil {
+		return 0
+	}
+	return h.high[i-histLow]
 }
 
 // Count returns the number of recorded samples.
@@ -81,7 +103,8 @@ func (h *Histogram) Max() simtime.Duration { return simtime.Duration(h.max) }
 // recorded samples, for qs ascending in (0, 1]: the upper edge of the bucket
 // holding the ⌈q·n⌉-th smallest sample, clamped to the observed maximum, and
 // 0 for an empty histogram. The bound is within one sub-bucket (≤ 25%) of the
-// true quantile. All of qs share one cumulative scan of the buckets.
+// true quantile. All of qs share one cumulative scan of the buckets, which
+// ends in the low tier unless a sample reached the high one.
 func (h *Histogram) Quantiles(qs []float64, out []simtime.Duration) {
 	if len(qs) == 0 {
 		return
@@ -97,8 +120,8 @@ func (h *Histogram) Quantiles(qs []float64, out []simtime.Duration) {
 	}
 	k, target := 0, rank(qs[0])
 	var cum uint64
-	for i := range h.counts {
-		cum += uint64(h.counts[i])
+	for i := range histBuckets {
+		cum += uint64(h.count(i))
 		for cum >= target {
 			out[k] = simtime.Duration(min(histUpper(i), h.max))
 			if k++; k == len(qs) {

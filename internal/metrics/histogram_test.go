@@ -1,7 +1,9 @@
 package metrics
 
 import (
+	"encoding/binary"
 	"math"
+	"math/bits"
 	"math/rand"
 	"sort"
 	"testing"
@@ -16,6 +18,9 @@ func TestHistogramBucketGeometry(t *testing.T) {
 	check := func(v uint64) {
 		t.Helper()
 		idx := histBucket(v)
+		if ref := refBucket(v); idx != ref {
+			t.Fatalf("value %d maps to bucket %d, reference %d", v, idx, ref)
+		}
 		if idx < 0 || idx >= histBuckets {
 			t.Fatalf("value %d maps to bucket %d out of range", v, idx)
 		}
@@ -97,27 +102,56 @@ func TestHistogramQuantile(t *testing.T) {
 	}
 }
 
-// refQuantile is the per-q reference scan Quantiles must match: the upper
-// edge of the bucket holding the ⌈q·n⌉-th smallest sample (at least the
-// first, at most the n-th), clamped to max; 0 when empty.
-func refQuantile(h *Histogram, q float64) simtime.Duration {
-	if h.n == 0 {
+// refBucket is the bucket map written with the linear range as its own case:
+// histBucket's branch-free form must agree with it on every value.
+func refBucket(v uint64) int {
+	if v < histLinear {
+		return int(v)
+	}
+	e := bits.Len64(v)
+	sub := int((v >> (e - histSubBits - 1)) & (histSub - 1))
+	return (e-histSubBits)*histSub + sub
+}
+
+// flatHist is the reference the two tiers must match bit for bit: the
+// histogram as one flat array of all 256 buckets over refBucket, as it was
+// kept before the high tier moved behind a pointer.
+type flatHist struct {
+	n, max uint64
+	counts [histBuckets]uint32
+}
+
+func (f *flatHist) record(d simtime.Duration) {
+	v := uint64(0)
+	if d > 0 {
+		v = uint64(d)
+	}
+	f.counts[refBucket(v)]++
+	f.n++
+	f.max = max(f.max, v)
+}
+
+// quantile is the per-q reference scan Quantiles must match: the upper edge
+// of the bucket holding the ⌈q·n⌉-th smallest sample (at least the first, at
+// most the n-th), clamped to max; 0 when empty.
+func (f *flatHist) quantile(q float64) simtime.Duration {
+	if f.n == 0 {
 		return 0
 	}
-	target := uint64(q * float64(h.n))
-	if float64(target) < q*float64(h.n) || target == 0 {
+	target := uint64(q * float64(f.n))
+	if float64(target) < q*float64(f.n) || target == 0 {
 		target++
 	}
-	if target > h.n {
-		target = h.n
+	if target > f.n {
+		target = f.n
 	}
 	var cum uint64
-	for i := range h.counts {
-		if cum += uint64(h.counts[i]); cum >= target {
-			if up := histUpper(i); up < h.max {
+	for i := range f.counts {
+		if cum += uint64(f.counts[i]); cum >= target {
+			if up := histUpper(i); up < f.max {
 				return simtime.Duration(up)
 			}
-			return simtime.Duration(h.max)
+			return simtime.Duration(f.max)
 		}
 	}
 	panic("cumulative count never reached n")
@@ -126,7 +160,7 @@ func refQuantile(h *Histogram, q float64) simtime.Duration {
 // TestHistogramQuantiles is the one-scan property: on seeded random
 // histograms (empty and single-sample ones included) and random ascending q
 // lists (duplicates and q = 1 included), every Quantiles output equals the
-// per-q reference scan.
+// flat reference's per-q scan.
 func TestHistogramQuantiles(t *testing.T) {
 	// The clamp: a lone sample of 1000 sits in the bucket [896, 1023].
 	var one Histogram
@@ -140,6 +174,7 @@ func TestHistogramQuantiles(t *testing.T) {
 	fixed := []float64{0.01, 0.25, 0.5, 0.5, 0.9, 0.95, 0.99, 0.999, 1}
 	for iter := 0; iter < 500; iter++ {
 		var h Histogram
+		var ref flatHist
 		n := rng.Intn(400)
 		switch iter % 5 {
 		case 0:
@@ -149,7 +184,9 @@ func TestHistogramQuantiles(t *testing.T) {
 		}
 		scale := math.Pow(10, float64(rng.Intn(10)))
 		for i := 0; i < n; i++ {
-			h.Record(simtime.Duration(rng.ExpFloat64() * scale))
+			d := simtime.Duration(rng.ExpFloat64() * scale)
+			h.Record(d)
+			ref.record(d)
 		}
 		var qs []float64
 		for m := 1 + rng.Intn(6); len(qs) < m; {
@@ -166,7 +203,7 @@ func TestHistogramQuantiles(t *testing.T) {
 		got := make([]simtime.Duration, len(qs))
 		h.Quantiles(qs, got)
 		for k, q := range qs {
-			if want := refQuantile(&h, q); got[k] != want {
+			if want := ref.quantile(q); got[k] != want {
 				t.Fatalf("iter %d, n %d, qs %v: q=%g got %v, reference %v", iter, n, qs, q, got[k], want)
 			}
 		}
@@ -183,16 +220,70 @@ func TestHistogramClampsNegativeSamples(t *testing.T) {
 	}
 }
 
+// FuzzHistogramTiers is the differential for the two tiers: for any sample
+// stream, Count, Max and the quantiles the runtime reports equal, bit for bit,
+// those of the flat 256-bucket reference, and the high tier exists exactly
+// when a sample reached 2^17 µs. The input is a stream of zigzag varints, one
+// sample each; the checked-in seeds cover negatives, 0, the last linear
+// bucket (3) and the first log one (4), the tier boundary 2^17−1 | 2^17 and
+// the largest durations.
+func FuzzHistogramTiers(f *testing.F) {
+	qs := []float64{0.5, 0.95, 0.99, 1}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var h Histogram
+		var ref flatHist
+		for len(data) > 0 {
+			v, n := binary.Varint(data)
+			if n <= 0 {
+				break
+			}
+			data = data[n:]
+			h.Record(simtime.Duration(v))
+			ref.record(simtime.Duration(v))
+			if h.Count() != ref.n || uint64(h.Max()) != ref.max {
+				t.Fatalf("after %d: count %d max %d, reference %d and %d", v, h.Count(), h.Max(), ref.n, ref.max)
+			}
+			if high := h.high != nil; high != (ref.max >= 1<<histLowBits) {
+				t.Fatalf("after %d: high tier allocated %v with max %d µs, want it exactly once a sample reached 2^%d",
+					v, high, ref.max, histLowBits)
+			}
+		}
+		got := make([]simtime.Duration, len(qs))
+		h.Quantiles(qs, got)
+		for k, q := range qs {
+			if want := ref.quantile(q); got[k] != want {
+				t.Fatalf("%d samples, max %d: q=%g got %d, reference %d", ref.n, ref.max, q, got[k], want)
+			}
+		}
+	})
+}
+
 // TestHistogramRecordAllocationFree pins the hot-path guarantee the dispatch
-// benchmarks rely on: Record and Quantiles allocate nothing.
+// benchmarks rely on: Record and Quantiles allocate nothing below 2^17 µs, the
+// first sample at or above it allocates the high tier once, and nothing
+// allocates after that.
 func TestHistogramRecordAllocationFree(t *testing.T) {
-	var h Histogram
+	h := new(Histogram)
 	qs := []float64{0.5, 0.95, 0.99}
 	out := make([]simtime.Duration, len(qs))
-	if n := testing.AllocsPerRun(1000, func() {
-		h.Record(12345 * simtime.Microsecond)
-		h.Quantiles(qs, out)
-	}); n != 0 {
-		t.Fatalf("Record/Quantiles allocate %.1f times per call, want 0", n)
+	// allocs counts what a fresh histogram allocates over one stream.
+	allocs := func(stream ...simtime.Duration) float64 {
+		return testing.AllocsPerRun(100, func() {
+			*h = Histogram{}
+			for _, d := range stream {
+				h.Record(d)
+				h.Quantiles(qs, out)
+			}
+		})
+	}
+	low := []simtime.Duration{-1, 0, 3, 4, 12345, 1<<histLowBits - 1}
+	if n := allocs(low...); n != 0 {
+		t.Fatalf("samples below 2^%d µs allocate %.0f times, want 0", histLowBits, n)
+	}
+	if n := allocs(append(low, 1<<histLowBits)...); n != 1 {
+		t.Fatalf("the first sample at 2^%d µs allocates %.0f times, want 1 (the high tier)", histLowBits, n)
+	}
+	if n := allocs(append(low, 1<<histLowBits, 1<<histLowBits, 1, math.MaxInt64)...); n != 1 {
+		t.Fatalf("a stream reaching the high tier allocates %.0f times, want 1: samples after the first high one allocate", n)
 	}
 }

@@ -1,7 +1,9 @@
 // Package metrics provides the measurement apparatus for the experiment
 // harness: time series of per-task service (the "number of iterations"
 // curves of Figures 4 and 5), share computations, and the fairness indices
-// used to compare schedulers against the GMS ideal.
+// used to compare schedulers against the GMS ideal. It also holds the
+// runtime's latency histograms (histogram.go), whose low tier is inline and
+// whose high tier is allocated once, by the first sample at or above 131 ms.
 package metrics
 
 import (

@@ -3,10 +3,12 @@ package rt
 // White-box tests of the latency summaries Stats and ShardStats return: each
 // histogram keeps its last summary and re-cuts it only when its count moved,
 // and the two caches a Tenant carries must not push it out of its allocation
-// size class. Dispatched's size class is guarded here too.
+// size class. A registration's live footprint and Dispatched's size class are
+// guarded here too.
 
 import (
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 	"unsafe"
@@ -113,19 +115,62 @@ func TestLatencySummaryCache(t *testing.T) {
 	}
 }
 
-// TestTenantSizeClass keeps Tenant inside Go's 2 304-byte allocation size
-// class, which an object this large shares with an 8-byte header. Caching two
-// whole LatencyStat values made it 2 320 bytes, the next class up, and cost
-// sfsbench 3.3 MB of peak_rss_mb on flood and 2.7 MB on wake. Staying under
-// 4 096 bytes also keeps explicit nil checks off Tenant's fields: past that
-// offset the compiler loads byte 0 to check the pointer, as it does for a
-// shard (TestShardHeaderLineIsConstant).
+// TestTenantSizeClass keeps Tenant inside Go's 896-byte allocation size
+// class, which an object this large shares with an 8-byte header. Its two
+// latency histograms keep only their low tier inline (metrics.Histogram): with
+// all 256 buckets inline they took 2 080 of its 2 296 bytes, in the 2 304-byte
+// class. Staying under 4 096 bytes also keeps explicit nil checks off Tenant's
+// fields: past that offset the compiler loads byte 0 to check the pointer, as
+// it does for a shard (TestShardHeaderLineIsConstant).
 func TestTenantSizeClass(t *testing.T) {
-	const sizeClass, header = 2304, 8
+	const sizeClass, header = 896, 8
 	var tn Tenant
 	if size := unsafe.Sizeof(tn); size+header > sizeClass {
 		t.Fatalf("Tenant is %d bytes: with its %d-byte allocation header it leaves the %d-byte size class "+
-			"(measured at 2 320 bytes: +3.3 MB peak_rss_mb on flood, +2.7 MB on wake)", size, header, sizeClass)
+			"(sfsbench peak_rss_mb medians, seed 1, 2 vCPUs: flood 32.5 MB in this class against 47.9 MB in the "+
+			"2 304-byte one over 25 s, wake 26.1 against 30.3 MB over 8 s)", size, header, sizeClass)
+	}
+}
+
+// TestTenantFootprint bounds what one registration keeps live, read from the
+// heap as 4 096 tenants — flood's count — register on a Manual runtime with
+// QueueCap 4. Register allocates four objects and one shard-set entry, and no
+// run-queue or φ-tracker entry: a tenant enters those at its first submit.
+// The bound is their size classes:
+//
+//	Tenant           776 B + 8 B header     896
+//	sched.Thread     248 B                  256
+//	backlog          4 × 24 B                96
+//	notFull          sync.Cond, 56 B         64
+//	shard-set slot   below                   48
+//	                                       ----
+//	                                       1360
+//
+// A slot of the map[*Tenant]struct{} is 16 bytes (the key, padded past the
+// empty value) plus a control byte. Just after a table doubles only 7/16 of
+// its slots are full: 17 × 16/7 ≈ 39 bytes a tenant, 48 with the table's
+// size-class rounding. It reads ≈ 1 340 bytes a tenant, and ≈ 2 750 with
+// Tenant in the 2 304-byte class.
+func TestTenantFootprint(t *testing.T) {
+	const tenants, bound = 4096, 896 + 256 + 96 + 64 + 48
+	r := New(Config{Workers: 1, Manual: true, Clock: NewFakeClock(), Intake: IntakeConfig{QueueCap: 4}})
+	defer r.Close()
+	kept := make([]*Tenant, 0, tenants)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < tenants; i++ {
+		tn, err := r.Register("tenant", float64(1+i%4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		kept = append(kept, tn)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(kept)
+	if per := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / tenants; per > bound {
+		t.Fatalf("a registered tenant keeps %.0f bytes live, want ≤ %d (Tenant %d bytes)", per, bound, unsafe.Sizeof(Tenant{}))
 	}
 }
 

@@ -2,21 +2,18 @@ package rt_test
 
 // Concurrency stress tests. These are the tests the race detector sees in
 // CI's `go test -race` job: real worker goroutines executing real spinning
-// tasks while tenants churn. TestRaceProportionalWallClockShares is the
-// acceptance check — wall-clock CPU shares within 5% of weight proportions
-// across four tenants flooding a shared pool.
+// tasks while tenants churn. They assert survival and bookkeeping, not
+// shares: the share check of a flooded pool runs in virtual time
+// (TestBubbleProportionalShares), where no host scheduler decides it.
 
 import (
 	"errors"
-	"fmt"
 	"math/rand"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"sfsched/internal/metrics"
 	"sfsched/internal/rt"
 	"sfsched/internal/simtime"
 )
@@ -71,93 +68,6 @@ func selfFeed(t *testing.T, tn *rt.Tenant, cost time.Duration, stop *atomic.Bool
 	if err := tn.SubmitTask(task); err != nil {
 		t.Fatalf("seed submit: %v", err)
 	}
-}
-
-// TestRaceProportionalWallClockShares floods a worker pool from four tenants
-// weighted 4:3:2:1 (a feasible assignment) and requires the delivered
-// wall-clock CPU shares to match the weight proportions within 5%. The
-// measurement is a wall-clock canary: when it overlaps another package's
-// spinning workers on a small host, the host's scheduler, not this one,
-// decides the shares — a tenant whose worker was descheduled cannot recover
-// the time (`go test ./internal/rt/ ./internal/cluster/ .` on 2 vCPUs missed
-// six times in six, shares ≈ 0.37/0.31/0.21/0.11). So a miss is judged by what
-// the process was given: an attempt in which it got under 90 % of workers ×
-// wall time (getrusage) measured the host and is void, and three void
-// attempts skip the test with the figures logged. A miss with the CPUs in
-// hand is re-measured, up to three attempts, and then fails; hard failures
-// (no service, broken invariants) fail at once. ROADMAP item 1 (the
-// testing/synctest port) owns replacing the canary with a deterministic oracle.
-func TestRaceProportionalWallClockShares(t *testing.T) {
-	const attempts = 3
-	for misses, voids := 0, 0; ; {
-		wall, cpu := time.Now(), processCPU()
-		miss, workers := wallClockSharesMiss(t)
-		if miss == "" {
-			return
-		}
-		given := float64(processCPU()-cpu) / (float64(workers) * float64(time.Since(wall)))
-		if cpu >= 0 && given < 0.9 {
-			voids++
-			t.Logf("void attempt %d/%d: the process got %.0f%% of %d CPUs: %s", voids, attempts, given*100, workers, miss)
-			if voids == attempts {
-				t.Skipf("%d attempts starved of CPU by the host; nothing measured", voids)
-			}
-			continue
-		}
-		misses++
-		t.Logf("attempt %d/%d: %s", misses, attempts, miss)
-		if misses == attempts {
-			t.Fatal(miss)
-		}
-	}
-}
-
-// wallClockSharesMiss runs the flood once on the returned number of workers
-// and describes how the measured shares missed their bounds, "" if they did
-// not.
-func wallClockSharesMiss(t *testing.T) (miss string, workers int) {
-	workers = 2
-	if runtime.GOMAXPROCS(0) < 2 {
-		// With a single schedulable core, two spinning workers only add
-		// charge noise; the fairness property itself is per-pool-size.
-		workers = 1
-	}
-	weights := []float64{4, 3, 2, 1}
-	r := rt.New(rt.Config{Workers: workers, Quantum: 10 * simtime.Millisecond,
-		Intake: rt.IntakeConfig{QueueCap: 8}})
-	defer r.Close()
-	var stop atomic.Bool
-	tenants := make([]*rt.Tenant, len(weights))
-	for i, w := range weights {
-		tn, err := r.Register("tenant", w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tenants[i] = tn
-		selfFeed(t, tn, 200*time.Microsecond, &stop)
-	}
-	time.Sleep(1500 * time.Millisecond)
-	stop.Store(true)
-	r.Drain()
-	if err := r.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	stats := r.Stats()
-	measured := make([]float64, len(stats))
-	for i, s := range stats {
-		if s.Service <= 0 {
-			t.Fatalf("tenant %d received no service", i)
-		}
-		measured[i] = s.Share
-	}
-	if worst := metrics.RatioError(measured, weights); worst > 0.05 {
-		return fmt.Sprintf("wall-clock share error %.1f%% exceeds 5%% (shares %v vs weights %v)",
-			worst*100, measured, weights), workers
-	}
-	if j := r.JainIndex(); j < 0.995 {
-		return fmt.Sprintf("Jain index %.4f under steady flood", j), workers
-	}
-	return "", workers
 }
 
 // TestRaceChurnStress hammers one runtime from many goroutines: floods,

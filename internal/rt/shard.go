@@ -283,8 +283,8 @@ func (sh *shard) dispatchLocked(worker int, now simtime.Time) *Dispatched {
 	sh.publishReady()
 	// Latency accounting: ready→dispatch on every dispatch, wakeup→first
 	// dispatch when a wakeup Submit is still pending its dispatch. Both are
-	// bare histogram increments (metrics.Histogram is fixed-size), keeping
-	// the hot path allocation-free.
+	// bare histogram increments, keeping the hot path allocation-free: a
+	// metrics.Histogram allocates only once, at its first wait ≥ 131 ms.
 	if lat := now.Sub(tn.readyAt); lat >= 0 {
 		tn.waitHist.Record(lat)
 		sh.waitHist.Record(lat)
