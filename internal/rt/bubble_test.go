@@ -218,3 +218,132 @@ func TestBubbleProportionalShares(t *testing.T) {
 		}
 	}
 }
+
+// TestBubbleIdleWorkersPark: an idle worker polls its shard off the lock
+// before it parks, and the poll must end by itself. After synctest.Wait every
+// worker has parked, so each shard's idlers equals its worker count: on one
+// shard of two workers, on two shards of one worker with Steal armed, and
+// again after a task has run. The poll is bounded by a probe count because
+// no time passes in the bubble while a goroutine spins: with a poll bounded
+// by the clock instead, synctest.Wait never returns and the test times out.
+func TestBubbleIdleWorkersPark(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"one shard of two", Config{Workers: 2}},
+		{"two shards of one, steal", Config{Workers: 2, Sharding: ShardingConfig{Shards: 2, Steal: true}}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			inBubble(func() {
+				r := New(c.cfg)
+				defer r.Close()
+				parked := func(when string) {
+					synctest.Wait()
+					for _, sh := range r.shards {
+						if got := sh.idlers.Load(); got != int64(sh.workers) {
+							t.Errorf("%s: %d of shard %d's %d workers parked", when, got, sh.id, sh.workers)
+						}
+					}
+				}
+				parked("at start")
+				tn, err := r.Register("t", 1)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				var ran atomic.Bool
+				if err := tn.SubmitTask(Once(func() { ran.Store(true) })); err != nil {
+					t.Error(err)
+					return
+				}
+				parked("after a task")
+				if !ran.Load() {
+					t.Error("the task never ran")
+				}
+			})
+		})
+	}
+}
+
+// TestBubbleIdleWorkerSteals: two self-feeding tenants of equal weight sit on
+// shard 0 of two one-worker shards with Steal armed, and nothing is runnable
+// on shard 1. The run is shorter than DefaultRebalanceEvery, so only a steal
+// can give shard 1's worker anything to do, and with it each worker runs one
+// tenant back to back.
+//
+// The bound: shard 0's worker is busy from the first submit to the stop at T,
+// and the tasks in flight at T finish, so its service lies in [T, T + l] for
+// task length l. Its first dispatch leaves the other tenant ready and offers
+// it to shard 1, whose worker steals it from its poll, or is signalled if it
+// has parked. A worker that parked just after that offer is offered again at
+// the next dispatch, one task later, so shard 1's service lies in
+// [T − l, T + l], and the two differ by at most 2l. With Steal disarmed shard
+// 1 serves nothing.
+func TestBubbleIdleWorkerSteals(t *testing.T) {
+	const (
+		task = 200 * simtime.Microsecond
+		run  = 50 * simtime.Millisecond
+	)
+	if run.Std() >= DefaultRebalanceEvery {
+		t.Fatalf("run %v reaches the rebalance period %v", run, DefaultRebalanceEvery)
+	}
+	var service [2]simtime.Duration
+	var steals int64
+	inBubble(func() {
+		r := New(Config{Workers: 2, Sharding: ShardingConfig{Shards: 2, Steal: true}})
+		defer r.Close()
+		// Placement alternates between equally loaded shards: register four
+		// and unregister the two that land on shard 1.
+		var on [2][]*Tenant
+		for _, name := range []string{"a", "x", "b", "y"} {
+			tn, err := r.Register(name, 1)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			id := tn.sh.Load().id
+			on[id] = append(on[id], tn)
+		}
+		for _, tn := range on[1] {
+			if err := r.Unregister(tn); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+		on0 := on[0]
+		if len(on0) != 2 {
+			t.Errorf("%d tenants placed on shard 0, want 2", len(on0))
+			return
+		}
+		var stop atomic.Bool
+		for _, tn := range on0 {
+			var next Task
+			next = func(simtime.Duration) bool {
+				time.Sleep(task.Std())
+				if !stop.Load() {
+					if err := tn.SubmitTask(next, NoWait()); err != nil {
+						t.Errorf("tenant %s: successor submit: %v", tn.th.Name, err)
+					}
+				}
+				return true
+			}
+			if err := tn.SubmitTask(next); err != nil {
+				t.Errorf("tenant %s: first submit: %v", tn.th.Name, err)
+			}
+		}
+		time.Sleep(run.Std())
+		stop.Store(true)
+		r.Drain()
+		for i, st := range r.ShardStats() {
+			service[i] = st.Service
+		}
+		steals = r.Steals()
+	})
+	if t.Failed() {
+		return
+	}
+	if d := service[0] - service[1]; d > 2*task || -d > 2*task {
+		t.Errorf("shard services %v and %v differ by %v, bound %v (%d steals)", service[0], service[1], d, 2*task, steals)
+	}
+}

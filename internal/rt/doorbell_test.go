@@ -7,6 +7,7 @@ package rt
 // the shard's policy, which every one of them calls into.
 
 import (
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -362,14 +363,24 @@ func TestSubmitNeverWaitsForShardLock(t *testing.T) {
 
 // TestOneTokenPingPong is the lost-wake-up soak of the hand-over: one task
 // hops between two single-worker shards, each hop waking the idle tenant on
-// the other side and completing, so every hop parks one worker while the
-// other is being woken — the submit races the park each time, and with one
-// token no later doorbell winner can cover a lost wake-up. First between two
-// runtimes, then between two shards of one runtime with Steal armed (the park
-// then goes through the steal round's unlock and relock first).
+// the other side and completing, and with one token no later doorbell winner
+// can cover a lost wake-up. A hop that submitted at once would be caught by
+// the other worker's idle poll and never meet a park, so each hop first waits
+// out that poll (awaitPollEnd) and submits into the hold that parks the
+// worker: before its drain, between the drain and the announcement in
+// idlers — the window the ring's re-read after the announcement closes, and
+// without it the token stops within a few hundred hops — or after it, where
+// the submit signals under the lock. First between two runtimes, where at
+// least a quarter of the hops must park a worker (about two thirds do), then
+// between two shards of one runtime with Steal armed: the park then goes
+// through the steal round first, and a steal can put both tenants on one
+// shard, where a hop submits at once.
 func TestOneTokenPingPong(t *testing.T) {
-	const hops = 200_000
-	play := func(t *testing.T, a, b *Tenant) {
+	hops := int64(1_500)
+	if raceOn {
+		hops = 500 // each hop waits out a poll a hundred times slower
+	}
+	play := func(t *testing.T, a, b *Tenant, wantParks int64) {
 		var n atomic.Int64
 		done := make(chan struct{})
 		var hop [2]Task
@@ -379,7 +390,12 @@ func TestOneTokenPingPong(t *testing.T) {
 			hop[i] = Once(func() {
 				if n.Add(1) == hops {
 					close(done)
-				} else if err := side[1-i].SubmitTask(hop[1-i]); err != nil {
+					return
+				}
+				if peer := side[1-i].sh.Load(); peer != side[i].sh.Load() {
+					awaitPollEnd(peer)
+				}
+				if err := side[1-i].SubmitTask(hop[1-i]); err != nil {
 					t.Error(err)
 					close(done)
 				}
@@ -393,6 +409,16 @@ func TestOneTokenPingPong(t *testing.T) {
 		case <-time.After(6 * deadlockDeadline):
 			t.Fatalf("lost wake-up: the token stopped after %d of %d hops", n.Load(), hops)
 		}
+		var parks int64
+		for _, tn := range side {
+			sh := tn.sh.Load()
+			sh.mu.Lock()
+			parks += sh.parks
+			sh.mu.Unlock()
+		}
+		if parks < wantParks {
+			t.Fatalf("%d parks in %d hops: the hops no longer meet a parking worker", parks, hops)
+		}
 	}
 	register := func(t *testing.T, r *Runtime, name string) *Tenant {
 		tn, err := r.Register(name, 1)
@@ -405,17 +431,34 @@ func TestOneTokenPingPong(t *testing.T) {
 		ra, rb := New(Config{Workers: 1, Preempt: true}), New(Config{Workers: 1, Preempt: true})
 		defer ra.Close()
 		defer rb.Close()
-		play(t, register(t, ra, "a"), register(t, rb, "b"))
+		play(t, register(t, ra, "a"), register(t, rb, "b"), hops/4)
 	})
 	t.Run("shards", func(t *testing.T) {
 		r := New(Config{Workers: 2, Preempt: true,
 			Sharding: ShardingConfig{Shards: 2, Steal: true}})
 		defer r.Close()
-		play(t, register(t, r, "a"), register(t, r, "b"))
+		play(t, register(t, r, "a"), register(t, r, "b"), 0)
 		if err := r.CheckInvariants(); err != nil {
 			t.Fatal(err)
 		}
 	})
+}
+
+// awaitPollEnd returns once the idle worker of sh has ended its poll: when
+// it holds sh's lock, in the hold that parks it, or has announced itself in
+// idlers. It yields as often as the poll does.
+func awaitPollEnd(sh *shard) {
+	for i := 1; sh.idlers.Load() == 0; i++ {
+		if i%16 == 0 {
+			if !sh.mu.TryLock() {
+				return
+			}
+			sh.mu.Unlock()
+		}
+		if i%(idlePollProbes/32) == 0 {
+			runtime.Gosched()
+		}
+	}
 }
 
 // scriptedClock returns whatever instant the test last stored — stalled or

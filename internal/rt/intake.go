@@ -96,10 +96,10 @@ func (rg *intakeRing) publish(slot *intakeSlot, pos uint64) {
 }
 
 // tailSnapshot reads the producer tail without consuming anything. The idle
-// spin (steal.go) watches it to detect arriving local work: tail is the only
-// ring field producers advance, and head is consumer-owned (unsafe to read
-// off-lock), so "tail moved since the last failed dispatch" is the lock-free
-// signal that a drain would now find items.
+// poll (worker.go) compares it with the head it read under the shard lock:
+// tail is the only ring field producers advance, and head is consumer-owned
+// (unsafe to read off-lock), so a tail past that head is the lock-free signal
+// that a drain would now find items.
 func (rg *intakeRing) tailSnapshot() uint64 {
 	return rg.tail.Load()
 }

@@ -244,10 +244,12 @@ type ShardingConfig struct {
 	// DefaultRebalanceEvery.
 	Shards int
 	// Steal arms idle-path cross-shard work stealing (steal.go, Shards > 1
-	// only): a worker that finds its shard's runqueue and intake ring empty
-	// spins briefly, then transfers the highest-surplus ready tenant from
-	// the most backlogged sibling shard — with the same lead-preserving
-	// virtual-time frame translation the rebalancer uses — before parking.
+	// only). A worker that finds its shard's runqueue and intake ring empty
+	// always polls its shard briefly before it parks; armed, the poll also
+	// watches the siblings' ready counts, and after it the worker transfers
+	// the highest-surplus ready tenant from the most backlogged sibling
+	// shard — with the same lead-preserving virtual-time frame translation
+	// the rebalancer uses — before parking.
 	// This closes the §1.2 partitioned-scheduling gap at microsecond
 	// granularity while the rebalancer keeps correcting weights at its own
 	// cadence. Disarmed (the default), no steal machinery runs, per-shard

@@ -91,6 +91,7 @@ type shard struct {
 	idlers    atomic.Int64
 	steals    int64 // steals performed by this shard's idle workers (shard lock)
 	stolen    int64 // tenants stolen from this shard (shard lock)
+	parks     int64 // times a worker of this shard waited on workCond (shard lock)
 	stealHist latencyHist
 
 	// intake is the lock-free submit path (intake.go); drainPending is its

@@ -7,10 +7,14 @@
 // block parks its workers on workCond while a sibling's runqueue overflows,
 // and the only remedy — the surplus-driven rebalancer — runs at a period
 // (100 ms default) five orders of magnitude above a dispatch. With
-// Config.Sharding.Steal armed, an idle worker closes the gap itself: finding its
-// shard's runqueue and intake ring empty, it (1) spins briefly off the lock
-// in case local work is already in flight, (2) attempts a bounded number of
-// steals from the most backlogged siblings, and only then (3) parks.
+// Config.Sharding.Steal armed, an idle worker closes the gap itself. Every
+// concurrent worker that finds its shard's runqueue and intake ring empty
+// runs one idle loop (worker.go): (1) it polls its shard off the lock for a
+// bounded number of probes, in case local work is already in flight, (2)
+// with Steal armed it attempts a bounded number of steals from the most
+// backlogged siblings, and only then (3) it parks. Armed, the poll also
+// reads one sibling's nready per probe and ends early on a backlog, so a
+// steal never waits for the poll to run out.
 //
 // Victim selection is lock-free: each shard maintains nready, an atomic count
 // of its runnable-not-running tenants (published under the shard lock, net
@@ -47,9 +51,10 @@
 // matters for perpetually backlogged tenants, which re-queue from completions
 // and never cross the drain's wakeup admission at all.
 //
-// Disarmed (the default), none of this runs: no spin, no probes, no offers,
-// and per-shard dispatch traces are bit-identical to earlier releases, which
-// the golden differential suite pins.
+// Disarmed (the default), none of this runs: no sibling probes, no steal
+// round, no offers, and per-shard dispatch traces are bit-identical to
+// earlier releases, which the golden differential suite pins. The poll of
+// the worker's own shard runs either way.
 
 package rt
 
@@ -59,15 +64,6 @@ import (
 )
 
 const (
-	// stealSpinIters bounds the pre-steal idle spin: a tight loop of two
-	// atomic loads per iteration, deliberately yield-free — a Gosched here
-	// parks the would-be thief on the global run queue, which a saturated
-	// scheduler polls rarely, turning a "brief" spin into hundreds of
-	// milliseconds of limbo during which the worker neither steals nor
-	// registers as an idler for the offer protocol to wake. A futile spin
-	// costs nanoseconds; catching a submit burst already in flight toward
-	// this shard's ring saves a pointless cross-shard transfer.
-	stealSpinIters = 128
 	// stealMaxVictims bounds how many sibling shards one steal round probes:
 	// the argmax victim first, then the next most backlogged, so transient
 	// eligibility races (the victim's last ready tenant got dispatched or
@@ -92,23 +88,6 @@ func (r *Runtime) TrySteal(worker int) bool {
 		return false
 	}
 	return r.trySteal(r.workerShard[worker])
-}
-
-// stealForWorker is the concurrent idle path: spin briefly watching for
-// local work (lock-free: the intake ring's producer tail plus this shard's
-// own nready), then run one bounded steal round. The caller holds no locks
-// and re-checks local dispatch afterwards either way.
-func (r *Runtime) stealForWorker(sh *shard) bool {
-	tail := sh.intake.tailSnapshot()
-	for i := 0; i < stealSpinIters; i++ {
-		if sh.intake.tailSnapshot() != tail || sh.nready.Load() > 0 {
-			return false // local work arrived; dispatch it instead of stealing
-		}
-	}
-	if r.closed.Load() {
-		return false
-	}
-	return r.trySteal(sh)
 }
 
 // trySteal runs one bounded steal round for the thief shard: up to

@@ -1,5 +1,7 @@
 package rt
 
+import "runtime"
+
 // reacquireSpins bounds how long a worker back from a task polls a held shard
 // lock before it sleeps on it: sync.Mutex gives up after 4×30 PAUSEs, and a
 // parked thread is back 90–190 µs later on a KVM guest. On wake (2 vCPUs, 8 s,
@@ -7,6 +9,18 @@ package rt
 // drain, a submit signalling a parked worker — and plain Lock instead read
 // wake's p50 3.94 against 3.81 µs (6 alternating pairs), so the bound stays.
 const reacquireSpins = 4096
+
+// idlePollProbes bounds the idle poll (idle, below): how many times an idle
+// worker probes its shard off the lock before it steals or parks. The bound
+// counts probes, not time, so the poll ends inside a synctest bubble too,
+// where no time passes while a goroutine spins. A poll that finds nothing
+// lasts 65–80 µs on a 2-vCPU KVM guest (110–130 µs with Steal armed), less
+// than the ≈ 100 µs a parked worker takes to come back there, and on wake
+// 99.6 % of idle episodes end inside it; 2¹³ and 2¹⁴ probes read a higher
+// p50. The poll yields its P every idlePollProbes/32 probes: Go's scheduler
+// fires timers, the enforcement ticker's among them, when a P enters it, and
+// a poll that never yielded halved wake's enforcement passes.
+const idlePollProbes = 1 << 15
 
 // worker is the pool loop, fused so that completing a slice, draining the
 // intake ring and picking the next tenant share one lock acquisition. Tasks
@@ -40,10 +54,11 @@ func (r *Runtime) worker(slot int) {
 			d.completeLocked(done, now, &post)
 			d = nil
 		}
-		// triedSteal bounds the idle path to one steal round per park cycle:
-		// after a failed round the worker sleeps until a signal — local work,
-		// or a sibling's surplus offer (offerSteal) — re-arms it.
-		triedSteal := false
+		// polled bounds the idle path to one pass per park cycle: after a
+		// poll (and steal round) that found nothing, the worker parks until a
+		// signal — local work, or a sibling's surplus offer (offerSteal) —
+		// re-arms it.
+		polled := false
 		for {
 			if replaced || r.closed.Load() {
 				sh.publishReady()
@@ -68,16 +83,15 @@ func (r *Runtime) worker(slot int) {
 				}
 				break
 			}
-			if r.steal && !triedSteal {
-				// Idle path: nothing local. Spin briefly off the lock, then
-				// try to steal from the most backlogged sibling; either way
-				// the next iteration re-checks local work (a successful steal
-				// parks the stolen tenant in this shard's scheduler, so the
-				// re-check dispatches it).
-				triedSteal = true
+			if !polled {
+				// Nothing local: poll off the lock, steal if armed, and let
+				// the next iteration re-check local work either way (a stolen
+				// tenant sits in this shard's scheduler by then).
+				polled = true
+				head := sh.intake.head
 				sh.mu.Unlock()
 				post.run(r)
-				r.stealForWorker(sh)
+				r.idle(sh, head)
 				sh.mu.Lock()
 				now = r.clock.Now()
 				continue
@@ -90,8 +104,9 @@ func (r *Runtime) worker(slot int) {
 			// or its push is visible here and the hold goes round again.
 			sh.idlers.Add(1)
 			if sh.intake.beginDrain() == 0 {
+				sh.parks++
 				sh.workCond.Wait()
-				triedSteal = false
+				polled = false
 			}
 			sh.idlers.Add(-1)
 			now = r.clock.Now()
@@ -99,6 +114,38 @@ func (r *Runtime) worker(slot int) {
 		sh.mu.Unlock()
 		post.run(r)
 		done = r.runTask(d)
+	}
+}
+
+// idle is the idle loop's off-lock part, run between a hold that found
+// nothing to dispatch and the hold that parks. It polls the shard's ring tail
+// against head, the ring's consumer position when that hold ended, and the
+// shard's nready, returning as soon as either shows local work. With Steal
+// armed each probe also reads one sibling's nready, round robin, and a
+// sibling with a backlog ends the poll early: a steal never waits for the
+// poll to run out. The steal round follows. A polling worker is not in
+// idlers, so a submit to its shard meanwhile takes no lock and sends no
+// signal.
+func (r *Runtime) idle(sh *shard, head uint64) {
+	steal, shards, sib := r.steal, r.shards, 0
+	for i := 1; i <= idlePollProbes; i++ {
+		if sh.intake.tailSnapshot() != head || sh.nready.Load() > 0 {
+			return
+		}
+		if steal {
+			if sib++; sib == len(shards) {
+				sib = 0
+			}
+			if shards[sib].nready.Load() > 0 {
+				break
+			}
+		}
+		if i%(idlePollProbes/32) == 0 {
+			runtime.Gosched()
+		}
+	}
+	if steal && !r.closed.Load() {
+		r.trySteal(sh)
 	}
 }
 
