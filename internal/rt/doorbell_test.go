@@ -369,17 +369,14 @@ func TestSubmitNeverWaitsForShardLock(t *testing.T) {
 // out that poll (awaitPollEnd) and submits into the hold that parks the
 // worker: before its drain, between the drain and the announcement in
 // idlers — the window the ring's re-read after the announcement closes, and
-// without it the token stops within a few hundred hops — or after it, where
+// without it the token stops within 50 hops — or after it, where
 // the submit signals under the lock. First between two runtimes, where at
 // least a quarter of the hops must park a worker (about two thirds do), then
 // between two shards of one runtime with Steal armed: the park then goes
 // through the steal round first, and a steal can put both tenants on one
 // shard, where a hop submits at once.
 func TestOneTokenPingPong(t *testing.T) {
-	hops := int64(1_500)
-	if raceOn {
-		hops = 500 // each hop waits out a poll a hundred times slower
-	}
+	const hops = 500 // ≈ 0.15 s; ≈ 12 s under -race, which slows the poll ≈ 50×
 	play := func(t *testing.T, a, b *Tenant, wantParks int64) {
 		var n atomic.Int64
 		done := make(chan struct{})
@@ -446,9 +443,11 @@ func TestOneTokenPingPong(t *testing.T) {
 
 // awaitPollEnd returns once the idle worker of sh has ended its poll: when
 // it holds sh's lock, in the hold that parks it, or has announced itself in
-// idlers. It yields as often as the poll does.
+// idlers, or once its runtime is closed. It tries the lock on every 16th
+// probe only, so that the worker's own Lock rarely finds it held, and yields
+// as often as the poll does.
 func awaitPollEnd(sh *shard) {
-	for i := 1; sh.idlers.Load() == 0; i++ {
+	for i := 1; sh.idlers.Load() == 0 && !sh.r.closed.Load(); i++ {
 		if i%16 == 0 {
 			if !sh.mu.TryLock() {
 				return
