@@ -776,7 +776,6 @@ var exportsWithoutCallers = map[string]string{
 	"simtime.Time.After":                     "reference: the instant order the simtime tests check beside Sub and Add",
 	"rt.SliceCtx.Slice":                      "facade API: a PreemptibleTask's timeslice hint, which a plain Task gets as its argument",
 	"rt.Dispatched.Slice":                    "facade API: a Manual driver's granted timeslice, which the golden and preempt tests run by",
-	"rt.Runtime.Workers":                     "facade API: the worker pool size, the slot range a Manual driver dispatches over",
 	"core.SFS.Quantum":                       "facade API: an SFS's maximum quantum, which the facade and core tests read back from WithQuantum",
 }
 

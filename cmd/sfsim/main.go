@@ -93,13 +93,10 @@ func main() {
 	}
 	fmt.Println(table.String())
 
-	ws := make([]float64, len(tasks))
 	threads := make([]*sched.Thread, len(tasks))
 	for i, k := range tasks {
-		ws[i] = k.Thread().Weight
 		threads[i] = k.Thread()
 	}
-	fmt.Printf("Jain fairness index (per-weight): %.4f\n", metrics.JainIndex(services, ws))
 	fmt.Printf("max |lag vs GMS|: %.3fs\n", fluid.MaxAbsLag(threads))
 	st := m.Stats()
 	fmt.Printf("dispatches=%d switches=%d preemptions=%d migrations=%d idle=%v\n",

@@ -31,6 +31,9 @@ import (
 	"sfsched/internal/metrics"
 )
 
+// quantum is the policy's maximum quantum, the unit the lag line is printed in.
+const quantum = 10 * sfsched.Millisecond
+
 func main() {
 	policy := flag.String("policy", "sfs", "dispatch policy on every machine: sfs, sfq, timeshare, ...")
 	machines := flag.Int("machines", 8, "machines in the cluster")
@@ -44,7 +47,7 @@ func main() {
 		"background migrator period (negative disables migration)")
 	flag.Parse()
 
-	p, err := sfsched.PolicyByName(*policy, 10*sfsched.Millisecond)
+	p, err := sfsched.PolicyByName(*policy, quantum)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -103,22 +106,22 @@ func main() {
 
 	// Per-machine rollup: with density equalized, every machine's share of
 	// the cluster's charged service tracks its share of the cluster weight.
-	mtbl := &metrics.Table{Headers: []string{"machine", "tenants", "weight", "share", "jain"}}
+	mtbl := &metrics.Table{Headers: []string{"machine", "tenants", "weight", "share"}}
 	for _, m := range c.MachineStats() {
 		mtbl.AddRow(
 			fmt.Sprintf("%d", m.Machine),
 			fmt.Sprintf("%d", m.Tenants),
 			fmt.Sprintf("%g/%g", m.Weight, totalWeight),
-			fmt.Sprintf("%.3f", m.Share),
-			fmt.Sprintf("%.4f", m.Jain))
+			fmt.Sprintf("%.3f", m.Share))
 	}
 	fmt.Print(mtbl.String())
 
 	// Per-tier rollup: charged service summed over each tier must split
 	// 4:3:2:1 cluster-wide, machine boundaries notwithstanding.
 	byTier := map[string]sfsched.Duration{}
-	var total sfsched.Duration
+	var total, maxLag sfsched.Duration
 	for _, st := range c.Stats() {
+		maxLag = max(maxLag, st.Lag, -st.Lag)
 		tier := st.Name
 		for i := len(st.Name) - 1; i >= 0; i-- {
 			if st.Name[i] == '-' { // strip the -<i> suffix
@@ -141,5 +144,5 @@ func main() {
 			fmt.Sprintf("%.3f", tier.weight*float64(n)/totalWeight))
 	}
 	fmt.Print(ttbl.String())
-	fmt.Printf("cluster jain %.4f, %d migrations\n", c.JainIndex(), c.Migrations())
+	fmt.Printf("cluster max |lag| %.2f quanta, %d migrations\n", float64(maxLag)/float64(quantum), c.Migrations())
 }

@@ -31,7 +31,11 @@ import (
 
 	"sfsched"
 	"sfsched/internal/metrics"
+	"sfsched/internal/readjust"
 )
+
+// quantum is the policy's maximum quantum, the unit the lag line is printed in.
+const quantum = 10 * sfsched.Millisecond
 
 func spin(d time.Duration) {
 	end := time.Now().Add(d)
@@ -52,7 +56,7 @@ func main() {
 	steal := flag.Bool("steal", false,
 		"arm idle-path cross-shard work stealing; an idle worker pulls the highest-surplus ready tenant from the most backlogged sibling shard before parking")
 	flag.Parse()
-	mkSched, err := sfsched.PolicyByName(*policy, 10*sfsched.Millisecond)
+	mkSched, err := sfsched.PolicyByName(*policy, quantum)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -92,11 +96,11 @@ func main() {
 	})
 	defer r.Close()
 
-	var totalWeight float64
+	var weights []float64
 	var stop atomic.Bool
 	for _, tier := range tiers {
 		for i := 0; i < *perTier; i++ {
-			totalWeight += tier.weight
+			weights = append(weights, tier.weight)
 			tn, err := r.Register(fmt.Sprintf("%s-%d", tier.name, i), tier.weight)
 			if err != nil {
 				panic(err)
@@ -155,13 +159,17 @@ func main() {
 	tbl := &metrics.Table{
 		Headers: []string{"tenant", "weight", "shard", "cpu_ms", "share", "ideal", "lag_ms"},
 	}
+	// The ideal shares are GMS's rates over the workers (readjust.Rates),
+	// the yardstick Stats' lags are taken against.
 	measured := make([]float64, len(stats))
-	ideal := make([]float64, len(stats))
+	ideal := readjust.Rates(weights, *workers)
 	var preemptions int64
+	var maxLag sfsched.Duration
 	for i, s := range stats {
 		measured[i] = s.Share
-		ideal[i] = s.Weight / totalWeight
+		ideal[i] /= float64(min(len(weights), *workers)) // Σ rates
 		preemptions += s.Preemptions
+		maxLag = max(maxLag, s.Lag, -s.Lag)
 		tbl.AddRow(s.Name,
 			fmt.Sprintf("%g", s.Weight),
 			fmt.Sprintf("%d", s.Shard),
@@ -173,7 +181,7 @@ func main() {
 	fmt.Print(tbl.String())
 
 	shardTbl := &metrics.Table{
-		Headers: []string{"shard", "policy", "workers", "tenants", "weight", "cpu_ms", "share", "ideal", "jain"},
+		Headers: []string{"shard", "policy", "workers", "tenants", "weight", "cpu_ms", "share", "ideal"},
 	}
 	for _, ss := range r.ShardStats() {
 		shardTbl.AddRow(
@@ -184,10 +192,9 @@ func main() {
 			fmt.Sprintf("%.1f", ss.Weight),
 			fmt.Sprintf("%.1f", ss.Service.Milliseconds()),
 			fmt.Sprintf("%.3f", ss.Share),
-			fmt.Sprintf("%.3f", float64(ss.Workers)/float64(*workers)),
-			fmt.Sprintf("%.3f", ss.Jain))
+			fmt.Sprintf("%.3f", float64(ss.Workers)/float64(*workers)))
 	}
 	fmt.Print(shardTbl.String())
-	fmt.Printf("jain index %.4f, worst share error %.1f%%, migrations %d, steals %d, preemptions %d\n",
-		r.JainIndex(), 100*metrics.RatioError(measured, ideal), r.Migrations(), r.Steals(), preemptions)
+	fmt.Printf("max |lag| %.2f quanta, worst share error %.1f%%, migrations %d, steals %d, preemptions %d\n",
+		float64(maxLag)/float64(quantum), 100*metrics.RatioError(measured, ideal), r.Migrations(), r.Steals(), preemptions)
 }

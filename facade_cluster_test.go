@@ -70,9 +70,6 @@ func TestFacadeCluster(t *testing.T) {
 	if ms := c.MachineStats(); len(ms) != 2 {
 		t.Fatalf("got %d machine stats, want 2", len(ms))
 	}
-	if jain := c.JainIndex(); jain <= 0 || jain > 1 {
-		t.Fatalf("Jain index %v out of range", jain)
-	}
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}

@@ -14,10 +14,31 @@ import (
 	"time"
 
 	"sfsched/internal/cluster"
+	"sfsched/internal/metrics"
 	"sfsched/internal/rt"
 	"sfsched/internal/simtime"
 	"sfsched/internal/xrand"
 )
+
+// jainOf is Jain's index of per-weight service over a Stats vector, in its
+// order.
+func jainOf(stats []rt.TenantStat) float64 {
+	services := make([]simtime.Duration, len(stats))
+	weights := make([]float64, len(stats))
+	for i, s := range stats {
+		services[i], weights[i] = s.Service, s.Weight
+	}
+	return metrics.JainIndex(services, weights)
+}
+
+// clusterJain is jainOf over the cluster's Stats.
+func clusterJain(c *cluster.Cluster) float64 {
+	var stats []rt.TenantStat
+	for _, s := range c.Stats() {
+		stats = append(stats, s.TenantStat)
+	}
+	return jainOf(stats)
+}
 
 // driveCluster runs a Manual-mode cluster in lockstep: each tick dispatches
 // every idle worker of every machine, advances the shared fake clock one
@@ -159,7 +180,7 @@ func TestClusterDifferentialVsGiant(t *testing.T) {
 	driveCluster(t, c, cclock, ctenants, warm, slice, 32)
 	// Steady state under stable weights: the cluster-wide rollup must be as
 	// proportional as a single machine's.
-	if jain := c.JainIndex(); jain < 0.98 {
+	if jain := clusterJain(c); jain < 0.98 {
 		t.Errorf("cluster-wide Jain %.4f at steady state, want ≥ 0.98", jain)
 	}
 	shift(func(i int, w float64) error { return c.SetWeight(ctenants[i], w) })
@@ -174,7 +195,7 @@ func TestClusterDifferentialVsGiant(t *testing.T) {
 	// Full-run weighted Jain is < 1 for ANY scheduler after a mid-run weight
 	// change (half the service accrued under the old weights); the cluster
 	// must land where the giant runtime lands.
-	gj, cj := giant.JainIndex(), c.JainIndex()
+	gj, cj := jainOf(giant.Stats()), clusterJain(c)
 	if d := cj - gj; d < -0.005 {
 		t.Errorf("cluster Jain %.4f trails the giant runtime's %.4f", cj, gj)
 	}
@@ -198,7 +219,7 @@ func TestClusterDifferentialVsGiant(t *testing.T) {
 		}
 	}
 	t.Logf("migrations %d, worst divergence %.2f%%, cluster Jain %.4f",
-		c.Migrations(), worst*100, c.JainIndex())
+		c.Migrations(), worst*100, cj)
 }
 
 // TestClusterWeightConservation is the placement/migration property test: a
@@ -380,14 +401,13 @@ func TestClusterStatsRollup(t *testing.T) {
 	if shares < 0.999 || shares > 1.001 {
 		t.Errorf("machine shares sum to %.3f, want 1", shares)
 	}
-	if jain := c.JainIndex(); jain < 0.999 {
+	if jain := clusterJain(c); jain < 0.999 {
 		t.Errorf("Jain %.4f for two equal tenants in lockstep", jain)
 	}
 }
 
 // TestMachineStatsFromOneSnapshot: at quiescence, the rollup's per-machine
-// Jain index, computed from the machine's one Stats snapshot, is the
-// machine's own JainIndex bit for bit, and its Service is that snapshot's sum.
+// Service is the sum of the machine's one Stats snapshot.
 func TestMachineStatsFromOneSnapshot(t *testing.T) {
 	clock := rt.NewFakeClock()
 	c, err := cluster.New(cluster.Config{
@@ -409,9 +429,6 @@ func TestMachineStatsFromOneSnapshot(t *testing.T) {
 	driveCluster(t, c, clock, tenants, 37, simtime.Millisecond, 0)
 	for i, m := range c.MachineStats() {
 		r := c.Node(i).(*rt.Runtime)
-		if want := r.JainIndex(); m.Jain != want || m.Jain == 1 {
-			t.Errorf("machine %d: rollup Jain %v, machine's JainIndex %v (want equal and < 1)", i, m.Jain, want)
-		}
 		var service simtime.Duration
 		for _, st := range r.Stats() {
 			service += st.Service
@@ -527,7 +544,6 @@ func TestClusterMigrationStress(t *testing.T) {
 			done = true
 		default:
 			c.Stats()
-			c.JainIndex()
 			c.Rebalance()
 			time.Sleep(time.Millisecond)
 		}

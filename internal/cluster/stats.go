@@ -8,7 +8,7 @@ import (
 
 // TenantStat is one tenant's statistics with its machine attribution. Share
 // and Lag are recomputed cluster-wide (fraction of all charged time across
-// every machine; lag against the global weighted entitlement), overriding
+// every machine; lag behind GMS over every machine's workers), overriding
 // the per-machine values the hosting runtime reported.
 type TenantStat struct {
 	rt.TenantStat
@@ -24,7 +24,6 @@ type MachineStat struct {
 	Queued  int              // queued tasks on this machine
 	Service simtime.Duration // Σ charged service of its current tenants
 	Share   float64          // fraction of cluster-wide charged service
-	Jain    float64          // within-machine weighted Jain index
 }
 
 // Stats returns per-tenant statistics across every machine, with Share and
@@ -35,23 +34,26 @@ type MachineStat struct {
 func (c *Cluster) Stats() []TenantStat {
 	var out []TenantStat
 	var tot metrics.Totals
+	var lag metrics.GMSLag
+	workers := 0
 	for i, n := range c.nodes {
+		workers += n.Load().Workers
 		for _, st := range n.Stats() {
 			out = append(out, TenantStat{TenantStat: st, Machine: i})
 			tot.Add(st.Service, st.Weight)
+			lag.Add(st.Service, st.Weight)
 		}
 	}
-	for i := range out {
+	for i, l := range lag.Lags(workers) {
 		out[i].Share = tot.Share(out[i].Service)
-		out[i].Lag = simtime.Duration(tot.Lag(out[i].Service, out[i].Weight) * float64(simtime.Second))
+		out[i].Lag = simtime.Duration(l * float64(simtime.Second))
 	}
 	return out
 }
 
 // MachineStats returns the per-machine rollup: load, aggregate charged
-// service, cluster share and within-machine Jain index. Service and Jain come
-// from one Stats snapshot per machine, the Jain index in the order the
-// machine's own JainIndex sums it.
+// service and cluster share. Service comes from one Stats snapshot per
+// machine.
 func (c *Cluster) MachineStats() []MachineStat {
 	out := make([]MachineStat, len(c.nodes))
 	var tot metrics.Totals
@@ -64,29 +66,13 @@ func (c *Cluster) MachineStats() []MachineStat {
 			Weight:  load.Weight,
 			Queued:  load.Queued,
 		}
-		var jain metrics.Jain
 		for _, st := range n.Stats() {
 			out[i].Service += st.Service
-			jain.Add(st.Service, st.Weight)
 		}
-		out[i].Jain = jain.Index()
 		tot.Service += out[i].Service
 	}
 	for i := range out {
 		out[i].Share = tot.Share(out[i].Service)
 	}
 	return out
-}
-
-// JainIndex returns the cluster-wide weighted Jain fairness index over every
-// tenant's charged service (1.0 = perfectly proportional), or 1 with no
-// tenants — the rollup the acceptance demo prints.
-func (c *Cluster) JainIndex() float64 {
-	var jain metrics.Jain
-	for _, n := range c.nodes {
-		for _, st := range n.Stats() {
-			jain.Add(st.Service, st.Weight)
-		}
-	}
-	return jain.Index()
 }

@@ -12,6 +12,7 @@ import (
 	"strings"
 
 	"sfsched/internal/machine"
+	"sfsched/internal/readjust"
 	"sfsched/internal/simtime"
 )
 
@@ -177,40 +178,58 @@ func Lags(services []simtime.Duration, weights []float64) []float64 {
 
 // JainIndex computes Jain's fairness index of per-weight normalized service:
 // (Σ x_i)² / (n · Σ x_i²) where x_i = service_i / weight_i. 1.0 is perfectly
-// proportional.
+// proportional, and so is a vector whose x_i are all zero.
 func JainIndex(services []simtime.Duration, weights []float64) float64 {
 	if len(services) != len(weights) || len(services) == 0 {
 		panic("metrics: mismatched fairness vectors")
 	}
-	var j Jain
+	var sum, sumsq float64
 	for i := range services {
-		j.Add(services[i], weights[i])
+		x := services[i].Seconds() / weights[i]
+		sum += x
+		sumsq += x * x
 	}
-	return j.Index()
-}
-
-// Jain accumulates JainIndex one entity at a time, in Add order, so a caller
-// walking its entities needs no vectors. The zero value is empty.
-type Jain struct {
-	n          int
-	sum, sumsq float64
-}
-
-// Add counts one entity.
-func (j *Jain) Add(service simtime.Duration, weight float64) {
-	x := service.Seconds() / weight
-	j.n++
-	j.sum += x
-	j.sumsq += x * x
-}
-
-// Index is Jain's index of the entities added, 1 when all x_i are zero or
-// none was added.
-func (j *Jain) Index() float64 {
-	if j.sumsq == 0 {
+	if sumsq == 0 {
 		return 1
 	}
-	return j.sum * j.sum / (float64(j.n) * j.sumsq)
+	return sum * sum / (float64(len(services)) * sumsq)
+}
+
+// GMSLag accumulates entities one at a time, like Totals, and then gives
+// each one's lag behind GMS (§2.2) on p processors, in seconds:
+// T·r_i/Σr − s_i, where T is the total service, s_i the entity's, and r the
+// water-fill of the weights with unit caps over p — readjust.Rates, the
+// rates of §2.1's readjusted weights. Positive means behind; the lags sum to
+// zero. The figure is GMS's exactly for entities runnable throughout, since
+// it integrates no runnable intervals. A GMSLag reused across passes
+// allocates nothing once its scratch has grown; it is not safe for
+// concurrent use.
+type GMSLag struct {
+	services            []simtime.Duration
+	weights, caps, lags []float64
+	fill                readjust.Filler
+}
+
+// Add counts one entity; weight must be positive.
+func (g *GMSLag) Add(service simtime.Duration, weight float64) {
+	g.services, g.weights, g.caps = append(g.services, service), append(g.weights, weight), append(g.caps, 1)
+}
+
+// Lags returns the lags of the entities added since the last call, in Add
+// order, in a slice the next call reuses.
+func (g *GMSLag) Lags(p int) []float64 {
+	g.lags = g.fill.Fill(g.lags, g.weights, g.caps, float64(p))
+	var total simtime.Duration
+	var sum float64
+	for i, r := range g.lags {
+		total += g.services[i]
+		sum += r
+	}
+	for i, r := range g.lags {
+		g.lags[i] = total.Seconds()*r/sum - g.services[i].Seconds()
+	}
+	g.services, g.weights, g.caps = g.services[:0], g.weights[:0], g.caps[:0]
+	return g.lags
 }
 
 // Table is a simple fixed-column text table for experiment output.

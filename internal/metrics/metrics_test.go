@@ -118,6 +118,32 @@ func TestLags(t *testing.T) {
 	}()
 }
 
+func TestGMSLag(t *testing.T) {
+	// 10:1:1 on 2 CPUs is infeasible: GMS gives the heavy entity one CPU and
+	// the others half a CPU each, so over 4s of service the ideal is 2s/1s/1s.
+	// A raw-weight ideal (3.33s) would call the heavy entity behind at 2.5s;
+	// against GMS it is 0.5s ahead.
+	var g GMSLag
+	for range 2 { // the second pass reuses the scratch
+		g.Add(2500*simtime.Millisecond, 10)
+		g.Add(750*simtime.Millisecond, 1)
+		g.Add(750*simtime.Millisecond, 1)
+		got := g.Lags(2)
+		want := []float64{-0.5, 0.25, 0.25}
+		for i := range want {
+			if math.Abs(got[i]-want[i]) > 1e-9 {
+				t.Fatalf("lags %v, want %v", got, want)
+			}
+		}
+	}
+	// Fewer entities than CPUs: each gets a whole CPU, whatever its weight.
+	g.Add(simtime.Second, 1)
+	g.Add(3*simtime.Second, 5)
+	if got := g.Lags(4); math.Abs(got[0]-1) > 1e-9 || math.Abs(got[1]+1) > 1e-9 {
+		t.Fatalf("lags %v, want [1 -1]", got)
+	}
+}
+
 func TestJainIndex(t *testing.T) {
 	perfect := JainIndex(
 		[]simtime.Duration{simtime.Second, 2 * simtime.Second},

@@ -160,7 +160,7 @@ func (r *Runtime) Admit(dep Departure) (*Tenant, error) {
 	sh := tn.lockShard()
 	// Charged service is pure accounting (schedulers decide by tag, and
 	// charge by increment), so restoring it before the first submission
-	// keeps cluster-wide shares, lags and Jain continuous across the move.
+	// keeps cluster-wide shares and lags continuous across the move.
 	tn.th.Service = dep.Service
 	if dep.HasLead {
 		// The thread has never been submitted, so it is outside every

@@ -172,9 +172,6 @@ func TestShardStatsNonSFS(t *testing.T) {
 				if ss.Service <= 0 || ss.Tenants != 4 || ss.Workers != 2 {
 					t.Errorf("implausible shard stat %+v", ss)
 				}
-				if ss.Jain < 0 || ss.Jain > 1.0001 {
-					t.Errorf("shard %d Jain %g out of range", ss.Shard, ss.Jain)
-				}
 				if name == "sfq" && ss.VirtualTime <= 0 {
 					t.Errorf("shard %d virtual time %g, want > 0 for a fair-queueing policy after service",
 						ss.Shard, ss.VirtualTime)

@@ -220,7 +220,6 @@ func TestRaceChurnStress(t *testing.T) {
 					return
 				}
 			}
-			_ = r.JainIndex()
 			time.Sleep(time.Millisecond)
 		}
 	}()

@@ -174,7 +174,7 @@ func FuzzRebalance(f *testing.F) {
 }
 
 // TestRebalanceScratchHoldsNoTenant: Rebalance's reused working set, and the
-// tenant list Stats and JainIndex sort, must not keep a tenant reachable
+// tenant list Stats sorts, must not keep a tenant reachable
 // between calls — not in their live length, not in their spare capacity — or
 // an unregistered tenant (its closures, its backlog) would stay pinned until a
 // later call happened to overwrite the slot.
@@ -196,7 +196,6 @@ func TestRebalanceScratchHoldsNoTenant(t *testing.T) {
 	}
 	r.Rebalance()
 	r.Stats()
-	r.JainIndex()
 	if cap(r.frozen) == 0 {
 		t.Fatal("Stats kept no tenant list; the check below would be vacuous")
 	}

@@ -82,6 +82,7 @@ import (
 
 	"sfsched/internal/core"
 	"sfsched/internal/engine"
+	"sfsched/internal/metrics"
 	"sfsched/internal/sched"
 	"sfsched/internal/simtime"
 )
@@ -328,9 +329,9 @@ type Tenant struct {
 // methods are safe for concurrent use. Scheduling state is partitioned into
 // shards, each serialized by its own mutex (one shard ≡ the kernel run-queue
 // lock), and the live tenants are the union of the shard sets. regMu
-// serializes only Register's ID and placement, Rebalance and ShardStats'
-// scratch; no worker takes it. Lock order: regMu → shard.mu (ascending shard
-// id when taking several) → quietMu.
+// serializes only Register's ID and placement and Rebalance's scratch; no
+// worker takes it. Lock order: regMu → shard.mu (ascending shard id when
+// taking several) → quietMu.
 type Runtime struct {
 	shards      []*shard
 	workerShard []*shard // worker index → owning shard
@@ -361,12 +362,11 @@ type Runtime struct {
 
 	regMu  sync.Mutex
 	nextID int
-	// Working sets ShardStats and Rebalance reuse across calls (regMu).
-	statScratch []tenantSample
-	rebal       rebalanceScratch
-	// frozen is the tenant list Stats and JainIndex sort, reused across calls
-	// under the whole-runtime freeze and cleared after each.
+	rebal  rebalanceScratch // Rebalance's working set, reused across calls (regMu)
+	// frozen (the tenant list Stats sorts) and lag (its lag pass) are reused
+	// across calls under the whole-runtime freeze; frozen is cleared after each.
 	frozen []registered
+	lag    metrics.GMSLag
 
 	stop chan struct{} // closed by Close: ends the rebalance and enforcement loops
 	wg   sync.WaitGroup

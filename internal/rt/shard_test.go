@@ -111,8 +111,8 @@ func TestShardedProportionalShares(t *testing.T) {
 		if ss.Weight < 9.9 || ss.Weight > 10.1 {
 			t.Errorf("shard %d weight %g, want ~10 (balanced placement)", ss.Shard, ss.Weight)
 		}
-		if ss.Jain < 0.999 {
-			t.Errorf("shard %d Jain %.4f under steady lockstep", ss.Shard, ss.Jain)
+		if j := jainOf(stats, func(s rt.TenantStat) bool { return s.Shard == ss.Shard }); j < 0.999 {
+			t.Errorf("shard %d Jain %.4f under steady lockstep", ss.Shard, j)
 		}
 		if ss.Workers != 2 || ss.Tenants != 4 {
 			t.Errorf("shard %d has %d workers / %d tenants, want 2/4", ss.Shard, ss.Workers, ss.Tenants)

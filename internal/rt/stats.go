@@ -1,5 +1,5 @@
-// Metrics export: the per-tenant and per-shard snapshots, the Jain index, the
-// whole-runtime freeze they are cut under, and the runtime-wide counters.
+// Metrics export: the per-tenant and per-shard snapshots, the whole-runtime
+// freeze the tenant snapshot is cut under, and the runtime-wide counters.
 
 package rt
 
@@ -58,7 +58,11 @@ type TenantStat struct {
 	Shard   int              // shard the tenant currently lives on
 	Service simtime.Duration // charged clock time
 	Share   float64          // fraction of all charged time
-	Lag     simtime.Duration // proportional ideal minus received (positive = behind)
+	// Lag is the service GMS over every worker would have delivered, on
+	// §2.1's readjusted weights, minus what the tenant received (positive =
+	// behind): metrics.GMSLag. It is exact for continuously backlogged
+	// tenants; a tenant that sleeps reads its sleep as service owed.
+	Lag     simtime.Duration
 	Queued  int
 	Running bool
 	// Preemptions counts this tenant's slices flagged for cooperative
@@ -82,13 +86,13 @@ type TenantStat struct {
 	Wake     LatencyStat
 }
 
-// Stats returns per-tenant statistics in registration order, with shares and
-// lags computed by internal/metrics over the charged service. The snapshot is
-// a consistent cut: the whole runtime is frozen (every shard lock held, the
-// same freeze CheckInvariants takes) while services and weights are read, so
-// shares, lags and the Jain index are computed from one instant rather than
-// skewed by charges landing between per-tenant samples. Its one allocation is
-// the result.
+// Stats returns per-tenant statistics in registration order, with shares
+// and lags computed by internal/metrics over the charged service. The
+// snapshot is a consistent cut: the whole runtime is frozen (every shard lock
+// held, the same freeze CheckInvariants takes) while services and weights
+// are read, so shares and lags are computed from one instant rather than
+// skewed by charges landing between per-tenant samples. The lag pass reuses
+// its scratch under the freeze, so the one allocation is the result.
 func (r *Runtime) Stats() []TenantStat {
 	r.lockShards()
 	defer r.unlockShards()
@@ -114,35 +118,19 @@ func (r *Runtime) Stats() []TenantStat {
 			Wake:        tn.wakeHist.stat(),
 		})
 		tot.Add(tn.th.Service, tn.th.Weight)
+		r.lag.Add(tn.th.Service, tn.th.Weight)
 	}
-	for i := range out {
+	for i, lag := range r.lag.Lags(r.Workers()) {
 		out[i].Share = tot.Share(out[i].Service)
-		out[i].Lag = simtime.Duration(tot.Lag(out[i].Service, out[i].Weight) * float64(simtime.Second))
+		out[i].Lag = simtime.Duration(lag * float64(simtime.Second))
 	}
 	return out
 }
 
-// JainIndex returns Jain's fairness index of per-weight normalized charged
-// service across the current tenants (1.0 = perfectly proportional), or 1
-// with no tenants. Like Stats, it computes over a whole-runtime freeze so the
-// service vector is a consistent cut; it allocates nothing.
-func (r *Runtime) JainIndex() float64 {
-	r.lockShards()
-	defer r.unlockShards()
-	tenants := r.frozenTenants()
-	defer clear(tenants)
-	var j metrics.Jain
-	for _, reg := range tenants {
-		j.Add(reg.tn.th.Service, reg.tn.th.Weight)
-	}
-	return j.Index()
-}
-
 // frozenTenants lists the live tenants — the union of the shard sets — in
-// registration order: Register hands out thread IDs in that order. Stats and
-// JainIndex sum in it, so a rollup over Stats reproduces JainIndex bit for
-// bit. The list is the frozen scratch, which the caller holds the freeze
-// for and clears after use so it never keeps an unregistered tenant alive.
+// registration order: Register hands out thread IDs in that order. The list
+// is the frozen scratch, which the caller holds the freeze for and clears
+// after use so it never keeps an unregistered tenant alive.
 func (r *Runtime) frozenTenants() []registered {
 	tenants := r.frozen[:0]
 	for _, sh := range r.shards {
@@ -205,8 +193,8 @@ func (r *Runtime) shardSum(field func(*shard) int64) (n int64) {
 }
 
 // ShardStat is a point-in-time view of one dispatch shard, for metrics
-// export: its capacity, its sub-share of the total weight, the service it
-// has delivered and the fairness of that delivery among its own tenants.
+// export: its capacity, its sub-share of the total weight and the service it
+// has delivered.
 type ShardStat struct {
 	Shard    int
 	Workers  int
@@ -220,8 +208,6 @@ type ShardStat struct {
 	VirtualTime float64
 	Service     simtime.Duration // time charged on this shard (stays here when tenants migrate)
 	Share       float64          // fraction of all charged time delivered by this shard
-	Jain        float64          // Jain index of per-weight service among the shard's current tenants
-	MaxLag      simtime.Duration
 	// Preemptions counts the cooperative preemption flags raised on this
 	// shard's slices; Dispatch and Wake are the shard-level ready→dispatch
 	// and wakeup→first-dispatch latency distributions (recorded where the
@@ -255,22 +241,10 @@ type ShardStat struct {
 	Intake LatencyStat
 }
 
-// tenantSample is one tenant's (service, weight) in ShardStats' scratch.
-type tenantSample struct {
-	service simtime.Duration
-	weight  float64
-}
-
-// ShardStats returns per-shard statistics in shard order. Lags are computed
-// against the global proportional ideal, so a shard whose tenants are
-// collectively behind shows a positive MaxLag. The per-tenant samples that
-// ideal needs go to a scratch reused across calls (regMu), so the result is
-// the one allocation.
+// ShardStats returns per-shard statistics in shard order, taking each shard
+// lock in turn. Its one allocation is the result.
 func (r *Runtime) ShardStats() []ShardStat {
-	r.regMu.Lock()
-	defer r.regMu.Unlock()
 	out := make([]ShardStat, len(r.shards))
-	samples := r.statScratch[:0]
 	var tot metrics.Totals
 	for i, sh := range r.shards {
 		sh.mu.Lock()
@@ -296,30 +270,11 @@ func (r *Runtime) ShardStats() []ShardStat {
 		if sh.eng.VT != nil {
 			st.VirtualTime = sh.eng.VT.VirtualTime()
 		}
-		var jain metrics.Jain
-		for tn := range sh.tenants {
-			th := tn.th
-			jain.Add(th.Service, th.Weight)
-			tot.Add(th.Service, th.Weight)
-			samples = append(samples, tenantSample{th.Service, th.Weight})
-		}
-		st.Jain = jain.Index()
 		sh.mu.Unlock()
+		tot.Service += st.Service
 	}
-	r.statScratch = samples[:0]
-	var shardTot metrics.Totals
 	for i := range out {
-		shardTot.Service += out[i].Service
-	}
-	// samples holds each shard's tenants in shard order, out[i].Tenants apiece.
-	for i := range out {
-		out[i].Share = shardTot.Share(out[i].Service)
-		for _, s := range samples[:out[i].Tenants] {
-			if d := simtime.Duration(tot.Lag(s.service, s.weight) * float64(simtime.Second)); d > out[i].MaxLag {
-				out[i].MaxLag = d
-			}
-		}
-		samples = samples[out[i].Tenants:]
+		out[i].Share = tot.Share(out[i].Service)
 	}
 	return out
 }

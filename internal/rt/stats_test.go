@@ -1,7 +1,7 @@
 package rt_test
 
 // Direct coverage for the metrics-export surface under concurrent tenant
-// churn: Stats, JainIndex and ShardStats race against Register, Unregister,
+// churn: Stats and ShardStats race against Register, Unregister,
 // SetWeight and live traffic. Previously this surface was only exercised
 // indirectly by race_test.go; these tests pin its guarantees — no torn
 // reads, shares that sum to ~1, lags that sum to ~0, sane per-shard views —
@@ -16,7 +16,7 @@ import (
 	"testing"
 	"time"
 
-	"sfsched/internal/metrics"
+	"sfsched/internal/readjust"
 	"sfsched/internal/rt"
 	"sfsched/internal/simtime"
 )
@@ -144,10 +144,6 @@ func TestConcurrentStatsUnderChurn(t *testing.T) {
 							t.Errorf("tenant lags sum to %v, want ~0", lagSum)
 							return
 						}
-						if j := r.JainIndex(); j < 0 || j > 1.0001 {
-							t.Errorf("Jain index %g out of range", j)
-							return
-						}
 						ss := r.ShardStats()
 						if len(ss) != shards {
 							t.Errorf("%d shard stats for %d shards", len(ss), shards)
@@ -155,7 +151,7 @@ func TestConcurrentStatsUnderChurn(t *testing.T) {
 						}
 						for _, s := range ss {
 							if s.Weight < -1e-9 || s.Tenants < 0 || s.Runnable < 0 ||
-								s.Jain < 0 || s.Jain > 1.0001 || s.Share < 0 || s.Share > 1.0001 {
+								s.Share < 0 || s.Share > 1.0001 {
 								t.Errorf("bogus shard stat %+v", s)
 								return
 							}
@@ -184,9 +180,7 @@ func TestConcurrentStatsUnderChurn(t *testing.T) {
 
 // TestStatsConsistentCutUnderLoad hammers the metrics surface while real
 // workers charge continuously: every Stats snapshot must be a consistent cut
-// — lags summing to ~0 (microsecond rounding only), shares summing to ~1,
-// Jain within [0,1] — and JainIndex must agree with a Jain computed from the
-// same call's Stats vector to within the drift of two adjacent freezes.
+// — lags summing to ~0 (microsecond rounding only) and shares summing to ~1.
 func TestStatsConsistentCutUnderLoad(t *testing.T) {
 	r := rt.New(rt.Config{Workers: 4, Quantum: simtime.Millisecond,
 		Sharding: rt.ShardingConfig{Shards: 2},
@@ -225,15 +219,85 @@ func TestStatsConsistentCutUnderLoad(t *testing.T) {
 		if shareSum > 1.0001 || (stats[0].Service > 0 && shareSum < 0.9999) {
 			t.Fatalf("shares sum to %g over a frozen cut", shareSum)
 		}
-		if j := r.JainIndex(); j < 0 || j > 1.0000001 {
-			t.Fatalf("Jain index %g out of [0,1]", j)
-		}
 		snapshots++
 	}
 	if snapshots == 0 {
 		t.Fatal("no snapshots taken")
 	}
 	// The perpetual compute tasks never finish; Close abandons them.
+}
+
+// TestStatsLagAgainstReadjustedRates drives the hogs shape in Manual mode: 4
+// workers, weights 10:1×7, two never-finishing tasks per tenant, every worker
+// completing a slice each q/4 step, steal off and a Rebalance every 100
+// steps. Hog 0's weight is infeasible (10·4 > 17), so GMS gives it one CPU
+// and the others 3/7 each; a lag against raw-weight shares calls hog 0 about
+// 2 s behind after 3 000 steps. On one shard SFS tracks GMS, so every lag is
+// within a quantum. On two shards placement strands hog 0 alone on a
+// two-worker shard, where one worker idles, so hog 0 runs ahead of GMS's
+// share of the delivered service and the small hogs behind it: every lag's
+// sign must be GMS's, computed here from readjust.Rates.
+func TestStatsLagAgainstReadjustedRates(t *testing.T) {
+	const (
+		q     = 2 * simtime.Millisecond
+		steps = 3000
+	)
+	weights := []float64{10, 1, 1, 1, 1, 1, 1, 1}
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			clock := rt.NewFakeClock()
+			r := rt.New(rt.Config{Workers: 4, Quantum: q, Clock: clock, Manual: true,
+				Sharding: rt.ShardingConfig{Shards: shards},
+				Intake:   rt.IntakeConfig{QueueCap: 4}})
+			defer r.Close()
+			for _, w := range weights {
+				tn, err := r.Register("hog", w)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for range 2 {
+					if err := tn.SubmitTask(func(simtime.Duration) bool { return false }); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			for i := range steps {
+				var ds []*rt.Dispatched
+				for w := range r.Workers() {
+					if d := r.Dispatch(w); d != nil {
+						ds = append(ds, d)
+					}
+				}
+				clock.Advance(q / 4)
+				for _, d := range ds {
+					d.Complete(false)
+				}
+				if (i+1)%100 == 0 {
+					r.Rebalance()
+				}
+			}
+			stats := r.Stats()
+			var total simtime.Duration
+			for _, s := range stats {
+				total += s.Service
+			}
+			rates := readjust.Rates(weights, r.Workers())
+			var sum float64
+			for _, x := range rates {
+				sum += x
+			}
+			for i, s := range stats {
+				gms := total.Seconds()*rates[i]/sum - s.Service.Seconds()
+				switch {
+				case shards == 1 && (s.Lag > q || s.Lag < -q):
+					t.Errorf("tenant %d (weight %g): Lag %v, want within a quantum (%v); GMS lag %.4fs",
+						i, s.Weight, s.Lag, q, gms)
+				case shards > 1 && (gms > 0) != (s.Lag > 0):
+					t.Errorf("tenant %d (weight %g): Lag %v, but GMS lag is %+.4fs", i, s.Weight, s.Lag, gms)
+				}
+			}
+		})
+	}
 }
 
 // TestConcurrentRegisterNoStampede: many concurrent Registers (interleaved
@@ -308,7 +372,7 @@ func TestConcurrentRegisterNoStampede(t *testing.T) {
 
 // TestStatsCallsAllocate pins what the metrics surface allocates per call on
 // a 2-shard, 64-tenant Manual runtime with recorded latencies: Stats and
-// ShardStats only their result, JainIndex nothing, and a Rebalance pass that
+// ShardStats only their result, and a Rebalance pass that
 // moves nothing only what the pure planner allocates (its target, cur and
 // used vectors: 5 on 2 shards). Everything else is reused scratch.
 func TestStatsCallsAllocate(t *testing.T) {
@@ -342,7 +406,6 @@ func TestStatsCallsAllocate(t *testing.T) {
 	}{
 		{"Stats", 1, func() { _ = r.Stats() }},
 		{"ShardStats", 1, func() { _ = r.ShardStats() }},
-		{"JainIndex", 0, func() { _ = r.JainIndex() }},
 		{"Rebalance", 5, func() {
 			if n := r.Rebalance(); n != 0 {
 				t.Fatalf("Rebalance moved %d tenants of a placement-balanced runtime", n)
@@ -386,12 +449,10 @@ func TestStatsReflectUnregister(t *testing.T) {
 }
 
 // TestStatsKeepRegistrationOrder: the shard sets are the runtime's only
-// tenant registry, so Stats and JainIndex walk them and sort. Stats must still
-// list tenants in registration order after they moved between shards
-// (Rebalance, TrySteal), left (Unregister, one of them mid-slice and finalized
-// by its Complete) and came back (Deport, then Admit: a new registration, so
-// last), and JainIndex must be the Jain index of Stats' vector summed in that
-// order, bit for bit — the cluster rollup relies on it.
+// tenant registry, so Stats walks them and sorts. It must still list tenants
+// in registration order after they moved between shards (Rebalance,
+// TrySteal), left (Unregister, one of them mid-slice and finalized by its
+// Complete) and came back (Deport, then Admit: a new registration, so last).
 func TestStatsKeepRegistrationOrder(t *testing.T) {
 	clock := rt.NewFakeClock()
 	r := rt.New(rt.Config{Workers: 2, Quantum: simtime.Millisecond, Clock: clock, Manual: true,
@@ -439,16 +500,11 @@ func TestStatsKeepRegistrationOrder(t *testing.T) {
 		t.Helper()
 		stats := r.Stats()
 		got := make([]string, len(stats))
-		var want metrics.Jain
 		for i, st := range stats {
 			got[i] = st.Name
-			want.Add(st.Service, st.Weight)
 		}
 		if !slices.Equal(got, order) {
 			t.Fatalf("%s: Stats lists %v, registration order is %v", when, got, order)
-		}
-		if j := r.JainIndex(); j != want.Index() {
-			t.Fatalf("%s: JainIndex %v, Jain over Stats in order %v", when, j, want.Index())
 		}
 		if err := r.CheckInvariants(); err != nil {
 			t.Fatalf("%s: %v", when, err)

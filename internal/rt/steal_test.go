@@ -372,7 +372,7 @@ func TestStealPileUp(t *testing.T) {
 		if err := r.CheckInvariants(); err != nil {
 			t.Fatal(err)
 		}
-		c.jain, c.steals, c.migrations = r.JainIndex(), r.Steals(), r.Migrations()
+		c.jain, c.steals, c.migrations = jainOf(r.Stats(), nil), r.Steals(), r.Migrations()
 		return c
 	}
 	neither, rebalanced, stolen := run(false, 0), run(false, every), run(true, 0)

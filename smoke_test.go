@@ -41,9 +41,9 @@ func TestExamplesSmoke(t *testing.T) {
 		{"examples/latency", nil, "ms"},
 		{"examples/videoserver", nil, "mpeg"},
 		{"examples/webhosting", nil, "gold"},
-		{"examples/fairserver", []string{"-duration", "300ms"}, "jain"},
+		{"examples/fairserver", []string{"-duration", "300ms"}, "max |lag|"},
 		{"examples/cluster", []string{"-machines", "2", "-workers", "2",
-			"-duration", "300ms", "-migrate-every", "100ms"}, "jain"},
+			"-duration", "300ms", "-migrate-every", "100ms"}, "max |lag|"},
 	}
 	for _, c := range cases {
 		t.Run(filepath.Base(c.pkg), func(t *testing.T) {
@@ -59,7 +59,7 @@ func TestExamplesSmoke(t *testing.T) {
 // TestFairserverPolicySmoke runs examples/fairserver under every live policy
 // PolicyByName constructs: each must serve the weighted load end to end —
 // sharded dispatch included — and report its scheduler name in the per-shard
-// table plus a final Jain line.
+// table plus a final max |lag| line.
 func TestFairserverPolicySmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess smoke tests skipped in -short mode")
@@ -71,8 +71,8 @@ func TestFairserverPolicySmoke(t *testing.T) {
 			out := runBinary(t, "examples/fairserver",
 				"-policy", policy, "-duration", "150ms", "-per-tier", "2")
 			low := strings.ToLower(out)
-			if !strings.Contains(low, "jain") {
-				t.Fatalf("output missing jain line:\n%s", out)
+			if !strings.Contains(low, "max |lag|") {
+				t.Fatalf("output missing max |lag| line:\n%s", out)
 			}
 			if !strings.Contains(low, "policy "+policy) {
 				t.Fatalf("output does not name policy %q:\n%s", policy, out)
