@@ -103,6 +103,12 @@ func (s *SFS) classFor(phi float64) *class {
 			threads: runqueue.NewKeyedHeap(runqueue.SlotSurplus, s.startKey, s.inClassLess)}
 		s.classes = append(s.classes, c)
 	}
+	s.label(c, phi)
+	return c
+}
+
+// label indexes c under the weight phi, which no live class holds.
+func (s *SFS) label(c *class, phi float64) {
 	c.phi = phi
 	s.classOf[phi] = c
 	if s.fixed {
@@ -113,7 +119,17 @@ func (s *SFS) classFor(phi float64) *class {
 	} else if phi < tinyTag {
 		s.zeroTies = true
 	}
-	return c
+}
+
+// relabel moves the one-thread class c to the weight phi, which no live class
+// holds, where leave and join would empty c and fill it again. The head's
+// surplus moves with φ, its start tag and weight do not: c is re-keyed in
+// byClass, and byHead and c's thread heap are left as they are.
+func (s *SFS) relabel(c *class, phi float64) {
+	delete(s.classOf, c.phi)
+	s.label(c, phi)
+	c.key = s.keyOf(c)
+	s.byClass.Fix(c)
 }
 
 // join puts t, tagged and carrying its φ, into the class of that φ.
@@ -127,8 +143,7 @@ func (s *SFS) join(t *sched.Thread) {
 }
 
 // leave takes t out of its class. A class that empties leaves the queue at
-// once: an empty class has no key, and φ values come and go with every
-// arrival next to an infeasible thread.
+// once: an empty class has no key.
 func (s *SFS) leave(t *sched.Thread) {
 	c := s.classes[t.PhiClass-1]
 	t.PhiClass = 0

@@ -50,7 +50,9 @@
 //
 //   - Charge, one O(log n/C) sift: the thread moves inside its class heap;
 //     if it led the class, the class moves in both class heaps, O(log C) each.
-//   - Add / Remove: the class heap and the φ source's weight heap.
+//   - Add / Remove: the class heap and the φ source's weight heap. The φ
+//     change an arrival or departure makes beside an infeasible thread, alone
+//     in its class, relabels that class: no thread moves.
 //   - Pick, O(1) while the holder of v (zero surplus) waits, affinity off and
 //     no zero-surplus ties: it is the start-tag class heap's head. Otherwise
 //     O(classes admitted by the bound + p + ties): inside an admitted class
@@ -201,9 +203,8 @@ func WithoutReadjustment() Option {
 // The methods that readjust report whether any tracked φ changed. Whenever a
 // source assigns a tracked thread's φ it calls the OnPhiChange hook for that
 // thread; the hook also fires unconditionally for the thread passed to Add,
-// AddDeferred (derived caches such as FxPhi are primed even when φ is
-// unchanged) and UpdateWeight (weight is a tie-break key of the surplus
-// queue).
+// AddDeferred and UpdateWeight, so that derived caches such as FxPhi are
+// primed even when φ is unchanged.
 type PhiSource interface {
 	// Add starts tracking t and readjusts.
 	Add(t *sched.Thread) bool
@@ -278,9 +279,8 @@ func newKernel(p int) *SFS {
 // installs the φ source and its hook. φ changes arrive thread-by-thread
 // from the readjustment pass; the hook keeps the derived state (FxPhi cache,
 // class membership) of each affected thread current instead of sweeping the
-// whole set. It also fires for a weight change at an unchanged φ, and weight
-// is a tie-break key inside the class, so the thread is re-inserted either
-// way.
+// whole set. A queued thread's weight never changes under the hook (SetWeight
+// takes it out of its class first), so what the hook sees is a new φ.
 func (s *SFS) setSource(src PhiSource) {
 	s.byClass = runqueue.NewKeyedHeap(runqueue.SlotSurplus, func(c *class) float64 { return c.key }, classLess)
 	s.byHead = runqueue.NewKeyedHeap(runqueue.SlotPrimary,
@@ -292,10 +292,18 @@ func (s *SFS) setSource(src PhiSource) {
 		if s.fixed {
 			t.FxPhi = s.scale.FromFloat(t.Phi)
 		}
-		if t.PhiClass != 0 {
-			s.leave(t)
-			s.join(t)
+		if t.PhiClass == 0 {
+			return
 		}
+		// Next to an infeasible thread every arrival and departure moves the
+		// capped φ, and the capped thread is alone in its class: relabel the
+		// class instead of emptying it and filling it again.
+		if c := s.classes[t.PhiClass-1]; c.threads.Len() == 1 && s.classOf[t.Phi] == nil {
+			s.relabel(c, t.Phi)
+			return
+		}
+		s.leave(t)
+		s.join(t)
 	})
 }
 
@@ -553,9 +561,12 @@ func (s *SFS) SetWeight(t *sched.Thread, w float64, now simtime.Time) error {
 		t.Phi = w
 		return nil
 	}
-	// φ changed for t (and possibly others): the hook restores every
-	// affected thread.
+	// Weight is a tie-break key of every queue t sits in, so t leaves its
+	// class across the change; the hook moves every other thread whose φ
+	// changed.
+	s.leave(t)
 	s.weights.UpdateWeight(t, w)
+	s.join(t)
 	return nil
 }
 

@@ -17,9 +17,12 @@
 // order over the rest, so the queue is a heap on (weight desc, ID asc):
 // O(log n) per arrival, departure and weight change. A readjustment pass looks
 // at the heap's head first and returns in O(1) when the heaviest thread is
-// feasible and nothing was capped; otherwise it takes the ≤ p heaviest in
-// exact order (O(p log p)) and runs Figure 2 over that prefix, or, with n ≤ p,
-// sets all n threads to the lightest weight. A pass computes each thread's
+// feasible and nothing was capped; otherwise it runs Figure 2 over the p
+// heaviest in exact order, or, with n ≤ p, sets all n threads to the lightest
+// weight. The prefix is kept between passes and taken again (O(p log p)) only
+// after an arrival ahead of its last thread, the departure of one of its
+// threads or a weight change: beside one infeasible thread, the arrivals and
+// departures of the light ones leave it as it was. A pass computes each thread's
 // final φ before assigning it, so the φ hook fires once per thread whose φ
 // changed and not at all for a thread that stays capped at the same value.
 //
@@ -49,7 +52,7 @@ type Tracker struct {
 	byWeight *runqueue.Heap[*sched.Thread] // heaviest first; a plain set when oneCPU
 	sum      float64                       // Σ w_i over runnable threads
 	capped   []*sched.Thread               // threads with φ != w after the last pass
-	heavy    []*sched.Thread               // scratch for the heaviest-prefix scan
+	heavy    []*sched.Thread               // the p heaviest in order; empty when a change may have altered them
 	maxPhi   float64                       // largest φ as of the last pass, raised by AddDeferred
 	atMax    int                           // oneCPU: tracked threads weighing maxPhi; 0 while any are tracked means stale
 	passes   int64                         // readjustment passes that changed some φ
@@ -67,15 +70,16 @@ func NewTracker(p int, enabled bool) *Tracker {
 		k.byWeight = runqueue.NewHeap(runqueue.SlotWeight, func(a, b *sched.Thread) bool { return false })
 		return k
 	}
-	k.byWeight = runqueue.NewKeyedHeap(runqueue.SlotWeight,
-		func(t *sched.Thread) float64 { return -t.Weight },
-		func(a, b *sched.Thread) bool {
-			if a.Weight != b.Weight {
-				return a.Weight > b.Weight
-			}
-			return a.ID < b.ID
-		})
+	k.byWeight = runqueue.NewKeyedHeap(runqueue.SlotWeight, func(t *sched.Thread) float64 { return -t.Weight }, heavier)
 	return k
+}
+
+// heavier is the weight queue's order: descending weight, then ascending ID.
+func heavier(a, b *sched.Thread) bool {
+	if a.Weight != b.Weight {
+		return a.Weight > b.Weight
+	}
+	return a.ID < b.ID
 }
 
 // OnPhiChange registers a hook called every time the tracker assigns a
@@ -164,6 +168,9 @@ func (k *Tracker) AddDeferred(t *sched.Thread) {
 		k.raiseMax(t.Weight)
 	} else {
 		k.maxPhi = max(k.maxPhi, t.Weight)
+		if n := len(k.heavy); n > 0 && heavier(t, k.heavy[n-1]) {
+			k.heavy = k.heavy[:0] // t enters the heaviest prefix
+		}
 	}
 	k.byWeight.Push(t)
 }
@@ -184,6 +191,9 @@ func (k *Tracker) Remove(t *sched.Thread) bool {
 			k.atMax--
 		}
 		return false // φ = w throughout: nothing was capped, nothing is
+	}
+	if n := len(k.heavy); n > 0 && !heavier(k.heavy[n-1], t) {
+		k.heavy = k.heavy[:0] // t leaves the heaviest prefix
 	}
 	changed := false
 	if i := slices.Index(k.capped, t); i >= 0 {
@@ -210,18 +220,27 @@ func (k *Tracker) UpdateWeight(t *sched.Thread, w float64) bool {
 		k.raiseMax(w)
 	}
 	t.Weight = w
+	k.heavy = k.heavy[:0]
 	k.setPhi(t, w, true)
 	k.byWeight.Fix(t)
 	k.Readjust()
 	return true
 }
 
-// Validate checks the weight queue's structural invariants and, on one
-// processor, the maximum's bookkeeping: no tracked weight above maxPhi and
-// atMax threads at it.
+// Validate checks the weight queue's structural invariants, a kept heaviest
+// prefix against a fresh scan and, on one processor, the maximum's
+// bookkeeping: no tracked weight above maxPhi and atMax threads at it.
 func (k *Tracker) Validate() error {
-	if err := k.byWeight.Validate(); err != nil || !k.oneCPU {
+	if err := k.byWeight.Validate(); err != nil {
 		return err
+	}
+	if !k.oneCPU {
+		if len(k.heavy) > 0 {
+			if fresh := k.byWeight.AppendKSmallest(nil, int(k.cap)); !slices.Equal(k.heavy, fresh) {
+				return fmt.Errorf("phi: kept heaviest prefix %v, the weight queue's is %v", k.heavy, fresh)
+			}
+		}
+		return nil
 	}
 	at := 0
 	var err error
@@ -280,9 +299,14 @@ func (k *Tracker) Readjust() bool {
 		// At most ceil(cap)-1 threads can violate the feasibility
 		// constraint (§2.1), so inspect only that many of the heaviest.
 		// Capping is possible only while the remaining capacity exceeds one
-		// CPU. The prefix scratch is reused across passes to keep the
-		// blocking/wakeup path allocation-free.
-		k.heavy = k.byWeight.AppendKSmallest(k.heavy[:0], p)
+		// CPU. The prefix is scanned again only when a change emptied it
+		// (AddDeferred, Remove, UpdateWeight): an arrival or departure behind
+		// it leaves the p heaviest what they were, however n moved around p
+		// in between. Its storage is reused, so the blocking/wakeup path
+		// stays allocation-free.
+		if len(k.heavy) == 0 {
+			k.heavy = k.byWeight.AppendKSmallest(k.heavy, p)
+		}
 		heavy, sum, ncap := k.heavy, k.sum, 0
 		for i, t := range heavy {
 			rem := k.cap - float64(i)

@@ -576,20 +576,60 @@ func TestStealSeesUndrainedRing(t *testing.T) {
 // Manual mode on a clock that stalls and steps backwards between any two
 // steps: no charge is negative, no tenant's service or start tag and no
 // shard's lastNow moves back, the invariants hold after every step, and an
-// enforcement deadline set after a backward step is honoured on time.
+// enforcement deadline set after a backward step is honoured on time. The
+// second world runs shards of two workers, so picks walk past a running
+// thread, with one tenant infeasible in its shard (10 beside 1s: its capped φ
+// moves on every wake-up and departure there), stealing armed and weight
+// changes, rebalancing and steals in the mix. A transfer re-frames a tenant's
+// tags at its new shard's virtual time (DESIGN.md §6) — at once for a
+// runnable tenant, at its next wake-up for a blocked one — so the start-tag
+// check skips a tenant from the step it changes shard until its new shard
+// tags it. Its service must never move back.
 func TestManualClockAnomalies(t *testing.T) {
+	for _, world := range []struct {
+		name      string
+		workers   int
+		tenants   int
+		onShard0  int  // when > 0, the first onShard0 tenants are placed on shard 0, the rest on shard 1
+		transfers bool // stealing armed; SetWeight, Rebalance and TrySteal join the mix
+		weight    func(i int) float64
+	}{
+		{name: "one-worker-shards", workers: 2, tenants: 6, weight: func(i int) float64 { return float64(1 + i%3) }},
+		{name: "two-worker-shards", workers: 4, tenants: 8, onShard0: 4, transfers: true, weight: func(i int) float64 {
+			if i == 0 {
+				return 10
+			}
+			return 1
+		}},
+	} {
+		t.Run(world.name, func(t *testing.T) {
+			testManualClockAnomalies(t, world.workers, world.tenants, world.onShard0, world.transfers, world.weight)
+		})
+	}
+}
+
+func testManualClockAnomalies(t *testing.T, workers, ntenants, onShard0 int, transfers bool, weight func(int) float64) {
 	clock := &scriptedClock{}
-	r := New(Config{Workers: 2, Manual: true, Preempt: true,
+	r := New(Config{Workers: workers, Manual: true, Preempt: true,
 		Clock: clock, Quantum: 10 * simtime.Millisecond,
 		Enforcement: EnforcementConfig{Enabled: true},
-		Sharding:    ShardingConfig{Shards: 2},
+		Sharding:    ShardingConfig{Shards: 2, Steal: transfers},
 		Intake:      IntakeConfig{QueueCap: 4}})
 	defer r.Close()
 	var tenants []*Tenant
-	for i := 0; i < 6; i++ {
-		tn, err := r.Register("t", float64(1+i%3))
+	for i := 0; i < ntenants; i++ {
+		tn, err := r.Register("t", weight(i))
 		if err != nil {
 			t.Fatal(err)
+		}
+		if onShard0 > 0 {
+			want := r.shards[1]
+			if i < onShard0 {
+				want = r.shards[0]
+			}
+			if from := tn.sh.Load(); from != want && !r.migrate(tn, from, want) {
+				t.Fatalf("could not place tenant %d on shard %d", i, want.id)
+			}
 		}
 		tenants = append(tenants, tn)
 	}
@@ -598,6 +638,11 @@ func TestManualClockAnomalies(t *testing.T) {
 		start   float64
 	}
 	last := make([]seen, len(tenants))
+	shardOf := make([]*shard, len(tenants))
+	for i, tn := range tenants {
+		shardOf[i] = tn.sh.Load()
+	}
+	reframed := make([]bool, len(tenants)) // moved, and not tagged since in its new frame
 	lastNow := make([]simtime.Time, len(r.shards))
 	inFlight := make([]*Dispatched, r.Workers())
 	rng := uint64(1)
@@ -605,7 +650,7 @@ func TestManualClockAnomalies(t *testing.T) {
 		rng = rng*6364136223846793005 + 1442695040888963407
 		return int((rng >> 33) % uint64(n))
 	}
-	backwards := 0
+	backwards, capped := 0, 0
 	for step := 0; step < 5000; step++ {
 		switch now := clock.now.Load(); next(4) {
 		case 0: // stall
@@ -618,7 +663,11 @@ func TestManualClockAnomalies(t *testing.T) {
 		default:
 			clock.now.Store(now + int64(next(2000)))
 		}
-		switch op, w := next(4), next(len(inFlight)); {
+		ops := 4
+		if transfers {
+			ops = 7
+		}
+		switch op, w := next(ops), next(len(inFlight)); {
 		case op == 0:
 			tn := tenants[next(len(tenants))]
 			if err := tn.SubmitTask(Once(func() {}), NoWait()); err != nil && err != ErrBackpressure {
@@ -626,6 +675,15 @@ func TestManualClockAnomalies(t *testing.T) {
 			}
 		case op == 1:
 			r.Enforce()
+		case op == 4:
+			i := next(len(tenants))
+			if err := r.SetWeight(tenants[i], weight(i)+float64(next(3))); err != nil {
+				t.Fatal(err)
+			}
+		case op == 5:
+			r.Rebalance()
+		case op == 6:
+			r.TrySteal(w)
 		case inFlight[w] == nil:
 			inFlight[w] = r.Dispatch(w)
 		default:
@@ -635,12 +693,18 @@ func TestManualClockAnomalies(t *testing.T) {
 			inFlight[w] = nil
 		}
 		for i, tn := range tenants {
-			if th := tn.th; th.Service < last[i].service || th.Start < last[i].start {
+			th := tn.th
+			if sh := tn.sh.Load(); sh != shardOf[i] {
+				shardOf[i], reframed[i] = sh, true
+			}
+			if th.Service < last[i].service || th.Start < last[i].start && !reframed[i] {
 				t.Fatalf("step %d: tenant %d went back: service %v → %v, start tag %g → %g",
 					step, i, last[i].service, th.Service, last[i].start, th.Start)
-			} else {
-				last[i] = seen{th.Service, th.Start}
 			}
+			if th.Start != last[i].start && tn.inSched {
+				reframed[i] = false // tagged in its current shard's frame
+			}
+			last[i] = seen{th.Service, th.Start}
 		}
 		for i, sh := range r.shards {
 			if sh.lastNow < lastNow[i] {
@@ -651,6 +715,12 @@ func TestManualClockAnomalies(t *testing.T) {
 		if err := r.CheckInvariants(); err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
+		if th := tenants[0].th; th.Phi != th.Weight && tenants[0].inSched {
+			capped++
+		}
+	}
+	if transfers && (capped == 0 || r.Steals() == 0) {
+		t.Fatalf("tenant 0 ran capped in %d steps, %d steals: the test walked no relabel or no transfer", capped, r.Steals())
 	}
 	if backwards < 100 {
 		t.Fatalf("the clock stepped back %d times; the test walked nothing", backwards)

@@ -7,6 +7,7 @@ package rt_test
 
 import (
 	"errors"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -62,24 +63,32 @@ func spinSlice(t *testing.T, r *rt.Runtime, clock *rt.FakeClock, w int, d simtim
 	return disp.Tenant()
 }
 
+// TestManualProportionalShares: three always-backlogged tenants weighted
+// 1:2:1 share one shard of p = 2 workers in 4000 slices of one l = 5 ms task
+// each. The two workers' slices overlap by half, so every pick is made while
+// the other worker runs a slice. Each tenant's service, as the test counts it
+// from Complete, must be within B of its w/Σw part of the total, and
+// Stats().Lag must report the same difference.
+//
+// B is TestBubbleProportionalShares' bound for these figures. The weights are
+// feasible (2/4 ≤ 1/p), so φ = w; every tenant stays backlogged, so a slice
+// moves only its own tenant's start tag, by l/w, and a surplus grows only when
+// its tenant completes a slice, by at most l; and the tenants other than the
+// holder of v weigh at least as much as it does, which the argument needs at
+// p = 2. So no surplus exceeds M = (n+2)·l = 25 ms with n = 3, and B =
+// ((n−1)·M + n·l)/p = 32.5 ms. The runtime is 5 ms off, one slice. Lag is
+// compared to within a Duration's 1 µs resolution.
 func TestManualProportionalShares(t *testing.T) {
-	r, clock := manualRuntime(t, 2, 4)
+	const (
+		l     = 5 * simtime.Millisecond
+		p, n  = 2, 3
+		m     = (n + 2) * l
+		bound = ((n-1)*m + n*l) / p
+	)
+	r, clock := manualRuntime(t, p, 4)
 	defer r.Close()
 	weights := []float64{1, 2, 1}
-	tenants := make([]*rt.Tenant, len(weights))
-	for i, w := range weights {
-		tn, err := r.Register("t", w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tenants[i] = tn
-		// Keep every backlog non-empty so all tenants stay runnable.
-		for j := 0; j < 4; j++ {
-			if err := tn.SubmitTask(rt.Once(func() {}), rt.NoWait()); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
+	tenants := make(map[*rt.Tenant]int, n)
 	refill := func(tn *rt.Tenant) {
 		for tn.Queued() < 4 {
 			if err := tn.SubmitTask(rt.Once(func() {}), rt.NoWait()); err != nil {
@@ -87,25 +96,62 @@ func TestManualProportionalShares(t *testing.T) {
 			}
 		}
 	}
-	// Round-robin the two workers through 4000 fixed 5 ms slices.
-	for i := 0; i < 4000; i++ {
-		tn := spinSlice(t, r, clock, i%2, 5*simtime.Millisecond)
+	for i, w := range weights {
+		tn, err := r.Register("t", w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tenants[tn] = i
 		refill(tn)
+	}
+	service := make([]simtime.Duration, n)
+	var running [p]*rt.Dispatched
+	dispatch := func(w int) {
+		if running[w] = r.Dispatch(w); running[w] == nil {
+			t.Fatal("no dispatchable work")
+		}
+	}
+	complete := func(w int) {
+		tn := running[w].Tenant()
+		if got := running[w].Complete(true); got != l {
+			t.Fatalf("charged %v, want %v", got, l)
+		}
+		service[tenants[tn]] += l
+		refill(tn)
+	}
+	// Worker w's slices start at w·l/2 and every l after: the other worker is
+	// half-way through its own at each dispatch.
+	dispatch(0)
+	clock.Advance(l / 2)
+	dispatch(1)
+	for i := 2; i < 4000; i++ {
+		clock.Advance(l / 2)
+		complete(i % p)
+		dispatch(i % p)
+	}
+	for i := 4000; i < 4000+p; i++ {
+		clock.Advance(l / 2)
+		complete(i % p)
 	}
 	if err := r.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	stats := r.Stats()
 	var total simtime.Duration
-	for _, s := range stats {
-		total += s.Service
+	var sumW float64
+	for i := range weights {
+		total += service[i]
+		sumW += weights[i]
 	}
-	// 1:2:1 on two CPUs is feasible: shares must be 25/50/25.
-	wantShares := []float64{0.25, 0.5, 0.25}
+	stats := r.Stats()
 	for i, s := range stats {
-		got := float64(s.Service) / float64(total)
-		if diff := got - wantShares[i]; diff > 0.02 || diff < -0.02 {
-			t.Errorf("tenant %d share %.3f, want ~%.2f", i, got, wantShares[i])
+		fluid := weights[i] / sumW * float64(total)
+		diff := float64(service[i]) - fluid
+		if diff > float64(bound) || -diff > float64(bound) {
+			t.Errorf("tenant %d (w %g): service %v, fluid %v: off by %v, bound %v",
+				i, weights[i], service[i], simtime.Duration(fluid), simtime.Duration(diff), bound)
+		}
+		if lag := float64(s.Lag); math.Abs(lag+diff) > float64(simtime.Microsecond) {
+			t.Errorf("tenant %d: Stats().Lag %v, the test counts %v behind", i, s.Lag, simtime.Duration(-diff))
 		}
 	}
 	if j := jainOf(stats, nil); j < 0.999 {
