@@ -755,6 +755,53 @@ func TestExperimentsStaySimulated(t *testing.T) {
 	}
 }
 
+// TestRuntimeLinksNoSimulator keeps the simulator out of the runtime's
+// binary: no package internal/rt reaches through its non-test imports may be
+// the simulated machine or the experiments built on it. A helper that one
+// experiment needs belongs beside it, not in a package the runtime imports.
+func TestRuntimeLinksNoSimulator(t *testing.T) {
+	const module, root = "sfsched/", "sfsched/internal/rt"
+	fset := token.NewFileSet()
+	importedBy := map[string]string{root: ""}
+	for queue := []string{root}; len(queue) > 0; queue = queue[1:] {
+		pkg := queue[0]
+		entries, err := os.ReadDir(strings.TrimPrefix(pkg, module))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			name := e.Name()
+			if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(fset, filepath.Join(strings.TrimPrefix(pkg, module), name), nil, parser.ImportsOnly)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, imp := range f.Imports {
+				dep := strings.Trim(imp.Path.Value, `"`)
+				if _, seen := importedBy[dep]; !seen && strings.HasPrefix(dep, module) {
+					importedBy[dep] = pkg
+					queue = append(queue, dep)
+				}
+			}
+		}
+	}
+	if len(importedBy) < 3 {
+		t.Fatalf("internal/rt reaches only %d packages; update the guard", len(importedBy))
+	}
+	for _, banned := range []string{"sfsched/internal/machine", "sfsched/internal/experiments"} {
+		if _, linked := importedBy[banned]; !linked {
+			continue
+		}
+		chain := []string{banned}
+		for pkg := importedBy[banned]; pkg != ""; pkg = importedBy[pkg] {
+			chain = append([]string{pkg}, chain...)
+		}
+		t.Errorf("the runtime links the simulator: %s", strings.Join(chain, " → "))
+	}
+}
+
 // exportsWithoutCallers is the allowlist of TestInternalExportsHaveCallers:
 // exported functions and methods under internal/ that no non-test file
 // names, each kept for a reason the tests give it.

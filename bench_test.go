@@ -202,7 +202,8 @@ func BenchmarkAblationReadjustment(b *testing.B) {
 
 // BenchmarkAblationAffinity reports the migration rate with and without the
 // §5 processor-affinity extension (migrations per 1000 decisions as a
-// custom metric).
+// custom metric; a migration is a pick onto a CPU other than the thread's
+// last).
 func BenchmarkAblationAffinity(b *testing.B) {
 	bench := func(b *testing.B, opts ...core.Option) {
 		s := core.New(4, append(opts, core.WithQuantum(10*simtime.Millisecond))...)
@@ -215,6 +216,7 @@ func BenchmarkAblationAffinity(b *testing.B) {
 			}
 		}
 		now := simtime.Time(0)
+		var picks, migrations int64
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			var picked [4]*sched.Thread
@@ -222,6 +224,10 @@ func BenchmarkAblationAffinity(b *testing.B) {
 				t := s.Pick(c, now)
 				if t == nil {
 					break
+				}
+				picks++
+				if t.LastCPU != sched.NoCPU && t.LastCPU != c {
+					migrations++
 				}
 				t.CPU = c
 				picked[c] = t
@@ -236,9 +242,8 @@ func BenchmarkAblationAffinity(b *testing.B) {
 				t.CPU = sched.NoCPU
 			}
 		}
-		st := s.Stats()
-		if st.Decisions > 0 {
-			b.ReportMetric(1000*float64(st.Migrations)/float64(st.Decisions), "migrations/1kdec")
+		if picks > 0 {
+			b.ReportMetric(1000*float64(migrations)/float64(picks), "migrations/1kdec")
 		}
 	}
 	b.Run("plain", func(b *testing.B) { bench(b) })

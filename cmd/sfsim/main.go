@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"sfsched/internal/experiments"
-	"sfsched/internal/gms"
 	"sfsched/internal/machine"
 	"sfsched/internal/metrics"
 	"sfsched/internal/sched"
@@ -52,12 +51,7 @@ func main() {
 		os.Exit(2)
 	}
 	m := machine.New(machine.Config{CPUs: *cpus, Scheduler: s, Seed: *seed})
-	fluid := gms.New(*cpus)
-	m.SetHooks(machine.Hooks{
-		Runnable:       fluid.Add,
-		Unrunnable:     fluid.Remove,
-		WeightChanging: func(t *sched.Thread, now simtime.Time) { fluid.Advance(now) },
-	})
+	fluid := experiments.AttachGMS(m, *cpus)
 
 	tasks := make([]*machine.Task, len(weights))
 	for i, w := range weights {

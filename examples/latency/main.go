@@ -20,9 +20,13 @@ import (
 func main() {
 	fmt.Println("Interactive response vs. background load (2 CPUs, 30s, weight 1 each)")
 	fmt.Printf("%-10s %22s %22s\n", "disksims", "SFS mean/p95 (ms)", "timeshare mean/p95 (ms)")
+	timeshare, err := sfsched.PolicyByName("timeshare", 0)
+	if err != nil {
+		panic(err)
+	}
 	for _, n := range []int{0, 4, 8} {
 		sm, sp := run(sfsched.NewSFS(2), n)
-		tm, tp := run(sfsched.NewTimeshare(2), n)
+		tm, tp := run(timeshare(2), n)
 		fmt.Printf("%-10d %12.2f / %5.2f %14.2f / %5.2f\n", n, sm, sp, tm, tp)
 	}
 	fmt.Println("\nBoth schedulers keep the interactive task responsive: time sharing")

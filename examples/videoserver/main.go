@@ -23,9 +23,13 @@ const perFrame = 22727 * sfsched.Microsecond
 func main() {
 	fmt.Println("MPEG decoding with a background parallel build (2 CPUs, 20s)")
 	fmt.Printf("%-14s %12s %12s\n", "build jobs", "SFS fps", "timeshare fps")
+	timeshare, err := sfsched.PolicyByName("timeshare", 0)
+	if err != nil {
+		panic(err)
+	}
 	for _, jobs := range []int{0, 2, 4, 8} {
 		sfsFPS := run(sfsched.NewSFS(2), jobs)
-		tsFPS := run(sfsched.NewTimeshare(2), jobs)
+		tsFPS := run(timeshare(2), jobs)
 		fmt.Printf("%-14d %12.1f %12.1f\n", jobs, sfsFPS, tsFPS)
 	}
 	fmt.Println("\nSFS holds the decoder at ~44 fps regardless of build load;")

@@ -47,19 +47,21 @@ func TestFacadeQuickstartFlow(t *testing.T) {
 }
 
 func TestFacadeConstructors(t *testing.T) {
-	ctors := map[string]sfsched.Scheduler{
-		"SFQ":          sfsched.NewSFQ(2, false),
-		"SFQ+readjust": sfsched.NewSFQ(2, true),
-		"timeshare":    sfsched.NewTimeshare(2),
-		"stride":       sfsched.NewStride(2),
-		"BVT":          sfsched.NewBVT(2),
+	names := map[string]string{
+		"sfs": "SFS", "sfq": "SFQ", "sfq+readjust": "SFQ+readjust", "timeshare": "timeshare",
+		"stride": "stride", "bvt": "BVT", "lottery": "lottery", "hier": "hier-SFS",
 	}
-	for want, s := range ctors {
-		if s.Name() != want {
-			t.Errorf("constructor produced %q, want %q", s.Name(), want)
+	for _, name := range sfsched.LivePolicies() {
+		policy, err := sfsched.PolicyByName(name, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := policy(2)
+		if s.Name() != names[name] {
+			t.Errorf("PolicyByName(%q) built %q, want %q", name, s.Name(), names[name])
 		}
 		if s.NumCPU() != 2 {
-			t.Errorf("%s: NumCPU %d", want, s.NumCPU())
+			t.Errorf("%s: NumCPU %d", name, s.NumCPU())
 		}
 	}
 	opts := sfsched.NewSFS(4, sfsched.WithQuantum(50*sfsched.Millisecond))

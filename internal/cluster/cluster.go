@@ -372,30 +372,28 @@ func (c *Cluster) Rebalance() int {
 	// (rt.Tenant.Service), so the snapshot is per-tenant consistent — all a
 	// move *ordering* needs.
 	type cand struct {
-		t      *Tenant
-		node   int
-		weight float64
-		lag    float64
+		t       *Tenant
+		node    int
+		weight  float64
+		service simtime.Duration
+		lag     float64
 	}
 	cands := make([]cand, 0, len(tenants))
-	services := make([]simtime.Duration, 0, len(tenants))
-	weights := make([]float64, 0, len(tenants))
+	var tot metrics.Totals
 	for _, t := range tenants {
 		t.mu.RLock()
 		if !t.closed {
-			w := t.tn.Weight()
-			cands = append(cands, cand{t: t, node: t.node, weight: w})
-			services = append(services, t.tn.Service())
-			weights = append(weights, w)
+			cd := cand{t: t, node: t.node, weight: t.tn.Weight(), service: t.tn.Service()}
+			cands = append(cands, cd)
+			tot.Add(cd.service, cd.weight)
 		}
 		t.mu.RUnlock()
 	}
 	if len(cands) == 0 {
 		return 0
 	}
-	lags := metrics.Lags(services, weights)
-	for i := range cands {
-		cands[i].lag = lags[i]
+	for i, cd := range cands {
+		cands[i].lag = tot.Lag(cd.service, cd.weight)
 	}
 
 	// Per-machine movable lists, most-lagged first (insertion sort: the

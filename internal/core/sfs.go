@@ -90,10 +90,6 @@ import (
 	"sfsched/internal/simtime"
 )
 
-// DefaultQuantum is the maximum quantum used throughout the paper's
-// evaluation (§4.1).
-const DefaultQuantum = 200 * simtime.Millisecond
-
 // Stats counts scheduler-internal events for the overhead experiments
 // (Table 1, Figure 7) and the ablation benchmarks.
 type Stats struct {
@@ -101,7 +97,6 @@ type Stats struct {
 	Readjustments int64 // weight readjustment passes that changed some φ
 	SurplusSweeps int64 // surplus queue refreshes, every class re-keyed, by a pick that walks the classes: on drift at C ≤ 11 classes, else after an over-long scan
 	Rebases       int64 // fixed-point tag wraparound rebases
-	Migrations    int64 // picks where the thread last ran on a different CPU
 }
 
 // SFS is a surplus fair scheduler for a symmetric multiprocessor. It is not
@@ -251,7 +246,7 @@ func New(p int, opts ...Option) *SFS {
 // processors over a caller-supplied φ source: everything New's scheduler does
 // — tags, virtual time, the lazily refreshed surplus queue, picks, preemption
 // ranks, frame translation, batch admission — with src deciding each
-// thread's φ. A non-positive quantum selects DefaultQuantum.
+// thread's φ. A non-positive quantum selects sched.DefaultQuantum.
 func NewOver(p int, quantum simtime.Duration, src PhiSource) *SFS {
 	s := newKernel(p)
 	if quantum > 0 {
@@ -267,7 +262,7 @@ func newKernel(p int) *SFS {
 	}
 	return &SFS{
 		p:              p,
-		quantum:        DefaultQuantum,
+		quantum:        sched.DefaultQuantum,
 		useReadjust:    true,
 		scanLimit:      scanBase,
 		rebaseThresh:   fixedpoint.WrapThreshold,
@@ -575,10 +570,6 @@ func (s *SFS) Pick(cpu int, now simtime.Time) *sched.Thread {
 	t := s.pickExact(cpu)
 	if t != nil {
 		s.stats.Decisions++
-		t.Decisions++
-		if t.LastCPU != sched.NoCPU && t.LastCPU != cpu {
-			s.stats.Migrations++
-		}
 	}
 	return t
 }

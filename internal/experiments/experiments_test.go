@@ -8,6 +8,7 @@ import (
 
 	"sfsched/internal/core"
 	"sfsched/internal/machine"
+	"sfsched/internal/metrics"
 	"sfsched/internal/sched"
 	"sfsched/internal/simtime"
 	"sfsched/internal/workload"
@@ -56,6 +57,37 @@ func TestFig1SFSNoStarvation(t *testing.T) {
 	// previous full-CPU rate.
 	if starved < running*0.3 {
 		t.Fatalf("T1 starved under SFS: %.0f loops vs %.0f", starved, running)
+	}
+}
+
+// TestFig4SeriesSampleService checks the sampling behind Figures 1 and 4:
+// one point per SampleEvery up to and including the horizon, each the task's
+// service so far in loops. T1 and T2 never block and start at 0, so the
+// three series add up to two full CPUs' worth at every point, and the last
+// point is the service the run settles at the horizon.
+func TestFig4SeriesSampleService(t *testing.T) {
+	p := Fig1Defaults(SFS)
+	r := Fig4(p)
+	series := []*metrics.Series{r.T1, r.T2, r.T3}
+	n := int(simtime.Duration(p.Horizon) / p.SampleEvery)
+	for _, s := range series {
+		if len(s.X) != n || len(s.Y) != n {
+			t.Fatalf("%s: %d/%d samples, want %d", s.Name, len(s.X), len(s.Y), n)
+		}
+	}
+	for i, x := range r.T1.X {
+		if want := float64(i+1) * p.SampleEvery.Seconds(); math.Abs(x-want) > 1e-9 {
+			t.Fatalf("sample %d at %gs, want %gs", i, x, want)
+		}
+		got := r.T1.Y[i] + r.T2.Y[i] + r.T3.Y[i]
+		if want := workload.Loops(simtime.FromSeconds(2*x), InfLoopCost); math.Abs(got-want) > 1e-6*want {
+			t.Fatalf("at %gs the tasks ran %g loops, want two CPUs' %g", x, got, want)
+		}
+	}
+	for i, s := range series {
+		if want := workload.Loops(r.Service[i], InfLoopCost); s.Last() != want {
+			t.Fatalf("%s: last sample %g loops, settled service %g", s.Name, s.Last(), want)
+		}
 	}
 }
 
@@ -244,7 +276,7 @@ func TestHeuristicMatchesExactWithLargeK(t *testing.T) {
 		return ids
 	}
 	exact := trace(core.New(4))
-	heur := trace(NewHeuristicSFS(4, core.DefaultQuantum, 100))
+	heur := trace(NewHeuristicSFS(4, sched.DefaultQuantum, 100))
 	if !slices.Equal(exact, heur) {
 		t.Fatalf("decisions differ:\nexact     %v\nheuristic %v", exact, heur)
 	}
@@ -253,7 +285,7 @@ func TestHeuristicMatchesExactWithLargeK(t *testing.T) {
 // TestHeuristicStaysWorkConserving: when every examined candidate is running,
 // the pick falls back to the earliest thread that is not.
 func TestHeuristicStaysWorkConserving(t *testing.T) {
-	s := NewHeuristicSFS(3, core.DefaultQuantum, 1)
+	s := NewHeuristicSFS(3, sched.DefaultQuantum, 1)
 	var threads []*sched.Thread
 	for i := 0; i < 10; i++ {
 		threads = append(threads, mkThread(i+1, 1))

@@ -126,9 +126,6 @@ func (h *HeuristicSFS) Pick(cpu int, now simtime.Time) *sched.Thread {
 	} else if i := slices.IndexFunc(byStart, func(t *sched.Thread) bool { return !t.Running() }); i >= 0 {
 		best = byStart[i] // all examined are running: stay work-conserving with the earliest that is not
 	}
-	if best != nil {
-		best.Decisions++
-	}
 	return best
 }
 

@@ -81,15 +81,24 @@ func Fig4(p Fig4Params) Fig4Result {
 	if p.T2Stop > 0 {
 		m.At(p.T2Stop, func(now simtime.Time) { m.Kill(t2) })
 	}
-	sampler := metrics.NewServiceSampler(m, p.SampleEvery, InfLoopCost, t1, t2, t3)
+	tasks := []*machine.Task{t1, t2, t3}
+	series := make([]*metrics.Series, len(tasks))
+	for i, k := range tasks {
+		series[i] = &metrics.Series{Name: k.Thread().Name}
+	}
+	m.Every(p.SampleEvery, func(now simtime.Time) {
+		for i, k := range tasks {
+			series[i].X = append(series[i].X, now.Seconds())
+			series[i].Y = append(series[i].Y, workload.Loops(m.ServiceNow(k), InfLoopCost))
+		}
+	})
 	m.Run(p.Horizon)
-	ss := sampler.Series()
 	return Fig4Result{
 		Params:  p,
 		Sched:   m.Scheduler().Name(),
-		T1:      ss[0],
-		T2:      ss[1],
-		T3:      ss[2],
+		T1:      series[0],
+		T2:      series[1],
+		T3:      series[2],
 		Service: [3]simtime.Duration{t1.Thread().Service, t2.Thread().Service, t3.Thread().Service},
 	}
 }

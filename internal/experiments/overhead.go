@@ -93,8 +93,8 @@ func Table1(iters int) Table1Result {
 		iters = 20000
 	}
 	res := Table1Result{Iters: iters}
-	mkTS := func() sched.Scheduler { return MustScheduler(Timeshare, 1, core200ms) }
-	mkSFS := func() sched.Scheduler { return MustScheduler(SFS, 1, core200ms) }
+	mkTS := func() sched.Scheduler { return MustScheduler(Timeshare, 1, sched.DefaultQuantum) }
+	mkSFS := func() sched.Scheduler { return MustScheduler(SFS, 1, sched.DefaultQuantum) }
 
 	// Scheduler-independent rows: in the paper these are equal under both
 	// schedulers; here the scheduler plays no part at all.
@@ -119,8 +119,6 @@ func Table1(iters int) Table1Result {
 	}
 	return res
 }
-
-const core200ms = 200 * simtime.Millisecond
 
 // forkCost measures the scheduler-visible part of process creation and
 // teardown with a background population of 8 threads.
@@ -189,8 +187,8 @@ type Fig7Result struct {
 func Fig7(p Fig7Params) Fig7Result {
 	res := Fig7Result{Params: p}
 	for _, n := range p.Procs {
-		res.TS = append(res.TS, SwitchCost(MustScheduler(Timeshare, 1, core200ms), n, 0, p.Iters))
-		res.SFS = append(res.SFS, SwitchCost(MustScheduler(SFS, 1, core200ms), n, 0, p.Iters))
+		res.TS = append(res.TS, SwitchCost(MustScheduler(Timeshare, 1, sched.DefaultQuantum), n, 0, p.Iters))
+		res.SFS = append(res.SFS, SwitchCost(MustScheduler(SFS, 1, sched.DefaultQuantum), n, 0, p.Iters))
 	}
 	return res
 }

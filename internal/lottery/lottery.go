@@ -45,15 +45,12 @@ type cfg struct {
 // WithQuantum sets the maximum quantum granted per dispatch.
 func WithQuantum(q simtime.Duration) Option { return func(c *cfg) { c.quantum = q } }
 
-// WithSeed sets the drawing seed (default 1).
-func WithSeed(seed uint64) Option { return func(c *cfg) { c.seed = seed } }
-
 // New returns a lottery scheduler for p processors. It panics if p < 1.
 func New(p int, opts ...Option) *Lottery {
 	if p < 1 {
 		panic(fmt.Sprintf("lottery: invalid processor count %d", p))
 	}
-	c := cfg{quantum: 200 * simtime.Millisecond, seed: 1}
+	c := cfg{quantum: sched.DefaultQuantum, seed: 1}
 	for _, o := range opts {
 		o(&c)
 	}
@@ -143,7 +140,6 @@ func (l *Lottery) Pick(cpu int, now simtime.Time) *sched.Thread {
 		acc += t.Phi
 		if draw < acc {
 			l.picks++
-			t.Decisions++
 			return t
 		}
 	}
@@ -151,7 +147,6 @@ func (l *Lottery) Pick(cpu int, now simtime.Time) *sched.Thread {
 	for i := len(l.runnable) - 1; i >= 0; i-- {
 		if !l.runnable[i].Running() {
 			l.picks++
-			l.runnable[i].Decisions++
 			return l.runnable[i]
 		}
 	}

@@ -1,9 +1,12 @@
-// Package metrics provides the measurement apparatus for the experiment
-// harness: time series of per-task service (the "number of iterations"
-// curves of Figures 4 and 5), share computations, and the fairness indices
-// used to compare schedulers against the GMS ideal. It also holds the
-// runtime's latency histograms (histogram.go), whose low tier is inline and
-// whose high tier is allocated once, by the first sample at or above 131 ms.
+// Package metrics provides the measurement apparatus of the experiments,
+// the runtime and the cluster: time series (the "number of iterations"
+// curves of Figures 4 and 5, sampled by the experiments), shares and lags
+// against the proportional ideal (Totals) and against GMS (GMSLag), and
+// fairness indices. It also holds the runtime's latency histograms
+// (histogram.go), whose low tier is inline and whose high tier is allocated
+// once, by the first sample at or above 131 ms. It imports neither the
+// simulated machine nor the runtime, so the runtime does not link the
+// simulator.
 package metrics
 
 import (
@@ -11,7 +14,6 @@ import (
 	"math"
 	"strings"
 
-	"sfsched/internal/machine"
 	"sfsched/internal/readjust"
 	"sfsched/internal/simtime"
 )
@@ -48,41 +50,10 @@ func (s *Series) At(x float64) float64 {
 // Delta returns the change in Y over the closed interval [x0, x1] seconds.
 func (s *Series) Delta(x0, x1 float64) float64 { return s.At(x1) - s.At(x0) }
 
-// ServiceSampler records cumulative service time series for a set of tasks,
-// scaled to application loops.
-type ServiceSampler struct {
-	m       *machine.Machine
-	perLoop simtime.Duration
-	tasks   []*machine.Task
-	series  []*Series
-}
-
-// NewServiceSampler samples the given tasks every interval, reporting
-// cumulative loop counts assuming each loop costs perLoop of CPU (use 1µs for
-// raw service in µs). Attach before machine.Run.
-func NewServiceSampler(m *machine.Machine, interval simtime.Duration, perLoop simtime.Duration, tasks ...*machine.Task) *ServiceSampler {
-	s := &ServiceSampler{m: m, perLoop: perLoop, tasks: tasks}
-	for _, k := range tasks {
-		s.series = append(s.series, &Series{Name: k.Thread().Name})
-	}
-	m.Every(interval, s.sample)
-	return s
-}
-
-func (s *ServiceSampler) sample(now simtime.Time) {
-	for i, k := range s.tasks {
-		s.series[i].X = append(s.series[i].X, now.Seconds())
-		s.series[i].Y = append(s.series[i].Y, float64(s.m.ServiceNow(k))/float64(s.perLoop))
-	}
-}
-
-// Series returns the recorded series, one per task, in task order.
-func (s *ServiceSampler) Series() []*Series { return s.series }
-
 // Totals holds the sums that shares and lags are taken against. A caller that
 // already walks its entities accumulates them with Add and then reads each
-// entity's Share and Lag without building a vector; SharesOf and Lags are the
-// same expressions over slices.
+// entity's Share and Lag without building a vector; SharesOf is the share
+// over a slice.
 type Totals struct {
 	Service simtime.Duration
 	Weight  float64
@@ -102,8 +73,11 @@ func (t *Totals) Share(service simtime.Duration) float64 {
 	return float64(service) / float64(t.Service)
 }
 
-// Lag is one entity's lag behind the proportional ideal in seconds (see
-// Lags), 0 when the weights sum to zero.
+// Lag is one entity's service lag behind the proportional-share ideal, in
+// seconds: T·w/Σw − service, where T is the total delivered service.
+// Positive means the entity is behind its entitlement, negative that it is
+// ahead; over every entity added the lags sum to zero. It is 0 when the
+// weights sum to zero.
 func (t *Totals) Lag(service simtime.Duration, weight float64) float64 {
 	if t.Weight == 0 {
 		return 0
@@ -153,27 +127,6 @@ func RatioError(measured []float64, ideal []float64) float64 {
 		}
 	}
 	return worst
-}
-
-// Lags returns each entity's service lag behind the proportional-share
-// ideal, in seconds: lag_i = T·w_i/Σw − service_i where T is the total
-// delivered service. Positive means the entity is behind its entitlement,
-// negative that it is ahead; the lags always sum to zero. The sharded
-// runtime exports these per tenant and per shard to show how far the
-// partitioned dispatch drifts from the single-queue allocation.
-func Lags(services []simtime.Duration, weights []float64) []float64 {
-	if len(services) != len(weights) || len(services) == 0 {
-		panic("metrics: mismatched lag vectors")
-	}
-	var t Totals
-	for i := range services {
-		t.Add(services[i], weights[i])
-	}
-	out := make([]float64, len(services))
-	for i := range services {
-		out[i] = t.Lag(services[i], weights[i])
-	}
-	return out
 }
 
 // JainIndex computes Jain's fairness index of per-weight normalized service:

@@ -61,7 +61,7 @@ func New(p int, opts ...Option) *Partitioned {
 	}
 	s := &Partitioned{
 		p:        p,
-		quantum:  200 * simtime.Millisecond,
+		quantum:  sched.DefaultQuantum,
 		weightOf: make([]float64, p),
 		home:     make(map[*sched.Thread]int),
 	}

@@ -59,7 +59,6 @@ package rt
 import (
 	"cmp"
 	"slices"
-	"time"
 
 	"sfsched/internal/engine"
 	"sfsched/internal/sched"
@@ -197,21 +196,5 @@ func (r *Runtime) Enforce() {
 		sh.enforceLocked(now)
 		sh.mu.Unlock()
 		post.run(r)
-	}
-}
-
-// enforceLoop is the background enforcement pass (concurrent mode with
-// Config.Enforcement.Enabled).
-func (r *Runtime) enforceLoop() {
-	defer r.wg.Done()
-	t := time.NewTicker(r.enforceTick.Std())
-	defer t.Stop()
-	for {
-		select {
-		case <-r.stop:
-			return
-		case <-t.C:
-			r.Enforce()
-		}
 	}
 }

@@ -198,29 +198,3 @@ func (tn *Tenant) Weight() float64 {
 	defer sh.mu.Unlock()
 	return tn.th.Weight
 }
-
-// BalanceMove is one planned migration: move the Idx-th movable tenant of
-// node Src to node Dst.
-type BalanceMove struct {
-	Src, Dst, Idx int
-}
-
-// PlanBalance exposes the pure rebalance planner (planRebalance, fuzzed by
-// FuzzRebalance) to the cluster tier: given per-node total weights, worker
-// counts and per-node movable tenant weights in descending migration
-// preference, it plans moves that bring every node's weight toward
-// target_n = Σweight · workers_n / Σworkers. The invariants are the
-// intra-box planner's: weight is conserved, per-node sums stay non-negative,
-// and total imbalance never grows. tol ≤ 0 uses the intra-box hysteresis
-// default.
-func PlanBalance(totals []float64, workers []int, movable [][]float64, tol float64) []BalanceMove {
-	if tol <= 0 {
-		tol = rebalanceTolerance
-	}
-	moves := planRebalance(totals, workers, movable, tol)
-	out := make([]BalanceMove, len(moves))
-	for i, m := range moves {
-		out[i] = BalanceMove{Src: m.src, Dst: m.dst, Idx: m.idx}
-	}
-	return out
-}

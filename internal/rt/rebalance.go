@@ -2,7 +2,7 @@
 // shard delivers its processors' capacity to its own tenants in proportion to
 // their weights. Global fairness therefore reduces to one condition — every
 // shard's total weight stays proportional to its processor count. This file
-// enforces it: a pure planner (planRebalance, fuzzed by FuzzRebalance)
+// enforces it: a pure planner (PlanBalance, fuzzed by FuzzRebalance)
 // decides which tenants to move, and migrate carries a tenant across shards
 // with a wakeup-style virtual-time frame translation, so each move perturbs
 // the tenant's allocation by at most its current lead over v — one quantum's
@@ -14,7 +14,6 @@ import (
 	"cmp"
 	"math"
 	"slices"
-	"time"
 
 	"sfsched/internal/engine"
 	"sfsched/internal/metrics"
@@ -32,20 +31,26 @@ const (
 	maxRebalanceMoves = 8
 )
 
-// rebalanceMove moves the idx-th movable tenant of shard src to shard dst.
-type rebalanceMove struct {
-	src, dst, idx int
+// BalanceMove is one planned migration: move the Idx-th movable tenant of
+// shard (or cluster machine) Src to Dst.
+type BalanceMove struct {
+	Src, Dst, Idx int
 }
 
-// planRebalance chooses migrations that bring each shard's total weight
-// toward target_s = Σweight · workers_s / Σworkers. It is a pure function of
-// its inputs: totals holds the per-shard weight sums (including unmovable
-// tenants), movable the weights of the individually movable tenants per
-// shard, ordered by descending migration preference (the caller sorts by
-// surplus). Each move strictly reduces the donor/receiver pair's distance to
-// target, so total imbalance never grows, per-shard sums stay non-negative
-// and total weight is conserved — the invariants FuzzRebalance checks.
-func planRebalance(totals []float64, workers []int, movable [][]float64, tol float64) []rebalanceMove {
+// PlanBalance chooses migrations that bring each shard's total weight
+// toward target_s = Σweight · workers_s / Σworkers; the cluster tier plans
+// across machines with it too. It is a pure function of its inputs: totals
+// holds the per-shard weight sums (including unmovable tenants), movable the
+// weights of the individually movable tenants per shard, ordered by
+// descending migration preference (the caller sorts by surplus or lag). Each
+// move strictly reduces the donor/receiver pair's distance to target, so
+// total imbalance never grows, per-shard sums stay non-negative and total
+// weight is conserved — the invariants FuzzRebalance checks. tol ≤ 0 uses
+// the rebalancer's hysteresis default.
+func PlanBalance(totals []float64, workers []int, movable [][]float64, tol float64) []BalanceMove {
+	if tol <= 0 {
+		tol = rebalanceTolerance
+	}
 	n := len(totals)
 	if n < 2 {
 		return nil
@@ -68,7 +73,7 @@ func planRebalance(totals []float64, workers []int, movable [][]float64, tol flo
 	for i := range used {
 		used[i] = make([]bool, len(movable[i]))
 	}
-	var moves []rebalanceMove
+	var moves []BalanceMove
 	for len(moves) < maxRebalanceMoves {
 		donor, recv := 0, 0
 		for i := range cur {
@@ -104,19 +109,19 @@ func planRebalance(totals []float64, workers []int, movable [][]float64, tol flo
 		w := movable[donor][best]
 		cur[donor] -= w
 		cur[recv] += w
-		moves = append(moves, rebalanceMove{src: donor, dst: recv, idx: best})
+		moves = append(moves, BalanceMove{Src: donor, Dst: recv, Idx: best})
 	}
 	return moves
 }
 
 // Rebalance runs one rebalancing pass: snapshot shard loads, plan moves with
-// planRebalance, and migrate the chosen tenants. Only tenants that are not
+// PlanBalance, and migrate the chosen tenants. Only tenants that are not
 // mid-slice and have no blocked submitters are eligible; within a shard,
 // candidates are offered in descending surplus order (threads ahead of their
 // ideal allocation lose the least from the wakeup-style re-entry). The
 // surplus comes from the shard scheduler's sched.LagReporter capability when
-// it has one, and otherwise from the generic service-minus-entitlement lag of
-// metrics.Lags over the shard's candidates — coarser (whole-lifetime service
+// it has one, and otherwise from the generic service-minus-entitlement lag
+// (metrics.Totals.Lag) over the shard's candidates — coarser (whole-lifetime service
 // instead of instantaneous tags; see DESIGN.md §7) but policy-agnostic, which
 // is what lets time sharing and lottery shard at all.
 // It returns the number of tenants migrated. Concurrent mode runs it
@@ -179,10 +184,9 @@ func (r *Runtime) Rebalance() int {
 		sh.mu.Unlock()
 	}
 	clear(s.cands[:cap(s.cands)])
-	moves := planRebalance(s.totals, s.workers, s.movable, rebalanceTolerance)
 	migrated := 0
-	for _, mv := range moves {
-		if r.migrate(s.handles[mv.src][mv.idx], r.shards[mv.src], r.shards[mv.dst]) {
+	for _, mv := range PlanBalance(s.totals, s.workers, s.movable, rebalanceTolerance) {
+		if r.migrate(s.handles[mv.Src][mv.Idx], r.shards[mv.Src], r.shards[mv.Dst]) {
 			migrated++
 		}
 	}
@@ -292,21 +296,6 @@ func (r *Runtime) transferLocked(tn *Tenant, src, dst *shard, now simtime.Time, 
 			dst.applyDirectLocked(itn, q, at, now, postDst)
 		default:
 			panic("rt: intake item escaped both shards during migration")
-		}
-	}
-}
-
-// rebalanceLoop is the background rebalancer (concurrent mode, Shards > 1).
-func (r *Runtime) rebalanceLoop() {
-	defer r.wg.Done()
-	t := time.NewTicker(DefaultRebalanceEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-r.stop:
-			return
-		case <-t.C:
-			r.Rebalance()
 		}
 	}
 }

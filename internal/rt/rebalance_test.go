@@ -1,6 +1,6 @@
 package rt
 
-// White-box tests of the rebalance planner: planRebalance is a pure function
+// White-box tests of the rebalance planner: PlanBalance is a pure function
 // (shard weight totals + per-shard movable tenant weights → moves), so its
 // invariants — weight conservation, non-negative sub-shares, monotone
 // imbalance — are checked directly and fuzzed (FuzzRebalance, run by CI's
@@ -16,28 +16,28 @@ import (
 
 // applyMoves replays a plan onto copies of the inputs and returns the
 // resulting per-shard totals. It fails the test on malformed moves.
-func applyMoves(t *testing.T, totals []float64, movable [][]float64, moves []rebalanceMove) []float64 {
+func applyMoves(t *testing.T, totals []float64, movable [][]float64, moves []BalanceMove) []float64 {
 	t.Helper()
 	cur := append([]float64(nil), totals...)
 	type slot struct{ src, idx int }
 	taken := make(map[slot]bool)
 	for _, mv := range moves {
-		if mv.src < 0 || mv.src >= len(cur) || mv.dst < 0 || mv.dst >= len(cur) {
+		if mv.Src < 0 || mv.Src >= len(cur) || mv.Dst < 0 || mv.Dst >= len(cur) {
 			t.Fatalf("move references shard out of range: %+v", mv)
 		}
-		if mv.src == mv.dst {
+		if mv.Src == mv.Dst {
 			t.Fatalf("move with src == dst: %+v", mv)
 		}
-		if mv.idx < 0 || mv.idx >= len(movable[mv.src]) {
+		if mv.Idx < 0 || mv.Idx >= len(movable[mv.Src]) {
 			t.Fatalf("move references tenant out of range: %+v", mv)
 		}
-		if taken[slot{mv.src, mv.idx}] {
+		if taken[slot{mv.Src, mv.Idx}] {
 			t.Fatalf("tenant moved twice: %+v", mv)
 		}
-		taken[slot{mv.src, mv.idx}] = true
-		w := movable[mv.src][mv.idx]
-		cur[mv.src] -= w
-		cur[mv.dst] += w
+		taken[slot{mv.Src, mv.Idx}] = true
+		w := movable[mv.Src][mv.Idx]
+		cur[mv.Src] -= w
+		cur[mv.Dst] += w
 	}
 	return cur
 }
@@ -59,7 +59,7 @@ func imbalance(totals []float64, workers []int) float64 {
 }
 
 func TestPlanRebalanceBalancedIsQuiet(t *testing.T) {
-	moves := planRebalance(
+	moves := PlanBalance(
 		[]float64{10, 10},
 		[]int{2, 2},
 		[][]float64{{4, 4, 1, 1}, {3, 3, 2, 2}},
@@ -70,10 +70,10 @@ func TestPlanRebalanceBalancedIsQuiet(t *testing.T) {
 }
 
 func TestPlanRebalanceDegenerateInputs(t *testing.T) {
-	if m := planRebalance([]float64{5}, []int{2}, [][]float64{{5}}, rebalanceTolerance); m != nil {
+	if m := PlanBalance([]float64{5}, []int{2}, [][]float64{{5}}, rebalanceTolerance); m != nil {
 		t.Fatalf("single shard planned moves: %+v", m)
 	}
-	if m := planRebalance([]float64{0, 0}, []int{1, 1}, [][]float64{nil, nil}, rebalanceTolerance); m != nil {
+	if m := PlanBalance([]float64{0, 0}, []int{1, 1}, [][]float64{nil, nil}, rebalanceTolerance); m != nil {
 		t.Fatalf("empty system planned moves: %+v", m)
 	}
 }
@@ -82,7 +82,7 @@ func TestPlanRebalanceMovesTowardTarget(t *testing.T) {
 	totals := []float64{11, 3}
 	workers := []int{2, 2}
 	movable := [][]float64{{5, 5, 1}, {1, 1, 1}}
-	moves := planRebalance(totals, workers, movable, rebalanceTolerance)
+	moves := PlanBalance(totals, workers, movable, rebalanceTolerance)
 	if len(moves) == 0 {
 		t.Fatal("imbalanced shards planned no moves")
 	}
@@ -91,7 +91,7 @@ func TestPlanRebalanceMovesTowardTarget(t *testing.T) {
 		t.Fatalf("imbalance %g did not improve (was %g): moves %+v", now, before, moves)
 	}
 	// The best single move is a weight-5 tenant: 11/3 → 6/8.
-	if moves[0].src != 0 || movable[0][moves[0].idx] != 5 {
+	if moves[0].Src != 0 || movable[0][moves[0].Idx] != 5 {
 		t.Fatalf("first move should shed a weight-5 tenant from shard 0, got %+v", moves[0])
 	}
 }
@@ -101,13 +101,13 @@ func TestPlanRebalanceRespectsWorkerProportions(t *testing.T) {
 	totals := []float64{8, 8}
 	workers := []int{3, 1}
 	movable := [][]float64{{2, 2, 2, 2}, {2, 2, 2, 2}}
-	moves := planRebalance(totals, workers, movable, rebalanceTolerance)
+	moves := PlanBalance(totals, workers, movable, rebalanceTolerance)
 	after := applyMoves(t, totals, movable, moves)
 	if math.Abs(after[0]-12) > 2.1 || math.Abs(after[1]-4) > 2.1 {
 		t.Fatalf("weights %v not drawn toward 12/4 targets (moves %+v)", after, moves)
 	}
 	for _, mv := range moves {
-		if mv.src != 1 || mv.dst != 0 {
+		if mv.Src != 1 || mv.Dst != 0 {
 			t.Fatalf("move against the worker-count gradient: %+v", mv)
 		}
 	}
@@ -151,7 +151,7 @@ func FuzzRebalance(f *testing.F) {
 			// submitters): present in the total but not movable.
 			totals[i] += 0.25 * float64(int(next())%16)
 		}
-		moves := planRebalance(totals, workers, movable, rebalanceTolerance)
+		moves := PlanBalance(totals, workers, movable, rebalanceTolerance)
 		if len(moves) > maxRebalanceMoves {
 			t.Fatalf("%d moves exceed budget %d", len(moves), maxRebalanceMoves)
 		}

@@ -38,7 +38,7 @@
 // optional capability interfaces of internal/sched (VirtualTimer,
 // LagReporter, FrameTranslator), discovered per shard at construction.
 // Policies lacking a capability still shard: migration candidates are then
-// ranked by a generic service-minus-entitlement lag (metrics.Lags) and frame
+// ranked by a generic service-minus-entitlement lag (metrics.Totals) and frame
 // translation is skipped — see DESIGN.md §7.
 //
 // # Tenant model
@@ -390,7 +390,7 @@ func New(cfg Config) *Runtime {
 	}
 	q := cfg.Quantum
 	if q <= 0 {
-		q = core.DefaultQuantum
+		q = sched.DefaultQuantum
 	}
 	policy := cfg.Policy
 	if policy == nil {
@@ -459,14 +459,30 @@ func New(cfg Config) *Runtime {
 		}
 		if nshards > 1 {
 			r.wg.Add(1)
-			go r.rebalanceLoop()
+			go r.every(DefaultRebalanceEvery, func() { r.Rebalance() })
 		}
 		if cfg.Enforcement.Enabled {
 			r.wg.Add(1)
-			go r.enforceLoop()
+			go r.every(r.enforceTick.Std(), r.Enforce)
 		}
 	}
 	return r
+}
+
+// every runs fn each period until Close: the background rebalancer
+// (Shards > 1) and enforcement pass (Enforcement.Enabled) of concurrent mode.
+func (r *Runtime) every(period time.Duration, fn func()) {
+	defer r.wg.Done()
+	t := time.NewTicker(period)
+	defer t.Stop()
+	for {
+		select {
+		case <-r.stop:
+			return
+		case <-t.C:
+			fn()
+		}
+	}
 }
 
 // Workers returns the worker pool size.

@@ -57,6 +57,10 @@ func (s State) String() string {
 // NoCPU is the CPU field value of a thread that is not running.
 const NoCPU = -1
 
+// DefaultQuantum is the maximum quantum used throughout the paper's
+// evaluation (§4.1), the default of every policy that grants one.
+const DefaultQuantum = 200 * simtime.Millisecond
+
 // Thread is the scheduler-visible control block. One struct carries the
 // fields of every policy (as a kernel task_struct would); each policy uses
 // only its own fields. All times are simulated.
@@ -81,7 +85,7 @@ type Thread struct {
 	// CPU is the processor the thread currently occupies, or NoCPU.
 	CPU int
 	// LastCPU is the processor the thread most recently ran on, or NoCPU;
-	// used by the affinity extension and the migration counters.
+	// used by the affinity extension and the machine's migration count.
 	LastCPU int
 
 	// Service is the total CPU time received so far.
@@ -101,10 +105,6 @@ type Thread struct {
 
 	// State is maintained by the machine around Scheduler calls.
 	State State
-
-	// Decisions counts how many times this thread was picked; useful for
-	// tests and overhead accounting.
-	Decisions int64
 
 	// Owner is the driver's record for the thread (internal/rt's tenant), so
 	// a driver finds what a pick chose without a lookup. No policy reads it.
@@ -141,6 +141,12 @@ type Thread struct {
 	// BVT fields: warp advantage in virtual-time units (0 = plain SFQ
 	// behaviour).
 	Warp float64
+
+	// The padding keeps Thread at 256 bytes, in a size class whose objects
+	// start on a cache line, so the hot 128 bytes are two whole lines: at
+	// 240 bytes sfsbench's flood lost 7–20 % of its throughput
+	// (TestThreadSizeClass).
+	_ [16]byte
 }
 
 // RunqueueHandle implements runqueue.Indexed: the thread's intrusive handle

@@ -185,7 +185,6 @@ func (s *TS) Pick(cpu int, now simtime.Time) *sched.Thread {
 	}
 	if best != nil {
 		s.decisions++
-		best.Decisions++
 	}
 	return best
 }

@@ -82,7 +82,7 @@ func New(p int, pol Policy, opts ...Option) *Queue {
 	if pol.Advance == nil {
 		pol.Advance = func(t *sched.Thread, ran, _ simtime.Duration) float64 { return ran.Seconds() / t.Phi }
 	}
-	q := &Queue{pol: pol, p: p, quantum: 200 * simtime.Millisecond, weights: phi.NewTracker(p, false),
+	q := &Queue{pol: pol, p: p, quantum: sched.DefaultQuantum, weights: phi.NewTracker(p, false),
 		run: runqueue.NewHeap(runqueue.SlotPrimary, pol.Before)}
 	for _, opt := range opts {
 		opt(q)
@@ -231,7 +231,6 @@ func (q *Queue) Pick(cpu int, now simtime.Time) *sched.Thread {
 	q.picks = q.run.AppendKSmallest(q.picks[:0], q.p+1)
 	for _, t := range q.picks {
 		if !t.Running() {
-			t.Decisions++
 			return t
 		}
 	}

@@ -8,9 +8,10 @@
 //     readjustment algorithm, the three-queue kernel implementation, the
 //     bounded pick heuristic and fixed-point tag arithmetic.
 //   - The baselines the paper evaluates against: multiprocessor SFQ with and
-//     without readjustment (NewSFQ), and a Linux 2.2-style time-sharing
-//     scheduler (NewTimeshare); plus stride and BVT from the paper's related
-//     work (NewStride, NewBVT).
+//     without readjustment, and a Linux 2.2-style time-sharing scheduler;
+//     plus stride, BVT and lottery from the paper's related work. Each is
+//     built by name (PolicyByName), for the simulated machine as for the
+//     runtime.
 //   - A deterministic simulated SMP (NewMachine) standing in for the
 //     paper's patched Linux kernel, with workload models for the evaluated
 //     applications (Inf, Finite, Periodic, Interactive, Compile).
@@ -117,29 +118,6 @@ var (
 // NewSFS returns a surplus fair scheduler for p processors.
 func NewSFS(p int, opts ...SFSOption) *SFS { return core.New(p, opts...) }
 
-// NewSFQ returns a multiprocessor start-time fair queueing scheduler; with
-// readjust it is coupled with the weight readjustment algorithm.
-func NewSFQ(p int, readjust bool) Scheduler {
-	if readjust {
-		return sfq.New(p, sfq.WithReadjustment())
-	}
-	return sfq.New(p)
-}
-
-// NewTimeshare returns a Linux 2.2-style time-sharing scheduler.
-func NewTimeshare(p int) Scheduler { return timeshare.New(p) }
-
-// NewStride returns a stride scheduler.
-func NewStride(p int) Scheduler { return stride.New(p) }
-
-// NewBVT returns a borrowed-virtual-time scheduler.
-func NewBVT(p int) Scheduler { return bvt.New(p) }
-
-// NewLottery returns a lottery scheduler seeded deterministically.
-func NewLottery(p int, seed uint64) Scheduler {
-	return lottery.New(p, lottery.WithSeed(seed))
-}
-
 // Hierarchical scheduling (the extension answering the paper's §5 open
 // problem): threads grouped into weighted classes, weights honoured at both
 // levels by one surplus-fair queue.
@@ -222,7 +200,7 @@ func LivePolicies() []string {
 // and only its frame lead travels.
 func PolicyByName(name string, quantum Duration) (RuntimePolicy, error) {
 	if quantum <= 0 {
-		quantum = core.DefaultQuantum
+		quantum = sched.DefaultQuantum
 	}
 	switch name {
 	case "", "sfs":
