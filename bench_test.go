@@ -149,30 +149,6 @@ func mkThread(id int, w float64) *sched.Thread {
 		CPU: sched.NoCPU, LastCPU: sched.NoCPU, State: sched.Runnable}
 }
 
-// BenchmarkAblationFixedPoint compares float64 tag arithmetic against the
-// kernel's scaled-integer arithmetic on the charge path.
-func BenchmarkAblationFixedPoint(b *testing.B) {
-	bench := func(b *testing.B, opts ...core.Option) {
-		s := core.New(2, append(opts, core.WithQuantum(10*simtime.Millisecond))...)
-		for i := 0; i < 32; i++ {
-			if err := s.Add(mkThread(i+1, float64(i%7+1)), 0); err != nil {
-				b.Fatal(err)
-			}
-		}
-		now := simtime.Time(0)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			t := s.Pick(0, now)
-			t.CPU = 0
-			now = now.Add(10 * simtime.Millisecond)
-			s.Charge(t, 10*simtime.Millisecond, now)
-			t.CPU = sched.NoCPU
-		}
-	}
-	b.Run("float64", func(b *testing.B) { bench(b) })
-	b.Run("fixed4", func(b *testing.B) { bench(b, core.WithFixedPoint(4)) })
-}
-
 // BenchmarkAblationReadjustment measures the arrival/departure path with and
 // without the weight readjustment algorithm (its cost is O(p), §3.2).
 func BenchmarkAblationReadjustment(b *testing.B) {
@@ -198,56 +174,6 @@ func BenchmarkAblationReadjustment(b *testing.B) {
 	}
 	b.Run("with", func(b *testing.B) { bench(b) })
 	b.Run("without", func(b *testing.B) { bench(b, core.WithoutReadjustment()) })
-}
-
-// BenchmarkAblationAffinity reports the migration rate with and without the
-// §5 processor-affinity extension (migrations per 1000 decisions as a
-// custom metric; a migration is a pick onto a CPU other than the thread's
-// last).
-func BenchmarkAblationAffinity(b *testing.B) {
-	bench := func(b *testing.B, opts ...core.Option) {
-		s := core.New(4, append(opts, core.WithQuantum(10*simtime.Millisecond))...)
-		// Distinct weights and a thread count that is not a multiple of the
-		// CPU count keep the rotation aperiodic, so threads really do hop
-		// CPUs unless affinity intervenes.
-		for i := 0; i < 7; i++ {
-			if err := s.Add(mkThread(i+1, float64(1+i)), 0); err != nil {
-				b.Fatal(err)
-			}
-		}
-		now := simtime.Time(0)
-		var picks, migrations int64
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			var picked [4]*sched.Thread
-			for c := 0; c < 4; c++ {
-				t := s.Pick(c, now)
-				if t == nil {
-					break
-				}
-				picks++
-				if t.LastCPU != sched.NoCPU && t.LastCPU != c {
-					migrations++
-				}
-				t.CPU = c
-				picked[c] = t
-			}
-			now = now.Add(10 * simtime.Millisecond)
-			for c, t := range picked {
-				if t == nil {
-					continue
-				}
-				s.Charge(t, 10*simtime.Millisecond, now)
-				t.LastCPU = c
-				t.CPU = sched.NoCPU
-			}
-		}
-		if picks > 0 {
-			b.ReportMetric(1000*float64(migrations)/float64(picks), "migrations/1kdec")
-		}
-	}
-	b.Run("plain", func(b *testing.B) { bench(b) })
-	b.Run("affinity", func(b *testing.B) { bench(b, core.WithAffinity(0.05)) })
 }
 
 // BenchmarkExtensionPartition regenerates the §1.2 partitioning-alternative

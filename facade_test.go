@@ -68,11 +68,7 @@ func TestFacadeConstructors(t *testing.T) {
 	if opts.Quantum() != 50*sfsched.Millisecond {
 		t.Fatalf("option plumbing broken: %v", opts.Quantum())
 	}
-	if sfsched.NewSFS(2, sfsched.WithFixedPoint(4)).Name() != "SFS" {
-		t.Fatal("fixed point constructor")
-	}
-	if sfsched.NewSFS(2, sfsched.WithAffinity(0.1)) == nil ||
-		sfsched.NewSFS(2, sfsched.WithoutReadjustment()) == nil {
+	if sfsched.NewSFS(2, sfsched.WithoutReadjustment()) == nil {
 		t.Fatal("option constructors")
 	}
 	if sfsched.NewGMS(2) == nil {
@@ -109,9 +105,6 @@ func TestDifferentialVsGMS(t *testing.T) {
 	schedulers := map[string]func() sfsched.Scheduler{
 		"sfs": func() sfsched.Scheduler {
 			return sfsched.NewSFS(2, sfsched.WithQuantum(quantum))
-		},
-		"sfs-fixed": func() sfsched.Scheduler {
-			return sfsched.NewSFS(2, sfsched.WithQuantum(quantum), sfsched.WithFixedPoint(4))
 		},
 	}
 	for name, mk := range schedulers {

@@ -1,8 +1,7 @@
 package sfsched_test
 
-// Property-based fairness testing against the GMS fluid ideal, in float and
-// fixed-point arithmetic and under Figure 3's §3.2 heuristic scheduler, over
-// randomized workloads.
+// Property-based fairness testing against the GMS fluid ideal, for SFS and
+// for Figure 3's §3.2 heuristic scheduler, over randomized workloads.
 //
 // Two scenarios split along the paper's own guarantee boundary:
 //
@@ -47,9 +46,6 @@ var sfsModes = []struct {
 }{
 	{"float", 5, 4, func(p int, q sfsched.Duration) checkedScheduler {
 		return sfsched.NewSFS(p, sfsched.WithQuantum(q))
-	}},
-	{"fixed4", 5, 4, func(p int, q sfsched.Duration) checkedScheduler {
-		return sfsched.NewSFS(p, sfsched.WithQuantum(q), sfsched.WithFixedPoint(4))
 	}},
 	{"heuristic20", 6, 6, func(p int, q sfsched.Duration) checkedScheduler {
 		return experiments.NewHeuristicSFS(p, q, 20)

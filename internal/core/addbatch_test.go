@@ -1,10 +1,9 @@
 // TestAddBatchEquivalence locks in the claim AddBatch's doc comment makes:
 // admitting a wakeup batch with one deferred readjustment pass leaves the
-// scheduler in exactly the state N sequential Adds would have, across the
-// float and fixed-point variants and for the same kernel over
-// hier's class table (where the batch must also land every thread in its
-// class). Two schedulers replay an
-// identical pre-history (admissions, pick/charge cycles, blocks), then one
+// scheduler in exactly the state N sequential Adds would have, for flat SFS
+// and for the same kernel over hier's class table (where the batch must also
+// land every thread in its class). Two schedulers replay an identical
+// pre-history (admissions, pick/charge cycles, blocks), then one
 // admits the wakeup batch thread by thread while the other uses AddBatch;
 // every per-thread tag and the subsequent pick sequence must match.
 
@@ -29,9 +28,6 @@ type batchSched interface {
 
 func TestAddBatchEquivalence(t *testing.T) {
 	const p = 2
-	flat := func(opts ...core.Option) func([]*sched.Thread) batchSched {
-		return func([]*sched.Thread) batchSched { return core.New(p, opts...) }
-	}
 	// Three classes 3:2:1 plus the default class; thread i goes to class
 	// i mod 4, so the wakeup batch below spans all four.
 	classed := func(ts []*sched.Thread) batchSched {
@@ -48,8 +44,7 @@ func TestAddBatchEquivalence(t *testing.T) {
 		name string
 		new  func(threads []*sched.Thread) batchSched
 	}{
-		{"exact", flat()},
-		{"fixed", flat(core.WithFixedPoint(4))},
+		{"exact", func([]*sched.Thread) batchSched { return core.New(p) }},
 		{"hier", classed},
 	}
 	// Weights spread over two orders of magnitude so the batch admission
@@ -149,13 +144,9 @@ func TestAddBatchEquivalence(t *testing.T) {
 			// Post-batch state must match field for field...
 			for i := range threads {
 				a, b := threads[i][0], threads[i][1]
-				if a.Start != b.Start || a.Finish != b.Finish ||
-					a.Phi != b.Phi ||
-					a.FxStart != b.FxStart || a.FxFinish != b.FxFinish || a.FxShift != b.FxShift {
-					t.Fatalf("thread %d diverged after batch:\n seq: S=%g F=%g φ=%g fx=(%d,%d,%d)\n bat: S=%g F=%g φ=%g fx=(%d,%d,%d)",
-						i,
-						a.Start, a.Finish, a.Phi, a.FxStart, a.FxFinish, a.FxShift,
-						b.Start, b.Finish, b.Phi, b.FxStart, b.FxFinish, b.FxShift)
+				if a.Start != b.Start || a.Finish != b.Finish || a.Phi != b.Phi {
+					t.Fatalf("thread %d diverged after batch:\n seq: S=%g F=%g φ=%g\n bat: S=%g F=%g φ=%g",
+						i, a.Start, a.Finish, a.Phi, b.Start, b.Finish, b.Phi)
 				}
 			}
 			// ...and so must everything the tags feed: the pick order from

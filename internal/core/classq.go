@@ -64,24 +64,15 @@ func heavierOrOlder(a, b *sched.Thread) bool {
 
 // inClassLess orders the threads of one class by the tag their surplus is
 // computed from.
-func (s *SFS) inClassLess(a, b *sched.Thread) bool {
-	if s.fixed {
-		if a.FxStart != b.FxStart {
-			return a.FxStart < b.FxStart
-		}
-	} else if a.Start != b.Start {
+func inClassLess(a, b *sched.Thread) bool {
+	if a.Start != b.Start {
 		return a.Start < b.Start
 	}
 	return heavierOrOlder(a, b)
 }
 
 // startKey is the cached heap key inClassLess is monotone in.
-func (s *SFS) startKey(t *sched.Thread) float64 {
-	if s.fixed {
-		return float64(t.FxStart)
-	}
-	return t.Start
-}
+func startKey(t *sched.Thread) float64 { return t.Start }
 
 // tinyTag bounds the operands for which a surplus φ·(S − v) with S > v could
 // underflow to zero: with every tag zero or at least tinyTag, unequal tags
@@ -100,7 +91,7 @@ func (s *SFS) classFor(phi float64) *class {
 		c, s.freeClasses = s.freeClasses[n-1], s.freeClasses[:n-1]
 	} else {
 		c = &class{slot: int32(len(s.classes)),
-			threads: runqueue.NewKeyedHeap(runqueue.SlotSurplus, s.startKey, s.inClassLess)}
+			threads: runqueue.NewKeyedHeap(runqueue.SlotSurplus, startKey, inClassLess)}
 		s.classes = append(s.classes, c)
 	}
 	s.label(c, phi)
@@ -111,12 +102,7 @@ func (s *SFS) classFor(phi float64) *class {
 func (s *SFS) label(c *class, phi float64) {
 	c.phi = phi
 	s.classOf[phi] = c
-	if s.fixed {
-		// One tag unit of lead is the least there is.
-		if s.scale.MulValue(s.scale.FromFloat(phi), 1) == 0 {
-			s.zeroTies = true
-		}
-	} else if phi < tinyTag {
+	if phi < tinyTag {
 		s.zeroTies = true
 	}
 }
@@ -188,19 +174,13 @@ func freeScan(classes int) int { return scanBase + int(math.Sqrt(float64(classes
 // instead of taking a square root.
 const eagerClasses = 11
 
-// keySurplus returns, in float arithmetic, the surplus against ref of the
-// thread of c whose cached start key is key — bit for bit surplusAt of that
-// thread (checkClasses: t.Phi == c.phi; Heap.Validate: key == t.Start), without
-// touching it. Fixed point needs the thread's integer tags.
+// keySurplus returns the surplus against ref of the thread of c whose cached
+// start key is key — bit for bit surplusAt of that thread (checkClasses:
+// t.Phi == c.phi; Heap.Validate: key == t.Start), without touching it.
 func keySurplus(c *class, key, ref float64) float64 { return c.phi * (key - ref) }
 
 // keyOf returns c's head's surplus against the vRef epoch.
-func (s *SFS) keyOf(c *class) float64 {
-	if s.fixed {
-		return s.surplusAt(c.head, s.vRef, s.fxVRef)
-	}
-	return keySurplus(c, c.headStart, s.vRef)
-}
+func (s *SFS) keyOf(c *class) float64 { return keySurplus(c, c.headStart, s.vRef) }
 
 // refreshIsCheap reports whether the keys have drifted while there are no more
 // classes than any pick may visit: no pick could ever ask for the refresh, and
@@ -214,7 +194,7 @@ func (s *SFS) refreshIsCheap() bool {
 // refreshKeys snaps vRef to the current virtual time and re-keys every class
 // — C heads, not n threads.
 func (s *SFS) refreshKeys() {
-	s.vRef, s.fxVRef = s.v, s.fxV
+	s.vRef = s.v
 	s.needRefresh = false
 	n := s.byClass.Len()
 	s.scanLimit = freeScan(n)
@@ -228,14 +208,11 @@ func (s *SFS) refreshKeys() {
 
 // tiesAbove reports whether a thread of t's class with a larger start tag
 // than t could have t's fresh surplus: surplus is monotone in the tag, so it
-// could exactly when the next representable tag still yields fresh. Rounding
-// (float) and truncation (fixed point, φ < 1) both make that possible.
+// could exactly when the next representable tag still yields fresh, which
+// rounding makes possible.
 func (s *SFS) tiesAbove(t *sched.Thread, fresh float64) bool {
 	if fresh == 0 && !s.zeroTies {
 		return false // zero surplus means S == v here
-	}
-	if s.fixed {
-		return s.scale.Float(s.scale.MulValue(t.FxPhi, t.FxStart+1-s.fxV)) == fresh
 	}
 	return t.Phi*(math.Nextafter(t.Start, math.Inf(1))-s.v) == fresh
 }
@@ -244,18 +221,17 @@ func (s *SFS) tiesAbove(t *sched.Thread, fresh float64) bool {
 // surplus, weight desc, ID). A waiting holder of v, byHead's least head, is
 // it: its surplus 0 is the least, and without zeroTies every thread at 0 has
 // S = v, where byHead's order is betterPick's (a non-head follows its class's
-// head). Otherwise — that head running, or affinity on — it refreshes the
-// keys if due and takes two nested pruned walks: over the class-level heap,
-// and inside each class it admits over the class's thread heap.
+// head). Otherwise — that head running, or zero-surplus ties possible — it
+// refreshes the keys if due and takes two nested pruned walks: over the
+// class-level heap, and inside each class it admits over the class's thread
+// heap.
 //
 // Class level. Keys are relative to vRef; since every φ is at most the
 // source's MaxPhi, a fresh surplus can sit below its stored value by at most
 // φ_max·(v−vRef), so a subtree of classes whose root's key exceeds the
-// incumbent by more than that bound (plus the affinity margin, within which
-// the extension may promote a thread that last ran on this CPU) cannot hold
-// the answer. A small slack keeps the cutoff conservative against float
-// rounding and fixed-point truncation; visiting a class too many is
-// harmless, pruning one too many would change the trace. With zero drift the
+// incumbent by more than that bound cannot hold the answer. A small slack
+// keeps the cutoff conservative against float rounding; visiting a class too
+// many is harmless, pruning one too many would change the trace. With zero drift the
 // keys ARE the heads' fresh surpluses and the cutoff is the incumbent's
 // surplus itself; a crowd of classes that tie at zero (every ramp-up: all
 // tags equal v) is cut by order instead, because there the class-level order
@@ -265,27 +241,24 @@ func (s *SFS) tiesAbove(t *sched.Thread, fresh float64) bool {
 // heap path, so the walk descends below a running thread, and below a
 // non-running one only while a larger tag could still tie (tiesAbove) — a
 // crowd of equal tags is never walked: its head is the heap's head.
-func (s *SFS) pickExact(cpu int) *sched.Thread {
+func (s *SFS) pickExact() *sched.Thread {
 	if s.byClass.Len() == 0 {
 		return nil
 	}
-	affinity := s.affinityMargin >= 0
-	if least, _ := s.byHead.Min(); !affinity && !s.zeroTies && !least.head.Running() {
+	if least, _ := s.byHead.Min(); !s.zeroTies && !least.head.Running() {
 		return least.head
 	}
 	if s.needRefresh || s.refreshIsCheap() {
 		s.refreshKeys()
 	}
-	margin := max(s.affinityMargin, 0)
-	noDrift := s.noDrift()
+	// ordered: keys are fresh and nothing but the order decides.
+	ordered := s.noDrift()
 	var bound, slack float64
-	if !noDrift {
+	if !ordered {
 		bound, slack = s.driftBound(s.weights.MaxPhi())
 	}
-	// ordered: keys are fresh and nothing but the order decides.
-	ordered := noDrift && !affinity
-	var best, bestAff *sched.Thread
-	var bestS, bestAffS float64
+	var best *sched.Thread
+	var bestS float64
 	reach, cut := math.Inf(1), math.Inf(1) // in-class and class-level cutoffs
 	scanned := 0
 	classes, threads := append(s.classStack[:0], 0), s.threadStack
@@ -303,7 +276,7 @@ func (s *SFS) pickExact(cpu int) *sched.Thread {
 		}
 		scanned++
 		threads = threads[:0]
-		if s.fixed || keySurplus(c, c.headStart, s.v) <= reach {
+		if keySurplus(c, c.headStart, s.v) <= reach {
 			threads = append(threads, 0)
 		}
 		for len(threads) > 0 {
@@ -311,9 +284,6 @@ func (s *SFS) pickExact(cpu int) *sched.Thread {
 			threads = threads[:len(threads)-1]
 			// Judged on the heap's own array before the thread is touched.
 			fresh := keySurplus(c, c.threads.KeyAt(j), s.v)
-			if s.fixed {
-				fresh = s.FreshSurplus(c.threads.At(j))
-			}
 			if fresh > reach {
 				continue
 			}
@@ -324,15 +294,11 @@ func (s *SFS) pickExact(cpu int) *sched.Thread {
 					if ordered {
 						reach, cut = bestS, bestS
 					} else {
-						reach = bestS + margin + 1e-12*math.Abs(bestS)
+						reach = bestS + 1e-12*math.Abs(bestS)
 						cut = reach + bound + slack
 					}
 				}
-				if affinity {
-					if t.LastCPU == cpu && betterPick(fresh, t, bestAffS, bestAff) {
-						bestAff, bestAffS = t, fresh
-					}
-				} else if fresh != bestS || !s.tiesAbove(t, fresh) {
+				if fresh != bestS || !s.tiesAbove(t, fresh) {
 					continue
 				}
 			}
@@ -351,13 +317,10 @@ func (s *SFS) pickExact(cpu int) *sched.Thread {
 		}
 	}
 	s.classStack, s.threadStack = classes, threads
-	if scanned > s.scanLimit && !noDrift {
+	if scanned > s.scanLimit && !ordered {
 		// A refresh collapses the drift back to zero and re-enables the
 		// exact cutoff; tie crowds alone don't warrant one.
 		s.needRefresh = true
-	}
-	if affinity && bestAff != nil && best != nil && bestAffS-bestS <= margin {
-		return bestAff
 	}
 	return best
 }
@@ -392,7 +355,7 @@ func (s *SFS) checkClasses() error {
 		if h, k := c.threads.At(0), c.threads.KeyAt(0); h != c.head || k != c.headStart {
 			return fmt.Errorf("core: class φ=%g caches head %v at %g, heap head is %v at %g", c.phi, c.head, c.headStart, h, k)
 		}
-		if want := s.surplusAt(c.head, s.vRef, s.fxVRef); c.key != want {
+		if want := surplusAt(c.head, s.vRef); c.key != want {
 			return fmt.Errorf("core: class φ=%g keyed %g, head %v stores %g against vRef=%g",
 				c.phi, c.key, c.head, want, s.vRef)
 		}

@@ -4,16 +4,8 @@ import (
 	"fmt"
 	"math"
 
-	"sfsched/internal/fixedpoint"
 	"sfsched/internal/sched"
 )
-
-// WithRebaseThreshold overrides the tag magnitude that triggers a wraparound
-// rebase: a test seam that reaches the rebase path without running tags up
-// to fixedpoint.WrapThreshold.
-func WithRebaseThreshold(v fixedpoint.Value) Option {
-	return func(s *SFS) { s.rebaseThresh = v }
-}
 
 // Views of the class-key regime for the external golden tests (which sit
 // outside the package because hier imports core).
@@ -23,7 +15,7 @@ func WithRebaseThreshold(v fixedpoint.Value) Option {
 // keys first.
 func (s *SFS) WithinFreeScan() bool { return s.byClass.Len() <= eagerClasses }
 
-// KeysFresh reports whether vRef is v, in the scheduler's arithmetic.
+// KeysFresh reports whether vRef is v.
 func (s *SFS) KeysFresh() bool { return s.noDrift() }
 
 // LeastHead returns the head of byHead's least class — the holder of v — or
@@ -35,7 +27,7 @@ func (s *SFS) LeastHead() *sched.Thread {
 	return nil
 }
 
-// CheckKeyJudgement verifies what lets a float-mode pick turn a position down
+// CheckKeyJudgement verifies what lets a pick turn a position down
 // without touching its thread: at every position of every class heap, the
 // surplus computed from the cached key is the thread's fresh surplus to the bit.
 func (s *SFS) CheckKeyJudgement() error {

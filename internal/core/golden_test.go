@@ -5,7 +5,7 @@ package core_test
 // every surplus against the current virtual time at every scheduling
 // instance and pick the minimum. The oracle below implements that eager
 // algorithm from scratch (no shared queue machinery, no stored surpluses),
-// using the same floating-point and fixed-point expressions, and the tests
+// using the same floating-point expressions, and the tests
 // drive oracle and scheduler through identical scripted workloads comparing
 // the full pick sequence. The oracle takes its φ rule as a parameter, so the
 // one kernel is checked under both of its φ sources: Figure 2 (core.New) and
@@ -18,7 +18,6 @@ import (
 	"testing"
 
 	"sfsched/internal/core"
-	"sfsched/internal/fixedpoint"
 	"sfsched/internal/hier"
 	"sfsched/internal/phi"
 	"sfsched/internal/readjust"
@@ -50,37 +49,22 @@ type phiRule interface {
 	UpdateWeight(*sched.Thread, float64) bool
 }
 
-// oracle is the eager reference implementation of exact-mode SFS: a flat
-// slice of runnable threads, surpluses recomputed from scratch on demand.
+// oracle is the eager reference implementation of SFS: a flat slice of runnable threads, surpluses recomputed from scratch on demand.
 // For flat SFS its rule is a phi.Tracker of its own, so that readjusted φ
 // values are arithmetic-identical to the scheduler's; it mirrors the seed's
 // tag update expressions exactly.
 type oracle struct {
-	p            int
-	weights      phiRule
-	threads      []*sched.Thread
-	v            float64
-	lastFinish   float64
-	fixed        bool
-	scale        fixedpoint.Scale
-	fxV          fixedpoint.Value
-	fxLastFinish fixedpoint.Value
-	margin       float64 // affinity margin; <0 disables
+	weights    phiRule
+	threads    []*sched.Thread
+	v          float64
+	lastFinish float64
 }
 
-func newOracle(p int, fixedDigits int, margin float64, rule phiRule) *oracle {
-	o := &oracle{p: p, weights: rule, margin: margin}
-	if fixedDigits > 0 {
-		o.fixed = true
-		o.scale = fixedpoint.MustScale(fixedDigits)
-	}
-	return o
-}
+func newOracle(rule phiRule) *oracle { return &oracle{weights: rule} }
 
 func (o *oracle) recomputeV() {
 	if len(o.threads) == 0 {
 		o.v = o.lastFinish
-		o.fxV = o.fxLastFinish
 		return
 	}
 	best := o.threads[0]
@@ -90,23 +74,13 @@ func (o *oracle) recomputeV() {
 		}
 	}
 	o.v = best.Start
-	o.fxV = best.FxStart
 }
 
 func (o *oracle) Add(t *sched.Thread, now simtime.Time) error {
-	if o.fixed {
-		if t.FxFinish > o.fxV {
-			t.FxStart = t.FxFinish
-		} else {
-			t.FxStart = o.fxV
-		}
-		t.Start = o.scale.Float(t.FxStart)
+	if t.Finish > o.v {
+		t.Start = t.Finish
 	} else {
-		if t.Finish > o.v {
-			t.Start = t.Finish
-		} else {
-			t.Start = o.v
-		}
+		t.Start = o.v
 	}
 	o.weights.Add(t)
 	o.threads = append(o.threads, t)
@@ -128,19 +102,9 @@ func (o *oracle) Remove(t *sched.Thread, now simtime.Time) error {
 
 func (o *oracle) Charge(t *sched.Thread, ran simtime.Duration, now simtime.Time) {
 	t.Service += ran
-	if o.fixed {
-		phiFx := o.scale.FromFloat(t.Phi)
-		t.FxFinish = t.FxStart + o.scale.DivValue(o.scale.FromInt(int64(ran)), phiFx)
-		t.FxStart = t.FxFinish
-		o.fxLastFinish = t.FxFinish
-		t.Start = o.scale.Float(t.FxStart)
-		t.Finish = o.scale.Float(t.FxFinish)
-		o.lastFinish = t.Finish
-	} else {
-		t.Finish = t.Start + ran.Seconds()/t.Phi
-		t.Start = t.Finish
-		o.lastFinish = t.Finish
-	}
+	t.Finish = t.Start + ran.Seconds()/t.Phi
+	t.Start = t.Finish
+	o.lastFinish = t.Finish
 	o.recomputeV()
 }
 
@@ -156,16 +120,9 @@ func (o *oracle) SetWeight(t *sched.Thread, w float64, now simtime.Time) error {
 	return nil
 }
 
-func (o *oracle) fresh(t *sched.Thread) float64 {
-	if o.fixed {
-		return o.scale.Float(o.scale.MulValue(o.scale.FromFloat(t.Phi), t.FxStart-o.fxV))
-	}
-	return t.Phi * (t.Start - o.v)
-}
-
 // Pick scans every runnable thread and returns the non-running one that is
 // minimal under (surplus asc, weight desc, ID asc) — the surplus queue's
-// order — with the affinity extension's window applied when enabled.
+// order.
 func (o *oracle) Pick(cpu int, now simtime.Time) *sched.Thread {
 	better := func(fresh float64, t *sched.Thread, bestS float64, best *sched.Thread) bool {
 		if best == nil || fresh != bestS {
@@ -182,23 +139,8 @@ func (o *oracle) Pick(cpu int, now simtime.Time) *sched.Thread {
 		if t.Running() {
 			continue
 		}
-		if f := o.fresh(t); better(f, t, bestS, best) {
+		if f := t.Phi * (t.Start - o.v); better(f, t, bestS, best) {
 			best, bestS = t, f
-		}
-	}
-	if o.margin >= 0 && best != nil && best.LastCPU != cpu {
-		var bestAff *sched.Thread
-		var bestAffS float64
-		for _, t := range o.threads {
-			if t.Running() || t.LastCPU != cpu {
-				continue
-			}
-			if f := o.fresh(t); f-bestS <= o.margin && better(f, t, bestAffS, bestAff) {
-				bestAff, bestAffS = t, f
-			}
-		}
-		if bestAff != nil {
-			return bestAff
 		}
 	}
 	return best
@@ -341,13 +283,12 @@ func (w *goldenWorld) charge(id int, q simtime.Duration) {
 type goldenCase struct {
 	name   string
 	cpus   int
-	margin float64 // affinity margin, <0 off
 	script func(w *goldenWorld, r *xrand.Rand)
 }
 
 func goldenCases() []goldenCase {
 	return []goldenCase{
-		{"uniprocessor", 1, -1, func(w *goldenWorld, r *xrand.Rand) {
+		{"uniprocessor", 1, func(w *goldenWorld, r *xrand.Rand) {
 			// The §2.3 reduction workload: mixed weights, variable quanta.
 			for i := 0; i < 6; i++ {
 				w.add(w.mk(float64(1 + r.Intn(20))))
@@ -357,7 +298,7 @@ func goldenCases() []goldenCase {
 				w.charge(id, simtime.Duration(1+r.Intn(50))*simtime.Millisecond)
 			}
 		}},
-		{"smp4-mixed-weights", 4, -1, func(w *goldenWorld, r *xrand.Rand) {
+		{"smp4-mixed-weights", 4, func(w *goldenWorld, r *xrand.Rand) {
 			// 40 threads, several infeasible weights, staggered quanta so
 			// CPUs drift out of phase.
 			for i := 0; i < 40; i++ {
@@ -377,7 +318,7 @@ func goldenCases() []goldenCase {
 				running[cpu] = w.pick(cpu)
 			}
 		}},
-		{"churn-heavy", 4, -1, func(w *goldenWorld, r *xrand.Rand) {
+		{"churn-heavy", 4, func(w *goldenWorld, r *xrand.Rand) {
 			for i := 0; i < 30; i++ {
 				w.add(w.mk(float64(1 + r.Intn(30))))
 			}
@@ -396,7 +337,7 @@ func goldenCases() []goldenCase {
 				}
 			}
 		}},
-		{"smp4-deep-queue", 4, -1, func(w *goldenWorld, r *xrand.Rand) {
+		{"smp4-deep-queue", 4, func(w *goldenWorld, r *xrand.Rand) {
 			// 1200 runnable threads: surplus gaps shrink to the regime
 			// where the drift-bounded scan cutoff must stay conservative.
 			for i := 0; i < 1200; i++ {
@@ -412,7 +353,7 @@ func goldenCases() []goldenCase {
 				running[cpu] = w.pick(cpu)
 			}
 		}},
-		{"infeasible-churn", 4, -1, func(w *goldenWorld, r *xrand.Rand) {
+		{"infeasible-churn", 4, func(w *goldenWorld, r *xrand.Rand) {
 			// One thread holding over half the weight beside a churning
 			// crowd: it is capped, so its φ changes with every arrival,
 			// departure and weight change — a φ-class is created and
@@ -443,7 +384,7 @@ func goldenCases() []goldenCase {
 				}
 			}
 		}},
-		{"crowd-three-weights", 4, -1, func(w *goldenWorld, r *xrand.Rand) {
+		{"crowd-three-weights", 4, func(w *goldenWorld, r *xrand.Rand) {
 			// 1200 threads admitted at one virtual time in three φ-classes,
 			// equal quanta: whole classes share a start tag, round after
 			// round, and every class ties with every other at the start.
@@ -452,27 +393,13 @@ func goldenCases() []goldenCase {
 			}
 			crowdRounds(w, r, 4, 3000, false)
 		}},
-		{"crowd-distinct", 4, -1, func(w *goldenWorld, r *xrand.Rand) {
+		{"crowd-distinct", 4, func(w *goldenWorld, r *xrand.Rand) {
 			// The degenerate shape: as many φ-classes as threads, all tied
 			// at zero surplus until the ramp-up ends.
 			for i := 0; i < 1000; i++ {
 				w.add(w.mk(1 + float64(i)/64 + r.Float64()/128))
 			}
 			crowdRounds(w, r, 4, 3000, true)
-		}},
-		{"smp4-affinity", 4, 0.05, func(w *goldenWorld, r *xrand.Rand) {
-			for i := 0; i < 24; i++ {
-				w.add(w.mk(float64(1 + r.Intn(8))))
-			}
-			var running [4]int
-			for cpu := 0; cpu < 4; cpu++ {
-				running[cpu] = w.pick(cpu)
-			}
-			for w.step = 0; w.step < 4000; w.step++ {
-				cpu := (w.step * 7) % 4
-				w.charge(running[cpu], simtime.Duration(1+r.Intn(25))*simtime.Millisecond)
-				running[cpu] = w.pick(cpu)
-			}
 		}},
 	}
 }
@@ -568,7 +495,7 @@ func newGoldenHier(t *testing.T, name string, cpus int) (*goldenWorld, *hier.Hie
 	}
 	rule := &nestedFill{p: cpus, weights: goldenHierWeights,
 		classOf: map[*sched.Thread]int{}, members: make([][]*sched.Thread, len(goldenHierWeights))}
-	w := newGoldenWorld(t, name, h, newOracle(cpus, 0, -1, rule))
+	w := newGoldenWorld(t, name, h, newOracle(rule))
 	w.assign = func(id int, sut, ora *sched.Thread) {
 		c := id % len(classes)
 		if classes[c] != nil {
@@ -579,71 +506,18 @@ func newGoldenHier(t *testing.T, name string, cpus int) (*goldenWorld, *hier.Hie
 	return w, h
 }
 
-// TestGoldenTraceFloat verifies pick-sequence equality in float64 mode, for
-// flat SFS and — every case but the affinity one, an SFS-only option — for
+// TestGoldenTraceFloat verifies pick-sequence equality, for flat SFS and for
 // the same kernel over hier's class table.
 func TestGoldenTraceFloat(t *testing.T) {
 	for _, c := range goldenCases() {
 		t.Run(c.name, func(t *testing.T) {
-			opts := []core.Option{core.WithQuantum(20 * simtime.Millisecond)}
-			if c.margin >= 0 {
-				opts = append(opts, core.WithAffinity(c.margin))
-			}
-			w := newGoldenWorld(t, c.name, core.New(c.cpus, opts...),
-				newOracle(c.cpus, 0, c.margin, phi.NewTracker(c.cpus, true)))
+			w := newGoldenWorld(t, c.name, core.New(c.cpus, core.WithQuantum(20*simtime.Millisecond)),
+				newOracle(phi.NewTracker(c.cpus, true)))
 			c.script(w, xrand.New(uint64(17+len(c.name))))
 		})
-		if c.margin >= 0 {
-			continue
-		}
 		t.Run("hier/"+c.name, func(t *testing.T) {
 			w, _ := newGoldenHier(t, "hier/"+c.name, c.cpus)
 			c.script(w, xrand.New(uint64(17+len(c.name))))
-		})
-	}
-}
-
-// TestGoldenTraceFixed verifies pick-sequence equality in fixed-point mode
-// (4 digits, the paper's kernel configuration).
-func TestGoldenTraceFixed(t *testing.T) {
-	for _, c := range goldenCases() {
-		t.Run(c.name, func(t *testing.T) {
-			opts := []core.Option{core.WithQuantum(20 * simtime.Millisecond), core.WithFixedPoint(4)}
-			if c.margin >= 0 {
-				opts = append(opts, core.WithAffinity(c.margin))
-			}
-			s := core.New(c.cpus, opts...)
-			w := newGoldenWorld(t, c.name, s, newOracle(c.cpus, 4, c.margin, phi.NewTracker(c.cpus, true)))
-			c.script(w, xrand.New(uint64(17+len(c.name))))
-			if s.Stats().Rebases != 0 {
-				t.Fatalf("unexpected rebase during golden run (oracle does not model rebasing)")
-			}
-		})
-	}
-}
-
-// TestGoldenTraceFixedRebase runs the churn workloads in fixed point with a
-// rebase threshold a charge or two wide, invariants checked after every
-// operation. A rebase shifts every runnable thread's tags and the vRef epoch
-// by the minimum start tag, so differences — all a decision reads — are kept
-// and the picks must still be the never-rebasing oracle's; what it must also
-// do is rebuild every cached start key (the heaps' Validate compares them with
-// the tags) and read the minimum off a queue head that the charge has already
-// repositioned.
-func TestGoldenTraceFixedRebase(t *testing.T) {
-	for _, c := range goldenCases() {
-		if c.name != "churn-heavy" && c.name != "infeasible-churn" {
-			continue
-		}
-		t.Run(c.name, func(t *testing.T) {
-			s := core.New(c.cpus, core.WithQuantum(20*simtime.Millisecond), core.WithFixedPoint(4),
-				core.WithRebaseThreshold(1<<26)) // a 20 ms charge at φ = 3 is 2²⁶ tag units
-			w := newGoldenWorld(t, c.name, s, newOracle(c.cpus, 4, -1, phi.NewTracker(c.cpus, true)))
-			w.check = s.CheckInvariants
-			c.script(w, xrand.New(99))
-			if n := s.Stats().Rebases; n < 20 {
-				t.Fatalf("%d rebases mid-churn; the threshold is too high for the script", n)
-			}
 		})
 	}
 }
@@ -667,127 +541,58 @@ func (r *regimePick) Pick(cpu int, now simtime.Time) *sched.Thread {
 	return t
 }
 
-// TestGoldenTraceKeyRegimes replays every golden world in both arithmetics
-// with the class keys' two regimes checked at every pick (regimePick) — the
-// picks are the oracle's all the same. In float arithmetic every heap
-// position's cached key must also yield its thread's fresh surplus to the bit
-// (CheckKeyJudgement): picks turn positions down on it, thread unseen.
+// TestGoldenTraceKeyRegimes replays every golden world with the class keys'
+// two regimes checked at every pick (regimePick) — the picks are the oracle's
+// all the same. Every heap position's cached key must also yield its thread's
+// fresh surplus to the bit (CheckKeyJudgement): picks turn positions down on
+// it, thread unseen.
 //
 // Whether a world ever refreshes pins where the keys are read. A world that
 // charges each thread before the next pick never finds v's holder running, so
 // every pick is the least head and the surplus heap is never read: the
 // uniprocessor (SFS ≡ SFQ, §2.3) and the two churn worlds, which pick and
 // charge at once. The worlds that keep four threads running find the holder
-// of v among them and walk, as every pick does with the affinity extension on.
+// of v among them and walk.
 func TestGoldenTraceKeyRegimes(t *testing.T) {
 	// The worlds whose weights keep them within the free scan throughout.
 	eager := map[string]bool{"uniprocessor": true, "smp4-deep-queue": true, "infeasible-churn": true,
-		"crowd-three-weights": true, "smp4-affinity": true}
+		"crowd-three-weights": true}
 	// The worlds in which no pick finds v's holder running.
 	neverSweeps := map[string]bool{"uniprocessor": true, "churn-heavy": true, "infeasible-churn": true}
 	for _, c := range goldenCases() {
-		for _, digits := range []int{0, 4} {
-			t.Run(fmt.Sprintf("%s/digits=%d", c.name, digits), func(t *testing.T) {
-				opts := []core.Option{core.WithQuantum(20 * simtime.Millisecond)}
-				if digits > 0 {
-					opts = append(opts, core.WithFixedPoint(digits))
-				}
-				if c.margin >= 0 {
-					opts = append(opts, core.WithAffinity(c.margin))
-				}
-				s := &regimePick{SFS: core.New(c.cpus, opts...)}
-				w := newGoldenWorld(t, c.name, s, newOracle(c.cpus, digits, c.margin, phi.NewTracker(c.cpus, true)))
-				everLazy := false
-				w.check = func() error {
-					everLazy = everLazy || !s.WithinFreeScan()
-					if s.err != nil || digits > 0 {
-						return s.err
-					}
-					return s.CheckKeyJudgement()
-				}
-				c.script(w, xrand.New(uint64(17+len(c.name))))
-				if everLazy == eager[c.name] {
-					t.Fatalf("left the free scan: %v, expected %v; the world no longer tests its regime", everLazy, !eager[c.name])
-				}
-				sweeps := s.Stats().SurplusSweeps
-				t.Logf("%d sweeps over %d decisions", sweeps, s.Stats().Decisions)
-				if (sweeps == 0) != neverSweeps[c.name] {
-					t.Fatalf("%d sweeps; want none: %v", sweeps, neverSweeps[c.name])
-				}
-			})
-		}
-	}
-}
-
-// TestGoldenTraceFixedTies is the truncation hazard of the φ-class queue:
-// with φ < 1 in fixed point, start tags a unit apart truncate to the same
-// surplus, so a class's least start tag need not be its least thread under
-// (surplus, weight desc, ID). Threads enter with finish tags a few units
-// apart — later IDs earlier — in two shapes: equal fractional weights on two
-// CPUs (ties fall to the ID), and no more threads than CPUs (two of them
-// dispatching), where every φ is the least weight and the weights differ
-// (ties fall to the weight). Equal quanta keep the tags those few units apart for the whole
-// run.
-func TestGoldenTraceFixedTies(t *testing.T) {
-	for _, c := range []struct {
-		name    string
-		cpus    int
-		busy    int // CPUs the script keeps dispatching on
-		weights []float64
-	}{
-		{"equal-weights", 2, 2, []float64{0.3, 0.3, 0.3, 0.3, 0.3, 0.3, 0.3, 0.3}},
-		{"min-weight-phi", 6, 2, []float64{0.2, 0.9, 0.5, 0.7, 0.9, 0.4}},
-		{"mixed", 2, 2, []float64{0.25, 0.3, 0.25, 0.75, 0.3, 0.25, 0.75, 0.3, 0.5, 0.5}},
-	} {
 		t.Run(c.name, func(t *testing.T) {
-			s := core.New(c.cpus, core.WithQuantum(20*simtime.Millisecond), core.WithFixedPoint(4))
-			w := newGoldenWorld(t, c.name, s, newOracle(c.cpus, 4, -1, phi.NewTracker(c.cpus, true)))
-			w.check = s.CheckInvariants
-			r := xrand.New(5)
-			ids := make([]int, len(c.weights))
-			for i, wt := range c.weights {
-				ids[i] = w.mk(wt)
-			}
-			// The wakeup rule lifts a finish tag to v, so the least tag
-			// enters first: the last ID.
-			for i := len(ids) - 1; i >= 0; i-- {
-				tag := fixedpoint.Value(1000 + len(ids) - i + r.Intn(2))
-				w.sutT[ids[i]].FxFinish, w.oraT[ids[i]].FxFinish = tag, tag
-				w.add(ids[i])
-			}
-			running := make([]int, c.busy)
-			for cpu := range running {
-				running[cpu] = w.pick(cpu)
-			}
-			var parked []int
-			for w.step = 0; w.step < 4000; w.step++ {
-				cpu := w.step % c.busy
-				if id := running[cpu]; id != 0 {
-					w.charge(id, simtime.Duration(1+w.step%2))
+			s := &regimePick{SFS: core.New(c.cpus, core.WithQuantum(20*simtime.Millisecond))}
+			w := newGoldenWorld(t, c.name, s, newOracle(phi.NewTracker(c.cpus, true)))
+			everLazy := false
+			w.check = func() error {
+				everLazy = everLazy || !s.WithinFreeScan()
+				if s.err != nil {
+					return s.err
 				}
-				switch op := r.Intn(16); {
-				case op == 0 && len(w.ids) > 1: // block a waiting thread
-					id := w.ids[r.Intn(len(w.ids))]
-					w.remove(id)
-					parked = append(parked, id)
-				case op == 1 && len(parked) > 0:
-					w.add(parked[0])
-					parked = parked[1:]
-				}
-				running[cpu] = w.pick(cpu)
+				return s.CheckKeyJudgement()
+			}
+			c.script(w, xrand.New(uint64(17+len(c.name))))
+			if everLazy == eager[c.name] {
+				t.Fatalf("left the free scan: %v, expected %v; the world no longer tests its regime", everLazy, !eager[c.name])
+			}
+			sweeps := s.Stats().SurplusSweeps
+			t.Logf("%d sweeps over %d decisions", sweeps, s.Stats().Decisions)
+			if (sweeps == 0) != neverSweeps[c.name] {
+				t.Fatalf("%d sweeps; want none: %v", sweeps, neverSweeps[c.name])
 			}
 		})
 	}
 }
 
-// TestGoldenTraceFloatTies is the same hazard in float arithmetic, where it
-// takes adjacent tags: with φ = 3 and v = 0 the products 3·(1.5 + k·2⁻⁵²)
-// round onto a grid of 4·2⁻⁵², so k = 2 and 3 share a surplus, as do k = 5
-// and 6, and within each pair the lower ID wins although its tag is the
-// larger. Thread 1 is dispatched first and never charged, which holds v at 0.
+// TestGoldenTraceFloatTies is the tie hazard of the φ-class queue: a class's
+// least start tag need not be its least thread under (surplus, weight desc,
+// ID) when adjacent tags round to the same surplus. With φ = 3 and v = 0 the
+// products 3·(1.5 + k·2⁻⁵²) round onto a grid of 4·2⁻⁵², so k = 2 and 3 share
+// a surplus, as do k = 5 and 6, and within each pair the lower ID wins
+// although its tag is the larger. Thread 1 is dispatched first and never charged, which holds v at 0.
 func TestGoldenTraceFloatTies(t *testing.T) {
 	s := core.New(2, core.WithQuantum(20*simtime.Millisecond))
-	w := newGoldenWorld(t, "float-ties", s, newOracle(2, 0, -1, phi.NewTracker(2, true)))
+	w := newGoldenWorld(t, "float-ties", s, newOracle(phi.NewTracker(2, true)))
 	w.check = s.CheckInvariants
 	w.add(w.mk(3))
 	for k := 7; k >= 2; k-- {
@@ -809,6 +614,27 @@ func TestGoldenTraceFloatTies(t *testing.T) {
 	}
 }
 
+// TestGoldenTraceZeroTies is the hazard the kernel's zero-tie flag guards: a
+// start tag so small that its lead over v, times φ, underflows to a zero
+// surplus. At v = 0 and φ = 0.5 the least positive tag 2⁻¹⁰⁷⁴ has surplus
+// 0.5·2⁻¹⁰⁷⁴ = 0, so thread 1 ties thread 2, which holds v, and precedes it by
+// ID: the waiting holder of v, the pick's O(1) answer, is not the pick.
+func TestGoldenTraceZeroTies(t *testing.T) {
+	s := core.New(2, core.WithQuantum(20*simtime.Millisecond))
+	w := newGoldenWorld(t, "zero-ties", s, newOracle(phi.NewTracker(2, true)))
+	w.check = s.CheckInvariants
+	tiny, holder := w.mk(0.5), w.mk(0.5)
+	w.sutT[tiny].Finish, w.oraT[tiny].Finish = 0x1p-1074, 0x1p-1074
+	w.add(holder)
+	w.add(tiny)
+	if id := w.pick(0); id != tiny {
+		t.Fatalf("first pick %d, want %d, tied at zero surplus with the holder of v and older", id, tiny)
+	}
+	if id := w.pick(1); id != holder {
+		t.Fatalf("second pick %d, want the holder of v", id)
+	}
+}
+
 // TestGoldenTraceInvariants re-runs the churn workloads with invariant checks
 // after every operation, covering the vRef and φ-class bookkeeping under
 // arrivals, departures, weight changes and long pick scans — and, for hier,
@@ -820,7 +646,7 @@ func TestGoldenTraceInvariants(t *testing.T) {
 		}
 		t.Run(c.name, func(t *testing.T) {
 			s := core.New(c.cpus, core.WithQuantum(20*simtime.Millisecond))
-			w := newGoldenWorld(t, c.name, s, newOracle(c.cpus, 0, -1, phi.NewTracker(c.cpus, true)))
+			w := newGoldenWorld(t, c.name, s, newOracle(phi.NewTracker(c.cpus, true)))
 			w.check = s.CheckInvariants
 			c.script(w, xrand.New(99))
 		})

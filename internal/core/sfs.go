@@ -1,9 +1,11 @@
 // Package core implements Surplus Fair Scheduling (SFS), the paper's primary
 // contribution (§2.3), together with the kernel implementation techniques of
 // §3: the sorted run queue (one heap per φ-class in place of the paper's three
-// lists), fixed-point tag arithmetic with wraparound rebasing, and the weight
-// readjustment hook invoked whenever the runnable set changes. The paper's
-// §3.2 bounded-examination heuristic is reproduced where Figure 3 measures it
+// lists) and the weight readjustment hook invoked whenever the runnable set
+// changes. Tags are float64: the paper's scaled integers with wraparound
+// rebasing (§3.2) exist only because Linux 2.2 has no floating point in
+// kernel context, and no figure depends on them. The paper's §3.2
+// bounded-examination heuristic is reproduced where Figure 3 measures it
 // (internal/experiments/fig3.go), over this kernel, not inside it.
 //
 // # Algorithm
@@ -53,11 +55,11 @@
 //   - Add / Remove: the class heap and the φ source's weight heap. The φ
 //     change an arrival or departure makes beside an infeasible thread, alone
 //     in its class, relabels that class: no thread moves.
-//   - Pick, O(1) while the holder of v (zero surplus) waits, affinity off and
-//     no zero-surplus ties: it is the start-tag class heap's head. Otherwise
+//   - Pick, O(1) while the holder of v (zero surplus) waits and no
+//     zero-surplus ties: it is the start-tag class heap's head. Otherwise
 //     O(classes admitted by the bound + p + ties): inside an admitted class
 //     only the head, the running threads and threads whose different tag
-//     rounds or truncates to the same surplus are looked at.
+//     rounds to the same surplus are looked at.
 //   - Refresh, O(C) for C classes, by a walking pick only. While C ≤ 8+√C
 //     (C ≤ 11) no pick under drift could visit more classes than it may, and
 //     re-keying them costs less than the walk over all of them: drifted keys
@@ -68,14 +70,8 @@
 // per-thread lazy heap with one more indirection. Decisions are bit-identical
 // to the eager implementation (TestGoldenTrace*).
 //
-// # Extensions
-//
-// WithAffinity enables the processor-affinity extension sketched in the
-// paper's future-work section (§5): among threads whose surplus is within a
-// configurable margin of the minimum, the scheduler prefers one that last ran
-// on the dispatching CPU, trading a bounded amount of short-term fairness for
-// cache locality. WithoutReadjustment disables weight readjustment for
-// ablation experiments that isolate its contribution.
+// WithoutReadjustment disables weight readjustment for ablation experiments
+// that isolate its contribution.
 package core
 
 import (
@@ -83,7 +79,6 @@ import (
 	"math"
 	"sort"
 
-	"sfsched/internal/fixedpoint"
 	"sfsched/internal/phi"
 	"sfsched/internal/runqueue"
 	"sfsched/internal/sched"
@@ -96,7 +91,6 @@ type Stats struct {
 	Decisions     int64 // Pick calls that returned a thread
 	Readjustments int64 // weight readjustment passes that changed some φ
 	SurplusSweeps int64 // surplus queue refreshes, every class re-keyed, by a pick that walks the classes: on drift at C ≤ 11 classes, else after an over-long scan
-	Rebases       int64 // fixed-point tag wraparound rebases
 }
 
 // SFS is a surplus fair scheduler for a symmetric multiprocessor. It is not
@@ -125,26 +119,11 @@ type SFS struct {
 	classStack  []int32            // pick's heap-position stacks
 	threadStack []int32
 	vRef        float64
-	fxVRef      fixedpoint.Value
 	scanLimit   int  // pick scan length that triggers a refresh
 	needRefresh bool // set by an over-long pick scan, consumed by the next pick that walks
 	zeroTies    bool // some tag or φ is small enough that a positive lead S − v may have zero surplus
 
 	useReadjust bool
-
-	// Fixed-point mode (§3.2): tags computed in scaled integers. fxShift
-	// accumulates the total wraparound-rebase shift; threads carry the
-	// shift already applied to their tags (Thread.FxShift), so a thread
-	// that blocked before a rebase is moved into the current frame on Add.
-	fixed        bool
-	scale        fixedpoint.Scale
-	fxV          fixedpoint.Value
-	fxLastFinish fixedpoint.Value
-	fxShift      fixedpoint.Value
-	rebaseThresh fixedpoint.Value
-	fxSlack      float64 // truncation allowance for the pick-scan bound
-
-	affinityMargin float64 // <0 disables the affinity extension
 
 	stats Stats
 }
@@ -155,28 +134,6 @@ type Option func(*SFS)
 // WithQuantum sets the maximum quantum granted per dispatch.
 func WithQuantum(q simtime.Duration) Option {
 	return func(s *SFS) { s.quantum = q }
-}
-
-// WithFixedPoint switches tag arithmetic to scaled integers with factor
-// 10^digits, reproducing the kernel implementation (the paper found 4 digits
-// adequate).
-func WithFixedPoint(digits int) Option {
-	return func(s *SFS) {
-		s.fixed = true
-		s.scale = fixedpoint.MustScale(digits)
-		// MulValue truncates; a fresh surplus recomputed against the
-		// current v can undershoot the drift-compensated stored value by a
-		// few quantization units. The pick-scan cutoff allows for them.
-		s.fxSlack = 3.0 / float64(s.scale.Factor())
-	}
-}
-
-// WithAffinity enables the processor-affinity extension: among threads whose
-// surplus exceeds the minimum by at most margin, prefer one whose last CPU is
-// the dispatching CPU. margin is in surplus units (weighted virtual time,
-// i.e. seconds).
-func WithAffinity(margin float64) Option {
-	return func(s *SFS) { s.affinityMargin = margin }
 }
 
 // WithoutReadjustment disables the weight readjustment algorithm (φ_i = w_i
@@ -198,8 +155,8 @@ func WithoutReadjustment() Option {
 // The methods that readjust report whether any tracked φ changed. Whenever a
 // source assigns a tracked thread's φ it calls the OnPhiChange hook for that
 // thread; the hook also fires unconditionally for the thread passed to Add,
-// AddDeferred and UpdateWeight, so that derived caches such as FxPhi are
-// primed even when φ is unchanged.
+// AddDeferred and UpdateWeight, so that derived caches (stride's Stride1/φ)
+// are primed even when φ is unchanged.
 type PhiSource interface {
 	// Add starts tracking t and readjusts.
 	Add(t *sched.Thread) bool
@@ -261,32 +218,27 @@ func newKernel(p int) *SFS {
 		panic(fmt.Sprintf("core: invalid processor count %d", p))
 	}
 	return &SFS{
-		p:              p,
-		quantum:        sched.DefaultQuantum,
-		useReadjust:    true,
-		scanLimit:      scanBase,
-		rebaseThresh:   fixedpoint.WrapThreshold,
-		affinityMargin: -1,
+		p:           p,
+		quantum:     sched.DefaultQuantum,
+		useReadjust: true,
+		scanLimit:   scanBase,
 	}
 }
 
 // setSource, called once the options are in, builds the class-level heaps and
 // installs the φ source and its hook. φ changes arrive thread-by-thread
-// from the readjustment pass; the hook keeps the derived state (FxPhi cache,
-// class membership) of each affected thread current instead of sweeping the
-// whole set. A queued thread's weight never changes under the hook (SetWeight
-// takes it out of its class first), so what the hook sees is a new φ.
+// from the readjustment pass; the hook keeps the class membership of each
+// affected thread current instead of sweeping the whole set. A queued
+// thread's weight never changes under the hook (SetWeight takes it out of its
+// class first), so what the hook sees is a new φ.
 func (s *SFS) setSource(src PhiSource) {
 	s.byClass = runqueue.NewKeyedHeap(runqueue.SlotSurplus, func(c *class) float64 { return c.key }, classLess)
 	s.byHead = runqueue.NewKeyedHeap(runqueue.SlotPrimary,
 		func(c *class) float64 { return c.headStart },
-		func(a, b *class) bool { return s.inClassLess(a.head, b.head) })
+		func(a, b *class) bool { return inClassLess(a.head, b.head) })
 	s.classOf = make(map[float64]*class)
 	s.weights = src
 	src.OnPhiChange(func(t *sched.Thread) {
-		if s.fixed {
-			t.FxPhi = s.scale.FromFloat(t.Phi)
-		}
 		if t.PhiClass == 0 {
 			return
 		}
@@ -326,38 +278,21 @@ func (s *SFS) Runnable() int { return s.weights.Len() }
 func (s *SFS) VirtualTime() float64 { return s.v }
 
 // FreshSurplus returns t's surplus α_i = φ_i·(S_i − v) against the current
-// virtual time, in the arithmetic (float or fixed) a full refresh would use.
-// The sharded runtime's rebalancer uses it (via sched.LagReporter) to choose
-// migration victims: a thread with a large surplus is ahead of its ideal
-// allocation, so the wakeup-style tag re-entry a migration entails costs it
-// the least.
-func (s *SFS) FreshSurplus(t *sched.Thread) float64 { return s.surplusAt(t, s.v, s.fxV) }
+// virtual time. The sharded runtime's rebalancer uses it (via
+// sched.LagReporter) to choose migration victims: a thread with a large
+// surplus is ahead of its ideal allocation, so the wakeup-style tag re-entry
+// a migration entails costs it the least.
+func (s *SFS) FreshSurplus(t *sched.Thread) float64 { return surplusAt(t, s.v) }
 
 // FrameLead implements sched.FrameTranslator: the lead of t's finish tag
-// over this scheduler's virtual time, in the arithmetic the instance uses.
-// In fixed-point mode a thread that blocked before a wraparound rebase is
-// first brought into the current tag frame, as Add would.
-func (s *SFS) FrameLead(t *sched.Thread) float64 {
-	if s.fixed {
-		fxF := t.FxFinish - (s.fxShift - t.FxShift)
-		return s.scale.Float(fxF - s.fxV)
-	}
-	return t.Finish - s.v
-}
+// over this scheduler's virtual time.
+func (s *SFS) FrameLead(t *sched.Thread) float64 { return t.Finish - s.v }
 
 // SetFrameLead implements sched.FrameTranslator: rewrites t's finish tag to
 // sit lead ahead of this scheduler's virtual time, so the §2.3 wakeup rule
 // S_i = max(F_i, v) re-admits the thread with the position it held on the
 // shard it migrated from.
-func (s *SFS) SetFrameLead(t *sched.Thread, lead float64) {
-	if s.fixed {
-		t.FxFinish = s.fxV + s.scale.FromFloat(lead)
-		t.FxShift = s.fxShift
-		t.Finish = s.scale.Float(t.FxFinish)
-		return
-	}
-	t.Finish = s.v + lead
-}
+func (s *SFS) SetFrameLead(t *sched.Thread, lead float64) { t.Finish = s.v + lead }
 
 // Stats returns a snapshot of internal event counters.
 func (s *SFS) Stats() Stats {
@@ -392,26 +327,7 @@ func (s *SFS) each(fn func(*sched.Thread)) {
 // arrive applies the §2.3 arrival rule: a newly arriving thread receives
 // start tag v; a newly woken thread receives max(F_i, v), which prevents a
 // thread from banking credit while asleep and starving others on wakeup.
-func (s *SFS) arrive(t *sched.Thread) {
-	if !s.fixed {
-		t.Start = math.Max(t.Finish, s.v)
-		return
-	}
-	// The thread's finish tag may predate rebases that happened while it
-	// slept; bring it into the current tag frame first so that the
-	// max(F_i, v) wakeup rule compares like with like.
-	if delta := s.fxShift - t.FxShift; delta != 0 {
-		t.FxFinish -= delta
-		t.Finish = s.scale.Float(t.FxFinish)
-		t.FxShift = s.fxShift
-	}
-	if t.FxFinish > s.fxV {
-		t.FxStart = t.FxFinish
-	} else {
-		t.FxStart = s.fxV
-	}
-	t.Start = s.scale.Float(t.FxStart)
-}
+func (s *SFS) arrive(t *sched.Thread) { t.Start = math.Max(t.Finish, s.v) }
 
 // enqueue inserts t, tagged and already known to the φ source, into its
 // φ-class. Adding a thread cannot lower v (its start tag is >= v), so only φ
@@ -420,7 +336,7 @@ func (s *SFS) arrive(t *sched.Thread) {
 func (s *SFS) enqueue(t *sched.Thread) {
 	// Tags enter here and grow by charges of at least 10⁻⁹ s / 10¹², so
 	// this is the one place a tag below tinyTag can appear.
-	if !s.fixed && t.Start > 0 && t.Start < tinyTag {
+	if t.Start > 0 && t.Start < tinyTag {
 		s.zeroTies = true
 	}
 	s.join(t)
@@ -451,8 +367,8 @@ func (s *SFS) Add(t *sched.Thread, now simtime.Time) error {
 // every insertion exactly as the sequential path would), and the deferred
 // readjustment's φ hook moves every thread whose φ changed to its new class
 // — exactly the state N per-Add passes would have left behind.
-// TestAddBatchEquivalence locks this in across the float, fixed-point and
-// hierarchical variants.
+// TestAddBatchEquivalence locks this in for the flat and hierarchical
+// variants.
 func (s *SFS) AddBatch(ts []*sched.Thread, now simtime.Time) error {
 	// Validate the whole batch up front (including intra-batch duplicates)
 	// so that an error leaves the runnable set untouched.
@@ -499,20 +415,12 @@ func (s *SFS) Charge(t *sched.Thread, ran simtime.Duration, now simtime.Time) {
 		panic("core: negative charge")
 	}
 	t.Service += ran
-	if s.fixed {
-		t.FxFinish = t.FxStart + s.scale.DivValue(s.scale.FromInt(int64(ran)), t.FxPhi)
-		t.FxStart = t.FxFinish
-		s.fxLastFinish = t.FxFinish
-		t.Start = s.scale.Float(t.FxStart)
-		t.Finish = s.scale.Float(t.FxFinish)
-	} else {
-		t.Finish = t.Start + ran.Seconds()/t.Phi
-		t.Start = t.Finish
-	}
+	t.Finish = t.Start + ran.Seconds()/t.Phi
+	t.Start = t.Finish
 	s.lastFinish = t.Finish
-	// Restore t's queue position before v is read and before a possible
-	// rebase: both take the minimum start tag off a queue head, and t —
-	// whose tag just grew — is the entry most likely to be stale there.
+	// Restore t's queue position before v is read: v is the minimum start tag
+	// off a queue head, and t — whose tag just grew — is the entry most likely
+	// to be stale there.
 	var led *class   // t's class when t led it: its surplus key is still due
 	if s.queued(t) { // not if it was charged after it blocked or exited mid-slice
 		// The charge's one sift. The class moves only if t led it (a tag that
@@ -525,9 +433,6 @@ func (s *SFS) Charge(t *sched.Thread, ran simtime.Duration, now simtime.Time) {
 			s.byHead.Fix(c)
 			led = c
 		}
-	}
-	if s.fixed && (fixedpoint.NeedsRebase(t.FxFinish) || t.FxFinish > s.rebaseThresh) {
-		s.rebaseTags() // shifts tags and vRef alike: led's key is the same after
 	}
 	s.recomputeV()
 	// The other classes' keys stay against vRef: only a pick reads them, and
@@ -567,22 +472,17 @@ func (s *SFS) SetWeight(t *sched.Thread, w float64, now simtime.Time) error {
 
 // Pick implements sched.Scheduler.
 func (s *SFS) Pick(cpu int, now simtime.Time) *sched.Thread {
-	t := s.pickExact(cpu)
+	t := s.pickExact()
 	if t != nil {
 		s.stats.Decisions++
 	}
 	return t
 }
 
-// surplusAt returns t's surplus against the virtual time ref (fxRef in
-// fixed-point mode): the current one for a fresh surplus, the vRef epoch for
-// the stored surplus a class is keyed by.
-func (s *SFS) surplusAt(t *sched.Thread, ref float64, fxRef fixedpoint.Value) float64 {
-	if s.fixed {
-		return s.scale.Float(s.scale.MulValue(t.FxPhi, t.FxStart-fxRef))
-	}
-	return t.Phi * (t.Start - ref)
-}
+// surplusAt returns t's surplus against the virtual time ref: the current one
+// for a fresh surplus, the vRef epoch for the stored surplus a class is keyed
+// by.
+func surplusAt(t *sched.Thread, ref float64) float64 { return t.Phi * (t.Start - ref) }
 
 // betterPick reports whether (fresh, t) beats the incumbent under the
 // surplus queue's order: ascending surplus, then descending weight, then ID.
@@ -594,34 +494,19 @@ func betterPick(fresh float64, t *sched.Thread, bestS float64, best *sched.Threa
 }
 
 // driftBound returns the pick-scan prune bound φ_max·|v−vRef| and its
-// conservative slack for the current drift, given the largest instantaneous
-// weight wmax.
+// conservative slack against float rounding for the current drift, given the
+// largest instantaneous weight wmax.
 func (s *SFS) driftBound(wmax float64) (bound, slack float64) {
-	if s.fixed {
-		// Surpluses multiply by FxPhi, which is φ rounded to the scale —
-		// upward by up to half a unit.
-		wmax += 0.5 / float64(s.scale.Factor())
-	}
-	drift := s.v - s.vRef
-	if drift < 0 {
-		drift = -drift
-	}
-	bound = wmax * drift
-	slack = 1e-12*(bound+wmax*(math.Abs(s.v)+math.Abs(s.vRef))+1) + s.fxSlack
+	bound = wmax * math.Abs(s.v-s.vRef)
+	slack = 1e-12 * (bound + wmax*(math.Abs(s.v)+math.Abs(s.vRef)) + 1)
 	return bound, slack
 }
 
 // noDrift reports whether the current virtual time still equals the vRef
-// epoch, in the arithmetic the fresh surpluses would be computed in. With no
-// drift every class key IS its head's fresh surplus — the state right after
-// a refresh, and throughout ramp-up phases where v sits still while late
-// starters catch up.
-func (s *SFS) noDrift() bool {
-	if s.fixed {
-		return s.fxV == s.fxVRef
-	}
-	return s.v == s.vRef
-}
+// epoch. With no drift every class key IS its head's fresh surplus — the state
+// right after a refresh, and throughout ramp-up phases where v sits still
+// while late starters catch up.
+func (s *SFS) noDrift() bool { return s.v == s.vRef }
 
 // ExactMinSurplus returns the runnable non-running thread with the smallest
 // fresh surplus, scanning every thread. It exists for the Figure 3 accuracy
@@ -647,22 +532,15 @@ func (s *SFS) Less(a, b *sched.Thread) bool {
 
 // PreemptRank implements sched.Preempter: t's surplus α_i = φ_i·(S_i − v)
 // projected forward by ran of uncharged service. Charging ran advances S_i by
-// ran/φ_i, so the projected surplus is the fresh surplus plus ran seconds —
-// the projection is exact in float arithmetic and an advisory approximation
-// in fixed-point mode (the comparison steers only preemption flags, never tag
-// state, so decision traces stay bit-identical).
+// ran/φ_i, so the projected surplus is the fresh surplus plus ran seconds.
 func (s *SFS) PreemptRank(t *sched.Thread, ran simtime.Duration) float64 {
 	return t.Phi*(t.Start-s.v) + ran.Seconds()
 }
 
 // InterimCharge implements sched.InterimCharger by delegating to Charge:
 // the tag advance ran/φ is linear in ran, so charging a slice in
-// installments lands the tags where one boundary charge would have — this
-// is the §2.3 variable-length-quanta property. In fixed-point mode each
-// installment's division truncates separately, so a split slice can differ
-// from an unsplit one by a few ulps of tag; the enforcer is only armed on
-// live runtimes, never under the golden differential traces, so machine
-// comparisons are unaffected.
+// installments lands the tags where one boundary charge would have, up to
+// float rounding — this is the §2.3 variable-length-quanta property.
 func (s *SFS) InterimCharge(t *sched.Thread, ran simtime.Duration, now simtime.Time) {
 	s.Charge(t, ran, now)
 }
@@ -699,11 +577,11 @@ func (s *SFS) CheckInvariants() error {
 	if n == 0 {
 		return nil
 	}
-	minStart, minFx := math.Inf(1), fixedpoint.Value(math.MaxInt64)
+	minStart := math.Inf(1)
 	zero := false
 	var err error
 	s.each(func(t *sched.Thread) {
-		minStart, minFx = math.Min(minStart, t.Start), min(minFx, t.FxStart)
+		minStart = math.Min(minStart, t.Start)
 		fresh := t.Phi * (t.Start - s.v)
 		if fresh < 0 {
 			err = fmt.Errorf("core: negative surplus %g for %v", fresh, t)
@@ -713,8 +591,8 @@ func (s *SFS) CheckInvariants() error {
 	if err != nil {
 		return err
 	}
-	if minStart != s.v || s.fixed && minFx != s.fxV {
-		return fmt.Errorf("core: v=%g (fixed %d) but the least start tag is %g (fixed %d)", s.v, s.fxV, minStart, minFx)
+	if minStart != s.v {
+		return fmt.Errorf("core: v=%g but the least start tag is %g", s.v, minStart)
 	}
 	if !zero {
 		return fmt.Errorf("core: no thread with zero surplus (v=%g)", s.v)
@@ -726,47 +604,8 @@ func (s *SFS) CheckInvariants() error {
 // finish tag of the thread that ran last (§2.3).
 func (s *SFS) recomputeV() {
 	if c, ok := s.byHead.Min(); ok {
-		if s.fixed {
-			s.v, s.fxV = c.head.Start, c.head.FxStart
-		} else {
-			s.v = c.headStart // head.Start: checkClasses and Heap.Validate hold them equal
-		}
+		s.v = c.headStart // head.Start: checkClasses and Heap.Validate hold them equal
 	} else {
 		s.v = s.lastFinish
-		if s.fixed {
-			s.fxV = s.fxLastFinish
-		}
 	}
-}
-
-// rebaseTags shifts all tags by the minimum start tag and resets the virtual
-// time, the paper's wraparound handling (§3.2). Differences between tags —
-// the only inputs to scheduling decisions — are preserved, and since the
-// vRef epoch shifts along with them, class keys remain exact without a
-// refresh. The shift is accumulated in fxShift and stamped on each runnable
-// thread; threads asleep during the rebase are caught up on their next Add.
-func (s *SFS) rebaseTags() {
-	var base fixedpoint.Value
-	if c, ok := s.byHead.Min(); ok {
-		base = c.head.FxStart
-	} else {
-		// No runnable threads: the frame collapses to v = lastFinish = 0.
-		base = s.fxLastFinish
-	}
-	s.fxShift += base
-	s.each(func(t *sched.Thread) {
-		fixedpoint.Rebase(base, &t.FxStart, &t.FxFinish)
-		t.FxShift = s.fxShift
-		t.Start = s.scale.Float(t.FxStart)
-		t.Finish = s.scale.Float(t.FxFinish)
-	})
-	// Every cached start key moved by base; the order did not, so Init
-	// re-reads the keys and sifts nothing.
-	s.byClass.Each(func(c *class) bool { c.threads.Init(); c.headStart = c.threads.KeyAt(0); return true })
-	s.byHead.Init()
-	fixedpoint.Rebase(base, &s.fxV, &s.fxLastFinish, &s.fxVRef)
-	s.v = s.scale.Float(s.fxV)
-	s.lastFinish = s.scale.Float(s.fxLastFinish)
-	s.vRef = s.scale.Float(s.fxVRef)
-	s.stats.Rebases++
 }

@@ -5,7 +5,6 @@ import (
 	"math"
 	"testing"
 
-	"sfsched/internal/fixedpoint"
 	"sfsched/internal/sched"
 	"sfsched/internal/sfq"
 	"sfsched/internal/simtime"
@@ -463,100 +462,6 @@ func TestRandomOpsKeepInvariants(t *testing.T) {
 	}
 }
 
-func TestFixedPointTracksFloat(t *testing.T) {
-	// The fixed-point scheduler with 4 digits must deliver allocations
-	// within a fraction of a percent of the float64 scheduler.
-	run := func(s sched.Scheduler) []simtime.Duration {
-		threads := []*sched.Thread{mkThread(1, 7), mkThread(2, 3), mkThread(3, 1), mkThread(4, 1)}
-		for _, th := range threads {
-			if err := s.Add(th, 0); err != nil {
-				t.Fatal(err)
-			}
-		}
-		runQuanta(t, s, 2, 4000, 10*simtime.Millisecond)
-		out := make([]simtime.Duration, len(threads))
-		for i, th := range threads {
-			out[i] = th.Service
-		}
-		return out
-	}
-	flo := run(New(2, WithQuantum(10*simtime.Millisecond)))
-	fix := run(New(2, WithQuantum(10*simtime.Millisecond), WithFixedPoint(4)))
-	for i := range flo {
-		rel := math.Abs(flo[i].Seconds()-fix[i].Seconds()) / flo[i].Seconds()
-		if rel > 0.01 {
-			t.Fatalf("thread %d: float %v vs fixed %v (%.2f%% apart)", i+1, flo[i], fix[i], rel*100)
-		}
-	}
-}
-
-func TestFixedPointRebase(t *testing.T) {
-	// Force rebases with a tiny threshold; allocations must be unaffected
-	// and the rebase counter must advance.
-	s := New(2, WithQuantum(10*simtime.Millisecond), WithFixedPoint(4),
-		WithRebaseThreshold(fixedpoint.Value(10_000_000))) // 1000.0 at scale 4
-	threads := []*sched.Thread{mkThread(1, 3), mkThread(2, 1), mkThread(3, 1)}
-	for _, th := range threads {
-		if err := s.Add(th, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	runQuanta(t, s, 2, 8000, 10*simtime.Millisecond)
-	if s.Stats().Rebases == 0 {
-		t.Fatal("rebase never triggered")
-	}
-	if err := s.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	// 3:1:1 on p=2: thread 1 requests 3/5 of 2 CPUs = 1.2 CPUs, which is
-	// infeasible; it is capped to one CPU and threads 2,3 share the other.
-	elapsed := (10 * simtime.Millisecond).Seconds() * 8000
-	if share := threads[0].Service.Seconds() / elapsed; math.Abs(share-1.0) > 0.05 {
-		t.Fatalf("heavy share %.3f, want ~1.0", share)
-	}
-}
-
-func TestAffinityPrefersLastCPU(t *testing.T) {
-	s := New(2, WithAffinity(1.0))
-	a := mkThread(1, 1)
-	b := mkThread(2, 1)
-	if err := s.Add(a, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Add(b, 0); err != nil {
-		t.Fatal(err)
-	}
-	// Both have surplus 0; b last ran on CPU 1, a on CPU 0.
-	a.LastCPU = 0
-	b.LastCPU = 1
-	if got := s.Pick(1, 0); got != b {
-		t.Fatalf("affinity pick on CPU 1 = %v, want thread 2", got)
-	}
-	if got := s.Pick(0, 0); got != a {
-		t.Fatalf("affinity pick on CPU 0 = %v, want thread 1", got)
-	}
-}
-
-func TestAffinityRespectsMargin(t *testing.T) {
-	s := New(2, WithAffinity(0.01))
-	a := mkThread(1, 1)
-	b := mkThread(2, 1)
-	if err := s.Add(a, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Add(b, 0); err != nil {
-		t.Fatal(err)
-	}
-	// Give b a big surplus; affinity must not override fairness beyond
-	// the margin.
-	s.Charge(b, simtime.Second, 0)
-	b.LastCPU = 1
-	a.LastCPU = 0
-	if got := s.Pick(1, 0); got != a {
-		t.Fatalf("margin violated: picked %v", got)
-	}
-}
-
 func TestStatsCounters(t *testing.T) {
 	s := New(2)
 	a := mkThread(1, 1)
@@ -667,31 +572,5 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 	a.Start = -5
 	if err := s.CheckInvariants(); err == nil {
 		t.Fatal("corruption went undetected")
-	}
-}
-
-func TestFixedPointWraparoundLongRun(t *testing.T) {
-	// A long-running fixed-point scheduler must survive many rebases with
-	// proportions intact (3:1, feasible on p=1... use p=1, SFQ-reduction).
-	s := New(1, WithQuantum(10*simtime.Millisecond), WithFixedPoint(4),
-		WithRebaseThreshold(fixedpoint.Value(500_000))) // rebase every ~50 tag units
-	a := mkThread(1, 3)
-	b := mkThread(2, 1)
-	if err := s.Add(a, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Add(b, 0); err != nil {
-		t.Fatal(err)
-	}
-	runQuanta(t, s, 1, 20000, 10*simtime.Millisecond)
-	if s.Stats().Rebases < 3 {
-		t.Fatalf("only %d rebases", s.Stats().Rebases)
-	}
-	ratio := a.Service.Seconds() / b.Service.Seconds()
-	if math.Abs(ratio-3) > 0.05 {
-		t.Fatalf("ratio %.4f after wraparounds, want 3", ratio)
-	}
-	if err := s.CheckInvariants(); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -206,32 +206,24 @@ func classServiceMatches(t *testing.T, s sched.Scheduler, threads []*sched.Threa
 // TestEngineChargeComposition generalizes the InterimCharger contract test to
 // the engine code path every driver now shares: N ChargeInstallment calls
 // plus the boundary Settle must leave every thread exactly where one Settle
-// of the whole slice would have — Service exactly, tags up to the arithmetic
-// mode's quantization, and never a different pick order. Run across the
-// interim-capable policies and the float and fixed-point SFS arithmetics.
+// of the whole slice would have — Service exactly, tags up to float rounding,
+// and never a different pick order. Run across the interim-capable policies.
 func TestEngineChargeComposition(t *testing.T) {
 	const quantum = 10 * simtime.Millisecond
 	cases := []struct {
 		name string
 		mk   func() sched.Scheduler
-		tol  float64 // absolute tag tolerance; 0 means relative 1e-9
 	}{
-		{"sfs-exact", func() sched.Scheduler { return core.New(2, core.WithQuantum(quantum)) }, 0},
-		{"sfs-fixedpoint", func() sched.Scheduler {
-			return core.New(2, core.WithQuantum(quantum), core.WithFixedPoint(4))
-		}, 1e-3},
-		{"sfq", func() sched.Scheduler { return sfq.New(2, sfq.WithQuantum(quantum)) }, 0},
-		{"stride", func() sched.Scheduler { return stride.New(2, stride.WithQuantum(quantum)) }, 0},
-		{"bvt", func() sched.Scheduler { return bvt.New(2, bvt.WithQuantum(quantum)) }, 0},
-		{"hier", func() sched.Scheduler { return hier.New(2, quantum) }, 0},
+		{"sfs-exact", func() sched.Scheduler { return core.New(2, core.WithQuantum(quantum)) }},
+		{"sfq", func() sched.Scheduler { return sfq.New(2, sfq.WithQuantum(quantum)) }},
+		{"stride", func() sched.Scheduler { return stride.New(2, stride.WithQuantum(quantum)) }},
+		{"bvt", func() sched.Scheduler { return bvt.New(2, bvt.WithQuantum(quantum)) }},
+		{"hier", func() sched.Scheduler { return hier.New(2, quantum) }},
 	}
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			close := func(a, b float64) bool {
-				if tc.tol > 0 {
-					return math.Abs(a-b) <= tc.tol
-				}
 				return math.Abs(a-b) <= 1e-9*math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
 			}
 			wholeS, splitS := tc.mk(), tc.mk()

@@ -32,7 +32,6 @@ type Kind string
 // Scheduler kinds.
 const (
 	SFS         Kind = "sfs"               // surplus fair scheduling
-	SFSFixed    Kind = "sfs-fixed"         // SFS with 10^4 fixed-point tags
 	SFSNoAdjust Kind = "sfs-noadjust"      // ablation: SFS without readjustment
 	SFQ         Kind = "sfq"               // start-time fair queueing (plain)
 	SFQReadjust Kind = "sfq+readjust"      // SFQ + weight readjustment
@@ -46,7 +45,7 @@ const (
 
 // Kinds lists every scheduler kind, for CLI help and sweep experiments.
 func Kinds() []Kind {
-	return []Kind{SFS, SFSFixed, SFSNoAdjust, SFQ, SFQReadjust,
+	return []Kind{SFS, SFSNoAdjust, SFQ, SFQReadjust,
 		Timeshare, Stride, BVT, Lottery, Partitioned, PartRebal}
 }
 
@@ -56,8 +55,6 @@ func NewScheduler(kind Kind, p int, quantum simtime.Duration) (sched.Scheduler, 
 	switch kind {
 	case SFS:
 		return core.New(p, core.WithQuantum(quantum)), nil
-	case SFSFixed:
-		return core.New(p, core.WithQuantum(quantum), core.WithFixedPoint(4)), nil
 	case SFSNoAdjust:
 		return core.New(p, core.WithQuantum(quantum), core.WithoutReadjustment()), nil
 	case SFQ:

@@ -7,6 +7,7 @@ import (
 	"sfsched/internal/metrics"
 	"sfsched/internal/sched"
 	"sfsched/internal/simtime"
+	"sfsched/internal/timeshare"
 )
 
 // This file regenerates the scheduling-overhead results: Table 1 (lmbench)
@@ -176,10 +177,13 @@ func Fig7Defaults() Fig7Params {
 	}
 }
 
-// Fig7Result holds per-process-count switch costs for both schedulers.
+// Fig7Result holds per-process-count switch costs for both schedulers, and
+// the run-queue entries time sharing's schedule() scan visits per switch —
+// the count its growing cost comes from, which no busy host blurs.
 type Fig7Result struct {
 	Params Fig7Params
 	TS     []time.Duration
+	TSScan []float64
 	SFS    []time.Duration
 }
 
@@ -187,7 +191,10 @@ type Fig7Result struct {
 func Fig7(p Fig7Params) Fig7Result {
 	res := Fig7Result{Params: p}
 	for _, n := range p.Procs {
-		res.TS = append(res.TS, SwitchCost(MustScheduler(Timeshare, 1, sched.DefaultQuantum), n, 0, p.Iters))
+		ts := timeshare.New(1)
+		res.TS = append(res.TS, SwitchCost(ts, n, 0, p.Iters))
+		// SwitchCost picks once before its hops and once per hop.
+		res.TSScan = append(res.TSScan, float64(ts.Visited())/float64(p.Iters+1))
 		res.SFS = append(res.SFS, SwitchCost(MustScheduler(SFS, 1, sched.DefaultQuantum), n, 0, p.Iters))
 	}
 	return res
@@ -197,12 +204,13 @@ func Fig7(p Fig7Params) Fig7Result {
 func (r Fig7Result) Render() string {
 	t := metrics.Table{
 		Title:   "Figure 7: context switch cost vs. number of 0KB processes (ns/switch)",
-		Headers: []string{"processes", "timeshare", "SFS"},
+		Headers: []string{"processes", "timeshare", "SFS", "timeshare scan (threads/switch)"},
 	}
 	for i, n := range r.Params.Procs {
 		t.AddRow(fmt.Sprintf("%d", n),
 			fmt.Sprintf("%d", r.TS[i].Nanoseconds()),
-			fmt.Sprintf("%d", r.SFS[i].Nanoseconds()))
+			fmt.Sprintf("%d", r.SFS[i].Nanoseconds()),
+			fmt.Sprintf("%g", r.TSScan[i]))
 	}
 	return t.String()
 }

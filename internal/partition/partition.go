@@ -28,15 +28,14 @@ import (
 // Partitioned runs one uniprocessor SFQ per processor with static thread
 // placement and optional periodic rebalancing. Not safe for concurrent use.
 type Partitioned struct {
-	p         int
-	quantum   simtime.Duration
-	parts     []*sfq.SFQ
-	weightOf  []float64 // total weight per partition
-	home      map[*sched.Thread]int
-	interval  simtime.Duration // 0 = never rebalance
-	lastBal   simtime.Time
-	moves     int64 // threads moved by rebalancing
-	decisions int64
+	p        int
+	quantum  simtime.Duration
+	parts    []*sfq.SFQ
+	weightOf []float64 // total weight per partition
+	home     map[*sched.Thread]int
+	interval simtime.Duration // 0 = never rebalance
+	lastBal  simtime.Time
+	moves    int64 // threads moved by rebalancing
 }
 
 // Option configures a Partitioned scheduler.
@@ -182,11 +181,7 @@ func (s *Partitioned) Pick(cpu int, now simtime.Time) *sched.Thread {
 		s.rebalance(now)
 		s.lastBal = now
 	}
-	t := s.parts[cpu].Pick(0, now)
-	if t != nil {
-		s.decisions++
-	}
-	return t
+	return s.parts[cpu].Pick(0, now)
 }
 
 // Less implements sched.Scheduler (wakeup preemption): defer to SFQ's

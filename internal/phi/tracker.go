@@ -84,7 +84,7 @@ func heavier(a, b *sched.Thread) bool {
 
 // OnPhiChange registers a hook called every time the tracker assigns a
 // thread's φ (including the initial φ = w on Add). Schedulers that maintain
-// derived per-thread state — stored surpluses, fixed-point φ caches — use it
+// derived per-thread state — φ-class membership, stride's Stride1/φ — use it
 // to update incrementally instead of sweeping the whole runnable set.
 func (k *Tracker) OnPhiChange(fn func(*sched.Thread)) { k.onPhi = fn }
 
@@ -149,7 +149,7 @@ func (k *Tracker) raiseMax(w float64) {
 
 // Add starts tracking t (which must not already be tracked) and readjusts.
 // It reports whether any φ changed. The φ hook always fires for t so that
-// derived caches (FxPhi) are primed even when φ == w.
+// derived caches (stride's Stride1/φ) are primed even when φ == w.
 func (k *Tracker) Add(t *sched.Thread) bool {
 	k.AddDeferred(t)
 	return k.Readjust()
@@ -159,8 +159,8 @@ func (k *Tracker) Add(t *sched.Thread) bool {
 // batch admission (core's AddBatch) inserts every thread of a wakeup batch
 // first and then runs a single Readjust for the whole batch, since φ values
 // are a pure function of the final runnable set. φ starts at the requested
-// weight and the hook fires unconditionally so derived caches (FxPhi) are
-// primed, exactly as Add does.
+// weight and the hook fires unconditionally so derived caches (stride's
+// Stride1/φ) are primed, exactly as Add does.
 func (k *Tracker) AddDeferred(t *sched.Thread) {
 	k.setPhi(t, t.Weight, true)
 	k.sum += t.Weight

@@ -49,8 +49,8 @@ type LagReporter interface {
 //
 // where ran_t is t's uncharged in-flight service. Ranks are comparable only
 // within one scheduler instance at one instant; the projection is advisory
-// (it mutates nothing), so a policy may approximate — fixed-point SFS ranks
-// in float — without perturbing its tag arithmetic or decision traces.
+// (it mutates nothing), so a policy may approximate without perturbing its tag
+// arithmetic or decision traces.
 // Policies with no preference order over wakeups (time sharing's epoch
 // counters already encode their own I/O boost; lottery is memoryless) simply
 // do not implement it, and the runtime never raises a preemption flag for
@@ -87,8 +87,8 @@ type BatchAdder interface {
 // The contract is charge splitting: for any partition ran = r₁ + … + rₙ,
 // calling InterimCharge for r₁…rₙ₋₁ followed by Charge for rₙ must leave the
 // thread's tags where a single Charge(ran) would have (up to floating-point
-// or fixed-point rounding of the individual divisions — never a different
-// scheduling decision class). Every policy whose tag advance is linear in the
+// rounding of the individual divisions — never a different scheduling
+// decision class). Every policy whose tag advance is linear in the
 // charged duration satisfies this for free by delegating to Charge; SFS's
 // variable-length-quanta property (§2.3) is exactly what makes the split
 // well-defined there. Policies whose accounting samples time instead of

@@ -13,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 
-	"sfsched/internal/fixedpoint"
 	"sfsched/internal/runqueue"
 	"sfsched/internal/simtime"
 )
@@ -85,7 +84,7 @@ type Thread struct {
 	// CPU is the processor the thread currently occupies, or NoCPU.
 	CPU int
 	// LastCPU is the processor the thread most recently ran on, or NoCPU;
-	// used by the affinity extension and the machine's migration count.
+	// the machine counts a dispatch elsewhere as a migration.
 	LastCPU int
 
 	// Service is the total CPU time received so far.
@@ -112,18 +111,6 @@ type Thread struct {
 
 	Name string
 
-	// Fixed-point shadows of the tags, used by the kernel-faithful
-	// fixed-point SFS variant. FxPhi caches the scaled conversion of Phi so
-	// the charge path does not re-convert φ on every quantum; the scheduler
-	// refreshes it whenever Phi changes. FxShift records the cumulative
-	// wraparound-rebase shift already applied to this thread's tags, so a
-	// thread that slept across a rebase can be brought into the current tag
-	// frame on wakeup.
-	FxStart  fixedpoint.Value
-	FxFinish fixedpoint.Value
-	FxPhi    fixedpoint.Value
-	FxShift  fixedpoint.Value
-
 	// Time-sharing fields (Linux 2.2): remaining timeslice in ticks and
 	// static priority. TickRem carries the sub-tick remainder of charged
 	// service so that repeated bursts shorter than one tick still consume
@@ -146,7 +133,7 @@ type Thread struct {
 	// start on a cache line, so the hot 128 bytes are two whole lines: at
 	// 240 bytes sfsbench's flood lost 7–20 % of its throughput
 	// (TestThreadSizeClass).
-	_ [16]byte
+	_ [48]byte
 }
 
 // RunqueueHandle implements runqueue.Indexed: the thread's intrusive handle

@@ -4,8 +4,8 @@
 // simulation run. A microsecond granularity is fine enough to resolve the
 // paper's context-switch costs (about 1–4 µs on the original testbed) while
 // leaving ~292,000 years of headroom before overflow, so simulation code
-// never needs to reason about wraparound of the clock itself. (Wraparound of
-// *virtual time tags* is a separate concern handled by internal/fixedpoint.)
+// never needs to reason about wraparound of the clock itself. (Virtual-time
+// tags are float64 seconds, not simtime values.)
 package simtime
 
 import (

@@ -43,9 +43,9 @@ type TS struct {
 	runnable []*sched.Thread
 	// known holds every thread that has ever been added and has not
 	// exited; epoch recharge touches blocked threads too.
-	known     map[*sched.Thread]struct{}
-	epochs    int64
-	decisions int64
+	known   map[*sched.Thread]struct{}
+	epochs  int64
+	visited int64 // run-queue entries schedule()'s scans looked at
 }
 
 // New returns a time-sharing scheduler for p processors. It panics if p < 1.
@@ -67,6 +67,11 @@ func (s *TS) Runnable() int { return len(s.runnable) }
 
 // Epochs returns the number of counter-recharge epochs so far.
 func (s *TS) Epochs() int64 { return s.epochs }
+
+// Visited returns the number of run-queue entries the schedule() scans have
+// looked at so far: every runnable thread per pick, the O(n) cost behind
+// Figure 7's growing switch time.
+func (s *TS) Visited() int64 { return s.visited }
 
 // goodness mirrors the 2.2 kernel: threads with timeslice left compete on
 // counter + priority; exhausted threads wait for the next epoch.
@@ -172,6 +177,7 @@ func (s *TS) Pick(cpu int, now simtime.Time) *sched.Thread {
 	var best *sched.Thread
 	bestG := 0
 	for _, t := range s.runnable {
+		s.visited++
 		if t.Running() {
 			continue
 		}
@@ -182,9 +188,6 @@ func (s *TS) Pick(cpu int, now simtime.Time) *sched.Thread {
 			best = t
 			bestG = g
 		}
-	}
-	if best != nil {
-		s.decisions++
 	}
 	return best
 }

@@ -1,13 +1,21 @@
 package sfsched
 
 // Arch guard 11 (arch_guard_test.go holds the others): the options stay
-// counted and spelled once. A new knob edits the lists below or fails, and
-// the facade's RuntimeConfig is the runtime's own rt.Config, not a second
-// struct to keep in step with it.
+// counted and spelled once. A new knob — a config field or a policy
+// constructor's option — edits the lists below or fails, and the facade's
+// RuntimeConfig is the runtime's own rt.Config, not a second struct to keep in
+// step with it.
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"maps"
+	"path/filepath"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"sfsched/internal/cluster"
@@ -30,6 +38,40 @@ func leaves(typ reflect.Type, prefix string) []string {
 	return out
 }
 
+// policyOptions maps each package under internal/ to the exported functions
+// its non-test files declare that return the package's own Option, sorted.
+func policyOptions(t *testing.T) map[string][]string {
+	t.Helper()
+	out := map[string][]string{}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Recv != nil || !fn.Name.IsExported() || fn.Type.Results.NumFields() != 1 {
+				continue
+			}
+			if id, ok := fn.Type.Results.List[0].Type.(*ast.Ident); ok && id.Name == "Option" {
+				out[f.Name.Name] = append(out[f.Name.Name], fn.Name.Name)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, names := range out {
+		slices.Sort(names)
+	}
+	return out
+}
+
 func TestOptionsStayCounted(t *testing.T) {
 	for _, c := range []struct {
 		typ  reflect.Type
@@ -44,6 +86,21 @@ func TestOptionsStayCounted(t *testing.T) {
 		if got := leaves(c.typ, ""); !slices.Equal(got, c.want) {
 			t.Errorf("%v has options %v, want the %d counted ones %v", c.typ, got, len(c.want), c.want)
 		}
+	}
+
+	// The policy constructors' options, from the source: SFS keeps the
+	// readjustment ablation and nothing else beside its quantum.
+	wantOpts := map[string][]string{
+		"core":      {"WithQuantum", "WithoutReadjustment"},
+		"vtq":       {"WithQuantum", "WithReadjustment"},
+		"sfq":       {"WithQuantum", "WithReadjustment"},
+		"bvt":       {"WithQuantum"},
+		"stride":    {"WithQuantum"},
+		"lottery":   {"WithQuantum"},
+		"partition": {"WithQuantum", "WithRebalance"},
+	}
+	if got := policyOptions(t); !maps.EqualFunc(got, wantOpts, slices.Equal) {
+		t.Errorf("the policy constructors take options %v, want the counted ones %v", got, wantOpts)
 	}
 
 	// One spelling: the facade's config types are the runtime's.

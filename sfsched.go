@@ -5,8 +5,8 @@
 // It provides:
 //
 //   - The SFS scheduler itself (NewSFS), including the paper's weight
-//     readjustment algorithm, the three-queue kernel implementation, the
-//     bounded pick heuristic and fixed-point tag arithmetic.
+//     readjustment algorithm, the three-queue kernel implementation and the
+//     bounded pick heuristic.
 //   - The baselines the paper evaluates against: multiprocessor SFQ with and
 //     without readjustment, and a Linux 2.2-style time-sharing scheduler;
 //     plus stride, BVT and lottery from the paper's related work. Each is
@@ -107,10 +107,6 @@ const (
 var (
 	// WithQuantum sets the maximum quantum.
 	WithQuantum = core.WithQuantum
-	// WithFixedPoint uses scaled-integer tags with 10^digits precision.
-	WithFixedPoint = core.WithFixedPoint
-	// WithAffinity enables the processor-affinity extension.
-	WithAffinity = core.WithAffinity
 	// WithoutReadjustment disables weight readjustment (ablation).
 	WithoutReadjustment = core.WithoutReadjustment
 )
