@@ -2,8 +2,13 @@ package experiments
 
 import (
 	"cmp"
+	"errors"
+	"io/fs"
 	"math"
+	"os"
+	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"sfsched/internal/core"
@@ -373,19 +378,30 @@ func TestGMSLagBound(t *testing.T) {
 }
 
 // TestRenders exercises every Render method (content sanity, not layout).
+// TestRenders renders every experiment at a small size. The deterministic
+// renders must match testdata/renders.txt byte for byte, so a change that
+// moves a figure shows as a diff of that file; Table 1 and Figure 7 time the
+// host and are only checked to render. To accept a deliberate change, delete
+// the file and run the test: it writes the current renders and fails once.
 func TestRenders(t *testing.T) {
+	for i, out := range []string{
+		Table1(200).Render(),
+		Fig7(Fig7Params{Procs: []int{2, 4}, Iters: 200}).Render(),
+	} {
+		if len(out) == 0 {
+			t.Fatalf("timed render %d is empty", i)
+		}
+	}
 	outs := []string{
 		Fig4(Fig1Defaults(SFQ)).Render(),
 		Fig4(Fig4Defaults(SFS)).Render(),
 		Fig5(Fig5Defaults(SFS)).Render(),
 		Fig6a(Fig6aDefaults(SFS)).Render(),
-		Table1(200).Render(),
-		Fig7(Fig7Params{Procs: []int{2, 4}, Iters: 200}).Render(),
 	}
 	p := Fig3Defaults()
-	p.Threads = []int{50}
-	p.Ks = []int{1, 20}
-	p.Horizon = simtime.Time(simtime.Second)
+	p.Threads = []int{50, 100}
+	p.Ks = []int{1, 2, 5, 20}
+	p.Horizon = simtime.Time(2 * simtime.Second)
 	outs = append(outs, Fig3(p).Render())
 	b := Fig6bDefaults()
 	b.Compilations = []int{0, 2}
@@ -395,9 +411,30 @@ func TestRenders(t *testing.T) {
 	c.Disksims = []int{0, 2}
 	c.Horizon = simtime.Time(5 * simtime.Second)
 	outs = append(outs, Fig6c(c).Render())
-	for i, out := range outs {
-		if len(out) == 0 {
-			t.Fatalf("render %d is empty", i)
+	got := strings.Join(outs, "\n")
+
+	path := filepath.Join("testdata", "renders.txt")
+	want, err := os.ReadFile(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Fatalf("wrote %s from the current renders; review it and run again", path)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotLines, wantLines := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	for i := range max(len(gotLines), len(wantLines)) {
+		g, w := "", ""
+		if i < len(gotLines) {
+			g = gotLines[i]
+		}
+		if i < len(wantLines) {
+			w = wantLines[i]
+		}
+		if g != w {
+			t.Errorf("%s:%d: render moved\n got: %s\nwant: %s", path, i+1, g, w)
 		}
 	}
 }
