@@ -4,7 +4,7 @@ package sfsched_test
 // charge arithmetic, and the two clock drivers (internal/machine, internal/rt)
 // must route every decision through it. The guard parses the drivers' sources
 // and fails if either stops importing the engine or reaches around it —
-// calling a scheduler's Charge/InterimCharge directly, or mutating a Slice's
+// calling a scheduler's Charge directly, or mutating a Slice's
 // accounting fields — which would let the historical duplicated-remainder
 // arithmetic creep back in and silently re-fork the decision cores that the
 // structural golden tests assume are one.
@@ -43,10 +43,10 @@ func driverSources(t *testing.T, dir string) []string {
 	return files
 }
 
-// chargeCalls and sliceWrites are the seam violations: direct scheduler
-// charge calls and assignments to engine.Slice accounting fields.
+// forbiddenCalls and forbiddenWrites are the seam violations: direct
+// scheduler charge calls and assignments to engine.Slice accounting fields.
 var (
-	forbiddenCalls  = map[string]bool{"Charge": true, "InterimCharge": true}
+	forbiddenCalls  = map[string]bool{"Charge": true}
 	forbiddenWrites = map[string]bool{"Charged": true, "LastCharge": true}
 )
 
@@ -100,9 +100,9 @@ func TestArchitectureEngineSeam(t *testing.T) {
 }
 
 // TestEngineOwnsChargeArithmetic is the inverse direction: the engine itself
-// must still contain the charge calls (exactly the interim-or-fallback pair
-// plus the settlement), so the forbidden-token list above cannot rot into
-// vacuous truth if the methods are renamed.
+// must still contain the charge calls (exactly two: the installment and the
+// settlement), so the forbidden-token list above cannot rot into vacuous
+// truth if the method is renamed, and a second installment path fails it.
 func TestEngineOwnsChargeArithmetic(t *testing.T) {
 	fset := token.NewFileSet()
 	calls := map[string]int{}
@@ -120,8 +120,8 @@ func TestEngineOwnsChargeArithmetic(t *testing.T) {
 			return true
 		})
 	}
-	if calls["Charge"] == 0 || calls["InterimCharge"] == 0 {
-		t.Fatalf("engine no longer calls the charge methods the guard forbids elsewhere (%v); update the guard's token list", calls)
+	if calls["Charge"] != 2 {
+		t.Fatalf("engine calls Charge %d times, want 2 (installment, settlement); update the guard's token list", calls["Charge"])
 	}
 }
 

@@ -6,16 +6,16 @@ package sfsched_test
 // deterministically on a Manual runtime with a FakeClock. The matrix pins the
 // per-policy latency contract of DESIGN.md §10:
 //
-//   - Preempter policies (SFS, SFQ, SFQ+readjust, stride, BVT, hier): a
+//   - sched.Tagged policies (SFS, SFQ, SFQ+readjust, stride, BVT, hier): a
 //     wakeup flags the worst-ranked hog, the flag is useless to a plain Task,
 //     and the next enforcement pass converts it into a handoff — the woken
 //     tenant dispatches within two enforcement ticks.
-//   - lottery (no Preempter): wakeups cannot flag anyone, so enforcement
+//   - lottery (not Tagged): wakeups cannot flag anyone, so enforcement
 //     bounds only the lane turnover — every hog slice is confiscated at its
 //     20 ms deadline — and each turnover holds a lottery the woken tenant
 //     wins with probability φ/Σφ (1/7 here). The median wake is one
 //     turnover; the tail is geometric over quantum-length rounds.
-//   - timeshare (no Preempter, no InterimCharger): slices are counter-length
+//   - timeshare (not Tagged, so no interim charges): slices are counter-length
 //     (up to 200 ms, usually longer than a hog's closure), so enforcement
 //     rarely has anything to confiscate and the woken tenant waits for a
 //     closure to end AND must win the goodness comparison against freshly
@@ -24,7 +24,7 @@ package sfsched_test
 //     workload rather than by any enforcement parameter.
 //
 // Deadline handoffs are legal under every policy — detachment settles the
-// slice with a plain Charge — which is why even the non-Preempter rows stay
+// slice with a plain Charge — which is why even the untagged rows stay
 // bounded with enforcement armed.
 
 import (
@@ -47,7 +47,7 @@ func TestEnforcementPolicyMatrix(t *testing.T) {
 		steps   = 3000
 	)
 	// Per-policy (p50, p99) bounds for the interactive wake latency, all
-	// including the histogram's ≤25% bucket overestimate. Preempter policies
+	// including the histogram's ≤25% bucket overestimate. Tagged policies
 	// owe two enforcement ticks outright (flag at the wakeup, handoff at the
 	// next pass). Lottery's median is one enforced lane turnover (quantum +
 	// a tick) but its tail is a geometric number of turnover draws — eight

@@ -235,7 +235,7 @@ func TestFacadePolicyByName(t *testing.T) {
 }
 
 // TestFacadePreemption drives the wakeup-preemption surface through the
-// public facade under every Preempter-capable policy — Preemptible submits,
+// public facade under every Preempter (tag) policy — Preemptible submits,
 // RuntimeConfig.Preempt, the Dispatched/SliceCtx flag, and the per-tenant
 // preemption and wake-latency stats — and checks the capability-less
 // policies never flag.

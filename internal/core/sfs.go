@@ -256,12 +256,9 @@ func (s *SFS) setSource(src PhiSource) {
 
 // SFS implements the full capability set the sharded runtime can exploit.
 var (
-	_ sched.Scheduler       = (*SFS)(nil)
-	_ sched.VirtualTimer    = (*SFS)(nil)
-	_ sched.LagReporter     = (*SFS)(nil)
-	_ sched.FrameTranslator = (*SFS)(nil)
-	_ sched.Preempter       = (*SFS)(nil)
-	_ sched.BatchAdder      = (*SFS)(nil)
+	_ sched.Scheduler  = (*SFS)(nil)
+	_ sched.Tagged     = (*SFS)(nil)
+	_ sched.BatchAdder = (*SFS)(nil)
 )
 
 // Name implements sched.Scheduler.
@@ -273,22 +270,22 @@ func (s *SFS) NumCPU() int { return s.p }
 // Runnable implements sched.Scheduler.
 func (s *SFS) Runnable() int { return s.weights.Len() }
 
-// VirtualTime returns the scheduler's current virtual time v (minimum start
-// tag over runnable threads).
+// VirtualTime implements sched.Tagged: the current virtual time v (minimum
+// start tag over runnable threads).
 func (s *SFS) VirtualTime() float64 { return s.v }
 
-// FreshSurplus returns t's surplus α_i = φ_i·(S_i − v) against the current
-// virtual time. The sharded runtime's rebalancer uses it (via
-// sched.LagReporter) to choose migration victims: a thread with a large
+// FreshSurplus implements sched.Tagged: t's surplus α_i = φ_i·(S_i − v)
+// against the current virtual time. The sharded runtime's rebalancer uses it
+// to choose migration victims: a thread with a large
 // surplus is ahead of its ideal allocation, so the wakeup-style tag re-entry
 // a migration entails costs it the least.
 func (s *SFS) FreshSurplus(t *sched.Thread) float64 { return surplusAt(t, s.v) }
 
-// FrameLead implements sched.FrameTranslator: the lead of t's finish tag
+// FrameLead implements sched.Tagged: the lead of t's finish tag
 // over this scheduler's virtual time.
 func (s *SFS) FrameLead(t *sched.Thread) float64 { return t.Finish - s.v }
 
-// SetFrameLead implements sched.FrameTranslator: rewrites t's finish tag to
+// SetFrameLead implements sched.Tagged: rewrites t's finish tag to
 // sit lead ahead of this scheduler's virtual time, so the §2.3 wakeup rule
 // S_i = max(F_i, v) re-admits the thread with the position it held on the
 // shard it migrated from.
@@ -530,19 +527,11 @@ func (s *SFS) Less(a, b *sched.Thread) bool {
 	return a.Phi*(a.Start-s.v) < b.Phi*(b.Start-s.v)
 }
 
-// PreemptRank implements sched.Preempter: t's surplus α_i = φ_i·(S_i − v)
+// PreemptRank implements sched.Tagged: t's surplus α_i = φ_i·(S_i − v)
 // projected forward by ran of uncharged service. Charging ran advances S_i by
 // ran/φ_i, so the projected surplus is the fresh surplus plus ran seconds.
 func (s *SFS) PreemptRank(t *sched.Thread, ran simtime.Duration) float64 {
 	return t.Phi*(t.Start-s.v) + ran.Seconds()
-}
-
-// InterimCharge implements sched.InterimCharger by delegating to Charge:
-// the tag advance ran/φ is linear in ran, so charging a slice in
-// installments lands the tags where one boundary charge would have, up to
-// float rounding — this is the §2.3 variable-length-quanta property.
-func (s *SFS) InterimCharge(t *sched.Thread, ran simtime.Duration, now simtime.Time) {
-	s.Charge(t, ran, now)
 }
 
 // Threads returns the runnable threads in ascending start-tag order (tests

@@ -9,12 +9,11 @@
 // tolerance.
 //
 // The engine is policy-agnostic: it wraps one sched.Scheduler instance plus
-// its optional capability views (sched.VirtualTimer, LagReporter,
-// FrameTranslator, Preempter, BatchAdder, InterimCharger), discovered once at
-// construction and never re-asserted on a hot path. It owns no clock — every
-// method takes the driver's current instant, which is how one core serves an
-// event-heap simulator and a wall-clock shard without caring which is
-// driving.
+// its two optional capability views (sched.Tagged, sched.BatchAdder),
+// discovered once at construction and never re-asserted on a hot path. It
+// owns no clock — every method takes the driver's current instant, which is
+// how one core serves an event-heap simulator and a wall-clock shard without
+// caring which is driving.
 //
 // The charge arithmetic is the part the drivers used to duplicate. A Slice
 // tracks one dispatch's accounting: Start (service accrual begins),
@@ -96,7 +95,7 @@ type Recorder interface {
 
 // Engine binds one scheduler instance to the shared decision core. The
 // capability views are exported so drivers can branch on presence (e.g. skip
-// the preemption scan entirely under a policy with no Preempter) without
+// the preemption scan entirely under a policy that is not Tagged) without
 // re-asserting interfaces on hot paths. An Engine is not safe for concurrent
 // use; each driver guards it with its own lock (the machine is single-
 // threaded, each rt shard holds its lock).
@@ -104,12 +103,8 @@ type Engine struct {
 	sch sched.Scheduler
 
 	// Optional capability views of sch, nil when unimplemented.
-	VT      sched.VirtualTimer    // virtual time, for metrics export
-	Lag     sched.LagReporter     // fresh surpluses, for migration/steal ranking
-	Frame   sched.FrameTranslator // virtual-time frame leads, for cross-instance moves
-	Pre     sched.Preempter       // wakeup-preemption ranking
-	Batch   sched.BatchAdder      // batched wakeup admission
-	Interim sched.InterimCharger  // mid-slice charge installments
+	Tag   sched.Tagged     // virtual time, surpluses, frame leads, preemption ranks
+	Batch sched.BatchAdder // batched wakeup admission
 
 	rec Recorder
 }
@@ -117,12 +112,8 @@ type Engine struct {
 // New builds an engine over sch, discovering its capability views once.
 func New(sch sched.Scheduler) *Engine {
 	e := &Engine{sch: sch}
-	e.VT, _ = sch.(sched.VirtualTimer)
-	e.Lag, _ = sch.(sched.LagReporter)
-	e.Frame, _ = sch.(sched.FrameTranslator)
-	e.Pre, _ = sch.(sched.Preempter)
+	e.Tag, _ = sch.(sched.Tagged)
 	e.Batch, _ = sch.(sched.BatchAdder)
-	e.Interim, _ = sch.(sched.InterimCharger)
 	return e
 }
 
@@ -266,10 +257,9 @@ func (e *Engine) Begin(sl *Slice, t *sched.Thread, cpu int, now, start simtime.T
 
 // ChargeInstallment charges the slice's uncharged in-flight service as a
 // mid-slice installment, capped at cap (the simulator passes the remaining
-// burst; pass NoCap for unbounded slices). It uses the policy's
-// InterimCharger when present — whose contract makes installments compose
-// exactly with the boundary settlement — and plain Charge otherwise, and is
-// a no-op returning 0 when nothing has accrued.
+// burst; pass NoCap for unbounded slices) through the policy's Charge, whose
+// splitting contract makes installments compose with the boundary
+// settlement. It is a no-op returning 0 when nothing has accrued.
 func (e *Engine) ChargeInstallment(sl *Slice, now simtime.Time, cap simtime.Duration) simtime.Duration {
 	ran := now.Sub(sl.LastCharge)
 	if ran <= 0 {
@@ -278,11 +268,7 @@ func (e *Engine) ChargeInstallment(sl *Slice, now simtime.Time, cap simtime.Dura
 	if ran > cap {
 		ran = cap
 	}
-	if e.Interim != nil {
-		e.Interim.InterimCharge(sl.Thread, ran, now)
-	} else {
-		e.sch.Charge(sl.Thread, ran, now)
-	}
+	e.sch.Charge(sl.Thread, ran, now)
 	sl.Charged += ran
 	sl.LastCharge = now
 	if e.rec != nil {
@@ -291,12 +277,12 @@ func (e *Engine) ChargeInstallment(sl *Slice, now simtime.Time, cap simtime.Dura
 	return ran
 }
 
-// InterimInstallment is ChargeInstallment restricted to policies that opt in
-// to mid-slice charging: with no InterimCharger it charges nothing and
-// returns 0, leaving boundary-only policies (time sharing, lottery)
-// untouched. The runtime's enforcement pass uses it.
+// InterimInstallment is ChargeInstallment restricted to Tagged policies,
+// whose running tags a woken thread is ranked against: for any other policy
+// it charges nothing and returns 0, leaving boundary-only policies (time
+// sharing, lottery) untouched. The runtime's enforcement pass uses it.
 func (e *Engine) InterimInstallment(sl *Slice, now simtime.Time) simtime.Duration {
-	if e.Interim == nil {
+	if e.Tag == nil {
 		return 0
 	}
 	return e.ChargeInstallment(sl, now, NoCap)
@@ -324,15 +310,15 @@ func (e *Engine) Settle(sl *Slice, now simtime.Time, cap simtime.Duration) simti
 // RankRunning returns the preemption rank of an in-flight slice projected to
 // now: the thread's tags advanced by only its genuinely uncharged service
 // (installments already moved LastCharge forward). Callers must have checked
-// Pre != nil.
+// Tag != nil.
 func (e *Engine) RankRunning(sl *Slice, now simtime.Time) float64 {
-	return e.Pre.PreemptRank(sl.Thread, sl.Uncharged(now))
+	return e.Tag.PreemptRank(sl.Thread, sl.Uncharged(now))
 }
 
 // RankWoken returns the preemption rank of a just-woken thread (no in-flight
-// service to project). Callers must have checked Pre != nil.
+// service to project). Callers must have checked Tag != nil.
 func (e *Engine) RankWoken(t *sched.Thread) float64 {
-	return e.Pre.PreemptRank(t, 0)
+	return e.Tag.PreemptRank(t, 0)
 }
 
 // LessVictim selects the least-deserving thread among running — the one the
@@ -354,13 +340,13 @@ func (e *Engine) LessVictim(running []*sched.Thread) int {
 func (e *Engine) Prefer(a, b *sched.Thread) bool { return e.sch.Less(a, b) }
 
 // Surplus returns the thread's fresh surplus (§3.1: α_i = φ_i·(S_i − v))
-// when the policy reports lags, and 0 otherwise — the migration/steal
+// when the policy is Tagged, and 0 otherwise — the migration/steal
 // candidate ranking, where ties then break on thread ID.
 func (e *Engine) Surplus(t *sched.Thread) float64 {
-	if e.Lag == nil {
+	if e.Tag == nil {
 		return 0
 	}
-	return e.Lag.FreshSurplus(t)
+	return e.Tag.FreshSurplus(t)
 }
 
 // CaptureLead reads the thread's virtual-time frame lead for a cross-instance
@@ -368,12 +354,12 @@ func (e *Engine) Surplus(t *sched.Thread) float64 {
 // its debt erased by the destination's wakeup rule anyway, and the clamp
 // keeps migration from minting credit. It reports false when the policy does
 // not translate frames. The thread must be outside the runnable set, per the
-// sched.FrameTranslator contract.
+// sched.Tagged contract.
 func (e *Engine) CaptureLead(t *sched.Thread) (float64, bool) {
-	if e.Frame == nil {
+	if e.Tag == nil {
 		return 0, false
 	}
-	lead := e.Frame.FrameLead(t)
+	lead := e.Tag.FrameLead(t)
 	if lead < 0 {
 		lead = 0
 	}
@@ -385,10 +371,10 @@ func (e *Engine) CaptureLead(t *sched.Thread) (float64, bool) {
 // in the runnable set; its next Admit applies the wakeup rule against the
 // restored tag.
 func (e *Engine) RestoreLead(t *sched.Thread, lead float64) bool {
-	if e.Frame == nil {
+	if e.Tag == nil {
 		return false
 	}
-	e.Frame.SetFrameLead(t, lead)
+	e.Tag.SetFrameLead(t, lead)
 	return true
 }
 

@@ -74,15 +74,15 @@ func TestEngineSentinels(t *testing.T) {
 	}
 }
 
-// TestEngineChargeFallback pins the installment fallback for policies without
-// sched.InterimCharger: ChargeInstallment must route through plain Charge,
-// InterimInstallment must be a no-op, and the Slice accounting must advance
+// TestEngineChargeFallback pins installments for a policy that is not
+// sched.Tagged: ChargeInstallment routes through plain Charge,
+// InterimInstallment is a no-op, and the Slice accounting advances
 // identically either way.
 func TestEngineChargeFallback(t *testing.T) {
 	st := &stubSched{slice: 10 * simtime.Millisecond}
 	e := engine.New(st)
-	if e.Interim != nil {
-		t.Fatal("stub scheduler unexpectedly offers InterimCharger")
+	if e.Tag != nil {
+		t.Fatal("stub scheduler unexpectedly offers sched.Tagged")
 	}
 	th := newThread(1, 1)
 	var sl engine.Slice
@@ -203,11 +203,11 @@ func classServiceMatches(t *testing.T, s sched.Scheduler, threads []*sched.Threa
 	}
 }
 
-// TestEngineChargeComposition generalizes the InterimCharger contract test to
-// the engine code path every driver now shares: N ChargeInstallment calls
-// plus the boundary Settle must leave every thread exactly where one Settle
-// of the whole slice would have — Service exactly, tags up to float rounding,
-// and never a different pick order. Run across the interim-capable policies.
+// TestEngineChargeComposition generalizes the charge-splitting contract test
+// to the engine code path every driver shares: N ChargeInstallment calls plus
+// the boundary Settle must leave every thread exactly where one Settle of the
+// whole slice would have — Service exactly, tags up to float rounding, and
+// never a different pick order. Run across the tag policies.
 func TestEngineChargeComposition(t *testing.T) {
 	const quantum = 10 * simtime.Millisecond
 	cases := []struct {
@@ -229,9 +229,6 @@ func TestEngineChargeComposition(t *testing.T) {
 			wholeS, splitS := tc.mk(), tc.mk()
 			whole := engine.New(wholeS)
 			split := engine.New(splitS)
-			if split.Interim == nil {
-				t.Fatalf("%s does not implement sched.InterimCharger", tc.name)
-			}
 			weights := []float64{1, 2, 4}
 			wThreads := make([]*sched.Thread, len(weights))
 			sThreads := make([]*sched.Thread, len(weights))

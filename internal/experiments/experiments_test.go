@@ -305,6 +305,37 @@ func TestHeuristicStaysWorkConserving(t *testing.T) {
 	}
 }
 
+// TestHeuristicSurplusFollowsInstallments: the paper's kernel re-sorts a
+// thread's surplus whenever it is charged, and the simulator charges the
+// running threads in installments when a wakeup finds every CPU busy. After
+// that sync each charged thread's stored surplus must be its fresh one; v
+// stays put throughout, held at 0 by the hog that waits.
+func TestHeuristicSurplusFollowsInstallments(t *testing.T) {
+	h := NewHeuristicSFS(2, 10*simtime.Millisecond, 20)
+	m := machine.New(machine.Config{CPUs: 2, Scheduler: h, Seed: 1})
+	for _, name := range []string{"hog1", "hog2", "hog3"} {
+		m.Spawn(machine.SpawnConfig{Name: name, Behavior: workload.Inf()})
+	}
+	const wake = simtime.Time(5 * simtime.Millisecond) // mid-quantum
+	m.Spawn(machine.SpawnConfig{Name: "woken", Behavior: workload.Inf(), At: wake})
+	charged := 0
+	m.At(wake, func(simtime.Time) { // after the wakeup: events at one instant run in order
+		for _, th := range h.Threads() {
+			if th.Service == 0 {
+				continue
+			}
+			charged++
+			if got, want := h.stored[th], h.FreshSurplus(th); got != want {
+				t.Errorf("%v: stored surplus %g after its installment, fresh %g", th, got, want)
+			}
+		}
+	})
+	m.Run(wake)
+	if charged != 2 {
+		t.Fatalf("%d threads charged by the wakeup's sync, want the 2 running", charged)
+	}
+}
+
 // TestFirstKIsTheSortedPrefix pins the bounded selection standing in for the
 // paper's sorted queues: the k least under the order, in order.
 func TestFirstKIsTheSortedPrefix(t *testing.T) {
@@ -377,7 +408,6 @@ func TestGMSLagBound(t *testing.T) {
 	}
 }
 
-// TestRenders exercises every Render method (content sanity, not layout).
 // TestRenders renders every experiment at a small size. The deterministic
 // renders must match testdata/renders.txt byte for byte, so a change that
 // moves a figure shows as a diff of that file; Table 1 and Figure 7 time the

@@ -190,15 +190,11 @@ func (h *Hier) Classes() []*Class { return append([]*Class(nil), h.tab.classes..
 func (h *Hier) Name() string { return "hier-SFS" }
 
 // Hier implements the full capability set the sharded runtime can exploit,
-// all but the two charge methods through the embedded kernel.
+// all but Charge through the embedded kernel.
 var (
-	_ sched.Scheduler       = (*Hier)(nil)
-	_ sched.VirtualTimer    = (*Hier)(nil)
-	_ sched.LagReporter     = (*Hier)(nil)
-	_ sched.FrameTranslator = (*Hier)(nil)
-	_ sched.Preempter       = (*Hier)(nil)
-	_ sched.InterimCharger  = (*Hier)(nil)
-	_ sched.BatchAdder      = (*Hier)(nil)
+	_ sched.Scheduler  = (*Hier)(nil)
+	_ sched.Tagged     = (*Hier)(nil)
+	_ sched.BatchAdder = (*Hier)(nil)
 )
 
 // Charge implements sched.Scheduler: the kernel's F = S + q/φ with the
@@ -206,13 +202,6 @@ var (
 func (h *Hier) Charge(t *sched.Thread, ran simtime.Duration, now simtime.Time) {
 	h.SFS.Charge(t, ran, now)
 	h.tab.classOf(t).service += ran
-}
-
-// InterimCharge implements sched.InterimCharger. It must be redeclared here:
-// the kernel's own InterimCharge calls the kernel's Charge, which would skip
-// the class account.
-func (h *Hier) InterimCharge(t *sched.Thread, ran simtime.Duration, now simtime.Time) {
-	h.Charge(t, ran, now)
 }
 
 // OnPhiChange implements core.PhiSource.

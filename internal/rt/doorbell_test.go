@@ -79,9 +79,9 @@ func (s *gatedSFS) AddBatch(ts []*sched.Thread, now simtime.Time) error {
 	return s.SFS.AddBatch(ts, now)
 }
 
-func (s *gatedSFS) InterimCharge(t *sched.Thread, ran simtime.Duration, now simtime.Time) {
-	s.g.at("interim")
-	s.SFS.InterimCharge(t, ran, now)
+func (s *gatedSFS) Charge(t *sched.Thread, ran simtime.Duration, now simtime.Time) {
+	s.g.at("charge")
+	s.SFS.Charge(t, ran, now)
 }
 
 func (s *gatedSFS) FrameLead(t *sched.Thread) float64 {
@@ -297,7 +297,7 @@ func TestSubmitNeverWaitsForShardLock(t *testing.T) {
 		w := newHeldWorld(t, Config{Enforcement: EnforcementConfig{Enabled: true}})
 		for start := w.r.clock.Now(); w.r.clock.Now() == start; { // an installment needs a clock tick of service
 		}
-		w.hold("interim", w.r.Enforce)
+		w.hold("charge", w.r.Enforce) // held inside the interim installment
 	})
 	t.Run("TrySteal", func(t *testing.T) {
 		w := newHeldWorld(t, Config{Sharding: ShardingConfig{Shards: 2, Steal: true}})

@@ -9,15 +9,14 @@
 // walks the shard's in-flight slices (shard.active, never more than the
 // shard has workers) and does three things under the shard lock:
 //
-//  1. Interim charging. When the shard's policy implements
-//     sched.InterimCharger, every in-flight slice is charged for the service
-//     it received since its last installment, so virtual-time tags are never
-//     more than one tick stale. This closes the second §5 divergence: the
-//     charge-at-completion model let a long slice hold its tenant's tags at
-//     the dispatch-instant values, and wakeup preemption ranked against that
-//     stale picture. (The fair policies' tag advance is linear in the charge,
-//     so installments compose exactly with the boundary charge — see the
-//     InterimCharger contract.)
+//  1. Interim charging. When the shard's policy is sched.Tagged, every
+//     in-flight slice is charged for the service it received since its last
+//     installment, so virtual-time tags are never more than one tick stale.
+//     This closes the second §5 divergence: the charge-at-completion model
+//     let a long slice hold its tenant's tags at the dispatch-instant
+//     values, and wakeup preemption ranked against that stale picture.
+//     (Installments compose with the boundary charge — see the splitting
+//     contract of sched.Scheduler.Charge.)
 //
 //  2. Deadline expiry. A slice's deadline is its start plus its granted
 //     slice; it is due at the first tick boundary at or after that, whatever
@@ -79,12 +78,10 @@ func (d *Dispatched) deadline() simtime.Time { return d.sl.Start.Add(d.sl.Quantu
 // the package comment at the top of this file for the three phases.
 func (sh *shard) enforceLocked(now simtime.Time) {
 	// Phase 1: interim-charge every in-flight slice up to now.
-	if sh.eng.Interim != nil {
-		for _, d := range sh.active {
-			if ran := sh.eng.InterimInstallment(&d.sl, now); ran > 0 {
-				sh.service += ran
-				sh.interims++
-			}
+	for _, d := range sh.active {
+		if ran := sh.eng.InterimInstallment(&d.sl, now); ran > 0 {
+			sh.service += ran
+			sh.interims++
 		}
 	}
 	// Phase 2: deadline expiry, of the slices with ⌈deadline/tick⌉ ≤
@@ -149,10 +146,9 @@ func (sh *shard) detachLocked(d *Dispatched, now simtime.Time) {
 	th.LastCPU = d.local
 	sh.activeRemove(d)
 	// Settle the uncharged service so the thread's tags are exact at the
-	// instant it leaves the runnable set. Plain Charge is always legal —
-	// policies without InterimCharger (time sharing, lottery) are charged
-	// here exactly as a voluntary completion would, so deadline handoffs work
-	// under every policy.
+	// instant it leaves the runnable set. Policies that are not Tagged (time
+	// sharing, lottery) are charged here exactly as a voluntary completion
+	// would, so deadline handoffs work under every policy.
 	if d.sl.Uncharged(now) > 0 {
 		sh.service += sh.eng.Settle(&d.sl, now, engine.NoCap)
 	}

@@ -5,7 +5,7 @@
 // power-of-k-choices (Load), and an eviction/admission pair to migrate a
 // tenant between machines (Deport/Admit) the same way the intra-box
 // rebalancer migrates one between shards: drain the source backlog, carry the
-// virtual-time frame lead across (sched.FrameTranslator), re-register under
+// virtual-time frame lead across (sched.Tagged), re-register under
 // the §2.3 wakeup rule, replay the backlog. Everything here is ordinary
 // exported Runtime API, so *rt.Runtime satisfies cluster.Node structurally
 // and the cluster package never names a runtime internal.
@@ -121,7 +121,7 @@ func (r *Runtime) Deport(tn *Tenant) (Departure, error) {
 		sh.nready.Add(-1) // was runnable-not-running (the Running case failed above)
 	}
 	// The frame lead is read with the thread outside the runnable set
-	// (departed just above), per the sched.FrameTranslator contract. A
+	// (departed just above), per the sched.Tagged contract. A
 	// negative lead (behind the source's virtual time) is clamped by the
 	// engine: the wakeup rule S_i = max(F_i, v) would erase it on
 	// re-admission anyway, and the clamp keeps cross-machine migration from

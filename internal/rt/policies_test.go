@@ -79,9 +79,8 @@ func runPolicySharded(t *testing.T, policy rt.Policy) (jain float64, migrations 
 	}
 	jain = metrics.JainIndex(services, shardedWeights)
 	// Phase 2: unbalance the shards so the rebalancer must migrate — the
-	// end-to-end check that ranking (LagReporter or the generic lag
-	// fallback) and frame translation (FrameTranslator or the no-op
-	// fallback) work for this policy.
+	// end-to-end check that ranking and frame translation (sched.Tagged,
+	// or the generic lag and no-op fallbacks) work for this policy.
 	if err := r.SetWeight(tenants[0], 1); err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +129,7 @@ func TestCrossPolicySharded(t *testing.T) {
 }
 
 // TestShardStatsNonSFS pins the generalized metrics surface on a non-SFS
-// sharded run: per-shard policy names, virtual times via sched.VirtualTimer
+// sharded run: per-shard policy names, virtual times via sched.Tagged
 // where the policy has one (SFQ) and zero where it does not (timeshare),
 // with the rest of the ShardStat fields consistent either way.
 func TestShardStatsNonSFS(t *testing.T) {

@@ -3,7 +3,7 @@ package rt_test
 // Deterministic Manual-mode/FakeClock tests of cooperative wakeup preemption:
 // the runtime's Figure 6(c) scenario. An interactive tenant (short burst,
 // long think) wakes under full load from a pool of compute-bound hogs; with
-// preemption enabled and a sched.Preempter policy (SFS), the wakeup flags the
+// preemption enabled and a sched.Tagged policy (SFS), the wakeup flags the
 // worst-ranked running slice, the cooperating hog yields at its next 1 ms
 // checkpoint, and the interactive tenant dispatches within one preemption
 // grant. Without preemption — or under time sharing, which implements no
@@ -165,7 +165,7 @@ func TestWakeupPreemptionLatency(t *testing.T) {
 
 	// Attribution: only hogs are preempted and resumed; the interactive
 	// tenant is never flagged, and preemptions happen only where enabled
-	// with a Preempter policy.
+	// with a Tagged policy.
 	sumPre := func(stats []rt.TenantStat) (total int64) {
 		for _, s := range stats[1:] {
 			total += s.Preemptions
@@ -183,7 +183,7 @@ func TestWakeupPreemptionLatency(t *testing.T) {
 		t.Errorf("%d preemptions recorded with preemption disabled", got)
 	}
 	if got := sumPre(ts); got != 0 {
-		t.Errorf("%d preemptions recorded under timeshare (no Preempter capability)", got)
+		t.Errorf("%d preemptions recorded under timeshare (not sched.Tagged)", got)
 	}
 	for _, s := range pre[1:] {
 		if s.Resumes == 0 {

@@ -119,8 +119,8 @@ func PlanBalance(totals []float64, workers []int, movable [][]float64, tol float
 // mid-slice and have no blocked submitters are eligible; within a shard,
 // candidates are offered in descending surplus order (threads ahead of their
 // ideal allocation lose the least from the wakeup-style re-entry). The
-// surplus comes from the shard scheduler's sched.LagReporter capability when
-// it has one, and otherwise from the generic service-minus-entitlement lag
+// surplus comes from the shard scheduler's sched.Tagged capability when it
+// has one, and otherwise from the generic service-minus-entitlement lag
 // (metrics.Totals.Lag) over the shard's candidates — coarser (whole-lifetime service
 // instead of instantaneous tags; see DESIGN.md §7) but policy-agnostic, which
 // is what lets time sharing and lottery shard at all.
@@ -149,12 +149,12 @@ func (r *Runtime) Rebalance() int {
 			}
 			th := tn.th
 			surplus := 0.0
-			if sh.eng.Lag != nil && tn.inSched {
+			if sh.eng.Tag != nil && tn.inSched {
 				surplus = sh.eng.Surplus(th)
 			}
 			cands = append(cands, rebalanceCandidate{tn, surplus, th.ID})
 		}
-		if sh.eng.Lag == nil && len(cands) > 1 {
+		if sh.eng.Tag == nil && len(cands) > 1 {
 			// Generic fallback: surplus = received − entitled over the
 			// candidate set (the negated metrics lag).
 			var tot metrics.Totals
@@ -219,7 +219,7 @@ type rebalanceScratch struct {
 
 // migrate moves a tenant from src to dst, re-checking eligibility under both
 // shard locks (the snapshot the plan was made from is stale by now). When
-// both shard schedulers translate frames (sched.FrameTranslator), the
+// both shard schedulers translate frames (sched.Tagged), the
 // tenant's tag is re-expressed in the destination's virtual-time frame
 // preserving its lead over the source's, so the §2.3 wakeup rule re-admits
 // it with the same relative position it held on the source shard; policies

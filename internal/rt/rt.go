@@ -35,8 +35,8 @@
 // DESIGN.md §9 gives the protocol and its correctness argument.
 //
 // The runtime depends only on the sched.Scheduler interface plus the
-// optional capability interfaces of internal/sched (VirtualTimer,
-// LagReporter, FrameTranslator), discovered per shard at construction.
+// optional capability interfaces of internal/sched (Tagged, BatchAdder),
+// discovered per shard at construction.
 // Policies lacking a capability still shard: migration candidates are then
 // ranked by a generic service-minus-entitlement lag (metrics.Totals) and frame
 // translation is skipped — see DESIGN.md §7.
@@ -162,8 +162,8 @@ const DefaultRebalanceEvery = 100 * time.Millisecond
 // the returned instance for its lifetime, so the factory must return a fresh
 // instance per call (shard locks do not protect state shared between
 // instances). The runtime probes each instance for the optional capability
-// interfaces of internal/sched (VirtualTimer, LagReporter, FrameTranslator)
-// to rank and translate cross-shard migrations and to export virtual times;
+// interfaces of internal/sched (Tagged, BatchAdder) to rank and translate
+// cross-shard migrations, to preempt, and to export virtual times;
 // instances without them fall back to policy-agnostic equivalents.
 type Policy func(cpus int) sched.Scheduler
 
@@ -197,7 +197,7 @@ type Config struct {
 	Manual bool
 	// Preempt enables cooperative wakeup preemption: when a tenant wakes on
 	// a shard whose workers are all busy and the shard's policy implements
-	// sched.Preempter, the worst-ranked running slice is flagged for
+	// sched.Tagged, the worst-ranked running slice is flagged for
 	// preemption (SliceCtx.Preempted) so a cooperating task yields its
 	// processor early and the woken tenant dispatches without waiting out a
 	// full slice — the runtime's rendering of the kernel's reschedule_idle
@@ -219,7 +219,7 @@ type Config struct {
 type EnforcementConfig struct {
 	// Enabled arms involuntary slice enforcement (enforcer.go, DESIGN.md
 	// §10): an enforcement pass — periodic in concurrent mode, Enforce() in
-	// Manual mode — interim-charges running slices (sched.InterimCharger,
+	// Manual mode — interim-charges running slices (sched.Tagged policies,
 	// bounding tag staleness to one tick), raises the preemption flag on
 	// PreemptibleTask slices past their deadline (start plus granted slice),
 	// and involuntarily hands off plain Task slices that are past it or carry

@@ -352,7 +352,7 @@ func (sh *shard) newSlotLocked() *Dispatched {
 
 // preemptBatchLocked implements wakeup preemption (shard lock held) for the
 // tenants one drain woke: when a newly woken tenant out-ranks the worst-ranked
-// running slice under the policy's own sched.Preempter ordering — both sides
+// running slice under the policy's own sched.Tagged ordering — both sides
 // projected to "right now", the running side by its uncharged in-flight
 // service (with enforcement armed, interim installments have already advanced
 // the tags up to the last charge; disarmed, that is the dispatch start) — the
@@ -371,7 +371,7 @@ func (sh *shard) newSlotLocked() *Dispatched {
 // lowest worker slot: the active list is in dispatch order, which differs
 // from slot order under handoffs.
 func (sh *shard) preemptBatchLocked(woke []*sched.Thread, now simtime.Time) {
-	if !sh.r.preempt || sh.eng.Pre == nil || len(sh.active) < sh.workers {
+	if !sh.r.preempt || sh.eng.Tag == nil || len(sh.active) < sh.workers {
 		return
 	}
 	ranks := sh.rankScratch[:0]

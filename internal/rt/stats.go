@@ -203,7 +203,7 @@ type ShardStat struct {
 	Runnable int     // tenants in the shard's runnable set
 	Weight   float64 // Σ tenant weights: the shard's sub-share
 	// VirtualTime is the shard scheduler's current virtual time when the
-	// policy reports one (sched.VirtualTimer: the fair-queueing family and
+	// policy reports one (sched.Tagged: the fair-queueing family and
 	// stride), and 0 for policies without a virtual-time notion.
 	VirtualTime float64
 	Service     simtime.Duration // time charged on this shard (stays here when tenants migrate)
@@ -267,8 +267,8 @@ func (r *Runtime) ShardStats() []ShardStat {
 		st.Dispatch = sh.waitHist.stat()
 		st.Wake = sh.wakeHist.stat()
 		st.Intake = sh.intakeHist.stat()
-		if sh.eng.VT != nil {
-			st.VirtualTime = sh.eng.VT.VirtualTime()
+		if sh.eng.Tag != nil {
+			st.VirtualTime = sh.eng.Tag.VirtualTime()
 		}
 		sh.mu.Unlock()
 		tot.Service += st.Service

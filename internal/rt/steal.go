@@ -28,7 +28,7 @@
 // victim's intake ring (ring items are strictly older than anything the
 // runqueue scan sees, and absorbing them may surface a better candidate),
 // then transfers the highest-surplus ready tenant — ranked by the policy's
-// own sched.LagReporter surplus, the §3.1 α_i = φ_i·(S_i − v) under SFS —
+// own sched.Tagged surplus, the §3.1 α_i = φ_i·(S_i − v) under SFS —
 // through transferLocked, the lead-preserving virtual-time frame translation
 // migration already proved fairness-safe (DESIGN.md §6): the move perturbs
 // the tenant's allocation by at most its current lead over v, one quantum's
@@ -153,7 +153,7 @@ func (r *Runtime) stealFrom(victim, thief *shard) bool {
 		surplus := victim.eng.Surplus(th)
 		// Highest surplus wins — the re-entry costs it the least (§2.3: the
 		// wakeup rule forgives lead, never debt). Ties, and the whole scan
-		// under policies without a LagReporter, break to the lowest thread
+		// under policies that are not Tagged, break to the lowest thread
 		// id for deterministic Manual replays.
 		if best == nil || surplus > bestSurplus ||
 			(surplus == bestSurplus && th.ID < best.th.ID) {

@@ -1,10 +1,12 @@
 package sched_test
 
-// Pins the InterimCharger charge-splitting contract for every policy that
-// implements the capability: InterimCharge installments followed by a
-// boundary Charge for the remainder must leave the thread where a single
-// Charge of the total would have — Service exactly, tags up to the rounding
-// of the individual divisions, and never a different pick order.
+// Pins Scheduler.Charge's splitting contract for every policy: mid-slice
+// installments followed by a boundary charge for the remainder must leave the
+// thread where a single charge of the total would have — Service, time
+// sharing's Counter and TickRem exactly, tags up to the rounding of the
+// individual divisions, and never a different pick order. Both simulator and
+// runtime split charges this way (the simulator's syncRunning under every
+// policy, the runtime's enforcement pass under the tag policies).
 
 import (
 	"math"
@@ -13,10 +15,13 @@ import (
 	"sfsched/internal/bvt"
 	"sfsched/internal/core"
 	"sfsched/internal/hier"
+	"sfsched/internal/lottery"
+	"sfsched/internal/partition"
 	"sfsched/internal/sched"
 	"sfsched/internal/sfq"
 	"sfsched/internal/simtime"
 	"sfsched/internal/stride"
+	"sfsched/internal/timeshare"
 )
 
 func interimThread(id int, w float64) *sched.Thread {
@@ -54,6 +59,11 @@ func TestInterimChargeComposition(t *testing.T) {
 		"stride": func() sched.Scheduler { return stride.New(2, stride.WithQuantum(quantum)) },
 		"bvt":    func() sched.Scheduler { return bvt.New(2, bvt.WithQuantum(quantum)) },
 		"hier":   func() sched.Scheduler { return hier.New(2, quantum) },
+		// The policies without tags: Counter and TickRem, Service alone,
+		// and a charge routed to the thread's home processor.
+		"timeshare": func() sched.Scheduler { return timeshare.New(2) },
+		"lottery":   func() sched.Scheduler { return lottery.New(2, lottery.WithQuantum(quantum)) },
+		"partition": func() sched.Scheduler { return partition.New(2, partition.WithQuantum(quantum)) },
 	}
 	// Relative tolerance for the float tag divisions: r₁/φ + r₂/φ + r₃/φ
 	// versus (r₁+r₂+r₃)/φ differ by a few ulps at most.
@@ -63,10 +73,6 @@ func TestInterimChargeComposition(t *testing.T) {
 	for name, factory := range factories {
 		t.Run(name, func(t *testing.T) {
 			whole, split := factory(), factory()
-			ic, ok := split.(sched.InterimCharger)
-			if !ok {
-				t.Fatalf("%s does not implement sched.InterimCharger", name)
-			}
 			weights := []float64{1, 2, 4}
 			wThreads := make([]*sched.Thread, len(weights))
 			sThreads := make([]*sched.Thread, len(weights))
@@ -89,8 +95,8 @@ func TestInterimChargeComposition(t *testing.T) {
 
 			// One 10 ms slice, charged whole vs in 3+4+3 ms installments.
 			whole.Charge(wPick, 10*simtime.Millisecond, simtime.Time(10*simtime.Millisecond))
-			ic.InterimCharge(sPick, 3*simtime.Millisecond, simtime.Time(3*simtime.Millisecond))
-			ic.InterimCharge(sPick, 4*simtime.Millisecond, simtime.Time(7*simtime.Millisecond))
+			split.Charge(sPick, 3*simtime.Millisecond, simtime.Time(3*simtime.Millisecond))
+			split.Charge(sPick, 4*simtime.Millisecond, simtime.Time(7*simtime.Millisecond))
 			split.Charge(sPick, 3*simtime.Millisecond, simtime.Time(10*simtime.Millisecond))
 
 			for i := range wThreads {
@@ -104,6 +110,9 @@ func TestInterimChargeComposition(t *testing.T) {
 				}
 				if !close(a.Pass, b.Pass) {
 					t.Errorf("thread %d pass %g vs %g", a.ID, a.Pass, b.Pass)
+				}
+				if a.Counter != b.Counter || a.TickRem != b.TickRem {
+					t.Errorf("thread %d counter %d+%v vs %d+%v", a.ID, a.Counter, a.TickRem, b.Counter, b.TickRem)
 				}
 			}
 

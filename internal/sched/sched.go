@@ -6,7 +6,10 @@
 // thread lifecycle (fork, block, wakeup, exit) and invokes the scheduling
 // policy at well-defined points; here internal/machine plays the kernel and
 // each policy package (internal/core for SFS, internal/vtq for SFQ, stride and
-// BVT, internal/timeshare, ...) implements Scheduler.
+// BVT, internal/timeshare, ...) implements Scheduler. The policies come in
+// three shapes: the tag family (SFS, hierarchical SFS, SFQ, stride, BVT)
+// adds Tagged, SFS and hierarchical SFS also add BatchAdder, and time
+// sharing, lottery and the partitioned baseline add neither.
 package sched
 
 import (
@@ -191,7 +194,11 @@ type Scheduler interface {
 	// Charge accounts ran units of CPU service to t (which just ran) and
 	// updates the policy's bookkeeping (tags, counters, virtual time).
 	// Called on quantum expiry, preemption, blocking and exit, before any
-	// Remove. ran may be less than the granted timeslice.
+	// Remove. ran may be less than the granted timeslice, and a running
+	// thread may be charged mid-slice in installments: for any partition
+	// ran = r₁ + … + rₙ, n charges leave t where one charge of ran would
+	// have, up to the rounding of the individual divisions and never in a
+	// different pick order (§2.3's variable-length quanta).
 	Charge(t *Thread, ran simtime.Duration, now simtime.Time)
 	// Timeslice returns the quantum the machine should grant t when
 	// dispatching it now.

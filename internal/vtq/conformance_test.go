@@ -335,7 +335,7 @@ func TestConformance(t *testing.T) {
 			projected := whole.PreemptRank(a, ran)
 			whole.Charge(a, ran, 0)
 			for _, part := range []simtime.Duration{5, 9} {
-				split.InterimCharge(x, part*simtime.Millisecond, 0)
+				split.Charge(x, part*simtime.Millisecond, 0)
 			}
 			split.Charge(x, 3*simtime.Millisecond, 0)
 			if got := *k.tag(a); !near(got, advance(ran, 3)) || !near(got, projected) {

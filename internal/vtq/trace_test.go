@@ -36,11 +36,7 @@ var update = flag.Bool("update", false, "rewrite testdata/*.trace from the curre
 // policy is the capability set every parameterisation carries.
 type policy interface {
 	sched.Scheduler
-	sched.VirtualTimer
-	sched.LagReporter
-	sched.FrameTranslator
-	sched.Preempter
-	sched.InterimCharger
+	sched.Tagged
 }
 
 const traceQuantum = 20 * simtime.Millisecond
@@ -186,7 +182,7 @@ func (w *traceWorld) pick(cpu int) {
 func (w *traceWorld) interim(cpu int, ran simtime.Duration) {
 	th := w.running[cpu]
 	w.now = w.now.Add(ran)
-	w.s.InterimCharge(th, ran, w.now)
+	w.s.Charge(th, ran, w.now)
 	fmt.Fprintf(w.out, "%sint %d %d %s v=%s\n", w.label, th.ID, int64(ran), tagsStride(th), g(w.s.VirtualTime()))
 }
 

@@ -95,12 +95,8 @@ func New(p int, pol Policy, opts ...Option) *Queue {
 
 // Queue implements the full capability set the sharded runtime can exploit.
 var (
-	_ sched.Scheduler       = (*Queue)(nil)
-	_ sched.VirtualTimer    = (*Queue)(nil)
-	_ sched.LagReporter     = (*Queue)(nil)
-	_ sched.FrameTranslator = (*Queue)(nil)
-	_ sched.Preempter       = (*Queue)(nil)
-	_ sched.InterimCharger  = (*Queue)(nil)
+	_ sched.Scheduler = (*Queue)(nil)
+	_ sched.Tagged    = (*Queue)(nil)
 )
 
 // Name implements sched.Scheduler.
@@ -131,20 +127,20 @@ func (q *Queue) warp(t *sched.Thread) float64 {
 	return 0
 }
 
-// VirtualTime implements sched.VirtualTimer: the minimum tag over the
+// VirtualTime implements sched.Tagged: the minimum tag over the
 // runnable set (SFQ's v, BVT's scheduler virtual time, stride's global pass).
 func (q *Queue) VirtualTime() float64 { return q.v }
 
-// FreshSurplus implements sched.LagReporter with the SFS surplus analogue
+// FreshSurplus implements sched.Tagged with the SFS surplus analogue
 // φ_i·(tag_i − v): how far ahead of the proportional ideal the thread sits.
 // A warp is a latency advantage, not banked service, and stays out of it.
 func (q *Queue) FreshSurplus(t *sched.Thread) float64 { return t.Phi * (*q.pol.Tag(t) - q.v) }
 
-// FrameLead implements sched.FrameTranslator: the lead of t's resting tag
+// FrameLead implements sched.Tagged: the lead of t's resting tag
 // over the virtual time.
 func (q *Queue) FrameLead(t *sched.Thread) float64 { return *q.pol.Rest(t) - q.v }
 
-// SetFrameLead implements sched.FrameTranslator: re-bases t's resting tag to
+// SetFrameLead implements sched.Tagged: re-bases t's resting tag to
 // sit lead ahead of this instance's virtual time, so the join rule re-admits
 // a migrated thread at its old relative position.
 func (q *Queue) SetFrameLead(t *sched.Thread, lead float64) { *q.pol.Rest(t) = q.v + lead }
@@ -191,13 +187,6 @@ func (q *Queue) Charge(t *sched.Thread, ran simtime.Duration, now simtime.Time) 
 	q.recomputeV()
 }
 
-// InterimCharge implements sched.InterimCharger by delegating to Charge: the
-// tag advance is linear in ran, so mid-slice installments compose with the
-// boundary charge, and a warp is a dispatch-time offset they do not touch.
-func (q *Queue) InterimCharge(t *sched.Thread, ran simtime.Duration, now simtime.Time) {
-	q.Charge(t, ran, now)
-}
-
 // SetWeight implements sched.Scheduler. The tie-break among equal tags may
 // read the weight, so a runnable thread is repositioned.
 func (q *Queue) SetWeight(t *sched.Thread, w float64, now simtime.Time) error {
@@ -242,7 +231,7 @@ func (q *Queue) Less(a, b *sched.Thread) bool {
 	return *q.pol.Tag(a)-q.warp(a) < *q.pol.Tag(b)-q.warp(b)
 }
 
-// PreemptRank implements sched.Preempter: the tag projected forward by ran of
+// PreemptRank implements sched.Tagged: the tag projected forward by ran of
 // uncharged service, less the warp — unlike in FreshSurplus, because the warp
 // is exactly the dispatch-latency advantage a woken thread preempts with.
 func (q *Queue) PreemptRank(t *sched.Thread, ran simtime.Duration) float64 {

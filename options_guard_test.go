@@ -1,10 +1,10 @@
 package sfsched
 
 // Arch guard 11 (arch_guard_test.go holds the others): the options stay
-// counted and spelled once. A new knob — a config field or a policy
-// constructor's option — edits the lists below or fails, and the facade's
-// RuntimeConfig is the runtime's own rt.Config, not a second struct to keep in
-// step with it.
+// counted and spelled once. A new knob — a config field, a policy
+// constructor's option or an optional scheduler capability — edits the lists
+// below or fails, and the facade's RuntimeConfig is the runtime's own
+// rt.Config, not a second struct to keep in step with it.
 
 import (
 	"go/ast"
@@ -12,6 +12,7 @@ import (
 	"go/token"
 	"io/fs"
 	"maps"
+	"os"
 	"path/filepath"
 	"reflect"
 	"slices"
@@ -35,6 +36,37 @@ func leaves(typ reflect.Type, prefix string) []string {
 		}
 		out = append(out, prefix+f.Name)
 	}
+	return out
+}
+
+// capabilities names the interfaces internal/sched's non-test files declare
+// besides Scheduler, sorted.
+func capabilities(t *testing.T) []string {
+	t.Helper()
+	dir := filepath.Join("internal", "sched")
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for _, e := range entries {
+		if !strings.HasSuffix(e.Name(), ".go") || strings.HasSuffix(e.Name(), "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), filepath.Join(dir, e.Name()), nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if ts, ok := n.(*ast.TypeSpec); ok && ts.Name.Name != "Scheduler" {
+				if _, ok := ts.Type.(*ast.InterfaceType); ok {
+					out = append(out, ts.Name.Name)
+				}
+			}
+			return true
+		})
+	}
+	slices.Sort(out)
 	return out
 }
 
@@ -101,6 +133,13 @@ func TestOptionsStayCounted(t *testing.T) {
 	}
 	if got := policyOptions(t); !maps.EqualFunc(got, wantOpts, slices.Equal) {
 		t.Errorf("the policy constructors take options %v, want the counted ones %v", got, wantOpts)
+	}
+
+	// The optional capabilities beside sched.Scheduler: one for the tag
+	// family, one for batched admission. Every other policy is the bare
+	// interface.
+	if got, want := capabilities(t), []string{"BatchAdder", "Tagged"}; !slices.Equal(got, want) {
+		t.Errorf("internal/sched declares the optional capabilities %v, want the counted ones %v", got, want)
 	}
 
 	// One spelling: the facade's config types are the runtime's.

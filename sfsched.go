@@ -158,9 +158,9 @@ type (
 	// flagged or detached) by the driving test or simulation.
 	Dispatched = rt.Dispatched
 	// Preempter is the optional scheduler capability behind wakeup
-	// preemption: policies implementing it (SFS, SFQ, stride, BVT, hier)
-	// rank a newly woken thread against running ones.
-	Preempter = sched.Preempter
+	// preemption, sched.Tagged: policies implementing it (SFS, SFQ, stride,
+	// BVT, hier) rank a newly woken thread against running ones.
+	Preempter = sched.Tagged
 	// TenantStat is a point-in-time per-tenant metrics view.
 	TenantStat = rt.TenantStat
 	// LatencyStat summarizes a dispatch-latency distribution (p50/p95/p99
