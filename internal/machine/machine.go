@@ -144,21 +144,22 @@ type cpuState struct {
 	// sl is the in-flight slice's accounting (engine.Slice.LastCharge is
 	// the service accrual start, advanced by interim installments — the
 	// historical runStart).
-	sl     engine.Slice
-	epoch  uint64
+	sl engine.Slice
+	// stop is the in-flight quantum's planned end, valid while cur is set:
+	// its time and the seq it drew from the event counter, so it orders
+	// against the event heap as a queued event would. It lives here, not in
+	// the heap, so a preemption or a Kill leaves no stale entry behind.
+	stop   event
 	idleAt simtime.Time
 }
 
 // event is one entry of the event queue: call fn; or, with fn nil, wake the
-// blocked task wake; or, with both nil, end the quantum dispatch started on cpu
-// at epoch — the two events per dispatch and per block cost no closure.
+// blocked task wake — a block costs no closure.
 type event struct {
-	at    simtime.Time
-	seq   uint64
-	fn    func()
-	wake  *Task
-	cpu   int
-	epoch uint64
+	at   simtime.Time
+	seq  uint64
+	fn   func()
+	wake *Task
 }
 
 // before is the event order: time, then scheduling order.
@@ -172,9 +173,9 @@ func (e *event) before(o *event) bool {
 // Machine is a simulated SMP: the event-driven clock driver over the shared
 // dispatch engine (internal/engine), which owns every scheduling decision —
 // admission, pick validation, quantum grants, charge arithmetic, preemption
-// ordering. The machine owns what a clock driver owns: the event heap, the
-// simulated clock, task behaviors and burst bookkeeping. Not safe for
-// concurrent use.
+// ordering. The machine owns what a clock driver owns: the event heap of
+// wakes and callbacks, each CPU's quantum end, the simulated clock, task
+// behaviors and burst bookkeeping. Not safe for concurrent use.
 type Machine struct {
 	sch     sched.Scheduler
 	eng     *engine.Engine
@@ -183,8 +184,8 @@ type Machine struct {
 	rng     *xrand.Rand
 
 	now    simtime.Time
-	evq    []event // binary min-heap on (at, seq)
-	seq    uint64
+	evq    []event // binary min-heap on (at, seq): wakes and callbacks
+	seq    uint64  // the order counter of evq and of the CPUs' stops
 	nextID int
 
 	tasks []*Task // by Thread.ID (dense from 1; slot 0 unused); nil once exited
@@ -270,8 +271,18 @@ func (m *Machine) popEvent() event {
 	q = q[:n]
 	i := 0
 	for c := 1; c < n; c = 2*i + 1 {
-		if r := c + 1; r < n && q[r].before(&q[c]) {
-			c = r
+		if r := c + 1; r < n {
+			// The lesser child by a 0/1 step, not a branch; seq decides
+			// only between equal times.
+			if ar, ac := q[r].at, q[c].at; ar != ac {
+				d := 0
+				if ar < ac {
+					d = 1
+				}
+				c += d
+			} else if q[r].seq < q[c].seq {
+				c = r
+			}
 		}
 		if !q[c].before(&e) {
 			break
@@ -387,16 +398,29 @@ func (m *Machine) ServiceNow(k *Task) simtime.Duration {
 // It may be called repeatedly with increasing horizons.
 func (m *Machine) Run(until simtime.Time) {
 	m.schedule()
-	for len(m.evq) > 0 && m.evq[0].at <= until {
-		e := m.popEvent()
-		m.now = e.at
-		switch {
-		case e.fn != nil:
+	for {
+		// The next event is the earliest busy CPU's quantum end or the heap's
+		// top, whichever comes first on (at, seq).
+		var next *event
+		cpu := -1
+		for i := range m.cpus {
+			if c := &m.cpus[i]; c.cur != nil && (next == nil || c.stop.before(next)) {
+				next, cpu = &c.stop, i
+			}
+		}
+		if len(m.evq) > 0 && (next == nil || m.evq[0].before(next)) {
+			next, cpu = &m.evq[0], -1
+		}
+		if next == nil || next.at > until {
+			break
+		}
+		m.now = next.at
+		if cpu >= 0 {
+			m.cpuStop(cpu)
+		} else if e := m.popEvent(); e.fn != nil {
 			e.fn()
-		case e.wake != nil:
+		} else {
 			m.wake(e.wake)
-		default:
-			m.cpuStop(e.cpu, e.epoch)
 		}
 	}
 	if until > m.now {
@@ -449,9 +473,9 @@ func (k *Task) loadStep() {
 // has accrued so far, so that scheduler state (tags, counters, surpluses)
 // reflects reality mid-quantum. This stands in for the kernel's timer-tick
 // accounting: without it a CPU hog halfway through a 200 ms quantum would
-// still look freshly recharged to preemption comparisons. The pending
-// quantum-end event stays valid: the engine installment charges only the
-// accrual since the last one, capped at the task's remaining burst.
+// still look freshly recharged to preemption comparisons. The CPU's planned
+// quantum end stays valid: the engine installment charges only the accrual
+// since the last one, capped at the task's remaining burst.
 func (m *Machine) syncRunning() {
 	for i := range m.cpus {
 		c := &m.cpus[i]
@@ -501,17 +525,12 @@ func (m *Machine) stop(cpu int) *Task {
 	k.t.LastCPU = cpu
 	k.t.CPU = sched.NoCPU
 	c.cur = nil
-	c.epoch++
 	c.idleAt = m.now
 	return k
 }
 
 // cpuStop handles the planned end of a quantum (expiry, block or exit).
-func (m *Machine) cpuStop(cpu int, epoch uint64) {
-	c := &m.cpus[cpu]
-	if c.epoch != epoch || c.cur == nil {
-		return // stale event: the quantum was cut short by a preemption
-	}
+func (m *Machine) cpuStop(cpu int) {
 	k := m.stop(cpu)
 	if k.rem == 0 {
 		m.finishBurst(k)
@@ -612,8 +631,8 @@ func (m *Machine) dispatch(cpu int, k *Task) {
 	runFor := simtime.Min(c.sl.Quantum, k.rem)
 	c.cur = k
 	c.last = k
-	c.epoch++
-	m.pushEvent(event{at: m.now.Add(runFor), cpu: cpu, epoch: c.epoch})
+	m.seq++
+	c.stop = event{at: m.now.Add(runFor), seq: m.seq}
 }
 
 // settle charges all in-flight quanta up to the current time, leaving the

@@ -1,7 +1,9 @@
 package machine
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"sfsched/internal/core"
@@ -500,10 +502,10 @@ func TestSFSInvariantsUnderMachine(t *testing.T) {
 // TestRunSteadyStateAllocations pins what a dispatch costs the allocator once
 // the population is in place: nothing. The event queue is a typed heap over
 // []event (container/heap's Push(any)/Pop() any boxed every event twice), and
-// the two events the machine schedules for itself — the end of a quantum, a
-// blocked task's wakeup — are plain data instead of closures. The compute-bound
-// set exercises the first; the blocking set adds block/wake churn through the
-// scheduler's Add/Remove.
+// the event a block schedules — the task's wakeup — is plain data instead of a
+// closure, and a quantum's end is a field of its CPU's slot, not an event. The
+// compute-bound set exercises the second; the blocking set adds block/wake
+// churn through the scheduler's Add/Remove.
 func TestRunSteadyStateAllocations(t *testing.T) {
 	for name, blocking := range map[string]bool{"compute-bound": false, "block-wake": true} {
 		t.Run(name, func(t *testing.T) {
@@ -532,4 +534,92 @@ func TestRunSteadyStateAllocations(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestQuantumEndKeepsTheEventOrder pins the order a CPU's planned quantum end
+// takes among the queued events. The stop lives in its CPU's slot, not in the
+// event heap, with the sequence number a queued event would have drawn, so
+// the order is still one total order on (time, seq): a callback queued before
+// the dispatch fires before the stop, one queued after it at the same instant
+// fires after it, and of two CPUs' stops the earlier time — then the earlier
+// dispatch — ends first. And since no stop is queued, no preemption, Kill or
+// Run horizon leaves a stale entry in the heap: it holds exactly the pending
+// wakes and callbacks.
+func TestQuantumEndKeepsTheEventOrder(t *testing.T) {
+	ms, sec := simtime.Millisecond, simtime.Second
+	burst := func(d simtime.Duration) Behavior {
+		return BehaviorFunc(func(simtime.Time, *xrand.Rand) Step { return Step{Burst: d, Then: ThenExit} })
+	}
+	t.Run("callbacks", func(t *testing.T) {
+		m := newSFSMachine(1, 200*ms)
+		var log []string
+		m.Spawn(SpawnConfig{Name: "a", Behavior: burst(100 * ms),
+			OnBurstEnd: func(simtime.Time) { log = append(log, "stop") }})
+		m.At(simtime.Time(100*ms), func(now simtime.Time) {
+			log = append(log, "queued before the dispatch")
+			m.At(now, func(simtime.Time) { log = append(log, "queued after it") })
+		})
+		m.Run(simtime.Time(sec))
+		want := []string{"queued before the dispatch", "stop", "queued after it"}
+		if !slices.Equal(log, want) {
+			t.Fatalf("same-instant order %q, want %q", log, want)
+		}
+	})
+	t.Run("cpus", func(t *testing.T) {
+		// a (CPU 0) ends at 50 ms and d takes CPU 0 until 100 ms, the instant
+		// b (CPU 1, dispatched earlier) ends too: b's stop drew the lower seq.
+		m := New(Config{CPUs: 2, Scheduler: core.New(2, core.WithQuantum(sec)),
+			DisableWakePreemption: true, Seed: 1})
+		var log []string
+		for _, b := range []struct {
+			name string
+			d    simtime.Duration
+		}{{"a", 50 * ms}, {"b", 100 * ms}, {"d", 50 * ms}} {
+			m.Spawn(SpawnConfig{Name: b.name, Behavior: burst(b.d), OnBurstEnd: func(now simtime.Time) {
+				log = append(log, fmt.Sprintf("%s@%v", b.name, now))
+			}})
+		}
+		m.Run(simtime.Time(sec))
+		want := []string{"a@0.05s", "b@0.1s", "d@0.1s"}
+		if !slices.Equal(log, want) {
+			t.Fatalf("stop order %q, want %q", log, want)
+		}
+	})
+	t.Run("no stale entries", func(t *testing.T) {
+		m := newSFSMachine(2, 200*ms)
+		hogs := []*Task{
+			m.Spawn(SpawnConfig{Name: "h0", Behavior: inf()}),
+			m.Spawn(SpawnConfig{Name: "h1", Behavior: inf()}),
+			m.Spawn(SpawnConfig{Name: "h2", Behavior: inf()}),
+		}
+		m.Spawn(SpawnConfig{Name: "io", Behavior: BehaviorFunc(func(simtime.Time, *xrand.Rand) Step {
+			return Step{Burst: 2 * ms, Then: ThenBlock, Sleep: 30 * ms}
+		})})
+		killed := false
+		m.At(simtime.Time(sec), func(simtime.Time) {
+			for _, k := range hogs {
+				if k.Thread().Running() {
+					m.Kill(k)
+					killed = true
+					return
+				}
+			}
+		})
+		m.At(simtime.Time(100*sec), func(simtime.Time) {}) // still pending at every horizon
+		for _, until := range []simtime.Duration{1500 * ms, 2 * sec, 2*sec + 7*ms} {
+			m.Run(simtime.Time(until))
+			pending := 1 // the far callback
+			for _, k := range m.tasks {
+				if k != nil && k.Thread().State == sched.Blocked {
+					pending++
+				}
+			}
+			if len(m.evq) != pending {
+				t.Fatalf("at %v the heap holds %d entries, want %d pending wakes and callbacks", until, len(m.evq), pending)
+			}
+		}
+		if !killed || m.Stats().Preemptions == 0 {
+			t.Fatalf("killed a running task: %v, preemptions %d: the run covers neither", killed, m.Stats().Preemptions)
+		}
+	})
 }

@@ -8,9 +8,11 @@
 package rt
 
 import (
+	"errors"
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"sfsched/internal/simtime"
 )
@@ -205,6 +207,164 @@ func TestIntakeOverflowPreservesTenantFIFO(t *testing.T) {
 	if err := r.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestIntakeFullBacklogFull is the degradation when both bounds are hit at
+// once: the shard's intake ring is full and so is a tenant's backlog
+// (QueueCap). A NoWait submit fails with ErrBackpressure and changes nothing;
+// a blocking submit waits for a slot and then runs behind every earlier task
+// of its tenant; Unregister and Close release a blocked submitter with
+// ErrTenantClosed and ErrRuntimeClosed. As in
+// TestIntakeOverflowPreservesTenantFIFO, a gated task pins the only worker,
+// so nothing drains the ring until the gate opens.
+func TestIntakeFullBacklogFull(t *testing.T) {
+	const qcap = intakeCap / 4
+	type state struct {
+		r       *Runtime
+		b       *Tenant
+		sh      *shard
+		order   []int // b's tasks, in the order they ran
+		release func()
+	}
+	fill := func(t *testing.T) *state {
+		st := &state{r: New(Config{Workers: 1, Quantum: simtime.Millisecond,
+			Intake: IntakeConfig{QueueCap: qcap}})}
+		t.Cleanup(st.r.Close)
+		register := func(name string) *Tenant {
+			tn, err := st.r.Register(name, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return tn
+		}
+		running, gate := make(chan struct{}), make(chan struct{})
+		var once sync.Once
+		st.release = func() { once.Do(func() { close(gate) }) }
+		t.Cleanup(st.release) // runs before Close, which waits for the gated task
+		if err := register("gate").SubmitTask(Once(func() {
+			close(running)
+			<-gate
+		})); err != nil {
+			t.Fatal(err)
+		}
+		<-running
+		// Three fillers and b take a quarter of the ring each.
+		for f := 0; f < 3; f++ {
+			tn := register("filler")
+			for i := 0; i < qcap; i++ {
+				if err := tn.SubmitTask(Once(func() {})); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		st.b = register("b")
+		for i := 0; i < qcap; i++ {
+			if err := st.b.SubmitTask(Once(func() { st.order = append(st.order, i) })); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st.sh = st.b.sh.Load()
+		st.sh.mu.Lock()
+		inRing := st.sh.intake.beginDrain()
+		st.sh.mu.Unlock()
+		if inRing != intakeCap || st.b.Queued() != qcap {
+			t.Fatalf("ring holds %d of %d, b's backlog %d of %d: not both full",
+				inRing, intakeCap, st.b.Queued(), qcap)
+		}
+		return st
+	}
+	// blocked submits b's next task from its own goroutine and returns once
+	// the submitter waits for a backlog slot.
+	blocked := func(t *testing.T, st *state) <-chan error {
+		done := make(chan error, 1)
+		go func() { done <- st.b.SubmitTask(Once(func() { st.order = append(st.order, qcap) })) }()
+		for {
+			st.sh.mu.Lock()
+			w := st.b.waiters
+			st.sh.mu.Unlock()
+			if w > 0 {
+				break
+			}
+			select {
+			case err := <-done:
+				t.Fatalf("a blocking submit against a full backlog returned %v", err)
+			default:
+				time.Sleep(100 * time.Microsecond)
+			}
+		}
+		return done
+	}
+	// ranInOrder drains the runtime and checks b ran its first n tasks in
+	// submission order.
+	ranInOrder := func(t *testing.T, st *state, n int) {
+		st.release()
+		st.r.Drain()
+		if len(st.order) != n {
+			t.Fatalf("b ran %d tasks, want %d", len(st.order), n)
+		}
+		for i, got := range st.order {
+			if got != i {
+				t.Fatalf("b's position %d ran task %d", i, got)
+			}
+		}
+		if err := st.r.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	t.Run("NoWait", func(t *testing.T) {
+		st := fill(t)
+		queued, tasks := st.b.Queued(), st.sh.tasks.Load()
+		if err := st.b.SubmitTask(Once(func() {}), NoWait()); !errors.Is(err, ErrBackpressure) {
+			t.Fatalf("NoWait submit: %v, want ErrBackpressure", err)
+		}
+		if st.b.Queued() != queued || st.sh.tasks.Load() != tasks {
+			t.Fatalf("a refused submit moved Queued %d → %d, shard tasks %d → %d",
+				queued, st.b.Queued(), tasks, st.sh.tasks.Load())
+		}
+		if err := st.r.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		ranInOrder(t, st, qcap)
+	})
+	t.Run("blocking", func(t *testing.T) {
+		st := fill(t)
+		done := blocked(t, st)
+		st.release()
+		if err := <-done; err != nil {
+			t.Fatalf("blocked submit: %v", err)
+		}
+		ranInOrder(t, st, qcap+1)
+	})
+	t.Run("Unregister", func(t *testing.T) {
+		st := fill(t)
+		done := blocked(t, st)
+		if err := st.r.Unregister(st.b); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-done; !errors.Is(err, ErrTenantClosed) {
+			t.Fatalf("blocked submit after Unregister: %v, want ErrTenantClosed", err)
+		}
+		st.release()
+		st.r.Drain()
+		if err := st.r.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Run("Close", func(t *testing.T) {
+		st := fill(t)
+		done := blocked(t, st)
+		closed := make(chan struct{})
+		go func() {
+			st.r.Close() // waits for the gated task
+			close(closed)
+		}()
+		if err := <-done; !errors.Is(err, ErrRuntimeClosed) {
+			t.Fatalf("blocked submit after Close: %v, want ErrRuntimeClosed", err)
+		}
+		st.release()
+		<-closed
+	})
 }
 
 // TestSubmitHotPathZeroAlloc pins the 0 allocs/op guarantee of the submit

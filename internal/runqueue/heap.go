@@ -270,8 +270,18 @@ func (h *Heap[T]) down(i int) bool {
 		if m >= n {
 			break
 		}
-		if r := m + 1; r < n && h.before(h.vals[r], h.vals[m]) {
-			m = r
+		if r := m + 1; r < n {
+			// The lesser child by a 0/1 step on the cached keys (SETcc, no
+			// branch to mispredict); less decides only between equal keys.
+			if kr, km := h.vals[r].key, h.vals[m].key; kr != km {
+				d := 0
+				if kr < km {
+					d = 1
+				}
+				m += d
+			} else if h.less(h.vals[r].x, h.vals[m].x) {
+				m = r
+			}
 		}
 		if !h.before(h.vals[m], e) {
 			break

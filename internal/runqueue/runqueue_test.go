@@ -231,18 +231,31 @@ func coarseKey(it *item) float64 { return math.Floor(it.key) }
 // TestHeapRandomOps drives the heap — keyed and unkeyed — through random
 // Push / Remove / key change + Fix / bulk key change + Init against a sorted
 // slice: after every step Validate passes, the minimum is the oracle's, and
-// AppendKSmallest returns the oracle's prefix.
+// AppendKSmallest returns the oracle's prefix. A sift picks the lesser child
+// on the cached keys and asks less only between equal ones: the constant key
+// sends every level to less, and the deep heap (≥ 4 096 elements, sifts of
+// ≥ 12 levels) meets equal coarse keys at every depth.
 func TestHeapRandomOps(t *testing.T) {
-	for name, mk := range map[string]func() *Heap[*item]{
-		"unkeyed": func() *Heap[*item] { return NewHeap(SlotPrimary, byKey) },
-		"keyed":   func() *Heap[*item] { return NewKeyedHeap(SlotPrimary, coarseKey, byKey) },
+	for name, tc := range map[string]struct {
+		mk           func() *Heap[*item]
+		prefill, ops int
+	}{
+		"unkeyed":      {func() *Heap[*item] { return NewHeap(SlotPrimary, byKey) }, 0, 5000},
+		"keyed":        {func() *Heap[*item] { return NewKeyedHeap(SlotPrimary, coarseKey, byKey) }, 0, 5000},
+		"constant key": {func() *Heap[*item] { return NewKeyedHeap(SlotPrimary, func(*item) float64 { return 3 }, byKey) }, 0, 5000},
+		"deep":         {func() *Heap[*item] { return NewKeyedHeap(SlotPrimary, coarseKey, byKey) }, 4096, 1000},
 	} {
 		t.Run(name, func(t *testing.T) {
 			r := xrand.New(321)
-			h := mk()
+			h := tc.mk()
 			var pool, got []*item
 			id := 0
-			for step := 0; step < 5000; step++ {
+			for ; id < tc.prefill; id++ {
+				it := &item{id: id, key: r.Float64() * 8}
+				pool = append(pool, it)
+				h.Push(it)
+			}
+			for step := 0; step < tc.ops; step++ {
 				switch op := r.Intn(20); {
 				case op < 9:
 					id++
