@@ -15,14 +15,14 @@
 //     leave, so a background migrator periodically re-plans: it feeds
 //     per-machine weight totals into the same pure planner the intra-box
 //     shard rebalancer uses (rt.PlanBalance, fuzz-verified to conserve
-//     weight and shrink imbalance), offering each machine's tenants in
-//     descending cluster-wide lag order — the tenants furthest behind their
-//     entitlement move first, because they gain the most from a
-//     less-contended machine. Each move is the SFQ-style frame translation
-//     the intra-box rebalancer already performs across shards, carried
-//     across machines: drain the source backlog, carry the virtual-time
-//     frame lead, re-register under the §2.3 wakeup rule, replay the
-//     backlog (rt.Deport / rt.Admit).
+//     weight and shrink imbalance, with the same fixed hysteresis), offering
+//     each machine's tenants in registration order: the migrator cannot read
+//     a remote machine's tags, so it ranks none above another, as the
+//     rebalancer does for policies without tags. Each move is the SFQ-style
+//     frame translation the intra-box rebalancer already performs across
+//     shards, carried across machines: drain the source backlog, carry the
+//     virtual-time frame lead, re-register under the §2.3 wakeup rule,
+//     replay the backlog (rt.Deport / rt.Admit).
 //
 // The fairness argument and its caveats: within a machine the shard
 // scheduler provides the paper's SFS guarantees; across machines fairness
@@ -41,11 +41,11 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"sfsched/internal/metrics"
 	"sfsched/internal/rt"
 	"sfsched/internal/simtime"
 	"sfsched/internal/xrand"
@@ -108,10 +108,6 @@ type Config struct {
 	// (Rebalance may still be called directly). Manual mode never starts
 	// the loop.
 	MigrateEvery time.Duration
-	// Tolerance is the migration hysteresis band: machines within this
-	// relative distance of the weight-density mean are left alone. 0 means
-	// the intra-box rebalancer's default (5%).
-	Tolerance float64
 	// Seed seeds the deterministic placement sampler. Two clusters built
 	// with the same seed and fed the same registration sequence place
 	// identically.
@@ -124,10 +120,10 @@ type Config struct {
 // Lock order: migMu → regMu → Tenant.mu → anything inside a node. A path
 // may skip levels but never climbs.
 type Cluster struct {
-	nodes  []Node
-	k      int
-	tol    float64
-	closed atomic.Bool
+	nodes   []Node
+	workers []int // per-machine worker counts, fixed by Compose
+	k       int
+	closed  atomic.Bool
 
 	regMu   sync.Mutex
 	rng     *xrand.Rand
@@ -181,10 +177,17 @@ func New(cfg Config) (*Cluster, error) {
 
 // Compose builds a cluster over caller-supplied nodes — the seam that lets
 // tests stub machines and callers wrap instrumented runtimes. Machine-level
-// Config fields are ignored; the nodes are taken as built.
+// Config fields are ignored; the nodes are taken as built, and each one's
+// worker count is read once here, so a node must report at least one.
 func Compose(cfg Config, nodes ...Node) (*Cluster, error) {
 	if len(nodes) == 0 {
 		return nil, ErrNoMachines
+	}
+	workers := make([]int, len(nodes))
+	for i, n := range nodes {
+		if workers[i] = n.Load().Workers; workers[i] < 1 {
+			return nil, errf("machine %d reports %d workers", i, workers[i])
+		}
 	}
 	k := cfg.K
 	if k <= 0 {
@@ -195,8 +198,8 @@ func Compose(cfg Config, nodes ...Node) (*Cluster, error) {
 	}
 	c := &Cluster{
 		nodes:   nodes,
+		workers: workers,
 		k:       k,
-		tol:     cfg.Tolerance,
 		rng:     xrand.New(cfg.Seed),
 		scratch: make([]int, len(nodes)),
 	}
@@ -234,11 +237,7 @@ func (c *Cluster) Register(name string, weight float64) (*Tenant, error) {
 	var bestQueued int
 	for _, i := range c.sampleLocked() {
 		load := c.nodes[i].Load()
-		workers := load.Workers
-		if workers < 1 {
-			workers = 1
-		}
-		density := (load.Weight + weight) / float64(workers)
+		density := (load.Weight + weight) / float64(c.workers[i])
 		if best < 0 || density < bestDensity ||
 			(density == bestDensity && load.Queued < bestQueued) {
 			best, bestDensity, bestQueued = i, density, load.Queued
@@ -347,13 +346,12 @@ func (t *Tenant) SubmitTask(task rt.Task, opts ...rt.SubmitOption) error {
 //
 // The pass is planner-driven: per-machine weight totals and worker counts
 // feed rt.PlanBalance (the fuzz-verified pure planner of the intra-box
-// rebalancer), with each machine's movable tenants offered in descending
-// cluster-wide lag order so the tenants furthest behind their entitlement
-// move first. Tenants that are busy — mid-slice on a worker, holding a
-// submit in flight — are skipped when the move reaches them
-// (rt.ErrMigrationRace) and retried on a later pass; an unfinished head task
-// is no obstacle, it travels in the deported backlog and resumes on the
-// destination.
+// rebalancer), with each machine's tenants offered in registration order —
+// the migrator cannot read a remote machine's tags, so it prefers none.
+// Tenants that are busy — mid-slice on a worker, holding a submit in
+// flight — are skipped when the move reaches them (rt.ErrMigrationRace) and
+// retried on a later pass; an unfinished head task is no obstacle, it
+// travels in the deported backlog and resumes on the destination.
 func (c *Cluster) Rebalance() int {
 	if c.closed.Load() {
 		return 0
@@ -362,76 +360,30 @@ func (c *Cluster) Rebalance() int {
 	defer c.migMu.Unlock()
 
 	c.regMu.Lock()
-	tenants := make([]*Tenant, len(c.tenants))
-	copy(tenants, c.tenants)
+	tenants := slices.Clone(c.tenants)
 	c.regMu.Unlock()
 
-	// Cluster-wide lag of every live tenant: charged service vs the global
-	// weighted entitlement (positive = behind). Bindings are read with a
-	// brief read-lock each; services come from the per-tenant seam
-	// (rt.Tenant.Service), so the snapshot is per-tenant consistent — all a
-	// move *ordering* needs.
-	type cand struct {
-		t       *Tenant
-		node    int
-		weight  float64
-		service simtime.Duration
-		lag     float64
-	}
-	cands := make([]cand, 0, len(tenants))
-	var tot metrics.Totals
+	// Each live tenant's binding and weight, read under a brief read-lock
+	// each: the snapshot is per-tenant consistent, which is all a plan
+	// needs (migrateTenant re-checks the binding).
+	byNode := make([][]*Tenant, len(c.nodes))
+	movable := make([][]float64, len(c.nodes))
 	for _, t := range tenants {
 		t.mu.RLock()
 		if !t.closed {
-			cd := cand{t: t, node: t.node, weight: t.tn.Weight(), service: t.tn.Service()}
-			cands = append(cands, cd)
-			tot.Add(cd.service, cd.weight)
+			byNode[t.node] = append(byNode[t.node], t)
+			movable[t.node] = append(movable[t.node], t.tn.Weight())
 		}
 		t.mu.RUnlock()
 	}
-	if len(cands) == 0 {
-		return 0
-	}
-	for i, cd := range cands {
-		cands[i].lag = tot.Lag(cd.service, cd.weight)
-	}
-
-	// Per-machine movable lists, most-lagged first (insertion sort: the
-	// lists are short and already mostly ordered between passes).
 	totals := make([]float64, len(c.nodes))
-	workers := make([]int, len(c.nodes))
 	for i, n := range c.nodes {
-		load := n.Load()
-		totals[i] = load.Weight
-		w := load.Workers
-		if w < 1 {
-			w = 1
-		}
-		workers[i] = w
-	}
-	byNode := make([][]cand, len(c.nodes))
-	for _, cd := range cands {
-		lst := byNode[cd.node]
-		pos := len(lst)
-		for pos > 0 && lst[pos-1].lag < cd.lag {
-			pos--
-		}
-		lst = append(lst, cand{})
-		copy(lst[pos+1:], lst[pos:])
-		lst[pos] = cd
-		byNode[cd.node] = lst
-	}
-	movable := make([][]float64, len(c.nodes))
-	for i, lst := range byNode {
-		movable[i] = make([]float64, len(lst))
-		for j, cd := range lst {
-			movable[i][j] = cd.weight
-		}
+		totals[i] = n.Load().Weight
 	}
 
 	moved := 0
-	for _, m := range rt.PlanBalance(totals, workers, movable, c.tol) {
-		if c.migrateTenant(byNode[m.Src][m.Idx].t, m.Src, m.Dst) {
+	for _, m := range rt.PlanBalance(totals, c.workers, movable) {
+		if c.migrateTenant(byNode[m.Src][m.Idx], m.Src, m.Dst) {
 			moved++
 		}
 	}

@@ -163,7 +163,7 @@ func TestClusterDifferentialVsGiant(t *testing.T) {
 	c, err := cluster.New(cluster.Config{
 		Machines: 8, K: 2, Workers: 2,
 		Quantum: 20 * simtime.Millisecond, Clock: cclock,
-		QueueCap: 4, Manual: true, Tolerance: 0.02, Seed: 42,
+		QueueCap: 4, Manual: true, Seed: 42,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -298,6 +298,53 @@ func (s *stubNode) Admit(rt.Departure) (*rt.Tenant, error) { return nil, nil }
 func (s *stubNode) Drain()                                 {}
 func (s *stubNode) Close()                                 {}
 func (s *stubNode) CheckInvariants() error                 { return nil }
+
+// countNode is a stubNode that counts the Load and Stats calls it serves.
+type countNode struct {
+	stubNode
+	loads, stats int
+}
+
+func (s *countNode) Load() rt.NodeLoad {
+	s.loads++
+	return s.stubNode.Load()
+}
+
+func (s *countNode) Stats() []rt.TenantStat {
+	s.stats++
+	return []rt.TenantStat{{Name: "t", Weight: 1, Service: simtime.Second}}
+}
+
+// TestStatsReadsEachNodeOnce: Compose fixes each machine's worker count, so
+// a Stats rollup takes one Stats snapshot per machine and no Load probe.
+// Compose refuses a machine that reports no workers.
+func TestStatsReadsEachNodeOnce(t *testing.T) {
+	nodes := []*countNode{{stubNode: stubNode{workers: 1}}, {stubNode: stubNode{workers: 3}}}
+	c, err := cluster.Compose(cluster.Config{Manual: true}, nodes[0], nodes[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for _, n := range nodes {
+		n.loads, n.stats = 0, 0
+	}
+	stats := c.Stats()
+	for i, n := range nodes {
+		if n.stats != 1 || n.loads != 0 {
+			t.Errorf("machine %d: Stats made %d Stats and %d Load calls, want 1 and 0", i, n.stats, n.loads)
+		}
+	}
+	// Two equally served tenants on 4 workers: neither lags GMS.
+	if len(stats) != 2 || stats[0].Lag != 0 || stats[1].Lag != 0 || stats[1].Machine != 1 {
+		t.Errorf("rollup %+v, want two tenants on machines 0 and 1 with no lag", stats)
+	}
+	if ms := c.MachineStats(); ms[0].Workers != 1 || ms[1].Workers != 3 {
+		t.Errorf("MachineStats workers %d/%d, want 1/3", ms[0].Workers, ms[1].Workers)
+	}
+	if _, err := cluster.Compose(cluster.Config{Manual: true}, &stubNode{workers: 1}, &stubNode{}); err == nil {
+		t.Error("Compose accepted a machine with no workers")
+	}
+}
 
 // TestKChoicesBeatsRandom pins the placement advantage the cluster is built
 // on: over a batch of seeds, two-choice placement never ends with a more
@@ -482,7 +529,7 @@ func TestClusterErrors(t *testing.T) {
 func TestClusterMigrationStress(t *testing.T) {
 	c, err := cluster.New(cluster.Config{
 		Machines: 4, K: 2, Workers: 2, QueueCap: 16,
-		MigrateEvery: time.Millisecond, Tolerance: 0.01, Seed: 3,
+		MigrateEvery: time.Millisecond, Seed: 3,
 	})
 	if err != nil {
 		t.Fatal(err)

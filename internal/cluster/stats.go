@@ -37,10 +37,10 @@ func (c *Cluster) Stats() []TenantStat {
 	var lag metrics.GMSLag
 	workers := 0
 	for i, n := range c.nodes {
-		workers += n.Load().Workers
+		workers += c.workers[i]
 		for _, st := range n.Stats() {
 			out = append(out, TenantStat{TenantStat: st, Machine: i})
-			tot.Add(st.Service, st.Weight)
+			tot.Add(st.Service)
 			lag.Add(st.Service, st.Weight)
 		}
 	}
@@ -61,7 +61,7 @@ func (c *Cluster) MachineStats() []MachineStat {
 		load := n.Load()
 		out[i] = MachineStat{
 			Machine: i,
-			Workers: load.Workers,
+			Workers: c.workers[i],
 			Tenants: load.Tenants,
 			Weight:  load.Weight,
 			Queued:  load.Queued,

@@ -85,10 +85,8 @@ import (
 	"sfsched/internal/simtime"
 )
 
-// Stats counts scheduler-internal events for the overhead experiments
-// (Table 1, Figure 7) and the ablation benchmarks.
+// Stats counts scheduler-internal events that tests assert on.
 type Stats struct {
-	Decisions     int64 // Pick calls that returned a thread
 	Readjustments int64 // weight readjustment passes that changed some φ
 	SurplusSweeps int64 // surplus queue refreshes, every class re-keyed, by a pick that walks the classes: on drift at C ≤ 11 classes, else after an over-long scan
 }
@@ -468,13 +466,7 @@ func (s *SFS) SetWeight(t *sched.Thread, w float64, now simtime.Time) error {
 }
 
 // Pick implements sched.Scheduler.
-func (s *SFS) Pick(cpu int, now simtime.Time) *sched.Thread {
-	t := s.pickExact()
-	if t != nil {
-		s.stats.Decisions++
-	}
-	return t
-}
+func (s *SFS) Pick(cpu int, now simtime.Time) *sched.Thread { return s.pickExact() }
 
 // surplusAt returns t's surplus against the virtual time ref: the current one
 // for a fresh surplus, the vRef epoch for the stored surplus a class is keyed

@@ -473,11 +473,7 @@ func TestStatsCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	runQuanta(t, s, 2, 10, 10*simtime.Millisecond)
-	st := s.Stats()
-	if st.Decisions == 0 {
-		t.Fatal("no decisions counted")
-	}
-	if st.Readjustments == 0 {
+	if st := s.Stats(); st.Readjustments == 0 {
 		t.Fatal("1:10 on p=2 must have readjusted")
 	}
 }

@@ -1,8 +1,7 @@
 // Package metrics provides the measurement apparatus of the experiments,
 // the runtime and the cluster: time series (the "number of iterations"
-// curves of Figures 4 and 5, sampled by the experiments), shares and lags
-// against the proportional ideal (Totals) and against GMS (GMSLag), and
-// fairness indices. It also holds the runtime's latency histograms
+// curves of Figures 4 and 5, sampled by the experiments), shares of the
+// total service (Totals), lags against GMS (GMSLag), and fairness indices. It also holds the runtime's latency histograms
 // (histogram.go), whose low tier is inline and whose high tier is allocated
 // once, by the first sample at or above 131 ms. It imports neither the
 // simulated machine nor the runtime, so the runtime does not link the
@@ -50,20 +49,16 @@ func (s *Series) At(x float64) float64 {
 // Delta returns the change in Y over the closed interval [x0, x1] seconds.
 func (s *Series) Delta(x0, x1 float64) float64 { return s.At(x1) - s.At(x0) }
 
-// Totals holds the sums that shares and lags are taken against. A caller that
-// already walks its entities accumulates them with Add and then reads each
-// entity's Share and Lag without building a vector; SharesOf is the share
-// over a slice.
+// Totals holds the total service that shares are taken against. A caller
+// that already walks its entities accumulates them with Add and then reads
+// each entity's Share without building a vector; SharesOf is the share over
+// a slice.
 type Totals struct {
 	Service simtime.Duration
-	Weight  float64
 }
 
-// Add counts one entity.
-func (t *Totals) Add(service simtime.Duration, weight float64) {
-	t.Service += service
-	t.Weight += weight
-}
+// Add counts one entity's service.
+func (t *Totals) Add(service simtime.Duration) { t.Service += service }
 
 // Share is service's fraction of the total service, 0 when there is none.
 func (t *Totals) Share(service simtime.Duration) float64 {
@@ -71,18 +66,6 @@ func (t *Totals) Share(service simtime.Duration) float64 {
 		return 0
 	}
 	return float64(service) / float64(t.Service)
-}
-
-// Lag is one entity's service lag behind the proportional-share ideal, in
-// seconds: T·w/Σw − service, where T is the total delivered service.
-// Positive means the entity is behind its entitlement, negative that it is
-// ahead; over every entity added the lags sum to zero. It is 0 when the
-// weights sum to zero.
-func (t *Totals) Lag(service simtime.Duration, weight float64) float64 {
-	if t.Weight == 0 {
-		return 0
-	}
-	return t.Service.Seconds()*weight/t.Weight - service.Seconds()
 }
 
 // SharesOf normalizes services to fractions of their sum.

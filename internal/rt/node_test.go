@@ -272,7 +272,6 @@ func TestPlanBalanceExport(t *testing.T) {
 		[]float64{4, 0},
 		[]int{1, 1},
 		[][]float64{{2, 2}, {}},
-		0,
 	)
 	if len(moves) == 0 {
 		t.Fatal("imbalanced layout planned no moves")
@@ -283,7 +282,7 @@ func TestPlanBalanceExport(t *testing.T) {
 		}
 	}
 	if moves := rt.PlanBalance([]float64{2, 2}, []int{1, 1},
-		[][]float64{{2}, {2}}, 0); len(moves) != 0 {
+		[][]float64{{2}, {2}}); len(moves) != 0 {
 		t.Fatalf("balanced layout planned %d moves", len(moves))
 	}
 }

@@ -80,7 +80,7 @@ func runPolicySharded(t *testing.T, policy rt.Policy) (jain float64, migrations 
 	jain = metrics.JainIndex(services, shardedWeights)
 	// Phase 2: unbalance the shards so the rebalancer must migrate — the
 	// end-to-end check that ranking and frame translation (sched.Tagged,
-	// or the generic lag and no-op fallbacks) work for this policy.
+	// or thread-ID order and the no-op fallback) work for this policy.
 	if err := r.SetWeight(tenants[0], 1); err != nil {
 		t.Fatal(err)
 	}

@@ -534,3 +534,99 @@ func TestRaceDrainCloseRace(t *testing.T) {
 		t.Fatal("submitters still blocked after Close")
 	}
 }
+
+// TestRaceCloseStealRebalance closes a two-shard runtime with Steal armed
+// while one goroutine loops Rebalance and another loops TrySteal, with
+// submitters keeping both shards busy. Before each pass the rebalancer swings
+// one tenant's weight between 1 and 9, so passes have moves to make. Every
+// call must return; a call begun after Close returned must find the runtime
+// closed (0, false or ErrRuntimeClosed); and the shards must be consistent
+// afterwards.
+func TestRaceCloseStealRebalance(t *testing.T) {
+	r := rt.New(rt.Config{Workers: 2, Quantum: simtime.Millisecond,
+		Sharding: rt.ShardingConfig{Shards: 2, Steal: true},
+		Intake:   rt.IntakeConfig{QueueCap: 4}})
+	const tenants, lateCalls = 8, 100
+	tns := make([]*rt.Tenant, tenants)
+	for i := range tns {
+		tn, err := r.Register("t", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tns[i] = tn
+	}
+	var closed atomic.Bool
+	var passes, moved atomic.Int64
+	var wg sync.WaitGroup
+	for _, tn := range tns {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				after := closed.Load()
+				err := tn.SubmitTask(rt.Once(func() { spin(20 * time.Microsecond) }), rt.NoWait())
+				switch {
+				case errors.Is(err, rt.ErrRuntimeClosed):
+					return
+				case after:
+					t.Errorf("submit after Close: %v, want ErrRuntimeClosed", err)
+					return
+				case err != nil && !errors.Is(err, rt.ErrBackpressure):
+					t.Errorf("submit: %v", err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i, late := 0, 0; late < lateCalls; i++ {
+			after := closed.Load()
+			err := r.SetWeight(tns[0], float64(1+8*(i%2)))
+			n := r.Rebalance()
+			switch {
+			case after:
+				late++
+				if n != 0 || !errors.Is(err, rt.ErrRuntimeClosed) {
+					t.Errorf("after Close: Rebalance moved %d, SetWeight %v", n, err)
+					return
+				}
+			case err != nil && !errors.Is(err, rt.ErrRuntimeClosed):
+				t.Errorf("SetWeight: %v", err)
+				return
+			}
+			passes.Add(1)
+			moved.Add(int64(n))
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i, late := 0, 0; late < lateCalls; i++ {
+			after := closed.Load()
+			if r.TrySteal(i%2) && after {
+				t.Error("TrySteal took a tenant after Close")
+				return
+			}
+			if after {
+				late++
+			}
+		}
+	}()
+	for passes.Load() < 200 {
+		time.Sleep(time.Millisecond)
+	}
+	r.Close()
+	closed.Store(true)
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("a call still running 10 s after Close")
+	}
+	if err := r.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d passes moved %d tenants; %d steals", passes.Load(), moved.Load(), r.Steals())
+}

@@ -16,7 +16,6 @@ import (
 	"slices"
 
 	"sfsched/internal/engine"
-	"sfsched/internal/metrics"
 	"sfsched/internal/sched"
 	"sfsched/internal/simtime"
 )
@@ -42,15 +41,12 @@ type BalanceMove struct {
 // across machines with it too. It is a pure function of its inputs: totals
 // holds the per-shard weight sums (including unmovable tenants), movable the
 // weights of the individually movable tenants per shard, ordered by
-// descending migration preference (the caller sorts by surplus or lag). Each
-// move strictly reduces the donor/receiver pair's distance to target, so
-// total imbalance never grows, per-shard sums stay non-negative and total
-// weight is conserved — the invariants FuzzRebalance checks. tol ≤ 0 uses
-// the rebalancer's hysteresis default.
-func PlanBalance(totals []float64, workers []int, movable [][]float64, tol float64) []BalanceMove {
-	if tol <= 0 {
-		tol = rebalanceTolerance
-	}
+// descending migration preference (the caller orders by surplus where it can
+// read tags, else by registration). Each move strictly reduces the
+// donor/receiver pair's distance to target, so total imbalance never grows,
+// per-shard sums stay non-negative and total weight is conserved — the
+// invariants FuzzRebalance checks. Pairs within rebalanceTolerance stay put.
+func PlanBalance(totals []float64, workers []int, movable [][]float64) []BalanceMove {
 	n := len(totals)
 	if n < 2 {
 		return nil
@@ -86,12 +82,13 @@ func PlanBalance(totals []float64, workers []int, movable [][]float64, tol float
 		}
 		excess, deficit := cur[donor]-target[donor], target[recv]-cur[recv]
 		need := math.Min(excess, deficit)
-		if need <= tol*totalWeight/float64(n) {
+		if need <= rebalanceTolerance*totalWeight/float64(n) {
 			break
 		}
 		// The best candidate leaves the donor/receiver pair closest to
 		// target. Candidates are pre-ordered by migration preference, so
-		// among equally-good fits the first (highest surplus) wins.
+		// among equally-good fits the first (highest surplus, or earliest
+		// registered) wins.
 		best, bestAfter := -1, excess+deficit
 		for j, w := range movable[donor] {
 			if used[donor][j] {
@@ -118,12 +115,11 @@ func PlanBalance(totals []float64, workers []int, movable [][]float64, tol float
 // PlanBalance, and migrate the chosen tenants. Only tenants that are not
 // mid-slice and have no blocked submitters are eligible; within a shard,
 // candidates are offered in descending surplus order (threads ahead of their
-// ideal allocation lose the least from the wakeup-style re-entry). The
-// surplus comes from the shard scheduler's sched.Tagged capability when it
-// has one, and otherwise from the generic service-minus-entitlement lag
-// (metrics.Totals.Lag) over the shard's candidates — coarser (whole-lifetime service
-// instead of instantaneous tags; see DESIGN.md §7) but policy-agnostic, which
-// is what lets time sharing and lottery shard at all.
+// ideal allocation lose the least from the wakeup-style re-entry), ties in
+// thread-ID (registration) order. The surplus comes from the shard
+// scheduler's sched.Tagged capability; policies without tags (time sharing,
+// lottery) have no surplus, so their candidates go in thread-ID order alone,
+// the order stealFrom falls back to as well (DESIGN.md §7).
 // It returns the number of tenants migrated. Concurrent mode runs it
 // periodically (every DefaultRebalanceEvery); Manual mode calls it directly.
 func (r *Runtime) Rebalance() int {
@@ -147,23 +143,11 @@ func (r *Runtime) Rebalance() int {
 			if tn.pinned() {
 				continue
 			}
-			th := tn.th
 			surplus := 0.0
-			if sh.eng.Tag != nil && tn.inSched {
-				surplus = sh.eng.Surplus(th)
+			if tn.inSched {
+				surplus = sh.eng.Surplus(tn.th)
 			}
-			cands = append(cands, rebalanceCandidate{tn, surplus, th.ID})
-		}
-		if sh.eng.Tag == nil && len(cands) > 1 {
-			// Generic fallback: surplus = received − entitled over the
-			// candidate set (the negated metrics lag).
-			var tot metrics.Totals
-			for _, c := range cands {
-				tot.Add(c.tn.th.Service, c.tn.th.Weight)
-			}
-			for j, c := range cands {
-				cands[j].surplus = -tot.Lag(c.tn.th.Service, c.tn.th.Weight)
-			}
+			cands = append(cands, rebalanceCandidate{tn, surplus, tn.th.ID})
 		}
 		slices.SortFunc(cands, func(a, b rebalanceCandidate) int {
 			switch {
@@ -185,7 +169,7 @@ func (r *Runtime) Rebalance() int {
 	}
 	clear(s.cands[:cap(s.cands)])
 	migrated := 0
-	for _, mv := range PlanBalance(s.totals, s.workers, s.movable, rebalanceTolerance) {
+	for _, mv := range PlanBalance(s.totals, s.workers, s.movable) {
 		if r.migrate(s.handles[mv.Src][mv.Idx], r.shards[mv.Src], r.shards[mv.Dst]) {
 			migrated++
 		}

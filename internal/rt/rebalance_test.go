@@ -8,10 +8,13 @@ package rt
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
+	"sfsched/internal/sched"
 	"sfsched/internal/simtime"
+	"sfsched/internal/timeshare"
 )
 
 // applyMoves replays a plan onto copies of the inputs and returns the
@@ -62,18 +65,17 @@ func TestPlanRebalanceBalancedIsQuiet(t *testing.T) {
 	moves := PlanBalance(
 		[]float64{10, 10},
 		[]int{2, 2},
-		[][]float64{{4, 4, 1, 1}, {3, 3, 2, 2}},
-		rebalanceTolerance)
+		[][]float64{{4, 4, 1, 1}, {3, 3, 2, 2}})
 	if len(moves) != 0 {
 		t.Fatalf("balanced shards produced %d moves: %+v", len(moves), moves)
 	}
 }
 
 func TestPlanRebalanceDegenerateInputs(t *testing.T) {
-	if m := PlanBalance([]float64{5}, []int{2}, [][]float64{{5}}, rebalanceTolerance); m != nil {
+	if m := PlanBalance([]float64{5}, []int{2}, [][]float64{{5}}); m != nil {
 		t.Fatalf("single shard planned moves: %+v", m)
 	}
-	if m := PlanBalance([]float64{0, 0}, []int{1, 1}, [][]float64{nil, nil}, rebalanceTolerance); m != nil {
+	if m := PlanBalance([]float64{0, 0}, []int{1, 1}, [][]float64{nil, nil}); m != nil {
 		t.Fatalf("empty system planned moves: %+v", m)
 	}
 }
@@ -82,7 +84,7 @@ func TestPlanRebalanceMovesTowardTarget(t *testing.T) {
 	totals := []float64{11, 3}
 	workers := []int{2, 2}
 	movable := [][]float64{{5, 5, 1}, {1, 1, 1}}
-	moves := PlanBalance(totals, workers, movable, rebalanceTolerance)
+	moves := PlanBalance(totals, workers, movable)
 	if len(moves) == 0 {
 		t.Fatal("imbalanced shards planned no moves")
 	}
@@ -101,7 +103,7 @@ func TestPlanRebalanceRespectsWorkerProportions(t *testing.T) {
 	totals := []float64{8, 8}
 	workers := []int{3, 1}
 	movable := [][]float64{{2, 2, 2, 2}, {2, 2, 2, 2}}
-	moves := PlanBalance(totals, workers, movable, rebalanceTolerance)
+	moves := PlanBalance(totals, workers, movable)
 	after := applyMoves(t, totals, movable, moves)
 	if math.Abs(after[0]-12) > 2.1 || math.Abs(after[1]-4) > 2.1 {
 		t.Fatalf("weights %v not drawn toward 12/4 targets (moves %+v)", after, moves)
@@ -151,7 +153,7 @@ func FuzzRebalance(f *testing.F) {
 			// submitters): present in the total but not movable.
 			totals[i] += 0.25 * float64(int(next())%16)
 		}
-		moves := PlanBalance(totals, workers, movable, rebalanceTolerance)
+		moves := PlanBalance(totals, workers, movable)
 		if len(moves) > maxRebalanceMoves {
 			t.Fatalf("%d moves exceed budget %d", len(moves), maxRebalanceMoves)
 		}
@@ -171,6 +173,64 @@ func FuzzRebalance(f *testing.F) {
 			t.Fatalf("imbalance grew: %g -> %g (moves %+v)", before, now, moves)
 		}
 	})
+}
+
+// TestRebalanceUntaggedMovesInThreadIDOrder: time sharing keeps no virtual
+// time, so its tenants have no surplus and Rebalance offers a shard's
+// candidates in thread-ID order. Shard 0 holds a, c and e (weight 1 each)
+// against shard 1's one tenant, and one move balances the pair; a has the
+// least service and e the most, so a pass that ranked by lifetime service
+// minus entitlement would move e instead of a.
+func TestRebalanceUntaggedMovesInThreadIDOrder(t *testing.T) {
+	clock := NewFakeClock()
+	r := New(Config{Workers: 2, Manual: true, Clock: clock,
+		Policy:   func(cpus int) sched.Scheduler { return timeshare.New(cpus) },
+		Sharding: ShardingConfig{Shards: 2}})
+	defer r.Close()
+	var tns []*Tenant
+	for i := 0; i < 6; i++ {
+		tn, err := r.Register(fmt.Sprintf("t%d", i), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tn.Shard() != i%2 {
+			t.Fatalf("tenant %d placed on shard %d, want %d", i, tn.Shard(), i%2)
+		}
+		tns = append(tns, tn)
+	}
+	a, c, e := tns[0], tns[2], tns[4]
+	for _, run := range []struct {
+		tn  *Tenant
+		ran simtime.Duration
+	}{{c, simtime.Millisecond}, {e, 3 * simtime.Millisecond}} {
+		if err := run.tn.SubmitTask(Once(func() {})); err != nil {
+			t.Fatal(err)
+		}
+		d := r.Dispatch(0)
+		if d == nil || d.Tenant() != run.tn {
+			t.Fatal("worker 0 did not dispatch the one backlogged tenant")
+		}
+		clock.Advance(run.ran)
+		d.Complete(true)
+	}
+	if a.Service() != 0 || c.Service() >= e.Service() {
+		t.Fatalf("services a %v, c %v, e %v: want a none and c below e", a.Service(), c.Service(), e.Service())
+	}
+	for _, tn := range []*Tenant{tns[3], tns[5]} {
+		if err := r.Unregister(tn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := r.Rebalance(); n != 1 {
+		t.Fatalf("Rebalance migrated %d tenants, want 1", n)
+	}
+	if a.Shard() != 1 || c.Shard() != 0 || e.Shard() != 0 {
+		t.Errorf("shards a %d, c %d, e %d after the pass, want 1, 0, 0: the lowest thread ID moves",
+			a.Shard(), c.Shard(), e.Shard())
+	}
+	if err := r.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestRebalanceScratchHoldsNoTenant: Rebalance's reused working set, and the

@@ -37,9 +37,9 @@
 // The runtime depends only on the sched.Scheduler interface plus the
 // optional capability interfaces of internal/sched (Tagged, BatchAdder),
 // discovered per shard at construction.
-// Policies lacking a capability still shard: migration candidates are then
-// ranked by a generic service-minus-entitlement lag (metrics.Totals) and frame
-// translation is skipped — see DESIGN.md §7.
+// Policies lacking a capability still shard: migration and steal candidates
+// then go in thread-ID order and frame translation is skipped — see
+// DESIGN.md §7.
 //
 // # Tenant model
 //

@@ -117,7 +117,7 @@ func (r *Runtime) Stats() []TenantStat {
 			Dispatch:    tn.waitHist.stat(),
 			Wake:        tn.wakeHist.stat(),
 		})
-		tot.Add(tn.th.Service, tn.th.Weight)
+		tot.Add(tn.th.Service)
 		r.lag.Add(tn.th.Service, tn.th.Weight)
 	}
 	for i, lag := range r.lag.Lags(r.Workers()) {

@@ -112,7 +112,7 @@ func TestOptionsStayCounted(t *testing.T) {
 		{reflect.TypeOf(rt.Config{}), []string{"Workers", "Policy", "Quantum", "Clock", "Manual", "Preempt",
 			"Enforcement.Enabled", "Enforcement.Tick", "Sharding.Shards", "Sharding.Steal", "Intake.QueueCap"}},
 		{reflect.TypeOf(cluster.Config{}), []string{"Machines", "K", "Workers", "Policy", "Quantum",
-			"Clock", "QueueCap", "Manual", "Preempt", "Enforce", "MigrateEvery", "Tolerance", "Seed"}},
+			"Clock", "QueueCap", "Manual", "Preempt", "Enforce", "MigrateEvery", "Seed"}},
 		{reflect.TypeOf(machine.Config{}), []string{"CPUs", "Scheduler", "DisableWakePreemption", "Seed"}},
 	} {
 		if got := leaves(c.typ, ""); !slices.Equal(got, c.want) {

@@ -189,7 +189,8 @@ func LivePolicies() []string {
 // quanta and ignores it). Every returned policy runs sharded; SFS, SFQ,
 // stride, BVT and hier carry full capability support (virtual time,
 // surplus-ranked migration, frame translation), while timeshare and lottery
-// shard through the runtime's generic lag fallback (DESIGN.md §7). Under
+// keep no virtual time and shard with their candidates in thread-ID order
+// (DESIGN.md §7). Under
 // hier each shard owns its own class table — the instances built here hold
 // only the default class — so a migrated thread lands in the class the
 // destination shard's instance has it Assigned to, or in its default class,
