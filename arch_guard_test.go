@@ -160,7 +160,7 @@ func TestGPSTagPoliciesStayParameterisations(t *testing.T) {
 		if !imports[kernelPath] {
 			t.Errorf("internal/%s does not import %s", pkg, kernelPath)
 		}
-		for _, owned := range []string{"sfsched/internal/runqueue", "sfsched/internal/phi"} {
+		for _, owned := range []string{"sfsched/internal/runqueue", "sfsched/internal/readjust"} {
 			if imports[owned] {
 				t.Errorf("internal/%s imports %s; the queue and the φ tracker belong to the kernel", pkg, owned)
 			}
@@ -180,12 +180,12 @@ func TestGPSTagPoliciesStayParameterisations(t *testing.T) {
 }
 
 // TestWeightQueueStaysLogarithmic keeps the linear insert off the wake-up
-// path: internal/phi's weight queue is a runqueue.Heap (the keyed form, on
-// −w), and the package constructs no runqueue.List.
+// path: internal/readjust's weight queue is a runqueue.Heap (the keyed form,
+// on −w), and the package constructs no runqueue.List.
 func TestWeightQueueStaysLogarithmic(t *testing.T) {
 	fset := token.NewFileSet()
 	made := map[string]int{}
-	for _, path := range driverSources(t, filepath.Join("internal", "phi")) {
+	for _, path := range driverSources(t, filepath.Join("internal", "readjust")) {
 		f, err := parser.ParseFile(fset, path, nil, 0)
 		if err != nil {
 			t.Fatalf("parse %s: %v", path, err)
@@ -200,10 +200,10 @@ func TestWeightQueueStaysLogarithmic(t *testing.T) {
 		})
 	}
 	if made["NewList"] > 0 || made["List"] > 0 {
-		t.Errorf("internal/phi uses runqueue.List (%v): the weight queue's insert is O(n) again", made)
+		t.Errorf("internal/readjust uses runqueue.List (%v): the weight queue's insert is O(n) again", made)
 	}
 	if made["NewKeyedHeap"] == 0 {
-		t.Errorf("internal/phi no longer builds a keyed runqueue.Heap (%v); update the guard", made)
+		t.Errorf("internal/readjust no longer builds a keyed runqueue.Heap (%v); update the guard", made)
 	}
 }
 
@@ -399,7 +399,7 @@ func TestOneOrderedQueue(t *testing.T) {
 		t.Fatal(err)
 	}
 	if heapUsers < 3 {
-		t.Errorf("only %d files outside internal/runqueue name runqueue.Heap (core, phi and vtq did); update the guard", heapUsers)
+		t.Errorf("only %d files outside internal/runqueue name runqueue.Heap (core, readjust and vtq did); update the guard", heapUsers)
 	}
 }
 
@@ -806,9 +806,6 @@ func TestRuntimeLinksNoSimulator(t *testing.T) {
 // exported functions and methods under internal/ that no non-test file
 // names, each kept for a reason the tests give it.
 var exportsWithoutCallers = map[string]string{
-	"readjust.IsFeasible":                    "reference: Equation 1's feasibility test, checked by the readjustment tests",
-	"readjust.NumCapped":                     "reference: the count of weights Figure 2 caps, FuzzReadjust's oracle",
-	"readjust.WaterFill":                     "reference: the allocating form of Filler.Fill, the readjustment and core golden tests' oracle",
 	"machine.Machine.SetDecisionRecorder":    "seam: the structural golden tests record the simulator's decision trace",
 	"rt.Runtime.SetDecisionRecorder":         "seam: the structural golden tests record a shard's decision trace",
 	"vtq.Queue.SetWarp":                      "seam: BVT's warp, set by the BVT and kernel tests",

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"sfsched/internal/metrics"
+	"sfsched/internal/readjust"
 	"sfsched/internal/rt"
 	"sfsched/internal/simtime"
 )
@@ -34,7 +35,7 @@ type MachineStat struct {
 func (c *Cluster) Stats() []TenantStat {
 	var out []TenantStat
 	var tot metrics.Totals
-	var lag metrics.GMSLag
+	var lag readjust.GMSLag
 	workers := 0
 	for i, n := range c.nodes {
 		workers += c.workers[i]

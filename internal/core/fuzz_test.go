@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"sfsched/internal/core"
-	"sfsched/internal/phi"
+	"sfsched/internal/readjust"
 	"sfsched/internal/simtime"
 )
 
@@ -28,7 +28,7 @@ func FuzzPickAgainstOracle(f *testing.F) {
 		cpus := 1 + int(mode%4)
 		crowd, capped := mode&16 != 0, mode&32 != 0
 		s := core.New(cpus, core.WithQuantum(20*simtime.Millisecond))
-		w := newGoldenWorld(t, "fuzz-pick", s, newOracle(phi.NewTracker(cpus, true)))
+		w := newGoldenWorld(t, "fuzz-pick", s, newOracle(readjust.NewTracker(cpus, true)))
 		w.check = s.CheckInvariants
 		weight := func(b byte) float64 {
 			if crowd {

@@ -19,7 +19,6 @@ import (
 
 	"sfsched/internal/core"
 	"sfsched/internal/hier"
-	"sfsched/internal/phi"
 	"sfsched/internal/readjust"
 	"sfsched/internal/sched"
 	"sfsched/internal/simtime"
@@ -50,7 +49,7 @@ type phiRule interface {
 }
 
 // oracle is the eager reference implementation of SFS: a flat slice of runnable threads, surpluses recomputed from scratch on demand.
-// For flat SFS its rule is a phi.Tracker of its own, so that readjusted φ
+// For flat SFS its rule is a readjust.Tracker of its own, so that readjusted φ
 // values are arithmetic-identical to the scheduler's; it mirrors the seed's
 // tag update expressions exactly.
 type oracle struct {
@@ -424,8 +423,8 @@ func crowdRounds(w *goldenWorld, r *xrand.Rand, cpus, steps int, jitter bool) {
 
 // nestedFill is hierarchical GMS written the obvious way, as the oracle's φ
 // rule for the hier cases: on every change, water-fill the class weights and
-// then each class's member weights from scratch with the allocating
-// readjust.WaterFill. Classes are visited in creation order and members in
+// then each class's member weights from scratch, each with a fresh
+// readjust.Filler. Classes are visited in creation order and members in
 // arrival order — the order hier sums weights in — so the rates agree to the
 // bit, not merely closely.
 type nestedFill struct {
@@ -470,13 +469,13 @@ func (n *nestedFill) fill() {
 	if len(active) == 0 {
 		return
 	}
-	for i, rate := range readjust.WaterFill(ws, caps, float64(n.p)) {
+	for i, rate := range new(readjust.Filler).Fill(nil, ws, caps, float64(n.p)) {
 		m := n.members[active[i]]
 		tw, one := make([]float64, len(m)), make([]float64, len(m))
 		for j, t := range m {
 			tw[j], one[j] = t.Weight, 1
 		}
-		for j, r := range readjust.WaterFill(tw, one, rate) {
+		for j, r := range new(readjust.Filler).Fill(nil, tw, one, rate) {
 			m[j].Phi = r
 		}
 	}
@@ -512,7 +511,7 @@ func TestGoldenTraceFloat(t *testing.T) {
 	for _, c := range goldenCases() {
 		t.Run(c.name, func(t *testing.T) {
 			w := newGoldenWorld(t, c.name, core.New(c.cpus, core.WithQuantum(20*simtime.Millisecond)),
-				newOracle(phi.NewTracker(c.cpus, true)))
+				newOracle(readjust.NewTracker(c.cpus, true)))
 			c.script(w, xrand.New(uint64(17+len(c.name))))
 		})
 		t.Run("hier/"+c.name, func(t *testing.T) {
@@ -562,7 +561,7 @@ func TestGoldenTraceKeyRegimes(t *testing.T) {
 	for _, c := range goldenCases() {
 		t.Run(c.name, func(t *testing.T) {
 			s := &regimePick{SFS: core.New(c.cpus, core.WithQuantum(20*simtime.Millisecond))}
-			w := newGoldenWorld(t, c.name, s, newOracle(phi.NewTracker(c.cpus, true)))
+			w := newGoldenWorld(t, c.name, s, newOracle(readjust.NewTracker(c.cpus, true)))
 			everLazy := false
 			w.check = func() error {
 				everLazy = everLazy || !s.WithinFreeScan()
@@ -592,7 +591,7 @@ func TestGoldenTraceKeyRegimes(t *testing.T) {
 // although its tag is the larger. Thread 1 is dispatched first and never charged, which holds v at 0.
 func TestGoldenTraceFloatTies(t *testing.T) {
 	s := core.New(2, core.WithQuantum(20*simtime.Millisecond))
-	w := newGoldenWorld(t, "float-ties", s, newOracle(phi.NewTracker(2, true)))
+	w := newGoldenWorld(t, "float-ties", s, newOracle(readjust.NewTracker(2, true)))
 	w.check = s.CheckInvariants
 	w.add(w.mk(3))
 	for k := 7; k >= 2; k-- {
@@ -621,7 +620,7 @@ func TestGoldenTraceFloatTies(t *testing.T) {
 // ID: the waiting holder of v, the pick's O(1) answer, is not the pick.
 func TestGoldenTraceZeroTies(t *testing.T) {
 	s := core.New(2, core.WithQuantum(20*simtime.Millisecond))
-	w := newGoldenWorld(t, "zero-ties", s, newOracle(phi.NewTracker(2, true)))
+	w := newGoldenWorld(t, "zero-ties", s, newOracle(readjust.NewTracker(2, true)))
 	w.check = s.CheckInvariants
 	tiny, holder := w.mk(0.5), w.mk(0.5)
 	w.sutT[tiny].Finish, w.oraT[tiny].Finish = 0x1p-1074, 0x1p-1074
@@ -646,7 +645,7 @@ func TestGoldenTraceInvariants(t *testing.T) {
 		}
 		t.Run(c.name, func(t *testing.T) {
 			s := core.New(c.cpus, core.WithQuantum(20*simtime.Millisecond))
-			w := newGoldenWorld(t, c.name, s, newOracle(phi.NewTracker(c.cpus, true)))
+			w := newGoldenWorld(t, c.name, s, newOracle(readjust.NewTracker(c.cpus, true)))
 			w.check = s.CheckInvariants
 			c.script(w, xrand.New(99))
 		})

@@ -13,9 +13,9 @@
 // Every thread carries a start tag S_i and finish tag F_i. When a thread
 // runs for q units its finish tag becomes F_i = S_i + q/φ_i, where φ_i is
 // the instantaneous weight supplied by the scheduler's PhiSource — Figure 2's
-// readjustment (internal/phi) for flat SFS, nested water-filling over a class
-// table for hierarchical SFS (internal/hier) — and its start tag advances to
-// F_i.
+// readjustment (internal/readjust) for flat SFS, nested water-filling over a
+// class table for hierarchical SFS (internal/hier) — and its start tag
+// advances to F_i.
 // The system's virtual time v is the minimum start tag over runnable threads
 // (the finish tag of the last thread to run when the machine idles). The
 // surplus of a thread is
@@ -23,7 +23,7 @@
 //	α_i = φ_i · (S_i − v)
 //
 // which approximates the extra service the thread has received compared with
-// the idealized GMS fluid schedule (internal/gms). At each scheduling
+// the idealized GMS fluid schedule (internal/readjust). At each scheduling
 // instance SFS runs the thread with the least surplus. On a uniprocessor the
 // thread with the least surplus is the thread with the least start tag, so
 // SFS reduces to SFQ; TestSFSReducesToSFQOnUniprocessor checks trace
@@ -79,7 +79,7 @@ import (
 	"math"
 	"sort"
 
-	"sfsched/internal/phi"
+	"sfsched/internal/readjust"
 	"sfsched/internal/runqueue"
 	"sfsched/internal/sched"
 	"sfsched/internal/simtime"
@@ -143,7 +143,7 @@ func WithoutReadjustment() Option {
 // PhiSource supplies the instantaneous weights the tag algebra divides by.
 // The paper decouples where φ comes from and what the scheduler does with it
 // (§2.1: readjustment "can be employed with most existing GPS-based
-// scheduling algorithms"); this interface is that seam. *phi.Tracker
+// scheduling algorithms"); this interface is that seam. *readjust.Tracker
 // (Figure 2 over the weight queue) is the source New installs;
 // internal/hier supplies hierarchical GMS rates from a class table. A source
 // tracks exactly the runnable set: the kernel reports every arrival,
@@ -172,8 +172,6 @@ type PhiSource interface {
 	// OnPhiChange registers the hook; the kernel calls it once, before
 	// any thread is tracked.
 	OnPhiChange(fn func(*sched.Thread))
-	// Sum returns Σ w_i over the tracked set (requested weights).
-	Sum() float64
 	// MaxPhi returns an upper bound on every tracked thread's φ, the
 	// φ_max of the drift-bounded pick scan; it need not be tight.
 	MaxPhi() float64
@@ -193,7 +191,7 @@ func New(p int, opts ...Option) *SFS {
 	for _, o := range opts {
 		o(s)
 	}
-	s.setSource(phi.NewTracker(p, s.useReadjust))
+	s.setSource(readjust.NewTracker(p, s.useReadjust))
 	return s
 }
 

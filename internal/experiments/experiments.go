@@ -14,10 +14,10 @@ import (
 
 	"sfsched/internal/bvt"
 	"sfsched/internal/core"
-	"sfsched/internal/gms"
 	"sfsched/internal/lottery"
 	"sfsched/internal/machine"
 	"sfsched/internal/partition"
+	"sfsched/internal/readjust"
 	"sfsched/internal/sched"
 	"sfsched/internal/sfq"
 	"sfsched/internal/simtime"
@@ -100,8 +100,8 @@ func NewMachine(kind Kind, p int, quantum simtime.Duration, seed uint64) *machin
 // AttachGMS runs a GMS fluid reference alongside the machine's scheduler,
 // fed by the machine's lifecycle hooks. Call before Run; call
 // Fluid.Advance(horizon) before reading lags.
-func AttachGMS(m *machine.Machine, p int) *gms.Fluid {
-	f := gms.New(p)
+func AttachGMS(m *machine.Machine, p int) *readjust.Fluid {
+	f := readjust.NewFluid(p)
 	m.SetHooks(machine.Hooks{
 		Runnable:       f.Add,
 		Unrunnable:     f.Remove,

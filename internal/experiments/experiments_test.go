@@ -408,6 +408,39 @@ func TestGMSLagBound(t *testing.T) {
 	}
 }
 
+// TestExtremeWeightsServeGMS runs 30 s of SFS on 3 CPUs beside the GMS fluid
+// reference with one weight of 1e12 and three light ones. Whatever the light
+// weight, GMS gives the heavy thread one CPU and the light ones two thirds of
+// one each, and SFS delivers what it delivers for 10:1:1:1: a running Σw that
+// rounds the light weights away must move neither.
+func TestExtremeWeightsServeGMS(t *testing.T) {
+	const horizon = simtime.Time(30 * simtime.Second)
+	serve := func(weights []float64) (sim, fluid []float64) {
+		m := NewMachine(SFS, 3, 10*simtime.Millisecond, 1)
+		f := AttachGMS(m, 3)
+		var tasks []*machine.Task
+		for _, w := range weights {
+			tasks = append(tasks, m.Spawn(machine.SpawnConfig{Weight: w, Behavior: workload.Inf()}))
+		}
+		m.Run(horizon)
+		f.Advance(horizon)
+		for _, k := range tasks {
+			sim = append(sim, k.Thread().Service.Seconds())
+			fluid = append(fluid, f.Service(k.Thread()))
+		}
+		return sim, fluid
+	}
+	ref, _ := serve([]float64{10, 1, 1, 1})
+	for _, light := range []float64{1e-5, 1e-3} {
+		sim, fluid := serve([]float64{1e12, light, light, light})
+		for i, want := range []float64{30, 20, 20, 20} {
+			if math.Abs(fluid[i]-want) > 1e-6 || math.Abs(sim[i]-ref[i]) > 0.02 {
+				t.Fatalf("light %g: SFS serves %v s and GMS %v s; 10:1:1:1 gets %v s from SFS, GMS 30/20/20/20", light, sim, fluid, ref)
+			}
+		}
+	}
+}
+
 // TestRenders renders every experiment at a small size. The deterministic
 // renders must match testdata/renders.txt byte for byte, so a change that
 // moves a figure shows as a diff of that file; Table 1 and Figure 7 time the

@@ -37,7 +37,7 @@
 // The flat queue is internal/core's: a Hier is a core.SFS kernel (tags,
 // virtual time, the lazily refreshed surplus queue, picks, preemption ranks,
 // frame translation, batch admission) whose core.PhiSource is this package's
-// class table instead of Figure 2's phi.Tracker. The table owns what is
+// class table instead of Figure 2's readjust.Tracker. The table owns what is
 // hierarchical — classes, the thread→class assignment, class weights, class
 // membership of the runnable set, the rates — and nothing else; per-class
 // service is the one quantity accounted outside it, in the Charge wrapper.
@@ -105,7 +105,6 @@ type table struct {
 	def     *Class
 
 	n      int     // tracked (runnable) threads
-	sum    float64 // Σ w_i over them
 	maxPhi float64 // largest φ among them
 	passes int64
 	onPhi  func(*sched.Thread)
@@ -207,9 +206,6 @@ func (h *Hier) Charge(t *sched.Thread, ran simtime.Duration, now simtime.Time) {
 // OnPhiChange implements core.PhiSource.
 func (tb *table) OnPhiChange(fn func(*sched.Thread)) { tb.onPhi = fn }
 
-// Sum implements core.PhiSource.
-func (tb *table) Sum() float64 { return tb.sum }
-
 // MaxPhi implements core.PhiSource. Unlike Figure 2's φ_i ≤ w_i, a
 // hierarchical rate can exceed the thread's requested weight (a weight-0.1
 // thread alone in its class still fills a CPU), so the bound is the largest
@@ -236,7 +232,6 @@ func (tb *table) AddDeferred(t *sched.Thread) {
 	c.members = append(c.members, t)
 	c.dirty = true
 	tb.n++
-	tb.sum += t.Weight
 	tb.onPhi(t)
 }
 
@@ -251,7 +246,6 @@ func (tb *table) Remove(t *sched.Thread) bool {
 	c.members = slices.Delete(c.members, i, i+1)
 	c.dirty = true
 	tb.n--
-	tb.sum -= t.Weight
 	if t.State == sched.Exited {
 		delete(tb.assign, t)
 	}
@@ -260,7 +254,6 @@ func (tb *table) Remove(t *sched.Thread) bool {
 
 // UpdateWeight implements core.PhiSource (thread weight within its class).
 func (tb *table) UpdateWeight(t *sched.Thread, w float64) bool {
-	tb.sum += w - t.Weight
 	t.Weight = w
 	tb.classOf(t).dirty = true
 	tb.Readjust()

@@ -1,25 +1,8 @@
-// Package gms implements Generalized Multiprocessor Sharing (§2.2), the
-// idealized fluid-flow algorithm that SFS approximates.
-//
-// GMS is GPS lifted to p processors: threads are scheduled with
-// infinitesimally small quanta so that, over any interval in which two
-// threads are continuously runnable with fixed instantaneous weights, their
-// service ratio equals the ratio of their instantaneous weights (Equation 2).
-// Equivalently, each runnable thread receives service at the water-filling
-// rate computed by internal/readjust.Rates: capped threads get exactly one
-// CPU, everyone else shares the remaining capacity in proportion to their
-// weights.
-//
-// The Fluid integrator advances that ideal allocation across the same
-// lifecycle events the discrete machine sees. Experiments run it alongside a
-// real scheduler and use the per-thread difference A_i − A_i^GMS — the true
-// surplus of Equation 3 — as the fairness metric.
-package gms
+package readjust
 
 import (
 	"fmt"
 
-	"sfsched/internal/readjust"
 	"sfsched/internal/sched"
 	"sfsched/internal/simtime"
 )
@@ -34,10 +17,10 @@ type Fluid struct {
 	service map[*sched.Thread]float64 // seconds of ideal CPU service
 }
 
-// New returns a fluid integrator for p processors starting at time 0.
-func New(p int) *Fluid {
+// NewFluid returns a fluid integrator for p processors starting at time 0.
+func NewFluid(p int) *Fluid {
 	if p < 1 {
-		panic(fmt.Sprintf("gms: invalid processor count %d", p))
+		panic(fmt.Sprintf("readjust: invalid processor count %d", p))
 	}
 	return &Fluid{
 		p:       p,
@@ -58,7 +41,7 @@ func (f *Fluid) Advance(now simtime.Time) {
 	for i, t := range f.threads {
 		weights[i] = t.Weight
 	}
-	rates := readjust.Rates(weights, f.p)
+	rates := Rates(weights, f.p)
 	for i, t := range f.threads {
 		f.service[t] += rates[i] * dt
 	}
@@ -72,9 +55,6 @@ func (f *Fluid) Add(t *sched.Thread, now simtime.Time) {
 	}
 	f.index[t] = len(f.threads)
 	f.threads = append(f.threads, t)
-	if _, ok := f.service[t]; !ok {
-		f.service[t] = 0
-	}
 }
 
 // Remove takes t out of the runnable set at time now. Accumulated ideal

@@ -1,4 +1,4 @@
-package gms
+package readjust
 
 import (
 	"math"
@@ -8,14 +8,10 @@ import (
 	"sfsched/internal/simtime"
 )
 
-func mkThread(id int, w float64) *sched.Thread {
-	return &sched.Thread{ID: id, Weight: w, Phi: w, CPU: sched.NoCPU, LastCPU: sched.NoCPU}
-}
-
 func at(s float64) simtime.Time { return simtime.Time(simtime.FromSeconds(s)) }
 
 func TestSingleThreadGetsOneCPU(t *testing.T) {
-	f := New(4)
+	f := NewFluid(4)
 	a := mkThread(1, 1)
 	f.Add(a, 0)
 	f.Advance(at(10))
@@ -26,7 +22,7 @@ func TestSingleThreadGetsOneCPU(t *testing.T) {
 
 func TestProportionalSplit(t *testing.T) {
 	// Three feasible threads 2:1:1 on p=2: rates 1, 0.5, 0.5.
-	f := New(2)
+	f := NewFluid(2)
 	a, b, c := mkThread(1, 2), mkThread(2, 1), mkThread(3, 1)
 	f.Add(a, 0)
 	f.Add(b, 0)
@@ -45,7 +41,7 @@ func TestProportionalSplit(t *testing.T) {
 
 func TestInfeasibleWeightCapped(t *testing.T) {
 	// Example 1 weights: 1:10 on p=2 — GMS gives each a full CPU.
-	f := New(2)
+	f := NewFluid(2)
 	a, b := mkThread(1, 1), mkThread(2, 10)
 	f.Add(a, 0)
 	f.Add(b, 0)
@@ -58,7 +54,7 @@ func TestInfeasibleWeightCapped(t *testing.T) {
 func TestChurnIntegration(t *testing.T) {
 	// Figure 4 fluid: T1,T2 (1:10) from 0..15s; T3 (w=1) 15..30s; T2
 	// leaves at 30s; run to 40s.
-	f := New(2)
+	f := NewFluid(2)
 	t1, t2, t3 := mkThread(1, 1), mkThread(2, 10), mkThread(3, 1)
 	f.Add(t1, 0)
 	f.Add(t2, 0)
@@ -80,7 +76,7 @@ func TestChurnIntegration(t *testing.T) {
 }
 
 func TestLag(t *testing.T) {
-	f := New(1)
+	f := NewFluid(1)
 	a := mkThread(1, 1)
 	f.Add(a, 0)
 	f.Advance(at(2))
@@ -94,7 +90,7 @@ func TestLag(t *testing.T) {
 }
 
 func TestIdempotentAddRemove(t *testing.T) {
-	f := New(2)
+	f := NewFluid(2)
 	a := mkThread(1, 1)
 	f.Add(a, 0)
 	f.Add(a, 0) // duplicate: ignored
@@ -111,7 +107,7 @@ func TestIdempotentAddRemove(t *testing.T) {
 }
 
 func TestServiceRetainedAcrossBlocking(t *testing.T) {
-	f := New(1)
+	f := NewFluid(1)
 	a, b := mkThread(1, 1), mkThread(2, 1)
 	f.Add(a, 0)
 	f.Add(b, 0)
@@ -131,8 +127,8 @@ func TestServiceRetainedAcrossBlocking(t *testing.T) {
 func TestPanicsOnBadCPUs(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("New(0) did not panic")
+			t.Fatal("NewFluid(0) did not panic")
 		}
 	}()
-	New(0)
+	NewFluid(0)
 }

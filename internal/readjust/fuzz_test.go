@@ -3,8 +3,9 @@ package readjust
 // Fuzzing of the Figure 2 readjustment algorithm and its water-filling
 // generalization. The fuzz input encodes a processor count, a capacity
 // scaler, and a list of integer weights (integer so that the sums inside
-// recursion and NumCapped are exact and the counting invariants can be
-// asserted without tolerance). The invariants checked are the paper's:
+// Weights and NumCapped are exact and the counting invariants can be
+// asserted without tolerance). Weights is held against Figure 2's recursion
+// (figure2), and the invariants checked are the paper's:
 // feasibility of the output, weights only ever lowered, the nearest-
 // assignment property (some weight unchanged), idempotence, cap respect and
 // capacity conservation under water-filling, and proportional sharing among
@@ -82,13 +83,25 @@ func FuzzReadjust(f *testing.F) {
 				t.Fatalf("not idempotent at %d: %g -> %g", i, out[i], again[i])
 			}
 		}
-		// The recursive pass and the counting scan must agree on how many
-		// threads violate the constraint (exact: integer weights).
+		// Weights is Figure 2's recursion to rounding, and lowers exactly the
+		// weights the counting scan says violate the constraint (exact:
+		// integer weights).
+		for i, want := range figure2(ws, p) {
+			if math.Abs(out[i]-want) > 1e-9*want {
+				t.Fatalf("Weights gives %g at %d, Figure 2 gives %g (weights %v, p %d)", out[i], i, want, ws, p)
+			}
+		}
+		lowered := 0
+		for i := range out {
+			if out[i] != ws[i] {
+				lowered++
+			}
+		}
 		desc := append([]float64(nil), ws...)
 		sort.Sort(sort.Reverse(sort.Float64Slice(desc)))
 		wantCapped := NumCapped(desc, p)
-		if gotCapped := SortedDesc(desc, p); gotCapped != wantCapped {
-			t.Fatalf("SortedDesc changed %d weights, NumCapped predicted %d", gotCapped, wantCapped)
+		if lowered != wantCapped {
+			t.Fatalf("Weights lowered %d weights, NumCapped counts %d (weights %v, p %d)", lowered, wantCapped, ws, p)
 		}
 		if n > p && wantCapped > p-1 {
 			t.Fatalf("%d capped threads exceeds the paper's p-1 bound (p=%d)", wantCapped, p)

@@ -1,6 +1,6 @@
 // Package readjust implements the paper's optimal weight readjustment
-// algorithm (§2.1, Figure 2) and the GMS water-filling rate computation it
-// induces (§2.2).
+// algorithm (§2.1, Figure 2) and Generalized Multiprocessor Sharing (§2.2),
+// the fluid schedule whose rates readjustment induces and SFS approximates.
 //
 // On a p-processor machine a weight assignment is feasible only if no thread
 // requests more than 1/p of the total bandwidth (Equation 1): a single thread
@@ -21,46 +21,69 @@
 //     weight unchanged, in keeping with the "nearest assignment" property).
 //   - On a uniprocessor (p=1) every assignment is feasible and readjustment
 //     is the identity.
+//
+// # One cap routine
+//
+// capPrefix (Figure 2's cap test) and backfill (its back-substitution) decide
+// who is capped, and at what φ, for the Tracker, Weights and Rates alike. Σw
+// is carried as a TwoSum pair (sum, lo): a running sum loses light weights
+// beside a heavy one, and taking the heavy one out would then cap the next
+// thread against nothing, at a negative φ. Where every partial sum is exact
+// (integer weights) lo stays 0.
+//
+// # The tracker's cost model
+//
+// The readjustment is deliberately decoupled from any particular scheduling
+// policy: "our weight readjustment algorithm can be employed with most
+// existing GPS-based scheduling algorithms". The Tracker is that decoupling.
+// It owns the weight queue (the first of the three queues in the kernel
+// implementation, §3.1) and recomputes φ for the runnable set whenever it
+// changes. SFS (internal/core, as the default core.PhiSource) and the GPS-tag
+// kernel behind SFQ, BVT and stride (internal/vtq) each hold one; SFQ and
+// friends can disable it to reproduce the unfairness the paper demonstrates
+// in Examples 1 and 2.
+//
+// Figure 2 reads three things from the weight queue — the at most p − 1
+// heaviest threads, Σw and, when n ≤ p, the lightest weight — and never an
+// order over the rest, so the queue is a heap on (weight desc, ID asc):
+// O(log n) per arrival, departure and weight change. A readjustment pass looks
+// at the heap's head first and returns in O(1) when the heaviest thread is
+// feasible and nothing was capped; otherwise it runs Figure 2 over the p
+// heaviest in exact order, or, with n ≤ p, sets all n threads to the lightest
+// weight. The prefix is kept between passes and taken again (O(p log p)) only
+// after an arrival ahead of its last thread, the departure of one of its
+// threads or a weight change: beside one infeasible thread, the arrivals and
+// departures of the light ones leave it as it was. A pass computes each thread's
+// final φ before assigning it, so the φ hook fires once per thread whose φ
+// changed and not at all for a thread that stays capped at the same value.
+//
+// On one processor no weight is infeasible (wᵢ/Σw ≤ 1 always), so φ = w for
+// every thread and nothing reads an order: a tracker built for p = 1 keeps its
+// threads in an unordered set on the same handle — O(1) per arrival,
+// departure and weight change, no sift — and a readjustment pass returns at
+// once. MaxPhi stays exact there by counting the threads at the maximum; only
+// a read after the last of them left rescans the set, O(n).
+//
+// # GMS
+//
+// GMS is GPS (Parekh & Gallager) lifted to p processors: threads are
+// scheduled with infinitesimally small quanta so that, over any interval in
+// which two threads are continuously runnable with fixed instantaneous
+// weights, their service ratio equals the ratio of their instantaneous
+// weights (Equation 2). Equivalently, each runnable thread receives service
+// at the water-filling rate Rates computes: capped threads get exactly one
+// CPU, everyone else shares the remaining capacity in proportion to their
+// weights. The Fluid integrator advances that ideal allocation across the
+// same lifecycle events the discrete machine sees; experiments run it
+// alongside a real scheduler and use the per-thread difference A_i − A_i^GMS —
+// the true surplus of Equation 3 — as the fairness metric. GMSLag gives the
+// same lag for entities runnable throughout, without integrating.
 package readjust
 
 import (
 	"fmt"
 	"sort"
 )
-
-// IsFeasibleSorted reports whether the descending-sorted weight slice w
-// satisfies the feasibility constraint (Equation 1) on p processors.
-// Only the heaviest thread can be the worst offender, so the check is O(n)
-// for the sum and O(1) for the test.
-func IsFeasibleSorted(w []float64, p int) bool {
-	n := len(w)
-	if n == 0 || p <= 1 {
-		return true
-	}
-	if n <= p {
-		// Feasible only if all requested rates can be honoured with one
-		// processor each, i.e. all weights equal (each fraction is 1/n
-		// of delivered bandwidth). Unequal weights cannot be honoured.
-		for i := 1; i < n; i++ {
-			if w[i] != w[0] {
-				return false
-			}
-		}
-		return true
-	}
-	var sum float64
-	for _, x := range w {
-		sum += x
-	}
-	return w[0]*float64(p) <= sum
-}
-
-// IsFeasible reports whether the (unsorted) weights satisfy Equation 1.
-func IsFeasible(weights []float64, p int) bool {
-	w := append([]float64(nil), weights...)
-	sort.Sort(sort.Reverse(sort.Float64Slice(w)))
-	return IsFeasibleSorted(w, p)
-}
 
 // validate panics on non-positive weights or processor counts; these are
 // programmer errors (the scheduler rejects them at the API boundary).
@@ -75,127 +98,69 @@ func validate(w []float64, p int) {
 	}
 }
 
-// SortedDesc readjusts, in place, a weight slice sorted in descending order;
-// this is the exact recursive algorithm of Figure 2 plus the n<=p
-// convention. It returns the number of weights that were modified.
-func SortedDesc(w []float64, p int) int {
-	validate(w, p)
-	return recurse(w, p)
+// twoSum adds x to the pair (sum, lo) and returns the new pair: sum is the
+// rounded running sum and lo accumulates what each addition's rounding lost
+// (Knuth's TwoSum), so sum + lo keeps weights that sum alone rounded away.
+func twoSum(sum, lo, x float64) (float64, float64) {
+	s := sum + x
+	b := s - sum
+	return s, lo + ((sum - (s - b)) + (x - b))
 }
 
-// recurse is Figure 2: if the heaviest remaining thread violates the
-// feasibility constraint for the remaining processors, first fix the rest
-// on p-1 processors, then cap this thread so that its requested share of
-// the remaining bandwidth is exactly 1/p.
-func recurse(w []float64, p int) int {
-	n := len(w)
-	if n == 0 {
-		return 0
-	}
-	if p == 1 {
-		// Uniprocessor tail: every assignment is feasible.
-		return 0
-	}
-	if n <= p {
-		// Each thread receives a full processor; rates are equal, so
-		// instantaneous weights must be equal. Use the group minimum.
-		min := w[n-1] // sorted descending
-		changed := 0
-		for i := range w {
-			if w[i] != min {
-				w[i] = min
-				changed++
-			}
+// capPrefix is Figure 2's cap test. weight(i) is the i-th heaviest of n > p
+// weights and (sum, lo) their total. It caps the i-th heaviest while
+// w·(p − i) exceeds the weight left and more than one CPU remains, so at most
+// p − 1 are capped, and returns how many were and the weight of the rest.
+func capPrefix(n int, weight func(int) float64, sum, lo, p float64) (capped int, rest float64) {
+	for ; capped < n; capped++ {
+		w, rem := weight(capped), p-float64(capped)
+		if !(rem > 1 && w*rem > sum+lo) {
+			break
 		}
-		return changed
+		sum, lo = twoSum(sum, lo, -w)
 	}
-	var sum float64
-	for _, x := range w {
-		sum += x
+	return capped, sum + lo
+}
+
+// backfill is Figure 2's back-substitution, unrolled: from the lightest
+// capped thread up, the j-th heaviest (0-based) receives
+// φⱼ = rest/(p − j − 1), the adjusted weight below it over the CPUs left
+// beside it, and rest grows by φⱼ.
+func backfill(capped int, rest, p float64, set func(j int, phi float64)) {
+	for j := capped - 1; j >= 0; j-- {
+		phi := rest / (p - float64(j) - 1)
+		set(j, phi)
+		rest += phi
 	}
-	if w[0]*float64(p) <= sum {
-		return 0 // heaviest is feasible; all lighter ones are too
+}
+
+// heaviestFirst returns the indices of weights in descending weight order and
+// their total as a TwoSum pair.
+func heaviestFirst(weights []float64) (idx []int, sum, lo float64) {
+	idx = make([]int, len(weights))
+	for i, w := range weights {
+		idx[i] = i
+		sum, lo = twoSum(sum, lo, w)
 	}
-	changed := recurse(w[1:], p-1)
-	var rest float64
-	for _, x := range w[1:] {
-		rest += x
-	}
-	w[0] = rest / float64(p-1)
-	return changed + 1
+	sort.Slice(idx, func(a, b int) bool { return weights[idx[a]] > weights[idx[b]] })
+	return idx, sum, lo
 }
 
 // Weights returns the readjusted copy of weights (any order, order
 // preserved) for p processors.
 func Weights(weights []float64, p int) []float64 {
 	validate(weights, p)
-	n := len(weights)
 	out := append([]float64(nil), weights...)
-	if n == 0 || p == 1 {
+	idx, sum, lo := heaviestFirst(weights)
+	if n := len(weights); n <= p {
+		for i := range out {
+			out[i] = weights[idx[n-1]]
+		}
 		return out
 	}
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return weights[idx[a]] > weights[idx[b]] })
-	sorted := make([]float64, n)
-	for i, j := range idx {
-		sorted[i] = weights[j]
-	}
-	SortedDesc(sorted, p)
-	for i, j := range idx {
-		out[j] = sorted[i]
-	}
+	capped, rest := capPrefix(len(idx), func(i int) float64 { return weights[idx[i]] }, sum, lo, float64(p))
+	backfill(capped, rest, float64(p), func(j int, phi float64) { out[idx[j]] = phi })
 	return out
-}
-
-// NumCapped returns how many of the descending-sorted weights violate the
-// feasibility constraint, without modifying the slice. For n > p this is at
-// most p-1 (the paper's complexity argument).
-func NumCapped(w []float64, p int) int {
-	validate(w, p)
-	n := len(w)
-	if p == 1 || n == 0 {
-		return 0
-	}
-	if n <= p {
-		min := w[n-1]
-		c := 0
-		for _, x := range w {
-			if x != min {
-				c++
-			}
-		}
-		return c
-	}
-	var sum float64
-	for _, x := range w {
-		sum += x
-	}
-	c := 0
-	for i := 0; i < n && p-i > 1; i++ {
-		if w[i]*float64(p-i) > sum {
-			c++
-			sum -= w[i]
-			continue
-		}
-		break
-	}
-	return c
-}
-
-// WaterFill divides capacity among entities in proportion to weights,
-// subject to per-entity caps: entities whose proportional share exceeds
-// their cap are pinned at it and the remainder is re-divided among the rest.
-// This is the general form of the readjustment algorithm — Figure 2 is the
-// special case caps = 1 and capacity = p — and the rate computation of
-// hierarchical GMS (internal/hier) at both levels of the tree. If the total
-// cap is below capacity, the result sums to the total cap (the machine
-// cannot be fully used).
-func WaterFill(weights, caps []float64, capacity float64) []float64 {
-	var f Filler
-	return f.Fill(nil, weights, caps, capacity)
 }
 
 // Filler runs water-filling passes with reusable scratch space, so callers
@@ -206,8 +171,15 @@ type Filler struct {
 	pinned []bool
 }
 
-// Fill is WaterFill writing the rates into out (grown as needed, reused when
-// capacity suffices) and returning it.
+// Fill divides capacity among entities in proportion to weights, subject to
+// per-entity caps: entities whose proportional share exceeds their cap are
+// pinned at it and the remainder is re-divided among the rest. This is the
+// general form of the readjustment algorithm — Figure 2 is the special case
+// caps = 1 and capacity = p — and the rate computation of hierarchical GMS
+// (internal/hier) at both levels of the tree. If the total cap is below
+// capacity, the result sums to the total cap (the machine cannot be fully
+// used). The rates are written into out (grown as needed, reused when
+// capacity suffices), which is returned.
 func (f *Filler) Fill(out, weights, caps []float64, capacity float64) []float64 {
 	if len(weights) != len(caps) {
 		panic("readjust: mismatched weights and caps")
@@ -282,43 +254,26 @@ func (f *Filler) Fill(out, weights, caps []float64, capacity float64) []float64 
 // processors. Capped threads receive exactly one CPU; the rest share the
 // remaining processors in proportion to their unmodified weights. The rates
 // are what the idealized GMS algorithm of §2.2 delivers to continuously
-// runnable threads, and what internal/gms integrates over time.
+// runnable threads, and what Fluid integrates over time.
 func Rates(weights []float64, p int) []float64 {
 	validate(weights, p)
 	n := len(weights)
 	rates := make([]float64, n)
-	if n == 0 {
-		return rates
-	}
 	if n <= p {
 		for i := range rates {
 			rates[i] = 1
 		}
 		return rates
 	}
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return weights[idx[a]] > weights[idx[b]] })
-	var sum float64
-	for _, x := range weights {
-		sum += x
-	}
-	rem := float64(p)
-	i := 0
-	for ; i < n; i++ {
-		w := weights[idx[i]]
-		if w*rem > sum && rem > 1 {
-			rates[idx[i]] = 1
-			rem--
-			sum -= w
-			continue
+	idx, sum, lo := heaviestFirst(weights)
+	capped, rest := capPrefix(n, func(i int) float64 { return weights[idx[i]] }, sum, lo, float64(p))
+	rem := float64(p - capped)
+	for i, j := range idx {
+		if i < capped {
+			rates[j] = 1
+		} else {
+			rates[j] = weights[j] / rest * rem
 		}
-		break
-	}
-	for ; i < n; i++ {
-		rates[idx[i]] = weights[idx[i]] / sum * rem
 	}
 	return rates
 }

@@ -66,7 +66,7 @@ func TestUniprocessorIdentity(t *testing.T) {
 
 func TestCascadedCaps(t *testing.T) {
 	// {100, 4, 2, 1} on p=3: both 100 and 4 violate; Figure 2 yields
-	// {3, 3, 2, 1} (worked through in internal/phi's derivation).
+	// {3, 3, 2, 1} (4 becomes (2+1)/1, then 100 becomes (3+2+1)/2).
 	got := Weights([]float64{100, 4, 2, 1}, 3)
 	want := []float64{3, 3, 2, 1}
 	for i := range want {

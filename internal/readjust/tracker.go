@@ -1,38 +1,4 @@
-// Package phi maintains instantaneous weights (φ values) for a runnable set.
-//
-// The paper's weight readjustment algorithm (§2.1) is deliberately decoupled
-// from any particular scheduling policy: "our weight readjustment algorithm
-// can be employed with most existing GPS-based scheduling algorithms". This
-// package is that decoupling. It owns the weight queue (the first of the
-// three queues in the kernel implementation, §3.1) and recomputes φ
-// for the runnable set whenever it changes. SFS (internal/core, as the
-// default core.PhiSource) and the GPS-tag kernel behind SFQ, BVT and stride
-// (internal/vtq) each hold a Tracker; SFQ and friends can disable it to
-// reproduce the unfairness the paper demonstrates in Examples 1 and 2.
-//
-// # Cost model
-//
-// Figure 2 reads three things from the weight queue — the at most p − 1
-// heaviest threads, Σw and, when n ≤ p, the lightest weight — and never an
-// order over the rest, so the queue is a heap on (weight desc, ID asc):
-// O(log n) per arrival, departure and weight change. A readjustment pass looks
-// at the heap's head first and returns in O(1) when the heaviest thread is
-// feasible and nothing was capped; otherwise it runs Figure 2 over the p
-// heaviest in exact order, or, with n ≤ p, sets all n threads to the lightest
-// weight. The prefix is kept between passes and taken again (O(p log p)) only
-// after an arrival ahead of its last thread, the departure of one of its
-// threads or a weight change: beside one infeasible thread, the arrivals and
-// departures of the light ones leave it as it was. A pass computes each thread's
-// final φ before assigning it, so the φ hook fires once per thread whose φ
-// changed and not at all for a thread that stays capped at the same value.
-//
-// On one processor no weight is infeasible (wᵢ/Σw ≤ 1 always), so φ = w for
-// every thread and nothing reads an order: a tracker built for p = 1 keeps its
-// threads in an unordered set on the same handle — O(1) per arrival,
-// departure and weight change, no sift — and a readjustment pass returns at
-// once. MaxPhi stays exact there by counting the threads at the maximum; only
-// a read after the last of them left rescans the set, O(n).
-package phi
+package readjust
 
 import (
 	"fmt"
@@ -50,7 +16,7 @@ type Tracker struct {
 	enabled  bool
 	oneCPU   bool                          // p ≤ 1: φ = w always, and byWeight keeps no order
 	byWeight *runqueue.Heap[*sched.Thread] // heaviest first; a plain set when oneCPU
-	sum      float64                       // Σ w_i over runnable threads
+	sum, lo  float64                       // Σ w_i over runnable threads, a TwoSum pair
 	capped   []*sched.Thread               // threads with φ != w after the last pass
 	heavy    []*sched.Thread               // the p heaviest in order; empty when a change may have altered them
 	maxPhi   float64                       // largest φ as of the last pass, raised by AddDeferred
@@ -108,9 +74,6 @@ func (k *Tracker) Enabled() bool { return k.enabled }
 // Len returns the number of tracked (runnable) threads.
 func (k *Tracker) Len() int { return k.byWeight.Len() }
 
-// Sum returns the total requested weight of the runnable set.
-func (k *Tracker) Sum() float64 { return k.sum }
-
 // Passes returns how many readjustment passes changed at least one φ.
 func (k *Tracker) Passes() int64 { return k.passes }
 
@@ -163,7 +126,7 @@ func (k *Tracker) Add(t *sched.Thread) bool {
 // Stride1/φ) are primed, exactly as Add does.
 func (k *Tracker) AddDeferred(t *sched.Thread) {
 	k.setPhi(t, t.Weight, true)
-	k.sum += t.Weight
+	k.sum, k.lo = twoSum(k.sum, k.lo, t.Weight)
 	if k.oneCPU {
 		k.raiseMax(t.Weight)
 	} else {
@@ -180,11 +143,11 @@ func (k *Tracker) Remove(t *sched.Thread) bool {
 	if !k.byWeight.Remove(t) {
 		return false
 	}
-	k.sum -= t.Weight
+	k.sum, k.lo = twoSum(k.sum, k.lo, -t.Weight)
 	if k.byWeight.Len() == 0 {
-		// Σw is kept by += and −= alone; an idle period must not carry the
+		// Σw is kept by additions alone; an idle period must not carry the
 		// float residue of the churn before it into the next feasibility test.
-		k.sum = 0
+		k.sum, k.lo = 0, 0
 	}
 	if k.oneCPU {
 		if t.Weight == k.maxPhi {
@@ -212,7 +175,8 @@ func (k *Tracker) UpdateWeight(t *sched.Thread, w float64) bool {
 	if !k.byWeight.Contains(t) {
 		return false
 	}
-	k.sum += w - t.Weight
+	k.sum, k.lo = twoSum(k.sum, k.lo, w)
+	k.sum, k.lo = twoSum(k.sum, k.lo, -t.Weight)
 	if k.oneCPU {
 		if t.Weight == k.maxPhi {
 			k.atMax--
@@ -237,7 +201,7 @@ func (k *Tracker) Validate() error {
 	if !k.oneCPU {
 		if len(k.heavy) > 0 {
 			if fresh := k.byWeight.AppendKSmallest(nil, int(k.cap)); !slices.Equal(k.heavy, fresh) {
-				return fmt.Errorf("phi: kept heaviest prefix %v, the weight queue's is %v", k.heavy, fresh)
+				return fmt.Errorf("readjust: kept heaviest prefix %v, the weight queue's is %v", k.heavy, fresh)
 			}
 		}
 		return nil
@@ -246,7 +210,7 @@ func (k *Tracker) Validate() error {
 	var err error
 	k.byWeight.Each(func(t *sched.Thread) bool {
 		if t.Weight > k.maxPhi {
-			err = fmt.Errorf("phi: %v weighs %g, above the recorded maximum %g", t, t.Weight, k.maxPhi)
+			err = fmt.Errorf("readjust: %v weighs %g, above the recorded maximum %g", t, t.Weight, k.maxPhi)
 			return false
 		}
 		if t.Weight == k.maxPhi {
@@ -255,7 +219,7 @@ func (k *Tracker) Validate() error {
 		return true
 	})
 	if err == nil && at != k.atMax {
-		err = fmt.Errorf("phi: %d threads weigh the maximum %g, %d recorded", at, k.maxPhi, k.atMax)
+		err = fmt.Errorf("readjust: %d threads weigh the maximum %g, %d recorded", at, k.maxPhi, k.atMax)
 	}
 	return err
 }
@@ -273,7 +237,7 @@ func (k *Tracker) Readjust() bool {
 	switch {
 	case n == 0:
 		k.maxPhi = 0 // and nothing is capped: Remove took the last one out
-	case !k.enabled, n > p && len(k.capped) == 0 && !(k.cap > 1 && head.Weight*k.cap > k.sum):
+	case !k.enabled, n > p && len(k.capped) == 0 && !(k.cap > 1 && head.Weight*k.cap > k.sum+k.lo):
 		// Nothing to do: readjustment is off, or the heaviest thread is
 		// feasible, so every thread is (§2.1), and no earlier pass left a
 		// cap to lift.
@@ -296,10 +260,8 @@ func (k *Tracker) Readjust() bool {
 		}
 		k.maxPhi = min
 	default:
-		// At most ceil(cap)-1 threads can violate the feasibility
-		// constraint (§2.1), so inspect only that many of the heaviest.
-		// Capping is possible only while the remaining capacity exceeds one
-		// CPU. The prefix is scanned again only when a change emptied it
+		// Figure 2 reads only the p heaviest: capPrefix caps at most p − 1
+		// (§2.1). The prefix is scanned again only when a change emptied it
 		// (AddDeferred, Remove, UpdateWeight): an arrival or departure behind
 		// it leaves the p heaviest what they were, however n moved around p
 		// in between. Its storage is reused, so the blocking/wakeup path
@@ -307,16 +269,8 @@ func (k *Tracker) Readjust() bool {
 		if len(k.heavy) == 0 {
 			k.heavy = k.byWeight.AppendKSmallest(k.heavy, p)
 		}
-		heavy, sum, ncap := k.heavy, k.sum, 0
-		for i, t := range heavy {
-			rem := k.cap - float64(i)
-			if rem > 1 && t.Weight*rem > sum {
-				ncap++
-				sum -= t.Weight
-				continue
-			}
-			break
-		}
+		heavy := k.heavy
+		ncap, rest := capPrefix(len(heavy), func(i int) float64 { return heavy[i].Weight }, k.sum, k.lo, k.cap)
 		// Threads the last pass capped and this one does not return to
 		// φ = w; the ones still capped go straight to their new φ.
 		for _, t := range k.capped {
@@ -325,19 +279,13 @@ func (k *Tracker) Readjust() bool {
 			}
 		}
 		k.capped = k.capped[:0]
-		// sum now holds the total weight of uncapped threads, the heaviest
-		// of which is heavy[ncap] (ncap < p < n). Unroll Figure 2's
-		// backtracking: the i-th capped thread (1-based) receives
-		// φ_i = (Σ of adjusted weights below it) / (cap − i).
+		// The heaviest uncapped thread is heavy[ncap] (ncap < p < n).
 		k.maxPhi = heavy[ncap].Weight
-		suffix := sum
-		for j := ncap - 1; j >= 0; j-- {
-			phi := suffix / (k.cap - float64(j) - 1)
+		backfill(ncap, rest, k.cap, func(j int, phi float64) {
 			changed = k.setPhi(heavy[j], phi, false) || changed
 			k.capped = append(k.capped, heavy[j])
 			k.maxPhi = max(k.maxPhi, phi)
-			suffix += phi
-		}
+		})
 	}
 	if changed {
 		k.passes++

@@ -1,12 +1,12 @@
-package phi
+package readjust
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"testing"
 	"testing/quick"
 
-	"sfsched/internal/readjust"
 	"sfsched/internal/sched"
 	"sfsched/internal/xrand"
 )
@@ -74,8 +74,8 @@ func TestTrackerUpdateWeight(t *testing.T) {
 	if t2.Phi != 1 {
 		t.Fatalf("φ after infeasible update = %g, want 1", t2.Phi)
 	}
-	if math.Abs(k.Sum()-11) > 1e-12 {
-		t.Fatalf("Sum = %g, want 11", k.Sum())
+	if math.Abs(k.sum-11) > 1e-12 {
+		t.Fatalf("Sum = %g, want 11", k.sum)
 	}
 }
 
@@ -85,12 +85,12 @@ func TestTrackerSumMaintained(t *testing.T) {
 	for _, th := range threads {
 		k.Add(th)
 	}
-	if k.Sum() != 15 {
-		t.Fatalf("Sum = %g", k.Sum())
+	if k.sum != 15 {
+		t.Fatalf("Sum = %g", k.sum)
 	}
 	k.Remove(threads[1])
-	if k.Sum() != 10 {
-		t.Fatalf("Sum after remove = %g", k.Sum())
+	if k.sum != 10 {
+		t.Fatalf("Sum after remove = %g", k.sum)
 	}
 	if k.Len() != 2 {
 		t.Fatalf("Len = %d", k.Len())
@@ -242,13 +242,13 @@ func TestTrackerSumResetsWhenIdle(t *testing.T) {
 	for _, th := range live {
 		k.Remove(th)
 	}
-	if k.Sum() != 0 || k.Len() != 0 {
-		t.Fatalf("idle tracker: Sum %g, Len %d", k.Sum(), k.Len())
+	if k.sum != 0 || k.Len() != 0 {
+		t.Fatalf("idle tracker: Sum %g, Len %d", k.sum, k.Len())
 	}
 	th := mkThread(1_000_000, 0.3)
 	k.Add(th)
-	if th.Phi != 0.3 || k.Sum() != 0.3 {
-		t.Fatalf("first thread after idling: φ %g, Sum %g, want 0.3", th.Phi, k.Sum())
+	if th.Phi != 0.3 || k.sum != 0.3 {
+		t.Fatalf("first thread after idling: φ %g, Sum %g, want 0.3", th.Phi, k.sum)
 	}
 }
 
@@ -268,9 +268,70 @@ func TestTrackerUpdateWeightUntracked(t *testing.T) {
 		if k.UpdateWeight(th, 50) {
 			t.Fatalf("UpdateWeight(%v) on an untracked thread reported a change", th)
 		}
-		if th.Weight != w || th.Phi != w || k.Sum() != 2 || k.Len() != 1 || fired != 0 {
-			t.Fatalf("untracked %v: weight %g φ %g, Sum %g Len %d, %d hook firings", th, th.Weight, th.Phi, k.Sum(), k.Len(), fired)
+		if th.Weight != w || th.Phi != w || k.sum != 2 || k.Len() != 1 || fired != 0 {
+			t.Fatalf("untracked %v: weight %g φ %g, Sum %g Len %d, %d hook firings", th, th.Weight, th.Phi, k.sum, k.Len(), fired)
 		}
+	}
+}
+
+// TestExtremeWeightsStayPositive: beside a weight of 1e12 a running Σw rounds
+// the light weights away, and taking the heavy one out must not then leave the
+// next thread capped against nothing. On p = 3 the tracker (through arrivals
+// in either order, a reweight into the heavy weight and a departure), Weights
+// and Rates keep every φ and rate positive and φ at Figure 2's, and the rates
+// sum to p.
+func TestExtremeWeightsStayPositive(t *testing.T) {
+	const p = 3
+	for _, light := range []float64{1e-5, 1e-3} {
+		weights := []float64{1e12, light, light, light}
+		want := figure2(weights, p)
+		check := func(how string, phis []float64) {
+			t.Helper()
+			for i, phi := range phis {
+				if !(phi > 0) || math.Abs(phi-want[i]) > 1e-9*want[i] {
+					t.Fatalf("light %g, %s: φ %v, Figure 2 gives %v", light, how, phis, want)
+				}
+			}
+		}
+		check("Weights", Weights(weights, p))
+		var sum float64
+		for _, r := range Rates(weights, p) {
+			if !(r > 0) {
+				t.Fatalf("light %g: Rates %v", light, Rates(weights, p))
+			}
+			sum += r
+		}
+		if math.Abs(sum-p) > 1e-9*p {
+			t.Fatalf("light %g: Rates %v sum to %g, want %d", light, Rates(weights, p), sum, p)
+		}
+		phis := func(ts []*sched.Thread) []float64 {
+			out := make([]float64, len(ts))
+			for i, th := range ts {
+				out[i] = th.Phi
+			}
+			return out
+		}
+		for _, order := range [][]int{{0, 1, 2, 3}, {1, 2, 3, 0}} {
+			k := NewTracker(p, true)
+			ts := make([]*sched.Thread, len(weights))
+			for _, i := range order {
+				ts[i] = mkThread(i+1, weights[i])
+				k.Add(ts[i])
+			}
+			check(fmt.Sprintf("tracker, arrivals %v", order), phis(ts))
+			extra := mkThread(5, light)
+			k.Add(extra)
+			k.Remove(extra)
+			check("tracker, after a departure", phis(ts))
+		}
+		k := NewTracker(p, true)
+		ts := make([]*sched.Thread, len(weights))
+		for i := range weights {
+			ts[i] = mkThread(i+1, light)
+			k.Add(ts[i])
+		}
+		k.UpdateWeight(ts[0], weights[0])
+		check("tracker, after a reweight", phis(ts))
 	}
 }
 
@@ -396,8 +457,8 @@ func (w *trackerWorld) step(name string, live []*sched.Thread, op func() (forced
 	if w.k.MaxPhi() != maxPhi {
 		w.t.Fatalf("step %d %s: MaxPhi %v, largest φ %v", w.stepNum, name, w.k.MaxPhi(), maxPhi)
 	}
-	if w.k.Sum() != sum || w.k.Len() != len(w.live) {
-		w.t.Fatalf("step %d %s: Sum %v Len %d, want %v %d", w.stepNum, name, w.k.Sum(), w.k.Len(), sum, len(w.live))
+	if w.k.sum != sum || w.k.Len() != len(w.live) {
+		w.t.Fatalf("step %d %s: Sum %v Len %d, want %v %d", w.stepNum, name, w.k.sum, w.k.Len(), sum, len(w.live))
 	}
 	if err := w.k.Validate(); err != nil {
 		w.t.Fatalf("step %d %s: %v", w.stepNum, name, err)
@@ -488,7 +549,7 @@ func FuzzTrackerOps(f *testing.F) {
 }
 
 // TestTrackerMatchesOracle runs the same checks over long random churn, and
-// holds the oracle itself against the batch algorithm in internal/readjust.
+// holds the tracker against Figure 2's recursion as well.
 func TestTrackerMatchesOracle(t *testing.T) {
 	r := xrand.New(42)
 	for trial := 0; trial < 200; trial++ {
@@ -503,9 +564,9 @@ func TestTrackerMatchesOracle(t *testing.T) {
 		for i, th := range w.live {
 			weights[i] = th.Weight
 		}
-		for i, want := range readjust.Weights(weights, p) {
+		for i, want := range figure2(weights, p) {
 			if got := w.live[i].Phi; math.Abs(got-want) > 1e-9*(1+want) {
-				t.Fatalf("trial %d: %v has φ %g, readjust.Weights gives %g (weights %v, p %d)", trial, w.live[i], got, want, weights, p)
+				t.Fatalf("trial %d: %v has φ %g, Figure 2 gives %g (weights %v, p %d)", trial, w.live[i], got, want, weights, p)
 			}
 		}
 	}

@@ -82,7 +82,7 @@ import (
 
 	"sfsched/internal/core"
 	"sfsched/internal/engine"
-	"sfsched/internal/metrics"
+	"sfsched/internal/readjust"
 	"sfsched/internal/sched"
 	"sfsched/internal/simtime"
 )
@@ -366,7 +366,7 @@ type Runtime struct {
 	// frozen (the tenant list Stats sorts) and lag (its lag pass) are reused
 	// across calls under the whole-runtime freeze; frozen is cleared after each.
 	frozen []registered
-	lag    metrics.GMSLag
+	lag    readjust.GMSLag
 
 	stop chan struct{} // closed by Close: ends the rebalance and enforcement loops
 	wg   sync.WaitGroup

@@ -60,7 +60,7 @@ type TenantStat struct {
 	Share   float64          // fraction of all charged time
 	// Lag is the service GMS over every worker would have delivered, on
 	// §2.1's readjusted weights, minus what the tenant received (positive =
-	// behind): metrics.GMSLag. It is exact for continuously backlogged
+	// behind): readjust.GMSLag. It is exact for continuously backlogged
 	// tenants; a tenant that sleeps reads its sleep as service owed.
 	Lag     simtime.Duration
 	Queued  int

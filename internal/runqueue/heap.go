@@ -5,7 +5,7 @@ import "fmt"
 // Heap is a binary min-heap with intrusive element→index handles, offering
 // O(log n) insert/remove/fix and O(1) min. The surplus fair scheduler's
 // φ-class queues, the GPS-tag run queue (internal/vtq) and the weight queue
-// (internal/phi) use it in place of the paper's sorted lists: a charged thread
+// (internal/readjust) use it in place of the paper's sorted lists: a charged thread
 // typically jumps from the front of a queue to its middle — O(rank distance)
 // in any linked list, O(log n) here — and Figure 2 reads only the heaviest
 // few weights (DESIGN.md §3). Bounded

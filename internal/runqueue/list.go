@@ -2,10 +2,10 @@
 // repository orders its threads with (§3.1–3.2).
 //
 // Heap is that structure: SFS's φ-class heaps and the two class-level heaps
-// over them, the GPS-tag kernel's run queue (internal/vtq) and phi.Tracker's
-// weight queue — O(log n) because their readers need only the head, a bounded
-// ordered prefix (AppendKSmallest) or a pruned walk (At), never an order over
-// everything. A heap position carries a float64 key beside the element
+// over them, the GPS-tag kernel's run queue (internal/vtq) and
+// readjust.Tracker's weight queue — O(log n) because their readers need only
+// the head, a bounded ordered prefix (AppendKSmallest) or a pruned walk (At),
+// never an order over everything. A heap position carries a float64 key beside the element
 // (NewKeyedHeap): the key must be monotone in the heap's less, and Fix and
 // Init are the two calls that re-read it.
 //
@@ -56,7 +56,7 @@ type Slot uint8
 
 // The handle slots reserved on every element.
 const (
-	// SlotWeight is the weight queue: phi.Tracker's heap, heaviest first.
+	// SlotWeight is the weight queue: readjust.Tracker's heap, heaviest first.
 	SlotWeight Slot = iota
 	// SlotPrimary is the policy's main queue: ascending start tags for SFQ
 	// (SFS leaves it unused), pass order for stride, effective virtual time

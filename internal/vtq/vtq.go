@@ -18,7 +18,7 @@ import (
 	"fmt"
 	"math"
 
-	"sfsched/internal/phi"
+	"sfsched/internal/readjust"
 	"sfsched/internal/runqueue"
 	"sfsched/internal/sched"
 	"sfsched/internal/simtime"
@@ -54,7 +54,7 @@ type Queue struct {
 	pol     Policy
 	p       int
 	quantum simtime.Duration
-	weights *phi.Tracker
+	weights *readjust.Tracker
 	run     *runqueue.Heap[*sched.Thread]
 	v       float64 // virtual time: the minimum tag over the runnable set
 	last    float64 // tag the latest charge left: v of an idle queue
@@ -72,7 +72,7 @@ func WithQuantum(d simtime.Duration) Option { return func(q *Queue) { q.quantum 
 // WithReadjustment couples the scheduler with the paper's weight
 // readjustment algorithm (§2.1); tags then advance by ran/φ_i instead of
 // ran/w_i.
-func WithReadjustment() Option { return func(q *Queue) { q.weights = phi.NewTracker(q.p, true) } }
+func WithReadjustment() Option { return func(q *Queue) { q.weights = readjust.NewTracker(q.p, true) } }
 
 // New returns pol's scheduler for p processors. It panics if p < 1.
 func New(p int, pol Policy, opts ...Option) *Queue {
@@ -82,7 +82,7 @@ func New(p int, pol Policy, opts ...Option) *Queue {
 	if pol.Advance == nil {
 		pol.Advance = func(t *sched.Thread, ran, _ simtime.Duration) float64 { return ran.Seconds() / t.Phi }
 	}
-	q := &Queue{pol: pol, p: p, quantum: sched.DefaultQuantum, weights: phi.NewTracker(p, false),
+	q := &Queue{pol: pol, p: p, quantum: sched.DefaultQuantum, weights: readjust.NewTracker(p, false),
 		run: runqueue.NewHeap(runqueue.SlotPrimary, pol.Before)}
 	for _, opt := range opts {
 		opt(q)

@@ -30,10 +30,10 @@ import (
 	"sfsched/internal/bvt"
 	"sfsched/internal/cluster"
 	"sfsched/internal/core"
-	"sfsched/internal/gms"
 	"sfsched/internal/hier"
 	"sfsched/internal/lottery"
 	"sfsched/internal/machine"
+	"sfsched/internal/readjust"
 	"sfsched/internal/rt"
 	"sfsched/internal/sched"
 	"sfsched/internal/sfq"
@@ -92,7 +92,7 @@ type (
 	// tracing).
 	Hooks = machine.Hooks
 	// GMS integrates the idealized fluid allocation.
-	GMS = gms.Fluid
+	GMS = readjust.Fluid
 )
 
 // Burst boundary actions.
@@ -336,7 +336,7 @@ func NewFakeClock() *FakeClock { return rt.NewFakeClock() }
 func RunOnce(fn func()) RuntimeTask { return rt.Once(fn) }
 
 // NewGMS returns the idealized GMS fluid integrator for p processors.
-func NewGMS(p int) *GMS { return gms.New(p) }
+func NewGMS(p int) *GMS { return readjust.NewFluid(p) }
 
 // Workload constructors (the paper's evaluated applications).
 var (
