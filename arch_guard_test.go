@@ -11,8 +11,10 @@ package sfsched_test
 
 import (
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"maps"
 	"os"
 	"path/filepath"
@@ -408,9 +410,9 @@ func TestOneOrderedQueue(t *testing.T) {
 // position through the handle pointer cached in the heap position: up, down
 // and set contain no call to RunqueueHandle (a dictionary call per level — the
 // method is generic). And neither driver hashes a picked thread: the
-// simulator finds its task by Thread.ID in a slice, the runtime its tenant
-// through Thread.Owner, and non-test internal/machine and internal/rt declare
-// no map[*sched.Thread]… (a hashed lookup per dispatch).
+// simulator checks it against a slice indexed by Thread.ID, the runtime finds
+// its tenant through Thread.Owner, and non-test internal/machine and
+// internal/rt declare no map[*sched.Thread]… (a hashed lookup per dispatch).
 func TestPickAndSiftStayOffTheElement(t *testing.T) {
 	fset := token.NewFileSet()
 	sifts := map[string]bool{"up": false, "down": false, "set": false}
@@ -472,6 +474,70 @@ func TestPickAndSiftStayOffTheElement(t *testing.T) {
 			}
 			return true
 		})
+	}
+}
+
+// TestDecisionPathStaysOffTheTask keeps the simulator's task record off its
+// per-decision path: internal/machine's schedule, dispatch, stop, cpuStop,
+// syncRunning, wakePreempt and settle select no field or method of a Task
+// (passing or storing the pointer is allowed). What a decision needs of a task
+// — that the picked thread is one, and the CPU time left in its burst — sits in
+// the machine's dense per-thread-ID table; the record is read at burst
+// boundaries only. Loading it per dispatch (the picked thread's Task, then
+// its burst remainder) was 16 % of a CPU profile of sfsbench's sim (2 vCPUs).
+func TestDecisionPathStaysOffTheTask(t *testing.T) {
+	fset := token.NewFileSet()
+	var files []*ast.File
+	for _, path := range driverSources(t, filepath.Join("internal", "machine")) {
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatalf("parse %s: %v", path, err)
+		}
+		files = append(files, f)
+	}
+	info := &types.Info{Selections: map[*ast.SelectorExpr]*types.Selection{}}
+	conf := types.Config{Importer: importer.ForCompiler(fset, "source", nil)}
+	pkg, err := conf.Check("sfsched/internal/machine", fset, files, info)
+	if err != nil {
+		t.Fatalf("type-check internal/machine: %v", err)
+	}
+	task := pkg.Scope().Lookup("Task")
+	if task == nil {
+		t.Fatal("internal/machine declares no Task; update the guard")
+	}
+	path := map[string]bool{"schedule": false, "dispatch": false, "stop": false, "cpuStop": false,
+		"syncRunning": false, "wakePreempt": false, "settle": false}
+	for _, f := range files {
+		for _, d := range f.Decls {
+			fn, ok := d.(*ast.FuncDecl)
+			if !ok || fn.Recv == nil || fn.Body == nil {
+				continue
+			}
+			if _, on := path[fn.Name.Name]; !on {
+				continue
+			}
+			path[fn.Name.Name] = true
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				se, ok := n.(*ast.SelectorExpr)
+				if !ok || info.Selections[se] == nil {
+					return true
+				}
+				recv := info.Selections[se].Recv()
+				if p, ok := recv.(*types.Pointer); ok {
+					recv = p.Elem()
+				}
+				if types.Identical(recv, task.Type()) {
+					t.Errorf("%s: Machine.%s selects Task.%s: a decision reads the task record again",
+						fset.Position(se.Pos()), fn.Name.Name, se.Sel.Name)
+				}
+				return true
+			})
+		}
+	}
+	for name, seen := range path {
+		if !seen {
+			t.Errorf("internal/machine has no method %s; update the guard", name)
+		}
 	}
 }
 

@@ -169,9 +169,9 @@ const scanBase = 8
 func freeScan(classes int) int { return scanBase + int(math.Sqrt(float64(classes))) }
 
 // eagerClasses is the largest class count a pick may always visit in full:
-// C ≤ freeScan(C) holds exactly for C ≤ 11 (TestEagerClassesIsFreeScanBound),
-// so the refresh test that runs on every walking pick compares against it
-// instead of taking a square root.
+// C ≤ freeScan(C) holds exactly for C ≤ 11 (TestEagerClassesIsFreeScanBound).
+// Up to it byClass is flat and every walking pick scans all classes, so the
+// regime test compares against it instead of taking a square root.
 const eagerClasses = 11
 
 // keySurplus returns the surplus against ref of the thread of c whose cached
@@ -181,15 +181,6 @@ func keySurplus(c *class, key, ref float64) float64 { return c.phi * (key - ref)
 
 // keyOf returns c's head's surplus against the vRef epoch.
 func (s *SFS) keyOf(c *class) float64 { return keySurplus(c, c.headStart, s.vRef) }
-
-// refreshIsCheap reports whether the keys have drifted while there are no more
-// classes than any pick may visit: no pick could ever ask for the refresh, and
-// re-keying them costs less than the walk over all of them that every pick
-// under drift is. The pick about to walk them refreshes on it; with more
-// classes the keys stay lazy until a pick reports the drift expensive.
-func (s *SFS) refreshIsCheap() bool {
-	return !s.noDrift() && s.byClass.Len() <= eagerClasses
-}
 
 // refreshKeys snaps vRef to the current virtual time and re-keys every class
 // — C heads, not n threads.
@@ -222,9 +213,10 @@ func (s *SFS) tiesAbove(t *sched.Thread, fresh float64) bool {
 // it: its surplus 0 is the least, and without zeroTies every thread at 0 has
 // S = v, where byHead's order is betterPick's (a non-head follows its class's
 // head). Otherwise — that head running, or zero-surplus ties possible — it
-// refreshes the keys if due and takes two nested pruned walks: over the
-// class-level heap, and inside each class it admits over the class's thread
-// heap.
+// admits candidates class by class (admit). At most eagerClasses classes are
+// an unordered list (byClass is flat) and the pick visits every one against
+// the current v. Above that it refreshes the keys if due and walks the
+// class-level heap, pruned.
 //
 // Class level. Keys are relative to vRef; since every φ is at most the
 // source's MaxPhi, a fresh surplus can sit below its stored value by at most
@@ -236,32 +228,42 @@ func (s *SFS) tiesAbove(t *sched.Thread, fresh float64) bool {
 // surplus itself; a crowd of classes that tie at zero (every ramp-up: all
 // tags equal v) is cut by order instead, because there the class-level order
 // is the order of their candidates.
-//
-// Inside a class fresh surpluses are exact and non-decreasing along every
-// heap path, so the walk descends below a running thread, and below a
-// non-running one only while a larger tag could still tie (tiesAbove) — a
-// crowd of equal tags is never walked: its head is the heap's head.
 func (s *SFS) pickExact() *sched.Thread {
-	if s.byClass.Len() == 0 {
+	n := s.byClass.Len()
+	if n == 0 {
 		return nil
 	}
-	if least, _ := s.byHead.Min(); !s.zeroTies && !least.head.Running() {
+	least, _ := s.byHead.Min()
+	if !s.zeroTies && !least.head.Running() {
 		return least.head
 	}
-	if s.needRefresh || s.refreshIsCheap() {
+	var best *sched.Thread
+	var bestS float64
+	if n <= eagerClasses {
+		// v's class goes first (its head surplus is the least): visited
+		// later, it left earlier classes an incumbent big enough to walk
+		// whole crowds of equal tags whose surplus rounds alike (tiesAbove).
+		best, bestS = s.admit(least, nil, 0, 0)
+		for i := 0; i < n; i++ {
+			if c := s.byClass.At(i); c != least && (best == nil || keySurplus(c, c.headStart, s.v) <= bestS) {
+				best, bestS = s.admit(c, best, bestS, 0)
+			}
+		}
+		return best
+	}
+	if s.needRefresh {
 		s.refreshKeys()
 	}
 	// ordered: keys are fresh and nothing but the order decides.
 	ordered := s.noDrift()
-	var bound, slack float64
+	var pad, bound, slack float64
 	if !ordered {
+		pad = 1e-12
 		bound, slack = s.driftBound(s.weights.MaxPhi())
 	}
-	var best *sched.Thread
-	var bestS float64
-	reach, cut := math.Inf(1), math.Inf(1) // in-class and class-level cutoffs
+	cut := math.Inf(1)
 	scanned := 0
-	classes, threads := append(s.classStack[:0], 0), s.threadStack
+	classes := append(s.classStack[:0], 0)
 	for len(classes) > 0 {
 		i := int(classes[len(classes)-1])
 		classes = classes[:len(classes)-1]
@@ -275,54 +277,69 @@ func (s *SFS) pickExact() *sched.Thread {
 			continue
 		}
 		scanned++
-		threads = threads[:0]
-		if keySurplus(c, c.headStart, s.v) <= reach {
-			threads = append(threads, 0)
+		if best, bestS = s.admit(c, best, bestS, pad); best != nil {
+			cut = bestS + pad*math.Abs(bestS) + bound + slack
 		}
-		for len(threads) > 0 {
-			j := int(threads[len(threads)-1])
-			threads = threads[:len(threads)-1]
-			// Judged on the heap's own array before the thread is touched.
-			fresh := keySurplus(c, c.threads.KeyAt(j), s.v)
-			if fresh > reach {
-				continue
-			}
-			t := c.threads.At(j)
-			if !t.Running() {
-				if betterPick(fresh, t, bestS, best) {
-					best, bestS = t, fresh
-					if ordered {
-						reach, cut = bestS, bestS
-					} else {
-						reach = bestS + 1e-12*math.Abs(bestS)
-						cut = reach + bound + slack
-					}
-				}
-				if fresh != bestS || !s.tiesAbove(t, fresh) {
-					continue
-				}
-			}
-			if l := 2*j + 1; l < c.threads.Len() {
-				threads = append(threads, int32(l))
-				if l+1 < c.threads.Len() {
-					threads = append(threads, int32(l+1))
-				}
-			}
-		}
-		if l := 2*i + 1; l < s.byClass.Len() {
+		if l := 2*i + 1; l < n {
 			classes = append(classes, int32(l))
-			if l+1 < s.byClass.Len() {
+			if l+1 < n {
 				classes = append(classes, int32(l+1))
 			}
 		}
 	}
-	s.classStack, s.threadStack = classes, threads
+	s.classStack = classes
 	if scanned > s.scanLimit && !ordered {
 		// A refresh collapses the drift back to zero and re-enables the
 		// exact cutoff; tie crowds alone don't warrant one.
 		s.needRefresh = true
 	}
 	return best
+}
+
+// admit returns the better of the incumbent best (fresh surplus bestS) and the
+// least non-running thread of c. Fresh surpluses inside a class are exact and
+// non-decreasing along every heap path, so the walk reaches no further than
+// the incumbent's surplus (padded by pad of it), descends below a running
+// thread, and below a non-running one only while a larger tag could still tie
+// (tiesAbove) — a crowd of equal tags is walked only then: its head is the
+// heap's head. A class whose head is out of reach costs the class struct alone
+// (the eager scan turns it down before the call).
+func (s *SFS) admit(c *class, best *sched.Thread, bestS, pad float64) (*sched.Thread, float64) {
+	reach := math.Inf(1)
+	if best != nil {
+		reach = bestS + pad*math.Abs(bestS)
+	}
+	if keySurplus(c, c.headStart, s.v) > reach {
+		return best, bestS
+	}
+	threads := append(s.threadStack[:0], 0)
+	for len(threads) > 0 {
+		j := int(threads[len(threads)-1])
+		threads = threads[:len(threads)-1]
+		// Judged on the heap's own array before the thread is touched.
+		fresh := keySurplus(c, c.threads.KeyAt(j), s.v)
+		if fresh > reach {
+			continue
+		}
+		t := c.threads.At(j)
+		if !t.Running() {
+			if betterPick(fresh, t, bestS, best) {
+				best, bestS = t, fresh
+				reach = bestS + pad*math.Abs(bestS)
+			}
+			if fresh != bestS || !s.tiesAbove(t, fresh) {
+				continue
+			}
+		}
+		if l := 2*j + 1; l < c.threads.Len() {
+			threads = append(threads, int32(l))
+			if l+1 < c.threads.Len() {
+				threads = append(threads, int32(l+1))
+			}
+		}
+	}
+	s.threadStack = threads
+	return best, bestS
 }
 
 // checkClasses validates the class queues: every runnable thread sits in the

@@ -11,12 +11,8 @@ import (
 // outside the package because hier imports core).
 
 // WithinFreeScan reports whether there are no more classes than any pick may
-// visit — the regime in which a pick that walks the classes refreshes their
-// keys first.
+// visit — the regime in which byClass is an unordered list that a pick scans.
 func (s *SFS) WithinFreeScan() bool { return s.byClass.Len() <= eagerClasses }
-
-// KeysFresh reports whether vRef is v.
-func (s *SFS) KeysFresh() bool { return s.noDrift() }
 
 // LeastHead returns the head of byHead's least class — the holder of v — or
 // nil when nothing is runnable.

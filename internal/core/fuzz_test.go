@@ -13,12 +13,14 @@ import (
 // golden_test.go through a byte-derived script — arrivals, wakeups, blocks,
 // weight changes, picks and charges with threads left running across
 // operations — and compares every pick. The first byte chooses the world:
-// 1–4 CPUs (bits 0–1), a crowd of φ < 1 threads whose start tags sit a few
-// 10⁻⁴ apart (bit 4; later IDs earlier, equal quanta keep them so) and a
-// capped infeasible thread (bit 5). Bits 2–3 choose nothing; checked-in
-// entries that set them replay the world without them. The holder of v, the
-// pick's O(1) answer, is the wrong pick when it is running. The checked-in
-// corpus (testdata/fuzz) covers every combination.
+// 1–4 CPUs (bits 0–1), an alphabet of 16 weights instead of 7 (9 in a crowd)
+// so that the class count crosses 11 ↔ 12 — the unordered class list
+// against the class heap — again and again (bit 2), a crowd of φ < 1 threads
+// whose start tags sit a few 10⁻⁴ apart (bit 4; later IDs earlier, equal
+// quanta keep them so) and a capped infeasible thread (bit 5). Bit 3 chooses
+// nothing; checked-in entries that set it replay the world without it. The
+// holder of v, the pick's O(1) answer, is the wrong pick when it is running.
+// The checked-in corpus (testdata/fuzz) covers every combination.
 func FuzzPickAgainstOracle(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
@@ -27,14 +29,21 @@ func FuzzPickAgainstOracle(f *testing.F) {
 		mode := data[0]
 		cpus := 1 + int(mode%4)
 		crowd, capped := mode&16 != 0, mode&32 != 0
+		alphabet := byte(7)
+		if crowd {
+			alphabet = 9
+		}
+		if mode&4 != 0 {
+			alphabet = 16
+		}
 		s := core.New(cpus, core.WithQuantum(20*simtime.Millisecond))
 		w := newGoldenWorld(t, "fuzz-pick", s, newOracle(readjust.NewTracker(cpus, true)))
 		w.check = s.CheckInvariants
 		weight := func(b byte) float64 {
 			if crowd {
-				return float64(1+b%9) / 10
+				return float64(1+b%alphabet) / float64(alphabet+1)
 			}
-			return float64(1 + b%7)
+			return float64(1 + b%alphabet)
 		}
 		quantum := func(b byte) simtime.Duration {
 			if crowd {

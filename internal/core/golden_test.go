@@ -523,19 +523,18 @@ func TestGoldenTraceFloat(t *testing.T) {
 
 // regimePick wraps the scheduler under test and judges each pick by the key
 // regime it ran in: while the classes number no more than a pick may always
-// visit (WithinFreeScan), a pick either returns the least class head — the
-// waiting holder of v — or walks the classes, and a walk refreshes drifted
-// keys first, so it ends on fresh ones.
+// visit (WithinFreeScan), byClass is an unordered list that a pick scans
+// against the current v, so no pick there refreshes the keys.
 type regimePick struct {
 	*core.SFS
 	err error
 }
 
 func (r *regimePick) Pick(cpu int, now simtime.Time) *sched.Thread {
-	within, least := r.WithinFreeScan(), r.LeastHead()
+	within, sweeps := r.WithinFreeScan(), r.Stats().SurplusSweeps
 	t := r.SFS.Pick(cpu, now)
-	if r.err == nil && within && t != least && !r.KeysFresh() {
-		r.err = fmt.Errorf("within the free scan a pick passed over the least class head %v for %v on drifted keys", least, t)
+	if r.err == nil && within && r.Stats().SurplusSweeps != sweeps {
+		r.err = fmt.Errorf("within the free scan a pick refreshed the keys (picked %v)", t)
 	}
 	return t
 }
@@ -546,18 +545,18 @@ func (r *regimePick) Pick(cpu int, now simtime.Time) *sched.Thread {
 // fresh surplus to the bit (CheckKeyJudgement): picks turn positions down on
 // it, thread unseen.
 //
-// Whether a world ever refreshes pins where the keys are read. A world that
+// Whether a world ever refreshes pins where the keys are read. A world within
+// the free scan throughout never does: its picks scan. Above it, a world that
 // charges each thread before the next pick never finds v's holder running, so
-// every pick is the least head and the surplus heap is never read: the
-// uniprocessor (SFS ≡ SFQ, §2.3) and the two churn worlds, which pick and
-// charge at once. The worlds that keep four threads running find the holder
-// of v among them and walk.
+// every pick is the least head and the surplus heap is never read (churn-heavy
+// picks and charges at once); the worlds that keep four threads running find
+// the holder of v among them and walk.
 func TestGoldenTraceKeyRegimes(t *testing.T) {
 	// The worlds whose weights keep them within the free scan throughout.
 	eager := map[string]bool{"uniprocessor": true, "smp4-deep-queue": true, "infeasible-churn": true,
 		"crowd-three-weights": true}
-	// The worlds in which no pick finds v's holder running.
-	neverSweeps := map[string]bool{"uniprocessor": true, "churn-heavy": true, "infeasible-churn": true}
+	// The lazy worlds in which no pick finds v's holder running.
+	neverWalks := map[string]bool{"churn-heavy": true}
 	for _, c := range goldenCases() {
 		t.Run(c.name, func(t *testing.T) {
 			s := &regimePick{SFS: core.New(c.cpus, core.WithQuantum(20*simtime.Millisecond))}
@@ -576,8 +575,8 @@ func TestGoldenTraceKeyRegimes(t *testing.T) {
 			}
 			sweeps := s.Stats().SurplusSweeps
 			t.Logf("%d sweeps", sweeps)
-			if (sweeps == 0) != neverSweeps[c.name] {
-				t.Fatalf("%d sweeps; want none: %v", sweeps, neverSweeps[c.name])
+			if none := eager[c.name] || neverWalks[c.name]; (sweeps == 0) != none {
+				t.Fatalf("%d sweeps; want none: %v", sweeps, none)
 			}
 		})
 	}

@@ -51,20 +51,21 @@
 // for n threads in C classes:
 //
 //   - Charge, one O(log n/C) sift: the thread moves inside its class heap;
-//     if it led the class, the class moves in both class heaps, O(log C) each.
+//     if it led the class, the class moves in both class heaps, O(log C) each
+//     (while C ≤ 11 the surplus-keyed one only stores the new key).
 //   - Add / Remove: the class heap and the φ source's weight heap. The φ
 //     change an arrival or departure makes beside an infeasible thread, alone
 //     in its class, relabels that class: no thread moves.
 //   - Pick, O(1) while the holder of v (zero surplus) waits and no
-//     zero-surplus ties: it is the start-tag class heap's head. Otherwise
-//     O(classes admitted by the bound + p + ties): inside an admitted class
-//     only the head, the running threads and threads whose different tag
-//     rounds to the same surplus are looked at.
-//   - Refresh, O(C) for C classes, by a walking pick only. While C ≤ 8+√C
-//     (C ≤ 11) no pick under drift could visit more classes than it may, and
-//     re-keying them costs less than the walk over all of them: drifted keys
-//     are refreshed before each walk. Beyond that, after a pick under drift
-//     visited more than 8+√C classes.
+//     zero-surplus ties: it is the start-tag class heap's head. Otherwise,
+//     while C ≤ 8+√C (C ≤ 11), a scan of the class structs against the
+//     current v, v's class first — no pick there may be refused C visits,
+//     so the surplus-keyed class heap is kept as an unordered list and
+//     never sorted; above, O(classes admitted by the bound + p + ties). Inside an
+//     admitted class only the head, the running threads and threads whose
+//     different tag rounds to the same surplus are looked at.
+//   - Refresh, O(C) for C classes, by a walking pick above 11 classes only,
+//     after a pick under drift visited more than 8+√C classes.
 //
 // With all-distinct weights every class holds one thread and this is a
 // per-thread lazy heap with one more indirection. Decisions are bit-identical
@@ -88,7 +89,7 @@ import (
 // Stats counts scheduler-internal events that tests assert on.
 type Stats struct {
 	Readjustments int64 // weight readjustment passes that changed some φ
-	SurplusSweeps int64 // surplus queue refreshes, every class re-keyed, by a pick that walks the classes: on drift at C ≤ 11 classes, else after an over-long scan
+	SurplusSweeps int64 // surplus queue refreshes, every class re-keyed, by a pick over more than 11 classes after an over-long scan; a pick over at most 11 scans them and never refreshes
 }
 
 // SFS is a surplus fair scheduler for a symmetric multiprocessor. It is not
@@ -229,6 +230,7 @@ func newKernel(p int) *SFS {
 // class first), so what the hook sees is a new φ.
 func (s *SFS) setSource(src PhiSource) {
 	s.byClass = runqueue.NewKeyedHeap(runqueue.SlotSurplus, func(c *class) float64 { return c.key }, classLess)
+	s.byClass.SetFlat(eagerClasses)
 	s.byHead = runqueue.NewKeyedHeap(runqueue.SlotPrimary,
 		func(c *class) float64 { return c.headStart },
 		func(a, b *class) bool { return inClassLess(a.head, b.head) })

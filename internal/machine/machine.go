@@ -99,18 +99,17 @@ type Stats struct {
 }
 
 // Task is a simulated process: a thread control block plus its behaviour.
+// Its thread names it (sched.Thread.Owner), and the CPU time left in its
+// current burst sits in the machine's dense table (Machine.bursts), so the
+// decision path reads the record only at burst boundaries.
 type Task struct {
-	m        *Machine
-	t        *sched.Thread
-	behavior Behavior
-	// rem is the CPU time left in the current burst; valid while
-	// stepLoaded.
-	rem        simtime.Duration
+	t          *sched.Thread
+	behavior   Behavior
 	step       Step
-	stepLoaded bool
 	lastWake   simtime.Time
 	onExit     func(now simtime.Time)
 	onBurstEnd func(now simtime.Time)
+	stepLoaded bool
 	exited     bool
 }
 
@@ -139,8 +138,8 @@ type SpawnConfig struct {
 }
 
 type cpuState struct {
-	cur  *Task
-	last *Task
+	cur  *sched.Thread // the running thread, nil while idle
+	last *sched.Thread
 	// sl is the in-flight slice's accounting (engine.Slice.LastCharge is
 	// the service accrual start, advanced by interim installments — the
 	// historical runStart).
@@ -188,13 +187,20 @@ type Machine struct {
 	seq    uint64  // the order counter of evq and of the CPUs' stops
 	nextID int
 
-	tasks []*Task // by Thread.ID (dense from 1; slot 0 unused); nil once exited
-	hooks Hooks
-	stats Stats
+	bursts []burst // by Thread.ID (dense from 1; entry 0 unused); zero once the task exited
+	hooks  Hooks
+	stats  Stats
 
 	// victims is the wakeup-preemption scan's scratch (no per-wakeup
 	// allocation).
 	victims []*sched.Thread
+}
+
+// burst is a task's entry in the machine's table: all a decision needs of it,
+// so a pick is validated, granted its quantum and charged off the task record.
+type burst struct {
+	t   *sched.Thread    // the task's thread: a picked thread is known if its entry names it
+	rem simtime.Duration // CPU time left in the current burst; valid while the step is loaded
 }
 
 // New builds a machine from cfg. It panics on inconsistent static
@@ -216,7 +222,7 @@ func New(cfg Config) *Machine {
 		cpus:    make([]cpuState, cfg.CPUs),
 		preempt: !cfg.DisableWakePreemption,
 		rng:     xrand.New(cfg.Seed),
-		tasks:   make([]*Task, 1),
+		bursts:  make([]burst, 1),
 		victims: make([]*sched.Thread, 0, cfg.CPUs),
 	}
 	return m
@@ -335,13 +341,13 @@ func (m *Machine) Spawn(cfg SpawnConfig) *Task {
 		Priority: cfg.Priority,
 	}
 	k := &Task{
-		m:          m,
 		t:          t,
 		behavior:   cfg.Behavior,
 		onExit:     cfg.OnExit,
 		onBurstEnd: cfg.OnBurstEnd,
 	}
-	m.tasks = append(m.tasks, k)
+	t.Owner = k
+	m.bursts = append(m.bursts, burst{t: t})
 	m.push(cfg.At, func() { m.arrive(k) })
 	return k
 }
@@ -375,7 +381,7 @@ func (m *Machine) Kill(k *Task) {
 		k.t.State = sched.Exited
 	}
 	k.exited = true
-	m.tasks[k.t.ID] = nil
+	m.bursts[k.t.ID] = burst{}
 	if k.onExit != nil {
 		k.onExit(m.now)
 	}
@@ -443,7 +449,7 @@ func (m *Machine) arrive(k *Task) {
 	if k.exited {
 		return
 	}
-	k.loadStep()
+	m.loadStep(k)
 	k.lastWake = m.now
 	if err := m.eng.Admit(k.t, m.now); err != nil {
 		panic(fmt.Errorf("machine: arrive: %w", err))
@@ -451,21 +457,22 @@ func (m *Machine) arrive(k *Task) {
 	if m.hooks.Runnable != nil {
 		m.hooks.Runnable(k.t, m.now)
 	}
-	m.wakePreempt(k)
+	m.wakePreempt(k.t)
 	m.schedule()
 }
 
-func (k *Task) loadStep() {
+// loadStep draws k's next burst unless one is still loaded.
+func (m *Machine) loadStep(k *Task) {
 	if k.stepLoaded {
 		return
 	}
-	k.step = k.behavior.Next(k.m.now, k.m.rng)
+	k.step = k.behavior.Next(m.now, m.rng)
 	if k.step.Burst <= 0 {
 		// A zero-length burst still passes through the scheduler; give
 		// it the minimum representable slice to keep time advancing.
 		k.step.Burst = simtime.Microsecond
 	}
-	k.rem = k.step.Burst
+	m.bursts[k.t.ID].rem = k.step.Burst
 	k.stepLoaded = true
 }
 
@@ -480,15 +487,16 @@ func (m *Machine) syncRunning() {
 	for i := range m.cpus {
 		c := &m.cpus[i]
 		if c.cur != nil {
-			c.cur.rem -= m.eng.ChargeInstallment(&c.sl, m.now, c.cur.rem)
+			b := &m.bursts[c.cur.ID]
+			b.rem -= m.eng.ChargeInstallment(&c.sl, m.now, b.rem)
 		}
 	}
 }
 
 // wakePreempt implements reschedule-on-wakeup: if no CPU is idle and the
-// newcomer is preferred (by the scheduler's own ordering) over the least
+// newcomer t is preferred (by the scheduler's own ordering) over the least
 // deserving running thread, that thread is preempted.
-func (m *Machine) wakePreempt(k *Task) {
+func (m *Machine) wakePreempt(t *sched.Thread) {
 	if !m.preempt {
 		return
 	}
@@ -500,39 +508,39 @@ func (m *Machine) wakePreempt(k *Task) {
 	m.syncRunning()
 	running := m.victims[:0]
 	for i := range m.cpus {
-		running = append(running, m.cpus[i].cur.t)
+		running = append(running, m.cpus[i].cur)
 	}
 	victim := m.eng.LessVictim(running)
 	m.victims = running[:0]
-	if victim >= 0 && m.eng.Prefer(k.t, m.cpus[victim].cur.t) {
+	if victim >= 0 && m.eng.Prefer(t, running[victim]) {
 		m.stop(victim)
 		m.stats.Preemptions++
 	}
 }
 
-// stop deschedules the task on cpu, charging it for the service it
-// received. The task remains runnable (quantum expiry / preemption); burst
-// boundaries are handled by the caller.
+// stop deschedules the task on a busy cpu, charging it for the service it
+// received. The task remains runnable (quantum expiry / preemption); it is
+// returned when its burst is used up, for the caller to handle the boundary.
 func (m *Machine) stop(cpu int) *Task {
 	c := &m.cpus[cpu]
-	k := c.cur
-	if k == nil {
-		return nil
-	}
+	t := c.cur
 	// Settle the remainder through the engine, capped at the remaining
 	// burst (a task cannot consume beyond it).
-	k.rem -= m.eng.Settle(&c.sl, m.now, k.rem)
-	k.t.LastCPU = cpu
-	k.t.CPU = sched.NoCPU
+	b := &m.bursts[t.ID]
+	b.rem -= m.eng.Settle(&c.sl, m.now, b.rem)
+	t.LastCPU = cpu
+	t.CPU = sched.NoCPU
 	c.cur = nil
 	c.idleAt = m.now
-	return k
+	if b.rem != 0 {
+		return nil
+	}
+	return t.Owner.(*Task)
 }
 
 // cpuStop handles the planned end of a quantum (expiry, block or exit).
 func (m *Machine) cpuStop(cpu int) {
-	k := m.stop(cpu)
-	if k.rem == 0 {
+	if k := m.stop(cpu); k != nil {
 		m.finishBurst(k)
 	}
 	m.schedule()
@@ -553,7 +561,7 @@ func (m *Machine) finishBurst(k *Task) {
 			m.hooks.Unrunnable(k.t, m.now)
 		}
 		k.exited = true
-		m.tasks[k.t.ID] = nil
+		m.bursts[k.t.ID] = burst{}
 		if k.onExit != nil {
 			k.onExit(m.now)
 		}
@@ -575,7 +583,7 @@ func (m *Machine) wake(k *Task) {
 	if k.exited {
 		return
 	}
-	k.loadStep()
+	m.loadStep(k)
 	k.lastWake = m.now
 	if err := m.eng.Admit(k.t, m.now); err != nil {
 		panic(fmt.Errorf("machine: wake: %w", err))
@@ -583,7 +591,7 @@ func (m *Machine) wake(k *Task) {
 	if m.hooks.Runnable != nil {
 		m.hooks.Runnable(k.t, m.now)
 	}
-	m.wakePreempt(k)
+	m.wakePreempt(k.t)
 	m.schedule()
 }
 
@@ -603,34 +611,31 @@ func (m *Machine) schedule() {
 		if t == nil {
 			continue
 		}
-		var k *Task
-		if uint(t.ID) < uint(len(m.tasks)) {
-			k = m.tasks[t.ID]
-		}
-		if k == nil || k.t != t {
+		if uint(t.ID) >= uint(len(m.bursts)) || m.bursts[t.ID].t != t {
 			panic(fmt.Errorf("machine: %w: %v", engine.ErrUnknownThread, t))
 		}
-		m.dispatch(i, k)
+		m.dispatch(i, t)
 	}
 }
 
-// dispatch starts k on cpu for min(timeslice, remaining burst).
-func (m *Machine) dispatch(cpu int, k *Task) {
+// dispatch starts the known thread t on cpu for min(timeslice, burst left).
+func (m *Machine) dispatch(cpu int, t *sched.Thread) {
+	b := &m.bursts[t.ID]
 	c := &m.cpus[cpu]
 	m.stats.Dispatches++
 	m.stats.IdleTime += m.now.Sub(c.idleAt)
-	if c.last != k {
+	if c.last != t {
 		m.stats.ContextSwitches++
 	}
-	if k.t.LastCPU != sched.NoCPU && k.t.LastCPU != cpu {
+	if t.LastCPU != sched.NoCPU && t.LastCPU != cpu {
 		m.stats.Migrations++
 	}
-	if err := m.eng.Begin(&c.sl, k.t, cpu, m.now, m.now); err != nil {
+	if err := m.eng.Begin(&c.sl, t, cpu, m.now, m.now); err != nil {
 		panic(fmt.Errorf("machine: %w", err))
 	}
-	runFor := simtime.Min(c.sl.Quantum, k.rem)
-	c.cur = k
-	c.last = k
+	runFor := simtime.Min(c.sl.Quantum, b.rem)
+	c.cur = t
+	c.last = t
 	m.seq++
 	c.stop = event{at: m.now.Add(runFor), seq: m.seq}
 }
@@ -642,8 +647,7 @@ func (m *Machine) settle() {
 		if m.cpus[i].cur == nil {
 			continue
 		}
-		k := m.stop(i)
-		if k.rem == 0 {
+		if k := m.stop(i); k != nil {
 			m.finishBurst(k)
 		}
 	}

@@ -609,8 +609,8 @@ func TestQuantumEndKeepsTheEventOrder(t *testing.T) {
 		for _, until := range []simtime.Duration{1500 * ms, 2 * sec, 2*sec + 7*ms} {
 			m.Run(simtime.Time(until))
 			pending := 1 // the far callback
-			for _, k := range m.tasks {
-				if k != nil && k.Thread().State == sched.Blocked {
+			for _, b := range m.bursts {
+				if b.t != nil && b.t.State == sched.Blocked {
 					pending++
 				}
 			}

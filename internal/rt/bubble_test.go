@@ -347,3 +347,65 @@ func TestBubbleIdleWorkerSteals(t *testing.T) {
 		t.Errorf("shard services %v and %v differ by %v, bound %v (%d steals)", service[0], service[1], d, 2*task, steals)
 	}
 }
+
+// TestBubbleCloseReleasesDrain: a Close ends a Drain it races. On a Manual
+// runtime one tenant holds two tasks, one of them in flight, so the Drain
+// blocked in its own goroutine cannot return by itself (synctest.Wait shows it
+// waiting). Close must release it; the abandoned slice's late Complete must
+// return, not panic; the invariants must hold; and the task the slice left
+// queued is still counted by Queued.
+func TestBubbleCloseReleasesDrain(t *testing.T) {
+	inBubble(func() {
+		r := New(Config{Workers: 1, Manual: true, Clock: NewFakeClock()})
+		tn, err := r.Register("t", 1)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		for range 2 {
+			if err := tn.SubmitTask(Once(func() {})); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+		d := r.Dispatch(0)
+		if d == nil {
+			t.Error("nothing dispatched")
+			return
+		}
+		drained := make(chan struct{})
+		go func() {
+			r.Drain()
+			close(drained)
+		}()
+		synctest.Wait()
+		select {
+		case <-drained:
+			t.Error("Drain returned with two tasks outstanding")
+			return
+		default:
+		}
+		r.Close()
+		synctest.Wait()
+		select {
+		case <-drained:
+		default:
+			t.Error("Close left Drain waiting")
+			return
+		}
+		func() {
+			defer func() {
+				if p := recover(); p != nil {
+					t.Errorf("Complete after Close panicked: %v", p)
+				}
+			}()
+			d.Complete(true)
+		}()
+		if err := r.CheckInvariants(); err != nil {
+			t.Error(err)
+		}
+		if q := tn.Queued(); q != 1 {
+			t.Errorf("Queued() = %d after Close abandoned one task, want 1", q)
+		}
+	})
+}

@@ -34,6 +34,7 @@ type Heap[T Indexed[T]] struct {
 	less func(a, b T) bool
 	vals []entry[T]
 	kbuf []int32 // AppendKSmallest candidate-heap scratch
+	flat int     // the largest size at which the heap keeps no order
 }
 
 // entry is one heap position: the element, its cached key and its handle.
@@ -53,6 +54,13 @@ func NewHeap[T Indexed[T]](slot Slot, less func(a, b T) bool) *Heap[T] {
 func NewKeyedHeap[T Indexed[T]](slot Slot, key func(T) float64, less func(a, b T) bool) *Heap[T] {
 	return &Heap[T]{slot: slot, key: key, less: less}
 }
+
+// SetFlat makes the heap keep no order while it holds at most n elements (call
+// it on an empty heap): Push appends, Remove fills the hole with the last
+// element and Fix re-reads the key, none of them sifting, and the Push past n
+// orders the heap as pushes in storage order would have. Keys and handles stay
+// current; Min, AppendKSmallest and a pruned walk mean something above n only.
+func (h *Heap[T]) SetFlat(n int) { h.flat = n }
 
 // before is the heap's order over positions.
 func (h *Heap[T]) before(a, b entry[T]) bool {
@@ -78,7 +86,15 @@ func (h *Heap[T]) Push(x T) {
 	}
 	h.vals = append(h.vals, entry[T]{h.key(x), x, hd})
 	hd.heap = int32(len(h.vals))
-	h.up(len(h.vals) - 1)
+	if n := len(h.vals); n > h.flat {
+		i := n - 1
+		if n == h.flat+1 {
+			i = 1 // the push past flat orders every element
+		}
+		for ; i < n; i++ {
+			h.up(i)
+		}
+	}
 }
 
 // Min returns the least element without removing it.
@@ -104,7 +120,7 @@ func (h *Heap[T]) Remove(x T) bool {
 	}
 	h.vals[last] = entry[T]{}
 	h.vals = h.vals[:last]
-	if i < last && !h.down(i) {
+	if i < last && last > h.flat && !h.down(i) {
 		h.up(i)
 	}
 	return true
@@ -118,7 +134,7 @@ func (h *Heap[T]) Fix(x T) bool {
 	}
 	i := int(hd.heap) - 1
 	h.vals[i].key = h.key(x)
-	if !h.down(i) {
+	if len(h.vals) > h.flat && !h.down(i) {
 		h.up(i)
 	}
 	return true
@@ -230,7 +246,7 @@ func (h *Heap[T]) Validate() error {
 		if want := h.key(e.x); e.key != want {
 			return fmt.Errorf("runqueue: heap caches key %g at %d, %v now has %g (changed without Fix)", e.key, i, e.x, want)
 		}
-		if i > 0 {
+		if i > 0 && len(h.vals) > h.flat {
 			if p := (i - 1) / 2; h.before(e, h.vals[p]) {
 				return fmt.Errorf("runqueue: heap order violated at %d (%v)", i, e.x)
 			}

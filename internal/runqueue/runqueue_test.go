@@ -301,6 +301,52 @@ func TestHeapRandomOps(t *testing.T) {
 	}
 }
 
+// TestHeapFlatCrossesItsBound: a flat heap keeps no order up to its bound and
+// is a valid heap again from the push past it. A random walk of pushes,
+// removals and key changes that reverts to the bound crosses it both ways
+// again and again; Validate passes at every step (it checks the order above
+// the bound only) and, above it, the minimum is the sorted one's.
+func TestHeapFlatCrossesItsBound(t *testing.T) {
+	const flat = 5
+	r := xrand.New(54)
+	h := NewKeyedHeap(SlotPrimary, coarseKey, byKey)
+	h.SetFlat(flat)
+	var pool []*item
+	crossings := 0
+	for step := 0; step < 4000; step++ {
+		ordered := h.Len() > flat
+		switch {
+		case r.Intn(2*flat+2) >= len(pool):
+			it := &item{id: step, key: r.Float64() * 8}
+			pool = append(pool, it)
+			h.Push(it)
+		case r.Intn(2) == 0:
+			i := r.Intn(len(pool))
+			h.Remove(pool[i])
+			pool = append(pool[:i], pool[i+1:]...)
+		default:
+			it := pool[r.Intn(len(pool))]
+			it.key = r.Float64() * 8
+			h.Fix(it)
+		}
+		if h.Len() > flat != ordered {
+			crossings++
+		}
+		if err := h.Validate(); err != nil {
+			t.Fatalf("step %d, %d elements: %v", step, h.Len(), err)
+		}
+		if h.Len() > flat {
+			sort.Slice(pool, func(i, j int) bool { return byKey(pool[i], pool[j]) })
+			if m, _ := h.Min(); m != pool[0] {
+				t.Fatalf("step %d: heap min %v, sorted min %v", step, m.key, pool[0].key)
+			}
+		}
+	}
+	if crossings < 100 {
+		t.Fatalf("%d crossings of the bound in 4000 steps; the walk no longer tests them", crossings)
+	}
+}
+
 // TestHeapValidateReportsStaleKey is the key contract's other half: the heap
 // re-reads a key only on Fix and Init, so one that changed without either is
 // a stale position, and Validate must say so even when the heap order over the

@@ -108,8 +108,9 @@ type Thread struct {
 	// State is maintained by the machine around Scheduler calls.
 	State State
 
-	// Owner is the driver's record for the thread (internal/rt's tenant), so
-	// a driver finds what a pick chose without a lookup. No policy reads it.
+	// Owner is the driver's record for the thread (internal/rt's tenant,
+	// internal/machine's task), so a driver finds what a pick chose without a
+	// lookup. No policy reads it.
 	Owner any
 
 	Name string
