@@ -351,6 +351,87 @@ func TestOneRefreshSite(t *testing.T) {
 	}
 }
 
+// TestOnePlanner keeps one answer to "which threads move, and in what order":
+// internal/readjust alone declares PlanBalance and CompareMovers; the runtime,
+// the cluster and the simulator's partitioned baseline (§1.2) each plan with
+// readjust.PlanBalance; and the runtime's Rebalance and stealFrom and the
+// baseline's rebalance each rank candidates with readjust.CompareMovers. A
+// second planner or order lets the simulator place threads by a rule the
+// runtime does not use, and then it no longer models the runtime's placement.
+func TestOnePlanner(t *testing.T) {
+	rules := map[string]bool{"PlanBalance": true, "CompareMovers": true}
+	fset := token.NewFileSet()
+	declared := map[string][]string{} // rule → directories declaring it
+	planners := map[string]bool{}     // directories calling readjust.PlanBalance
+	rankers := map[string]bool{}      // dir.func calling readjust.CompareMovers
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == filepath.Join("cmd", "sfsbench") || strings.HasPrefix(d.Name(), ".") && path != "." {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		dir := filepath.ToSlash(filepath.Dir(path))
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			if rules[fn.Name.Name] {
+				declared[fn.Name.Name] = append(declared[fn.Name.Name], dir)
+			}
+			if fn.Body == nil {
+				continue
+			}
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				sel, ok := n.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "readjust" {
+					return true
+				}
+				switch sel.Sel.Name {
+				case "PlanBalance":
+					planners[dir] = true
+				case "CompareMovers":
+					rankers[dir+"."+fn.Name.Name] = true
+				}
+				return true
+			})
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for rule := range rules {
+		if got := declared[rule]; len(got) != 1 || got[0] != "internal/readjust" {
+			t.Errorf("%s is declared in %v, want once, in internal/readjust: a second planner or preference rule", rule, got)
+		}
+	}
+	for _, dir := range []string{"internal/rt", "internal/cluster", "internal/partition"} {
+		if !planners[dir] {
+			t.Errorf("%s does not call readjust.PlanBalance: it plans its moves some other way", dir)
+		}
+	}
+	for _, fn := range []string{"internal/rt.Rebalance", "internal/rt.stealFrom", "internal/partition.rebalance"} {
+		if !rankers[fn] {
+			t.Errorf("%s does not call readjust.CompareMovers: it orders its candidates some other way", fn)
+		}
+	}
+}
+
 // TestOneOrderedQueue keeps the schedulers on one ordered-queue
 // implementation: outside internal/runqueue no non-test file of the root
 // module names runqueue.List or runqueue.NewList (the nested benchmark module,
@@ -878,7 +959,6 @@ var exportsWithoutCallers = map[string]string{
 	"hier.Class.Rate":                        "hier's class API: a class's GMS rate, read by the hier tests",
 	"hier.Hier.ClassOf":                      "hier's class API: a thread's class, read by the hier tests",
 	"hier.Hier.SetClassWeight":               "hier's class API: a class reweight, driven by the hier tests",
-	"partition.Partitioned.Moves":            "seam: the partitioned baseline's migration count, read by its tests",
 	"partition.Partitioned.PartitionWeights": "seam: per-partition weight totals, read by the partition tests",
 	"lottery.Lottery.Picks":                  "seam: the drawing count, read by the lottery tests",
 	"timeshare.TS.Epochs":                    "seam: the counter-recharge epoch count, read by the time-sharing tests",

@@ -13,12 +13,12 @@
 //
 //   - Migration. Placement decisions go stale as weights change and tenants
 //     leave, so a background migrator periodically re-plans: it feeds
-//     per-machine weight totals into the same pure planner the intra-box
-//     shard rebalancer uses (rt.PlanBalance, fuzz-verified to conserve
-//     weight and shrink imbalance, with the same fixed hysteresis), offering
-//     each machine's tenants in registration order: the migrator cannot read
-//     a remote machine's tags, so it ranks none above another, as the
-//     rebalancer does for policies without tags. Each move is the SFQ-style
+//     per-machine weight totals into the pure planner the shard rebalancer
+//     and the simulator's partitioned baseline use (readjust.PlanBalance,
+//     fuzz-verified, at the same fixed hysteresis), offering each machine's
+//     tenants in registration order: the migrator cannot read a remote
+//     machine's tags, so it ranks none above another, as the rebalancer
+//     does for policies without tags. Each move is the SFQ-style
 //     frame translation the intra-box rebalancer already performs across
 //     shards, carried across machines: drain the source backlog, carry the
 //     virtual-time frame lead, re-register under the §2.3 wakeup rule,
@@ -46,6 +46,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"sfsched/internal/readjust"
 	"sfsched/internal/rt"
 	"sfsched/internal/simtime"
 	"sfsched/internal/xrand"
@@ -345,7 +346,7 @@ func (t *Tenant) SubmitTask(task rt.Task, opts ...rt.SubmitOption) error {
 // Concurrent passes serialize; the background loop calls this on its period.
 //
 // The pass is planner-driven: per-machine weight totals and worker counts
-// feed rt.PlanBalance (the fuzz-verified pure planner of the intra-box
+// feed readjust.PlanBalance (the fuzz-verified pure planner of the intra-box
 // rebalancer), with each machine's tenants offered in registration order —
 // the migrator cannot read a remote machine's tags, so it prefers none.
 // Tenants that are busy — mid-slice on a worker, holding a submit in
@@ -382,7 +383,7 @@ func (c *Cluster) Rebalance() int {
 	}
 
 	moved := 0
-	for _, m := range rt.PlanBalance(totals, c.workers, movable) {
+	for _, m := range readjust.PlanBalance(totals, c.workers, movable) {
 		if c.migrateTenant(byNode[m.Src][m.Idx], m.Src, m.Dst) {
 			moved++
 		}

@@ -7,19 +7,20 @@
 // infrequently can result in imbalances (and unfairness) across partitions."
 //
 // The implementation gives each processor a private uniprocessor SFQ
-// instance. Arriving threads join the partition with the least total weight
-// (greedy balancing); thereafter a thread runs only on its own processor —
-// there is no work stealing, which is precisely the source of the unfairness
-// the paper predicts. An optional rebalance interval moves threads from the
-// heaviest to the lightest partition; the ablation experiment
-// (experiments.Partitioned) measures fairness against rebalance frequency,
-// reproducing the paper's qualitative argument for why SFS is the better
-// design.
+// instance. Arriving threads join the partition with the least total weight;
+// thereafter a thread runs only on its own processor — there is no work
+// stealing, which is precisely the source of the unfairness the paper
+// predicts. An optional rebalance interval plans and moves threads as the
+// runtime's shard rebalancer does (readjust.PlanBalance); the ablation
+// experiment (experiments.Partitioned) measures fairness against rebalance
+// frequency, reproducing the paper's argument for why SFS is the better design.
 package partition
 
 import (
 	"fmt"
+	"slices"
 
+	"sfsched/internal/readjust"
 	"sfsched/internal/sched"
 	"sfsched/internal/sfq"
 	"sfsched/internal/simtime"
@@ -35,7 +36,6 @@ type Partitioned struct {
 	home     map[*sched.Thread]int
 	interval simtime.Duration // 0 = never rebalance
 	lastBal  simtime.Time
-	moves    int64 // threads moved by rebalancing
 }
 
 // Option configures a Partitioned scheduler.
@@ -46,9 +46,9 @@ func WithQuantum(q simtime.Duration) Option {
 	return func(s *Partitioned) { s.quantum = q }
 }
 
-// WithRebalance enables periodic repartitioning: every interval, threads
-// move from overloaded to underloaded partitions until the weights are as
-// balanced as a greedy pass can make them.
+// WithRebalance enables periodic repartitioning: every interval,
+// readjust.PlanBalance moves waiting threads from overloaded to underloaded
+// partitions, as the runtime's rebalancer moves tenants between shards.
 func WithRebalance(interval simtime.Duration) Option {
 	return func(s *Partitioned) { s.interval = interval }
 }
@@ -92,9 +92,6 @@ func (s *Partitioned) Runnable() int {
 	}
 	return n
 }
-
-// Moves returns how many threads rebalancing has migrated.
-func (s *Partitioned) Moves() int64 { return s.moves }
 
 // PartitionWeights returns the current total weight per partition (tests
 // and metrics).
@@ -189,48 +186,38 @@ func (s *Partitioned) Pick(cpu int, now simtime.Time) *sched.Thread {
 // closely enough for a preemption hint.
 func (s *Partitioned) Less(a, b *sched.Thread) bool { return a.Start < b.Start }
 
-// rebalance migrates runnable, non-running threads from the heaviest to the
-// lightest partition while doing so reduces the spread — the "periodic
-// repartitioning" of §1.2.
+// rebalance is the "periodic repartitioning" of §1.2, as rt.Rebalance does it:
+// readjust.PlanBalance over the partitions' runnable weight at one worker
+// each, offered the waiting threads in readjust.CompareMovers order, and each
+// mover re-admitted at its frame lead, clamped at zero as engine.CaptureLead is.
 func (s *Partitioned) rebalance(now simtime.Time) {
-	for iter := 0; iter < s.p*4; iter++ {
-		hi, lo := 0, 0
-		for i := 1; i < s.p; i++ {
-			if s.weightOf[i] > s.weightOf[hi] {
-				hi = i
-			}
-			if s.weightOf[i] < s.weightOf[lo] {
-				lo = i
-			}
-		}
-		gap := s.weightOf[hi] - s.weightOf[lo]
-		if gap <= 0 {
-			return
-		}
-		// Move the largest thread that still shrinks the gap.
-		var pick *sched.Thread
-		for _, t := range s.parts[hi].Threads() {
-			if t.Running() {
-				continue
-			}
-			if t.Weight < gap && (pick == nil || t.Weight > pick.Weight) {
-				pick = t
+	workers := slices.Repeat([]int{1}, s.p)
+	movable := make([][]float64, s.p)
+	cands := make([][]*sched.Thread, s.p)
+	for i, part := range s.parts {
+		for _, t := range part.Threads() {
+			if !t.Running() {
+				cands[i] = append(cands[i], t)
 			}
 		}
-		if pick == nil {
-			return
+		slices.SortFunc(cands[i], func(a, b *sched.Thread) int {
+			return readjust.CompareMovers(part.FreshSurplus(a), a.ID, part.FreshSurplus(b), b.ID)
+		})
+		for _, t := range cands[i] {
+			movable[i] = append(movable[i], t.Weight)
 		}
-		if err := s.parts[hi].Remove(pick, now); err != nil {
-			return
+	}
+	for _, mv := range readjust.PlanBalance(s.weightOf, workers, movable) {
+		t, src, dst := cands[mv.Src][mv.Idx], s.parts[mv.Src], s.parts[mv.Dst]
+		if err := src.Remove(t, now); err != nil {
+			panic(fmt.Sprintf("partition: rebalance %v: %v", t, err))
 		}
-		if err := s.parts[lo].Add(pick, now); err != nil {
-			// Undo on failure; should not happen.
-			_ = s.parts[hi].Add(pick, now)
-			return
+		dst.SetFrameLead(t, max(src.FrameLead(t), 0))
+		if err := dst.Add(t, now); err != nil {
+			panic(fmt.Sprintf("partition: rebalance %v: %v", t, err))
 		}
-		s.weightOf[hi] -= pick.Weight
-		s.weightOf[lo] += pick.Weight
-		s.home[pick] = lo
-		s.moves++
+		s.weightOf[mv.Src] -= t.Weight
+		s.weightOf[mv.Dst] += t.Weight
+		s.home[t] = mv.Dst
 	}
 }

@@ -2,7 +2,9 @@ package partition
 
 import (
 	"errors"
+	"maps"
 	"math"
+	"slices"
 	"testing"
 
 	"sfsched/internal/machine"
@@ -115,7 +117,7 @@ func TestRebalanceRepairsImbalance(t *testing.T) {
 			t.Fatalf("survivor service %.2fs, want ~10.5 (rebalance should fix)", got)
 		}
 	}
-	if s.Moves() == 0 {
+	if m.Stats().Migrations == 0 {
 		t.Fatal("rebalancing never moved a thread")
 	}
 }
@@ -184,5 +186,115 @@ func TestErrorsAndAccessors(t *testing.T) {
 	}
 	if !s.Less(&sched.Thread{Start: 1}, &sched.Thread{Start: 2}) {
 		t.Fatal("Less")
+	}
+}
+
+// place adds threads of the given weights, IDs from 1, to s at time 0.
+func place(t *testing.T, s *Partitioned, weights ...float64) []*sched.Thread {
+	t.Helper()
+	var ths []*sched.Thread
+	for i, w := range weights {
+		th := mkThread(i+1, w)
+		if err := s.Add(th, 0); err != nil {
+			t.Fatal(err)
+		}
+		ths = append(ths, th)
+	}
+	return ths
+}
+
+// block takes th out of its partition as a sleeping thread.
+func block(t *testing.T, s *Partitioned, th *sched.Thread) {
+	t.Helper()
+	th.State = sched.Blocked
+	if err := s.Remove(th, 0); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// rebalanceOnce lets a Pick at the rebalance interval run one pass and
+// returns the one thread it moved with its source and destination.
+func rebalanceOnce(t *testing.T, s *Partitioned, ths []*sched.Thread) (mover *sched.Thread, src, dst int) {
+	t.Helper()
+	before := maps.Clone(s.home)
+	s.Pick(0, simtime.Time(simtime.Second))
+	for _, th := range ths {
+		if i, ok := before[th]; ok && s.home[th] != i {
+			if mover != nil {
+				t.Fatalf("the pass moved %v and %v, want one move", mover, th)
+			}
+			mover, src, dst = th, i, s.home[th]
+		}
+	}
+	if mover == nil {
+		t.Fatalf("the pass moved nothing: weights %v", s.PartitionWeights())
+	}
+	return mover, src, dst
+}
+
+// TestRebalanceInsideBandStaysPut: partitions of 5.9 and 5.5 are inside the
+// planner's 5 % band (each would have to give or take 0.2, under 0.285), so a
+// pass plans no move, although the heavier side holds threads of 0.25, lighter
+// than the 0.4 gap.
+func TestRebalanceInsideBandStaysPut(t *testing.T) {
+	s := New(2, WithRebalance(simtime.Second))
+	ths := place(t, s, 5, 5, 0.25, 0.5, 0.25) // homes 0, 1, 0, 1, 0
+	if err := s.SetWeight(ths[0], 5.4, 0); err != nil {
+		t.Fatal(err)
+	}
+	before := s.PartitionWeights()
+	if !slices.Equal(before, []float64{5.9, 5.5}) {
+		t.Fatalf("partition weights %v, want [5.9 5.5]", before)
+	}
+	s.Pick(0, simtime.Time(simtime.Second))
+	if after := s.PartitionWeights(); !slices.Equal(after, before) {
+		t.Fatalf("a pass inside the band moved weight: %v -> %v", before, after)
+	}
+}
+
+// TestRebalanceCarriesFrameLead: partition 0 has run ahead of partition 1 in
+// virtual time, and the thread a pass moves across keeps its lead over the
+// source's virtual time, clamped at zero, over the destination's — not its
+// source-frame tag, which would start it behind every thread it joins. One
+// move evens the 3 : 1 split, whichever of the three equal threads it takes.
+func TestRebalanceCarriesFrameLead(t *testing.T) {
+	s := New(2, WithQuantum(10*simtime.Millisecond), WithRebalance(simtime.Second))
+	ths := place(t, s, 1, 1, 1, 1, 1) // homes 0, 1, 0, 1, 0
+	for i, th := range []*sched.Thread{ths[0], ths[2], ths[4]} {
+		s.Charge(th, simtime.Duration(i+2)*10*simtime.Millisecond, 0)
+	}
+	block(t, s, ths[3])
+	finish := map[*sched.Thread]float64{}
+	for _, th := range ths {
+		finish[th] = th.Finish
+	}
+	if v0, v1 := s.parts[0].VirtualTime(), s.parts[1].VirtualTime(); v0 <= v1 {
+		t.Fatalf("virtual times %g and %g: partition 0 must lead", v0, v1)
+	}
+	mover, src, dst := rebalanceOnce(t, s, ths)
+	// The pass changed nothing on the source but the mover's departure, so
+	// the source's virtual time now is the one its lead was read against.
+	want := max(finish[mover]-s.parts[src].VirtualTime(), 0)
+	if got := mover.Start - s.parts[dst].VirtualTime(); math.Abs(got-want) > 1e-9 {
+		t.Fatalf("%v moved %d -> %d with lead %g over the destination, want %g", mover, src, dst, got, want)
+	}
+}
+
+// TestRebalancePrefersHigherSurplus: three equal threads on partition 0 are
+// equally good fits for the 3 : 1 split, and the one furthest ahead of the
+// partition's virtual time moves — a, the lowest thread ID and the highest
+// tag, so neither ID order nor tag order would pick it.
+func TestRebalancePrefersHigherSurplus(t *testing.T) {
+	s := New(2, WithQuantum(10*simtime.Millisecond), WithRebalance(simtime.Second))
+	ths := place(t, s, 1, 1, 1, 1, 1) // homes 0, 1, 0, 1, 0
+	for _, c := range []struct {
+		th     *sched.Thread
+		quanta int
+	}{{ths[0], 3}, {ths[2], 1}, {ths[4], 2}} {
+		s.Charge(c.th, simtime.Duration(c.quanta)*10*simtime.Millisecond, 0)
+	}
+	block(t, s, ths[3])
+	if mover, _, _ := rebalanceOnce(t, s, ths); mover != ths[0] {
+		t.Fatalf("%v moved, want the highest-surplus %v", mover, ths[0])
 	}
 }

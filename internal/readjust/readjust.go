@@ -1,6 +1,8 @@
 // Package readjust implements the paper's optimal weight readjustment
 // algorithm (§2.1, Figure 2) and Generalized Multiprocessor Sharing (§2.2),
-// the fluid schedule whose rates readjustment induces and SFS approximates.
+// the fluid schedule whose rates readjustment induces and SFS approximates,
+// and PlanBalance, the one placement planner of the runtime's shards, the
+// cluster's machines and the simulator's partitioned baseline (§1.2).
 //
 // On a p-processor machine a weight assignment is feasible only if no thread
 // requests more than 1/p of the total bandwidth (Equation 1): a single thread
@@ -81,7 +83,9 @@
 package readjust
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -276,4 +280,109 @@ func Rates(weights []float64, p int) []float64 {
 		}
 	}
 	return rates
+}
+
+const (
+	// rebalanceTolerance is the planner's hysteresis: donor/receiver pairs
+	// whose transferable imbalance is below this fraction of a balanced
+	// shard's weight are left alone, so balanced systems do not churn.
+	rebalanceTolerance = 0.05
+	// maxRebalanceMoves bounds the work of one rebalance pass; imbalance
+	// that needs more moves is finished by subsequent passes.
+	maxRebalanceMoves = 8
+)
+
+// BalanceMove is one planned migration: move the Idx-th movable tenant of
+// shard (or cluster machine) Src to Dst.
+type BalanceMove struct {
+	Src, Dst, Idx int
+}
+
+// PlanBalance chooses migrations that bring each shard's total weight
+// toward target_s = Σweight · workers_s / Σworkers; the cluster tier plans
+// across machines with it too. It is a pure function of its inputs: totals
+// holds the per-shard weight sums (including unmovable tenants), movable the
+// weights of the individually movable tenants per shard, ordered by
+// descending migration preference (the caller orders by surplus where it can
+// read tags, else by registration). Each move strictly reduces the
+// donor/receiver pair's distance to target, so total imbalance never grows,
+// per-shard sums stay non-negative and total weight is conserved — the
+// invariants FuzzRebalance checks. Pairs within rebalanceTolerance stay put.
+func PlanBalance(totals []float64, workers []int, movable [][]float64) []BalanceMove {
+	n := len(totals)
+	if n < 2 {
+		return nil
+	}
+	totalWorkers := 0
+	totalWeight := 0.0
+	for i := range totals {
+		totalWorkers += workers[i]
+		totalWeight += totals[i]
+	}
+	if totalWorkers == 0 || totalWeight <= 0 {
+		return nil
+	}
+	target := make([]float64, n)
+	for i := range target {
+		target[i] = totalWeight * float64(workers[i]) / float64(totalWorkers)
+	}
+	cur := append([]float64(nil), totals...)
+	used := make([][]bool, n)
+	for i := range used {
+		used[i] = make([]bool, len(movable[i]))
+	}
+	var moves []BalanceMove
+	for len(moves) < maxRebalanceMoves {
+		donor, recv := 0, 0
+		for i := range cur {
+			if cur[i]-target[i] > cur[donor]-target[donor] {
+				donor = i
+			}
+			if cur[i]-target[i] < cur[recv]-target[recv] {
+				recv = i
+			}
+		}
+		excess, deficit := cur[donor]-target[donor], target[recv]-cur[recv]
+		need := math.Min(excess, deficit)
+		if need <= rebalanceTolerance*totalWeight/float64(n) {
+			break
+		}
+		// The best candidate leaves the donor/receiver pair closest to
+		// target. Candidates are pre-ordered by migration preference, so
+		// among equally-good fits the first (highest surplus, or earliest
+		// registered) wins.
+		best, bestAfter := -1, excess+deficit
+		for j, w := range movable[donor] {
+			if used[donor][j] {
+				continue
+			}
+			after := math.Abs(excess-w) + math.Abs(deficit-w)
+			if after < bestAfter-1e-12 {
+				best, bestAfter = j, after
+			}
+		}
+		if best < 0 {
+			break // nothing movable improves the worst pair
+		}
+		used[donor][best] = true
+		w := movable[donor][best]
+		cur[donor] -= w
+		cur[recv] += w
+		moves = append(moves, BalanceMove{Src: donor, Dst: recv, Idx: best})
+	}
+	return moves
+}
+
+// CompareMovers is the one migration preference, a slices.SortFunc order: the
+// higher surplus moves first, as the wakeup rule's re-entry costs it least
+// (§2.3: it forgives lead, never debt), and equal surpluses (every one is 0
+// without tags) break to the lower thread ID, so replays stay deterministic.
+func CompareMovers(aSurplus float64, aID int, bSurplus float64, bID int) int {
+	switch {
+	case aSurplus > bSurplus:
+		return -1
+	case aSurplus < bSurplus:
+		return 1
+	}
+	return cmp.Compare(aID, bID)
 }

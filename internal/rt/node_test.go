@@ -263,26 +263,3 @@ func mustPanicNode(t *testing.T, what string, fn func()) {
 	}()
 	fn()
 }
-
-// TestPlanBalanceExport sanity-checks the exported planner wrapper: a 2:0
-// imbalance across equal nodes plans a move from the loaded node to the
-// empty one, and a balanced layout plans nothing.
-func TestPlanBalanceExport(t *testing.T) {
-	moves := rt.PlanBalance(
-		[]float64{4, 0},
-		[]int{1, 1},
-		[][]float64{{2, 2}, {}},
-	)
-	if len(moves) == 0 {
-		t.Fatal("imbalanced layout planned no moves")
-	}
-	for _, m := range moves {
-		if m.Src != 0 || m.Dst != 1 {
-			t.Fatalf("move %+v, want 0→1", m)
-		}
-	}
-	if moves := rt.PlanBalance([]float64{2, 2}, []int{1, 1},
-		[][]float64{{2}, {2}}); len(moves) != 0 {
-		t.Fatalf("balanced layout planned %d moves", len(moves))
-	}
-}

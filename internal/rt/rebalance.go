@@ -2,124 +2,33 @@
 // shard delivers its processors' capacity to its own tenants in proportion to
 // their weights. Global fairness therefore reduces to one condition — every
 // shard's total weight stays proportional to its processor count. This file
-// enforces it: a pure planner (PlanBalance, fuzzed by FuzzRebalance)
-// decides which tenants to move, and migrate carries a tenant across shards
-// with a wakeup-style virtual-time frame translation, so each move perturbs
-// the tenant's allocation by at most its current lead over v — one quantum's
-// worth. DESIGN.md §6 gives the full fairness argument.
+// enforces it: readjust.PlanBalance, the planner the cluster tier and the
+// simulator's partitioned baseline share, decides which tenants to move, and
+// migrate carries a tenant across shards with a wakeup-style virtual-time
+// frame translation, so each move perturbs the tenant's allocation by at most
+// its current lead over v — one quantum's worth. DESIGN.md §6 gives the full
+// fairness argument.
 
 package rt
 
 import (
-	"cmp"
-	"math"
 	"slices"
 
 	"sfsched/internal/engine"
+	"sfsched/internal/readjust"
 	"sfsched/internal/sched"
 	"sfsched/internal/simtime"
 )
 
-const (
-	// rebalanceTolerance is the planner's hysteresis: donor/receiver pairs
-	// whose transferable imbalance is below this fraction of a balanced
-	// shard's weight are left alone, so balanced systems do not churn.
-	rebalanceTolerance = 0.05
-	// maxRebalanceMoves bounds the work of one rebalance pass; imbalance
-	// that needs more moves is finished by subsequent passes.
-	maxRebalanceMoves = 8
-)
-
-// BalanceMove is one planned migration: move the Idx-th movable tenant of
-// shard (or cluster machine) Src to Dst.
-type BalanceMove struct {
-	Src, Dst, Idx int
-}
-
-// PlanBalance chooses migrations that bring each shard's total weight
-// toward target_s = Σweight · workers_s / Σworkers; the cluster tier plans
-// across machines with it too. It is a pure function of its inputs: totals
-// holds the per-shard weight sums (including unmovable tenants), movable the
-// weights of the individually movable tenants per shard, ordered by
-// descending migration preference (the caller orders by surplus where it can
-// read tags, else by registration). Each move strictly reduces the
-// donor/receiver pair's distance to target, so total imbalance never grows,
-// per-shard sums stay non-negative and total weight is conserved — the
-// invariants FuzzRebalance checks. Pairs within rebalanceTolerance stay put.
-func PlanBalance(totals []float64, workers []int, movable [][]float64) []BalanceMove {
-	n := len(totals)
-	if n < 2 {
-		return nil
-	}
-	totalWorkers := 0
-	totalWeight := 0.0
-	for i := range totals {
-		totalWorkers += workers[i]
-		totalWeight += totals[i]
-	}
-	if totalWorkers == 0 || totalWeight <= 0 {
-		return nil
-	}
-	target := make([]float64, n)
-	for i := range target {
-		target[i] = totalWeight * float64(workers[i]) / float64(totalWorkers)
-	}
-	cur := append([]float64(nil), totals...)
-	used := make([][]bool, n)
-	for i := range used {
-		used[i] = make([]bool, len(movable[i]))
-	}
-	var moves []BalanceMove
-	for len(moves) < maxRebalanceMoves {
-		donor, recv := 0, 0
-		for i := range cur {
-			if cur[i]-target[i] > cur[donor]-target[donor] {
-				donor = i
-			}
-			if cur[i]-target[i] < cur[recv]-target[recv] {
-				recv = i
-			}
-		}
-		excess, deficit := cur[donor]-target[donor], target[recv]-cur[recv]
-		need := math.Min(excess, deficit)
-		if need <= rebalanceTolerance*totalWeight/float64(n) {
-			break
-		}
-		// The best candidate leaves the donor/receiver pair closest to
-		// target. Candidates are pre-ordered by migration preference, so
-		// among equally-good fits the first (highest surplus, or earliest
-		// registered) wins.
-		best, bestAfter := -1, excess+deficit
-		for j, w := range movable[donor] {
-			if used[donor][j] {
-				continue
-			}
-			after := math.Abs(excess-w) + math.Abs(deficit-w)
-			if after < bestAfter-1e-12 {
-				best, bestAfter = j, after
-			}
-		}
-		if best < 0 {
-			break // nothing movable improves the worst pair
-		}
-		used[donor][best] = true
-		w := movable[donor][best]
-		cur[donor] -= w
-		cur[recv] += w
-		moves = append(moves, BalanceMove{Src: donor, Dst: recv, Idx: best})
-	}
-	return moves
-}
-
 // Rebalance runs one rebalancing pass: snapshot shard loads, plan moves with
-// PlanBalance, and migrate the chosen tenants. Only tenants that are not
-// mid-slice and have no blocked submitters are eligible; within a shard,
-// candidates are offered in descending surplus order (threads ahead of their
-// ideal allocation lose the least from the wakeup-style re-entry), ties in
-// thread-ID (registration) order. The surplus comes from the shard
-// scheduler's sched.Tagged capability; policies without tags (time sharing,
-// lottery) have no surplus, so their candidates go in thread-ID order alone,
-// the order stealFrom falls back to as well (DESIGN.md §7).
+// readjust.PlanBalance, and migrate the chosen tenants. Only tenants that are
+// not mid-slice and have no blocked submitters are eligible; within a shard,
+// candidates are offered in readjust.CompareMovers order: descending surplus
+// (threads ahead of their ideal allocation lose the least from the
+// wakeup-style re-entry), ties in thread-ID (registration) order. The
+// surplus comes from the shard scheduler's sched.Tagged capability; policies
+// without tags (time sharing, lottery) have no surplus, so their candidates
+// go in thread-ID order alone, as stealFrom's do (DESIGN.md §7).
 // It returns the number of tenants migrated. Concurrent mode runs it
 // periodically (every DefaultRebalanceEvery); Manual mode calls it directly.
 func (r *Runtime) Rebalance() int {
@@ -150,13 +59,7 @@ func (r *Runtime) Rebalance() int {
 			cands = append(cands, rebalanceCandidate{tn, surplus, tn.th.ID})
 		}
 		slices.SortFunc(cands, func(a, b rebalanceCandidate) int {
-			switch {
-			case a.surplus > b.surplus:
-				return -1
-			case a.surplus < b.surplus:
-				return 1
-			}
-			return cmp.Compare(a.id, b.id)
+			return readjust.CompareMovers(a.surplus, a.id, b.surplus, b.id)
 		})
 		movable, handles := s.movable[i][:0], s.handles[i][:0]
 		for _, c := range cands {
@@ -169,7 +72,7 @@ func (r *Runtime) Rebalance() int {
 	}
 	clear(s.cands[:cap(s.cands)])
 	migrated := 0
-	for _, mv := range PlanBalance(s.totals, s.workers, s.movable) {
+	for _, mv := range readjust.PlanBalance(s.totals, s.workers, s.movable) {
 		if r.migrate(s.handles[mv.Src][mv.Idx], r.shards[mv.Src], r.shards[mv.Dst]) {
 			migrated++
 		}

@@ -61,6 +61,8 @@ package rt
 import (
 	"fmt"
 	"slices"
+
+	"sfsched/internal/readjust"
 )
 
 const (
@@ -149,14 +151,9 @@ func (r *Runtime) stealFrom(victim, thief *shard) bool {
 		if !tn.inSched || tn.pinned() {
 			continue
 		}
-		th := tn.th
-		surplus := victim.eng.Surplus(th)
-		// Highest surplus wins — the re-entry costs it the least (§2.3: the
-		// wakeup rule forgives lead, never debt). Ties, and the whole scan
-		// under policies that are not Tagged, break to the lowest thread
-		// id for deterministic Manual replays.
-		if best == nil || surplus > bestSurplus ||
-			(surplus == bestSurplus && th.ID < best.th.ID) {
+		// The first tenant in readjust.CompareMovers order wins.
+		surplus := victim.eng.Surplus(tn.th)
+		if best == nil || readjust.CompareMovers(surplus, tn.th.ID, bestSurplus, best.th.ID) < 0 {
 			best, bestSurplus = tn, surplus
 		}
 	}
