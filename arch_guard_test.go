@@ -436,10 +436,12 @@ func TestOnePlanner(t *testing.T) {
 // implementation: outside internal/runqueue no non-test file of the root
 // module names runqueue.List or runqueue.NewList (the nested benchmark module,
 // cmd/sfsbench, prices the list against the heap and is the reason the type
-// still exists).
+// still exists), and outside internal/core none names runqueue.Lane or
+// runqueue.NewLane: the sorted FIFO beside a heap serves SFS's φ-classes,
+// whose members mostly cycle from front to back, and no other queue.
 func TestOneOrderedQueue(t *testing.T) {
 	fset := token.NewFileSet()
-	heapUsers := 0
+	heapUsers, lanes := 0, 0
 	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -467,6 +469,11 @@ func TestOneOrderedQueue(t *testing.T) {
 				switch sel.Sel.Name {
 				case "List", "NewList":
 					t.Errorf("%s: runqueue.%s: a second ordered-queue implementation under a scheduler again", fset.Position(sel.Pos()), sel.Sel.Name)
+				case "Lane", "NewLane":
+					if filepath.Dir(path) != filepath.Join("internal", "core") {
+						t.Errorf("%s: runqueue.%s outside internal/core: the lane serves the φ-classes only", fset.Position(sel.Pos()), sel.Sel.Name)
+					}
+					lanes++
 				case "Heap":
 					usesHeap = true
 				}
@@ -484,19 +491,26 @@ func TestOneOrderedQueue(t *testing.T) {
 	if heapUsers < 3 {
 		t.Errorf("only %d files outside internal/runqueue name runqueue.Heap (core, readjust and vtq did); update the guard", heapUsers)
 	}
+	if lanes == 0 {
+		t.Error("internal/core names no runqueue.Lane; update the guard")
+	}
 }
 
 // TestPickAndSiftStayOffTheElement keeps two per-operation indirections from
 // coming back. A sift level of runqueue.Heap records the moved element's
 // position through the handle pointer cached in the heap position: up, down
 // and set contain no call to RunqueueHandle (a dictionary call per level — the
-// method is generic). And neither driver hashes a picked thread: the
+// method is generic). So does runqueue.Lane: its push (Append) and its pop and
+// tombstone (Remove) read the handle of their argument once, and its scan
+// (KeyAt, At, Front, Each) and its moves (compact, split) none, nor does any
+// other lane method but Validate. And neither driver hashes a picked thread: the
 // simulator checks it against a slice indexed by Thread.ID, the runtime finds
 // its tenant through Thread.Owner, and non-test internal/machine and
 // internal/rt declare no map[*sched.Thread]… (a hashed lookup per dispatch).
 func TestPickAndSiftStayOffTheElement(t *testing.T) {
 	fset := token.NewFileSet()
 	sifts := map[string]bool{"up": false, "down": false, "set": false}
+	lane := map[string]int{} // Lane method → RunqueueHandle calls in it
 	for _, path := range driverSources(t, filepath.Join("internal", "runqueue")) {
 		f, err := parser.ParseFile(fset, path, nil, 0)
 		if err != nil {
@@ -514,7 +528,18 @@ func TestPickAndSiftStayOffTheElement(t *testing.T) {
 			if ix, ok := recv.(*ast.IndexExpr); ok {
 				recv = ix.X
 			}
-			if id, ok := recv.(*ast.Ident); !ok || id.Name != "Heap" {
+			id, ok := recv.(*ast.Ident)
+			if ok && id.Name == "Lane" {
+				lane[fn.Name.Name] = 0
+				ast.Inspect(fn.Body, func(n ast.Node) bool {
+					if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "RunqueueHandle" {
+						lane[fn.Name.Name]++
+					}
+					return true
+				})
+				continue
+			}
+			if !ok || id.Name != "Heap" {
 				continue
 			}
 			if _, sift := sifts[fn.Name.Name]; !sift {
@@ -533,6 +558,23 @@ func TestPickAndSiftStayOffTheElement(t *testing.T) {
 	for name, seen := range sifts {
 		if !seen {
 			t.Errorf("runqueue.Heap has no method %s; update the guard", name)
+		}
+	}
+	for _, name := range []string{"Append", "Remove", "KeyAt", "At", "Front", "Each", "compact", "split"} {
+		if _, ok := lane[name]; !ok {
+			t.Errorf("runqueue.Lane has no method %s; update the guard", name)
+		}
+	}
+	for name, calls := range lane {
+		want := 0
+		switch name {
+		case "Append", "Remove":
+			want = 1
+		case "Validate":
+			continue
+		}
+		if calls != want {
+			t.Errorf("Lane.%s calls RunqueueHandle %d times, want %d: the lane's push, pop or scan goes through the element again", name, calls, want)
 		}
 	}
 	drivers := append(driverSources(t, filepath.Join("internal", "machine")),

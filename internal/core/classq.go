@@ -13,27 +13,68 @@ import (
 // the surplus φ·(S − v) is a non-decreasing function of the start tag S for
 // every v — the observation behind the §2.3 reduction of SFS to SFQ on a
 // uniprocessor — so the order inside a φ-class is the order of start tags and
-// no change of virtual time disturbs it: one heap per class serves both
-// queues. Only the order *between* classes depends on v, and that is the part
-// kept lazily: one stored surplus per class, against the vRef epoch. And
+// no change of virtual time disturbs it: one lane and heap per class serve
+// both queues. Only the order *between* classes depends on v, and that is the
+// part kept lazily: one stored surplus per class, against the vRef epoch. And
 // §2.3 needs only v = min S from the start-tag queue, which is the least of
 // the class heads' tags: a second class-level heap, re-keyed wherever the
 // first is.
 
 // class is one φ-class: the runnable threads whose instantaneous weight is
-// phi, in a min-heap on (start tag, weight desc, ID). In byClass it is keyed
-// by its head's stored surplus, then by the head's weight (descending) and ID,
-// mirroring the thread-level tie-break; in byHead by its head's start tag.
-// What a pick needs to turn a class down — φ, the head's tag, the key — sits
-// here, so a losing class costs the class struct and not its heap or its head.
+// phi, ordered on (start tag, weight desc, ID) in two queues. The lane holds
+// the threads that cycle — each charge left the charged tag at or above every
+// other, so the thread goes to the back of a sorted FIFO at O(1) — and the
+// heap the stragglers: wakeups and charges that landed below the lane's back.
+// In byClass a class is keyed by its head's stored surplus, then by the head's
+// weight (descending) and ID, mirroring the thread-level tie-break; in byHead
+// by its head's start tag. What a pick needs to turn a class down — φ, the
+// head's tag, the key — sits here, so a losing class costs the class struct
+// and not its queues or its head.
 type class struct {
 	phi       float64
-	threads   *runqueue.Heap[*sched.Thread]
-	head      *sched.Thread // threads' minimum
-	headStart float64       // head's start key, threads.KeyAt(0)
-	key       float64       // head's surplus against the vRef epoch
-	slot      int32         // index in SFS.classes; Thread.PhiClass holds slot+1
+	threads   *runqueue.Heap[*sched.Thread] // the stragglers
+	lane      *runqueue.Lane[*sched.Thread] // the cycling threads
+	head      *sched.Thread                 // the lesser of the lane's front and the heap's minimum
+	headStart float64                       // head's start key
+	key       float64                       // head's surplus against the vRef epoch
+	slot      int32                         // index in SFS.classes; Thread.PhiClass holds slot+1
 	rq, hq    runqueue.Handle[*class]
+}
+
+// laneFloor is the class size from which threads enter the lane: a smaller
+// class puts every thread it takes into its heap, a few levels deep, and only
+// charges, leaves and removals drain its lane. On sfsbench's hogs, whose
+// classes hold a few threads and whose running hogs enforcement charges in
+// installments, a lane at every size lost ≈ 7 % ops/s (8 of 10 paired runs
+// on 2 vCPUs); the floor keeps such classes on the heap alone, and sim's
+// classes of ≈ 1 450 keep the lane.
+const laneFloor = 64
+
+// size returns the number of threads in c.
+func (c *class) size() int { return c.threads.Len() + c.lane.Len() }
+
+// first returns c's least thread and its start key: the lesser of the lane's
+// front and the heap's minimum.
+func (c *class) first() (*sched.Thread, float64) {
+	t, k, ok := c.lane.Front()
+	if h, hok := c.threads.Min(); hok {
+		if hk := c.threads.KeyAt(0); !ok || hk < k || hk == k && inClassLess(h, t) {
+			return h, hk
+		}
+	}
+	return t, k
+}
+
+// toLane reports whether t, queued in c or about to be, belongs at the lane's
+// back: c is at least laneFloor threads and t does not precede the back.
+func (c *class) toLane(t *sched.Thread) bool {
+	return c.size() >= laneFloor && c.lane.Admits(t)
+}
+
+// each calls fn on every thread of c, lane first.
+func (c *class) each(fn func(*sched.Thread) bool) {
+	c.lane.Each(fn)
+	c.threads.Each(fn)
 }
 
 // RunqueueHandle implements runqueue.Indexed; a class sits in byClass
@@ -92,6 +133,7 @@ func (s *SFS) classFor(phi float64) *class {
 	} else {
 		c = &class{slot: int32(len(s.classes)),
 			threads: runqueue.NewKeyedHeap(runqueue.SlotSurplus, startKey, inClassLess)}
+		c.lane = runqueue.NewLane(c.threads)
 		s.classes = append(s.classes, c)
 	}
 	s.label(c, phi)
@@ -110,7 +152,7 @@ func (s *SFS) label(c *class, phi float64) {
 // relabel moves the one-thread class c to the weight phi, which no live class
 // holds, where leave and join would empty c and fill it again. The head's
 // surplus moves with φ, its start tag and weight do not: c is re-keyed in
-// byClass, and byHead and c's thread heap are left as they are.
+// byClass, and byHead and c's queues are left as they are.
 func (s *SFS) relabel(c *class, phi float64) {
 	delete(s.classOf, c.phi)
 	s.label(c, phi)
@@ -122,8 +164,12 @@ func (s *SFS) relabel(c *class, phi float64) {
 func (s *SFS) join(t *sched.Thread) {
 	c := s.classFor(t.Phi)
 	t.PhiClass = c.slot + 1
-	c.threads.Push(t)
-	if h, _ := c.threads.Min(); h == t {
+	if c.toLane(t) {
+		c.lane.Append(t)
+	} else {
+		c.threads.Push(t)
+	}
+	if c.head == nil || inClassLess(t, c.head) {
 		s.rekey(c)
 	}
 }
@@ -133,9 +179,11 @@ func (s *SFS) join(t *sched.Thread) {
 func (s *SFS) leave(t *sched.Thread) {
 	c := s.classes[t.PhiClass-1]
 	t.PhiClass = 0
-	c.threads.Remove(t)
+	if c.lane.Len() == 0 || !c.lane.Remove(t) {
+		c.threads.Remove(t)
+	}
 	switch {
-	case c.threads.Len() == 0:
+	case c.size() == 0:
 		s.byClass.Remove(c)
 		s.byHead.Remove(c)
 		delete(s.classOf, c.phi)
@@ -149,7 +197,7 @@ func (s *SFS) leave(t *sched.Thread) {
 // rekey restores c's position in the two class-level heaps after its head
 // changed (another thread, or the same thread with another tag).
 func (s *SFS) rekey(c *class) {
-	c.head, c.headStart = c.threads.At(0), c.threads.KeyAt(0)
+	c.head, c.headStart = c.first()
 	c.key = s.keyOf(c)
 	if !s.byClass.Fix(c) {
 		s.byClass.Push(c)
@@ -195,6 +243,7 @@ func (s *SFS) refreshKeys() {
 	}
 	s.byClass.Init()
 	s.stats.SurplusSweeps++
+	Counts.Refreshes.Inc()
 }
 
 // tiesAbove reports whether a thread of t's class with a larger start tag
@@ -229,6 +278,7 @@ func (s *SFS) tiesAbove(t *sched.Thread, fresh float64) bool {
 // tags equal v) is cut by order instead, because there the class-level order
 // is the order of their candidates.
 func (s *SFS) pickExact() *sched.Thread {
+	Counts.Picks.Inc()
 	n := s.byClass.Len()
 	if n == 0 {
 		return nil
@@ -245,6 +295,7 @@ func (s *SFS) pickExact() *sched.Thread {
 		// whole crowds of equal tags whose surplus rounds alike (tiesAbove).
 		best, bestS = s.admit(least, nil, 0, 0)
 		for i := 0; i < n; i++ {
+			Counts.ClassVisits.Inc()
 			if c := s.byClass.At(i); c != least && (best == nil || keySurplus(c, c.headStart, s.v) <= bestS) {
 				best, bestS = s.admit(c, best, bestS, 0)
 			}
@@ -268,6 +319,7 @@ func (s *SFS) pickExact() *sched.Thread {
 		i := int(classes[len(classes)-1])
 		classes = classes[:len(classes)-1]
 		c := s.byClass.At(i)
+		Counts.ClassVisits.Inc()
 		if c.key > cut {
 			continue
 		}
@@ -298,18 +350,40 @@ func (s *SFS) pickExact() *sched.Thread {
 
 // admit returns the better of the incumbent best (fresh surplus bestS) and the
 // least non-running thread of c. Fresh surpluses inside a class are exact and
-// non-decreasing along every heap path, so the walk reaches no further than
-// the incumbent's surplus (padded by pad of it), descends below a running
-// thread, and below a non-running one only while a larger tag could still tie
-// (tiesAbove) — a crowd of equal tags is walked only then: its head is the
-// heap's head. A class whose head is out of reach costs the class struct alone
-// (the eager scan turns it down before the call).
+// non-decreasing along the lane and along every heap path, so each queue is
+// read no further than the incumbent's surplus (padded by pad of it), past a
+// running thread, and past a non-running one only while a larger tag could
+// still tie (tiesAbove) — a crowd of equal tags is walked only then: its head
+// leads it. The lane is scanned from its front, then the heap walked from its
+// root. A class whose head is out of reach costs the class struct alone (the
+// eager scan turns it down before the call).
 func (s *SFS) admit(c *class, best *sched.Thread, bestS, pad float64) (*sched.Thread, float64) {
 	reach := math.Inf(1)
 	if best != nil {
 		reach = bestS + pad*math.Abs(bestS)
 	}
 	if keySurplus(c, c.headStart, s.v) > reach {
+		return best, bestS
+	}
+	for i := 0; i < c.lane.Span(); i++ {
+		// Judged on the lane's own buffer before the thread is touched.
+		fresh := keySurplus(c, c.lane.KeyAt(i), s.v)
+		if fresh > reach {
+			break
+		}
+		t := c.lane.At(i)
+		if t == nil || t.Running() {
+			continue
+		}
+		if betterPick(fresh, t, bestS, best) {
+			best, bestS = t, fresh
+			reach = bestS + pad*math.Abs(bestS)
+		}
+		if fresh != bestS || !s.tiesAbove(t, fresh) {
+			break
+		}
+	}
+	if c.threads.Len() == 0 {
 		return best, bestS
 	}
 	threads := append(s.threadStack[:0], 0)
@@ -344,8 +418,9 @@ func (s *SFS) admit(c *class, best *sched.Thread, bestS, pad float64) (*sched.Th
 
 // checkClasses validates the class queues: every runnable thread sits in the
 // class of its current φ, no empty class is queued, both class-level heaps
-// hold every class, class sizes sum to the φ source's thread count, and every
-// class key equals its head's recomputed stored surplus.
+// hold every class, each class's lane and heap are valid and its cached head
+// is the lesser of their fronts, class sizes sum to the φ source's thread
+// count, and every class key equals its head's recomputed stored surplus.
 func (s *SFS) checkClasses() error {
 	if err := s.byClass.Validate(); err != nil {
 		return err
@@ -360,30 +435,37 @@ func (s *SFS) checkClasses() error {
 	n := 0
 	for i := 0; i < s.byClass.Len(); i++ {
 		c := s.byClass.At(i)
-		if c.threads.Len() == 0 {
+		if c.size() == 0 {
 			return fmt.Errorf("core: empty class φ=%g queued", c.phi)
 		}
 		if err := c.threads.Validate(); err != nil {
 			return err
 		}
+		if err := c.lane.Validate(); err != nil {
+			return err
+		}
 		if s.classOf[c.phi] != c {
 			return fmt.Errorf("core: class φ=%g is not the one indexed under its φ", c.phi)
 		}
-		if h, k := c.threads.At(0), c.threads.KeyAt(0); h != c.head || k != c.headStart {
-			return fmt.Errorf("core: class φ=%g caches head %v at %g, heap head is %v at %g", c.phi, c.head, c.headStart, h, k)
+		if h, k := c.first(); h != c.head || k != c.headStart {
+			return fmt.Errorf("core: class φ=%g caches head %v at %g, its queues lead with %v at %g", c.phi, c.head, c.headStart, h, k)
 		}
 		if want := surplusAt(c.head, s.vRef); c.key != want {
 			return fmt.Errorf("core: class φ=%g keyed %g, head %v stores %g against vRef=%g",
 				c.phi, c.key, c.head, want, s.vRef)
 		}
-		for j := 0; j < c.threads.Len(); j++ {
-			t := c.threads.At(j)
+		var err error
+		c.each(func(t *sched.Thread) bool {
 			if t.Phi != c.phi || t.PhiClass != c.slot+1 {
-				return fmt.Errorf("core: %v (φ=%g, class link %d) sits in class φ=%g slot %d",
+				err = fmt.Errorf("core: %v (φ=%g, class link %d) sits in class φ=%g slot %d",
 					t, t.Phi, t.PhiClass, c.phi, c.slot)
 			}
+			return err == nil
+		})
+		if err != nil {
+			return err
 		}
-		n += c.threads.Len()
+		n += c.size()
 	}
 	if n != s.weights.Len() {
 		return fmt.Errorf("core: classes hold %d threads, %d runnable", n, s.weights.Len())

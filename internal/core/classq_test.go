@@ -245,3 +245,79 @@ func TestEagerClassesIsFreeScanBound(t *testing.T) {
 		}
 	}
 }
+
+// TestLaneCrossesTheFloor: one class of equal weights whose size walks back
+// and forth across laneFloor while two CPUs charge full and partial quanta.
+// At or above the floor a charge past the lane's back goes there; below it
+// every join and charge goes to the heap and the lane only drains. The queues
+// stay valid at every step (CheckInvariants), the lane fills above the floor
+// and empties below it, and the walk crosses the floor both ways again and
+// again.
+func TestLaneCrossesTheFloor(t *testing.T) {
+	const cpus, quantum = 2, 10 * simtime.Millisecond
+	s := New(cpus, WithQuantum(quantum))
+	r := xrand.New(26)
+	var waiting, parked []*sched.Thread
+	running := make([]*sched.Thread, cpus)
+	for i := 0; i < laneFloor+8; i++ {
+		parked = append(parked, mkThread(i+1, 1))
+	}
+	var now simtime.Time
+	size := func() int { return s.weights.Len() }
+	filled, drained, crossings := false, false, 0
+	for step := 0; step < 20000; step++ {
+		above := size() >= laneFloor
+		switch op := r.Intn(8); {
+		case op < 2 && len(parked) > 0 && (size() < laneFloor+4 || op == 0): // a wakeup
+			th := parked[len(parked)-1]
+			parked = parked[:len(parked)-1]
+			if err := s.Add(th, now); err != nil {
+				t.Fatal(err)
+			}
+			waiting = append(waiting, th)
+		case op < 4 && len(waiting) > 0 && size() > laneFloor-6: // a waiting thread blocks
+			i := r.Intn(len(waiting))
+			th := waiting[i]
+			waiting = slices.Delete(waiting, i, i+1)
+			th.State = sched.Blocked
+			if err := s.Remove(th, now); err != nil {
+				t.Fatal(err)
+			}
+			th.State = sched.Runnable
+			parked = append(parked, th)
+		default: // a CPU's quantum ends, full or cut short, and it picks
+			cpu := r.Intn(cpus)
+			if th := running[cpu]; th != nil {
+				q := quantum
+				if r.Intn(3) == 0 {
+					q = simtime.Duration(1+r.Intn(9)) * simtime.Millisecond
+				}
+				now = now.Add(q)
+				th.CPU, th.LastCPU = sched.NoCPU, cpu
+				s.Charge(th, q, now)
+				waiting = append(waiting, th)
+			}
+			if th := s.Pick(cpu, now); th != nil {
+				th.CPU, running[cpu] = cpu, th
+				waiting = slices.DeleteFunc(waiting, func(x *sched.Thread) bool { return x == th })
+			} else {
+				running[cpu] = nil
+			}
+		}
+		if err := s.CheckInvariants(); err != nil {
+			t.Fatalf("step %d, %d threads: %v", step, size(), err)
+		}
+		lane := 0
+		for i := 0; i < s.byClass.Len(); i++ {
+			lane += s.byClass.At(i).lane.Len()
+		}
+		filled = filled || lane > laneFloor/2
+		drained = drained || size() < laneFloor && lane == 0
+		if now := size() >= laneFloor; now != above {
+			crossings++
+		}
+	}
+	if !filled || !drained || crossings < 20 {
+		t.Fatalf("lane filled %v, drained %v, %d crossings of the floor: the walk no longer tests them", filled, drained, crossings)
+	}
+}

@@ -23,17 +23,33 @@ func (s *SFS) LeastHead() *sched.Thread {
 	return nil
 }
 
+// LaneFloor is the class size from which threads enter a class's lane.
+const LaneFloor = laneFloor
+
 // CheckKeyJudgement verifies what lets a pick turn a position down
-// without touching its thread: at every position of every class heap, the
-// surplus computed from the cached key is the thread's fresh surplus to the bit.
+// without touching its thread: at every live position of every class lane and
+// heap, the surplus computed from the cached key is the thread's fresh surplus
+// to the bit.
 func (s *SFS) CheckKeyJudgement() error {
+	check := func(c *class, queue string, j int, t *sched.Thread, key float64) error {
+		got, want := keySurplus(c, key, s.v), s.FreshSurplus(t)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			return fmt.Errorf("%v at %s position %d of class φ=%g: surplus %g from the cached key, %g fresh", t, queue, j, c.phi, got, want)
+		}
+		return nil
+	}
 	for i := 0; i < s.byClass.Len(); i++ {
 		c := s.byClass.At(i)
+		for j := 0; j < c.lane.Span(); j++ {
+			if t := c.lane.At(j); t != nil {
+				if err := check(c, "lane", j, t, c.lane.KeyAt(j)); err != nil {
+					return err
+				}
+			}
+		}
 		for j := 0; j < c.threads.Len(); j++ {
-			t := c.threads.At(j)
-			got, want := keySurplus(c, c.threads.KeyAt(j), s.v), s.FreshSurplus(t)
-			if math.Float64bits(got) != math.Float64bits(want) {
-				return fmt.Errorf("%v at position %d of class φ=%g: surplus %g from the cached key, %g fresh", t, j, c.phi, got, want)
+			if err := check(c, "heap", j, c.threads.At(j), c.threads.KeyAt(j)); err != nil {
+				return err
 			}
 		}
 	}

@@ -15,12 +15,17 @@ import (
 // operations — and compares every pick. The first byte chooses the world:
 // 1–4 CPUs (bits 0–1), an alphabet of 16 weights instead of 7 (9 in a crowd)
 // so that the class count crosses 11 ↔ 12 — the unordered class list
-// against the class heap — again and again (bit 2), a crowd of φ < 1 threads
-// whose start tags sit a few 10⁻⁴ apart (bit 4; later IDs earlier, equal
-// quanta keep them so) and a capped infeasible thread (bit 5). Bit 3 chooses
-// nothing; checked-in entries that set it replay the world without it. The
-// holder of v, the pick's O(1) answer, is the wrong pick when it is running.
-// The checked-in corpus (testdata/fuzz) covers every combination.
+// against the class heap — again and again (bit 2), classes past the lane's
+// floor (bit 3: 2·core.LaneFloor and up to 63 more threads of two weights
+// first, quanta full or cut short as often, and a wakeup in place of a weight
+// change while a thread is parked, so that threads cross between each class's
+// lane and heap, and the lane wraps, grows, splits its array with the heap
+// and compacts its tombstones; the lane-* entries do all of it),
+// a crowd of φ < 1 threads whose start tags sit a few 10⁻⁴ apart (bit 4;
+// later IDs earlier, equal quanta keep them so) and a capped infeasible
+// thread (bit 5). The holder of v, the pick's O(1) answer, is the wrong pick
+// when it is running. The checked-in corpus (testdata/fuzz) covers every
+// combination.
 func FuzzPickAgainstOracle(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
@@ -28,7 +33,7 @@ func FuzzPickAgainstOracle(f *testing.F) {
 		}
 		mode := data[0]
 		cpus := 1 + int(mode%4)
-		crowd, capped := mode&16 != 0, mode&32 != 0
+		lanes, crowd, capped := mode&8 != 0, mode&16 != 0, mode&32 != 0
 		alphabet := byte(7)
 		if crowd {
 			alphabet = 9
@@ -46,13 +51,24 @@ func FuzzPickAgainstOracle(f *testing.F) {
 			return float64(1 + b%alphabet)
 		}
 		quantum := func(b byte) simtime.Duration {
-			if crowd {
+			switch {
+			case crowd:
 				return 1 // equal quanta keep a φ-class's tags a few 10⁻⁴ apart
+			case lanes && b%2 == 0:
+				return 20 * simtime.Millisecond
 			}
 			return simtime.Duration(1+b%20) * simtime.Millisecond
 		}
 		if capped {
 			w.add(w.mk(1000))
+		}
+		population := 64
+		if lanes {
+			population = 2*core.LaneFloor + int(data[1]%64)
+			for i := 0; i < population; i++ {
+				w.add(w.mk(weight(byte(i % 2))))
+			}
+			population += 16
 		}
 		if crowd {
 			// The wakeup rule lifts a finish tag to v, so the least tag
@@ -91,7 +107,7 @@ func FuzzPickAgainstOracle(f *testing.F) {
 				if len(parked) > 0 && arg%2 == 1 {
 					w.add(parked[len(parked)-1])
 					parked = parked[:len(parked)-1]
-				} else if len(w.ids) < 64 {
+				} else if len(w.ids) < population {
 					w.add(w.mk(weight(arg)))
 				}
 			case 6: // a waiting thread blocks
@@ -101,6 +117,11 @@ func FuzzPickAgainstOracle(f *testing.F) {
 					parked = append(parked, id)
 				}
 			case 7: // a runnable thread, running or not, changes weight
+				if lanes && len(parked) > 0 {
+					w.add(parked[len(parked)-1])
+					parked = parked[:len(parked)-1]
+					break
+				}
 				ids := append(slices.Clone(w.ids), running...)
 				if id := ids[int(arg)%len(ids)]; id != 0 {
 					w.setWeight(id, weight(op/8))

@@ -1,7 +1,7 @@
 // Package core implements Surplus Fair Scheduling (SFS), the paper's primary
 // contribution (§2.3), together with the kernel implementation techniques of
-// §3: the sorted run queue (one heap per φ-class in place of the paper's three
-// lists) and the weight readjustment hook invoked whenever the runnable set
+// §3: the sorted run queue (one lane and heap per φ-class in place of the
+// paper's three lists) and the weight readjustment hook invoked whenever the runnable set
 // changes. Tags are float64: the paper's scaled integers with wraparound
 // rebasing (§3.2) exist only because Linux 2.2 has no floating point in
 // kernel context, and no figure depends on them. The paper's §3.2
@@ -37,8 +37,9 @@
 // costs O(n) per scheduling decision. But among threads with the same φ,
 // least surplus is least start tag for every v (the §2.3 reduction to SFQ,
 // applied per weight). So the kernel (classq.go) keeps one class per distinct
-// φ in the runnable set, each a min-heap of its threads on (start tag, weight
-// desc, ID) that no change of v disturbs — the thread's only queue in the
+// φ in the runnable set, its threads ordered on (start tag, weight desc, ID),
+// an order no change of v disturbs: a sorted FIFO lane for the threads that
+// cycle and a min-heap for the stragglers — the thread's only queue in the
 // kernel: it is the surplus queue and the start-tag queue at once — and over
 // the classes two heaps: one keyed by the class head's surplus against a
 // reference virtual time vRef (the epoch of the last refresh), one by the
@@ -50,12 +51,14 @@
 // (surpluses shrink by at most φ_max per unit of virtual time). The costs,
 // for n threads in C classes:
 //
-//   - Charge, one O(log n/C) sift: the thread moves inside its class heap;
-//     if it led the class, the class moves in both class heaps, O(log C) each
-//     (while C ≤ 11 the surplus-keyed one only stores the new key).
-//   - Add / Remove: the class heap and the φ source's weight heap. The φ
-//     change an arrival or departure makes beside an infeasible thread, alone
-//     in its class, relabels that class: no thread moves.
+//   - Charge, O(1) when the new tag is at or past every other in a class of
+//     at least laneFloor threads (the thread goes to the lane's back), else
+//     one O(log n/C) sift in the class heap; if the thread led the class, the
+//     class moves in both class heaps, O(log C) each (while C ≤ 11 the
+//     surplus-keyed one only stores the new key).
+//   - Add / Remove: the class lane or heap and the φ source's weight heap.
+//     The φ change an arrival or departure makes beside an infeasible
+//     thread, alone in its class, relabels that class: no thread moves.
 //   - Pick, O(1) while the holder of v (zero surplus) waits and no
 //     zero-surplus ties: it is the start-tag class heap's head. Otherwise,
 //     while C ≤ 8+√C (C ≤ 11), a scan of the class structs against the
@@ -85,6 +88,17 @@ import (
 	"sfsched/internal/sched"
 	"sfsched/internal/simtime"
 )
+
+// Counts is the kernel work the sfscount build tag counts, beside the queues'
+// runqueue.Counts; in the default build every increment compiles away.
+var Counts struct {
+	Charges     runqueue.Counter // charges of a queued thread
+	LaneToHeap  runqueue.Counter // charges that moved a thread from its class's lane to its heap
+	HeapToLane  runqueue.Counter // charges that moved a thread from its class's heap to its lane
+	Picks       runqueue.Counter // picks
+	ClassVisits runqueue.Counter // class structs a pick read past byHead's least head
+	Refreshes   runqueue.Counter // class-key refreshes (refreshKeys)
+}
 
 // Stats counts scheduler-internal events that tests assert on.
 type Stats struct {
@@ -243,7 +257,7 @@ func (s *SFS) setSource(src PhiSource) {
 		// Next to an infeasible thread every arrival and departure moves the
 		// capped φ, and the capped thread is alone in its class: relabel the
 		// class instead of emptying it and filling it again.
-		if c := s.classes[t.PhiClass-1]; c.threads.Len() == 1 && s.classOf[t.Phi] == nil {
+		if c := s.classes[t.PhiClass-1]; c.size() == 1 && s.classOf[t.Phi] == nil {
 			s.relabel(c, t.Phi)
 			return
 		}
@@ -316,7 +330,7 @@ func (s *SFS) queued(t *sched.Thread) bool { return t.PhiClass != 0 }
 // each calls fn on every runnable thread, in unspecified order.
 func (s *SFS) each(fn func(*sched.Thread)) {
 	all := func(t *sched.Thread) bool { fn(t); return true }
-	s.byClass.Each(func(c *class) bool { c.threads.Each(all); return true })
+	s.byClass.Each(func(c *class) bool { c.each(all); return true })
 }
 
 // arrive applies the §2.3 arrival rule: a newly arriving thread receives
@@ -418,13 +432,31 @@ func (s *SFS) Charge(t *sched.Thread, ran simtime.Duration, now simtime.Time) {
 	// to be stale there.
 	var led *class   // t's class when t led it: its surplus key is still due
 	if s.queued(t) { // not if it was charged after it blocked or exited mid-slice
-		// The charge's one sift. The class moves only if t led it (a tag that
-		// grew cannot take the lead): in byHead now, because v is read off
-		// it, and in byClass below.
+		// A tag at or past the lane's back goes there, O(1); any other stays
+		// in or joins the heap, the charge's one sift (an empty lane, as in
+		// every class under laneFloor, is not asked). The class moves only
+		// if t led it (a tag that grew cannot take the lead): in byHead now,
+		// because v is read off it, and in byClass below.
+		Counts.Charges.Inc()
 		c := s.classes[t.PhiClass-1]
-		c.threads.Fix(t)
+		toLane := c.toLane(t)
+		switch {
+		case c.lane.Len() > 0 && c.lane.Remove(t):
+			if toLane {
+				c.lane.Append(t)
+			} else {
+				c.threads.Push(t)
+				Counts.LaneToHeap.Inc()
+			}
+		case toLane:
+			c.threads.Remove(t)
+			c.lane.Append(t)
+			Counts.HeapToLane.Inc()
+		default:
+			c.threads.Fix(t)
+		}
 		if c.head == t {
-			c.head, c.headStart = c.threads.At(0), c.threads.KeyAt(0)
+			c.head, c.headStart = c.first()
 			s.byHead.Fix(c)
 			led = c
 		}

@@ -355,43 +355,6 @@ func TestFirstKIsTheSortedPrefix(t *testing.T) {
 	}
 }
 
-// TestTable1AndFig7 sanity-checks the overhead harness: positive costs, and
-// time sharing's schedule() scan growing with the run-queue length.
-func TestTable1AndFig7(t *testing.T) {
-	res := Table1(3000)
-	for _, row := range res.Rows {
-		if row.Note != "" {
-			continue
-		}
-		if row.TS <= 0 || row.SFS <= 0 {
-			t.Fatalf("non-positive cost in row %q: %+v", row.Test, row)
-		}
-	}
-	f := Fig7(Fig7Params{Procs: []int{2, 50}, Iters: 5000})
-	// Time sharing's schedule() scan is O(n): it visits every runnable
-	// thread per switch. Counted, not timed: on a shared host two timings
-	// can come out in either order.
-	for i, n := range f.Params.Procs {
-		if f.TSScan[i] != float64(n) {
-			t.Fatalf("timeshare's scan visits %g threads per switch among %d processes (all %v), want all of them",
-				f.TSScan[i], n, f.TSScan)
-		}
-	}
-	// SFS's cost is nearly flat in the process count, in both of core's
-	// class regimes: up to 11 φ-classes a pick scans the classes unordered
-	// against the current v and never refreshes; above 11 it walks the
-	// surplus-keyed class heap under a drift bound and re-keys it only after
-	// a pick visited more than 8+√C classes. So only assert it does not
-	// collapse or blow up - wall-clock growth assertions on it are
-	// noise-bound.
-	if f.SFS[0] <= 0 || f.SFS[1] <= 0 {
-		t.Fatalf("non-positive SFS switch cost: %v, %v", f.SFS[0], f.SFS[1])
-	}
-	if f.SFS[1] > 100*f.SFS[0] {
-		t.Fatalf("SFS switch cost exploded: %v -> %v", f.SFS[0], f.SFS[1])
-	}
-}
-
 // TestGMSLagBound runs the Figure 4 workload under SFS alongside the GMS
 // fluid reference and bounds the worst-case deviation: SFS must stay within
 // a few quanta of the idealized allocation.

@@ -5,14 +5,16 @@ import "fmt"
 // Heap is a binary min-heap with intrusive element→index handles, offering
 // O(log n) insert/remove/fix and O(1) min. The surplus fair scheduler's
 // φ-class queues, the GPS-tag run queue (internal/vtq) and the weight queue
-// (internal/readjust) use it in place of the paper's sorted lists: a charged thread
-// typically jumps from the front of a queue to its middle — O(rank distance)
-// in any linked list, O(log n) here — and Figure 2 reads only the heaviest
-// few weights (DESIGN.md §3). Bounded
+// (internal/readjust) use it in place of the paper's sorted lists: a thread
+// charged or woken below the back of its queue lands anywhere in it —
+// O(rank distance) in any linked list, O(log n) here — and Figure 2 reads
+// only the heaviest few weights (DESIGN.md §3). A φ-class keeps the charges
+// that land at or past every other tag, 72.5 % of them on sfsbench's sim, in
+// a Lane beside its heap instead. Bounded
 // traversals (pruned walks over At, AppendKSmallest) stand in for the list's
 // ordered scans. Like List, the heap stores its per-element position in the
-// element's Handle for the configured slot (the heap field, so a List and a
-// Heap may share a slot).
+// element's Handle for the configured slot (the pos field, which the heap's
+// Lane shares; a List and a Heap may share a slot).
 //
 // A heap position is 24 bytes for a pointer element: a float64 key, the element
 // and the element's Handle for the heap's slot. The order is (key, then less):
@@ -33,8 +35,9 @@ type Heap[T Indexed[T]] struct {
 	key  func(T) float64
 	less func(a, b T) bool
 	vals []entry[T]
-	kbuf []int32 // AppendKSmallest candidate-heap scratch
-	flat int     // the largest size at which the heap keeps no order
+	kbuf []int32  // AppendKSmallest candidate-heap scratch
+	flat int      // the largest size at which the heap keeps no order
+	lane *Lane[T] // the lane beside the heap, in the tail of vals' array
 }
 
 // entry is one heap position: the element, its cached key and its handle.
@@ -73,19 +76,22 @@ func (h *Heap[T]) before(a, b entry[T]) bool {
 // Len returns the number of elements.
 func (h *Heap[T]) Len() int { return len(h.vals) }
 
-// Contains reports whether x is present.
+// Contains reports whether x is in the heap (not whether it is in its lane).
 func (h *Heap[T]) Contains(x T) bool {
-	return x.RunqueueHandle(h.slot).heap != 0
+	return x.RunqueueHandle(h.slot).pos > 0
 }
 
 // Push inserts x. It panics on duplicates, matching List.Insert.
 func (h *Heap[T]) Push(x T) {
 	hd := x.RunqueueHandle(h.slot)
-	if hd.heap != 0 {
-		panic("runqueue: duplicate heap push")
+	if hd.pos != 0 {
+		panic("runqueue: duplicate heap push (in this heap or its lane)")
+	}
+	if h.lane != nil && len(h.vals) == cap(h.vals) {
+		h.lane.split()
 	}
 	h.vals = append(h.vals, entry[T]{h.key(x), x, hd})
-	hd.heap = int32(len(h.vals))
+	hd.pos = int32(len(h.vals))
 	if n := len(h.vals); n > h.flat {
 		i := n - 1
 		if n == h.flat+1 {
@@ -109,12 +115,12 @@ func (h *Heap[T]) Min() (T, bool) {
 // Remove deletes x, reporting whether it was present.
 func (h *Heap[T]) Remove(x T) bool {
 	hd := x.RunqueueHandle(h.slot)
-	if hd.heap == 0 {
+	if hd.pos <= 0 {
 		return false
 	}
-	i := int(hd.heap) - 1
+	i := int(hd.pos) - 1
 	last := len(h.vals) - 1
-	hd.heap = 0
+	hd.pos = 0
 	if i < last {
 		h.set(i, h.vals[last])
 	}
@@ -129,10 +135,10 @@ func (h *Heap[T]) Remove(x T) bool {
 // Fix re-reads x's key and restores heap order after it changed.
 func (h *Heap[T]) Fix(x T) bool {
 	hd := x.RunqueueHandle(h.slot)
-	if hd.heap == 0 {
+	if hd.pos <= 0 {
 		return false
 	}
-	i := int(hd.heap) - 1
+	i := int(hd.pos) - 1
 	h.vals[i].key = h.key(x)
 	if len(h.vals) > h.flat && !h.down(i) {
 		h.up(i)
@@ -236,15 +242,8 @@ func (h *Heap[T]) AppendKSmallest(dst []T, k int) []T {
 // element's current key; tests and paranoia mode call it after every operation.
 func (h *Heap[T]) Validate() error {
 	for i, e := range h.vals {
-		hd := e.x.RunqueueHandle(h.slot)
-		if e.hd != hd {
-			return fmt.Errorf("runqueue: heap caches a foreign handle at %d (%v)", i, e.x)
-		}
-		if int(hd.heap) != i+1 {
-			return fmt.Errorf("runqueue: heap handle out of sync at %d (%v)", i, e.x)
-		}
-		if want := h.key(e.x); e.key != want {
-			return fmt.Errorf("runqueue: heap caches key %g at %d, %v now has %g (changed without Fix)", e.key, i, e.x, want)
+		if err := h.check(e, int32(i+1), "heap", i); err != nil {
+			return err
 		}
 		if i > 0 && len(h.vals) > h.flat {
 			if p := (i - 1) / 2; h.before(e, h.vals[p]) {
@@ -255,10 +254,25 @@ func (h *Heap[T]) Validate() error {
 	return nil
 }
 
+// check reports a position of the heap or its lane whose cached handle is not
+// its element's, or does not hold pos, or whose cached key is stale.
+func (h *Heap[T]) check(e entry[T], pos int32, queue string, i int) error {
+	if e.hd != e.x.RunqueueHandle(h.slot) {
+		return fmt.Errorf("runqueue: %s caches a foreign handle at %d (%v)", queue, i, e.x)
+	}
+	if e.hd.pos != pos {
+		return fmt.Errorf("runqueue: %s handle out of sync at %d (%v holds %d)", queue, i, e.x, e.hd.pos)
+	}
+	if want := h.key(e.x); e.key != want {
+		return fmt.Errorf("runqueue: %s caches key %g at %d, %v now has %g (changed without Fix)", queue, e.key, i, e.x, want)
+	}
+	return nil
+}
+
 // set stores e at position i and records the position in its element's handle.
 func (h *Heap[T]) set(i int, e entry[T]) {
 	h.vals[i] = e
-	e.hd.heap = int32(i + 1)
+	e.hd.pos = int32(i + 1)
 }
 
 // up and down sift the element at i by moving a hole: the elements it passes
@@ -268,9 +282,11 @@ func (h *Heap[T]) up(i int) {
 	e, from := h.vals[i], i
 	for i > 0 {
 		parent := (i - 1) / 2
+		Counts.Compares.Inc()
 		if !h.before(e, h.vals[parent]) {
 			break
 		}
+		Counts.SiftLevels.Inc()
 		h.set(i, h.vals[parent])
 		i = parent
 	}
@@ -287,6 +303,7 @@ func (h *Heap[T]) down(i int) bool {
 			break
 		}
 		if r := m + 1; r < n {
+			Counts.Compares.Inc()
 			// The lesser child by a 0/1 step on the cached keys (SETcc, no
 			// branch to mispredict); less decides only between equal keys.
 			if kr, km := h.vals[r].key, h.vals[m].key; kr != km {
@@ -299,9 +316,11 @@ func (h *Heap[T]) down(i int) bool {
 				m = r
 			}
 		}
+		Counts.Compares.Inc()
 		if !h.before(h.vals[m], e) {
 			break
 		}
+		Counts.SiftLevels.Inc()
 		h.set(i, h.vals[m])
 		i = m
 	}

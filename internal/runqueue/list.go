@@ -70,12 +70,13 @@ const (
 )
 
 // Handle is the per-slot queue state an element carries: its node in a List
-// and/or its position in a Heap. The zero value means "in no queue". One
-// Handle serves one List and one Heap simultaneously (distinct fields), so a
-// slot is only contended between two queues of the same kind.
+// and/or its position in a Heap or a Lane. The zero value means "in no queue".
+// One Handle serves one List and one Heap or Lane simultaneously (distinct
+// fields); a Heap and a Lane on one slot share the position, so an element is
+// in at most one of them.
 type Handle[T any] struct {
 	node *Node[T]
-	heap int32 // heap index + 1; 0 = absent
+	pos  int32 // heap index + 1 (> 0), −(lane buffer index + 1) (< 0); 0 = absent
 }
 
 // Node is a doubly-linked list node. Nodes are owned and recycled by the
