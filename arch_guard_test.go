@@ -437,7 +437,7 @@ func TestOnePlanner(t *testing.T) {
 // module names runqueue.List or runqueue.NewList (the nested benchmark module,
 // cmd/sfsbench, prices the list against the heap and is the reason the type
 // still exists), and outside internal/core none names runqueue.Lane or
-// runqueue.NewLane: the sorted FIFO beside a heap serves SFS's φ-classes,
+// runqueue.NewLane: the sorted FIFO in front of a heap serves SFS's φ-classes,
 // whose members mostly cycle from front to back, and no other queue.
 func TestOneOrderedQueue(t *testing.T) {
 	fset := token.NewFileSet()
@@ -500,9 +500,9 @@ func TestOneOrderedQueue(t *testing.T) {
 // coming back. A sift level of runqueue.Heap records the moved element's
 // position through the handle pointer cached in the heap position: up, down
 // and set contain no call to RunqueueHandle (a dictionary call per level — the
-// method is generic). So does runqueue.Lane: its push (Append) and its pop and
-// tombstone (Remove) read the handle of their argument once, and its scan
-// (KeyAt, At, Front, Each) and its moves (compact, split) none, nor does any
+// method is generic). So does runqueue.Lane: Put and Remove read the handle
+// of their argument once, and its scan (KeyAt, At, Min, Each), its own push
+// and pop (append, remove) and its moves (compact, split) none, nor does any
 // other lane method but Validate. And neither driver hashes a picked thread: the
 // simulator checks it against a slice indexed by Thread.ID, the runtime finds
 // its tenant through Thread.Owner, and non-test internal/machine and
@@ -560,7 +560,7 @@ func TestPickAndSiftStayOffTheElement(t *testing.T) {
 			t.Errorf("runqueue.Heap has no method %s; update the guard", name)
 		}
 	}
-	for _, name := range []string{"Append", "Remove", "KeyAt", "At", "Front", "Each", "compact", "split"} {
+	for _, name := range []string{"Put", "Remove", "KeyAt", "At", "Min", "Each", "append", "remove", "compact", "split"} {
 		if _, ok := lane[name]; !ok {
 			t.Errorf("runqueue.Lane has no method %s; update the guard", name)
 		}
@@ -568,7 +568,7 @@ func TestPickAndSiftStayOffTheElement(t *testing.T) {
 	for name, calls := range lane {
 		want := 0
 		switch name {
-		case "Append", "Remove":
+		case "Put", "Remove":
 			want = 1
 		case "Validate":
 			continue

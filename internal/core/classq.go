@@ -21,59 +21,60 @@ import (
 // first is.
 
 // class is one φ-class: the runnable threads whose instantaneous weight is
-// phi, ordered on (start tag, weight desc, ID) in two queues. The lane holds
-// the threads that cycle — each charge left the charged tag at or above every
-// other, so the thread goes to the back of a sorted FIFO at O(1) — and the
-// heap the stragglers: wakeups and charges that landed below the lane's back.
-// In byClass a class is keyed by its head's stored surplus, then by the head's
-// weight (descending) and ID, mirroring the thread-level tie-break; in byHead
-// by its head's start tag. What a pick needs to turn a class down — φ, the
+// phi, in a min-heap on (start tag, weight desc, ID) and, once the class has
+// held laneFloor threads, a lane in front of it: a sorted FIFO of the threads
+// that cycle, each charge leaving the charged tag at or above every other, so
+// that the thread goes to the back at O(1). The heap keeps the stragglers:
+// wakeups and charges that landed below the lane's back. In byClass a class
+// is keyed by its head's stored surplus, then by the head's weight
+// (descending) and ID, mirroring the thread-level tie-break; in byHead by its
+// head's start tag. What a pick needs to turn a class down — φ, the
 // head's tag, the key — sits here, so a losing class costs the class struct
 // and not its queues or its head.
 type class struct {
 	phi       float64
-	threads   *runqueue.Heap[*sched.Thread] // the stragglers
-	lane      *runqueue.Lane[*sched.Thread] // the cycling threads
-	head      *sched.Thread                 // the lesser of the lane's front and the heap's minimum
+	threads   *runqueue.Heap[*sched.Thread] // and its Lane, if any
+	head      *sched.Thread                 // the least thread of the lane and the heap
 	headStart float64                       // head's start key
 	key       float64                       // head's surplus against the vRef epoch
 	slot      int32                         // index in SFS.classes; Thread.PhiClass holds slot+1
 	rq, hq    runqueue.Handle[*class]
 }
 
-// laneFloor is the class size from which threads enter the lane: a smaller
-// class puts every thread it takes into its heap, a few levels deep, and only
-// charges, leaves and removals drain its lane. On sfsbench's hogs, whose
-// classes hold a few threads and whose running hogs enforcement charges in
-// installments, a lane at every size lost ≈ 7 % ops/s (8 of 10 paired runs
-// on 2 vCPUs); the floor keeps such classes on the heap alone, and sim's
-// classes of ≈ 1 450 keep the lane.
+// laneFloor is the class size at which a class puts a lane in front of its
+// heap. A smaller class never had one, so its charges, joins and leaves are
+// the heap's alone and pay one nil test for the lane; a class keeps its lane
+// once it has one. sfsbench's hogs, whose classes hold a few threads, ran
+// 11 % more ops/s with this floor than with a lane in every class (6 of 6
+// alternating 15 s pairs, 2 vCPUs, go1.24.0); sim's classes of ≈ 1 450
+// threads cross it in their first wakeups.
 const laneFloor = 64
 
+// lane returns c's lane, nil until c first holds laneFloor threads.
+func (c *class) lane() *runqueue.Lane[*sched.Thread] { return c.threads.Lane() }
+
 // size returns the number of threads in c.
-func (c *class) size() int { return c.threads.Len() + c.lane.Len() }
-
-// first returns c's least thread and its start key: the lesser of the lane's
-// front and the heap's minimum.
-func (c *class) first() (*sched.Thread, float64) {
-	t, k, ok := c.lane.Front()
-	if h, hok := c.threads.Min(); hok {
-		if hk := c.threads.KeyAt(0); !ok || hk < k || hk == k && inClassLess(h, t) {
-			return h, hk
-		}
+func (c *class) size() int {
+	if l := c.lane(); l != nil {
+		return l.Len()
 	}
-	return t, k
+	return c.threads.Len()
 }
 
-// toLane reports whether t, queued in c or about to be, belongs at the lane's
-// back: c is at least laneFloor threads and t does not precede the back.
-func (c *class) toLane(t *sched.Thread) bool {
-	return c.size() >= laneFloor && c.lane.Admits(t)
+// first returns c's least thread and its start key.
+func (c *class) first() (*sched.Thread, float64) {
+	if l := c.lane(); l != nil {
+		return l.Min()
+	}
+	return c.threads.At(0), c.threads.KeyAt(0)
 }
 
-// each calls fn on every thread of c, lane first.
+// each calls fn on every thread of c.
 func (c *class) each(fn func(*sched.Thread) bool) {
-	c.lane.Each(fn)
+	if l := c.lane(); l != nil {
+		l.Each(fn)
+		return
+	}
 	c.threads.Each(fn)
 }
 
@@ -133,7 +134,6 @@ func (s *SFS) classFor(phi float64) *class {
 	} else {
 		c = &class{slot: int32(len(s.classes)),
 			threads: runqueue.NewKeyedHeap(runqueue.SlotSurplus, startKey, inClassLess)}
-		c.lane = runqueue.NewLane(c.threads)
 		s.classes = append(s.classes, c)
 	}
 	s.label(c, phi)
@@ -164,12 +164,12 @@ func (s *SFS) relabel(c *class, phi float64) {
 func (s *SFS) join(t *sched.Thread) {
 	c := s.classFor(t.Phi)
 	t.PhiClass = c.slot + 1
-	if c.toLane(t) {
-		c.lane.Append(t)
-	} else {
-		c.threads.Push(t)
+	if l := c.lane(); l != nil {
+		l.Put(t)
+	} else if c.threads.Push(t); c.threads.Len() >= laneFloor {
+		runqueue.NewLane(c.threads)
 	}
-	if c.head == nil || inClassLess(t, c.head) {
+	if h, _ := c.first(); h == t {
 		s.rekey(c)
 	}
 }
@@ -179,7 +179,9 @@ func (s *SFS) join(t *sched.Thread) {
 func (s *SFS) leave(t *sched.Thread) {
 	c := s.classes[t.PhiClass-1]
 	t.PhiClass = 0
-	if c.lane.Len() == 0 || !c.lane.Remove(t) {
+	if l := c.lane(); l != nil {
+		l.Remove(t)
+	} else {
 		c.threads.Remove(t)
 	}
 	switch {
@@ -365,26 +367,34 @@ func (s *SFS) admit(c *class, best *sched.Thread, bestS, pad float64) (*sched.Th
 	if keySurplus(c, c.headStart, s.v) > reach {
 		return best, bestS
 	}
-	for i := 0; i < c.lane.Span(); i++ {
-		// Judged on the lane's own buffer before the thread is touched.
-		fresh := keySurplus(c, c.lane.KeyAt(i), s.v)
-		if fresh > reach {
-			break
+	if l := c.lane(); l != nil {
+		// The heap's least key is read before the ring, so that the two
+		// loads, each likely a cache miss, overlap.
+		var root float64
+		if c.threads.Len() > 0 {
+			root = c.threads.KeyAt(0)
 		}
-		t := c.lane.At(i)
-		if t == nil || t.Running() {
-			continue
+		for i := 0; i < l.Span(); i++ {
+			// Judged on the lane's own buffer before the thread is touched.
+			fresh := keySurplus(c, l.KeyAt(i), s.v)
+			if fresh > reach {
+				break
+			}
+			t := l.At(i)
+			if t == nil || t.Running() {
+				continue
+			}
+			if betterPick(fresh, t, bestS, best) {
+				best, bestS = t, fresh
+				reach = bestS + pad*math.Abs(bestS)
+			}
+			if fresh != bestS || !s.tiesAbove(t, fresh) {
+				break
+			}
 		}
-		if betterPick(fresh, t, bestS, best) {
-			best, bestS = t, fresh
-			reach = bestS + pad*math.Abs(bestS)
+		if c.threads.Len() == 0 || keySurplus(c, root, s.v) > reach {
+			return best, bestS
 		}
-		if fresh != bestS || !s.tiesAbove(t, fresh) {
-			break
-		}
-	}
-	if c.threads.Len() == 0 {
-		return best, bestS
 	}
 	threads := append(s.threadStack[:0], 0)
 	for len(threads) > 0 {
@@ -441,8 +451,10 @@ func (s *SFS) checkClasses() error {
 		if err := c.threads.Validate(); err != nil {
 			return err
 		}
-		if err := c.lane.Validate(); err != nil {
-			return err
+		if l := c.lane(); l != nil {
+			if err := l.Validate(); err != nil {
+				return err
+			}
 		}
 		if s.classOf[c.phi] != c {
 			return fmt.Errorf("core: class φ=%g is not the one indexed under its φ", c.phi)

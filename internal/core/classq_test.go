@@ -248,11 +248,12 @@ func TestEagerClassesIsFreeScanBound(t *testing.T) {
 
 // TestLaneCrossesTheFloor: one class of equal weights whose size walks back
 // and forth across laneFloor while two CPUs charge full and partial quanta.
-// At or above the floor a charge past the lane's back goes there; below it
-// every join and charge goes to the heap and the lane only drains. The queues
-// stay valid at every step (CheckInvariants), the lane fills above the floor
-// and empties below it, and the walk crosses the floor both ways again and
-// again.
+// Until the class first holds laneFloor threads it has no lane, so every join
+// and charge is the heap's; from then on it keeps its lane, below the floor
+// too, and a charge past the lane's back goes there. The queues stay valid at
+// every step (CheckInvariants), the lane fills above the floor and still
+// takes cycling threads below it, and the walk crosses the floor both ways
+// again and again.
 func TestLaneCrossesTheFloor(t *testing.T) {
 	const cpus, quantum = 2, 10 * simtime.Millisecond
 	s := New(cpus, WithQuantum(quantum))
@@ -264,7 +265,7 @@ func TestLaneCrossesTheFloor(t *testing.T) {
 	}
 	var now simtime.Time
 	size := func() int { return s.weights.Len() }
-	filled, drained, crossings := false, false, 0
+	reached, filled, belowFloor, crossings := false, false, false, 0
 	for step := 0; step < 20000; step++ {
 		above := size() >= laneFloor
 		switch op := r.Intn(8); {
@@ -307,17 +308,23 @@ func TestLaneCrossesTheFloor(t *testing.T) {
 		if err := s.CheckInvariants(); err != nil {
 			t.Fatalf("step %d, %d threads: %v", step, size(), err)
 		}
-		lane := 0
-		for i := 0; i < s.byClass.Len(); i++ {
-			lane += s.byClass.At(i).lane.Len()
+		if size() == 0 {
+			continue
 		}
-		filled = filled || lane > laneFloor/2
-		drained = drained || size() < laneFloor && lane == 0
+		c := s.byClass.At(0)
+		reached = reached || size() >= laneFloor
+		if (c.lane() != nil) != reached {
+			t.Fatalf("step %d: %d threads, the class has held %d or more: %v, and has a lane: %v", step, size(), laneFloor, reached, c.lane() != nil)
+		}
+		if reached {
+			filled = filled || c.lane().Span() > laneFloor/2
+			belowFloor = belowFloor || size() < laneFloor && c.lane().Span() > laneFloor/4
+		}
 		if now := size() >= laneFloor; now != above {
 			crossings++
 		}
 	}
-	if !filled || !drained || crossings < 20 {
-		t.Fatalf("lane filled %v, drained %v, %d crossings of the floor: the walk no longer tests them", filled, drained, crossings)
+	if !filled || !belowFloor || crossings < 20 {
+		t.Fatalf("lane filled %v, in use below the floor %v, %d crossings of the floor: the walk no longer tests them", filled, belowFloor, crossings)
 	}
 }

@@ -23,7 +23,7 @@ func (s *SFS) LeastHead() *sched.Thread {
 	return nil
 }
 
-// LaneFloor is the class size from which threads enter a class's lane.
+// LaneFloor is the class size at which a class puts a lane in front of its heap.
 const LaneFloor = laneFloor
 
 // CheckKeyJudgement verifies what lets a pick turn a position down
@@ -40,9 +40,9 @@ func (s *SFS) CheckKeyJudgement() error {
 	}
 	for i := 0; i < s.byClass.Len(); i++ {
 		c := s.byClass.At(i)
-		for j := 0; j < c.lane.Span(); j++ {
-			if t := c.lane.At(j); t != nil {
-				if err := check(c, "lane", j, t, c.lane.KeyAt(j)); err != nil {
+		for j := 0; c.lane() != nil && j < c.lane().Span(); j++ {
+			if t := c.lane().At(j); t != nil {
+				if err := check(c, "lane", j, t, c.lane().KeyAt(j)); err != nil {
 					return err
 				}
 			}

@@ -17,10 +17,11 @@ import (
 // so that the class count crosses 11 ↔ 12 — the unordered class list
 // against the class heap — again and again (bit 2), classes past the lane's
 // floor (bit 3: 2·core.LaneFloor and up to 63 more threads of two weights
-// first, quanta full or cut short as often, and a wakeup in place of a weight
-// change while a thread is parked, so that threads cross between each class's
-// lane and heap, and the lane wraps, grows, splits its array with the heap
-// and compacts its tombstones; the lane-* entries do all of it),
+// first, quanta full or cut short as often, and a wakeup in place of every
+// other weight change while a thread is parked, so that threads cross
+// between each class's lane and heap, and the lane wraps, grows, splits its
+// array with the heap and compacts its tombstones; the lane-* entries do all
+// of it),
 // a crowd of φ < 1 threads whose start tags sit a few 10⁻⁴ apart (bit 4;
 // later IDs earlier, equal quanta keep them so) and a capped infeasible
 // thread (bit 5). The holder of v, the pick's O(1) answer, is the wrong pick
@@ -117,7 +118,7 @@ func FuzzPickAgainstOracle(f *testing.F) {
 					parked = append(parked, id)
 				}
 			case 7: // a runnable thread, running or not, changes weight
-				if lanes && len(parked) > 0 {
+				if lanes && len(parked) > 0 && arg%2 == 1 {
 					w.add(parked[len(parked)-1])
 					parked = parked[:len(parked)-1]
 					break

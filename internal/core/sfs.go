@@ -51,11 +51,11 @@
 // (surpluses shrink by at most φ_max per unit of virtual time). The costs,
 // for n threads in C classes:
 //
-//   - Charge, O(1) when the new tag is at or past every other in a class of
-//     at least laneFloor threads (the thread goes to the lane's back), else
-//     one O(log n/C) sift in the class heap; if the thread led the class, the
-//     class moves in both class heaps, O(log C) each (while C ≤ 11 the
-//     surplus-keyed one only stores the new key).
+//   - Charge, O(1) when the new tag is at or past every other in a class
+//     that has held laneFloor threads (the thread goes to its lane's back),
+//     else one O(log n/C) sift in the class heap; if the thread led the
+//     class, the class moves in both class heaps, O(log C) each (while
+//     C ≤ 11 the surplus-keyed one only stores the new key).
 //   - Add / Remove: the class lane or heap and the φ source's weight heap.
 //     The φ change an arrival or departure makes beside an infeasible
 //     thread, alone in its class, relabels that class: no thread moves.
@@ -93,8 +93,6 @@ import (
 // runqueue.Counts; in the default build every increment compiles away.
 var Counts struct {
 	Charges     runqueue.Counter // charges of a queued thread
-	LaneToHeap  runqueue.Counter // charges that moved a thread from its class's lane to its heap
-	HeapToLane  runqueue.Counter // charges that moved a thread from its class's heap to its lane
 	Picks       runqueue.Counter // picks
 	ClassVisits runqueue.Counter // class structs a pick read past byHead's least head
 	Refreshes   runqueue.Counter // class-key refreshes (refreshKeys)
@@ -432,27 +430,15 @@ func (s *SFS) Charge(t *sched.Thread, ran simtime.Duration, now simtime.Time) {
 	// to be stale there.
 	var led *class   // t's class when t led it: its surplus key is still due
 	if s.queued(t) { // not if it was charged after it blocked or exited mid-slice
-		// A tag at or past the lane's back goes there, O(1); any other stays
-		// in or joins the heap, the charge's one sift (an empty lane, as in
-		// every class under laneFloor, is not asked). The class moves only
+		// The charge's one sift, or in a class with a lane, a move to the
+		// lane's back when the tag lands at or past it. The class moves only
 		// if t led it (a tag that grew cannot take the lead): in byHead now,
 		// because v is read off it, and in byClass below.
 		Counts.Charges.Inc()
 		c := s.classes[t.PhiClass-1]
-		toLane := c.toLane(t)
-		switch {
-		case c.lane.Len() > 0 && c.lane.Remove(t):
-			if toLane {
-				c.lane.Append(t)
-			} else {
-				c.threads.Push(t)
-				Counts.LaneToHeap.Inc()
-			}
-		case toLane:
-			c.threads.Remove(t)
-			c.lane.Append(t)
-			Counts.HeapToLane.Inc()
-		default:
+		if l := c.lane(); l != nil {
+			l.Put(t)
+		} else {
 			c.threads.Fix(t)
 		}
 		if c.head == t {

@@ -24,8 +24,9 @@ import (
 //
 //   - charge: one O(log n/C) sift in the class heap and, when the thread led
 //     its class, O(log C) in each class-level heap — in the cycle world, where
-//     only charges move queues, at most log₂(n/C)+1 + 2·(log₂C+1) sift levels
-//     per charge;
+//     only charges move queues, at most L = log₂(n/C)+1 + 2·(log₂C+1) sift
+//     levels per charge, and 2L + 7 order comparisons (plus fewer than 4C for
+//     each refresh's heapify);
 //   - charge, classes of 80 threads or more (past the lane's floor, 64):
 //     O(1) — in the cycle world every charge appends at its lane's back and
 //     only class-level heaps sift, but for the one a run's end makes on each
@@ -59,19 +60,26 @@ func TestTable1AndFig7(t *testing.T) {
 				c1, r1 := core.Counts, runqueue.Counts
 				charges, picks := c1.Charges.N-c0.Charges.N, c1.Picks.N-c0.Picks.N
 				sifts, appends := r1.SiftLevels.N-r0.SiftLevels.N, r1.LaneAppends.N-r0.LaneAppends.N
-				toHeap, toLane := c1.LaneToHeap.N-c0.LaneToHeap.N, c1.HeapToLane.N-c0.HeapToLane.N
+				compares := r1.Compares.N - r0.Compares.N
+				toHeap, toLane := r1.LaneToHeap.N-r0.LaneToHeap.N, r1.HeapToLane.N-r0.HeapToLane.N
 				visits, refreshes := c1.ClassVisits.N-c0.ClassVisits.N, c1.Refreshes.N-c0.Refreshes.N
-				t.Logf("n=%5d C=%4d churn=%-5v: %5d charges, %5.2f sift levels, %.2f appends, %.2f lane→heap, %.2f heap→lane each; %5d picks, %6.2f class visits each, %.4f refreshes",
-					n, a, churn, charges, float64(sifts)/float64(charges), float64(appends)/float64(charges),
+				t.Logf("n=%5d C=%4d churn=%-5v: %5d charges, %5.2f sift levels, %5.2f compares, %.2f appends, %.2f lane→heap, %.2f heap→lane each; %5d picks, %6.2f class visits each, %.4f refreshes",
+					n, a, churn, charges, float64(sifts)/float64(charges), float64(compares)/float64(charges), float64(appends)/float64(charges),
 					float64(toHeap)/float64(charges), float64(toLane)/float64(charges),
 					picks, float64(visits)/float64(picks), float64(refreshes)/float64(picks))
 				if charges < 1000 || picks < 1000 {
 					t.Fatalf("n=%d C=%d: %d charges, %d picks in 2 simulated seconds on 4 CPUs", n, a, charges, picks)
 				}
 				log2 := func(x float64) float64 { return math.Log2(x) }
-				if perClass, levels := float64(n)/float64(a), float64(sifts)/float64(charges); !churn &&
-					levels > log2(perClass)+1+2*(log2(float64(a))+1) {
+				bound := log2(float64(n)/float64(a)) + 1 + 2*(log2(float64(a))+1)
+				if levels := float64(sifts) / float64(charges); !churn && levels > bound {
 					t.Errorf("n=%d C=%d: %.2f sift levels per charge, more than one class-heap sift and two class-level ones", n, a, levels)
+				}
+				// Three sifts of L levels in all compare at most 2L + 6 times,
+				// the lane's test against its back once, and a refresh's
+				// heapify of C classes fewer than 4C times.
+				if cmpBound := float64(charges)*(2*bound+7) + float64(refreshes)*4*float64(a); !churn && float64(compares) > cmpBound {
+					t.Errorf("n=%d C=%d: %d comparisons, more than %.0f: the charges' sifts and the refreshes' heapifies within their bounds make", n, a, compares, cmpBound)
 				}
 				if !churn && n/a >= 80 && (appends < charges-4 || toHeap > 4 || float64(sifts) > float64(charges)*2*(log2(float64(a))+1)) {
 					t.Errorf("n=%d C=%d: %d of %d charges appended at a lane's back, %d left a lane, %d sift levels: not O(1) in the class",

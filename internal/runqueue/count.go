@@ -6,6 +6,8 @@ package runqueue
 // increment compiles away (TestCountersCompileAway).
 var Counts struct {
 	SiftLevels  Counter // levels an element moved by a heap sift, up or down
-	Compares    Counter // heap-order comparisons by a sift or Lane.Admits
-	LaneAppends Counter // Lane.Append calls
+	Compares    Counter // order comparisons by a heap sift or Lane.Put
+	LaneAppends Counter // elements put at a lane's back
+	LaneToHeap  Counter // Lane.Put moves from the lane to the heap
+	HeapToLane  Counter // Lane.Put moves from the heap to the lane
 }

@@ -8,11 +8,11 @@ import "fmt"
 // (internal/readjust) use it in place of the paper's sorted lists: a thread
 // charged or woken below the back of its queue lands anywhere in it —
 // O(rank distance) in any linked list, O(log n) here — and Figure 2 reads
-// only the heaviest few weights (DESIGN.md §3). A φ-class keeps the charges
-// that land at or past every other tag, 72.5 % of them on sfsbench's sim, in
-// a Lane beside its heap instead. Bounded
-// traversals (pruned walks over At, AppendKSmallest) stand in for the list's
-// ordered scans. Like List, the heap stores its per-element position in the
+// only the heaviest few weights (DESIGN.md §3). A large φ-class keeps the
+// charges that land at or past every other tag, 72.5 % of them on
+// sfsbench's sim, in a Lane in front of its heap instead. Bounded traversals
+// (pruned walks over At, AppendKSmallest) stand in for the list's ordered
+// scans. Like List, the heap stores its per-element position in the
 // element's Handle for the configured slot (the pos field, which the heap's
 // Lane shares; a List and a Heap may share a slot).
 //
@@ -32,12 +32,12 @@ import "fmt"
 // heap with the constant key 0: less decides alone.
 type Heap[T Indexed[T]] struct {
 	slot Slot
+	flat int32    // the largest size at which the heap keeps no order
+	lane *Lane[T] // the lane in front of the heap, in the tail of vals' array
+	vals []entry[T]
 	key  func(T) float64
 	less func(a, b T) bool
-	vals []entry[T]
-	kbuf []int32  // AppendKSmallest candidate-heap scratch
-	flat int      // the largest size at which the heap keeps no order
-	lane *Lane[T] // the lane beside the heap, in the tail of vals' array
+	kbuf []int32 // AppendKSmallest candidate-heap scratch
 }
 
 // entry is one heap position: the element, its cached key and its handle.
@@ -63,7 +63,7 @@ func NewKeyedHeap[T Indexed[T]](slot Slot, key func(T) float64, less func(a, b T
 // element and Fix re-reads the key, none of them sifting, and the Push past n
 // orders the heap as pushes in storage order would have. Keys and handles stay
 // current; Min, AppendKSmallest and a pruned walk mean something above n only.
-func (h *Heap[T]) SetFlat(n int) { h.flat = n }
+func (h *Heap[T]) SetFlat(n int) { h.flat = int32(n) }
 
 // before is the heap's order over positions.
 func (h *Heap[T]) before(a, b entry[T]) bool {
@@ -87,14 +87,14 @@ func (h *Heap[T]) Push(x T) {
 	if hd.pos != 0 {
 		panic("runqueue: duplicate heap push (in this heap or its lane)")
 	}
-	if h.lane != nil && len(h.vals) == cap(h.vals) {
+	if len(h.vals) == cap(h.vals) && h.lane != nil {
 		h.lane.split()
 	}
 	h.vals = append(h.vals, entry[T]{h.key(x), x, hd})
 	hd.pos = int32(len(h.vals))
-	if n := len(h.vals); n > h.flat {
+	if n := len(h.vals); n > int(h.flat) {
 		i := n - 1
-		if n == h.flat+1 {
+		if n == int(h.flat)+1 {
 			i = 1 // the push past flat orders every element
 		}
 		for ; i < n; i++ {
@@ -113,8 +113,11 @@ func (h *Heap[T]) Min() (T, bool) {
 }
 
 // Remove deletes x, reporting whether it was present.
-func (h *Heap[T]) Remove(x T) bool {
-	hd := x.RunqueueHandle(h.slot)
+func (h *Heap[T]) Remove(x T) bool { return h.remove(x.RunqueueHandle(h.slot)) }
+
+// remove deletes the element whose handle is hd, reporting whether it was
+// present.
+func (h *Heap[T]) remove(hd *Handle[T]) bool {
 	if hd.pos <= 0 {
 		return false
 	}
@@ -126,7 +129,7 @@ func (h *Heap[T]) Remove(x T) bool {
 	}
 	h.vals[last] = entry[T]{}
 	h.vals = h.vals[:last]
-	if i < last && last > h.flat && !h.down(i) {
+	if i < last && last > int(h.flat) && !h.down(i) {
 		h.up(i)
 	}
 	return true
@@ -140,7 +143,7 @@ func (h *Heap[T]) Fix(x T) bool {
 	}
 	i := int(hd.pos) - 1
 	h.vals[i].key = h.key(x)
-	if len(h.vals) > h.flat && !h.down(i) {
+	if len(h.vals) > int(h.flat) && !h.down(i) {
 		h.up(i)
 	}
 	return true
@@ -245,7 +248,7 @@ func (h *Heap[T]) Validate() error {
 		if err := h.check(e, int32(i+1), "heap", i); err != nil {
 			return err
 		}
-		if i > 0 && len(h.vals) > h.flat {
+		if i > 0 && len(h.vals) > int(h.flat) {
 			if p := (i - 1) / 2; h.before(e, h.vals[p]) {
 				return fmt.Errorf("runqueue: heap order violated at %d (%v)", i, e.x)
 			}

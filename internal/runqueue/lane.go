@@ -6,28 +6,17 @@ import (
 	"slices"
 )
 
-// Lane is a sorted FIFO beside a Heap: a ring of heap positions in the heap's
-// order (key, then less) that takes an element only at its back, and only
-// when the element does not precede the back. A queue whose elements mostly
-// move from its front to its back — threads of one weight taking full quanta
-// in turn, each charge leaving the charged tag at or above every other —
-// keeps them here at O(1) per move and the rest in the heap. The two share
-// the element's Handle, a lane position stored negative, so an element is in
-// one of them at most and each refuses the other's members.
-//
-// They share one backing array too: the heap's positions at its start, the
-// lane's ring in its tail. Their joint size is bounded by the queue's while
-// either alone swings between none and nearly all of it, so two arrays would
-// each reach the queue's size. When the heap or the ring fills its part,
-// split gives each half the free room, moving the ring's positions — O(n),
-// rare while a sixteenth of the array is free; below that the array grows as
-// append grows one.
-//
-// Removing an element other than the front or the back leaves a tombstone
-// that keeps its key, so the keys stay sorted and a scan judges a position by
-// KeyAt before At touches the element. No tombstone sits at either end, and
-// the ring is compacted in place once they outnumber its live positions or
-// fill a quarter of a full ring.
+// Lane is a sorted FIFO in front of a Heap: a ring of heap positions in the
+// heap's order that takes an element only at its back, and only when it does
+// not precede the back — threads of one weight taking full quanta in turn
+// move from front to back at O(1), the rest stay in the heap. Put, Remove,
+// Len, Min and Each cover both. The two share the element's Handle (a lane
+// position is stored negative, so the heap refuses the lane's members) and
+// one backing array, the heap at its start and the ring in its tail, whose
+// layout only split, the heap's growth hook, knows. A removal between the
+// ends leaves a tombstone that keeps its key, so a scan judges a position by
+// KeyAt before At touches the element; the ring is compacted once tombstones
+// outnumber its live positions or fill a quarter of a full ring.
 type Lane[T Indexed[T]] struct {
 	h     *Heap[T]
 	all   []entry[T] // the array both use: the heap's cap(h.vals) positions, then buf
@@ -37,60 +26,99 @@ type Lane[T Indexed[T]] struct {
 	dead  int        // tombstones among them
 }
 
-// NewLane returns an empty lane beside the empty heap h, on h's slot and in
-// h's order.
+// NewLane puts an empty lane in front of h, which may hold elements but no
+// lane, and returns it; h.Lane returns it from then on.
 func NewLane[T Indexed[T]](h *Heap[T]) *Lane[T] {
-	if h.lane != nil || len(h.vals) > 0 {
-		panic("runqueue: a lane goes beside an empty heap without one")
+	if h.lane != nil {
+		panic("runqueue: a heap takes one lane")
 	}
-	h.lane = &Lane[T]{h: h}
+	h.lane = &Lane[T]{h: h, all: h.vals[:cap(h.vals)]}
 	return h.lane
 }
 
-// Len returns the number of elements.
-func (l *Lane[T]) Len() int { return l.span - l.dead }
+// Lane returns the lane in front of h, or nil.
+func (h *Heap[T]) Lane() *Lane[T] { return h.lane }
 
-// Span returns the number of positions KeyAt and At read, tombstones included.
+// Len returns the number of elements in the lane and its heap.
+func (l *Lane[T]) Len() int { return l.span - l.dead + len(l.h.vals) }
+
+// Span returns the number of lane positions KeyAt and At read, tombstones
+// included.
 func (l *Lane[T]) Span() int { return l.span }
 
-// KeyAt returns the cached key of position i, counted from the front.
+// KeyAt returns the cached key of lane position i, counted from the front.
 func (l *Lane[T]) KeyAt(i int) float64 { return l.buf[l.index(i)].key }
 
-// At returns the element at position i, counted from the front, or the zero T
-// at a tombstone.
+// At returns the element at lane position i, counted from the front, or the
+// zero T at a tombstone.
 func (l *Lane[T]) At(i int) T { return l.buf[l.index(i)].x }
 
-// Front returns the least element and its key.
-func (l *Lane[T]) Front() (T, float64, bool) {
-	if l.span == 0 {
-		var zero T
-		return zero, 0, false
+// Min returns the least element of the lane and its heap, and its key. One of
+// them must hold an element.
+func (l *Lane[T]) Min() (T, float64) {
+	h := l.h
+	if l.span == 0 || len(h.vals) > 0 && h.before(h.vals[0], l.buf[l.front]) {
+		return h.vals[0].x, h.vals[0].key
 	}
-	e := l.buf[l.front]
-	return e.x, e.key, true
+	return l.buf[l.front].x, l.buf[l.front].key
 }
 
-// Admits reports whether x, at its current key, does not precede the back:
-// whether Append would take it.
-func (l *Lane[T]) Admits(x T) bool {
-	if l.span == 0 {
-		return true
+// Put queues x at its current key, or queues it again after the key changed:
+// at the lane's back when it does not precede it, else in the heap — a lane
+// element that now precedes the back moves to the heap, a heap element that
+// no longer does to the lane.
+func (l *Lane[T]) Put(x T) {
+	hd := x.RunqueueHandle(l.h.slot)
+	e, in := entry[T]{l.h.key(x), x, hd}, hd.pos
+	if in < 0 {
+		l.remove(hd)
 	}
 	Counts.Compares.Inc()
-	b := l.buf[l.index(l.span-1)]
-	if k := l.h.key(x); k != b.key {
-		return k > b.key
+	switch {
+	case l.span == 0 || !l.h.before(e, l.buf[l.index(l.span-1)]):
+		if in > 0 {
+			l.h.remove(hd)
+			Counts.HeapToLane.Inc()
+		}
+		l.append(e)
+	case in > 0: // Heap.Fix, with the handle and the key already read
+		h, i := l.h, int(in)-1
+		h.vals[i].key = e.key
+		if len(h.vals) > int(h.flat) && !h.down(i) {
+			h.up(i)
+		}
+	default:
+		l.h.Push(x)
+		if in < 0 {
+			Counts.LaneToHeap.Inc()
+		}
 	}
-	return !l.h.less(x, b.x)
 }
 
-// Append puts x, which Admits, at the back. It panics when x is in the lane
-// or in its heap already.
-func (l *Lane[T]) Append(x T) {
+// Remove deletes x from the lane or its heap, reporting whether it was in
+// either.
+func (l *Lane[T]) Remove(x T) bool {
 	hd := x.RunqueueHandle(l.h.slot)
-	if hd.pos != 0 {
-		panic("runqueue: duplicate lane append (in this lane or its heap)")
+	if hd.pos >= 0 {
+		return l.h.remove(hd)
 	}
+	l.remove(hd)
+	return true
+}
+
+// Each calls fn on every element, the lane's front to back and then the
+// heap's, until fn returns false.
+func (l *Lane[T]) Each(fn func(T) bool) {
+	for i := 0; i < l.span; i++ {
+		if e := l.buf[l.index(i)]; e.hd != nil && !fn(e.x) {
+			return
+		}
+	}
+	l.h.Each(fn)
+}
+
+// append puts e, which does not precede the back, there.
+func (l *Lane[T]) append(e entry[T]) {
 	if n := len(l.buf); l.span == n {
 		if 4*l.dead >= n && n > 0 {
 			l.compact()
@@ -99,18 +127,14 @@ func (l *Lane[T]) Append(x T) {
 		}
 	}
 	i := l.index(l.span)
-	l.buf[i] = entry[T]{l.h.key(x), x, hd}
-	hd.pos = -int32(i + 1)
+	l.buf[i] = e
+	e.hd.pos = -int32(i + 1)
 	l.span++
 	Counts.LaneAppends.Inc()
 }
 
-// Remove deletes x, reporting whether it was in the lane.
-func (l *Lane[T]) Remove(x T) bool {
-	hd := x.RunqueueHandle(l.h.slot)
-	if hd.pos >= 0 {
-		return false
-	}
+// remove tombstones the lane position hd holds and trims the ends.
+func (l *Lane[T]) remove(hd *Handle[T]) {
 	i := -hd.pos - 1
 	hd.pos = 0
 	l.buf[i] = entry[T]{key: l.buf[i].key}
@@ -129,19 +153,9 @@ func (l *Lane[T]) Remove(x T) bool {
 	if 2*l.dead > l.span {
 		l.compact()
 	}
-	return true
 }
 
-// Each calls fn on every element, front to back, until fn returns false.
-func (l *Lane[T]) Each(fn func(T) bool) {
-	for i := 0; i < l.span; i++ {
-		if e := l.buf[l.index(i)]; e.hd != nil && !fn(e.x) {
-			return
-		}
-	}
-}
-
-// index returns the buffer index of position i.
+// index returns the buffer index of lane position i.
 func (l *Lane[T]) index(i int) int {
 	if i += l.front; i >= len(l.buf) {
 		i -= len(l.buf)
@@ -193,48 +207,36 @@ func (l *Lane[T]) split() {
 }
 
 // Validate checks the lane's order (every key, tombstones' included, and less
-// between equal keys of live positions), its tombstone count, that no
-// tombstone sits at either end or outnumbers the live positions (a compaction
-// was due), that the heap and the ring divide one array, handle agreement
-// (each cached handle is its element's own and holds the negative position)
-// and that every cached key is its element's current key.
+// between equal keys of live positions), handle agreement and cached keys as
+// Heap.Validate does, and its tombstones: counted right, none at either end
+// and no more than its live positions. Heap.Validate checks the heap.
 func (l *Lane[T]) Validate() error {
-	h := l.h
 	if l.span > len(l.buf) || l.front >= max(1, len(l.buf)) {
 		return fmt.Errorf("runqueue: lane spans %d from %d of a %d-position ring", l.span, l.front, len(l.buf))
 	}
-	if hb := cap(h.vals); hb+len(l.buf) != len(l.all) || len(l.buf) > 0 && &l.all[hb] != &l.buf[0] || hb > 0 && &l.all[0] != &h.vals[:1][0] {
-		return fmt.Errorf("runqueue: lane and heap do not divide one array (%d + %d of %d)", hb, len(l.buf), len(l.all))
-	}
-	dead, lastKey := 0, math.Inf(-1)
-	var last *entry[T] // the last live position
+	dead, lastKey, last := 0, math.Inf(-1), -1 // last: the last live position
 	for i := 0; i < l.span; i++ {
 		j := l.index(i)
-		e := &l.buf[j]
-		if e.key < lastKey {
+		e := l.buf[j]
+		switch {
+		case e.key < lastKey:
 			return fmt.Errorf("runqueue: lane order violated at %d (key %g after %g)", i, e.key, lastKey)
+		case e.hd == nil && (i == 0 || i == l.span-1):
+			return fmt.Errorf("runqueue: lane tombstone at an end (position %d of %d)", i, l.span)
+		case e.hd == nil:
+			dead++
+		case last >= 0 && e.key == l.buf[last].key && l.h.less(e.x, l.buf[last].x):
+			return fmt.Errorf("runqueue: lane order violated at %d (%v before %v)", i, e.x, l.buf[last].x)
+		default:
+			if err := l.h.check(e, -int32(j+1), "lane", i); err != nil {
+				return err
+			}
+			last = j
 		}
 		lastKey = e.key
-		if e.hd == nil {
-			if i == 0 || i == l.span-1 {
-				return fmt.Errorf("runqueue: lane tombstone at an end (position %d of %d)", i, l.span)
-			}
-			dead++
-			continue
-		}
-		if err := h.check(*e, -int32(j+1), "lane", i); err != nil {
-			return err
-		}
-		if last != nil && e.key == last.key && h.less(e.x, last.x) {
-			return fmt.Errorf("runqueue: lane order violated at %d (%v before %v)", i, e.x, last.x)
-		}
-		last = e
 	}
-	if dead != l.dead {
-		return fmt.Errorf("runqueue: lane counts %d tombstones, holds %d", l.dead, dead)
-	}
-	if 2*dead > l.span {
-		return fmt.Errorf("runqueue: lane holds %d tombstones in %d positions (a compaction was due)", dead, l.span)
+	if dead != l.dead || 2*dead > l.span {
+		return fmt.Errorf("runqueue: lane holds %d tombstones in %d positions, counts %d (compacted past half)", dead, l.span, l.dead)
 	}
 	return nil
 }
